@@ -39,6 +39,14 @@ def as_fraction(x: FractionLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def binary_theta(theta: FractionLike) -> Fraction:
+    """Exact correlation parameter of the binary channel, checked to lie in [-1, 1]."""
+    t = as_fraction(theta)
+    if not -1 <= t <= 1:
+        raise ValueError(f"theta must lie in [-1, 1], got {t}")
+    return t
+
+
 @dataclass(frozen=True)
 class Channel:
     """Column-stochastic transmission matrix over m labels."""
@@ -69,9 +77,7 @@ class Channel:
 
     @classmethod
     def binary(cls, theta: FractionLike) -> "Channel":
-        t = as_fraction(theta)
-        if not -1 <= t <= 1:
-            raise ValueError(f"theta must lie in [-1, 1], got {t}")
+        t = binary_theta(theta)
         keep = (1 + t) / 2
         flip = (1 - t) / 2
         return cls(m=2, matrix=((keep, flip), (flip, keep)))

@@ -26,7 +26,7 @@ from math import sqrt
 import numpy as np
 
 from .bp import LeafLikelihood, bp_posterior, bp_posterior_batch_binary
-from .channels import Channel, FractionLike, as_fraction
+from .channels import Channel, FractionLike, as_fraction, binary_theta
 from .oracle import DEFAULT_CONFIG_CAP, bayes_accuracy, config_count, enumerate_joint
 from .rng import SeedSpec, subkey, word
 from .trees import TreeShape
@@ -139,16 +139,6 @@ def linearized_bp(
     return report.argmax
 
 
-def bp_round_estimate(
-    shape: TreeShape, theta: FractionLike, leaves, mode: str = "auto"
-) -> int:
-    """Argmax of the full-tree BP posterior on hard leaf evidence."""
-    t = as_fraction(theta)
-    evidence = LeafLikelihood.from_labels(np.asarray(leaves), 2)
-    report = bp_posterior(shape, Channel.binary(t), evidence, mode=mode)
-    return report.argmax
-
-
 # --- ones-count chain ------------------------------------------------------
 
 
@@ -214,7 +204,7 @@ def estimate_flip_rate(
     """
     if not 0 <= d_prime <= shape.d:
         raise ValueError(f"d' must lie in [0, {shape.d}]")
-    t = float(as_fraction(theta))
+    t = float(binary_theta(theta))
     depth = shape.d - d_prime
     rng = np.random.Generator(np.random.PCG64(seed.key()))
     ones = leaf_ones_counts(shape.k, depth, t, root=1, trials=trials, rng=rng)
@@ -238,14 +228,14 @@ def exact_majority_error(shape: TreeShape, theta: FractionLike) -> Fraction:
     """Exact P[leaf majority != root | root = 1], ties counted half."""
     joint = enumerate_joint(shape, Channel.binary(as_fraction(theta)))
     n = shape.n
-    total = Fraction(0)
-    for cfg, p in joint.cond[1].items():
+    twice = 0  # twice the error numerator, so ties weigh one half
+    for cfg, p in joint.numerators[1].items():
         ones = sum(cfg)
         if 2 * ones < n:
-            total += p
+            twice += 2 * p
         elif 2 * ones == n:
-            total += p / 2
-    return total
+            twice += p
+    return Fraction(twice, 2 * joint.denominator)
 
 
 # --- P_{s,d} ---------------------------------------------------------------

@@ -291,6 +291,8 @@ def score_estimators_point(
     chunk_cells: int = 1 << 23,
 ) -> dict[str, float]:
     """Accuracy of each estimator on one shared set of sampled trees."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     shape = TreeShape(k=k, d=d)
     tf = float(theta)
     n = shape.n

@@ -12,7 +12,10 @@ first-class citizens, not test scaffolding:
 
 Their exact leaf laws coincide; `*_leaf_law` functions enumerate each
 generator's own randomness (flip bits, restriction symbols) so the
-equivalence can be checked in rational arithmetic with zero tolerance.
+equivalence can be checked exactly, with zero tolerance.  The enumeration
+extends each level one node at a time, one branch per symbol, in integer
+numerators over one running denominator; only the returned law holds
+`Fraction`s.
 
 Also here: the leaf noise channel, survival counting under composed
 restrictions, and the exact/approximate biased-bit samplers.
@@ -20,15 +23,15 @@ restrictions, and the exact/approximate biased-bit samplers.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-from .channels import Channel, FractionLike, as_fraction, cut63, uniform_cuts
+from .channels import Channel, FractionLike, as_fraction, binary_theta, cut63, uniform_cuts
 from .labels import LabelArray, code_dtype
-from .oracle import LeafLaw
+from .oracle import LeafLaw, Numerators, integer_numerators
 from .rng import (
     SeedSpec,
     bits_from_word,
@@ -120,9 +123,7 @@ def generate_path_product(
     Each non-root node carries an independent Bernoulli((1-theta)/2) flip
     bit; a node's label is the root XOR the flip bits on its path.
     """
-    t = as_fraction(theta)
-    if not -1 <= t <= 1:
-        raise ValueError(f"theta must lie in [-1, 1], got {t}")
+    t = binary_theta(theta)
     key = seed.key()
     flip_cut = np.uint64(cut63((1 - t) / 2))
     levels = [np.array([_sample_root(key, 2, root)], dtype=np.uint8)]
@@ -275,9 +276,7 @@ def biased_bit_approx_from_bits(theta: FractionLike, t_bits: int, bits: list[int
     """Threshold t_bits fair bits against (1+theta)/2; bias error <= 2^-t_bits."""
     if t_bits < 1:
         raise ValueError("bit budget must be >= 1")
-    th = as_fraction(theta)
-    if not -1 <= th <= 1:
-        raise ValueError(f"theta must lie in [-1, 1], got {th}")
+    th = binary_theta(theta)
     if len(bits) < t_bits:
         raise ValueError(f"need {t_bits} bits, got {len(bits)}")
     u = 0
@@ -314,7 +313,7 @@ def generate_binary_batch(
     independent streams and results do not depend on batch boundaries or the
     trial count.
     """
-    t = as_fraction(theta)
+    t = binary_theta(theta)
     tkeys = trial_keys(seed.key(), trials)
     if roots is None:
         root_words = trial_level_words(tkeys, 0, 1)[:, 0]
@@ -349,56 +348,60 @@ def generate_binary_batch(
 # --- exact per-generator leaf laws ---------------------------------------
 
 
-def _level_sizes(shape: TreeShape) -> list[int]:
-    return [shape.nodes_at(lvl) for lvl in range(shape.d + 1)]
+def _enumerated_leaf_law(
+    shape: TreeShape, root: int, branches: list[tuple[tuple[int, int], Fraction]]
+) -> LeafLaw:
+    """Exact leaf law of a generator that draws one symbol per non-root node.
+
+    `branches` lists each symbol as (child label given parent 0 and 1,
+    probability).  The level's symbols are independent, so each parent
+    configuration's child tuple is extended one node at a time, one branch
+    per symbol, merging equal partial tuples as it goes.  Weights are integer
+    numerators over one running denominator; zero-probability symbols are
+    skipped.
+    """
+    weights, den = integer_numerators([p for _, p in branches])
+    rules = [(child, w) for (child, _), w in zip(branches, weights) if w]
+    law: Numerators = {(root,): 1}
+    total_den = 1
+    for lvl in range(1, shape.d + 1):
+        nxt: Numerators = {}
+        for cfg, pr in law.items():
+            partial = {(): pr}
+            for parent in cfg:
+                for _ in range(shape.k):
+                    grown: Numerators = {}
+                    for prefix, w in partial.items():
+                        for child, rw in rules:
+                            key = prefix + (child[parent],)
+                            grown[key] = grown.get(key, 0) + w * rw
+                    partial = grown
+            for key, w in partial.items():
+                nxt[key] = nxt.get(key, 0) + w
+        law = nxt
+        total_den *= den ** shape.nodes_at(lvl)
+    return {cfg: Fraction(w, total_den) for cfg, w in law.items()}
 
 
 def path_product_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LeafLaw:
     """Exact leaf law of the path-product generator, by enumerating flip bits."""
     t = as_fraction(theta)
     p_flip = (1 - t) / 2
-    law: LeafLaw = {(root,): Fraction(1)}
-    for lvl in range(1, shape.d + 1):
-        count = shape.nodes_at(lvl)
-        nxt: LeafLaw = {}
-        for cfg, pr in law.items():
-            parents = np.repeat(np.array(cfg, dtype=np.uint8), shape.k)
-            for flips in product((0, 1), repeat=count):
-                w = pr
-                for f in flips:
-                    w *= p_flip if f else 1 - p_flip
-                child = tuple(int(p ^ f) for p, f in zip(parents, flips))
-                nxt[child] = nxt.get(child, Fraction(0)) + w
-        law = nxt
-    return law
+    # Flip bit 0 keeps the parent's label; flip bit 1 inverts it.
+    return _enumerated_leaf_law(shape, root, [((0, 1), 1 - p_flip), ((1, 0), p_flip)])
 
 
 def restriction_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LeafLaw:
     """Exact leaf law of the restriction generator, by enumerating symbols."""
     t = as_fraction(theta)
     p_const = (1 - t) / 2
-    p_star = t
-    law: LeafLaw = {(root,): Fraction(1)}
-    for lvl in range(1, shape.d + 1):
-        count = shape.nodes_at(lvl)
-        nxt: LeafLaw = {}
-        for cfg, pr in law.items():
-            parents = np.repeat(np.array(cfg, dtype=np.uint8), shape.k)
-            for syms in product((0, 1, STAR), repeat=count):
-                w = pr
-                for s in syms:
-                    w *= p_star if s == STAR else p_const
-                if w == 0:
-                    continue
-                child = tuple(
-                    int(parents[i]) if s == STAR else s for i, s in enumerate(syms)
-                )
-                nxt[child] = nxt.get(child, Fraction(0)) + w
-        law = nxt
-    return law
+    # Symbols 0 and 1 set the child; STAR copies the parent.
+    return _enumerated_leaf_law(shape, root, [((0, 0), p_const), ((1, 1), p_const), ((0, 1), t)])
 
 
-def total_variation(a: LeafLaw, b: LeafLaw) -> Fraction:
+def total_variation(
+    a: Mapping[tuple[int, ...], Fraction], b: Mapping[tuple[int, ...], Fraction]
+) -> Fraction:
     keys = set(a) | set(b)
     return sum(
         (abs(a.get(x, Fraction(0)) - b.get(x, Fraction(0))) for x in keys), Fraction(0)

@@ -76,7 +76,15 @@ class LabelArray:
         shape = TreeShape(k=int(doc["k"]), d=int(doc["d"]))
         m = int(doc["m"])
         dtype = code_dtype(m)
-        levels = [np.asarray(lvl, dtype=dtype) for lvl in doc["levels"]]
+        levels = []
+        for lvl, codes in enumerate(doc["levels"]):
+            arr = np.asarray(codes)
+            # Check before the cast: a narrowing cast of an out-of-range code overflows.
+            if arr.size and (
+                arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= m
+            ):
+                raise ValueError(f"level {lvl} must be a list of integer codes in [0, {m})")
+            levels.append(arr.astype(dtype))
         return cls(shape=shape, m=m, levels=levels)
 
     def to_bytes(self) -> bytes:

@@ -6,13 +6,22 @@ P[leaves = x | root = a] of every leaf configuration x, by bottom-up dynamic
 programming over subtrees.  Enumeration is only permitted while the
 configuration count m^(k^d) stays below a cap (default 2^20), which keeps
 oracle runs under a second.
+
+The dynamic program runs on integers: each channel matrix is scaled to
+integer numerators over the lcm of its denominators, so every probability of
+one run is an `int` numerator over a single shared denominator.  `Fraction`s
+appear only at the API edge: `cond[a]` reads as a mapping to `Fraction`s,
+built when a value is read, and the summaries below build one `Fraction` per
+result.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .channels import Channel
 from .trees import TreeShape
@@ -20,42 +29,72 @@ from .trees import TreeShape
 DEFAULT_CONFIG_CAP = 1 << 20
 
 LeafLaw = dict[tuple[int, ...], Fraction]
+Numerators = dict[tuple[int, ...], int]
+
+
+class LawView(Mapping):
+    """Read-only view of integer numerators over one denominator as Fractions."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, numerators: Numerators, denominator: int) -> None:
+        self._num = numerators
+        self._den = denominator
+
+    def __getitem__(self, leaves: tuple[int, ...]) -> Fraction:
+        return Fraction(self._num[leaves], self._den)
+
+    def __contains__(self, leaves: object) -> bool:
+        return leaves in self._num
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
 
 
 @dataclass
 class JointDistribution:
-    """Exact conditional leaf laws, one per root label."""
+    """Exact conditional leaf laws, one per root label.
+
+    P[leaves = x | root = a] is numerators[a][x] / denominator; configurations
+    of probability zero are absent.  `cond[a]` is the same law read as
+    Fractions.
+    """
 
     shape: TreeShape
     channel: Channel
-    cond: list[LeafLaw] = field(repr=False)
+    numerators: list[Numerators] = field(repr=False)
+    denominator: int
+    cond: list[LawView] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.cond = [LawView(num, self.denominator) for num in self.numerators]
 
     @property
     def m(self) -> int:
         return self.channel.m
 
     def prob(self, leaves: tuple[int, ...], root: int) -> Fraction:
-        return self.cond[root].get(tuple(leaves), Fraction(0))
+        return Fraction(self.numerators[root].get(tuple(leaves), 0), self.denominator)
 
     def configurations(self):
-        seen = set()
-        for law in self.cond:
-            seen.update(law)
-        return sorted(seen)
+        return sorted(set().union(*self.numerators))
 
     def mixture_prob(self, leaves: tuple[int, ...]) -> Fraction:
         """P[leaves] under the uniform root prior."""
         x = tuple(leaves)
-        return sum((law.get(x, Fraction(0)) for law in self.cond), Fraction(0)) / self.m
+        return Fraction(sum(num.get(x, 0) for num in self.numerators), self.denominator * self.m)
 
     def posterior(self, leaves: tuple[int, ...]) -> list[Fraction]:
         """Exact P[root = a | leaves] under the uniform root prior."""
         x = tuple(leaves)
-        weights = [law.get(x, Fraction(0)) for law in self.cond]
+        weights = [num.get(x, 0) for num in self.numerators]
         total = sum(weights)
         if total == 0:
             raise ValueError(f"leaf configuration {x} has probability zero")
-        return [w / total for w in weights]
+        return [Fraction(w, total) for w in weights]
 
     def to_json(self) -> str:
         doc = {
@@ -84,6 +123,12 @@ def config_count(shape: TreeShape, m: int) -> int:
     return out
 
 
+def integer_numerators(probs: list[Fraction]) -> tuple[list[int], int]:
+    """Exact probabilities as integer numerators over the lcm of their denominators."""
+    den = lcm(*(p.denominator for p in probs))
+    return [p.numerator * (den // p.denominator) for p in probs], den
+
+
 def enumerate_joint(
     shape: TreeShape,
     channel: Channel,
@@ -105,67 +150,63 @@ def enumerate_joint(
             f"enumeration needs {count} configurations, above the cap of {cap}"
         )
 
-    # cond[a] maps each leaf tuple of the current subtree depth to its
-    # conditional probability given subtree root a.
-    cond: list[LeafLaw] = [{(a,): Fraction(1)} for a in range(m)]
+    # num[a] maps each leaf tuple of the current subtree depth to its
+    # conditional probability given subtree root a, times den.
+    num: list[Numerators] = [{(a,): 1} for a in range(m)]
+    den = 1
     for step in range(shape.d):
         use = leaf_channel if (leaf_channel is not None and step == 0) else channel
-        # mix[a]: law of one child subtree given this node's label a.
-        mix: list[LeafLaw] = []
+        flat, scale = integer_numerators([p for row in use.matrix for p in row])
+        # mix[a]: law of one child subtree given this node's label a, over den * scale.
+        mix: list[Numerators] = []
         for a in range(m):
-            law: LeafLaw = {}
+            law: Numerators = {}
             for b in range(m):
-                p_b = use.matrix[b][a]
-                if p_b == 0:
+                w = flat[b * m + a]  # matrix[b][a] = P[child = b | parent = a]
+                if w == 0:
                     continue
-                for cfg, p in cond[b].items():
-                    law[cfg] = law.get(cfg, Fraction(0)) + p_b * p
+                for cfg, p in num[b].items():
+                    law[cfg] = law.get(cfg, 0) + w * p
             mix.append(law)
-        nxt: list[LeafLaw] = []
+        # k independent children: keys of equal-length parts concatenate
+        # injectively, so the product needs no accumulation.
+        nxt: list[Numerators] = []
         for a in range(m):
-            acc: LeafLaw = {(): Fraction(1)}
+            acc: Numerators = {(): 1}
             for _ in range(shape.k):
-                grown: LeafLaw = {}
-                for cfg, p in acc.items():
-                    for ccfg, q in mix[a].items():
-                        key = cfg + ccfg
-                        grown[key] = grown.get(key, Fraction(0)) + p * q
-                acc = grown
+                acc = {cfg + ccfg: p * q for cfg, p in acc.items() for ccfg, q in mix[a].items()}
             nxt.append(acc)
-        cond = nxt
-    return JointDistribution(shape=shape, channel=channel, cond=cond)
+        num = nxt
+        den = (den * scale) ** shape.k
+    return JointDistribution(shape=shape, channel=channel, numerators=num, denominator=den)
 
 
 def bayes_accuracy(joint: JointDistribution) -> Fraction:
     """Optimal detection accuracy sum_x max_a P[x|a] / m; lies in [1/m, 1]."""
-    total = Fraction(0)
-    for cfg in joint.configurations():
-        total += max(law.get(cfg, Fraction(0)) for law in joint.cond)
-    return total / joint.m
+    best = dict(joint.numerators[0])
+    for num in joint.numerators[1:]:
+        for x, p in num.items():
+            if p > best.get(x, 0):
+                best[x] = p
+    return Fraction(sum(best.values()), joint.denominator * joint.m)
 
 
 def node_marginal(joint: JointDistribution, leaf_index: int) -> list[Fraction]:
     """Marginal law of one leaf under the uniform-root mixture."""
-    out = [Fraction(0)] * joint.m
-    for law in joint.cond:
-        for cfg, p in law.items():
+    out = [0] * joint.m
+    for num in joint.numerators:
+        for cfg, p in num.items():
             out[cfg[leaf_index]] += p
-    return [p / joint.m for p in out]
+    return [Fraction(p, joint.denominator * joint.m) for p in out]
 
 
 def pair_equal_probability(joint: JointDistribution, i: int, j: int) -> Fraction:
     """P[leaf i == leaf j] under the uniform-root mixture."""
-    total = Fraction(0)
-    for law in joint.cond:
-        for cfg, p in law.items():
-            if cfg[i] == cfg[j]:
-                total += p
-    return total / joint.m
+    total = sum(p for num in joint.numerators for cfg, p in num.items() if cfg[i] == cfg[j])
+    return Fraction(total, joint.denominator * joint.m)
 
 
 def expected_leaf_sum(joint: JointDistribution, root: int) -> Fraction:
     """E[sum of leaf codes | root]; for binary labels, the expected ones count."""
-    total = Fraction(0)
-    for cfg, p in joint.cond[root].items():
-        total += p * sum(cfg)
-    return total
+    total = sum(p * sum(cfg) for cfg, p in joint.numerators[root].items())
+    return Fraction(total, joint.denominator)

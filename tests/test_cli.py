@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from treecast.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -137,6 +139,35 @@ def test_io_error_exit_code(tmp_path, capsys):
 def test_bad_theta_usage_error(capsys):
     code, _, _ = run(capsys, "gen", "--k", "2", "--d", "1", "--theta", "2")
     assert code == EXIT_USAGE
+
+
+def _one_line_usage_error(code, err, *words):
+    assert code == EXIT_USAGE
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    assert all(w in lines[0] for w in words), lines[0]
+
+
+def test_detect_zero_trials_is_usage_error(capsys):
+    code, _, err = run(capsys, "detect", "--k", "2", "--d", "3", "--theta", "1/2", "--trials", "0")
+    _one_line_usage_error(code, err, "trials", ">= 1")
+
+
+@pytest.mark.parametrize("estimator", ["majority", "linearized-bp", "bp-rounding"])
+def test_detect_theta_outside_range_names_theta(capsys, estimator):
+    code, _, err = run(
+        capsys, "detect", "--k", "2", "--d", "3", "--theta", "3", "--estimator", estimator,
+    )
+    _one_line_usage_error(code, err, "theta", "[-1, 1]", "3")
+
+
+@pytest.mark.parametrize("code_value", [-1, 2])
+def test_bp_label_code_out_of_range_is_usage_error(tmp_path, capsys, code_value):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"k": 2, "d": 1, "m": 2, "levels": [[1], [0, code_value]]}))
+    code, _, err = run(capsys, "bp", "--leaves", str(path), "--theta", "1/2")
+    _one_line_usage_error(code, err, "level 1", "[0, 2)")
 
 
 def test_verify_quick_exits_zero(capsys):

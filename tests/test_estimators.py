@@ -131,6 +131,15 @@ class TestPsd:
         est = estimate_P_sd(shape, theta, s, 6000, SeedSpec(7, "p"), method="mc")
         assert abs(est.estimate - want) <= 3 * est.stderr
 
+    def test_noise_free_accuracy_nonincreasing_in_depth(self):
+        # Data processing: the depth-(d+1) leaves are a noisy function of the
+        # depth-d leaves, so noise-free Bayes accuracy cannot grow with d.
+        for theta in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
+            vals = [exact_P_sd(TreeShape(k=2, d=d), theta, 0) for d in (1, 2, 3, 4)]
+            assert all(type(v) is Fraction for v in vals)
+            assert all(a >= b for a, b in zip(vals, vals[1:])), (theta, vals)
+            assert vals[-1] > Fraction(1, 2)
+
     def test_noisy_channel_composition(self):
         ch = noisy_leaf_channel(Fraction(9, 10), Fraction(1, 10))
         # agree = (1-s)(1+theta)/2 + s(1-theta)/2 = 0.9*0.95 + 0.1*0.05

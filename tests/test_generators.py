@@ -3,10 +3,11 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treecast.channels import Channel
+from treecast.experiments import DEFAULT_EXACT_SHAPES
 from treecast.generators import (
     STAR,
     NoiseSpec,
@@ -307,3 +308,37 @@ class TestBatchSampler:
         want = shape.n / 2 + shape.n * float(theta) ** shape.d / 2
         stderr = sums.std(ddof=1) / sqrt(trials)
         assert abs(sums.mean() - want) <= 3 * stderr
+
+
+# --- exact leaf laws against the oracle, on every exact-check shape ----------
+
+
+def _assert_law_equals_oracle(law_fn, k, d, theta, root):
+    shape = TreeShape(k=k, d=d)
+    law = law_fn(shape, theta, root)
+    want = enumerate_joint(shape, Channel.binary(theta)).cond[root]
+    assert all(type(p) is Fraction for p in law.values())
+    assert set(law) == set(want)  # same support: no zero-probability entries
+    assert total_variation(law, want) == 0
+
+
+@pytest.mark.parametrize("k,d", DEFAULT_EXACT_SHAPES)
+@example(theta=Fraction(0), root=0)
+@example(theta=Fraction(1), root=1)
+@given(theta=st.fractions(min_value=0, max_value=1, max_denominator=100), root=st.integers(0, 1))
+def test_restriction_leaf_law_equals_oracle(k, d, theta, root):
+    _assert_law_equals_oracle(restriction_leaf_law, k, d, theta, root)
+
+
+@pytest.mark.parametrize("k,d", DEFAULT_EXACT_SHAPES)
+@example(theta=Fraction(-1), root=0)
+@example(theta=Fraction(0), root=1)
+@example(theta=Fraction(1), root=0)
+@given(theta=st.fractions(min_value=-1, max_value=1, max_denominator=100), root=st.integers(0, 1))
+def test_path_product_leaf_law_equals_oracle(k, d, theta, root):
+    _assert_law_equals_oracle(path_product_leaf_law, k, d, theta, root)
+
+
+def test_batch_rejects_theta_outside_unit_interval():
+    with pytest.raises(ValueError, match="theta must lie in"):
+        generate_binary_batch(TreeShape(k=2, d=2), Fraction(3), SeedSpec(1, "g"), 4)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,10 @@ def test_level_count_enforced():
     shape = TreeShape(k=2, d=1)
     with pytest.raises(ValueError):
         LabelArray(shape=shape, m=2, levels=[np.array([1], dtype=np.uint8)])
+
+
+@pytest.mark.parametrize("codes", [[0, -1], [0, 2], [0, 300], [0, 2**70], [0, 1.5], [[0], [1]]])
+def test_from_json_range_checks_before_cast(codes):
+    doc = {"k": 2, "d": 1, "m": 2, "levels": [[1], codes]}
+    with pytest.raises(ValueError, match=r"level 1 must be a list of integer codes in \[0, 2\)"):
+        LabelArray.from_json(json.dumps(doc))

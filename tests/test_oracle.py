@@ -108,3 +108,53 @@ def test_json_rational_encoding():
     joint = enumerate_joint(TreeShape(k=2, d=1), Channel.binary(Fraction(1, 2)))
     doc = json.loads(joint.to_json())
     assert doc["cond"][1]["11"] == "9/16"
+
+
+# JointDistribution.to_json() for (2,2) at theta=1/2, as written by the
+# Fraction-based enumeration before the oracle moved to integer numerators.
+GOLDEN_JSON_2_2_HALF = (
+    '{"cond":[{"0000":"49/256","0001":"21/256","0010":"21/256","0011":"21/256",'
+    '"0100":"21/256","0101":"9/256","0110":"9/256","0111":"9/256","1000":"21/256",'
+    '"1001":"9/256","1010":"9/256","1011":"9/256","1100":"21/256","1101":"9/256",'
+    '"1110":"9/256","1111":"9/256"},{"0000":"9/256","0001":"9/256","0010":"9/256",'
+    '"0011":"21/256","0100":"9/256","0101":"9/256","0110":"9/256","0111":"21/256",'
+    '"1000":"9/256","1001":"9/256","1010":"9/256","1011":"21/256","1100":"21/256",'
+    '"1101":"21/256","1110":"21/256","1111":"49/256"}],"d":2,"k":2,"m":2}'
+)
+
+
+def test_json_golden_bytes():
+    joint = enumerate_joint(TreeShape(k=2, d=2), Channel.binary(Fraction(1, 2)))
+    assert joint.to_json() == GOLDEN_JSON_2_2_HALF
+
+
+def test_cond_reads_fractions_from_integer_numerators():
+    joint = enumerate_joint(TreeShape(k=2, d=2), Channel.binary(Fraction(1, 3)))
+    assert all(isinstance(n, int) for num in joint.numerators for n in num.values())
+    for root, law in enumerate(joint.cond):
+        assert len(law) == len(joint.numerators[root]) == 16
+        assert all(type(p) is Fraction for p in law.values())
+        for cfg, p in law.items():
+            assert p == Fraction(joint.numerators[root][cfg], joint.denominator)
+            assert p == joint.prob(cfg, root)
+
+
+def test_cond_is_read_only():
+    joint = enumerate_joint(TreeShape(k=2, d=1), Channel.binary(Fraction(1, 2)))
+    with pytest.raises(TypeError):
+        joint.cond[0][(0, 0)] = Fraction(1)
+    assert (2, 2) not in joint.cond[0]
+    assert joint.cond[0].get((2, 2)) is None
+
+
+def test_noisy_leaf_channel_and_nonbinary_labels():
+    # A leaf channel with its own denominator, and a three-label channel:
+    # every conditional law still sums to one exactly.
+    leaf = Channel.binary(Fraction(2, 9))
+    joint = enumerate_joint(TreeShape(k=2, d=2), Channel.binary(Fraction(3, 5)), leaf_channel=leaf)
+    assert all(sum(law.values()) == 1 for law in joint.cond)
+    third = Fraction(1, 3)
+    ch3 = Channel.from_columns([[Fraction(1, 2), third, Fraction(1, 6)]] * 3)
+    joint3 = enumerate_joint(TreeShape(k=3, d=1), ch3)
+    assert all(sum(law.values()) == 1 for law in joint3.cond)
+    assert joint3.mixture_prob((0, 1, 2)) == Fraction(1, 2) * third * Fraction(1, 6)
