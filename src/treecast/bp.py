@@ -7,6 +7,17 @@ given per-leaf likelihood weights.  Two arithmetic modes are supported:
   and is auto-selected while the tree is small;
 * float -- log-domain messages (per-node max-shift), immune to underflow at
   depth, within 1e-9 relative of the rational mode where both run.
+
+`bp_posterior_batch_binary` is the Monte Carlo path for the symmetric binary
+channel, one log-odds per node across a batch of trees.  On hard or
+symmetric-noise evidence a low-level message takes only a few values (the
+finite-support observation behind the Mezard-Montanari distributional
+recursion), so the low levels carry integer codes into a small log-odds table
+instead of floats: the edge map runs once per table entry rather than once
+per node.  A level is coded while its table has no more entries than the
+batch has nodes at that level; the rest of the tree runs the per-node float
+recursion.  Table entries are built by the same float operations in the same
+order as the per-node recursion, so the output is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -191,27 +202,59 @@ def bp_posterior_batch_binary(
     `leaves` has shape (trials, n); observations enter through a symmetric
     flip channel of rate s (s = 0 means hard evidence).  For the symmetric
     binary channel the BP message is a single log-odds per node: an edge maps
-    lam to 2 artanh(theta tanh(lam / 2)) and a node sums its children, so a
-    leaf contributes +-2 artanh(theta (1 - 2s)) and the whole leaf level
-    collapses to per-parent ones counts.  Agrees with the rational mode to
-    float precision; vectorized across trials for Monte Carlo use.
+    lam to 2 artanh(theta tanh(lam / 2)) and a node sums its children.
+
+    The low levels run on integer codes (see the module docstring): a height-1
+    node's code is its children's ones count, with log-odds
+    `leaf_up * (2 c - k)`, leaf_up = 2 artanh(theta (1 - 2s)); a height-h+1
+    code is the mixed-radix number of its k child codes, and its table entry
+    is the edge-mapped child entries summed in child order.  Coding stops
+    before the first level whose table would have more entries than the
+    batch has nodes at that level (V^k > trials * nodes), so the depth it
+    reaches depends on the batch but the output does not.  From there the
+    log-odds are gathered once and the float recursion finishes the tree.
+    Each table entry is computed by the same float operations, in the same
+    order, as the per-node recursion applies to a node with those children,
+    so the result is bit-identical to it, NaN at theta = 1 on conflicting
+    evidence included.  Agrees with the rational mode to float precision.
     """
     trials, n = leaves.shape
     if n != shape.n:
         raise ValueError(f"leaves have {n} columns, tree has {shape.n}")
+    k = shape.k
     if shape.d == 0:
         lam_e = 0.0 if s == 0.5 else np.arctanh(1 - 2 * s) if s > 0 else np.inf
         lam = (2.0 * leaves[:, 0] - 1.0) * (2 * lam_e if np.isfinite(lam_e) else np.inf)
         return _sigmoid(lam)
     with np.errstate(divide="ignore"):
         leaf_up = 2.0 * np.arctanh(theta_float * (1.0 - 2.0 * s))
-    ones = leaves.reshape(trials, n // shape.k, shape.k).sum(axis=2)
-    lam = leaf_up * (2.0 * ones - shape.k)
-    for _ in range(shape.d - 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = 2.0 * np.arctanh(theta_float * np.tanh(lam / 2.0))
-        lam = up.reshape(trials, -1, shape.k).sum(axis=2)
+    codes = leaves[:, 0::k].astype(np.min_scalar_type(k))
+    for j in range(1, k):
+        np.add(codes, leaves[:, j::k], out=codes, casting="unsafe")
+    table = leaf_up * (2.0 * np.arange(k + 1) - k)
+    height = 1
+    while height < shape.d and len(table) ** k <= trials * shape.nodes_at(shape.d - height - 1):
+        radix = len(table)
+        up = _edge_log_odds(table, theta_float)
+        digits = np.indices((radix,) * k).reshape(k, -1).T
+        table = up[digits].sum(axis=-1)
+        nxt = codes[:, 0::k].astype(np.min_scalar_type(len(table) - 1))
+        for j in range(1, k):
+            nxt *= radix
+            nxt += codes[:, j::k]
+        codes = nxt
+        height += 1
+    lam = table[codes]
+    for _ in range(shape.d - height):
+        up = _edge_log_odds(lam, theta_float)
+        lam = up.reshape(trials, -1, k).sum(axis=2)
     return _sigmoid(lam[:, 0])
+
+
+def _edge_log_odds(lam: np.ndarray, theta_float: float) -> np.ndarray:
+    """Child log-odds seen from the parent through a binary edge of bias theta."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * np.arctanh(theta_float * np.tanh(lam / 2.0))
 
 
 def _sigmoid(lam: np.ndarray) -> np.ndarray:

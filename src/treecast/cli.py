@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 
 import numpy as np
@@ -43,6 +44,12 @@ def _setup_logging() -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -N and -N.N as values; also read -p/q and
+        # grids such as -1/2,4/5, so `--theta -1/2` is not taken for a flag.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         raise SystemExit2(message)

@@ -69,6 +69,18 @@ def majority_estimate(leaves, seed: SeedSpec, trial: int = 0) -> int:
     return majority_from_count(ones, arr.size, int(tie_bit))
 
 
+def _decide(above: np.ndarray, tied: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Batched binary decisions: 1 where `above`, else 0, and a fair bit at ties.
+
+    The tie bits are one `rng.integers(0, 2, size=ties)` draw, taken only
+    when some entry is tied, and assigned in index order.
+    """
+    guess = above.astype(np.int64)
+    if tied.any():
+        guess[tied] = rng.integers(0, 2, size=int(tied.sum()))
+    return guess
+
+
 def reduced_depth(k: int, d: int) -> int:
     """d' = floor(log_k(log2(n))) for n = k^d, in exact integer arithmetic.
 
@@ -311,10 +323,7 @@ def estimate_P_sd(
             flips = rng.random((batch, shape.n)) < s_float
             leaves = leaves ^ flips.astype(np.uint8)
         post1 = bp_posterior_batch_binary(shape, tf, leaves, s=s_float)
-        guess = (post1 > 0.5).astype(np.int64)
-        ties = post1 == 0.5
-        if ties.any():
-            guess[ties] = rng.integers(0, 2, size=int(ties.sum()))
+        guess = _decide(post1 > 0.5, post1 == 0.5, rng)
         correct += int((guess == roots).sum())
         done += batch
     acc = correct / trials

@@ -27,6 +27,7 @@ from .bp import bp_posterior_batch_binary
 from .channels import Channel, as_fraction, ks_parameter
 from .estimators import (
     EstimatorReport,
+    _decide,
     default_flip_rate,
     estimate_flip_rate,
     estimate_P_sd,
@@ -318,41 +319,26 @@ def score_estimators_point(
         roots, leaves = generate_binary_batch(shape, theta, batch_seed, b, method="direct")
         if "majority" in estimators:
             ones = leaves.sum(axis=1)
-            guess = np.where(2 * ones > n, 1, np.where(2 * ones < n, 0, -1))
-            ties = guess < 0
-            if ties.any():
-                guess[ties] = tie_rng.integers(0, 2, size=int(ties.sum()))
+            guess = _decide(2 * ones > n, 2 * ones == n, tie_rng)
             correct["majority"] += int((guess == roots).sum())
         if "linearized-bp" in estimators:
             if d_prime == 0:
                 ones = leaves.sum(axis=1)
-                guess = np.where(2 * ones > n, 1, np.where(2 * ones < n, 0, -1))
-                ties = guess < 0
-                if ties.any():
-                    guess[ties] = tie_rng.integers(0, 2, size=int(ties.sum()))
+                guess = _decide(2 * ones > n, 2 * ones == n, tie_rng)
             else:
                 counts = shape.nodes_at(d_prime)
                 block = n // counts
                 sums = leaves.reshape(b, counts, block).sum(axis=2)
-                bits = np.where(2 * sums > block, 1, np.where(2 * sums < block, 0, -1))
-                ties = bits < 0
-                if ties.any():
-                    bits[ties] = tie_rng.integers(0, 2, size=int(ties.sum()))
+                bits = _decide(2 * sums > block, 2 * sums == block, tie_rng)
                 reduced = TreeShape(k=k, d=d_prime)
                 post1 = bp_posterior_batch_binary(
                     reduced, tf, bits.astype(np.uint8), s=float(s_hat)
                 )
-                guess = (post1 > 0.5).astype(np.int64)
-                post_ties = post1 == 0.5
-                if post_ties.any():
-                    guess[post_ties] = tie_rng.integers(0, 2, size=int(post_ties.sum()))
+                guess = _decide(post1 > 0.5, post1 == 0.5, tie_rng)
             correct["linearized-bp"] += int((guess == roots).sum())
         if "bp-rounding" in estimators:
             post1 = bp_posterior_batch_binary(shape, tf, leaves)
-            guess = (post1 > 0.5).astype(np.int64)
-            post_ties = post1 == 0.5
-            if post_ties.any():
-                guess[post_ties] = tie_rng.integers(0, 2, size=int(post_ties.sum()))
+            guess = _decide(post1 > 0.5, post1 == 0.5, tie_rng)
             correct["bp-rounding"] += int((guess == roots).sum())
         done += b
         batch_index += 1
@@ -376,8 +362,11 @@ def _ks_point(args) -> list[ResultRow]:
 
 
 def _resolve_jobs(jobs: int) -> int:
+    """`jobs` if positive, else the CPUs this process may run on."""
     if jobs and jobs > 0:
         return jobs
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -325,7 +325,10 @@ def generate_binary_batch(
     labels = roots.reshape(-1, 1)
     keep_cut = np.uint64(cut63((1 + t) / 2))
     flip_cut = np.uint64(cut63((1 - t) / 2))
-    const1_cut = np.uint64(cut63(1 - t))  # restriction: below flip_cut is 0, below this is 1
+    if method == "restrictions":
+        if t < 0:
+            raise ValueError("restriction sampling needs theta in [0, 1]")
+        const1_cut = np.uint64(cut63(1 - t))  # below flip_cut is 0, below this is 1
     for lvl in range(1, shape.d + 1):
         count = shape.nodes_at(lvl)
         w63 = trial_level_words(tkeys, lvl, count) >> np.uint64(1)
@@ -336,8 +339,6 @@ def generate_binary_batch(
         elif method == "path":
             labels = parents ^ (w63 < flip_cut).astype(np.uint8)
         elif method == "restrictions":
-            if t < 0:
-                raise ValueError("restriction sampling needs theta in [0, 1]")
             labels = np.where(w63 < flip_cut, 0, np.where(w63 < const1_cut, 1, parents))
             labels = labels.astype(np.uint8)
         else:

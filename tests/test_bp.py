@@ -3,8 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from treecast.bp import LeafLikelihood, bp_posterior, bp_posterior_batch_binary
+from treecast import bp as bp_module
+from treecast.bp import LeafLikelihood, _sigmoid, bp_posterior, bp_posterior_batch_binary
 from treecast.channels import Channel
 from treecast.oracle import enumerate_joint
 from treecast.trees import TreeShape
@@ -137,3 +140,85 @@ def test_evidence_size_checked():
             Channel.binary(Fraction(1, 2)),
             LeafLikelihood.from_labels([1, 0], 2),
         )
+
+
+# --- batched binary BP: integer-code tables against the per-node recursion ---
+
+
+def _per_node_bp(shape, theta_float, leaves, s):
+    """P[root = 1] by the plain per-node log-odds recursion (the reference)."""
+    trials = len(leaves)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if shape.d == 0:
+            return _sigmoid((2.0 * leaves[:, 0] - 1.0) * (2.0 * np.arctanh(1.0 - 2.0 * s)))
+        leaf_up = 2.0 * np.arctanh(theta_float * (1.0 - 2.0 * s))
+        lam = leaf_up * (2.0 * leaves.reshape(trials, -1, shape.k).sum(axis=2) - shape.k)
+        for _ in range(shape.d - 1):
+            up = 2.0 * np.arctanh(theta_float * np.tanh(lam / 2.0))
+            lam = up.reshape(trials, -1, shape.k).sum(axis=2)
+    return _sigmoid(lam[:, 0])
+
+
+def _random_leaves(shape, trials, bias, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.random((trials, shape.n)) < bias).astype(np.uint8)
+
+
+@st.composite
+def _batch_cases(draw):
+    k = draw(st.integers(2, 9))
+    max_d = 0
+    while max_d < 8 and k ** (max_d + 1) <= 4096:
+        max_d += 1
+    shape = TreeShape(k=k, d=draw(st.integers(0, max_d)))
+    theta = draw(st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1, 1)))
+    s = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    trials = draw(st.integers(1, 300))
+    leaves = _random_leaves(shape, trials, draw(st.floats(0, 1)), draw(st.integers(0, 2**32)))
+    return shape, theta, s, leaves
+
+
+@example(case=(TreeShape(k=9, d=3), 0.8, 0.1, _random_leaves(TreeShape(k=9, d=3), 40, 0.5, 1)))
+@example(case=(TreeShape(k=3, d=3), 0.9, 0.1, _random_leaves(TreeShape(k=3, d=3), 300, 0.5, 1)))
+@example(case=(TreeShape(k=2, d=12), 1.0, 0.0, _random_leaves(TreeShape(k=2, d=12), 3, 0.9, 2)))
+@given(case=_batch_cases())
+def test_batch_bit_identical_to_per_node_recursion(case):
+    shape, theta, s, leaves = case
+    got = bp_posterior_batch_binary(shape, theta, leaves, s=s)
+    with np.errstate(invalid="ignore"):
+        want = _per_node_bp(shape, theta, leaves, s)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def _edge_map_sizes(monkeypatch, shape, trials):
+    """Sizes of the arrays the edge map sees, in call order."""
+    sizes = []
+    real = bp_module._edge_log_odds
+
+    def spy(lam, theta_float):
+        sizes.append(lam.size)
+        return real(lam, theta_float)
+
+    monkeypatch.setattr(bp_module, "_edge_log_odds", spy)
+    with np.errstate(invalid="ignore"):
+        bp_posterior_batch_binary(shape, 0.8, _random_leaves(shape, trials, 0.6, 3), s=0.1)
+    return sizes
+
+
+def test_table_depth_follows_batch_size(monkeypatch):
+    # k=2, d=10: tables of 3, 9, 81 entries are coded while they fit the
+    # level they replace; the 6561-entry table would not fit 64 trials x 64
+    # nodes, so the float recursion takes over at height 3.
+    assert _edge_map_sizes(monkeypatch, TreeShape(k=2, d=10), 64) == [3, 9] + [
+        64 * 2**j for j in range(7, 0, -1)
+    ]
+    # Large k stops at once: 17^16 entries never fit, only height 1 is tabled.
+    assert _edge_map_sizes(monkeypatch, TreeShape(k=16, d=2), 50) == [50 * 16]
+
+
+def test_batch_results_do_not_depend_on_trial_count():
+    shape = TreeShape(k=2, d=10)
+    leaves = _random_leaves(shape, 300, 0.55, 4)
+    whole = bp_posterior_batch_binary(shape, 0.9, leaves, s=0.1)
+    parts = [bp_posterior_batch_binary(shape, 0.9, leaves[i : i + 1], s=0.1) for i in range(0, 300, 7)]
+    assert np.array_equal(whole[::7], np.concatenate(parts))

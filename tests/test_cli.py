@@ -175,3 +175,17 @@ def test_verify_quick_exits_zero(capsys):
     assert code == EXIT_OK
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("estimator", ["majority", "linearized-bp", "bp-rounding"])
+def test_detect_negative_theta_as_separate_argument(capsys, estimator):
+    base = ("--seed", "4", "detect", "--k", "2", "--d", "6", "--trials", "200", "--estimator", estimator)
+    code_sep, out_sep, _ = run(capsys, *base, "--theta", "-1/2")
+    code_eq, out_eq, _ = run(capsys, *base, "--theta=-1/2")
+    assert code_sep == code_eq == EXIT_OK
+    assert out_sep == out_eq
+
+
+def test_detect_negative_theta_outside_range_is_one_line_error(capsys):
+    code, _, err = run(capsys, "detect", "--k", "2", "--d", "3", "--theta", "-3/2")
+    _one_line_usage_error(code, err, "theta must lie in [-1, 1]", "-3/2")

@@ -140,6 +140,13 @@ class TestPsd:
             assert all(a >= b for a, b in zip(vals, vals[1:])), (theta, vals)
             assert vals[-1] > Fraction(1, 2)
 
+    def test_mc_golden(self):
+        # Seeded golden float: a change to the leaf or noise draws, the
+        # tie-break draws or batched BP's decisions and ties shows here.
+        est = estimate_P_sd(TreeShape(2, 8), Fraction(4, 5), Fraction(1, 10), 3000, SeedSpec(7, "golden"))
+        assert est.method == "mc"
+        assert est.estimate == 0.826
+
     def test_noisy_channel_composition(self):
         ch = noisy_leaf_channel(Fraction(9, 10), Fraction(1, 10))
         # agree = (1-s)(1+theta)/2 + s(1-theta)/2 = 0.9*0.95 + 0.1*0.05

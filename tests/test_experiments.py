@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from treecast.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     ResultRow,
+    _resolve_jobs,
     emit,
     exact_joint_of_leaves,
     read_csv,
@@ -14,9 +16,11 @@ from treecast.experiments import (
     run_equivalence_suite,
     run_ks_scan,
     run_noise_scan,
+    score_estimators_point,
     suite_failures,
 )
 from treecast.generators import generate_binary_batch
+from treecast.rng import SeedSpec
 from treecast.trees import TreeShape
 
 
@@ -143,6 +147,32 @@ class TestKsScan:
                     o = by[(k, theta, other)]
                     band = 3 * (bp.stderr**2 + o.stderr**2) ** 0.5
                     assert o.accuracy <= bp.accuracy + band
+
+
+def test_score_estimators_point_golden():
+    # Seeded golden floats: a change to the sampler draws, the tie-break
+    # draws or batched BP's decisions and ties shows here.
+    got = score_estimators_point(2, Fraction(4, 5), 8, 3000, SeedSpec(7, "golden"))
+    assert got == {
+        "majority": 0.8313333333333334,
+        "linearized-bp": 0.812,
+        "bp-rounding": 0.8436666666666667,
+    }
+
+
+class TestResolveJobs:
+    def test_zero_means_cpus_in_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _resolve_jobs(0) == 2
+        assert _resolve_jobs(5) == 5
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _resolve_jobs(0) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_jobs(0) == 1
 
 
 class TestNoiseScan:

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treecast.channels import Channel
-from treecast.experiments import DEFAULT_EXACT_SHAPES
+from treecast.experiments import DEFAULT_EXACT_SHAPES, _chi_square_vs_exact, exact_joint_of_leaves
 from treecast.generators import (
     STAR,
     NoiseSpec,
@@ -342,3 +342,25 @@ def test_path_product_leaf_law_equals_oracle(k, d, theta, root):
 def test_batch_rejects_theta_outside_unit_interval():
     with pytest.raises(ValueError, match="theta must lie in"):
         generate_binary_batch(TreeShape(k=2, d=2), Fraction(3), SeedSpec(1, "g"), 4)
+
+
+@pytest.mark.parametrize("method", ["direct", "path"])
+def test_batch_negative_theta_matches_exact_law(method):
+    # Odd depth and a fixed root, where the leaf law depends on the sign of theta.
+    shape = TreeShape(k=2, d=3)
+    theta = Fraction(-1, 2)
+    sel = (0, 1, 2, 7)
+    trials = 20_000
+    exact = exact_joint_of_leaves(shape, theta, sel, root=1)
+    _, leaves = generate_binary_batch(
+        shape, theta, SeedSpec(5, f"neg/{method}"), trials, method, roots=np.ones(trials, dtype=np.uint8)
+    )
+    keys, counts = np.unique(leaves[:, list(sel)], axis=0, return_counts=True)
+    counted = {tuple(int(b) for b in row): int(c) for row, c in zip(keys, counts)}
+    ok, stat, threshold = _chi_square_vs_exact(counted, exact, trials, 1e-3)
+    assert ok, (stat, threshold)
+
+
+def test_restriction_batch_rejects_negative_theta():
+    with pytest.raises(ValueError, match="restriction sampling needs theta in"):
+        generate_binary_batch(TreeShape(k=2, d=2), Fraction(-1, 2), SeedSpec(1, "g"), 4, "restrictions")
