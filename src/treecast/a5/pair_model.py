@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..channels import cut63
+from ..generators import check_node_budget
 from ..labels import LabelArray
 from ..rng import SeedSpec, level_words, trial_keys, trial_level_words
 from ..trees import TreeShape
@@ -52,6 +53,7 @@ def generate_pair_model(
     shape: TreeShape, seed: SeedSpec, root: int | None = None
 ) -> LabelArray:
     """Sample the pair-label broadcast process; root uniform when unspecified."""
+    check_node_budget(shape)
     key = seed.key()
     if root is None:
         w = level_words(key, 0, 1, word_index=0)

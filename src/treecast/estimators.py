@@ -1,10 +1,16 @@
 """Root estimators for the binary broadcast process.
 
-* `majority_estimate`: leaf majority with a fresh random bit on exact ties.
-* `linearized_bp`: the two-stage estimator -- subtree majorities at the
-  reduced depth d' = floor(log_k(log2(n))), then Bayes decoding of those
-  majority bits on the depth-d' tree, treating them as observations through
-  a symmetric flip channel.
+Leaf majority, linearized BP and BP rounding each have one implementation,
+a batched kernel (`*_decisions`) over a (trials, n) leaf batch whose rows
+are the global trials start, start+1, ...  Every tie takes the top bit of a
+counter word keyed by the global trial index, so decisions depend neither
+on the chunking (`trial_chunks`) nor on which other estimators run.
+`majority_estimate` and `linearized_bp` are their one-tree wrappers.
+
+* linearized BP: subtree majorities at the reduced depth
+  d' = floor(log_k(log2(n))), then Bayes decoding of those majority bits on
+  the depth-d' tree, treating them as observations through a symmetric flip
+  channel.
 * `estimate_flip_rate`: Monte Carlo estimate of P[subtree majority != subtree
   root], together with the analytic variance bound 1/(theta^2 k - 1) that is
   valid when k theta^2 > 2.
@@ -25,10 +31,10 @@ from math import sqrt
 
 import numpy as np
 
-from .bp import LeafLikelihood, bp_posterior, bp_posterior_batch_binary
+from .bp import bp_posterior_batch_binary
 from .channels import Channel, FractionLike, as_fraction, binary_theta
 from .oracle import DEFAULT_CONFIG_CAP, bayes_accuracy, config_count, enumerate_joint
-from .rng import SeedSpec, subkey, word
+from .rng import SeedSpec, trial_keys, words_vec
 from .trees import TreeShape
 
 
@@ -52,33 +58,80 @@ class EstimatorReport:
         return self.accuracy - 1 / self.m
 
 
-def majority_from_count(ones: int, n: int, tie_bit: int) -> int:
-    """Majority decision from the ones count; `tie_bit` settles exact ties."""
-    if 2 * ones > n:
-        return 1
-    if 2 * ones < n:
-        return 0
-    return tie_bit & 1
+CHUNK_CELLS = 1 << 23  # leaf cells per Monte Carlo batch, bounding its memory
+
+
+def trial_chunks(trials: int, n: int):
+    """(start, stop) ranges of 1 + CHUNK_CELLS // n trials covering [0, trials)."""
+    size = 1 + CHUNK_CELLS // n
+    for start in range(0, trials, size):
+        yield start, min(start + size, trials)
+
+
+def _decide(above: np.ndarray, tied: np.ndarray, tie_word) -> np.ndarray:
+    """1 where `above`, else 0; tied entries take the top bits of the words that
+    `tie_word(*np.nonzero(tied))` computes for them alone."""
+    guess = above.astype(np.uint8)
+    where = np.nonzero(tied)
+    if where[0].size:
+        guess[where] = tie_word(*where) >> np.uint64(63)
+    return guess
+
+
+def _trial_tie(key: int, start: int):
+    """Tie words `word(key, i << 1)` for the global trial i = start + row."""
+    return lambda rows: words_vec(key, (rows + start) << 1)
+
+
+def majority_decisions(leaves: np.ndarray, start: int, seed: SeedSpec) -> np.ndarray:
+    """Leaf majority of each row; a tie takes `word(seed.key(), i << 1)`, i = start + row."""
+    n = leaves.shape[1]
+    ones = leaves.sum(axis=1)
+    return _decide(2 * ones > n, 2 * ones == n, _trial_tie(seed.key(), start))
+
+
+def linearized_bp_decisions(
+    shape: TreeShape, theta: float, leaves: np.ndarray, start: int, seed: SeedSpec, s_hat: float
+) -> np.ndarray:
+    """Majorities of the depth-d' subtrees, then BP on the depth-d' tree.
+
+    Each majority bit is observed through a flip channel of rate s_hat.  With
+    key = the stream `seed.stream_tag + "/tie"`, a subtree tie at node j of
+    trial i takes `word(subkey(key, i), j)` and a posterior tie
+    `word(key, i << 1)`.  With d' = 0 this is a leaf majority.
+    """
+    tie_seed = SeedSpec(seed.master_seed, seed.stream_tag + "/tie")
+    d_prime = reduced_depth(shape.k, shape.d)
+    if d_prime == 0:
+        return majority_decisions(leaves, start, tie_seed)
+    key = tie_seed.key()
+    trials = leaves.shape[0]
+    count = shape.nodes_at(d_prime)
+    block = shape.n // count
+    sums = leaves.reshape(trials, count, block).sum(axis=2)
+
+    def subtree_tie(rows, nodes):
+        return words_vec(trial_keys(key, trials, start)[rows], nodes)
+
+    bits = _decide(2 * sums > block, 2 * sums == block, subtree_tie)
+    post1 = bp_posterior_batch_binary(TreeShape(k=shape.k, d=d_prime), theta, bits, s=s_hat)
+    return _decide(post1 > 0.5, post1 == 0.5, _trial_tie(key, start))
+
+
+def bp_rounding_decisions(
+    shape: TreeShape, theta: float, leaves: np.ndarray, start: int, seed: SeedSpec, s: float = 0.0
+) -> np.ndarray:
+    """Rounded BP posterior, leaves seen through a flip channel of rate s.
+
+    A posterior of exactly 1/2 takes the top bit of `word(seed.key(), i << 1)`.
+    """
+    post1 = bp_posterior_batch_binary(shape, theta, leaves, s=s)
+    return _decide(post1 > 0.5, post1 == 0.5, _trial_tie(seed.key(), start))
 
 
 def majority_estimate(leaves, seed: SeedSpec, trial: int = 0) -> int:
-    """1 if ones exceed half the leaves, 0 if fewer, fresh random bit on a tie."""
-    arr = np.asarray(leaves)
-    ones = int(arr.sum())
-    tie_bit = word(seed.key(), trial << 1) >> 63
-    return majority_from_count(ones, arr.size, int(tie_bit))
-
-
-def _decide(above: np.ndarray, tied: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Batched binary decisions: 1 where `above`, else 0, and a fair bit at ties.
-
-    The tie bits are one `rng.integers(0, 2, size=ties)` draw, taken only
-    when some entry is tied, and assigned in index order.
-    """
-    guess = above.astype(np.int64)
-    if tied.any():
-        guess[tied] = rng.integers(0, 2, size=int(tied.sum()))
-    return guess
+    """`majority_decisions` of one tree, as global trial `trial`."""
+    return int(majority_decisions(np.asarray(leaves).reshape(1, -1), trial, seed)[0])
 
 
 def reduced_depth(k: int, d: int) -> int:
@@ -106,20 +159,15 @@ def default_flip_rate(k: int, theta: float) -> float:
     return 0.25
 
 
-def subtree_majorities(
-    shape: TreeShape, leaves: np.ndarray, d_prime: int, seed: SeedSpec, trial: int = 0
-) -> np.ndarray:
-    """Majority bit of each depth-d' node's descendant leaves, random tie-breaks."""
-    count = shape.nodes_at(d_prime)
-    block = shape.n // count
-    sums = np.asarray(leaves).reshape(count, block).sum(axis=1)
-    out = np.where(2 * sums > block, 1, 0).astype(np.uint8)
-    ties = np.nonzero(2 * sums == block)[0]
-    if len(ties):
-        key = subkey(seed.key(), trial)
-        bits = np.array([word(key, int(i)) >> 63 for i in ties], dtype=np.uint8)
-        out[ties] = bits
-    return out
+def pilot_flip_rate(shape: TreeShape, theta: FractionLike, seed: SeedSpec) -> float:
+    """s_hat from a 2000-trial `estimate_flip_rate` pilot where d' > 0 and
+    k theta^2 > 2, else `default_flip_rate`."""
+    t = float(theta)
+    d_prime = reduced_depth(shape.k, shape.d)
+    if d_prime == 0 or shape.k * t * t <= 2:
+        return default_flip_rate(shape.k, t)
+    pilot = estimate_flip_rate(shape, theta, d_prime, 2000, SeedSpec(seed.master_seed, seed.stream_tag + "/fliprate"))
+    return min(max(pilot.estimate, 1e-6), 0.49)
 
 
 def linearized_bp(
@@ -130,25 +178,14 @@ def linearized_bp(
     s_hat: float | None = None,
     trial: int = 0,
 ) -> int:
-    """Two-stage root estimate: reduced-depth majorities, then Bayes decoding.
-
-    With d' = 0 (tiny n) this degenerates to a global leaf majority.  The
-    decoder is exact BP on the depth-d' tree with each majority bit observed
-    through a symmetric flip channel of rate s_hat (supplied, or the analytic
-    bound policy of `default_flip_rate`).
-    """
-    t = as_fraction(theta)
-    d_prime = reduced_depth(shape.k, shape.d)
-    if d_prime == 0:
-        return majority_estimate(leaves, SeedSpec(seed.master_seed, seed.stream_tag + "/tie"), trial)
-    bits = subtree_majorities(shape, leaves, d_prime, SeedSpec(seed.master_seed, seed.stream_tag + "/tie"), trial)
+    """`linearized_bp_decisions` of one tree, s_hat by default `default_flip_rate`."""
+    t = float(binary_theta(theta))
     if s_hat is None:
-        s_hat = default_flip_rate(shape.k, float(t))
-    s_frac = as_fraction(min(max(s_hat, 1e-9), 0.5))
-    reduced = TreeShape(k=shape.k, d=d_prime)
-    evidence = LeafLikelihood.from_noisy_bits(bits, s_frac)
-    report = bp_posterior(reduced, Channel.binary(t), evidence, mode="auto")
-    return report.argmax
+        s_hat = default_flip_rate(shape.k, t)
+    if not 0 <= s_hat <= 0.5:
+        raise ValueError(f"s_hat must lie in [0, 1/2], got {s_hat}")
+    row = np.asarray(leaves).reshape(1, -1)
+    return int(linearized_bp_decisions(shape, t, row, trial, seed, s_hat)[0])
 
 
 # --- ones-count chain ------------------------------------------------------
@@ -175,6 +212,21 @@ def leaf_ones_counts(
     return ones
 
 
+def _chain_miss_rate(k: int, depth: int, theta_float: float, trials: int, seed: SeedSpec) -> float:
+    """P[leaf majority != root | root = 1] at depth `depth`: one PCG64 stream
+    keyed by `seed` draws the chain's ones counts, then a fair bit per tie."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.Generator(np.random.PCG64(seed.key()))
+    ones = leaf_ones_counts(k, depth, theta_float, root=1, trials=trials, rng=rng)
+    n = k**depth
+    wrong = (2 * ones < n).sum()
+    ties = (2 * ones == n).sum()
+    if ties:
+        wrong += rng.integers(0, 2, size=int(ties)).sum()
+    return float(wrong) / trials
+
+
 def majority_misclassification(
     shape: TreeShape,
     theta: FractionLike,
@@ -182,15 +234,7 @@ def majority_misclassification(
     seed: SeedSpec,
 ) -> EstimatorReport:
     """Monte Carlo P[leaf majority != root | root], via the ones-count chain."""
-    t = float(as_fraction(theta))
-    rng = np.random.Generator(np.random.PCG64(seed.key()))
-    ones = leaf_ones_counts(shape.k, shape.d, t, root=1, trials=trials, rng=rng)
-    n = shape.n
-    wrong = (2 * ones < n).sum()
-    ties = (2 * ones == n).sum()
-    if ties:
-        wrong += rng.integers(0, 2, size=int(ties)).sum()
-    err = float(wrong) / trials
+    err = _chain_miss_rate(shape.k, shape.d, float(binary_theta(theta)), trials, seed)
     return EstimatorReport(estimator="majority-miss", trials=trials, accuracy=1 - err)
 
 
@@ -217,15 +261,7 @@ def estimate_flip_rate(
     if not 0 <= d_prime <= shape.d:
         raise ValueError(f"d' must lie in [0, {shape.d}]")
     t = float(binary_theta(theta))
-    depth = shape.d - d_prime
-    rng = np.random.Generator(np.random.PCG64(seed.key()))
-    ones = leaf_ones_counts(shape.k, depth, t, root=1, trials=trials, rng=rng)
-    n = shape.k**depth
-    wrong = (2 * ones < n).sum()
-    ties = (2 * ones == n).sum()
-    if ties:
-        wrong += rng.integers(0, 2, size=int(ties)).sum()
-    est = float(wrong) / trials
+    est = _chain_miss_rate(shape.k, shape.d - d_prime, t, trials, seed)
     kt2 = shape.k * t * t
     bound = 1.0 / (t * t * shape.k - 1) if kt2 > 2 else None
     return FlipRateEstimate(
@@ -290,10 +326,12 @@ def estimate_P_sd(
 ) -> PsdEstimate:
     """P_{s,d} by exact enumeration when the cap permits, else Monte Carlo.
 
-    Monte Carlo trials generate the leaf ones pattern, flip each leaf with
-    probability s, decode with BP under flip-channel likelihoods, and score
-    the argmax against the true root.
+    Monte Carlo trials draw leaves from a PCG64 stream keyed by `seed`
+    (chunk by chunk, so the draws follow `trial_chunks`), flip each leaf with
+    probability s, and score `bp_rounding_decisions` against the true root.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     t = as_fraction(theta)
     sf = as_fraction(s)
     if not 0 <= sf <= Fraction(1, 2):
@@ -312,20 +350,15 @@ def estimate_P_sd(
     s_float = float(sf)
     rng = np.random.Generator(np.random.PCG64(seed.key()))
     correct = 0
-    # Cap batch memory: each trial holds O(n) floats through the BP pass.
-    chunk = max(1, min(trials, 1 + (1 << 23) // max(shape.n, 1)))
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
+    for start, stop in trial_chunks(trials, shape.n):
+        batch = stop - start
         roots = rng.integers(0, 2, size=batch)
         leaves = _sample_leaves_binary(shape, tf, roots, rng)
         if s_float > 0:
             flips = rng.random((batch, shape.n)) < s_float
             leaves = leaves ^ flips.astype(np.uint8)
-        post1 = bp_posterior_batch_binary(shape, tf, leaves, s=s_float)
-        guess = _decide(post1 > 0.5, post1 == 0.5, rng)
+        guess = bp_rounding_decisions(shape, tf, leaves, start, seed, s=s_float)
         correct += int((guess == roots).sum())
-        done += batch
     acc = correct / trials
     return PsdEstimate(
         estimate=acc,

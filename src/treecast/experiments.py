@@ -7,7 +7,10 @@ before emission, and the emitted wall_ms column is deterministically zero
 regardless of worker count.
 
 Within one grid point all estimators score the same sampled trees, so
-estimator comparisons are paired.
+estimator comparisons are paired: the scans sample tree chunks and call the
+batched kernels of `estimators`.  Trees and tie-breaks are keyed by the
+global trial index, so a row does not depend on the chunk size or on which
+other estimators run.
 """
 
 from __future__ import annotations
@@ -19,19 +22,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from scipy.stats import chi2
 
-from .bp import bp_posterior_batch_binary
 from .channels import Channel, as_fraction, ks_parameter
 from .estimators import (
     EstimatorReport,
-    _decide,
-    default_flip_rate,
-    estimate_flip_rate,
+    bp_rounding_decisions,
     estimate_P_sd,
-    reduced_depth,
+    linearized_bp_decisions,
+    majority_decisions,
+    pilot_flip_rate,
+    trial_chunks,
 )
 from .generators import (
     generate_binary_batch,
@@ -282,66 +286,43 @@ def _grid_seed(cfg: ExperimentConfig, index: int) -> SeedSpec:
     return SeedSpec(cfg.seed, f"{cfg.experiment}/{index}")
 
 
+ESTIMATORS = ("majority", "linearized-bp", "bp-rounding")
+
+
 def score_estimators_point(
     k: int,
     theta: Fraction,
     d: int,
     trials: int,
     seed: SeedSpec,
-    estimators: tuple[str, ...] = ("majority", "linearized-bp", "bp-rounding"),
-    chunk_cells: int = 1 << 23,
+    estimators: tuple[str, ...] = ESTIMATORS,
 ) -> dict[str, float]:
-    """Accuracy of each estimator on one shared set of sampled trees."""
+    """Accuracy of each estimator on one shared set of sampled trees.
+
+    Each chunk's trees (trials start..stop-1 of the stream `seed`) are scored
+    by every requested kernel, with ties from a stream named for the estimator.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     shape = TreeShape(k=k, d=d)
     tf = float(theta)
-    n = shape.n
-    d_prime = reduced_depth(k, d)
-    s_hat = None
-    if "linearized-bp" in estimators and d_prime > 0:
-        kt2 = k * tf * tf
-        if kt2 > 2:
-            pilot = estimate_flip_rate(
-                shape, theta, d_prime, trials=2000, seed=SeedSpec(seed.master_seed, seed.stream_tag + "/fliprate")
-            )
-            s_hat = min(max(pilot.estimate, 1e-6), 0.49)
+    kernels = {}
+    for name in estimators:
+        tie = SeedSpec(seed.master_seed, f"{seed.stream_tag}/{name}")
+        if name == "majority":
+            kernels[name] = partial(majority_decisions, seed=tie)
+        elif name == "linearized-bp":
+            s_hat = pilot_flip_rate(shape, theta, seed)
+            kernels[name] = partial(linearized_bp_decisions, shape, tf, seed=tie, s_hat=s_hat)
+        elif name == "bp-rounding":
+            kernels[name] = partial(bp_rounding_decisions, shape, tf, seed=tie)
         else:
-            s_hat = default_flip_rate(k, tf)
-    correct = {name: 0 for name in estimators}
-    tie_rng = np.random.Generator(np.random.PCG64(subkey(seed.key(), 0xBEEF)))
-    chunk = max(1, min(trials, 1 + chunk_cells // max(n, 1)))
-    done = 0
-    batch_index = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        batch_seed = SeedSpec(seed.master_seed, f"{seed.stream_tag}/batch{batch_index}")
-        roots, leaves = generate_binary_batch(shape, theta, batch_seed, b, method="direct")
-        if "majority" in estimators:
-            ones = leaves.sum(axis=1)
-            guess = _decide(2 * ones > n, 2 * ones == n, tie_rng)
-            correct["majority"] += int((guess == roots).sum())
-        if "linearized-bp" in estimators:
-            if d_prime == 0:
-                ones = leaves.sum(axis=1)
-                guess = _decide(2 * ones > n, 2 * ones == n, tie_rng)
-            else:
-                counts = shape.nodes_at(d_prime)
-                block = n // counts
-                sums = leaves.reshape(b, counts, block).sum(axis=2)
-                bits = _decide(2 * sums > block, 2 * sums == block, tie_rng)
-                reduced = TreeShape(k=k, d=d_prime)
-                post1 = bp_posterior_batch_binary(
-                    reduced, tf, bits.astype(np.uint8), s=float(s_hat)
-                )
-                guess = _decide(post1 > 0.5, post1 == 0.5, tie_rng)
-            correct["linearized-bp"] += int((guess == roots).sum())
-        if "bp-rounding" in estimators:
-            post1 = bp_posterior_batch_binary(shape, tf, leaves)
-            guess = _decide(post1 > 0.5, post1 == 0.5, tie_rng)
-            correct["bp-rounding"] += int((guess == roots).sum())
-        done += b
-        batch_index += 1
+            raise ValueError(f"unknown estimator {name!r}; choose from {list(ESTIMATORS)}")
+    correct = dict.fromkeys(estimators, 0)
+    for start, stop in trial_chunks(trials, shape.n):
+        roots, leaves = generate_binary_batch(shape, theta, seed, stop - start, start=start)
+        for name, kernel in kernels.items():
+            correct[name] += int((kernel(leaves, start) == roots).sum())
     return {name: correct[name] / trials for name in estimators}
 
 

@@ -46,6 +46,10 @@ from .trees import TreeShape
 
 STAR = 2  # restriction symbol codes: 0, 1, STAR
 
+# Node limit of the single-tree generators: admits the 16-label k=6000, d=2
+# tree (36M nodes); a binary tree peaks near 24 bytes/node, so ~1.6 GB here.
+MAX_TREE_NODES = 1 << 26
+
 
 @dataclass(frozen=True)
 class Restriction:
@@ -78,6 +82,15 @@ class NoiseSpec:
         object.__setattr__(self, "s", s)
 
 
+def check_node_budget(shape: TreeShape) -> None:
+    """Raise ValueError past MAX_TREE_NODES nodes, counting level by level."""
+    total, count = 0, 1
+    for _ in range(shape.d + 1):
+        total, count = total + count, count * shape.k
+        if total > MAX_TREE_NODES:
+            raise ValueError(f"tree k={shape.k}, d={shape.d} has more than {MAX_TREE_NODES} nodes")
+
+
 def _sample_root(key: int, m: int, root: int | None) -> int:
     if root is not None:
         if not 0 <= root < m:
@@ -94,6 +107,7 @@ def generate_direct(
     root: int | None = None,
 ) -> LabelArray:
     """Sample the broadcast process by drawing each child from its parent's column."""
+    check_node_budget(shape)
     m = channel.m
     dtype = code_dtype(m)
     key = seed.key()
@@ -123,6 +137,7 @@ def generate_path_product(
     Each non-root node carries an independent Bernoulli((1-theta)/2) flip
     bit; a node's label is the root XOR the flip bits on its path.
     """
+    check_node_budget(shape)
     t = binary_theta(theta)
     key = seed.key()
     flip_cut = np.uint64(cut63((1 - t) / 2))
@@ -171,6 +186,7 @@ def generate_via_restrictions(
     root: int | None = None,
 ) -> LabelArray:
     """Sample the binary process as a composition of per-level restrictions."""
+    check_node_budget(shape)
     key = seed.key()
     levels = [np.array([_sample_root(key, 2, root)], dtype=np.uint8)]
     for lvl in range(1, shape.d + 1):
@@ -304,17 +320,18 @@ def generate_binary_batch(
     trials: int,
     method: str = "direct",
     roots: np.ndarray | None = None,
+    start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample `trials` independent trees at once; returns (roots, leaves).
+    """Sample trees start..start+trials-1 of the stream `seed`; returns (roots, leaves).
 
     `leaves` has shape (trials, n).  Methods mirror the three single-tree
     generators' randomness (column draw, path-product flip bits, restriction
-    symbols); each trial consumes its own derived key, so trees are
-    independent streams and results do not depend on batch boundaries or the
-    trial count.
+    symbols); each trial consumes the key derived from its global index, so
+    trees are independent streams and results do not depend on batch
+    boundaries or the trial count.
     """
     t = binary_theta(theta)
-    tkeys = trial_keys(seed.key(), trials)
+    tkeys = trial_keys(seed.key(), trials, start)
     if roots is None:
         root_words = trial_level_words(tkeys, 0, 1)[:, 0]
         roots = ((root_words >> np.uint64(1)) >= np.uint64(cut63(Fraction(1, 2)))).astype(np.uint8)

@@ -1,11 +1,14 @@
 """Counter-based deterministic randomness.
 
-Every random decision in this package is a pure function of a 64-bit master
-seed, a short stream tag naming the consumer ("gen", "tie", "noise", ...),
-and a counter (usually a tree node address).  There is no sequential state:
-the bits drawn for a node do not depend on how many other nodes were filled
-first, so generation is order-independent and safe to parallelize, and any
-experiment is bit-reproducible from the master seed alone.
+Every word drawn here is a pure function of a 64-bit master seed, a short
+stream tag naming the consumer ("gen", "tie", "noise", ...), and a counter
+(a tree node address, or a global Monte Carlo trial index).  There is no
+sequential state: the bits drawn for a node or a trial do not depend on how
+many others were drawn first, so generation is order-independent and safe to
+parallelize.  A few Monte Carlo samplers (the ones-count chain, the leaf
+sampler of `estimate_P_sd`, the class16 sampler and the gadget corpus) still
+run sequential PCG64 streams seeded with a stream key; they are reproducible
+from the seed too, but each draw depends on those before it in its stream.
 
 The word function is a double application of the splitmix64 avalanche
 finalizer: one pass decorrelates the counter, an xor folds in the stream key,
@@ -76,17 +79,17 @@ def _fin_vec(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def words_vec(key: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorized `word` over a uint64 counter array."""
+def words_vec(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Vectorized `word`; `key` may be an array that broadcasts against `counters`."""
     with np.errstate(over="ignore"):
         z = counters.astype(np.uint64, copy=True)
         z = z * np.uint64(_C1) + np.uint64(_C2)
-        return _fin_vec(_fin_vec(z) ^ np.uint64(key))
+        return _fin_vec(_fin_vec(z) ^ np.asarray(key, dtype=np.uint64))
 
 
-def trial_keys(key: int, trials: int) -> np.ndarray:
-    """One derived key per Monte Carlo trial (the vector form of `subkey`)."""
-    idx = np.arange(trials, dtype=np.uint64)
+def trial_keys(key: int, trials: int, start: int = 0) -> np.ndarray:
+    """Derived keys of trials start..start+trials-1 (the vector form of `subkey`)."""
+    idx = np.arange(start, start + trials, dtype=np.uint64)
     return words_vec(key, (idx << np.uint64(1)) | np.uint64(1))
 
 
@@ -127,8 +130,8 @@ def node_randomness(seed: SeedSpec, addr, width: int) -> int:
 
     `addr` is anything with `level` and `index` attributes (a NodeAddr) or a
     (level, index) pair.  Deterministic in (seed, address, width); the first
-    64 bits agree with `node_word`, so scalar callers and the vectorized
-    generators consume the same bit stream.
+    64 bits are `word(seed.key(), node_counter(level, index))`, so scalar
+    callers and the vectorized generators consume the same bit stream.
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -150,22 +153,12 @@ def _addr_parts(addr) -> tuple[int, int]:
     return int(level), int(index)
 
 
-def node_word(seed: SeedSpec, addr) -> int:
-    level, index = _addr_parts(addr)
-    return word(seed.key(), node_counter(level, index, 0))
-
-
 def level_words(key: int, level: int, count: int, word_index: int = 0) -> np.ndarray:
     """Uniform words for all `count` nodes of one level, in index order."""
     idx = np.arange(count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         ctr = (idx * np.uint64(64) + np.uint64(level)) * np.uint64(4) + np.uint64(word_index)
     return words_vec(key, ctr)
-
-
-def uniform01(w: np.ndarray) -> np.ndarray:
-    """Map uniform uint64 words to float64 in [0, 1)."""
-    return (w >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
 def bits_from_word(w: int, nbits: int) -> list[int]:

@@ -2,8 +2,8 @@
 
 Nodes are addressed by (level, index) with index in [0, k^level).  The parent
 of (level, i) is (level-1, i // k) and its children are (level+1, i*k + j) for
-j in [0, k).  Integer addressing keeps parent/child arithmetic constant-time;
-all node counts are exact integers (no floating point anywhere).
+j in [0, k), which is the order of the level arrays everywhere; all node
+counts are exact integers (no floating point anywhere).
 """
 
 from __future__ import annotations
@@ -64,34 +64,3 @@ class NodeAddr:
                 f"index {self.index} out of range at level {self.level} "
                 f"(level has {shape.nodes_at(self.level)} nodes)"
             )
-
-
-def parent(addr: NodeAddr, k: int) -> NodeAddr:
-    if addr.level == 0:
-        raise ValueError("the root has no parent")
-    return NodeAddr(addr.level - 1, addr.index // k)
-
-def children(addr: NodeAddr, k: int) -> list[NodeAddr]:
-    base = addr.index * k
-    return [NodeAddr(addr.level + 1, base + j) for j in range(k)]
-
-
-def ancestor(addr: NodeAddr, k: int, levels_up: int) -> NodeAddr:
-    if levels_up < 0 or levels_up > addr.level:
-        raise ValueError(f"cannot go {levels_up} levels up from level {addr.level}")
-    idx = addr.index
-    for _ in range(levels_up):
-        idx //= k
-    return NodeAddr(addr.level - levels_up, idx)
-
-
-def leaf_tree_distance(shape: TreeShape, i: int, j: int) -> int:
-    """Path length between leaves i and j (2 * levels up to their meet)."""
-    if i == j:
-        return 0
-    a, b, up = i, j, 0
-    while a != b:
-        a //= shape.k
-        b //= shape.k
-        up += 1
-    return 2 * up

@@ -189,3 +189,13 @@ def test_detect_negative_theta_as_separate_argument(capsys, estimator):
 def test_detect_negative_theta_outside_range_is_one_line_error(capsys):
     code, _, err = run(capsys, "detect", "--k", "2", "--d", "3", "--theta", "-3/2")
     _one_line_usage_error(code, err, "theta must lie in [-1, 1]", "-3/2")
+
+
+@pytest.mark.parametrize("generator", ["direct", "path-product", "restrictions", "pair3600", "class16"])
+def test_gen_over_node_budget_is_one_line_error(capsys, monkeypatch, generator):
+    import treecast.generators
+
+    monkeypatch.setattr(treecast.generators, "MAX_TREE_NODES", 100)
+    code, out, err = run(capsys, "gen", "--k", "2", "--d", "7", "--generator", generator)
+    _one_line_usage_error(code, err, "k=2, d=7", "more than 100 nodes")
+    assert out == ""

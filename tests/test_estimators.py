@@ -13,13 +13,14 @@ from treecast.estimators import (
     exact_P_sd,
     leaf_ones_counts,
     linearized_bp,
+    linearized_bp_decisions,
+    majority_decisions,
     majority_estimate,
-    majority_from_count,
     majority_misclassification,
     noisy_leaf_channel,
     reduced_depth,
 )
-from treecast.generators import generate_direct
+from treecast.generators import generate_binary_batch, generate_direct
 from treecast.oracle import bayes_accuracy, enumerate_joint
 from treecast.rng import SeedSpec
 from treecast.trees import TreeShape
@@ -28,14 +29,30 @@ from treecast.trees import TreeShape
 def test_majority_basics():
     assert majority_estimate([1, 1, 0], SeedSpec(1, "tie")) == 1
     assert majority_estimate([0, 0, 1], SeedSpec(1, "tie")) == 0
-    assert majority_from_count(5, 8, tie_bit=1) == 1
-    assert majority_from_count(4, 8, tie_bit=1) == 1
-    assert majority_from_count(4, 8, tie_bit=0) == 0
 
 
 def test_majority_tie_is_fair_over_seeds():
     outs = [majority_estimate([1, 0], SeedSpec(17, "tie"), trial=t) for t in range(4000)]
     assert abs(np.mean(outs) - 0.5) < 0.03
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("theta", [Fraction(0), Fraction(4, 5)])
+def test_scalar_wrappers_are_the_kernels_at_one_trial(d, theta):
+    # k=2 gives even leaf counts and even d'-blocks, so majority and subtree
+    # ties are common; at theta=0 every linearized posterior is exactly 1/2.
+    shape = TreeShape(k=2, d=d)
+    seed = SeedSpec(21, "est")
+    start = 1000
+    _, leaves = generate_binary_batch(shape, theta, SeedSpec(21, "gen"), 300, start=start)
+    ones = leaves.sum(axis=1)
+    assert (2 * ones == shape.n).sum() > 20
+    maj = majority_decisions(leaves, start, seed)
+    s_hat = 0.25
+    lin = linearized_bp_decisions(shape, float(theta), leaves, start, seed, s_hat)
+    for i in range(len(leaves)):
+        assert majority_estimate(leaves[i], seed, trial=start + i) == maj[i]
+        assert linearized_bp(shape, theta, leaves[i], seed, s_hat=s_hat, trial=start + i) == lin[i]
 
 
 def test_reduced_depth_formula():
@@ -60,6 +77,18 @@ def test_linearized_bp_degenerates_to_majority():
     assert reduced_depth(2, 1) == 0
     assert linearized_bp(shape, Fraction(1, 2), [1, 1], SeedSpec(3, "est")) == 1
     assert linearized_bp(shape, Fraction(1, 2), [0, 0], SeedSpec(3, "est")) == 0
+
+
+def test_chain_and_wrapper_inputs_rejected():
+    shape, seed = TreeShape(k=2, d=4), SeedSpec(1, "m")
+    with pytest.raises(ValueError, match="theta must lie in"):
+        majority_misclassification(shape, 3, 100, seed)
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        majority_misclassification(shape, Fraction(1, 2), 0, seed)
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        estimate_flip_rate(shape, Fraction(1, 2), 1, 0, seed)
+    with pytest.raises(ValueError, match="s_hat must lie in"):
+        linearized_bp(shape, Fraction(1, 2), np.zeros(16, dtype=np.uint8), seed, s_hat=0.7)
 
 
 def test_flip_rate_theta_one_is_zero():
@@ -100,6 +129,11 @@ def test_majority_misclassification_bound_point():
 
 
 class TestPsd:
+    @pytest.mark.parametrize("shape", [TreeShape(2, 3), TreeShape(2, 8)])
+    def test_rejects_fewer_than_one_trial(self, shape):
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            estimate_P_sd(shape, Fraction(4, 5), Fraction(1, 10), 0, SeedSpec(1, "p"))
+
     def test_half_noise_is_coin(self):
         est = estimate_P_sd(
             TreeShape(k=2, d=4), Fraction(3, 5), Fraction(1, 2), 4000, SeedSpec(5, "p"),

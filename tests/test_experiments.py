@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import treecast.estimators as estimators
 from treecast.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -154,10 +155,36 @@ def test_score_estimators_point_golden():
     # draws or batched BP's decisions and ties shows here.
     got = score_estimators_point(2, Fraction(4, 5), 8, 3000, SeedSpec(7, "golden"))
     assert got == {
-        "majority": 0.8313333333333334,
-        "linearized-bp": 0.812,
-        "bp-rounding": 0.8436666666666667,
+        "majority": 0.8143333333333334,
+        "linearized-bp": 0.7983333333333333,
+        "bp-rounding": 0.8246666666666667,
     }
+
+
+class TestScoreKeyedByTrial:
+    # k=2, d=8: leaf counts and d'=3 blocks are even, so majority and subtree
+    # ties occur; at theta=0 every BP posterior is exactly 1/2.
+    POINTS = [(Fraction(4, 5), 8), (Fraction(0), 8), (Fraction(3, 5), 6)]
+
+    @pytest.mark.parametrize("theta,d", POINTS)
+    def test_chunk_size_does_not_change_results(self, monkeypatch, theta, d):
+        seed = SeedSpec(7, "chunks")
+        monkeypatch.setattr(estimators, "CHUNK_CELLS", 1 << 23)
+        whole = score_estimators_point(2, theta, d, 400, seed)
+        monkeypatch.setattr(estimators, "CHUNK_CELLS", 1 << 12)
+        assert 400 > 3 * (1 + (1 << 12) // 2**d)  # at least 3 chunks
+        assert score_estimators_point(2, theta, d, 400, seed) == whole
+
+    @pytest.mark.parametrize("theta,d", POINTS)
+    def test_each_estimator_alone_matches_the_joint_run(self, theta, d):
+        seed = SeedSpec(7, "alone")
+        joint = score_estimators_point(2, theta, d, 400, seed)
+        for name, acc in joint.items():
+            assert score_estimators_point(2, theta, d, 400, seed, estimators=(name,)) == {name: acc}
+
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ValueError, match="unknown estimator 'median'"):
+            score_estimators_point(2, Fraction(4, 5), 3, 10, SeedSpec(1, "x"), estimators=("median",))
 
 
 class TestResolveJobs:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import treecast.generators as generators
 from treecast.channels import Channel
 from treecast.experiments import DEFAULT_EXACT_SHAPES, _chi_square_vs_exact, exact_joint_of_leaves
 from treecast.generators import (
@@ -17,6 +18,7 @@ from treecast.generators import (
     biased_bit_approx_from_bits,
     biased_bit_exact,
     biased_bit_exact_from_bits,
+    check_node_budget,
     generate_binary_batch,
     generate_direct,
     generate_path_product,
@@ -364,3 +366,32 @@ def test_batch_negative_theta_matches_exact_law(method):
 def test_restriction_batch_rejects_negative_theta():
     with pytest.raises(ValueError, match="restriction sampling needs theta in"):
         generate_binary_batch(TreeShape(k=2, d=2), Fraction(-1, 2), SeedSpec(1, "g"), 4, "restrictions")
+
+
+@pytest.mark.parametrize("method", ["direct", "path", "restrictions"])
+def test_batch_start_draws_the_global_trials(method):
+    shape, theta, seed = TreeShape(k=3, d=3), Fraction(3, 5), SeedSpec(4, "start")
+    roots, leaves = generate_binary_batch(shape, theta, seed, 50, method)
+    part_roots, part_leaves = generate_binary_batch(shape, theta, seed, 20, method, start=30)
+    assert np.array_equal(part_roots, roots[30:])
+    assert np.array_equal(part_leaves, leaves[30:])
+
+
+class TestNodeBudget:
+    def test_budget_is_counted_without_allocating(self):
+        check_node_budget(TreeShape(k=6000, d=2))  # the class16 tree of the paper
+        check_node_budget(TreeShape(k=10, d=5))
+        for shape in (TreeShape(k=2, d=40), TreeShape(k=3, d=10**9)):
+            with pytest.raises(ValueError, match="nodes"):
+                check_node_budget(shape)
+
+    @pytest.mark.parametrize("generate", [
+        lambda shape: generate_direct(shape, Channel.binary(Fraction(1, 2)), SeedSpec(1, "g")),
+        lambda shape: generate_path_product(shape, Fraction(1, 2), SeedSpec(1, "g")),
+        lambda shape: generate_via_restrictions(shape, Fraction(1, 2), SeedSpec(1, "g")),
+    ])
+    def test_generators_check_the_budget_first(self, monkeypatch, generate):
+        monkeypatch.setattr(generators, "MAX_TREE_NODES", 100)
+        assert generate(TreeShape(k=2, d=5)).shape.total_nodes == 63
+        with pytest.raises(ValueError, match="more than 100 nodes"):
+            generate(TreeShape(k=2, d=7))

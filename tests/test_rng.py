@@ -8,9 +8,7 @@ from treecast.rng import (
     level_words,
     node_counter,
     node_randomness,
-    node_word,
     subkey,
-    uniform01,
     word,
     words_vec,
 )
@@ -63,12 +61,21 @@ def test_scalar_vector_agreement():
     vec = words_vec(key, ctrs)
     for i in (0, 1, 17, 999):
         assert int(vec[i]) == word(key, node_counter(5, i))
-        assert int(vec[i]) == node_word(SeedSpec(99, "x"), NodeAddr(5, i))
+
+
+def test_words_vec_broadcasts_a_key_array():
+    keys = np.array([subkey(3, t) for t in range(4)], dtype=np.uint64)
+    ctrs = np.array([0, 5, 9], dtype=np.uint64)
+    grid = words_vec(keys[:, None], ctrs[None, :])
+    assert grid.shape == (4, 3)
+    for t in range(4):
+        for j, c in enumerate((0, 5, 9)):
+            assert int(grid[t, j]) == word(subkey(3, t), c)
 
 
 def test_first_word_prefix_of_block():
     seed = SeedSpec(7, "gen")
-    w = node_word(seed, NodeAddr(4, 9))
+    w = word(seed.key(), node_counter(4, 9))
     block = node_randomness(seed, NodeAddr(4, 9), 256)
     assert block & ((1 << 64) - 1) == w
 
@@ -80,13 +87,6 @@ def test_node_counter_injective_sample():
             for j in range(4):
                 seen.add(node_counter(level, index, j))
     assert len(seen) == 6 * 50 * 4
-
-
-def test_uniform01_range():
-    key = SeedSpec(5, "u").key()
-    u = uniform01(level_words(key, 0, 10_000))
-    assert (u >= 0).all() and (u < 1).all()
-    assert abs(u.mean() - 0.5) < 0.02
 
 
 def test_subkey_distinct():

@@ -1,8 +1,6 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from treecast.trees import NodeAddr, TreeShape, ancestor, children, leaf_tree_distance, parent
+from treecast.trees import NodeAddr, TreeShape
 
 
 def test_shape_counts_exact():
@@ -18,38 +16,6 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         TreeShape(k=2, d=-1)
     assert TreeShape(k=1, d=5).n == 1
-
-
-def test_parent_child_arithmetic():
-    addr = NodeAddr(2, 7)
-    assert parent(addr, 3) == NodeAddr(1, 2)
-    kids = children(NodeAddr(1, 2), 3)
-    assert kids == [NodeAddr(2, 6), NodeAddr(2, 7), NodeAddr(2, 8)]
-    with pytest.raises(ValueError):
-        parent(NodeAddr(0, 0), 2)
-
-
-@given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 10_000))
-def test_parent_of_children_roundtrip(k, level, index):
-    index = index % (k**level)
-    addr = NodeAddr(level, index)
-    for kid in children(addr, k):
-        assert parent(kid, k) == addr
-
-
-def test_ancestor():
-    assert ancestor(NodeAddr(3, 26), 3, 3) == NodeAddr(0, 0)
-    assert ancestor(NodeAddr(3, 26), 3, 1) == NodeAddr(2, 8)
-    with pytest.raises(ValueError):
-        ancestor(NodeAddr(2, 1), 2, 3)
-
-
-def test_leaf_tree_distance():
-    shape = TreeShape(k=2, d=3)
-    assert leaf_tree_distance(shape, 0, 0) == 0
-    assert leaf_tree_distance(shape, 0, 1) == 2
-    assert leaf_tree_distance(shape, 0, 2) == 4
-    assert leaf_tree_distance(shape, 0, 7) == 6
 
 
 def test_addr_validation():
