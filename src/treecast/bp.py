@@ -18,6 +18,8 @@ per node.  A level is coded while its table has no more entries than the
 batch has nodes at that level; the rest of the tree runs the per-node float
 recursion.  Table entries are built by the same float operations in the same
 order as the per-node recursion, so the output is bit-identical to it.
+The Monte Carlo estimators pass the height-h codes that
+`generate_binary_batch` samples directly, and the table stage starts there.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ def bp_posterior(
 
 
 def bp_posterior_batch_binary(
-    shape: TreeShape, theta_float: float, leaves: np.ndarray, s: float = 0.0
+    shape: TreeShape, theta_float: float, leaves: np.ndarray, s: float = 0.0, height: int = 0
 ) -> np.ndarray:
     """P[root = 1] for a batch of binary leaf observations, log-odds domain.
 
@@ -215,40 +217,66 @@ def bp_posterior_batch_binary(
     log-odds are gathered once and the float recursion finishes the tree.
     Each table entry is computed by the same float operations, in the same
     order, as the per-node recursion applies to a node with those children,
-    so the result is bit-identical to it, NaN at theta = 1 on conflicting
-    evidence included.  Agrees with the rational mode to float precision.
+    so the result is bit-identical to it.  Agrees with the rational mode to
+    float precision.
+
+    With `height` h > 0, `leaves` holds the height-h codes instead, shape
+    (trials, nodes_at(d - h)), as `generators.generate_binary_batch` draws
+    them: the table stage starts at height h, and the output is
+    bit-identical to running on the leaves that produce those codes.
+
+    NaN marks evidence of probability zero: at theta = +-1 with s = 0 a
+    table entry or a sum meets inf - inf exactly where leaves conflict.  The
+    tables hold such entries even when no row uses them, so the arithmetic
+    runs with numpy's invalid-value warnings off.  (At theta = +-1 with
+    0 < s < 1/2 the edge map also saturates to inf once |lam| > ~38, so
+    sibling subtrees with strong opposite evidence give NaN as well.)
     """
     trials, n = leaves.shape
-    if n != shape.n:
-        raise ValueError(f"leaves have {n} columns, tree has {shape.n}")
+    if not 0 <= height <= shape.d:
+        raise ValueError(f"height must lie in [0, {shape.d}], got {height}")
+    want = shape.nodes_at(shape.d - height)
+    if n != want:
+        raise ValueError(f"leaves have {n} columns, tree has {want} at height {height}")
     k = shape.k
     if shape.d == 0:
         lam_e = 0.0 if s == 0.5 else np.arctanh(1 - 2 * s) if s > 0 else np.inf
         lam = (2.0 * leaves[:, 0] - 1.0) * (2 * lam_e if np.isfinite(lam_e) else np.inf)
         return _sigmoid(lam)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         leaf_up = 2.0 * np.arctanh(theta_float * (1.0 - 2.0 * s))
-    codes = leaves[:, 0::k].astype(np.min_scalar_type(k))
-    for j in range(1, k):
-        np.add(codes, leaves[:, j::k], out=codes, casting="unsafe")
-    table = leaf_up * (2.0 * np.arange(k + 1) - k)
-    height = 1
-    while height < shape.d and len(table) ** k <= trials * shape.nodes_at(shape.d - height - 1):
-        radix = len(table)
-        up = _edge_log_odds(table, theta_float)
-        digits = np.indices((radix,) * k).reshape(k, -1).T
-        table = up[digits].sum(axis=-1)
-        nxt = codes[:, 0::k].astype(np.min_scalar_type(len(table) - 1))
-        for j in range(1, k):
-            nxt *= radix
-            nxt += codes[:, j::k]
-        codes = nxt
-        height += 1
-    lam = table[codes]
-    for _ in range(shape.d - height):
-        up = _edge_log_odds(lam, theta_float)
-        lam = up.reshape(trials, -1, k).sum(axis=2)
+        table = leaf_up * (2.0 * np.arange(k + 1) - k)
+        if height == 0:
+            codes = leaves[:, 0::k].astype(np.min_scalar_type(k))
+            for j in range(1, k):
+                np.add(codes, leaves[:, j::k], out=codes, casting="unsafe")
+            height = 1
+        else:
+            codes = leaves
+            for _ in range(1, height):
+                table = _parent_table(table, k, theta_float)
+        while height < shape.d and len(table) ** k <= trials * shape.nodes_at(shape.d - height - 1):
+            radix = len(table)
+            table = _parent_table(table, k, theta_float)
+            nxt = codes[:, 0::k].astype(np.min_scalar_type(len(table) - 1))
+            for j in range(1, k):
+                nxt *= radix
+                np.add(nxt, codes[:, j::k], out=nxt, casting="unsafe")
+            codes = nxt
+            height += 1
+        lam = table[codes]
+        for _ in range(shape.d - height):
+            up = _edge_log_odds(lam, theta_float)
+            lam = up.reshape(trials, -1, k).sum(axis=2)
     return _sigmoid(lam[:, 0])
+
+
+def _parent_table(table: np.ndarray, k: int, theta_float: float) -> np.ndarray:
+    """Log-odds of each parent code: its k children's edge-mapped entries,
+    summed in child order, child 0 the most significant digit."""
+    up = _edge_log_odds(table, theta_float)
+    digits = np.indices((len(table),) * k).reshape(k, -1).T
+    return up[digits].sum(axis=-1)
 
 
 def _edge_log_odds(lam: np.ndarray, theta_float: float) -> np.ndarray:

@@ -5,7 +5,12 @@ a batched kernel (`*_decisions`) over a (trials, n) leaf batch whose rows
 are the global trials start, start+1, ...  Every tie takes the top bit of a
 counter word keyed by the global trial index, so decisions depend neither
 on the chunking (`trial_chunks`) nor on which other estimators run.
-`majority_estimate` and `linearized_bp` are their one-tree wrappers.
+`majority_estimate` and `linearized_bp` are their one-tree wrappers.  With
+`height` h > 0 a kernel reads the height-h subtree codes that
+`generate_binary_batch` draws instead of leaves, with decisions identical to
+those on the leaves behind the codes; the Monte Carlo paths
+(`estimate_P_sd` and `experiments.score_estimators_point`) sample at
+h = `code_height(k, d)`.
 
 * linearized BP: subtree majorities at the reduced depth
   d' = floor(log_k(log2(n))), then Bayes decoding of those majority bits on
@@ -16,24 +21,35 @@ on the chunking (`trial_chunks`) nor on which other estimators run.
   valid when k theta^2 > 2.
 * `estimate_P_sd`: optimal accuracy of recovering the root from noisy leaves,
   exact under the enumeration cap, Monte Carlo otherwise.
+* `ones_count_law`: the exact law of the leaf ones count at any depth, from
+  its generating polynomial; `exact_majority_error` reads it.
 
-Monte Carlo majority statistics use a per-level ones-count chain (sums of two
-binomials) rather than materialized trees: the leaf ones-count given the root
-is a Markov chain in the level counts, so the chain sampler has exactly the
-law of counting ones in a sampled tree, at a tiny fraction of the cost.
+The majority-miss and flip-rate statistics use a per-level ones-count chain
+(sums of two binomials) rather than materialized trees: the leaf ones-count
+given the root is a Markov chain in the level counts, so the chain sampler
+has exactly the law of counting ones in a sampled tree, at a tiny fraction
+of the cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import sqrt
 
 import numpy as np
 
 from .bp import bp_posterior_batch_binary
 from .channels import Channel, FractionLike, as_fraction, binary_theta
-from .oracle import DEFAULT_CONFIG_CAP, bayes_accuracy, config_count, enumerate_joint
+from .generators import code_ones, generate_binary_batch
+from .oracle import (
+    DEFAULT_CONFIG_CAP,
+    bayes_accuracy,
+    config_count,
+    enumerate_joint,
+    integer_numerators,
+)
 from .rng import SeedSpec, trial_keys, words_vec
 from .trees import TreeShape
 
@@ -83,55 +99,111 @@ def _trial_tie(key: int, start: int):
     return lambda rows: words_vec(key, (rows + start) << 1)
 
 
-def majority_decisions(leaves: np.ndarray, start: int, seed: SeedSpec) -> np.ndarray:
-    """Leaf majority of each row; a tie takes `word(seed.key(), i << 1)`, i = start + row."""
-    n = leaves.shape[1]
-    ones = leaves.sum(axis=1)
+def _ones(leaves: np.ndarray, k: int, height: int) -> np.ndarray:
+    """Leaf ones of each column: the leaves themselves, or each height-h code's
+    ones count (`code_ones`)."""
+    return leaves if height == 0 else code_ones(k, height)[leaves]
+
+
+def majority_decisions(
+    leaves: np.ndarray, start: int, seed: SeedSpec, k: int = 2, height: int = 0
+) -> np.ndarray:
+    """Leaf majority of each row; a tie takes `word(seed.key(), i << 1)`, i = start + row.
+
+    With `height` h > 0 the rows hold the height-h codes of a k-ary tree.
+    """
+    n = leaves.shape[1] * k**height
+    ones = _ones(leaves, k, height).sum(axis=1)
     return _decide(2 * ones > n, 2 * ones == n, _trial_tie(seed.key(), start))
 
 
+def _round_posterior(post1: np.ndarray, key: int, start: int) -> np.ndarray:
+    """1 above a posterior of 1/2, 0 below, a `_trial_tie` word at exactly 1/2.
+
+    A NaN posterior (evidence of probability zero) raises, as `bp_posterior` does.
+    """
+    if np.isnan(post1).any():
+        raise ValueError("evidence has zero probability under the model")
+    return _decide(post1 > 0.5, post1 == 0.5, _trial_tie(key, start))
+
+
 def linearized_bp_decisions(
-    shape: TreeShape, theta: float, leaves: np.ndarray, start: int, seed: SeedSpec, s_hat: float
+    shape: TreeShape,
+    theta: float,
+    leaves: np.ndarray,
+    start: int,
+    seed: SeedSpec,
+    s_hat: float,
+    height: int = 0,
 ) -> np.ndarray:
     """Majorities of the depth-d' subtrees, then BP on the depth-d' tree.
 
     Each majority bit is observed through a flip channel of rate s_hat.  With
     key = the stream `seed.stream_tag + "/tie"`, a subtree tie at node j of
     trial i takes `word(subkey(key, i), j)` and a posterior tie
-    `word(key, i << 1)`.  With d' = 0 this is a leaf majority.
+    `word(key, i << 1)`.  With d' = 0 this is a leaf majority.  With
+    `height` h > 0 the rows hold height-h codes, h <= d - d', so each
+    depth-d' subtree holds whole codes.
     """
     tie_seed = SeedSpec(seed.master_seed, seed.stream_tag + "/tie")
     d_prime = reduced_depth(shape.k, shape.d)
     if d_prime == 0:
-        return majority_decisions(leaves, start, tie_seed)
+        return majority_decisions(leaves, start, tie_seed, shape.k, height)
+    if height > shape.d - d_prime:
+        raise ValueError(f"height {height} splits the depth-{d_prime} subtrees")
     key = tie_seed.key()
     trials = leaves.shape[0]
     count = shape.nodes_at(d_prime)
     block = shape.n // count
-    sums = leaves.reshape(trials, count, block).sum(axis=2)
+    sums = _ones(leaves, shape.k, height).reshape(trials, count, -1).sum(axis=2)
 
     def subtree_tie(rows, nodes):
         return words_vec(trial_keys(key, trials, start)[rows], nodes)
 
     bits = _decide(2 * sums > block, 2 * sums == block, subtree_tie)
     post1 = bp_posterior_batch_binary(TreeShape(k=shape.k, d=d_prime), theta, bits, s=s_hat)
-    return _decide(post1 > 0.5, post1 == 0.5, _trial_tie(key, start))
+    return _round_posterior(post1, key, start)
 
 
 def bp_rounding_decisions(
-    shape: TreeShape, theta: float, leaves: np.ndarray, start: int, seed: SeedSpec, s: float = 0.0
+    shape: TreeShape,
+    theta: float,
+    leaves: np.ndarray,
+    start: int,
+    seed: SeedSpec,
+    s: float = 0.0,
+    height: int = 0,
 ) -> np.ndarray:
     """Rounded BP posterior, leaves seen through a flip channel of rate s.
 
     A posterior of exactly 1/2 takes the top bit of `word(seed.key(), i << 1)`.
+    With `height` h > 0 the rows hold height-h codes.
     """
-    post1 = bp_posterior_batch_binary(shape, theta, leaves, s=s)
-    return _decide(post1 > 0.5, post1 == 0.5, _trial_tie(seed.key(), start))
+    post1 = bp_posterior_batch_binary(shape, theta, leaves, s, height)
+    return _round_posterior(post1, seed.key(), start)
 
 
 def majority_estimate(leaves, seed: SeedSpec, trial: int = 0) -> int:
     """`majority_decisions` of one tree, as global trial `trial`."""
     return int(majority_decisions(np.asarray(leaves).reshape(1, -1), trial, seed)[0])
+
+
+CODE_TABLE_ENTRIES = 1 << 16  # most codes a sampled height-h code law may have
+
+
+def code_height(k: int, d: int) -> int:
+    """Height h of the subtree codes the Monte Carlo estimators sample.
+
+    The largest h <= d - d' (d' = `reduced_depth`, so linearized BP's blocks
+    hold whole codes) whose code count V_h (V_1 = k + 1, V_{j+1} = V_j^k)
+    is at most CODE_TABLE_ENTRIES; 0, the leaves, when none is.  It depends
+    on (k, d) only, never on a batch, so draws do not depend on chunking.
+    """
+    limit = d - reduced_depth(k, d)
+    h, size = 0, k + 1
+    while h < limit and size <= CODE_TABLE_ENTRIES:
+        h, size = h + 1, size**k
+    return h
 
 
 def reduced_depth(k: int, d: int) -> int:
@@ -272,18 +344,51 @@ def estimate_flip_rate(
     )
 
 
+def ones_count_law(
+    k: int, d: int, theta: FractionLike, root: int = 1, exact: bool = True
+) -> tuple[np.ndarray, int | float]:
+    """Law of the leaf ones count of a depth-d k-ary tree given its root label.
+
+    The count of a subtree with root label a has generating polynomial
+    f_d^a = (keep f_{d-1}^a + flip f_{d-1}^(1-a))^k, f_0^1 = x, f_0^0 = 1,
+    keep = (1 + theta)/2, expanded by convolution.  Returns (coeffs, den)
+    with P[c ones] = coeffs[c] / den.  Exact: integer numerators in an
+    object array over an int den.  exact=False runs the same recursion in
+    float64 with den = 1.0; every coefficient is a sum of products of
+    nonnegative terms, so its relative error is at most about
+    (2n + 3kd) * 2^-53 (n = k^d), except that coefficients below ~1e-300
+    underflow (an absolute error below that).  At k=2, d=12, theta=4/5 the
+    majority accuracy summed from them is within 1e-13 of exact.
+    """
+    t = binary_theta(theta)
+    if root not in (0, 1):
+        raise ValueError(f"root label must be 0 or 1, got {root}")
+    if exact:
+        (keep, flip), step = integer_numerators([(1 + t) / 2, (1 - t) / 2])
+        dtype, den = object, 1
+    else:
+        keep, flip, step = float((1 + t) / 2), float((1 - t) / 2), 1.0
+        dtype, den = np.float64, 1.0
+    f = [np.array([1], dtype=dtype), np.array([0, 1], dtype=dtype)]
+    for _ in range(d):
+        mixed = []
+        for a in (0, 1):
+            mix = np.zeros(len(f[1]), dtype=dtype)
+            mix[: len(f[a])] += keep * f[a]
+            mix[: len(f[1 - a])] += flip * f[1 - a]
+            mixed.append(mix)
+        f = [reduce(np.convolve, [mix] * k) for mix in mixed]
+        den = (step * den) ** k
+    return f[root], den
+
+
 def exact_majority_error(shape: TreeShape, theta: FractionLike) -> Fraction:
     """Exact P[leaf majority != root | root = 1], ties counted half."""
-    joint = enumerate_joint(shape, Channel.binary(as_fraction(theta)))
+    law, den = ones_count_law(shape.k, shape.d, theta)
     n = shape.n
-    twice = 0  # twice the error numerator, so ties weigh one half
-    for cfg, p in joint.numerators[1].items():
-        ones = sum(cfg)
-        if 2 * ones < n:
-            twice += 2 * p
-        elif 2 * ones == n:
-            twice += p
-    return Fraction(twice, 2 * joint.denominator)
+    # Twice the error numerator, so ties weigh one half.
+    twice = 2 * sum(law[: (n + 1) // 2]) + (law[n // 2] if n % 2 == 0 else 0)
+    return Fraction(int(twice), 2 * den)
 
 
 # --- P_{s,d} ---------------------------------------------------------------
@@ -326,9 +431,10 @@ def estimate_P_sd(
 ) -> PsdEstimate:
     """P_{s,d} by exact enumeration when the cap permits, else Monte Carlo.
 
-    Monte Carlo trials draw leaves from a PCG64 stream keyed by `seed`
-    (chunk by chunk, so the draws follow `trial_chunks`), flip each leaf with
-    probability s, and score `bp_rounding_decisions` against the true root.
+    Monte Carlo trial i draws its root and its `code_height` subtree codes,
+    leaves seen through flip(s), from the key derived from i in the stream
+    `seed`, and scores `bp_rounding_decisions` against the true root, so
+    results do not depend on chunking.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -346,18 +452,13 @@ def estimate_P_sd(
             )
         if method == "exact":
             raise ValueError("tree too large for exact P_{s,d}; use Monte Carlo")
-    tf = float(t)
-    s_float = float(sf)
-    rng = np.random.Generator(np.random.PCG64(seed.key()))
+    h = code_height(shape.k, shape.d)
     correct = 0
     for start, stop in trial_chunks(trials, shape.n):
-        batch = stop - start
-        roots = rng.integers(0, 2, size=batch)
-        leaves = _sample_leaves_binary(shape, tf, roots, rng)
-        if s_float > 0:
-            flips = rng.random((batch, shape.n)) < s_float
-            leaves = leaves ^ flips.astype(np.uint8)
-        guess = bp_rounding_decisions(shape, tf, leaves, start, seed, s=s_float)
+        roots, codes = generate_binary_batch(
+            shape, t, seed, stop - start, start=start, height=h, s=sf
+        )
+        guess = bp_rounding_decisions(shape, float(t), codes, start, seed, float(sf), h)
         correct += int((guess == roots).sum())
     acc = correct / trials
     return PsdEstimate(
@@ -367,15 +468,3 @@ def estimate_P_sd(
         method="mc",
     )
 
-
-def _sample_leaves_binary(
-    shape: TreeShape, theta_float: float, roots: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Leaf labels for a batch of trees with given roots, shape (batch, n)."""
-    p_flip = (1 - theta_float) / 2
-    labels = roots.astype(np.uint8).reshape(-1, 1)
-    for lvl in range(1, shape.d + 1):
-        count = shape.nodes_at(lvl)
-        flips = (rng.random((labels.shape[0], count)) < p_flip).astype(np.uint8)
-        labels = np.repeat(labels, shape.k, axis=1) ^ flips
-    return labels

@@ -31,6 +31,7 @@ from .channels import Channel, as_fraction, ks_parameter
 from .estimators import (
     EstimatorReport,
     bp_rounding_decisions,
+    code_height,
     estimate_P_sd,
     linearized_bp_decisions,
     majority_decisions,
@@ -299,30 +300,36 @@ def score_estimators_point(
 ) -> dict[str, float]:
     """Accuracy of each estimator on one shared set of sampled trees.
 
-    Each chunk's trees (trials start..stop-1 of the stream `seed`) are scored
-    by every requested kernel, with ties from a stream named for the estimator.
+    Each chunk's trees (trials start..stop-1 of the stream `seed`, drawn as
+    their `code_height` subtree codes) are scored by every requested kernel,
+    with ties from a stream named for the estimator.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     shape = TreeShape(k=k, d=d)
     tf = float(theta)
+    h = code_height(k, d)
     kernels = {}
     for name in estimators:
         tie = SeedSpec(seed.master_seed, f"{seed.stream_tag}/{name}")
         if name == "majority":
-            kernels[name] = partial(majority_decisions, seed=tie)
+            kernels[name] = partial(majority_decisions, seed=tie, k=k, height=h)
         elif name == "linearized-bp":
             s_hat = pilot_flip_rate(shape, theta, seed)
-            kernels[name] = partial(linearized_bp_decisions, shape, tf, seed=tie, s_hat=s_hat)
+            kernels[name] = partial(
+                linearized_bp_decisions, shape, tf, seed=tie, s_hat=s_hat, height=h
+            )
         elif name == "bp-rounding":
-            kernels[name] = partial(bp_rounding_decisions, shape, tf, seed=tie)
+            kernels[name] = partial(bp_rounding_decisions, shape, tf, seed=tie, height=h)
         else:
             raise ValueError(f"unknown estimator {name!r}; choose from {list(ESTIMATORS)}")
     correct = dict.fromkeys(estimators, 0)
     for start, stop in trial_chunks(trials, shape.n):
-        roots, leaves = generate_binary_batch(shape, theta, seed, stop - start, start=start)
+        roots, codes = generate_binary_batch(
+            shape, theta, seed, stop - start, start=start, height=h
+        )
         for name, kernel in kernels.items():
-            correct[name] += int((kernel(leaves, start) == roots).sum())
+            correct[name] += int((kernel(codes, start) == roots).sum())
     return {name: correct[name] / trials for name in estimators}
 
 

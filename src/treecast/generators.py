@@ -18,7 +18,12 @@ numerators over one running denominator; only the returned law holds
 `Fraction`s.
 
 Also here: the leaf noise channel, survival counting under composed
-restrictions, and the exact/approximate biased-bit samplers.
+restrictions, the exact/approximate biased-bit samplers, and the batched
+Monte Carlo sampler `generate_binary_batch`.  It returns either leaves or,
+with `height=h`, the integer code of every height-h subtree that batched BP
+builds, each drawn from one counter word through its exact `code_law`
+(integer numerators, cut to 63-bit fixed point), so the Monte Carlo
+estimators never materialize the leaf level.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from math import comb
 
 import numpy as np
 
@@ -312,6 +319,85 @@ def biased_bit_approx(theta: FractionLike, t_bits: int, seed: SeedSpec, draw: in
 
 # --- batched sampling for Monte Carlo ------------------------------------
 
+BATCH_METHODS = ("direct", "path", "restrictions")
+
+
+@lru_cache(maxsize=64)
+def code_law(
+    k: int, h: int, theta: FractionLike, s: FractionLike = 0
+) -> tuple[tuple[np.ndarray, ...], int]:
+    """Exact law of a height-h subtree's code given its root label.
+
+    The code is the one `bp.bp_posterior_batch_binary` builds: at height 1
+    the ones count of the k children, at height j+1 the mixed-radix number
+    of the k child codes, child 0 most significant, so there are V_h codes
+    (V_1 = k + 1, V_{j+1} = V_j^k).  Edges carry the binary channel of bias
+    theta; the last one also flips with probability s, as
+    `estimators.noisy_leaf_channel` composes it.  Returns (laws, den) with
+    P[code = v | label a] = laws[a][v] / den: read-only object arrays of
+    integer numerators over one denominator, built level by level as
+    law_{j+1}^a = (keep law_j^a + flip law_j^(1-a))^(outer k).
+    """
+    t, sf = binary_theta(theta), NoiseSpec(s).s
+    last = t * (1 - 2 * sf)
+    (agree, differ), den = integer_numerators([(1 + last) / 2, (1 - last) / 2])
+    laws = [
+        np.array([comb(k, c) * agree ** (k - c) * differ**c for c in range(k + 1)], dtype=object),
+        np.array([comb(k, c) * agree**c * differ ** (k - c) for c in range(k + 1)], dtype=object),
+    ]
+    den = den**k
+    (keep, flip), step = integer_numerators([(1 + t) / 2, (1 - t) / 2])
+    for _ in range(1, h):
+        mixed = [keep * laws[a] + flip * laws[1 - a] for a in (0, 1)]
+        laws = [_outer_power(mix, k, np.multiply) for mix in mixed]
+        den = (step * den) ** k
+    for law in laws:
+        law.flags.writeable = False
+    return tuple(laws), den
+
+
+@lru_cache(maxsize=64)
+def code_ones(k: int, h: int) -> np.ndarray:
+    """Read-only table of the leaf ones count of each height-h code."""
+    ones = np.arange(k + 1, dtype=np.int64)
+    for _ in range(1, h):
+        ones = _outer_power(ones, k, np.add)
+    ones.flags.writeable = False
+    return ones
+
+
+def _outer_power(x: np.ndarray, k: int, op) -> np.ndarray:
+    """op over k independent copies of x, flattened with copy 0 most significant."""
+    return reduce(lambda a, b: op.outer(a, b).ravel(), [x] * k)
+
+
+GUIDE_BITS = 16  # the code sampler's guide table splits each label's words into 2^16 buckets
+
+
+@lru_cache(maxsize=64)
+def _code_cuts(k: int, h: int, theta: Fraction, s: Fraction) -> tuple[np.ndarray, int, np.ndarray]:
+    """Both labels' cumulative code cuts in one sorted array, for one `searchsorted`.
+
+    Label a's cuts are cut63 of its cumulative law, plus a * 2^63, so that a
+    key (a << 63) | w63 only meets its own label's cuts.  A cut of 2^63 (the
+    cumulative law already at 1) is never reached by a 63-bit word, so it is
+    dropped.  Returns the array, the number of label-0 cuts, and a guide
+    table (Chen and Asau, 1974): for each bucket of keys sharing their top
+    GUIDE_BITS + 1 bits, the search result if every key in it has the same
+    one, else -1.  Most keys then take one lookup, with the same result.
+    """
+    laws, den = code_law(k, h, theta, s)
+    parts = []
+    for a, law in enumerate(laws):
+        cuts = np.array([cut63(Fraction(c, den)) for c in np.cumsum(law[:-1])], dtype=np.uint64)
+        parts.append(cuts[cuts < np.uint64(1 << 63)] + np.uint64(a << 63))
+    cuts = np.concatenate(parts)
+    shift = np.uint64(63 - GUIDE_BITS)
+    first = np.arange(2 << GUIDE_BITS, dtype=np.uint64) << shift
+    lo = np.searchsorted(cuts, first, side="right")
+    hi = np.searchsorted(cuts, first | ((np.uint64(1) << shift) - np.uint64(1)), side="right")
+    return cuts, len(parts[0]), np.where(lo == hi, lo, -1).astype(np.int32)
+
 
 def generate_binary_batch(
     shape: TreeShape,
@@ -321,6 +407,8 @@ def generate_binary_batch(
     method: str = "direct",
     roots: np.ndarray | None = None,
     start: int = 0,
+    height: int = 0,
+    s: FractionLike = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample trees start..start+trials-1 of the stream `seed`; returns (roots, leaves).
 
@@ -328,9 +416,24 @@ def generate_binary_batch(
     generators' randomness (column draw, path-product flip bits, restriction
     symbols); each trial consumes the key derived from its global index, so
     trees are independent streams and results do not depend on batch
-    boundaries or the trial count.
+    boundaries or the trial count.  `s` composes a flip(s) channel into the
+    last edge, as `estimators.noisy_leaf_channel` does; s = 0 leaves it as is.
+
+    With `height` h > 0 the second array holds the height-h subtree codes
+    instead, shape (trials, nodes_at(d - h)) (see `code_law`).  Levels
+    1..d-h take the same words as the leaf sampler; then each height-h node
+    draws its code from one word, `word_index` 1 at its address, inverted
+    through its label's cumulative code law.  That law is cut with `cut63`,
+    so each code's probability is within V_h * 2^-63 of exact, and a code of
+    probability zero is never drawn.
     """
-    t = binary_theta(theta)
+    t, sf = binary_theta(theta), NoiseSpec(s).s
+    if method not in BATCH_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "restrictions" and t < 0:
+        raise ValueError("restriction sampling needs theta in [0, 1]")
+    if not 0 <= height <= shape.d:
+        raise ValueError(f"height must lie in [0, {shape.d}], got {height}")
     tkeys = trial_keys(seed.key(), trials, start)
     if roots is None:
         root_words = trial_level_words(tkeys, 0, 1)[:, 0]
@@ -340,27 +443,33 @@ def generate_binary_batch(
         if roots.shape != (trials,):
             raise ValueError("roots must have one entry per trial")
     labels = roots.reshape(-1, 1)
-    keep_cut = np.uint64(cut63((1 + t) / 2))
-    flip_cut = np.uint64(cut63((1 - t) / 2))
-    if method == "restrictions":
-        if t < 0:
-            raise ValueError("restriction sampling needs theta in [0, 1]")
-        const1_cut = np.uint64(cut63(1 - t))  # below flip_cut is 0, below this is 1
-    for lvl in range(1, shape.d + 1):
-        count = shape.nodes_at(lvl)
-        w63 = trial_level_words(tkeys, lvl, count) >> np.uint64(1)
+    for lvl in range(1, shape.d - height + 1):
+        lt = t * (1 - 2 * sf) if lvl == shape.d else t
+        w63 = trial_level_words(tkeys, lvl, shape.nodes_at(lvl)) >> np.uint64(1)
         parents = np.repeat(labels, shape.k, axis=1)
         if method == "direct":
             # Column draw: the keep probability is (1+theta)/2 for both columns.
-            labels = np.where(w63 < keep_cut, parents, parents ^ 1)
+            labels = np.where(w63 < np.uint64(cut63((1 + lt) / 2)), parents, parents ^ 1)
         elif method == "path":
-            labels = parents ^ (w63 < flip_cut).astype(np.uint8)
-        elif method == "restrictions":
-            labels = np.where(w63 < flip_cut, 0, np.where(w63 < const1_cut, 1, parents))
-            labels = labels.astype(np.uint8)
+            labels = parents ^ (w63 < np.uint64(cut63((1 - lt) / 2))).astype(np.uint8)
         else:
-            raise ValueError(f"unknown method {method!r}")
-    return roots, labels
+            # Below the first cut the symbol is 0, below the second 1, else *.
+            labels = np.where(
+                w63 < np.uint64(cut63((1 - lt) / 2)),
+                0,
+                np.where(w63 < np.uint64(cut63(1 - lt)), 1, parents),
+            ).astype(np.uint8)
+    if height == 0:
+        return roots, labels
+    cuts, offset, guide = _code_cuts(shape.k, height, t, sf)
+    count = shape.nodes_at(shape.d - height)
+    w63 = trial_level_words(tkeys, shape.d - height, count, word_index=1) >> np.uint64(1)
+    keys = w63 | (labels.astype(np.uint64) << np.uint64(63))
+    idx = guide[keys >> np.uint64(63 - GUIDE_BITS)].astype(np.int64)
+    miss = idx < 0
+    idx[miss] = np.searchsorted(cuts, keys[miss], side="right")
+    codes = np.where(labels == 1, idx - offset, idx)
+    return roots, codes.astype(np.min_scalar_type(len(code_ones(shape.k, height)) - 1))
 
 
 # --- exact per-generator leaf laws ---------------------------------------

@@ -4,9 +4,13 @@ from math import sqrt
 import numpy as np
 import pytest
 
+import treecast.estimators as estimators
+from treecast.bp import bp_posterior_batch_binary
 from treecast.channels import Channel
 from treecast.estimators import (
     EstimatorReport,
+    bp_rounding_decisions,
+    code_height,
     estimate_flip_rate,
     estimate_P_sd,
     exact_majority_error,
@@ -18,8 +22,10 @@ from treecast.estimators import (
     majority_estimate,
     majority_misclassification,
     noisy_leaf_channel,
+    ones_count_law,
     reduced_depth,
 )
+from treecast.experiments import DEFAULT_EXACT_SHAPES
 from treecast.generators import generate_binary_batch, generate_direct
 from treecast.oracle import bayes_accuracy, enumerate_joint
 from treecast.rng import SeedSpec
@@ -175,11 +181,20 @@ class TestPsd:
             assert vals[-1] > Fraction(1, 2)
 
     def test_mc_golden(self):
-        # Seeded golden float: a change to the leaf or noise draws, the
+        # Seeded golden float: a change to the root or code draws, the
         # tie-break draws or batched BP's decisions and ties shows here.
         est = estimate_P_sd(TreeShape(2, 8), Fraction(4, 5), Fraction(1, 10), 3000, SeedSpec(7, "golden"))
         assert est.method == "mc"
-        assert est.estimate == 0.826
+        assert est.estimate == 0.813
+
+    @pytest.mark.parametrize("s", [Fraction(0), Fraction(1, 10)])
+    def test_mc_chunk_size_does_not_change_results(self, monkeypatch, s):
+        shape, theta, seed = TreeShape(2, 8), Fraction(3, 5), SeedSpec(7, "psd-chunks")
+        monkeypatch.setattr(estimators, "CHUNK_CELLS", 1 << 23)
+        whole = estimate_P_sd(shape, theta, s, 400, seed, method="mc")
+        monkeypatch.setattr(estimators, "CHUNK_CELLS", 1 << 12)
+        assert 400 > 3 * (1 + (1 << 12) // shape.n)  # at least 3 chunks
+        assert estimate_P_sd(shape, theta, s, 400, seed, method="mc") == whole
 
     def test_noisy_channel_composition(self):
         ch = noisy_leaf_channel(Fraction(9, 10), Fraction(1, 10))
@@ -205,3 +220,93 @@ def test_estimator_report_fields():
     assert rep.advantage == pytest.approx(0.25)
     with pytest.raises(ValueError):
         EstimatorReport(estimator="x", trials=10, accuracy=1.5)
+
+
+# --- estimators on height-h subtree codes --------------------------------------
+
+
+def test_code_height_table():
+    # V_h: k=2 gives 3, 9, 81, 6561 codes (the next, 43M, is over 2^16);
+    # k=3 gives 4, 64; k=16 gives 17; k=1 keeps 2 at every height.
+    want = {
+        (2, 0): 0, (2, 1): 1, (2, 3): 2, (2, 8): 4, (2, 12): 4, (2, 20): 4,
+        (3, 2): 1, (3, 4): 2, (3, 8): 2,
+        (16, 1): 1, (16, 2): 1, (16, 4): 1,
+        (1, 0): 0, (1, 1): 1, (1, 7): 7,
+    }
+    for (k, d), h in want.items():
+        assert code_height(k, d) == h, (k, d)
+        assert h <= d - reduced_depth(k, d)
+
+
+@pytest.mark.parametrize("k,d", [(2, 8), (2, 5), (3, 4), (1, 3)])
+@pytest.mark.parametrize("theta", [Fraction(0), Fraction(4, 5)])
+def test_code_kernels_equal_leaf_kernels(k, d, theta, subtree_codes):
+    # theta = 0 makes every BP posterior exactly 1/2 and majority ties common,
+    # so the tie words are compared as well.
+    shape, seed, start = TreeShape(k=k, d=d), SeedSpec(23, "codes"), 500
+    tf = float(theta)
+    _, leaves = generate_binary_batch(shape, theta, SeedSpec(23, "gen"), 300, start=start)
+    maj = majority_decisions(leaves, start, seed)
+    lin = linearized_bp_decisions(shape, tf, leaves, start, seed, 0.25)
+    bp = bp_rounding_decisions(shape, tf, leaves, start, seed, 0.1)
+    for h in range(1, code_height(k, d) + 1):
+        codes = subtree_codes(leaves, k, h)
+        assert np.array_equal(majority_decisions(codes, start, seed, k, h), maj)
+        assert np.array_equal(linearized_bp_decisions(shape, tf, codes, start, seed, 0.25, h), lin)
+        assert np.array_equal(bp_rounding_decisions(shape, tf, codes, start, seed, 0.1, h), bp)
+        for rows in (slice(None), slice(0, 2)):  # a small batch codes fewer levels itself
+            assert np.array_equal(
+                bp_posterior_batch_binary(shape, tf, codes[rows], 0.1, h),
+                bp_posterior_batch_binary(shape, tf, leaves[rows], 0.1),
+            )
+
+
+@pytest.mark.parametrize("theta", [1.0, -1.0])
+def test_zero_probability_evidence_is_nan_and_raises(theta, subtree_codes):
+    # At theta = +-1 with s = 0 the leaves of a depth-4 tree all equal the
+    # root, so a row with two different leaves has probability zero.
+    shape, seed = TreeShape(k=2, d=4), SeedSpec(3, "nan")
+    leaves = np.ones((6, 16), dtype=np.uint8)
+    leaves[1, 5] = 0  # one leaf differs
+    leaves[2, :4] = 0  # one depth-2 block differs: the linearized bits conflict
+    leaves[3] = 0
+    leaves[4, 8:] = 0
+    conflict = np.array([False, True, True, False, True, False])
+    post = bp_posterior_batch_binary(shape, theta, leaves)  # a RuntimeWarning fails the test
+    assert np.array_equal(np.isnan(post), conflict)
+    assert np.array_equal(post[~conflict], leaves[~conflict, 0].astype(float))
+    for h in (1, 2):
+        from_codes = bp_posterior_batch_binary(shape, theta, subtree_codes(leaves, 2, h), 0.0, h)
+        assert np.array_equal(from_codes, post, equal_nan=True)
+    good = leaves[~conflict]
+    assert np.array_equal(bp_rounding_decisions(shape, theta, good, 0, seed), good[:, 0])
+    assert np.array_equal(linearized_bp_decisions(shape, theta, good, 0, seed, 0.0), good[:, 0])
+    with pytest.raises(ValueError, match="evidence has zero probability"):
+        bp_rounding_decisions(shape, theta, leaves, 0, seed)
+    with pytest.raises(ValueError, match="evidence has zero probability"):
+        linearized_bp_decisions(shape, theta, leaves[2:3], 0, seed, 0.0)
+
+
+@pytest.mark.parametrize("k,d", DEFAULT_EXACT_SHAPES)
+@pytest.mark.parametrize("theta", [Fraction(-1, 2), Fraction(0), Fraction(3, 5), Fraction(1)])
+def test_exact_majority_error_equals_enumeration(k, d, theta):
+    shape = TreeShape(k=k, d=d)
+    joint = enumerate_joint(shape, Channel.binary(theta))
+    twice = sum(
+        (2 if 2 * sum(cfg) < shape.n else 1) * p
+        for cfg, p in joint.numerators[1].items()
+        if 2 * sum(cfg) <= shape.n
+    )
+    assert exact_majority_error(shape, theta) == Fraction(twice, 2 * joint.denominator)
+
+
+@pytest.mark.parametrize("k,d", [(2, 8), (3, 5), (5, 3)])
+@pytest.mark.parametrize("root", [0, 1])
+def test_ones_count_law_float_within_its_bound(k, d, root):
+    exact, den = ones_count_law(k, d, Fraction(4, 5), root)
+    approx, one = ones_count_law(k, d, Fraction(4, 5), root, exact=False)
+    assert one == 1.0 and approx.dtype == np.float64 and sum(exact) == den
+    want = np.array([float(Fraction(int(c), den)) for c in exact])
+    rel = (2 * k**d + 3 * k * d) * 2.0**-53
+    assert np.all(np.abs(approx - want) <= rel * want)

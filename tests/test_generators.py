@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import treecast.generators as generators
 from treecast.channels import Channel
+from treecast.estimators import noisy_leaf_channel
 from treecast.experiments import DEFAULT_EXACT_SHAPES, _chi_square_vs_exact, exact_joint_of_leaves
 from treecast.generators import (
     STAR,
@@ -19,6 +20,7 @@ from treecast.generators import (
     biased_bit_exact,
     biased_bit_exact_from_bits,
     check_node_budget,
+    code_law,
     generate_binary_batch,
     generate_direct,
     generate_path_product,
@@ -395,3 +397,100 @@ class TestNodeBudget:
         assert generate(TreeShape(k=2, d=5)).shape.total_nodes == 63
         with pytest.raises(ValueError, match="more than 100 nodes"):
             generate(TreeShape(k=2, d=7))
+
+
+# --- height-h subtree codes ----------------------------------------------------
+
+CODE_THETAS = [Fraction(-1, 2), Fraction(0), Fraction(4, 5), Fraction(1)]
+CODE_NOISE = [Fraction(0), Fraction(1, 10)]
+
+
+def _oracle_code_law(k, d, h, theta, s, root, subtree_codes):
+    """Law of the level-(d-h) codes given the root, mapped from the oracle's
+    leaf configurations with flip(s) composed into the last edge."""
+    joint = enumerate_joint(
+        TreeShape(k=k, d=d), Channel.binary(theta), leaf_channel=noisy_leaf_channel(theta, s)
+    )
+    law = {}
+    for cfg, p in joint.cond[root].items():
+        key = tuple(int(c) for c in subtree_codes(np.array([cfg]), k, h)[0])
+        law[key] = law.get(key, Fraction(0)) + p
+    return law
+
+
+@pytest.mark.parametrize("k,h", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+@pytest.mark.parametrize("theta", CODE_THETAS)
+@pytest.mark.parametrize("s", CODE_NOISE)
+def test_code_law_equals_oracle(k, h, theta, s, subtree_codes):
+    laws, den = code_law(k, h, theta, s)
+    for root in (0, 1):
+        got = {(v,): Fraction(int(w), den) for v, w in enumerate(laws[root]) if w}
+        assert got == _oracle_code_law(k, h, h, theta, s, root, subtree_codes)
+
+
+def _pool_rare(law, counts, trials, floor=5.0):
+    """Merge the cells expected fewer than `floor` times into one, so the
+    chi-square approximation holds."""
+    rare = {cell for cell, p in law.items() if float(p) * trials < floor}
+    pooled_law = {cell: p for cell, p in law.items() if cell not in rare}
+    pooled_counts = {cell: c for cell, c in counts.items() if cell not in rare}
+    if rare:
+        pooled_law["rare"] = sum(law[cell] for cell in rare)
+        pooled_counts["rare"] = sum(counts.get(cell, 0) for cell in rare)
+    return pooled_law, pooled_counts
+
+
+@pytest.mark.parametrize("k,d,h", [(2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 1)])
+@pytest.mark.parametrize("theta", CODE_THETAS)
+@pytest.mark.parametrize("s", CODE_NOISE)
+def test_sampled_codes_follow_the_oracle(k, d, h, theta, s, subtree_codes):
+    shape, trials = TreeShape(k=k, d=d), 20_000
+    seed = SeedSpec(9, f"codes/{k}/{d}/{h}/{theta}/{s}")
+    for root in (0, 1):
+        exact = _oracle_code_law(k, d, h, theta, s, root, subtree_codes)
+        roots = np.full(trials, root, dtype=np.uint8)
+        _, codes = generate_binary_batch(shape, theta, seed, trials, roots=roots, height=h, s=s)
+        assert codes.shape == (trials, shape.nodes_at(d - h))
+        keys, counts = np.unique(codes, axis=0, return_counts=True)
+        counted = {tuple(int(c) for c in row): int(n) for row, n in zip(keys, counts)}
+        assert set(counted) <= set(exact)  # no code of probability zero is drawn
+        law, counted = _pool_rare(exact, counted, trials)
+        ok, stat, threshold = _chi_square_vs_exact(counted, law, trials, 1e-4)
+        assert ok, (root, stat, threshold)
+
+
+def test_code_draws_are_keyed_by_trial():
+    shape, theta, seed = TreeShape(k=2, d=6), Fraction(3, 5), SeedSpec(4, "start")
+    roots, codes = generate_binary_batch(shape, theta, seed, 50, height=3, s=Fraction(1, 10))
+    part_roots, part_codes = generate_binary_batch(
+        shape, theta, seed, 20, start=30, height=3, s=Fraction(1, 10)
+    )
+    assert np.array_equal(part_roots, roots[30:])
+    assert np.array_equal(part_codes, codes[30:])
+
+
+def test_batch_rejects_bad_height_method_and_noise():
+    shape, seed = TreeShape(k=2, d=3), SeedSpec(1, "g")
+    for height in (-1, 4):
+        with pytest.raises(ValueError, match="height must lie in"):
+            generate_binary_batch(shape, Fraction(1, 2), seed, 4, height=height)
+    with pytest.raises(ValueError, match="unknown method"):
+        generate_binary_batch(TreeShape(k=2, d=0), Fraction(1, 2), seed, 4, method="median")
+    with pytest.raises(ValueError, match="flip probability"):
+        generate_binary_batch(shape, Fraction(1, 2), seed, 4, s=Fraction(3, 4))
+
+
+@pytest.mark.parametrize("k,h,theta,s", [
+    (2, 4, Fraction(4, 5), Fraction(1, 10)),
+    (3, 2, Fraction(-1, 2), Fraction(0)),
+    (2, 2, Fraction(1), Fraction(0)),
+])
+def test_code_guide_table_agrees_with_the_plain_search(k, h, theta, s):
+    cuts, _, guide = generators._code_cuts(k, h, theta, s)
+    rng = np.random.default_rng(0)
+    words = [rng.integers(0, 2**63, 100_000, dtype=np.uint64) | np.uint64(a << 63) for a in (0, 1)]
+    keys = np.concatenate(words + [cuts, cuts - np.uint64(1), cuts + np.uint64(1)])
+    found = guide[keys >> np.uint64(63 - generators.GUIDE_BITS)]
+    hit = found >= 0
+    assert hit[: 200_000].mean() > 0.8
+    assert np.array_equal(found[hit], np.searchsorted(cuts, keys[hit], side="right"))
