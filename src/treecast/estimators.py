@@ -188,21 +188,25 @@ def majority_estimate(leaves, seed: SeedSpec, trial: int = 0) -> int:
     return int(majority_decisions(np.asarray(leaves).reshape(1, -1), trial, seed)[0])
 
 
-CODE_TABLE_ENTRIES = 1 << 16  # most codes a sampled height-h code law may have
+CODE_LAW_FACTORS = 1 << 18  # most codes x numerator factors a sampled code law may have
 
 
 def code_height(k: int, d: int) -> int:
     """Height h of the subtree codes the Monte Carlo estimators sample.
 
     The largest h <= d - d' (d' = `reduced_depth`, so linearized BP's blocks
-    hold whole codes) whose code count V_h (V_1 = k + 1, V_{j+1} = V_j^k)
-    is at most CODE_TABLE_ENTRIES; 0, the leaves, when none is.  It depends
-    on (k, d) only, never on a batch, so draws do not depend on chunking.
+    hold whole codes) whose exact code law is small: V_h codes (V_1 = k + 1,
+    V_{j+1} = V_j^k), each numerator a product of one factor per edge of the
+    subtree (E_1 = k, E_{j+1} = k E_j + k), with V_h E_h <= CODE_LAW_FACTORS.
+    The law's size and build time grow with V_h E_h (at k = 6000, h = 1 the
+    build took 17 s), so from k = 512 on this is 0, the leaves.  k = 2 gives
+    h = 4 (6561 codes).  It depends on (k, d) only, never on a batch, so
+    draws do not depend on chunking.
     """
     limit = d - reduced_depth(k, d)
-    h, size = 0, k + 1
-    while h < limit and size <= CODE_TABLE_ENTRIES:
-        h, size = h + 1, size**k
+    h, size, edges = 0, k + 1, k
+    while h < limit and size * edges <= CODE_LAW_FACTORS:
+        h, size, edges = h + 1, size**k, k * edges + k
     return h
 
 

@@ -226,13 +226,15 @@ def test_estimator_report_fields():
 
 
 def test_code_height_table():
-    # V_h: k=2 gives 3, 9, 81, 6561 codes (the next, 43M, is over 2^16);
-    # k=3 gives 4, 64; k=16 gives 17; k=1 keeps 2 at every height.
+    # V_h * E_h: k=2 gives 3*2, 9*6, 81*14, 6561*30 (the next, 43M codes, is
+    # over 2^18); k=3 gives 4*3, 64*12; k=16 gives 17*16; k=1 gives 2*h;
+    # k=511 gives 512*511 and k=512 513*512 > 2^18, so no codes at all.
     want = {
         (2, 0): 0, (2, 1): 1, (2, 3): 2, (2, 8): 4, (2, 12): 4, (2, 20): 4,
-        (3, 2): 1, (3, 4): 2, (3, 8): 2,
+        (3, 2): 1, (3, 4): 2, (3, 8): 2, (5, 4): 2, (6, 3): 1,
         (16, 1): 1, (16, 2): 1, (16, 4): 1,
         (1, 0): 0, (1, 1): 1, (1, 7): 7,
+        (511, 1): 1, (512, 1): 0, (6000, 2): 0,
     }
     for (k, d), h in want.items():
         assert code_height(k, d) == h, (k, d)
