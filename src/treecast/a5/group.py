@@ -64,9 +64,6 @@ class GroupTables:
     def identity(self) -> int:
         return 0
 
-    def index_of(self, perm: tuple[int, ...]) -> int:
-        return self.elements.index(tuple(perm))
-
     def product(self, word) -> int:
         out = self.identity
         for g in word:

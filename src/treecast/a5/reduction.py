@@ -108,10 +108,6 @@ class AmplifyResult:
     def accepted(self) -> int:
         return self.votes_identity + self.votes_target
 
-    @property
-    def correct_for(self) -> str:
-        return self.decision
-
 
 def amplify_oracle(
     oracle: Callable[[tuple[int, ...]], int],

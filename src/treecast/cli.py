@@ -262,19 +262,8 @@ def _experiment_config(args, experiment: str, **overrides):
     return ExperimentConfig(**base)
 
 
-def _emit_rows(cfg, rows) -> None:
-    from .experiments import CSV_HEADER, emit
-
-    if cfg.out:
-        emit(rows, cfg.out, cfg.format)
-    else:
-        print(CSV_HEADER)
-        for r in sorted(rows, key=lambda r: r.sort_key()):
-            print(r.to_csv_line())
-
-
 def _cmd_scan_ks(args) -> int:
-    from .experiments import run_ks_scan
+    from .experiments import emit, run_ks_scan
 
     cfg = _experiment_config(
         args,
@@ -284,12 +273,12 @@ def _cmd_scan_ks(args) -> int:
         theta=_parse_grid_strs(args.theta),
         d=_parse_grid_ints(args.d),
     )
-    _emit_rows(cfg, run_ks_scan(cfg))
+    emit(run_ks_scan(cfg), cfg.out, cfg.format)
     return EXIT_OK
 
 
 def _cmd_scan_noise(args) -> int:
-    from .experiments import run_noise_scan
+    from .experiments import emit, run_noise_scan
 
     cfg = _experiment_config(
         args,
@@ -301,7 +290,7 @@ def _cmd_scan_noise(args) -> int:
         s=_parse_grid_strs(args.s),
     )
     report = run_noise_scan(cfg)
-    _emit_rows(cfg, report.rows)
+    emit(report.rows, cfg.out, cfg.format)
     for key, ok in sorted(report.monotone_in_s.items()):
         print(f"# monotone-in-s k={key[0]} theta={key[1]} d={key[2]}: {'yes' if ok else 'no'}", file=sys.stderr)
     for key, ok in sorted(report.monotone_in_d.items()):
@@ -310,14 +299,13 @@ def _cmd_scan_noise(args) -> int:
 
 
 def _cmd_a5(args) -> int:
-    from .experiments import run_a5_accuracy
+    from .experiments import emit, run_a5_accuracy
 
     if args.model == "class16":
         cfg = _experiment_config(
             args, "a5-accuracy", trials=args.trials, k=(args.k,), d=(args.d,)
         )
-        rows = run_a5_accuracy(cfg)
-        _emit_rows(cfg, rows)
+        emit(run_a5_accuracy(cfg), cfg.out, cfg.format)
         return EXIT_OK
     from .a5 import generate_pair_model
     from .a5.reconstruct import recursive_reconstruct

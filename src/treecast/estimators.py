@@ -410,7 +410,14 @@ def noisy_leaf_channel(theta: FractionLike, s: FractionLike) -> Channel:
 def exact_P_sd(
     shape: TreeShape, theta: FractionLike, s: FractionLike, cap: int = DEFAULT_CONFIG_CAP
 ) -> Fraction:
-    """Exact optimal accuracy of recovering the root from s-noisy leaves."""
+    """Exact optimal accuracy of recovering the root from s-noisy leaves.
+
+    At d = 0 the one leaf is the root seen through flip(s), with no edge to
+    compose the noise into, so the answer is max(s, 1 - s).
+    """
+    if shape.d == 0:
+        sf = as_fraction(s)
+        return max(sf, 1 - sf)
     channel = Channel.binary(as_fraction(theta))
     joint = enumerate_joint(shape, channel, cap=cap, leaf_channel=noisy_leaf_channel(theta, s))
     return bayes_accuracy(joint)

@@ -1,5 +1,11 @@
 """Declarative experiment harness: parameter scans, statistics, emitters.
 
+A config names one of four kinds (`EXPERIMENT_KINDS`): `ks-scan`,
+`noise-scan` and `a5-accuracy`, which the `scan-ks`, `scan-noise` and `a5`
+subcommands run, and `gadget-corpus`, run from Python by
+`run_gadget_corpus`.  The generator-equivalence suite and `verify_all` are
+plain functions, not config kinds.  `emit` writes every row set.
+
 Every experiment is a pure function of (config, master seed): per-grid-point
 substreams are derived by stable indices, rows are sorted by a canonical key
 before emission, and the emitted wall_ms column is deterministically zero
@@ -18,9 +24,10 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
 
@@ -45,38 +52,14 @@ from .generators import (
     total_variation,
 )
 from .oracle import enumerate_joint
-from .rng import SeedSpec, subkey, words_vec
+from .rng import SeedSpec, subkey
 from .trees import TreeShape
 
 log = logging.getLogger("treecast.experiments")
 
-EXPERIMENT_KINDS = (
-    "ks-scan",
-    "noise-scan",
-    "a5-accuracy",
-    "equivalence-suite",
-    "gadget-corpus",
-    "reduction-demo",
-)
+EXPERIMENT_KINDS = ("ks-scan", "noise-scan", "a5-accuracy", "gadget-corpus")
 
 CSV_HEADER = "experiment,k,theta_or_channel,d,s,estimator,trials,accuracy,stderr,advantage,seed,wall_ms"
-
-_CONFIG_FIELDS = {
-    "schema_version",
-    "experiment",
-    "seed",
-    "trials",
-    "k",
-    "theta",
-    "d",
-    "s",
-    "out",
-    "format",
-    "jobs",
-    "p_value",
-    "stderr_band",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -90,8 +73,6 @@ class ExperimentConfig:
     out: str | None = None
     format: str = "csv"
     jobs: int = 0  # 0 means available parallelism
-    p_value: float = 0.001
-    stderr_band: float = 3.0
     schema_version: int = 1
 
     def __post_init__(self) -> None:
@@ -112,7 +93,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         doc = json.loads(text)
-        unknown = set(doc) - _CONFIG_FIELDS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(doc)
@@ -215,38 +196,25 @@ def _row(
     )
 
 
-def emit(rows: list[ResultRow], path: str, fmt: str = "csv") -> None:
-    """Write rows in a byte-stable format with the canonical header/order."""
+def emit(rows: list[ResultRow], path: str | None = None, fmt: str = "csv") -> None:
+    """Write rows in a byte-stable format with the canonical header/order.
+
+    With no `path` the rows go to standard output, byte for byte as a file
+    would hold them.
+    """
     if not rows:
         raise ValueError("refusing to emit an empty row set")
     ordered = sorted(rows, key=ResultRow.sort_key)
+    if fmt == "csv":
+        text = CSV_HEADER + "\n" + "\n".join(r.to_csv_line() for r in ordered) + "\n"
+    elif fmt == "json":
+        text = json.dumps([asdict(r) for r in ordered], indent=1, sort_keys=True) + "\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
-        if fmt == "csv":
-            text = CSV_HEADER + "\n" + "\n".join(r.to_csv_line() for r in ordered) + "\n"
-        elif fmt == "json":
-            text = json.dumps(
-                [
-                    {
-                        "experiment": r.experiment,
-                        "k": r.k,
-                        "theta_or_channel": r.theta_or_channel,
-                        "d": r.d,
-                        "s": r.s,
-                        "estimator": r.estimator,
-                        "trials": r.trials,
-                        "accuracy": r.accuracy,
-                        "stderr": r.stderr,
-                        "advantage": r.advantage,
-                        "seed": r.seed,
-                        "wall_ms": r.wall_ms,
-                    }
-                    for r in ordered
-                ],
-                indent=1,
-                sort_keys=True,
-            ) + "\n"
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
@@ -531,25 +499,20 @@ def _chi_square_vs_exact(
 
 
 _GENERATOR_METHODS = ("direct", "path", "restrictions")
+_SUITE_P_VALUE = 0.001
 
 
 def run_equivalence_suite(
-    cfg: ExperimentConfig | None = None,
     seed: int = 1,
     statistical_trials: int = 100_000,
-    p_value: float = 0.001,
-    methods: tuple[str, ...] = _GENERATOR_METHODS,
     batch_sampler=generate_binary_batch,
 ) -> list[CheckResult]:
     """All exact generator-equivalence checks plus the statistical ones.
 
-    `batch_sampler` is injectable so a deliberately corrupted generator can
-    be shown to fail the suite; the default is the real sampler.
+    Each chi-square test rejects at p = `_SUITE_P_VALUE`.  `batch_sampler`
+    is injectable so a deliberately corrupted generator can be shown to fail
+    the suite; the default is the real sampler.
     """
-    if cfg is not None:
-        seed = cfg.seed
-        statistical_trials = max(cfg.trials, 1000)
-        p_value = cfg.p_value
     results: list[CheckResult] = []
 
     # Exact: the three leaf laws coincide with the enumeration oracle.
@@ -582,14 +545,14 @@ def run_equivalence_suite(
     for root in (0, 1):
         for cfg_bits, p in exact_joint_of_leaves(shape, theta, leaf_sel, root).items():
             exact[cfg_bits] = exact.get(cfg_bits, Fraction(0)) + p / 2
-    for method in methods:
+    for method in _GENERATOR_METHODS:
         _, leaves = batch_sampler(
             shape, theta, SeedSpec(seed, f"equiv/{method}"), statistical_trials, method=method
         )
         picked = leaves[:, list(leaf_sel)]
         keys, counts = np.unique(picked, axis=0, return_counts=True)
         counted = {tuple(int(b) for b in row): int(c) for row, c in zip(keys, counts)}
-        ok, stat, threshold = _chi_square_vs_exact(counted, exact, statistical_trials, p_value)
+        ok, stat, threshold = _chi_square_vs_exact(counted, exact, statistical_trials, _SUITE_P_VALUE)
         results.append(
             CheckResult(
                 name=f"chi-square:{method}",
@@ -622,7 +585,7 @@ def run_equivalence_suite(
     children = levels[1].reshape(-1)
     keys, counts = np.unique(children, return_counts=True)
     counted = {int(c): int(n) for c, n in zip(keys, counts)}
-    ok, stat, threshold = _chi_square_vs_exact(counted, law_tree, children.size, p_value)
+    ok, stat, threshold = _chi_square_vs_exact(counted, law_tree, children.size, _SUITE_P_VALUE)
     results.append(
         CheckResult(
             name="pair-vs-product-tree:chi-square",
@@ -728,91 +691,6 @@ def run_gadget_corpus(cfg: ExperimentConfig) -> GadgetCorpusReport:
     )
 
 
-# --- reduction demo ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReductionDemoReport:
-    amplify_accuracy: float
-    amplify_instances: int
-    detection_direct: float
-    detection_via_word: float
-    rows: list[ResultRow]
-
-
-def run_reduction_demo(
-    cfg: ExperimentConfig,
-    r: int = 64,
-    oracle_epsilon: float = 0.1,
-    amplify_trials: int = 500,
-) -> ReductionDemoReport:
-    """Amplify a weak synthetic product guesser and run the detection pipeline."""
-    if cfg.experiment != "reduction-demo":
-        raise ValueError("config is not a reduction-demo run")
-    from .a5 import (
-        amplify_oracle,
-        detection_to_word,
-        make_instance,
-        synthetic_oracle,
-    )
-    from .a5.group import A5
-    from .a5.pair_model import _uniform60, generate_pair_model
-    from .a5.reconstruct import recursive_reconstruct
-
-    seed = SeedSpec(cfg.seed, "reduction")
-    oracle = synthetic_oracle(oracle_epsilon, SeedSpec(cfg.seed, "reduction/oracle"))
-    instances = min(cfg.trials, 200)
-    correct = 0
-    five_cycle = int(A5.five_cycles()[0])
-    for i in range(instances):
-        promise = "identity" if i % 2 == 0 else "target"
-        inst = make_instance(r, promise, five_cycle, SeedSpec(cfg.seed, f"reduction/inst{i}"))
-        result = amplify_oracle(
-            oracle, inst, amplify_trials, SeedSpec(cfg.seed, f"reduction/amp{i}")
-        )
-        correct += result.decision == promise
-    amp_acc = correct / instances
-
-    # Detection accuracy, direct pair model vs the product-tree pipeline.
-    k, d = 3600, 1
-    trials = min(cfg.trials, 1000)
-    shape = TreeShape(k=k, d=d)
-    direct_hits = 0
-    via_word_hits = 0
-    for i in range(trials):
-        tree = generate_pair_model(shape, SeedSpec(cfg.seed, f"reduction/pair{i}"))
-        est = recursive_reconstruct(
-            tree.leaves, k, "pair3600", seed=SeedSpec(cfg.seed, f"reduction/rec{i}")
-        )
-        direct_hits += est.root_estimate == tree.root
-        sig_words = words_vec(
-            SeedSpec(cfg.seed, f"reduction/sigma{i}").key(), np.arange(4, dtype=np.uint64)
-        )
-        sigma = _uniform60(sig_words)
-        record = detection_to_word(
-            lambda leaves: recursive_reconstruct(
-                leaves, k, "pair3600", seed=SeedSpec(cfg.seed, f"reduction/recw{i}")
-            ).root_estimate,
-            sigma,
-            k,
-            d,
-            SeedSpec(cfg.seed, f"reduction/ptree{i}"),
-        )
-        via_word_hits += record.correct
-    rows = [
-        _row(cfg, r, "a5-word", 0, "0", "amplified-oracle", instances, amp_acc, m=2),
-        _row(cfg, k, "pair3600", d, "0", "recursive-direct", trials, direct_hits / trials, m=3600),
-        _row(cfg, k, "pair3600", d, "0", "recursive-via-word", trials, via_word_hits / trials, m=3600),
-    ]
-    return ReductionDemoReport(
-        amplify_accuracy=amp_acc,
-        amplify_instances=instances,
-        detection_direct=direct_hits / trials,
-        detection_via_word=via_word_hits / trials,
-        rows=rows,
-    )
-
-
 # --- self-verification -------------------------------------------------------
 
 
@@ -912,30 +790,3 @@ def verify_all(seed: int = 1, quick: bool = False) -> list[CheckResult]:
     check("reproducibility", "gen twice, same seed", a.to_bytes() == b.to_bytes())
     return results
 
-
-def run_experiment(cfg: ExperimentConfig):
-    """Dispatch a config to its runner; returns (rows, extra report or None)."""
-    if cfg.experiment == "ks-scan":
-        return run_ks_scan(cfg), None
-    if cfg.experiment == "noise-scan":
-        report = run_noise_scan(cfg)
-        return report.rows, report
-    if cfg.experiment == "a5-accuracy":
-        return run_a5_accuracy(cfg), None
-    if cfg.experiment == "equivalence-suite":
-        results = run_equivalence_suite(cfg)
-        rows = [
-            _row(
-                cfg, 0, "equivalence", i, "0", r.name.replace(",", ";"), max(cfg.trials, 100),
-                1.0 if r.passed else 0.0,
-            )
-            for i, r in enumerate(results)
-        ]
-        return rows, results
-    if cfg.experiment == "gadget-corpus":
-        report = run_gadget_corpus(cfg)
-        return report.rows, report
-    if cfg.experiment == "reduction-demo":
-        report = run_reduction_demo(cfg)
-        return report.rows, report
-    raise ValueError(f"unknown experiment {cfg.experiment!r}")

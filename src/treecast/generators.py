@@ -43,6 +43,7 @@ from .rng import (
     SeedSpec,
     bits_from_word,
     level_words,
+    node_counters,
     subkey,
     trial_keys,
     trial_level_words,
@@ -231,8 +232,7 @@ def live_inputs_after(
         level = shape.d - round_idx
         if len(live) == 0:
             break
-        ctrs = (live.astype(np.uint64) * np.uint64(64) + np.uint64(level)) * np.uint64(4)
-        w63 = words_vec(key, ctrs) >> np.uint64(1)
+        w63 = words_vec(key, node_counters(level, live)) >> np.uint64(1)
         live = np.unique(live[w63 < star_cut] // shape.k)
     return int(len(live))
 
@@ -418,6 +418,7 @@ def generate_binary_batch(
     trees are independent streams and results do not depend on batch
     boundaries or the trial count.  `s` composes a flip(s) channel into the
     last edge, as `estimators.noisy_leaf_channel` does; s = 0 leaves it as is.
+    At d = 0 the root is flipped with the word at `word_index` 1 instead.
 
     With `height` h > 0 the second array holds the height-h subtree codes
     instead, shape (trials, nodes_at(d - h)) (see `code_law`).  Levels
@@ -443,6 +444,10 @@ def generate_binary_batch(
         if roots.shape != (trials,):
             raise ValueError("roots must have one entry per trial")
     labels = roots.reshape(-1, 1)
+    if shape.d == 0 and sf:
+        # The one leaf is the root itself, seen through flip(s).
+        w63 = trial_level_words(tkeys, 0, 1, word_index=1) >> np.uint64(1)
+        labels = labels ^ (w63 < np.uint64(cut63(sf))).astype(np.uint8)
     for lvl in range(1, shape.d - height + 1):
         lt = t * (1 - 2 * sf) if lvl == shape.d else t
         w63 = trial_level_words(tkeys, lvl, shape.nodes_at(lvl)) >> np.uint64(1)

@@ -99,11 +99,7 @@ def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int
     Trials are separated by their derived keys rather than by counter bits,
     so no trial count can wrap the counter space into reuse.
     """
-    idx = np.arange(count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        ctr = (idx * np.uint64(64) + np.uint64(level)) * np.uint64(4) + np.uint64(word_index)
-        inner = _fin_vec(ctr * np.uint64(_C1) + np.uint64(_C2))
-        return _fin_vec(inner[None, :] ^ tkeys[:, None])
+    return words_vec(tkeys[:, None], node_counters(level, np.arange(count), word_index))
 
 
 def subkey(key: int, index: int) -> int:
@@ -111,18 +107,26 @@ def subkey(key: int, index: int) -> int:
     return word(key, (index << 1) | 1)
 
 
-def node_counter(level: int, index: int, word_index: int = 0) -> int:
-    """Counter for one node address.
+def node_counters(level: int, index, word_index: int = 0) -> np.ndarray:
+    """Counters of the nodes `index` (an int or an array) of one level, as uint64.
 
-    Injective in (level, index, word_index) for level < 64 and word_index < 4,
-    and independent of the tree arity, so the bits at an address are a pure
-    function of (seed, tag, address) as the reproducibility contract requires.
+    (index * 64 + level) * 4 + word_index: injective in (level, index,
+    word_index) for level < 64 and word_index < 4, and independent of the
+    tree arity, so the bits at an address are a pure function of (seed, tag,
+    address) as the reproducibility contract requires.
     """
+    with np.errstate(over="ignore"):
+        idx = np.asarray(index, dtype=np.uint64)
+        return (idx * np.uint64(64) + np.uint64(level)) * np.uint64(4) + np.uint64(word_index)
+
+
+def node_counter(level: int, index: int, word_index: int = 0) -> int:
+    """Counter for one node address (see `node_counters`), range-checked."""
     if not 0 <= word_index < 4:
         raise ValueError("word_index must be in [0, 4)")
     if level < 0 or level >= 64:
         raise ValueError(f"level must be in [0, 64), got {level}")
-    return (index * 64 + level) * 4 + word_index
+    return int(node_counters(level, index, word_index))
 
 
 def node_randomness(seed: SeedSpec, addr, width: int) -> int:
@@ -155,10 +159,7 @@ def _addr_parts(addr) -> tuple[int, int]:
 
 def level_words(key: int, level: int, count: int, word_index: int = 0) -> np.ndarray:
     """Uniform words for all `count` nodes of one level, in index order."""
-    idx = np.arange(count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        ctr = (idx * np.uint64(64) + np.uint64(level)) * np.uint64(4) + np.uint64(word_index)
-    return words_vec(key, ctr)
+    return words_vec(key, node_counters(level, np.arange(count), word_index))
 
 
 def bits_from_word(w: int, nbits: int) -> list[int]:

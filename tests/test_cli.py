@@ -199,3 +199,46 @@ def test_gen_over_node_budget_is_one_line_error(capsys, monkeypatch, generator):
     code, out, err = run(capsys, "gen", "--k", "2", "--d", "7", "--generator", generator)
     _one_line_usage_error(code, err, "k=2, d=7", "more than 100 nodes")
     assert out == ""
+
+
+def test_ks_scan_config_writes_the_flag_form_bytes(tmp_path, capsys):
+    grid = ("--k", "2", "--theta", "1/2,4/5", "--d", "3", "--trials", "150")
+    by_flags = str(tmp_path / "flags.csv")
+    code, _, _ = run(capsys, "--seed", "9", "--jobs", "1", "--out", by_flags, "scan-ks", *grid)
+    assert code == EXIT_OK
+    by_config = str(tmp_path / "config.csv")
+    config = tmp_path / "ks.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "experiment": "ks-scan", "seed": 9, "trials": 150, "k": [2],
+        "theta": ["1/2", "4/5"], "d": [3], "out": by_config, "format": "csv", "jobs": 1,
+    }))
+    code, _, _ = run(capsys, "--config", str(config), "scan-ks")
+    assert code == EXIT_OK
+    assert open(by_config, "rb").read() == open(by_flags, "rb").read()
+
+
+@pytest.mark.parametrize(
+    "doc, words",
+    [
+        ({"experiment": "reduction-demo"}, ("unknown experiment", "reduction-demo")),
+        ({"experiment": "ks-scan", "p_value": 0.01}, ("unknown config keys", "p_value")),
+    ],
+)
+def test_config_with_a_removed_kind_or_key_is_one_line_error(tmp_path, capsys, doc, words):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--config", str(config), "scan-ks")
+    _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
+def test_scan_ks_format_json_prints_rows(capsys):
+    argv = ("--seed", "4", "--jobs", "1", "scan-ks", "--k", "2", "--theta", "4/5", "--d", "3", "--trials", "150")
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == EXIT_OK
+    rows = json.loads(out)
+    assert [r["estimator"] for r in rows] == ["bp-rounding", "linearized-bp", "majority"]
+    code, csv_out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    for row, line in zip(rows, csv_out.splitlines()[1:]):
+        assert line.split(",")[7] == repr(row["accuracy"])

@@ -180,6 +180,14 @@ class TestPsd:
             assert all(a >= b for a, b in zip(vals, vals[1:])), (theta, vals)
             assert vals[-1] > Fraction(1, 2)
 
+    @pytest.mark.parametrize("s", [Fraction(0), Fraction(1, 10), Fraction(1, 2)])
+    def test_depth_zero_sees_the_root_through_the_noise(self, s):
+        shape = TreeShape(2, 0)
+        assert exact_P_sd(shape, Fraction(4, 5), s) == 1 - s
+        est = estimate_P_sd(shape, Fraction(4, 5), s, 20_000, SeedSpec(8, "p"), method="mc")
+        assert est.method == "mc"
+        assert abs(est.estimate - float(1 - s)) <= 4 * est.stderr
+
     def test_mc_golden(self):
         # Seeded golden float: a change to the root or code draws, the
         # tie-break draws or batched BP's decisions and ties shows here.
