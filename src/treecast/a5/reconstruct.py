@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,6 +108,20 @@ def reconstruct_level_class16(
     return reconstruct_level_class16_from_counts(counts, tau, tie_key)
 
 
+@lru_cache(maxsize=1)
+def _class16_child_laws() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float child laws of the quotient model, one row per parent
+    label, and their cumulative sums."""
+    from .quotient import quotient_channel
+
+    cols = quotient_channel().to_float().T.copy()  # cols[parent] = child law
+    cols /= cols.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(cols, axis=1)
+    cols.setflags(write=False)
+    cdf.setflags(write=False)
+    return cols, cdf
+
+
 def class16_reconstruction_trial(
     k: int, d: int, key: int, tau: Fraction = DEFAULT_TAU
 ) -> tuple[int, int, int]:
@@ -118,14 +133,10 @@ def class16_reconstruction_trial(
     given the parent, making the tally a sufficient statistic).  This keeps
     k in the thousands cheap without changing the sampled law.
     """
-    from .quotient import quotient_channel
-
     if d < 1:
         raise ValueError("reconstruction needs depth >= 1")
     rng = np.random.Generator(np.random.PCG64(key))
-    cols = quotient_channel().to_float().T.copy()  # cols[parent] = child law
-    cols /= cols.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(cols, axis=1)
+    cols, cdf = _class16_child_laws()
     root = int(rng.integers(0, 16))
     labels = np.array([root], dtype=np.int64)
     for _ in range(d - 1):

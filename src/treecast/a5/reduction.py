@@ -7,9 +7,10 @@ uniform; its product is (product of the word) * b_r.
 
 `amplify_oracle` turns any word->element guesser with advantage over random
 guessing into a decision procedure for promise instances (product is the
-identity or a fixed target c): per trial it randomizes the word, queries the
-guesser, and accepts a vote only when the answer equals b_r (identity vote)
-or c * b_r (target vote); the majority of accepted votes decides.
+identity or a fixed target c).  It randomizes the word for all trials in one
+table pass (one row per trial), queries the guesser once per row, and
+accepts a vote only when the answer equals b_r (identity vote) or c * b_r
+(target vote); the majority of accepted votes decides.
 
 `detection_to_word` runs a root detector on product-tree leaves and scores
 it against the half-word products, the composition that makes detection at
@@ -80,21 +81,28 @@ def make_instance(r: int, promise: str, target: int, seed: SeedSpec) -> WordInst
     return WordInstance(word=tuple(int(g) for g in prefix) + (last,), promise=promise, target=target)
 
 
-def randomize_word(word, seed: SeedSpec, trial: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (s1 b1, b1^-1 s2 b2, ..., b_{r-1}^-1 s_r b_r) and (b1, ..., br)."""
-    word = tuple(int(g) for g in word)
+def randomize_word(word, seed: SeedSpec, trial=0):
+    """Return (s1 b1, b1^-1 s2 b2, ..., b_{r-1}^-1 s_r b_r) and (b1, ..., br).
+
+    `trial` is an int (two tuples of ints) or a 1-D integer array (two
+    (len(trial), r) uint8 arrays whose row i is the scalar result for
+    trial[i]).  The randomizers of trial t are drawn under `subkey(key, t)`.
+    """
+    word = np.asarray(word, dtype=np.intp)
     r = len(word)
     if r < 1:
         raise ValueError("the word must be nonempty")
-    key = subkey(seed.key(), trial)
-    bs = _uniform60(words_vec(key, np.arange(r, dtype=np.uint64)))
-    mul, inv = A5.mul, A5.inv
-    out = []
-    prev_b = A5.identity
-    for i, s in enumerate(word):
-        out.append(int(mul[mul[inv[prev_b], s], bs[i]]))
-        prev_b = int(bs[i])
-    return tuple(out), tuple(int(b) for b in bs)
+    if np.ndim(trial) > 1:
+        raise ValueError("trial must be an int or a 1-D integer array")
+    tkeys = np.asarray(subkey(seed.key(), trial), dtype=np.uint64).reshape(-1)
+    bs = _uniform60(words_vec(tkeys[:, None], np.arange(r, dtype=np.uint64)))
+    prev_b = np.empty_like(bs)
+    prev_b[:, 0] = A5.identity
+    prev_b[:, 1:] = bs[:, :-1]
+    out = A5.mul[A5.mul[A5.inv[prev_b], word], bs]
+    if np.ndim(trial) == 0:
+        return tuple(out[0].tolist()), tuple(bs[0].tolist())
+    return out, bs
 
 
 @dataclass(frozen=True)
@@ -120,18 +128,17 @@ def amplify_oracle(
     A trial votes only when the guess lands on one of the two values
     consistent with the promise; an all-miss run returns "undecided".
     """
-    votes_id = 0
-    votes_tg = 0
-    c = instance.target
-    mul = A5.mul
-    for t in range(trials):
-        randomized, bs = randomize_word(instance.word, seed, trial=t)
-        ans = int(oracle(randomized))
-        b_r = bs[-1]
-        if ans == b_r:
-            votes_id += 1
-        elif ans == int(mul[c, b_r]):
-            votes_tg += 1
+    randomized, bs = randomize_word(instance.word, seed, trial=np.arange(trials))
+    answers = np.fromiter(
+        (int(oracle(row)) for row in map(tuple, randomized.tolist())),
+        dtype=np.int64,
+        count=trials,
+    )
+    b_r = bs[:, -1]
+    # The target c is not the identity, so c * b_r != b_r and no answer
+    # counts for both sides.
+    votes_id = int((answers == b_r).sum())
+    votes_tg = int((answers == A5.mul[instance.target, b_r]).sum())
     if votes_id == votes_tg:
         decision = "undecided"
     else:

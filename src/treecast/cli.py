@@ -245,6 +245,8 @@ def _cmd_detect(args) -> int:
 def _experiment_config(args, experiment: str, **overrides):
     from .experiments import ExperimentConfig
 
+    if args.format == "bin":
+        raise SystemExit2("--format bin is not a row format; use csv or json")
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json(fh.read())
@@ -255,7 +257,7 @@ def _experiment_config(args, experiment: str, **overrides):
         experiment=experiment,
         seed=args.seed,
         jobs=args.jobs,
-        format=args.format if args.format in ("csv", "json") else "csv",
+        format=args.format or "csv",
         out=args.out,
     )
     base.update(overrides)

@@ -209,16 +209,20 @@ def live_inputs_after(
     h: int,
     theta: FractionLike,
     seed: SeedSpec,
-    trial: int = 0,
-) -> int:
+    trial=0,
+):
     """Count distinct variables still affecting the tracked leaves after h rounds.
 
     A tracked input survives one composed restriction iff its symbol is *, in
     which case its dependence moves to the parent variable; survivors landing
-    on the same ancestor merge.
+    on the same ancestor merge.  `trial` is an int (the count is an int) or a
+    1-D integer array (one count per entry, equal to the scalar calls); the
+    symbols of trial t are drawn under `subkey(key, t)`.
     """
     if h < 0 or h > shape.d:
         raise ValueError(f"rounds h must lie in [0, {shape.d}]")
+    if np.ndim(trial) > 1:
+        raise ValueError("trial must be an int or a 1-D integer array")
     tracked = sorted(set(int(i) for i in tracked))
     if tracked and (tracked[0] < 0 or tracked[-1] >= shape.n):
         raise ValueError("tracked indices must be leaf indices")
@@ -226,15 +230,20 @@ def live_inputs_after(
     if not 0 <= t <= 1:
         raise ValueError(f"theta must lie in [0, 1], got {t}")
     star_cut = np.uint64(cut63(t))
-    key = subkey(seed.key(), trial)
-    live = np.asarray(tracked, dtype=np.int64)
+    tkeys = np.asarray(subkey(seed.key(), trial), dtype=np.uint64).reshape(-1)
+    # One (row, variable) pair per live variable; a row is one entry of `trial`.
+    row = np.repeat(np.arange(len(tkeys), dtype=np.int64), len(tracked))
+    live = np.tile(np.asarray(tracked, dtype=np.int64), len(tkeys))
     for round_idx in range(h):
         level = shape.d - round_idx
         if len(live) == 0:
             break
-        w63 = words_vec(key, node_counters(level, live)) >> np.uint64(1)
-        live = np.unique(live[w63 < star_cut] // shape.k)
-    return int(len(live))
+        w63 = words_vec(tkeys[row], node_counters(level, live)) >> np.uint64(1)
+        star = w63 < star_cut
+        merged = np.unique(row[star] * shape.n + live[star] // shape.k)
+        row, live = merged // shape.n, merged % shape.n
+    counts = np.bincount(row, minlength=len(tkeys))
+    return int(counts[0]) if np.ndim(trial) == 0 else counts
 
 
 def add_leaf_noise(x: LabelArray, spec: NoiseSpec, seed: SeedSpec) -> LabelArray:

@@ -88,9 +88,8 @@ def words_vec(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 
 def trial_keys(key: int, trials: int, start: int = 0) -> np.ndarray:
-    """Derived keys of trials start..start+trials-1 (the vector form of `subkey`)."""
-    idx = np.arange(start, start + trials, dtype=np.uint64)
-    return words_vec(key, (idx << np.uint64(1)) | np.uint64(1))
+    """Derived keys of trials start..start+trials-1, as uint64."""
+    return subkey(key, np.arange(start, start + trials, dtype=np.uint64))
 
 
 def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int = 0) -> np.ndarray:
@@ -102,9 +101,16 @@ def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int
     return words_vec(tkeys[:, None], node_counters(level, np.arange(count), word_index))
 
 
-def subkey(key: int, index: int) -> int:
-    """Independent-behaving child key, e.g. one per Monte Carlo trial."""
-    return word(key, (index << 1) | 1)
+def subkey(key: int, index):
+    """Independent-behaving child key, e.g. one per Monte Carlo trial.
+
+    `index` is an int (the key is an int) or an integer array (the keys are
+    a uint64 array of its shape, elementwise equal to the scalar form).
+    """
+    if np.ndim(index) == 0:
+        return word(key, (int(index) << 1) | 1)
+    idx = np.asarray(index).astype(np.uint64)
+    return words_vec(key, (idx << np.uint64(1)) | np.uint64(1))
 
 
 def node_counters(level: int, index, word_index: int = 0) -> np.ndarray:

@@ -1,3 +1,5 @@
+import numpy as np
+
 from treecast.a5.group import A5, CLASS_SIZES, classify
 
 
@@ -37,6 +39,22 @@ def test_product_folds_left():
         out = int(A5.mul[out, g])
     assert A5.product(word) == out
     assert A5.product(()) == A5.identity
+
+
+def test_product_of_every_pair_is_the_table_entry():
+    for a in range(60):
+        for b in range(60):
+            assert A5.product((a, b)) == int(A5.mul[a, b])
+
+
+def test_product_of_a_long_word_matches_the_numpy_fold():
+    word = (np.arange(1000, dtype=np.int64) * 37 + 11) % 60
+    out = np.uint8(A5.identity)
+    for g in word:
+        out = A5.mul[out, g]
+    for form in (word.astype(np.uint8), tuple(int(g) for g in word), list(word)):
+        got = A5.product(form)
+        assert type(got) is int and got == int(out)
 
 
 def test_five_cycles():

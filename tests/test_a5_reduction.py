@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treecast.a5.group import A5
-from treecast.a5.pair_model import pair_code
+from treecast.a5.pair_model import _uniform60, pair_code
 from treecast.a5.reconstruct import recursive_reconstruct
 from treecast.a5.reduction import (
     WordInstance,
@@ -14,7 +14,8 @@ from treecast.a5.reduction import (
     randomize_word,
     synthetic_oracle,
 )
-from treecast.rng import SeedSpec
+from treecast.rng import SeedSpec, subkey
+from treecast.rng import word as word_at
 
 FIVE = int(A5.five_cycles()[0])
 
@@ -44,6 +45,57 @@ def test_randomize_word_telescoping_property(word, trial):
     randomized, bs = randomize_word(tuple(word), SeedSpec(44, "rw"), trial=trial)
     assert len(randomized) == len(word)
     assert A5.product(randomized) == int(A5.mul[A5.product(word), bs[-1]])
+
+
+def _randomize_word_reference(word, seed, trial):
+    """The per-trial scalar loop: Python-int keys and one lookup per symbol."""
+    key = subkey(seed.key(), trial)
+    bs = [int(_uniform60(np.array([word_at(key, i)], dtype=np.uint64))[0]) for i in range(len(word))]
+    out, prev_b = [], A5.identity
+    for s, b in zip(word, bs):
+        out.append(int(A5.mul[A5.mul[A5.inv[prev_b], s], b]))
+        prev_b = b
+    return tuple(out), tuple(bs)
+
+
+@given(
+    st.lists(st.integers(0, 59), min_size=1, max_size=70),
+    st.lists(st.integers(0, 2000), min_size=0, max_size=8),
+    st.integers(0, 2**32),
+)
+@example([5], [9, 0, 9], 1)
+def test_randomize_word_trial_array_rows_match_scalar_calls(word, trials, master):
+    seed = SeedSpec(master, "rw")
+    randomized, bs = randomize_word(word, seed, trial=np.array(trials, dtype=np.int64))
+    assert randomized.shape == bs.shape == (len(trials), len(word))
+    assert randomized.dtype == bs.dtype == np.uint8
+    for row, t in enumerate(trials):
+        scalar = randomize_word(word, seed, trial=t)
+        assert all(type(g) is int for part in scalar for g in part)
+        assert scalar == _randomize_word_reference(word, seed, t)
+        assert (tuple(randomized[row].tolist()), tuple(bs[row].tolist())) == scalar
+
+
+def test_amplify_queries_a_scalar_oracle_with_tuples_of_ints():
+    seen = []
+
+    def oracle(word):
+        seen.append(word)
+        return A5.product(word)
+
+    inst = make_instance(10, "identity", FIVE, SeedSpec(12, "mi"))
+    result = amplify_oracle(oracle, inst, 7, SeedSpec(12, "amp"))
+    assert result.votes_identity == 7 and len(seen) == 7
+    assert all(type(w) is tuple and len(w) == 10 for w in seen)
+    assert all(type(g) is int for w in seen for g in w)
+    randomized, _ = randomize_word(inst.word, SeedSpec(12, "amp"), trial=np.arange(7))
+    assert seen == [tuple(row) for row in randomized.tolist()]
+
+
+def test_amplify_with_no_trials_is_undecided():
+    inst = make_instance(10, "identity", FIVE, SeedSpec(12, "mi"))
+    result = amplify_oracle(lambda word: 0, inst, 0, SeedSpec(12, "amp"))
+    assert (result.decision, result.accepted, result.trials) == ("undecided", 0, 0)
 
 
 def test_single_element_word_uniform():

@@ -242,3 +242,31 @@ def test_scan_ks_format_json_prints_rows(capsys):
     assert code == EXIT_OK
     for row, line in zip(rows, csv_out.splitlines()[1:]):
         assert line.split(",")[7] == repr(row["accuracy"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan-ks", "--k", "2", "--theta", "4/5", "--d", "3", "--trials", "10"),
+        ("scan-noise", "--k", "2", "--theta", "4/5", "--d", "3", "--s", "1/10", "--trials", "10"),
+        ("a5", "--k", "4", "--d", "2", "--trials", "2"),
+    ],
+    ids=["scan-ks", "scan-noise", "a5"],
+)
+def test_experiment_format_bin_is_one_line_error(capsys, argv):
+    code, out, err = run(capsys, "--format", "bin", *argv)
+    _one_line_usage_error(code, err, "--format bin")
+    assert out == ""
+
+
+def test_reduce_word_golden(capsys):
+    # Captured before the amplifier drew all trials in one table pass.
+    code, out, _ = run(
+        capsys, "--seed", "1", "reduce-word", "--length", "64", "--promise", "target",
+        "--epsilon", "0.1", "--trials", "500",
+    )
+    assert code == EXIT_OK
+    assert out == (
+        '{"accepted": 66, "correct": true, "decision": "target", "promise": "target", '
+        '"trials": 500, "votes_identity": 3, "votes_target": 63}\n'
+    )

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import treecast.generators as generators
-from treecast.channels import Channel
+from treecast.channels import Channel, cut63
 from treecast.estimators import noisy_leaf_channel
 from treecast.experiments import DEFAULT_EXACT_SHAPES, _chi_square_vs_exact, exact_joint_of_leaves
 from treecast.generators import (
@@ -32,7 +32,7 @@ from treecast.generators import (
     total_variation,
 )
 from treecast.oracle import enumerate_joint
-from treecast.rng import SeedSpec
+from treecast.rng import SeedSpec, node_counters, subkey, words_vec
 from treecast.trees import TreeShape
 
 
@@ -163,9 +163,8 @@ class TestLiveInputs:
         theta = Fraction(1, 2)
         h = 3
         trials = 100_000
-        hits = sum(
-            live_inputs_after(shape, {0}, h, theta, SeedSpec(12, "r"), trial=t)
-            for t in range(trials)
+        hits = int(
+            live_inputs_after(shape, {0}, h, theta, SeedSpec(12, "r"), trial=np.arange(trials)).sum()
         )
         assert abs(hits / trials - float(theta) ** h) < 0.01
 
@@ -176,13 +175,46 @@ class TestLiveInputs:
         trials = 20_000
         for m, c, h in ((4, 2, 4), (4, 3, 4), (16, 2, 8), (16, 3, 8)):
             tracked = set(range(0, m * 16, 16))  # spread across the level
-            tail = sum(
-                live_inputs_after(shape, tracked, h, theta, SeedSpec(13, "r"), trial=t) >= c
-                for t in range(trials)
-            ) / trials
+            survivors = live_inputs_after(
+                shape, tracked, h, theta, SeedSpec(13, "r"), trial=np.arange(trials)
+            )
+            tail = int((survivors >= c).sum()) / trials
             bound = (m * float(theta) ** h) ** c
             stderr = sqrt(max(tail * (1 - tail), 1e-9) / trials)
             assert tail <= bound + 3 * stderr
+
+    @staticmethod
+    def _live_inputs_reference(shape, tracked, h, theta, seed, trial):
+        """One trial at a time: Python-int key, survivors merged per round."""
+        key = subkey(seed.key(), trial)
+        live = np.array(sorted(tracked), dtype=np.int64)
+        for round_idx in range(h):
+            w63 = words_vec(key, node_counters(shape.d - round_idx, live)) >> np.uint64(1)
+            live = np.unique(live[w63 < np.uint64(cut63(theta))] // shape.k)
+        return len(live)
+
+    def test_trial_array_matches_scalar_calls(self):
+        shape = TreeShape(k=3, d=6)
+        theta = Fraction(2, 3)
+        tracked = {0, 1, 5, 200, 728}
+        seed = SeedSpec(14, "r")
+        counts = live_inputs_after(shape, tracked, 5, theta, seed, trial=np.arange(500))
+        assert counts.shape == (500,)
+        scalar = [live_inputs_after(shape, tracked, 5, theta, seed, trial=t) for t in range(500)]
+        reference = [self._live_inputs_reference(shape, tracked, 5, theta, seed, t) for t in range(500)]
+        assert counts.tolist() == scalar == reference
+        assert all(type(n) is int for n in scalar)
+        assert 0 < counts.sum() < 5 * 500
+
+    def test_trial_array_repeats_and_order(self):
+        shape = TreeShape(k=2, d=8)
+        seed = SeedSpec(15, "r")
+        tracked = set(range(0, 256, 8))
+        counts = live_inputs_after(shape, tracked, 3, Fraction(1, 2), seed, trial=np.array([9, 0, 9]))
+        scalar = [live_inputs_after(shape, tracked, 3, Fraction(1, 2), seed, trial=t) for t in (9, 0, 9)]
+        assert counts.tolist() == scalar
+        empty = live_inputs_after(shape, tracked, 3, Fraction(1, 2), seed, trial=np.arange(0))
+        assert empty.shape == (0,)
 
 
 class TestBiasedBits:

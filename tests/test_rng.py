@@ -95,6 +95,15 @@ def test_subkey_distinct():
     assert len(keys) == 1000
 
 
+def test_subkey_of_an_index_array_matches_the_scalar_form():
+    key = SeedSpec(11, "t").key()
+    index = np.array([9, 0, 9, 2**40, 7])
+    keys = subkey(key, index)
+    assert keys.dtype == np.uint64 and keys.shape == (5,)
+    assert [int(k) for k in keys] == [subkey(key, int(i)) for i in index]
+    assert subkey(key, np.arange(0)).shape == (0,)
+
+
 def test_bits_from_word_msb_first():
     assert bits_from_word(1 << 63, 3) == [1, 0, 0]
     assert bits_from_word(0b101 << 61, 3) == [1, 0, 1]
