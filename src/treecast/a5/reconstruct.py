@@ -15,6 +15,18 @@ diagonal label (second = first); tau defaults to 1/5, between the 1/3-vs-2/3
 split of distinct parents and the all-one-value diagonal case.  A class-mode
 node with no identity-first children gets a uniformly random estimate and is
 flagged.
+
+`class16_reconstruction_trial` samples only what the class-mode decoder
+reads.  It draws levels 0..d-1 as `generate_direct` does from the trial key,
+then for each bottom node i only the tallies of the identity-first codes
+0..3 among its k children: those tallies are all the decoder reads of the
+leaf level.  In the quotient channel every parent (C1, C2) sends 1/60 of its
+mass to those codes, 2/3 of it to (e, C1) and 1/3 to (e, C2), or all of it
+to (e, C1) when C1 = C2, so the tallies are N ~ Bin(k, 1/60) and
+A | N ~ Bin(N, 2/3) at the heavier code (the laws are read from rows 0..3 of
+the channel).  N reads the counter word at the unused leaf-level address
+`node_counters(d, i, 0)` and A the one at `node_counters(d, i, 1)`, each
+inverted through a cached 63-bit binomial cut table.
 """
 
 from __future__ import annotations
@@ -22,12 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, floor, isqrt
 
 import numpy as np
 
 from ..channels import FractionLike, as_fraction
-from ..rng import SeedSpec, subkey, words_vec
+from ..generators import check_node_budget, direct_levels
+from ..rng import SeedSpec, level_words, subkey, words_vec
+from ..trees import TreeShape
 from .group import A5
+from .quotient import quotient_channel
 
 DEFAULT_TAU = Fraction(1, 5)
 
@@ -78,8 +94,9 @@ def reconstruct_level_class16_from_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate class-pair labels from per-node child-label tallies.
 
-    `counts16` has one row per node and 16 columns (class-pair code order).
-    Only the identity-first columns (codes 0..3) carry the signal.  Rows with
+    `counts16` has one row per node and 16 columns (class-pair code order),
+    or only the first 4: the identity-first columns (codes 0..3) carry the
+    signal and are the only ones read.  Rows with
     no identity-first children draw a uniform label and are flagged.
     """
     counts16 = np.asarray(counts16)
@@ -108,18 +125,98 @@ def reconstruct_level_class16(
     return reconstruct_level_class16_from_counts(counts, tau, tie_key)
 
 
-@lru_cache(maxsize=1)
-def _class16_child_laws() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only float child laws of the quotient model, one row per parent
-    label, and their cumulative sums."""
-    from .quotient import quotient_channel
+@lru_cache(maxsize=4096)
+def binomial_cuts(n: int, p: Fraction) -> tuple[int, np.ndarray]:
+    """Offset lo and 63-bit CDF cut table that sample Bin(n, p) from one word.
 
-    cols = quotient_channel().to_float().T.copy()  # cols[parent] = child law
-    cols /= cols.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(cols, axis=1)
-    cols.setflags(write=False)
-    cdf.setflags(write=False)
-    return cols, cdf
+    A word w63 uniform on [0, 2^63) draws lo + searchsorted(cuts, w63,
+    'right'), where cuts[i] = floor(2^63 * P[X <= lo + i]) from scipy's float
+    CDF (measured within 2^-47 of the exact CDF at n = 6000, p = 1/60 and
+    2/3).  The table spans only n*p -/+ sqrt(23 n): by Hoeffding's bound the
+    CDF is within e^-46 < 2^-66 of 0 left of it and of 1 right of it, where
+    the cuts would read 0 and 2^63, so the table grows as sqrt(n), not n.
+    Cached and read-only.
+    """
+    from scipy.stats import binom
+
+    half = isqrt(23 * n) + 1
+    lo = max(0, floor(n * p) - half)
+    hi = min(n, ceil(n * p) + half)
+    cdf = np.maximum.accumulate(binom.cdf(np.arange(lo, hi), n, float(p)))
+    cuts = np.minimum(cdf * 2.0**63, 2.0**63).astype(np.uint64)
+    cuts.setflags(write=False)
+    return lo, cuts
+
+
+def _binomial_draws(
+    n: np.ndarray, p: tuple[Fraction, ...], which: np.ndarray, w63: np.ndarray
+) -> np.ndarray:
+    """X_i ~ Bin(n_i, p[which_i]) by inverting word w63_i, one table per
+    distinct (n, p)."""
+    group = which * (int(n.max(initial=0)) + 1) + n
+    order = np.argsort(group, kind="stable")
+    bounds = np.flatnonzero(np.diff(group[order], prepend=-1, append=-1)).tolist()
+    words = w63[order]
+    drawn = np.empty(n.size, dtype=np.int64)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        i = order[start]
+        lo, cuts = binomial_cuts(int(n[i]), p[which[i]])
+        drawn[start:stop] = lo + cuts.searchsorted(words[start:stop], side="right")
+    out = np.empty_like(drawn)
+    out[order] = drawn
+    return out
+
+
+def _distinct(values: list[Fraction]) -> tuple[tuple[Fraction, ...], np.ndarray]:
+    """The distinct values, and the index of each value among them."""
+    distinct = sorted(set(values))
+    return tuple(distinct), np.array([distinct.index(v) for v in values], dtype=np.intp)
+
+
+@lru_cache(maxsize=1)
+def _identity_first_laws():
+    """Per parent label, the law of its children's identity-first tallies.
+
+    Read from rows 0..3 of the quotient channel: column j puts mass q_j on
+    the identity-first codes, spread over at most two of them (a_j and b_j,
+    a_j the heavier; a_j = b_j for a diagonal label), with share p_j on a_j.
+    """
+    channel = quotient_channel()
+    mass, share, heavy, light = [], [], [], []
+    for j in range(channel.m):
+        col = channel.column(j)[:4]
+        rows = sorted((r for r in range(4) if col[r]), key=lambda r: -col[r]) or [0]
+        if len(rows) > 2:
+            raise AssertionError(f"column {j} spreads identity-first mass over {rows}")
+        total = sum(col)
+        mass.append(total)
+        share.append(col[rows[0]] / total if total else Fraction(1))
+        heavy.append(rows[0])
+        light.append(rows[-1])
+    return _distinct(mass), _distinct(share), np.array(heavy), np.array(light)
+
+
+def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) -> np.ndarray:
+    """Sample how many of each parent's k children carry codes 0..3.
+
+    Returns shape (len(parents), 4).  The children of parent i sit at `level`
+    and are never materialized: the identity-first count N ~ Bin(k, q) reads
+    word `node_counters(level, i, 0)`, and the count A ~ Bin(N, p) at the
+    heavier code reads `node_counters(level, i, 1)` (laws from
+    `_identity_first_laws`); the lighter code gets N - A.
+    """
+    parents = np.asarray(parents, dtype=np.intp)
+    (masses, mass_of), (shares, share_of), heavy, light = _identity_first_laws()
+    count = parents.size
+    w_total = level_words(key, level, count, 0) >> np.uint64(1)
+    w_split = level_words(key, level, count, 1) >> np.uint64(1)
+    total = _binomial_draws(np.full(count, k, dtype=np.int64), masses, mass_of[parents], w_total)
+    first = _binomial_draws(total, shares, share_of[parents], w_split)
+    tallies = np.zeros((count, 4), dtype=np.int64)
+    rows = np.arange(count)
+    tallies[rows, heavy[parents]] = first
+    tallies[rows, light[parents]] += total - first
+    return tallies
 
 
 def class16_reconstruction_trial(
@@ -127,29 +224,23 @@ def class16_reconstruction_trial(
 ) -> tuple[int, int, int]:
     """One quotient-model reconstruction trial; returns (root, estimate, flags).
 
-    Levels above the leaves are materialized; the leaf level enters
-    reconstruction only through per-parent label tallies, so it is sampled
-    directly as one multinomial per bottom internal node (children are i.i.d.
-    given the parent, making the tally a sufficient statistic).  This keeps
-    k in the thousands cheap without changing the sampled law.
+    Levels 0..d-1 are `direct_levels` of the quotient channel on `key`, so the
+    root and labels equal `generate_class16`'s on a seed with that key.  The
+    leaf level enters reconstruction only through each bottom node's tallies
+    of the identity-first codes 0..3 (children are i.i.d. given the parent,
+    and the decoder reads no other code), so it is sampled as those tallies:
+    two binomials per node, from counter words at the unused leaf-level
+    addresses `node_counters(d, i, 0)` and `node_counters(d, i, 1)` (see
+    `identity_first_tallies`).  Tie words of level j use `subkey(key, j)`.
     """
     if d < 1:
         raise ValueError("reconstruction needs depth >= 1")
-    rng = np.random.Generator(np.random.PCG64(key))
-    cols, cdf = _class16_child_laws()
-    root = int(rng.integers(0, 16))
-    labels = np.array([root], dtype=np.int64)
-    for _ in range(d - 1):
-        parents = np.repeat(labels, k)
-        u = rng.random(parents.size)
-        out = np.empty(parents.size, dtype=np.int64)
-        for v in range(16):
-            mask = parents == v
-            if mask.any():
-                out[mask] = np.searchsorted(cdf[v], u[mask], side="right")
-        labels = np.minimum(out, 15)
-    counts = rng.multinomial(k, cols[labels])
-    est, empty = reconstruct_level_class16_from_counts(counts, tau, subkey(key, 1))
+    # Before any draw: k >= 1 (TreeShape), and the k^(d-1) bottom labels and
+    # one node's k children (its tally tables grow with k) within the budget.
+    check_node_budget(TreeShape(k, max(d - 1, 1)))
+    levels = direct_levels(TreeShape(k, d - 1), quotient_channel(), key)
+    tallies = identity_first_tallies(levels[-1], k, key, d)
+    est, empty = reconstruct_level_class16_from_counts(tallies, tau, subkey(key, 1))
     flagged = int(empty.sum())
     level = est
     depth_ctr = 1
@@ -157,7 +248,7 @@ def class16_reconstruction_trial(
         depth_ctr += 1
         level, empty = reconstruct_level_class16(level, k, tau, subkey(key, depth_ctr))
         flagged += int(empty.sum())
-    return root, int(level[0]), flagged
+    return int(levels[0][0]), int(level[0]), flagged
 
 
 def recursive_reconstruct(

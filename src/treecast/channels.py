@@ -13,7 +13,7 @@ generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
@@ -53,6 +53,7 @@ class Channel:
 
     m: int
     matrix: tuple[tuple[Fraction, ...], ...]  # matrix[i][j] = P[child=i | parent=j]
+    _cuts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -110,15 +111,18 @@ class Channel:
         searchsorted(cuts[j], w63, 'right') from column j; each label
         probability is within 2^-60 of the exact column entry, and columns
         with dyadic cumulative sums (in particular deterministic columns) are
-        sampled exactly.
+        sampled exactly.  Built once per channel; the array is read-only.
         """
-        cuts = np.empty((self.m, self.m - 1), dtype=np.uint64)
-        for j in range(self.m):
-            acc = Fraction(0)
-            for i in range(self.m - 1):
-                acc += self.matrix[i][j]
-                cuts[j, i] = cut63(acc)
-        return cuts
+        if self._cuts is None:
+            cuts = np.empty((self.m, self.m - 1), dtype=np.uint64)
+            for j in range(self.m):
+                acc = Fraction(0)
+                for i in range(self.m - 1):
+                    acc += self.matrix[i][j]
+                    cuts[j, i] = cut63(acc)
+            cuts.setflags(write=False)
+            object.__setattr__(self, "_cuts", cuts)
+        return self._cuts
 
     def square(self) -> "Channel":
         m = self.m

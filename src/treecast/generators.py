@@ -115,10 +115,21 @@ def generate_direct(
     root: int | None = None,
 ) -> LabelArray:
     """Sample the broadcast process by drawing each child from its parent's column."""
+    levels = direct_levels(shape, channel, seed.key(), root)
+    return LabelArray(shape=shape, m=channel.m, levels=levels)
+
+
+def direct_levels(
+    shape: TreeShape, channel: Channel, key: int, root: int | None = None
+) -> list[np.ndarray]:
+    """The levels `generate_direct` samples, drawn from the counter key `key`.
+
+    Node i of level l reads word `level_words(key, l, .)[i]` and inverts it
+    through its parent's column of `channel.sampling_cuts()`.
+    """
     check_node_budget(shape)
     m = channel.m
     dtype = code_dtype(m)
-    key = seed.key()
     cuts = channel.sampling_cuts()
     levels = [np.array([_sample_root(key, m, root)], dtype=dtype)]
     for lvl in range(1, shape.d + 1):
@@ -131,7 +142,7 @@ def generate_direct(
             if mask.any():
                 out[mask] = np.searchsorted(cuts[v], w63[mask], side="right")
         levels.append(out)
-    return LabelArray(shape=shape, m=m, levels=levels)
+    return levels
 
 
 def generate_path_product(

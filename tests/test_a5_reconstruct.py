@@ -1,18 +1,26 @@
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+import treecast.a5
+from treecast.a5 import reconstruct
 from treecast.a5.group import A5
 from treecast.a5.pair_model import generate_pair_model, pair_code
-from treecast.a5.quotient import class_pair_code, generate_class16
+from treecast.a5.quotient import class_pair_code, generate_class16, quotient_channel
 from treecast.a5.reconstruct import (
     DEFAULT_TAU,
+    binomial_cuts,
     class16_reconstruction_trial,
+    identity_first_tallies,
     reconstruct_level_class16_from_counts,
     reconstruct_level_pair,
     recursive_reconstruct,
 )
+from treecast.generators import generate_direct
 from treecast.rng import SeedSpec, subkey
 from treecast.trees import TreeShape
 
@@ -58,6 +66,102 @@ class TestTallyRules:
         labels, empty = reconstruct_level_class16_from_counts(counts, DEFAULT_TAU, tie_key=9)
         assert empty[0] and not empty[1]
         assert 0 <= int(labels[0]) < 16
+
+
+def _exact_binomial_cuts(n: int, p: Fraction) -> list[int]:
+    """floor(2^63 * P[Bin(n, p) <= x]) for x < n, in integers."""
+    a, b = p.numerator, p.denominator
+    total, term = b**n, (b - a) ** n  # term = C(n, x) a^x (b - a)^(n - x)
+    out, cum = [], 0
+    for x in range(n):
+        cum += term
+        out.append((cum << 63) // total)
+        term = term * (n - x) * a // ((x + 1) * (b - a)) if term else 0
+    return out
+
+
+def _multinomial_law(k: int, column: tuple[Fraction, ...]) -> dict[tuple[int, ...], Fraction]:
+    """Exact law of the tallies of codes 0..3 among k i.i.d. children."""
+    q = list(column[:4]) + [1 - sum(column[:4])]
+    law = {}
+    for n0 in range(k + 1):
+        for n1 in range(k + 1 - n0):
+            for n2 in range(k + 1 - n0 - n1):
+                for n3 in range(k + 1 - n0 - n1 - n2):
+                    ns = (n0, n1, n2, n3, k - n0 - n1 - n2 - n3)
+                    prob = Fraction(factorial(k))
+                    for count, qi in zip(ns, q):
+                        prob *= qi**count / factorial(count)
+                    if prob:
+                        law[ns[:4]] = prob
+    return law
+
+
+class TestIdentityFirstSampler:
+    @pytest.mark.parametrize("label", [class_pair_code(2, 2), class_pair_code(1, 3)])
+    def test_tallies_follow_exact_multinomial(self, label):
+        k, nodes = 12, 20_000
+        tallies = identity_first_tallies(
+            np.full(nodes, label), k, SeedSpec(17, "tallies").key(), level=2
+        )
+        law = _multinomial_law(k, quotient_channel().column(label))
+        seen = {}
+        for row in map(tuple, tallies.tolist()):
+            seen[row] = seen.get(row, 0) + 1
+        assert set(seen) <= set(law)
+        cells, pooled_obs, pooled_exp = [], 0, 0.0
+        for outcome, prob in law.items():
+            expected = nodes * float(prob)
+            if expected >= 5:
+                cells.append((seen.get(outcome, 0), expected))
+            else:
+                pooled_obs += seen.get(outcome, 0)
+                pooled_exp += expected
+        cells.append((pooled_obs, pooled_exp))
+        stat = sum((o - e) ** 2 / e for o, e in cells)
+        assert stat <= chi2.isf(1e-9, len(cells) - 1)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 200, 6000])
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(1, 60), Fraction(2, 3)])
+    def test_binomial_cuts_match_exact_cdf(self, n, p):
+        lo, cuts = binomial_cuts(n, p)
+        assert 0 <= lo and lo + len(cuts) <= n
+        full = [0] * lo + cuts.tolist() + [1 << 63] * (n - lo - len(cuts))
+        exact = _exact_binomial_cuts(n, p)
+        assert max((abs(c - e) for c, e in zip(full, exact)), default=0) <= 1 << 23
+        assert not cuts.flags.writeable
+
+    @pytest.mark.parametrize("k, d", [(40, 2), (5, 3), (3, 1)])
+    def test_trial_upper_levels_match_generate_direct(self, monkeypatch, k, d):
+        seen = []
+
+        def spy(parents, *args):
+            seen.append(np.array(parents))
+            return identity_first_tallies(parents, *args)
+
+        monkeypatch.setattr(reconstruct, "identity_first_tallies", spy)
+        for s in range(6):
+            seed = SeedSpec(300 + s, "upper")
+            tree = generate_direct(TreeShape(k, d - 1), quotient_channel(), seed)
+            root, _, _ = class16_reconstruction_trial(k, d, seed.key())
+            assert root == tree.root
+            assert np.array_equal(seen[-1], tree.levels[-1])
+
+    def test_trial_is_a_function_of_its_key(self):
+        for k, d in [(500, 2), (6, 4)]:
+            key = SeedSpec(3, "same").key()
+            first = class16_reconstruction_trial(k, d, key)
+            assert class16_reconstruction_trial(k, d, key) == first
+
+    @pytest.mark.parametrize("k, d", [(0, 2), (-3, 2), (2, 0), (2, 40), (1 << 27, 1)])
+    def test_trial_rejects_bad_shapes(self, k, d):
+        with pytest.raises(ValueError):
+            class16_reconstruction_trial(k, d, 1)
+
+    def test_a5_package_draws_no_numpy_random(self):
+        for path in Path(treecast.a5.__file__).parent.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            assert "np.random" not in text and "PCG64" not in text, path.name
 
 
 class TestEndToEnd:

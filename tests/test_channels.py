@@ -83,6 +83,21 @@ def test_sampling_cuts_deterministic_column_exact():
     assert int(cuts[1][0]) == 0
 
 
+def test_sampling_cuts_cached_read_only():
+    from treecast.a5.quotient import quotient_channel
+
+    ch = quotient_channel()
+    cuts = ch.sampling_cuts()
+    assert ch.sampling_cuts() is cuts
+    fresh = [
+        [cut63(sum(ch.matrix[i][j] for i in range(t + 1))) for t in range(ch.m - 1)]
+        for j in range(ch.m)
+    ]
+    assert cuts.tolist() == fresh
+    with pytest.raises(ValueError):
+        cuts[0, 0] = 0
+
+
 @given(
     st.lists(st.integers(0, 50), min_size=3, max_size=3).filter(lambda w: sum(w) > 0)
 )

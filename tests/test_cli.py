@@ -259,6 +259,21 @@ def test_experiment_format_bin_is_one_line_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (("--k", "0"), ("arity k",)),
+        (("--k", "-3"), ("arity k",)),
+        (("--k", "2", "--d", "40"), ("more than",)),  # 2^39 bottom labels: rejected before drawing
+    ],
+    ids=["k0", "k-negative", "d40"],
+)
+def test_a5_class16_bad_shape_is_one_line_error(capsys, argv, words):
+    code, out, err = run(capsys, "a5", *argv, "--trials", "100")
+    _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
 def test_reduce_word_golden(capsys):
     # Captured before the amplifier drew all trials in one table pass.
     code, out, _ = run(
