@@ -3,10 +3,17 @@
 Bottom-up message passing computes the exact conditional law of the root
 given per-leaf likelihood weights.  Two arithmetic modes are supported:
 
-* rational -- Fraction arithmetic, bit-exact; this is the verification path
-  and is auto-selected while the tree is small;
+* rational -- exact, on Python ints: the channel is scaled once to integer
+  numerators over one denominator (`Channel.integer_columns`), each leaf row
+  by the lcm of its own denominators, and the m root masses become
+  `Fraction`s only at the end.  Every scale factor is common to all root
+  labels, so the normalized posterior is exactly the rational one.  This is
+  the verification path and is auto-selected while the tree is small;
 * float -- log-domain messages (per-node max-shift), immune to underflow at
   depth, within 1e-9 relative of the rational mode where both run.
+
+`bp_posterior` raises ValueError in both modes on evidence of probability
+zero under the model.
 
 `bp_posterior_batch_binary` is the Monte Carlo path for the symmetric binary
 channel, one log-odds per node across a batch of trees.  On hard or
@@ -26,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .channels import Channel, FractionLike, as_fraction
+from .channels import Channel, FractionLike, as_fraction, integer_numerators
 from .trees import TreeShape
 
 # Above this many tree nodes, mode="auto" switches to float BP.
@@ -49,7 +57,12 @@ class LeafLikelihood:
     weights: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        # Leaves often share one row object (hard evidence does); check each once.
+        checked = set()
         for i, row in enumerate(self.weights):
+            if id(row) in checked:
+                continue
+            checked.add(id(row))
             if len(row) != self.m:
                 raise ValueError(f"leaf {i} has {len(row)} weights, expected {self.m}")
             if any(w < 0 for w in row):
@@ -67,7 +80,7 @@ class LeafLikelihood:
             x = int(x)
             if not 0 <= x < m:
                 raise ValueError(f"observed label {x} outside [0, {m})")
-            rows.append(tuple(Fraction(1) if a == x else Fraction(0) for a in range(m)))
+            rows.append(_unit_row(m, x))
         return cls(m=m, weights=tuple(rows))
 
     @classmethod
@@ -76,18 +89,25 @@ class LeafLikelihood:
         sf = as_fraction(s)
         if not 0 <= sf <= 1:
             raise ValueError(f"flip rate must lie in [0, 1], got {sf}")
+        seen = ((1 - sf, sf), (sf, 1 - sf))
         rows = []
         for x in bits:
             x = int(x)
             if x not in (0, 1):
                 raise ValueError(f"noisy-bit evidence must be binary, got {x}")
-            rows.append((1 - sf, sf) if x == 0 else (sf, 1 - sf))
+            rows.append(seen[x])
         return cls(m=2, weights=tuple(rows))
 
     def to_float(self) -> np.ndarray:
         return np.array(
             [[float(w) for w in row] for row in self.weights], dtype=np.float64
         )
+
+
+@lru_cache(maxsize=64)
+def _unit_row(m: int, x: int) -> tuple[Fraction, ...]:
+    """The point mass on label x: one row shared by every leaf that observes x."""
+    return tuple(Fraction(int(a == x)) for a in range(m))
 
 
 @dataclass(frozen=True)
@@ -122,28 +142,33 @@ def _argmax_with_tie(masses, float_tol: float = 0.0) -> tuple[int, bool]:
 
 
 def _bp_rational(shape: TreeShape, channel: Channel, evidence: LeafLikelihood):
-    m = channel.m
-    msgs = [list(row) for row in evidence.weights]
+    cols, _ = channel.integer_columns()
+    # Each message is scaled by a factor common to every label, so the
+    # normalized posterior is unchanged: a leaf row by its own lcm, a sum by
+    # the channel denominator.
+    scaled: dict[int, list[int]] = {}  # by row object: leaves often share one
+    msgs = []
+    for row in evidence.weights:
+        if id(row) not in scaled:
+            scaled[id(row)] = integer_numerators(row)[0]
+        msgs.append(scaled[id(row)])
     for _ in range(shape.d):
         nxt = []
         for base in range(0, len(msgs), shape.k):
+            children = msgs[base : base + shape.k]
             vals = []
-            for a in range(m):
-                prod = Fraction(1)
-                for c in range(base, base + shape.k):
-                    s = Fraction(0)
-                    for b in range(m):
-                        if msgs[c][b]:
-                            s += channel.matrix[b][a] * msgs[c][b]
-                    prod *= s
+            for col in cols:
+                prod = 1
+                for msg in children:
+                    prod *= sum(w * msg[b] for b, w in col if msg[b])
                 vals.append(prod)
             nxt.append(vals)
         msgs = nxt
     root = msgs[0]
-    total = sum(root, Fraction(0))
+    total = sum(root)
     if total == 0:
         raise ValueError("evidence has zero probability under the model")
-    return tuple(w / total for w in root)
+    return tuple(Fraction(w, total) for w in root)
 
 
 def _bp_float_log(shape: TreeShape, M: np.ndarray, leaf_log: np.ndarray) -> np.ndarray:
@@ -152,7 +177,7 @@ def _bp_float_log(shape: TreeShape, M: np.ndarray, leaf_log: np.ndarray) -> np.n
     log_msgs = leaf_log
     for _ in range(shape.d):
         shift = log_msgs.max(axis=1, keepdims=True)
-        # Guard all -inf rows (cannot happen with valid evidence, but keep finite).
+        # An all -inf row is a subtree of probability zero; keep its shift finite.
         shift = np.where(np.isfinite(shift), shift, 0.0)
         lin = np.exp(log_msgs - shift)
         up = lin @ M  # up[c, a] = sum_b M[b, a] * msg[c, b]
@@ -160,6 +185,8 @@ def _bp_float_log(shape: TreeShape, M: np.ndarray, leaf_log: np.ndarray) -> np.n
             log_up = np.log(up) + shift
         log_msgs = log_up.reshape(-1, shape.k, m).sum(axis=1)
     root = log_msgs[0]
+    if root.max() == -np.inf:
+        raise ValueError("evidence has zero probability under the model")
     root = root - root.max()
     masses = np.exp(root)
     return masses / masses.sum()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 import numpy as np
@@ -54,6 +55,9 @@ class Channel:
     m: int
     matrix: tuple[tuple[Fraction, ...], ...]  # matrix[i][j] = P[child=i | parent=j]
     _cuts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _ints: tuple[tuple, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -124,6 +128,20 @@ class Channel:
             object.__setattr__(self, "_cuts", cuts)
         return self._cuts
 
+    def integer_columns(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+        """The matrix as integer numerators over one denominator, by column:
+        (cols, den) with matrix[b][a] = w / den for each (b, w) in cols[a],
+        and zero for the rows b that cols[a] leaves out.  Built once per
+        channel."""
+        if self._ints is None:
+            m = self.m
+            nums, den = integer_numerators([p for row in self.matrix for p in row])
+            cols = tuple(
+                tuple((b, nums[b * m + a]) for b in range(m) if nums[b * m + a]) for a in range(m)
+            )
+            object.__setattr__(self, "_ints", (cols, den))
+        return self._ints
+
     def square(self) -> "Channel":
         m = self.m
         matrix = tuple(
@@ -136,6 +154,12 @@ class Channel:
         return all(
             self.matrix[i][j] == self.matrix[i][0] for i in range(self.m) for j in range(self.m)
         )
+
+
+def integer_numerators(probs: list[Fraction]) -> tuple[list[int], int]:
+    """Exact probabilities as integer numerators over the lcm of their denominators."""
+    den = lcm(*(p.denominator for p in probs))
+    return [p.numerator * (den // p.denominator) for p in probs], den
 
 
 def cut63(p: Fraction) -> int:

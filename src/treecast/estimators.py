@@ -41,15 +41,9 @@ from math import sqrt
 import numpy as np
 
 from .bp import bp_posterior_batch_binary
-from .channels import Channel, FractionLike, as_fraction, binary_theta
+from .channels import Channel, FractionLike, as_fraction, binary_theta, integer_numerators
 from .generators import code_ones, generate_binary_batch
-from .oracle import (
-    DEFAULT_CONFIG_CAP,
-    bayes_accuracy,
-    config_count,
-    enumerate_joint,
-    integer_numerators,
-)
+from .oracle import DEFAULT_CONFIG_CAP, bayes_accuracy, config_count, likelihood_law
 from .rng import SeedSpec, trial_keys, words_vec
 from .trees import TreeShape
 
@@ -412,15 +406,20 @@ def exact_P_sd(
 ) -> Fraction:
     """Exact optimal accuracy of recovering the root from s-noisy leaves.
 
-    At d = 0 the one leaf is the root seen through flip(s), with no edge to
-    compose the noise into, so the answer is max(s, 1 - s).
+    The Bayes accuracy over `oracle.likelihood_law`, with flip(s) composed
+    into the last level's edges: it recurses on the law of the likelihood
+    vector, not on the 2^n leaf configurations, but keeps the enumeration
+    oracle's configuration cap (and its error), so the shapes it covers are
+    those `enumerate_joint` covers.  At d = 0 the one leaf is the root seen
+    through flip(s), with no edge to compose the noise into, so the answer
+    is max(s, 1 - s).
     """
     if shape.d == 0:
         sf = as_fraction(s)
         return max(sf, 1 - sf)
     channel = Channel.binary(as_fraction(theta))
-    joint = enumerate_joint(shape, channel, cap=cap, leaf_channel=noisy_leaf_channel(theta, s))
-    return bayes_accuracy(joint)
+    law = likelihood_law(shape, channel, cap=cap, leaf_channel=noisy_leaf_channel(theta, s))
+    return bayes_accuracy(law)
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,17 @@ from math import comb
 
 import numpy as np
 
-from .channels import Channel, FractionLike, as_fraction, binary_theta, cut63, uniform_cuts
+from .channels import (
+    Channel,
+    FractionLike,
+    as_fraction,
+    binary_theta,
+    cut63,
+    integer_numerators,
+    uniform_cuts,
+)
 from .labels import LabelArray, code_dtype
-from .oracle import LeafLaw, Numerators, integer_numerators
+from .oracle import LeafLaw, Numerators
 from .rng import (
     SeedSpec,
     bits_from_word,

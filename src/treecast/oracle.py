@@ -13,6 +13,14 @@ one run is an `int` numerator over a single shared denominator.  `Fraction`s
 appear only at the API edge: `cond[a]` reads as a mapping to `Fraction`s,
 built when a value is read, and the summaries below build one `Fraction` per
 result.
+
+The posterior, and so the Bayes accuracy, depends on x only through its
+likelihood vector (P[x | root = a])_a.  `likelihood_law` runs the same
+recursion keyed by that vector, so configurations with equal vectors merge
+into one entry with their count: the distributional recursion of
+Mezard-Montanari (J. Stat. Phys. 2006).  At k = 2, d = 4, theta = 9/10 it
+holds 216 vectors in place of 65,536 configurations.  It keeps the oracle's
+configuration cap, so both agree on which shapes are exact.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import json
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from operator import mul
 
 from .channels import Channel
 from .trees import TreeShape
@@ -96,6 +104,14 @@ class JointDistribution:
             raise ValueError(f"leaf configuration {x} has probability zero")
         return [Fraction(w, total) for w in weights]
 
+    def likelihood_law(self) -> "LikelihoodLaw":
+        """The configurations grouped by their likelihood vector."""
+        counts: dict[tuple[int, ...], int] = {}
+        for x in set().union(*self.numerators):
+            vec = tuple(num.get(x, 0) for num in self.numerators)
+            counts[vec] = counts.get(vec, 0) + 1
+        return LikelihoodLaw(self.m, counts, self.denominator)
+
     def to_json(self) -> str:
         doc = {
             "k": self.shape.k,
@@ -112,6 +128,19 @@ class JointDistribution:
         return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
+@dataclass
+class LikelihoodLaw:
+    """Law of the likelihood vector (P[leaves = x | root = a])_a over x.
+
+    `counts` maps each vector, as integer numerators over `denominator`, to
+    the number of leaf configurations x of nonzero probability that have it.
+    """
+
+    m: int
+    counts: dict[tuple[int, ...], int]
+    denominator: int
+
+
 def config_count(shape: TreeShape, m: int) -> int:
     if m == 1:
         return 1
@@ -123,10 +152,22 @@ def config_count(shape: TreeShape, m: int) -> int:
     return out
 
 
-def integer_numerators(probs: list[Fraction]) -> tuple[list[int], int]:
-    """Exact probabilities as integer numerators over the lcm of their denominators."""
-    den = lcm(*(p.denominator for p in probs))
-    return [p.numerator * (den // p.denominator) for p in probs], den
+def _edge_columns(shape: TreeShape, channel: Channel, cap: int, leaf_channel: Channel | None):
+    """Each level's `integer_columns`, from the leaves up, with `leaf_channel`
+    on the first step; raises first if the shape is over the configuration
+    cap."""
+    m = channel.m
+    if leaf_channel is not None and leaf_channel.m != m:
+        raise ValueError("leaf_channel must have the same label count")
+    count = config_count(shape, m)
+    if count > cap:
+        raise ValueError(
+            f"enumeration needs {count} configurations, above the cap of {cap}"
+        )
+    return [
+        (leaf_channel if step == 0 and leaf_channel is not None else channel).integer_columns()
+        for step in range(shape.d)
+    ]
 
 
 def enumerate_joint(
@@ -142,29 +183,17 @@ def enumerate_joint(
     channel there yields the exact law of noisy leaves.
     """
     m = channel.m
-    if leaf_channel is not None and leaf_channel.m != m:
-        raise ValueError("leaf_channel must have the same label count")
-    count = config_count(shape, m)
-    if count > cap:
-        raise ValueError(
-            f"enumeration needs {count} configurations, above the cap of {cap}"
-        )
-
+    steps = _edge_columns(shape, channel, cap, leaf_channel)
     # num[a] maps each leaf tuple of the current subtree depth to its
     # conditional probability given subtree root a, times den.
     num: list[Numerators] = [{(a,): 1} for a in range(m)]
     den = 1
-    for step in range(shape.d):
-        use = leaf_channel if (leaf_channel is not None and step == 0) else channel
-        flat, scale = integer_numerators([p for row in use.matrix for p in row])
+    for cols, scale in steps:
         # mix[a]: law of one child subtree given this node's label a, over den * scale.
         mix: list[Numerators] = []
-        for a in range(m):
+        for col in cols:
             law: Numerators = {}
-            for b in range(m):
-                w = flat[b * m + a]  # matrix[b][a] = P[child = b | parent = a]
-                if w == 0:
-                    continue
+            for b, w in col:  # col = cols[a]; w / scale = P[child = b | parent = a]
                 for cfg, p in num[b].items():
                     law[cfg] = law.get(cfg, 0) + w * p
             mix.append(law)
@@ -181,14 +210,50 @@ def enumerate_joint(
     return JointDistribution(shape=shape, channel=channel, numerators=num, denominator=den)
 
 
-def bayes_accuracy(joint: JointDistribution) -> Fraction:
-    """Optimal detection accuracy sum_x max_a P[x|a] / m; lies in [1/m, 1]."""
-    best = dict(joint.numerators[0])
-    for num in joint.numerators[1:]:
-        for x, p in num.items():
-            if p > best.get(x, 0):
-                best[x] = p
-    return Fraction(sum(best.values()), joint.denominator * joint.m)
+def likelihood_law(
+    shape: TreeShape,
+    channel: Channel,
+    cap: int = DEFAULT_CONFIG_CAP,
+    leaf_channel: Channel | None = None,
+) -> LikelihoodLaw:
+    """The law of the likelihood vector, by `enumerate_joint`'s recursion
+    keyed by vector: equal vectors merge, and vectors of probability zero
+    under every root are dropped, as the oracle drops their configurations."""
+    m = channel.m
+    steps = _edge_columns(shape, channel, cap, leaf_channel)
+    counts = {tuple(int(a == b) for a in range(m)): 1 for b in range(m)}
+    den = 1
+    for cols, scale in steps:
+        # One child subtree seen from its parent: u[a] = sum_b matrix[b][a] v[b].
+        mix: dict[tuple[int, ...], int] = {}
+        for vec, count in counts.items():
+            u = tuple(sum(w * vec[b] for b, w in col) for col in cols)
+            if any(u):
+                mix[u] = mix.get(u, 0) + count
+        # k independent children: vectors multiply entrywise, counts multiply.
+        acc = {(1,) * m: 1}
+        for _ in range(shape.k):
+            nxt: dict[tuple[int, ...], int] = {}
+            for vec, count in acc.items():
+                for u, c in mix.items():
+                    prod = tuple(map(mul, vec, u))
+                    if any(prod):
+                        nxt[prod] = nxt.get(prod, 0) + count * c
+            acc = nxt
+        counts = acc
+        den = (den * scale) ** shape.k
+    return LikelihoodLaw(m, counts, den)
+
+
+def bayes_accuracy(law: LikelihoodLaw | JointDistribution) -> Fraction:
+    """Optimal detection accuracy sum_x max_a P[x|a] / m; lies in [1/m, 1].
+
+    A JointDistribution is first grouped into its likelihood law.
+    """
+    if isinstance(law, JointDistribution):
+        law = law.likelihood_law()
+    total = sum(count * max(vec) for vec, count in law.counts.items())
+    return Fraction(total, law.denominator * law.m)
 
 
 def node_marginal(joint: JointDistribution, leaf_index: int) -> list[Fraction]:

@@ -1,5 +1,7 @@
+import warnings
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 from treecast import bp as bp_module
 from treecast.bp import LeafLikelihood, _sigmoid, bp_posterior, bp_posterior_batch_binary
 from treecast.channels import Channel
+from treecast.estimators import noisy_leaf_channel
 from treecast.oracle import enumerate_joint
 from treecast.trees import TreeShape
 
-SMALL_SHAPES = [(1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1)]
 THETAS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
 
 
@@ -51,20 +53,127 @@ def test_all_zero_likelihood_rejected():
         LeafLikelihood(m=2, weights=((Fraction(0), Fraction(0)),))
     with pytest.raises(ValueError):
         LeafLikelihood(m=2, weights=((Fraction(-1), Fraction(1)),))
+    # A row shared by several leaves is reported at its first leaf.
+    good, bad = (Fraction(1), Fraction(0)), (Fraction(-1), Fraction(2))
+    with pytest.raises(ValueError, match="leaf 1 has a negative"):
+        LeafLikelihood(m=2, weights=(good, bad, good, bad))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16])
+def test_hard_evidence_rows_equal_fresh_unit_fractions(m):
+    labels = [x for x in range(m) for _ in range(3)]
+    fresh = tuple(tuple(Fraction(1) if a == x else Fraction(0) for a in range(m)) for x in labels)
+    ev = LeafLikelihood.from_labels(np.array(labels), m)
+    assert ev.weights == fresh
+    assert ev == LeafLikelihood(m=m, weights=fresh)
+    assert all(type(w) is Fraction for row in ev.weights for w in row)
+    for bad in (m, -1):
+        with pytest.raises(ValueError, match=rf"observed label {bad} outside \[0, {m}\)"):
+            LeafLikelihood.from_labels([0, bad], m)
+
+
+# Every shape with at most 2^9 binary leaf configurations.
+ORACLE_SHAPES = [(1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)] + [(k, 1) for k in range(4, 10)]
+ORACLE_THETAS = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), *THETAS, Fraction(1)]
+
+
+def _assert_bp_matches_oracle(shape, channel, joint, evidence_of):
+    """Integer BP equals the oracle's posterior on every configuration; the
+    configurations the oracle leaves out have probability zero and raise."""
+    support = set(joint.configurations())
+    for cfg in product(range(channel.m), repeat=shape.n):
+        evidence = evidence_of(cfg)
+        if cfg in support:
+            got = bp_posterior(shape, channel, evidence, mode="rational").masses
+            assert got == tuple(joint.posterior(cfg)), (shape, cfg)
+            assert all(type(p) is Fraction for p in got)
+        else:
+            with pytest.raises(ValueError, match="evidence has zero probability"):
+                bp_posterior(shape, channel, evidence, mode="rational")
 
 
 def test_bp_equals_oracle_exactly():
-    for k, d in SMALL_SHAPES:
+    for k, d in ORACLE_SHAPES:
         shape = TreeShape(k=k, d=d)
-        for theta in THETAS:
+        for theta in ORACLE_THETAS:
             channel = Channel.binary(theta)
             joint = enumerate_joint(shape, channel)
-            for cfg in joint.configurations():
-                want = tuple(joint.posterior(cfg))
-                got = bp_posterior(
-                    shape, channel, LeafLikelihood.from_labels(cfg, 2), mode="rational"
-                ).masses
-                assert got == want, (k, d, theta, cfg)
+            _assert_bp_matches_oracle(
+                shape, channel, joint, lambda cfg: LeafLikelihood.from_labels(cfg, 2)
+            )
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 10), Fraction(1, 2)])
+def test_bp_noisy_evidence_equals_oracle_with_leaf_channel(s):
+    for k, d in [(2, 2), (2, 3), (3, 2), (5, 1)]:
+        shape = TreeShape(k=k, d=d)
+        for theta in ORACLE_THETAS:
+            channel = Channel.binary(theta)
+            joint = enumerate_joint(shape, channel, leaf_channel=noisy_leaf_channel(theta, s))
+            _assert_bp_matches_oracle(
+                shape, channel, joint, lambda cfg: LeafLikelihood.from_noisy_bits(cfg, s)
+            )
+
+
+def test_bp_three_labels_equals_oracle():
+    channel = Channel.from_columns(
+        [["1/2", "1/2", "0"], ["0", "3/4", "1/4"], ["0", "0", "1"]]
+    )
+    shape = TreeShape(k=2, d=2)
+    joint = enumerate_joint(shape, channel)
+    assert len(joint.configurations()) < 3**shape.n  # siblings 0 and 2 are impossible
+    _assert_bp_matches_oracle(
+        shape, channel, joint, lambda cfg: LeafLikelihood.from_labels(cfg, 3)
+    )
+
+
+def test_bp_soft_evidence_with_mixed_denominators_equals_oracle_sum():
+    # P[root = a | evidence] is proportional to sum_x P[x | a] prod_i w_i(x_i).
+    pool = [
+        (Fraction(1, 2), Fraction(1, 3)),
+        (Fraction(2), Fraction(5, 7)),
+        (Fraction(0), Fraction(3, 4)),
+        (Fraction(4, 9), Fraction(0)),
+        (Fraction(1, 6), Fraction(1, 10)),
+    ]
+    for k, d in [(2, 2), (3, 1), (2, 3)]:
+        shape = TreeShape(k=k, d=d)
+        rows = tuple(pool[(3 * i + d) % len(pool)] for i in range(shape.n))
+        for theta in ORACLE_THETAS:
+            channel = Channel.binary(theta)
+            joint = enumerate_joint(shape, channel)
+            weight = [
+                sum(
+                    p * prod(rows[i][b] for i, b in enumerate(cfg))
+                    for cfg, p in joint.cond[a].items()
+                )
+                for a in (0, 1)
+            ]
+            evidence = LeafLikelihood(m=2, weights=rows)
+            if sum(weight) == 0:
+                with pytest.raises(ValueError, match="evidence has zero probability"):
+                    bp_posterior(shape, channel, evidence, mode="rational")
+                continue
+            got = bp_posterior(shape, channel, evidence, mode="rational").masses
+            assert got == tuple(w / sum(weight) for w in weight), (k, d, theta)
+
+
+@pytest.mark.parametrize("mode", ["float", "auto"])
+def test_float_bp_rejects_zero_probability_evidence(mode):
+    # "auto" picks float BP above AUTO_RATIONAL_NODE_LIMIT nodes.
+    shape = TreeShape(k=2, d=1) if mode == "float" else TreeShape(k=2, d=14)
+    assert mode == "float" or shape.total_nodes > bp_module.AUTO_RATIONAL_NODE_LIMIT
+    leaves = np.zeros(shape.n, dtype=np.uint8)
+    leaves[-1] = 1
+    evidence = LeafLikelihood.from_labels(leaves, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="evidence has zero probability under the model"):
+            bp_posterior(shape, Channel.binary(1), evidence, mode=mode)
+        leaves[-1] = 0
+        evidence = LeafLikelihood.from_labels(leaves, 2)
+        report = bp_posterior(shape, Channel.binary(1), evidence, mode=mode)
+    assert report.mode == "float-log-domain" and report.masses == (1.0, 0.0)
 
 
 def test_complement_symmetry_exact():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -96,6 +97,25 @@ def test_sampling_cuts_cached_read_only():
     assert cuts.tolist() == fresh
     with pytest.raises(ValueError):
         cuts[0, 0] = 0
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        Channel.binary(Fraction(3, 5)),
+        Channel.binary(1),
+        Channel.from_columns([["1/2", "1/2", "0"], ["0", "3/4", "1/4"], ["1/7", "0", "6/7"]]),
+    ],
+)
+def test_integer_columns_cached_and_exact(channel):
+    cols, den = channel.integer_columns()
+    assert channel.integer_columns() is channel.integer_columns()
+    for a in range(channel.m):
+        listed = dict(cols[a])
+        assert all(type(w) is int and w > 0 for w in listed.values())
+        for b in range(channel.m):
+            assert Fraction(listed.get(b, 0), den) == channel.matrix[b][a]
+    assert den == lcm(*(p.denominator for row in channel.matrix for p in row))
 
 
 @given(

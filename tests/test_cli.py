@@ -170,6 +170,16 @@ def test_bp_label_code_out_of_range_is_usage_error(tmp_path, capsys, code_value)
     _one_line_usage_error(code, err, "level 1", "[0, 2)")
 
 
+@pytest.mark.parametrize("mode", ["float", "rational", "auto"])
+def test_bp_zero_probability_evidence_is_usage_error(tmp_path, capsys, mode):
+    # At theta = 1 both leaves copy the root, so leaves (0, 1) cannot occur.
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"k": 2, "d": 1, "m": 2, "levels": [[1], [0, 1]]}))
+    code, out, err = run(capsys, "--mode", mode, "bp", "--leaves", str(path), "--theta", "1")
+    _one_line_usage_error(code, err, "evidence has zero probability")
+    assert out == ""
+
+
 def test_verify_quick_exits_zero(capsys):
     code, out, _ = run(capsys, "--seed", "3", "verify", "--quick")
     assert code == EXIT_OK

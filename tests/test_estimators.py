@@ -27,7 +27,7 @@ from treecast.estimators import (
 )
 from treecast.experiments import DEFAULT_EXACT_SHAPES
 from treecast.generators import generate_binary_batch, generate_direct
-from treecast.oracle import bayes_accuracy, enumerate_joint
+from treecast.oracle import bayes_accuracy, enumerate_joint, likelihood_law
 from treecast.rng import SeedSpec
 from treecast.trees import TreeShape
 
@@ -154,6 +154,32 @@ class TestPsd:
         assert val == bayes_accuracy(enumerate_joint(shape, Channel.binary(theta)))
         est = estimate_P_sd(shape, theta, 0, 1000, SeedSpec(6, "p"))
         assert est.method == "exact" and est.exact == val
+
+    # Every binary shape of depth >= 1 with at most 12 leaves.
+    @pytest.mark.parametrize(
+        "k,d", [(1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)] + [(k, 1) for k in range(4, 13)]
+    )
+    def test_exact_equals_bayes_accuracy_of_oracle(self, k, d):
+        shape = TreeShape(k=k, d=d)
+        for theta in (Fraction(-1), Fraction(-3, 5), Fraction(0), Fraction(1, 2), Fraction(1)):
+            for s in (Fraction(0), Fraction(1, 10), Fraction(1, 2)):
+                leaf = noisy_leaf_channel(theta, s)
+                joint = enumerate_joint(shape, Channel.binary(theta), leaf_channel=leaf)
+                assert exact_P_sd(shape, theta, s) == bayes_accuracy(joint), (theta, s)
+                law = likelihood_law(shape, Channel.binary(theta), leaf_channel=leaf)
+                assert sum(law.counts.values()) == len(joint.configurations())
+
+    def test_exact_keeps_the_oracle_cap(self, monkeypatch):
+        # The cap is checked before any edge matrix or vector is built.
+        def unreachable(channel):
+            raise AssertionError("built an edge matrix past the cap")
+
+        monkeypatch.setattr(Channel, "integer_columns", unreachable)
+        for d in (5, 40):
+            with pytest.raises(ValueError, match="configurations, above the cap of 1048576"):
+                exact_P_sd(TreeShape(k=2, d=d), Fraction(9, 10), Fraction(1, 10))
+        with pytest.raises(ValueError, match="enumeration needs 4294967296 configurations"):
+            exact_P_sd(TreeShape(k=2, d=5), Fraction(9, 10), 0)
 
     def test_exact_monotone_in_s(self):
         shape = TreeShape(k=2, d=3)

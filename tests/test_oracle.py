@@ -9,6 +9,7 @@ from treecast.oracle import (
     bayes_accuracy,
     enumerate_joint,
     expected_leaf_sum,
+    likelihood_law,
     node_marginal,
     pair_equal_probability,
 )
@@ -158,3 +159,39 @@ def test_noisy_leaf_channel_and_nonbinary_labels():
     joint3 = enumerate_joint(TreeShape(k=3, d=1), ch3)
     assert all(sum(law.values()) == 1 for law in joint3.cond)
     assert joint3.mixture_prob((0, 1, 2)) == Fraction(1, 2) * third * Fraction(1, 6)
+
+
+@pytest.mark.parametrize(
+    "shape,channel,leaf_channel",
+    [
+        (TreeShape(2, 3), Channel.binary(Fraction(3, 5)), Channel.binary(Fraction(2, 9))),
+        (TreeShape(3, 2), Channel.binary(1), None),
+        (TreeShape(2, 2), Channel.binary(0), None),
+        (TreeShape(1, 4), Channel.binary(Fraction(-1, 2)), None),
+        (TreeShape(4, 0), Channel.binary(Fraction(1, 2)), None),
+        (
+            TreeShape(2, 2),
+            Channel.from_columns([["1/2", "1/2", "0"], ["0", "3/4", "1/4"], ["0", "0", "1"]]),
+            Channel.from_columns([["1/3", "1/3", "1/3"], ["0", "1", "0"], ["1/7", "0", "6/7"]]),
+        ),
+    ],
+)
+def test_likelihood_law_groups_the_oracle(shape, channel, leaf_channel):
+    law = likelihood_law(shape, channel, leaf_channel=leaf_channel)
+    joint = enumerate_joint(shape, channel, leaf_channel=leaf_channel)
+    assert law == joint.likelihood_law()
+    assert sum(law.counts.values()) == len(joint.configurations())
+    assert all(any(vec) and len(vec) == channel.m for vec in law.counts)
+    assert all(type(p) is int for vec in law.counts for p in vec)
+    assert bayes_accuracy(law) == bayes_accuracy(joint)
+
+
+def test_likelihood_law_merges_equal_vectors():
+    # At theta = 0 all 2^8 configurations have the vector (2^-8, 2^-8).
+    law = likelihood_law(TreeShape(2, 3), Channel.binary(0))
+    [((p0, p1), count)] = law.counts.items()
+    assert count == 256 and p0 == p1 and Fraction(p0, law.denominator) == Fraction(1, 256)
+    with pytest.raises(ValueError, match="cap of 16"):
+        likelihood_law(TreeShape(2, 3), Channel.binary(Fraction(1, 2)), cap=16)
+    with pytest.raises(ValueError, match="same label count"):
+        likelihood_law(TreeShape(2, 1), Channel.binary(0), leaf_channel=Channel.from_columns([[1]]))
