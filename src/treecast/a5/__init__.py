@@ -12,7 +12,7 @@ from .pair_model import (
     product_tree_child_law,
     product_tree_generate,
 )
-from .quotient import class_pair_code, class_pair_decode, quotient_channel
+from .quotient import class_pair_code, quotient_channel
 from .reconstruct import recursive_reconstruct
 from .barrington import barrington_compile, evaluate_program, evaluate_program_batch
 from .reduction import (
@@ -35,7 +35,6 @@ __all__ = [
     "product_tree_child_law",
     "product_tree_generate",
     "class_pair_code",
-    "class_pair_decode",
     "quotient_channel",
     "recursive_reconstruct",
     "barrington_compile",

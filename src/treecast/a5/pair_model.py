@@ -23,6 +23,7 @@ import numpy as np
 from ..channels import cut63
 from ..generators import check_node_budget
 from ..labels import LabelArray
+from ..oracle import LawView
 from ..rng import SeedSpec, level_words, trial_keys, trial_level_words
 from ..trees import TreeShape
 from .group import A5
@@ -80,16 +81,18 @@ def generate_pair_model(
     return LabelArray(shape=shape, m=3600, levels=levels)
 
 
-def pair_model_child_law(root_code: int) -> dict[int, Fraction]:
-    """Exact one-child law given the parent pair, over pair codes."""
+def pair_model_child_law(root_code: int) -> LawView:
+    """Exact one-child law given the parent pair, over pair codes: integer
+    numerators over 180, 2 for each factorization of the first element and
+    1 for each of the second."""
     first, second = pair_decode(root_code)
-    law: dict[int, Fraction] = {}
+    law: dict[int, int] = {}
     for b in range(60):
         c1 = pair_code(b, int(A5.mul[A5.inv[b], first]))
-        law[c1] = law.get(c1, Fraction(0)) + Fraction(2, 180)
+        law[c1] = law.get(c1, 0) + 2
         c2 = pair_code(b, int(A5.mul[A5.inv[b], second]))
-        law[c2] = law.get(c2, Fraction(0)) + Fraction(1, 180)
-    return law
+        law[c2] = law.get(c2, 0) + 1
+    return LawView(law, 180)
 
 
 # --- product-tree construction --------------------------------------------
@@ -174,15 +177,17 @@ def _product_tree_levels(
     return out
 
 
-def product_tree_child_law(sigma) -> dict[int, Fraction]:
-    """Exact one-child law of the depth-1 product tree for a length-4 word."""
+def product_tree_child_law(sigma) -> LawView:
+    """Exact one-child law of the depth-1 product tree for a length-4 word:
+    integer numerators over 180, 2 for each of the 60 boundary randomizers
+    of the first half and 1 for each of the second half."""
     sigma = np.asarray(sigma, dtype=np.uint8)
     if len(sigma) != 4:
         raise ValueError("the depth-1 child law needs a length-4 word")
-    law: dict[int, Fraction] = {}
+    law: dict[int, int] = {}
     for b in range(60):
         first = pair_code(int(A5.mul[sigma[0], b]), int(A5.mul[A5.inv[b], sigma[1]]))
-        law[first] = law.get(first, Fraction(0)) + Fraction(2, 180)
+        law[first] = law.get(first, 0) + 2
         second = pair_code(int(A5.mul[sigma[2], b]), int(A5.mul[A5.inv[b], sigma[3]]))
-        law[second] = law.get(second, Fraction(0)) + Fraction(1, 180)
-    return law
+        law[second] = law.get(second, 0) + 1
+    return LawView(law, 180)

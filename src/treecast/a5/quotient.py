@@ -5,19 +5,23 @@ node labeled (C1, C2) is produced by drawing sigma from class C1 with
 probability 2/3 (else C2), splitting it uniformly as sigma' * sigma'' =
 sigma, and recording the pair of classes of the factors.
 
-`quotient_channel` builds the 16x16 transmission matrix exactly by
-enumerating the 60 splits of one representative per class, after verifying
-the lumpability condition that makes representatives sufficient: for every
-target part, the mass a column sends into that part is constant across the
-pair labels inside each source part.  The resulting matrix is column
-stochastic with identical columns in its square, hence a second eigenvalue
-of exactly zero.
+`quotient_channel` builds the 16x16 transmission matrix exactly from one
+integer table: for each of the 60 elements g, the class pairs of its 60
+splits.  The child law of pair label (g1, g2) sends 2 T[g1] + T[g2] out of
+180 into the parts.  Before that becomes a column, the build checks the
+lumpability condition on all 3600 pair labels: the mass a label sends into
+each part is the same for every label of its own part.  It also checks each
+column against `pair_model_child_law` for one label of the part.  The
+resulting matrix is column stochastic with identical columns in its square,
+hence a second eigenvalue of exactly zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from ..channels import Channel
 from ..rng import SeedSpec
@@ -31,85 +35,48 @@ def class_pair_code(c1: int, c2: int) -> int:
     return c1 * 4 + c2
 
 
-def class_pair_decode(code: int) -> tuple[int, int]:
-    return code // 4, code % 4
-
-
 def pair_to_class_pair(code: int) -> int:
     first, second = pair_decode(code)
     return class_pair_code(classify(first), classify(second))
 
 
-def _part_mass_vector(pair_label: int) -> tuple[Fraction, ...]:
-    """Mass the pair-model child law of `pair_label` sends into each of the
-    16 class-pair parts."""
-    out = [Fraction(0)] * 16
-    for child, p in pair_model_child_law(pair_label).items():
-        out[pair_to_class_pair(child)] += p
-    return tuple(out)
-
-
-def _split_class_counts(class_code: int) -> list[list[int]]:
-    """counts[c1][c2] of splits sigma' * sigma'' = rep over the 60 choices of
-    sigma', for one representative of the class."""
-    rep = A5.elements_of_class(class_code)[0]
-    counts = [[0] * 4 for _ in range(4)]
-    for sp in range(60):
-        spp = int(A5.mul[A5.inv[sp], rep])
-        counts[classify(sp)][classify(spp)] += 1
-    return counts
+def _split_table() -> np.ndarray:
+    """T[g, part]: how many of the 60 splits sigma' * sigma'' = g have the
+    class pair `part` = class_pair_code(class of sigma', class of sigma'')."""
+    sp = np.arange(60)
+    spp = A5.mul[A5.inv[sp][None, :], sp[:, None]]  # [g, sigma'] = sigma'^-1 g
+    classes = A5.class_code.astype(np.int64)
+    parts = classes[sp][None, :] * 4 + classes[spp]
+    return np.bincount((sp[:, None] * 16 + parts).ravel(), minlength=960).reshape(60, 16)
 
 
 @lru_cache(maxsize=1)
 def quotient_channel() -> Channel:
     """Exact 16x16 class-pair transmission matrix, lumpability verified.
 
-    Raises if the lumpability condition fails (which would falsify the
-    quotient construction): representatives of every part are checked against
-    all 16 parts, and all members of two fixed parts are cross-checked.
+    Raises AssertionError if some pair label sends other masses into the
+    parts than the rest of its part (which would falsify the quotient
+    construction), or if a column disagrees with `pair_model_child_law`.
     """
-    # Lumpability over representatives: for every part, two distinct members
-    # (when the part has more than one) must send identical mass vectors.
-    rep_vectors: dict[int, tuple[Fraction, ...]] = {}
-    for c1 in range(4):
-        for c2 in range(4):
-            part = class_pair_code(c1, c2)
-            members1 = A5.elements_of_class(c1)
-            members2 = A5.elements_of_class(c2)
-            vec = _part_mass_vector(pair_code(members1[0], members2[0]))
-            alt = _part_mass_vector(pair_code(members1[-1], members2[-1]))
-            if alt != vec:
-                raise AssertionError(f"lumpability fails across members of part {(c1, c2)}")
-            rep_vectors[part] = vec
-    # Cross-check every member of two parts (one diagonal, one off-diagonal).
-    for part in (class_pair_code(2, 2), class_pair_code(3, 1)):
-        c1, c2 = class_pair_decode(part)
-        expect = rep_vectors[part]
-        for g1 in A5.elements_of_class(c1):
-            for g2 in A5.elements_of_class(c2):
-                if _part_mass_vector(pair_code(g1, g2)) != expect:
-                    raise AssertionError(
-                        f"lumpability fails inside part {(c1, c2)} at pair ({g1}, {g2})"
-                    )
-
-    split = [_split_class_counts(c) for c in range(4)]
+    table = _split_table()
+    masses = 2 * table[:, None, :] + table[None, :, :]  # [g1, g2]: numerators over 180
     columns = []
     for c1 in range(4):
         for c2 in range(4):
-            col = [Fraction(0)] * 16
-            for a1 in range(4):
-                for a2 in range(4):
-                    col[class_pair_code(a1, a2)] = (
-                        Fraction(2, 3) * Fraction(split[c1][a1][a2], 60)
-                        + Fraction(1, 3) * Fraction(split[c2][a1][a2], 60)
-                    )
-            columns.append(col)
-    channel = Channel.from_columns(columns)
-    # The representative-built columns must equal the member-level vectors.
-    for part, vec in rep_vectors.items():
-        if channel.column(part) != vec:
-            raise AssertionError(f"quotient column {part} disagrees with the pair model")
-    return channel
+            members1 = A5.elements_of_class(c1)
+            members2 = A5.elements_of_class(c2)
+            block = masses[np.ix_(members1, members2)]
+            col = block[0, 0]
+            if not (block == col).all():
+                raise AssertionError(f"lumpability fails inside part {(c1, c2)}")
+            law = pair_model_child_law(pair_code(members1[0], members2[0]))
+            sent = [0] * 16
+            for child, n in law.numerators.items():
+                sent[pair_to_class_pair(child)] += n
+            if sent != col.tolist():
+                raise AssertionError(f"quotient column {(c1, c2)} disagrees with the pair model")
+            columns.append([Fraction(int(n), 180) for n in col])
+    return Channel.from_columns(columns)
 
 
 def generate_class16(shape, seed: SeedSpec, root: int | None = None):

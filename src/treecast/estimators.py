@@ -455,7 +455,7 @@ def estimate_P_sd(
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
     if method in ("auto", "exact"):
-        if config_count(shape, 2) <= DEFAULT_CONFIG_CAP:
+        if config_count(shape.n, 2) <= DEFAULT_CONFIG_CAP:
             val = exact_P_sd(shape, t, sf)
             return PsdEstimate(
                 estimate=float(val), stderr=0.0, trials=0, method="exact", exact=val

@@ -51,7 +51,7 @@ from .generators import (
     restriction_leaf_law,
     total_variation,
 )
-from .oracle import enumerate_joint
+from .oracle import LawView, enumerate_joint
 from .rng import SeedSpec, subkey
 from .trees import TreeShape
 
@@ -445,36 +445,10 @@ DEFAULT_EXACT_THETAS = ("0", "1/4", "1/2", "3/4", "1")
 
 def exact_joint_of_leaves(
     shape: TreeShape, theta: Fraction, leaf_indices: tuple[int, ...], root: int
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact joint law of selected leaves given the root, by branch recursion."""
-    keep = (1 + theta) / 2
-
-    def law(level: int, index: int, a: int, tracked: tuple[int, ...]):
-        if not tracked:
-            return {(): Fraction(1)}
-        if level == shape.d:
-            return {(a,): Fraction(1)}
-        block = shape.k ** (shape.d - level - 1)
-        out = {(): Fraction(1)}
-        for child in range(shape.k):
-            lo = (index * shape.k + child) * block
-            sub = tuple(i for i in tracked if lo <= i < lo + block)
-            if not sub:
-                continue
-            child_mix: dict[tuple[int, ...], Fraction] = {}
-            for b in range(2):
-                p_b = keep if b == a else 1 - keep
-                for cfg, p in law(level + 1, index * shape.k + child, b, sub).items():
-                    child_mix[cfg] = child_mix.get(cfg, Fraction(0)) + p_b * p
-            out = {
-                cfg + ccfg: p * q
-                for cfg, p in out.items()
-                for ccfg, q in child_mix.items()
-            }
-        return out
-
-    tracked = tuple(sorted(leaf_indices))
-    return law(0, 0, root, tracked)
+) -> LawView:
+    """Exact joint law of selected leaves given the root: the oracle tracking
+    only those leaves, listed in increasing index order."""
+    return enumerate_joint(shape, Channel.binary(theta), leaves=tuple(leaf_indices)).cond[root]
 
 
 def _chi_square_vs_exact(
@@ -541,10 +515,8 @@ def run_equivalence_suite(
     shape = TreeShape(k=3, d=5)
     theta = as_fraction("4/5")
     leaf_sel = (0, shape.n // 2, shape.n - 1)
-    exact = {}
-    for root in (0, 1):
-        for cfg_bits, p in exact_joint_of_leaves(shape, theta, leaf_sel, root).items():
-            exact[cfg_bits] = exact.get(cfg_bits, Fraction(0)) + p / 2
+    joint = enumerate_joint(shape, Channel.binary(theta), leaves=leaf_sel)
+    exact = {cfg: joint.mixture_prob(cfg) for num in joint.numerators for cfg in num}
     for method in _GENERATOR_METHODS:
         _, leaves = batch_sampler(
             shape, theta, SeedSpec(seed, f"equiv/{method}"), statistical_trials, method=method

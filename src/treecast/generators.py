@@ -14,8 +14,8 @@ Their exact leaf laws coincide; `*_leaf_law` functions enumerate each
 generator's own randomness (flip bits, restriction symbols) so the
 equivalence can be checked exactly, with zero tolerance.  The enumeration
 extends each level one node at a time, one branch per symbol, in integer
-numerators over one running denominator; only the returned law holds
-`Fraction`s.
+numerators over one running denominator, returned as an `oracle.LawView`;
+`total_variation` compares two laws on their numerators.
 
 Also here: the leaf noise channel, survival counting under composed
 restrictions, the exact/approximate biased-bit samplers, and the batched
@@ -28,7 +28,6 @@ estimators never materialize the leaf level.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -46,7 +45,7 @@ from .channels import (
     uniform_cuts,
 )
 from .labels import LabelArray, code_dtype
-from .oracle import LeafLaw, Numerators
+from .oracle import LawView, Numerators
 from .rng import (
     SeedSpec,
     bits_from_word,
@@ -510,7 +509,7 @@ def generate_binary_batch(
 
 def _enumerated_leaf_law(
     shape: TreeShape, root: int, branches: list[tuple[tuple[int, int], Fraction]]
-) -> LeafLaw:
+) -> LawView:
     """Exact leaf law of a generator that draws one symbol per non-root node.
 
     `branches` lists each symbol as (child label given parent 0 and 1,
@@ -540,10 +539,10 @@ def _enumerated_leaf_law(
                 nxt[key] = nxt.get(key, 0) + w
         law = nxt
         total_den *= den ** shape.nodes_at(lvl)
-    return {cfg: Fraction(w, total_den) for cfg, w in law.items()}
+    return LawView(law, total_den)
 
 
-def path_product_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LeafLaw:
+def path_product_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LawView:
     """Exact leaf law of the path-product generator, by enumerating flip bits."""
     t = as_fraction(theta)
     p_flip = (1 - t) / 2
@@ -551,7 +550,7 @@ def path_product_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> L
     return _enumerated_leaf_law(shape, root, [((0, 1), 1 - p_flip), ((1, 0), p_flip)])
 
 
-def restriction_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LeafLaw:
+def restriction_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LawView:
     """Exact leaf law of the restriction generator, by enumerating symbols."""
     t = as_fraction(theta)
     p_const = (1 - t) / 2
@@ -559,10 +558,9 @@ def restriction_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> Le
     return _enumerated_leaf_law(shape, root, [((0, 0), p_const), ((1, 1), p_const), ((0, 1), t)])
 
 
-def total_variation(
-    a: Mapping[tuple[int, ...], Fraction], b: Mapping[tuple[int, ...], Fraction]
-) -> Fraction:
-    keys = set(a) | set(b)
-    return sum(
-        (abs(a.get(x, Fraction(0)) - b.get(x, Fraction(0))) for x in keys), Fraction(0)
-    ) / 2
+def total_variation(a: LawView, b: LawView) -> Fraction:
+    """Exact total variation distance: sum_x |a_x * d_b - b_x * d_a| over
+    integers, then one Fraction over 2 * d_a * d_b."""
+    an, ad, bn, bd = a.numerators, a.denominator, b.numerators, b.denominator
+    diff = sum(abs(an.get(x, 0) * bd - bn.get(x, 0) * ad) for x in an.keys() | bn.keys())
+    return Fraction(diff, 2 * ad * bd)

@@ -9,10 +9,15 @@ oracle runs under a second.
 
 The dynamic program runs on integers: each channel matrix is scaled to
 integer numerators over the lcm of its denominators, so every probability of
-one run is an `int` numerator over a single shared denominator.  `Fraction`s
-appear only at the API edge: `cond[a]` reads as a mapping to `Fraction`s,
-built when a value is read, and the summaries below build one `Fraction` per
-result.
+one run is an `int` numerator over a single shared denominator.  `LawView`,
+the package's one exact-law type (the oracle's, the generators' leaf laws
+and the A5 child laws), holds such numerators and reads them as `Fraction`s
+only at the API edge; two views compare numerator by numerator.  The
+summaries below build one `Fraction` per result.
+
+`enumerate_joint(..., leaves=...)` tracks a subset of the leaves: a subtree
+holding no tracked leaf weighs 1, and the cap counts only the tracked
+leaves' configurations.  The chi-square checks track three leaves of (3,5).
 
 The posterior, and so the Bayes accuracy, depends on x only through its
 likelihood vector (P[x | root = a])_a.  `likelihood_law` runs the same
@@ -26,40 +31,62 @@ configuration cap, so both agree on which shapes are exact.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Mapping
+from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from types import MappingProxyType
 
 from .channels import Channel
 from .trees import TreeShape
 
 DEFAULT_CONFIG_CAP = 1 << 20
 
-LeafLaw = dict[tuple[int, ...], Fraction]
 Numerators = dict[tuple[int, ...], int]
 
 
 class LawView(Mapping):
-    """Read-only view of integer numerators over one denominator as Fractions."""
+    """An exact law: integer numerators over one denominator, read as Fractions.
+
+    Outcomes of probability zero are absent.  Two views are equal when they
+    have the same outcomes and a_x * d_b == b_x * d_a for each; any other
+    mapping compares as a mapping of Fractions.
+    """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, numerators: Numerators, denominator: int) -> None:
+    def __init__(self, numerators: dict[Hashable, int], denominator: int) -> None:
         self._num = numerators
         self._den = denominator
 
-    def __getitem__(self, leaves: tuple[int, ...]) -> Fraction:
-        return Fraction(self._num[leaves], self._den)
+    @property
+    def numerators(self) -> Mapping[Hashable, int]:
+        return MappingProxyType(self._num)
 
-    def __contains__(self, leaves: object) -> bool:
-        return leaves in self._num
+    @property
+    def denominator(self) -> int:
+        return self._den
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LawView):
+            return Mapping.__eq__(self, other)
+        a, da, b, db = self._num, self._den, other._num, other._den
+        return len(a) == len(b) and all(x in b and p * db == b[x] * da for x, p in a.items())
+
+    def __getitem__(self, outcome: Hashable) -> Fraction:
+        return Fraction(self._num[outcome], self._den)
+
+    def __contains__(self, outcome: object) -> bool:
+        return outcome in self._num
+
+    def __iter__(self) -> Iterator[Hashable]:
         return iter(self._num)
 
     def __len__(self) -> int:
         return len(self._num)
+
+    def __repr__(self) -> str:
+        return f"LawView({self._num!r}, {self._den})"
 
 
 @dataclass
@@ -141,25 +168,28 @@ class LikelihoodLaw:
     denominator: int
 
 
-def config_count(shape: TreeShape, m: int) -> int:
+def config_count(n: int, m: int) -> int:
+    """m^n configurations of n leaves over m labels, or a value past 2^64."""
     if m == 1:
         return 1
     out = 1
-    for _ in range(shape.n):
+    for _ in range(n):
         out *= m
         if out > (1 << 64):
             break
     return out
 
 
-def _edge_columns(shape: TreeShape, channel: Channel, cap: int, leaf_channel: Channel | None):
+def _edge_columns(
+    shape: TreeShape, channel: Channel, cap: int, leaf_channel: Channel | None, leaves: int
+):
     """Each level's `integer_columns`, from the leaves up, with `leaf_channel`
-    on the first step; raises first if the shape is over the configuration
-    cap."""
+    on the first step; raises first if the configurations of `leaves` leaves
+    are over the cap."""
     m = channel.m
     if leaf_channel is not None and leaf_channel.m != m:
         raise ValueError("leaf_channel must have the same label count")
-    count = config_count(shape, m)
+    count = config_count(leaves, m)
     if count > cap:
         raise ValueError(
             f"enumeration needs {count} configurations, above the cap of {cap}"
@@ -175,38 +205,65 @@ def enumerate_joint(
     channel: Channel,
     cap: int = DEFAULT_CONFIG_CAP,
     leaf_channel: Channel | None = None,
+    leaves: tuple[int, ...] | None = None,
 ) -> JointDistribution:
     """Tabulate P[leaves | root] exactly for every configuration and root.
 
     `leaf_channel`, when given, replaces the transmission matrix on the last
     level's edges; composing the per-leaf noise channel with the broadcast
-    channel there yields the exact law of noisy leaves.
+    channel there yields the exact law of noisy leaves.  `leaves`, when
+    given, selects the leaves to track: configurations then list those
+    leaves in increasing index order, and the cap counts m^len(leaves).
     """
     m = channel.m
-    steps = _edge_columns(shape, channel, cap, leaf_channel)
-    # num[a] maps each leaf tuple of the current subtree depth to its
-    # conditional probability given subtree root a, times den.
-    num: list[Numerators] = [{(a,): 1} for a in range(m)]
-    den = 1
+    if leaves is not None:
+        leaves = tuple(sorted(leaves))
+        if not leaves or leaves[0] < 0 or leaves[-1] >= shape.n or len(set(leaves)) < len(leaves):
+            raise ValueError(f"leaves must be distinct indices in [0, {shape.n}), got {leaves}")
+    tracked = range(shape.n) if leaves is None else leaves
+    steps = _edge_columns(shape, channel, cap, leaf_channel, len(tracked))
+    # law[offsets] = (num, den) for the subtrees of the current height whose
+    # tracked leaves sit at these offsets within them: num[a] maps each
+    # tracked-leaf tuple to its conditional probability given subtree root a,
+    # times den.  Subtrees holding no tracked leaf weigh 1 and are skipped.
+    law = {(0,): ([{(a,): 1} for a in range(m)], 1)}
+    block = 1  # leaves under one subtree of the current height
     for cols, scale in steps:
-        # mix[a]: law of one child subtree given this node's label a, over den * scale.
-        mix: list[Numerators] = []
-        for col in cols:
-            law: Numerators = {}
-            for b, w in col:  # col = cols[a]; w / scale = P[child = b | parent = a]
-                for cfg, p in num[b].items():
-                    law[cfg] = law.get(cfg, 0) + w * p
-            mix.append(law)
-        # k independent children: keys of equal-length parts concatenate
-        # injectively, so the product needs no accumulation.
-        nxt: list[Numerators] = []
-        for a in range(m):
-            acc: Numerators = {(): 1}
-            for _ in range(shape.k):
-                acc = {cfg + ccfg: p * q for cfg, p in acc.items() for ccfg, q in mix[a].items()}
-            nxt.append(acc)
-        num = nxt
-        den = (den * scale) ** shape.k
+        # seen[offsets] = (mix, den * scale): mix[a] is the law of one such
+        # subtree given its parent's label a.
+        seen = {}
+        for offsets, (num, den) in law.items():
+            mix: list[Numerators] = []
+            for col in cols:
+                part: Numerators = {}
+                for b, w in col:  # col = cols[a]; w / scale = P[child = b | parent = a]
+                    for cfg, p in num[b].items():
+                        part[cfg] = part.get(cfg, 0) + w * p
+                mix.append(part)
+            seen[offsets] = (mix, den * scale)
+        span = block * shape.k
+        parents: dict[int, list[int]] = {}
+        for i in tracked:
+            parents.setdefault(i // span, []).append(i % span)
+        law = {}
+        for offsets in {tuple(offs) for offs in parents.values()}:
+            children: dict[int, list[int]] = {}
+            for o in offsets:
+                children.setdefault(o // block, []).append(o % block)
+            # Independent children: keys of equal-length parts concatenate
+            # injectively, so the product needs no accumulation.
+            acc: list[Numerators] = [{(): 1}] * m
+            den = 1
+            for sub in children.values():
+                mix, sub_den = seen[tuple(sub)]
+                acc = [
+                    {cfg + ccfg: p * q for cfg, p in acc[a].items() for ccfg, q in mix[a].items()}
+                    for a in range(m)
+                ]
+                den *= sub_den
+            law[offsets] = (acc, den)
+        block = span
+    num, den = law[tuple(tracked)]
     return JointDistribution(shape=shape, channel=channel, numerators=num, denominator=den)
 
 
@@ -220,7 +277,7 @@ def likelihood_law(
     keyed by vector: equal vectors merge, and vectors of probability zero
     under every root are dropped, as the oracle drops their configurations."""
     m = channel.m
-    steps = _edge_columns(shape, channel, cap, leaf_channel)
+    steps = _edge_columns(shape, channel, cap, leaf_channel, shape.n)
     counts = {tuple(int(a == b) for a in range(m)): 1 for b in range(m)}
     den = 1
     for cols, scale in steps:

@@ -13,6 +13,7 @@ from treecast.a5.pair_model import (
     product_tree_child_law,
     product_tree_generate,
 )
+import treecast.a5.quotient as quotient
 from treecast.a5.quotient import (
     class_pair_code,
     generate_class16,
@@ -193,6 +194,34 @@ class TestQuotient:
             stat += (counts[part] - expected) ** 2 / expected
             dof += 1
         assert stat <= chi2.ppf(0.999, dof - 1)
+
+    def test_every_pair_label_sends_its_parts_column(self):
+        # The sampler's child law, quotiented, for all 3600 pair labels.
+        ch = quotient_channel()
+        for label in range(3600):
+            law = pair_model_child_law(label)
+            assert law.denominator == 180
+            sent = [0] * 16
+            for child, n in law.numerators.items():
+                sent[pair_to_class_pair(child)] += n
+            col = ch.column(pair_to_class_pair(label))
+            assert sent == [180 * p for p in col]
+
+    def test_build_rejects_a_table_that_is_not_lumpable(self, monkeypatch):
+        table = quotient._split_table()
+        g = A5.elements_of_class(2)[1]
+        broken = table.copy()
+        broken[g, [2, 3]] = broken[g, [3, 2]]  # one member of a class moves mass
+        monkeypatch.setattr(quotient, "_split_table", lambda: broken)
+        with pytest.raises(AssertionError, match="lumpability fails"):
+            quotient_channel.__wrapped__()
+        # Moved for the whole class alike, it is lumpable but not the pair model.
+        members = A5.elements_of_class(2)
+        broken = table.copy()
+        broken[np.ix_(members, [2, 3])] = broken[np.ix_(members, [3, 2])]
+        monkeypatch.setattr(quotient, "_split_table", lambda: broken)
+        with pytest.raises(AssertionError, match="disagrees with the pair model"):
+            quotient_channel.__wrapped__()
 
     def test_generate_class16(self):
         tree = generate_class16(TreeShape(k=4, d=2), SeedSpec(3, "c16"))

@@ -1,11 +1,13 @@
 import json
 import os
 from fractions import Fraction
+from itertools import combinations
 from math import sqrt
 
 import pytest
 
 import treecast.estimators as estimators
+from treecast.channels import Channel
 from treecast.estimators import ones_count_law
 from treecast.experiments import (
     CSV_HEADER,
@@ -23,6 +25,7 @@ from treecast.experiments import (
     suite_failures,
 )
 from treecast.generators import generate_binary_batch
+from treecast.oracle import LawView, enumerate_joint
 from treecast.rng import SeedSpec
 from treecast.trees import TreeShape
 
@@ -253,9 +256,6 @@ class TestEquivalenceSuite:
 
 class TestExactLeafJoint:
     def test_matches_oracle_on_small_tree(self):
-        from treecast.channels import Channel
-        from treecast.oracle import enumerate_joint
-
         shape = TreeShape(k=2, d=2)
         theta = Fraction(4, 5)
         sel = (0, 1, 3)
@@ -270,6 +270,47 @@ class TestExactLeafJoint:
                     if tuple(full[i] for i in sel) == cfg
                 )
                 assert p == direct
+
+    @staticmethod
+    def _assert_every_subset_is_the_marginal(shape, channel):
+        joint = enumerate_joint(shape, channel)
+        for size in range(1, shape.n + 1):
+            for sel in combinations(range(shape.n), size):
+                tracked = enumerate_joint(shape, channel, leaves=sel)
+                for root, num in enumerate(joint.numerators):
+                    marginal = {}
+                    for full, p in num.items():
+                        cell = tuple(full[i] for i in sel)
+                        marginal[cell] = marginal.get(cell, 0) + p
+                    assert tracked.cond[root] == LawView(marginal, joint.denominator)
+
+    @pytest.mark.parametrize("k,d", [(2, 2), (3, 1), (2, 3)])
+    @pytest.mark.parametrize("theta", ["-1", "-1/2", "0", "1/3", "1"])
+    def test_tracked_leaves_are_the_full_joint_marginal(self, k, d, theta):
+        channel = Channel.binary(Fraction(theta))
+        self._assert_every_subset_is_the_marginal(TreeShape(k=k, d=d), channel)
+
+    def test_tracked_leaves_three_labels(self):
+        channel = Channel.from_columns(
+            [["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"], ["0", "1/4", "3/4"]]
+        )
+        self._assert_every_subset_is_the_marginal(TreeShape(k=2, d=2), channel)
+
+    @pytest.mark.parametrize("sel", [(0, 9), (1, 1), (-1, 2)])
+    def test_rejects_bad_leaf_selection(self, sel):
+        shape = TreeShape(k=2, d=2)
+        with pytest.raises(ValueError, match="distinct indices"):
+            enumerate_joint(shape, Channel.binary(Fraction(1, 2)), leaves=sel)
+        with pytest.raises(ValueError, match="distinct indices"):
+            exact_joint_of_leaves(shape, Fraction(1, 2), sel, 0)
+
+    def test_cap_counts_tracked_leaves(self):
+        channel = Channel.binary(Fraction(4, 5))
+        with pytest.raises(ValueError, match="above the cap"):
+            enumerate_joint(TreeShape(k=3, d=3), channel, leaves=tuple(range(21)))
+        shape = TreeShape(k=3, d=5)  # 2^243 configurations of all leaves
+        law = exact_joint_of_leaves(shape, Fraction(4, 5), (0, 121, 242), 1)
+        assert len(law) == 8 and sum(law.values()) == 1
 
 
 class TestA5Accuracy:

@@ -375,6 +375,29 @@ def test_path_product_leaf_law_equals_oracle(k, d, theta, root):
     _assert_law_equals_oracle(path_product_leaf_law, k, d, theta, root)
 
 
+def test_leaf_laws_build_no_fraction_per_configuration(monkeypatch):
+    # (2,3) has 16 times the configurations of (2,2); the Fraction count must not grow.
+    new = Fraction.__new__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for shape in (TreeShape(k=2, d=2), TreeShape(k=2, d=3)):
+        direct = enumerate_joint(shape, Channel.binary(Fraction(1, 3))).cond[1]
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        calls.clear()
+        path = path_product_leaf_law(shape, Fraction(1, 3), 1)
+        restr = restriction_leaf_law(shape, Fraction(1, 3), 1)
+        tv = (total_variation(direct, path), total_variation(direct, restr))
+        counts.append(len(calls))
+        monkeypatch.undo()
+        assert tv == (0, 0)
+    assert counts[0] == counts[1]
+
+
 def test_batch_rejects_theta_outside_unit_interval():
     with pytest.raises(ValueError, match="theta must lie in"):
         generate_binary_batch(TreeShape(k=2, d=2), Fraction(3), SeedSpec(1, "g"), 4)

@@ -5,7 +5,9 @@ from itertools import permutations
 import pytest
 
 from treecast.channels import Channel
+from treecast.generators import total_variation
 from treecast.oracle import (
+    LawView,
     bayes_accuracy,
     enumerate_joint,
     expected_leaf_sum,
@@ -146,6 +148,24 @@ def test_cond_is_read_only():
         joint.cond[0][(0, 0)] = Fraction(1)
     assert (2, 2) not in joint.cond[0]
     assert joint.cond[0].get((2, 2)) is None
+    with pytest.raises(TypeError):
+        joint.cond[0].numerators[(0, 0)] = 1
+
+
+def test_laws_compare_numerator_by_numerator():
+    half = LawView({(0,): 1, (1,): 1}, 2)
+    quarters = LawView({(0,): 2, (1,): 2}, 4)
+    assert half == quarters and not half != quarters
+    tv = total_variation(half, quarters)
+    assert type(tv) is Fraction and tv == 0 and str(tv) == "0"
+    assert half != LawView({(0,): 3, (1,): 1}, 4)
+    assert half != LawView({(0,): 1, (2,): 1}, 2)
+    assert total_variation(LawView({(0,): 1}, 1), LawView({(1,): 3}, 3)) == 1
+    # Any other mapping compares as a mapping of Fractions.
+    assert half == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+    assert half != {(0,): Fraction(1, 2)}
+    assert half != {(0,): Fraction(1, 2), (1,): Fraction(1, 3)}
+    assert repr(half) == "LawView({(0,): 1, (1,): 1}, 2)"
 
 
 def test_noisy_leaf_channel_and_nonbinary_labels():
