@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..channels import cut63
+from ..channels import cut63, uniform_cuts
 from ..generators import check_node_budget
 from ..labels import LabelArray
 from ..oracle import LawView
@@ -39,9 +39,7 @@ def pair_decode(code: int) -> tuple[int, int]:
     return code // 60, code % 60
 
 
-_UNIFORM60_CUTS = np.array(
-    [cut63(Fraction(i + 1, 60)) for i in range(59)], dtype=np.uint64
-)
+_UNIFORM60_CUTS = uniform_cuts(60)
 
 
 def _uniform60(w: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ to (e, C1) when C1 = C2, so the tallies are N ~ Bin(k, 1/60) and
 A | N ~ Bin(N, 2/3) at the heavier code (the laws are read from rows 0..3 of
 the channel).  N reads the counter word at the unused leaf-level address
 `node_counters(d, i, 0)` and A the one at `node_counters(d, i, 1)`, each
-inverted through a cached 63-bit binomial cut table.
+inverted through a cached exact binomial cut table (`binomial_cuts`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import ceil, floor, isqrt
 
 import numpy as np
 
-from ..channels import FractionLike, as_fraction
+from ..channels import FractionLike, as_fraction, cumulative_cuts
 from ..generators import check_node_budget, direct_levels
 from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
@@ -130,20 +130,22 @@ def binomial_cuts(n: int, p: Fraction) -> tuple[int, np.ndarray]:
     """Offset lo and 63-bit CDF cut table that sample Bin(n, p) from one word.
 
     A word w63 uniform on [0, 2^63) draws lo + searchsorted(cuts, w63,
-    'right'), where cuts[i] = floor(2^63 * P[X <= lo + i]) from scipy's float
-    CDF (measured within 2^-47 of the exact CDF at n = 6000, p = 1/60 and
-    2/3).  The table spans only n*p -/+ sqrt(23 n): by Hoeffding's bound the
-    CDF is within e^-46 < 2^-66 of 0 left of it and of 1 right of it, where
-    the cuts would read 0 and 2^63, so the table grows as sqrt(n), not n.
-    Cached and read-only.
+    'right'), where cuts[i] = floor(2^63 * P[X <= lo + i]) exactly: the pmf
+    numerators C(n, x) a^x (b - a)^(n - x) over b^n (p = a/b) go through
+    `cumulative_cuts`.  The table spans only n*p -/+ sqrt(23 n): by
+    Hoeffding's bound the CDF is within e^-46 < 2^-66 of 0 left of it and of
+    1 right of it, where the cuts would read 0 and 2^63 - 1 or 2^63, so
+    dropping them moves at most the one word 2^63 - 1 to lo + len(cuts), and
+    the table grows as sqrt(n), not n.  Cached and read-only.
     """
-    from scipy.stats import binom
-
+    a, b = p.numerator, p.denominator
     half = isqrt(23 * n) + 1
     lo = max(0, floor(n * p) - half)
     hi = min(n, ceil(n * p) + half)
-    cdf = np.maximum.accumulate(binom.cdf(np.arange(lo, hi), n, float(p)))
-    cuts = np.minimum(cdf * 2.0**63, 2.0**63).astype(np.uint64)
+    pmf = [(b - a) ** n]  # then pmf[x + 1] = pmf[x] (n - x) a / ((x + 1) (b - a))
+    for x in range(hi):
+        pmf.append(pmf[-1] * (n - x) * a // ((x + 1) * (b - a)) if a < b else 0)
+    cuts = cumulative_cuts(pmf, b**n)[lo:]
     cuts.setflags(write=False)
     return lo, cuts
 

@@ -5,16 +5,17 @@ M[i][j] = P[child = i | parent = j].  The binary symmetric case is
 M = theta*I + ((1-theta)/2)*J, i.e. a child copies its parent with
 probability (1+theta)/2.
 
-Columns are exact; sampling converts each column once to a cumulative
-fixed-point table of 64-bit cut points, introducing per-label probability
-error below 2^-60.  That table is the only approximation anywhere in
-generation.
+Columns are exact; sampling cuts each column once, by `cumulative_cuts` on
+integer numerators, into a fixed-point table of 63-bit cut points (per-label
+error below 2^-60) that `CutTables` draws from.  These tables, the A5 binomial
+tallies' included, are the only approximation anywhere in generation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from numbers import Rational
 
@@ -118,12 +119,8 @@ class Channel:
         sampled exactly.  Built once per channel; the array is read-only.
         """
         if self._cuts is None:
-            cuts = np.empty((self.m, self.m - 1), dtype=np.uint64)
-            for j in range(self.m):
-                acc = Fraction(0)
-                for i in range(self.m - 1):
-                    acc += self.matrix[i][j]
-                    cuts[j, i] = cut63(acc)
+            cols = [cumulative_cuts(*integer_numerators(self.column(j))) for j in range(self.m)]
+            cuts = np.array(cols, dtype=np.uint64).reshape(self.m, self.m - 1)
             cuts.setflags(write=False)
             object.__setattr__(self, "_cuts", cuts)
         return self._cuts
@@ -169,12 +166,56 @@ def cut63(p: Fraction) -> int:
     return (p.numerator << 63) // p.denominator
 
 
+def cumulative_cuts(numerators, den: int) -> np.ndarray:
+    """Cut points floor(2^63 (n_0 + ... + n_i) / den) of every prefix but the
+    full one, as uint64: `cut63` of each cumulative probability, on Python
+    ints.  A word w63 uniform on [0, 2^63) draws i with probability within
+    2^-63 of n_i / den as searchsorted(cuts, w63, 'right')."""
+    return np.array([(c << 63) // den for c in accumulate(numerators[:-1])], dtype=np.uint64)
+
+
 def uniform_cuts(m: int) -> np.ndarray:
     """Cut points sampling the uniform distribution over m labels."""
-    cuts = np.empty(m - 1 if m > 1 else 0, dtype=np.uint64)
-    for i in range(m - 1):
-        cuts[i] = cut63(Fraction(i + 1, m))
-    return cuts
+    return cumulative_cuts([1] * m, m)
+
+
+class CutTables:
+    """A (rows, L) array of `cumulative_cuts` rows behind a guide table.
+
+    draw(rows, w63)[i] = searchsorted(cuts[rows[i]], w63[i], 'right'), for
+    arrays of any shape.  The guide (Chen and Asau, 1974) splits each row's
+    words into 2^bits buckets by their top bits, 16 or more per cut within
+    GUIDE_CELLS entries, and holds the count of the row's cuts below each
+    bucket, bit-inverted if a cut falls inside it.  Words in a bucket without
+    a cut take one lookup; the rest are binary-searched from that count.
+    """
+
+    GUIDE_CELLS = 1 << 22  # int32 entries, 16 MiB
+
+    def __init__(self, cuts: np.ndarray) -> None:
+        self.cuts = np.asarray(cuts, dtype=np.uint64)
+        rows, width = self.cuts.shape
+        bits = min(width.bit_length() + 4, (self.GUIDE_CELLS // rows).bit_length() - 1)
+        self.shift = np.uint64(63 - bits)
+        first = np.arange((1 << bits) + 1, dtype=np.uint64) << self.shift
+        below = np.array([row.searchsorted(first) for row in self.cuts], dtype=np.int32)
+        self.guide = np.where(below[:, :-1] == below[:, 1:], below[:, :-1], ~below[:, :-1])
+        self.cuts.setflags(write=False)
+        self.guide.setflags(write=False)
+
+    def draw(self, rows: np.ndarray, w63: np.ndarray) -> np.ndarray:
+        """Row rows[i]'s draw from word w63[i] < 2^63, as an int32 array."""
+        found = self.guide[rows, w63 >> self.shift]
+        miss = np.nonzero(found < 0)
+        width = self.cuts.shape[1]
+        r, w, lo = rows[miss], w63[miss], ~found[miss]
+        hi = np.full_like(lo, width)
+        for _ in range(width.bit_length()):
+            mid = (lo + hi) >> 1
+            up = (mid < hi) & (self.cuts[r, np.minimum(mid, width - 1)] <= w)
+            lo, hi = np.where(up, mid + 1, lo), np.where(up, hi, mid)
+        found[miss] = lo
+        return found
 
 
 def ks_parameter(channel: Channel, k: int) -> float:

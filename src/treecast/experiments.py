@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
-from scipy.stats import chi2
 
 from .channels import Channel, as_fraction, ks_parameter
 from .estimators import (
@@ -455,6 +454,8 @@ def _chi_square_vs_exact(
     counts: dict, exact: dict, total: int, p_value: float
 ) -> tuple[bool, float, float]:
     """Goodness of fit against an exact law; fails on out-of-support mass."""
+    from scipy.stats import chi2
+
     support = set(exact)
     if any(c not in support for c in counts):
         return False, float("inf"), 0.0

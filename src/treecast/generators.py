@@ -21,9 +21,9 @@ Also here: the leaf noise channel, survival counting under composed
 restrictions, the exact/approximate biased-bit samplers, and the batched
 Monte Carlo sampler `generate_binary_batch`.  It returns either leaves or,
 with `height=h`, the integer code of every height-h subtree that batched BP
-builds, each drawn from one counter word through its exact `code_law`
-(integer numerators, cut to 63-bit fixed point), so the Monte Carlo
-estimators never materialize the leaf level.
+builds, each drawn from one counter word through a `channels.CutTables` of
+its exact `code_law` (as `generate_direct` draws its labels), so the Monte
+Carlo estimators never materialize the leaf level.
 """
 
 from __future__ import annotations
@@ -37,9 +37,11 @@ import numpy as np
 
 from .channels import (
     Channel,
+    CutTables,
     FractionLike,
     as_fraction,
     binary_theta,
+    cumulative_cuts,
     cut63,
     integer_numerators,
     uniform_cuts,
@@ -132,23 +134,15 @@ def direct_levels(
     """The levels `generate_direct` samples, drawn from the counter key `key`.
 
     Node i of level l reads word `level_words(key, l, .)[i]` and inverts it
-    through its parent's column of `channel.sampling_cuts()`.
+    through its parent's row of `channel.sampling_cuts()`, one draw per level.
     """
     check_node_budget(shape)
-    m = channel.m
-    dtype = code_dtype(m)
-    cuts = channel.sampling_cuts()
-    levels = [np.array([_sample_root(key, m, root)], dtype=dtype)]
+    dtype = code_dtype(channel.m)
+    tables = CutTables(channel.sampling_cuts())
+    levels = [np.array([_sample_root(key, channel.m, root)], dtype=dtype)]
     for lvl in range(1, shape.d + 1):
-        count = shape.nodes_at(lvl)
-        parents = np.repeat(levels[-1], shape.k)
-        w63 = level_words(key, lvl, count) >> np.uint64(1)
-        out = np.empty(count, dtype=dtype)
-        for v in range(m):
-            mask = parents == v
-            if mask.any():
-                out[mask] = np.searchsorted(cuts[v], w63[mask], side="right")
-        levels.append(out)
+        w63 = level_words(key, lvl, shape.nodes_at(lvl)) >> np.uint64(1)
+        levels.append(tables.draw(np.repeat(levels[-1], shape.k), w63).astype(dtype))
     return levels
 
 
@@ -398,32 +392,11 @@ def _outer_power(x: np.ndarray, k: int, op) -> np.ndarray:
     return reduce(lambda a, b: op.outer(a, b).ravel(), [x] * k)
 
 
-GUIDE_BITS = 16  # the code sampler's guide table splits each label's words into 2^16 buckets
-
-
 @lru_cache(maxsize=64)
-def _code_cuts(k: int, h: int, theta: Fraction, s: Fraction) -> tuple[np.ndarray, int, np.ndarray]:
-    """Both labels' cumulative code cuts in one sorted array, for one `searchsorted`.
-
-    Label a's cuts are cut63 of its cumulative law, plus a * 2^63, so that a
-    key (a << 63) | w63 only meets its own label's cuts.  A cut of 2^63 (the
-    cumulative law already at 1) is never reached by a 63-bit word, so it is
-    dropped.  Returns the array, the number of label-0 cuts, and a guide
-    table (Chen and Asau, 1974): for each bucket of keys sharing their top
-    GUIDE_BITS + 1 bits, the search result if every key in it has the same
-    one, else -1.  Most keys then take one lookup, with the same result.
-    """
+def _code_tables(k: int, h: int, theta: Fraction, s: Fraction) -> CutTables:
+    """Both labels' `code_law` as cut tables, row a for root label a."""
     laws, den = code_law(k, h, theta, s)
-    parts = []
-    for a, law in enumerate(laws):
-        cuts = np.array([cut63(Fraction(c, den)) for c in np.cumsum(law[:-1])], dtype=np.uint64)
-        parts.append(cuts[cuts < np.uint64(1 << 63)] + np.uint64(a << 63))
-    cuts = np.concatenate(parts)
-    shift = np.uint64(63 - GUIDE_BITS)
-    first = np.arange(2 << GUIDE_BITS, dtype=np.uint64) << shift
-    lo = np.searchsorted(cuts, first, side="right")
-    hi = np.searchsorted(cuts, first | ((np.uint64(1) << shift) - np.uint64(1)), side="right")
-    return cuts, len(parts[0]), np.where(lo == hi, lo, -1).astype(np.int32)
+    return CutTables(np.array([cumulative_cuts(law, den) for law in laws], dtype=np.uint64))
 
 
 def generate_binary_batch(
@@ -493,14 +466,9 @@ def generate_binary_batch(
             ).astype(np.uint8)
     if height == 0:
         return roots, labels
-    cuts, offset, guide = _code_cuts(shape.k, height, t, sf)
     count = shape.nodes_at(shape.d - height)
     w63 = trial_level_words(tkeys, shape.d - height, count, word_index=1) >> np.uint64(1)
-    keys = w63 | (labels.astype(np.uint64) << np.uint64(63))
-    idx = guide[keys >> np.uint64(63 - GUIDE_BITS)].astype(np.int64)
-    miss = idx < 0
-    idx[miss] = np.searchsorted(cuts, keys[miss], side="right")
-    codes = np.where(labels == 1, idx - offset, idx)
+    codes = _code_tables(shape.k, height, t, sf).draw(labels, w63)
     return roots, codes.astype(np.min_scalar_type(len(code_ones(shape.k, height)) - 1))
 
 

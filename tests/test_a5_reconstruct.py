@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -126,9 +129,12 @@ class TestIdentityFirstSampler:
     def test_binomial_cuts_match_exact_cdf(self, n, p):
         lo, cuts = binomial_cuts(n, p)
         assert 0 <= lo and lo + len(cuts) <= n
-        full = [0] * lo + cuts.tolist() + [1 << 63] * (n - lo - len(cuts))
+        hi = lo + len(cuts)
         exact = _exact_binomial_cuts(n, p)
-        assert max((abs(c - e) for c, e in zip(full, exact)), default=0) <= 1 << 23
+        assert cuts.tolist() == exact[lo:hi]
+        # Outside the window the exact cuts are 0 on the left and at least
+        # 2^63 - 1 on the right, as the Hoeffding bound promises.
+        assert set(exact[:lo]) <= {0} and all(c >= (1 << 63) - 1 for c in exact[hi:])
         assert not cuts.flags.writeable
 
     @pytest.mark.parametrize("k, d", [(40, 2), (5, 3), (3, 1)])
@@ -162,6 +168,20 @@ class TestIdentityFirstSampler:
         for path in Path(treecast.a5.__file__).parent.glob("*.py"):
             text = path.read_text(encoding="utf-8")
             assert "np.random" not in text and "PCG64" not in text, path.name
+            assert "scipy" not in text, path.name
+
+    def test_import_and_class16_trial_load_no_scipy(self):
+        code = (
+            "import sys, treecast, treecast.cli, treecast.experiments, treecast.a5\n"
+            "from treecast.a5.reconstruct import class16_reconstruction_trial\n"
+            "from treecast.rng import SeedSpec\n"
+            "class16_reconstruction_trial(6000, 2, SeedSpec(3, 'scipy-free').key())\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        src = str(Path(treecast.a5.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestEndToEnd:

@@ -1,11 +1,19 @@
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treecast.channels import Channel, as_fraction, cut63, ks_parameter, uniform_cuts
+from treecast.channels import (
+    Channel,
+    as_fraction,
+    cumulative_cuts,
+    cut63,
+    ks_parameter,
+    uniform_cuts,
+)
 
 
 def test_as_fraction_reads_decimal_floats():
@@ -75,6 +83,53 @@ def test_uniform_cuts_unbiased():
         mass = (int(c) - prev) / 2**63
         assert abs(mass - 1 / 60) < 2**-60
         prev = int(c)
+
+
+@given(
+    st.lists(st.integers(0, 10**30), min_size=1, max_size=40).filter(lambda n: sum(n) > 0),
+    st.sampled_from([1, 3]),
+)
+def test_cumulative_cuts_are_cut63_of_the_cumulative_law(numerators, scale):
+    den = scale * sum(numerators)
+    expected = [cut63(Fraction(sum(numerators[: i + 1]), den)) for i in range(len(numerators) - 1)]
+    cuts = cumulative_cuts(numerators, den)
+    assert cuts.dtype == np.uint64 and cuts.tolist() == expected
+
+
+def _fraction_loop_cuts(ch: Channel) -> list[list[int]]:
+    """Each column's cut table as a running Fraction sum, entry by entry."""
+    rows = []
+    for j in range(ch.m):
+        acc, row = Fraction(0), []
+        for i in range(ch.m - 1):
+            acc += ch.matrix[i][j]
+            row.append(cut63(acc))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("theta", ["-1", "-1/2", "0", "1/3", "1", "quotient"])
+def test_sampling_cuts_equal_the_fraction_loop(theta):
+    if theta == "quotient":
+        from treecast.a5.quotient import quotient_channel
+
+        ch = quotient_channel()
+    else:
+        ch = Channel.binary(Fraction(theta))
+    assert ch.sampling_cuts().shape == (ch.m, ch.m - 1)
+    assert ch.sampling_cuts().tolist() == _fraction_loop_cuts(ch)
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(0, 50), min_size=3, max_size=3).filter(lambda w: sum(w) > 0),
+        min_size=3,
+        max_size=3,
+    )
+)
+def test_sampling_cuts_equal_the_fraction_loop_on_three_labels(weights):
+    ch = Channel.from_columns([[Fraction(w, sum(col)) for w in col] for col in weights])
+    assert ch.sampling_cuts().tolist() == _fraction_loop_cuts(ch)
 
 
 def test_sampling_cuts_deterministic_column_exact():

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import treecast.generators as generators
-from treecast.channels import Channel, cut63
+from treecast.channels import Channel, CutTables, cut63
 from treecast.estimators import noisy_leaf_channel
 from treecast.experiments import DEFAULT_EXACT_SHAPES, _chi_square_vs_exact, exact_joint_of_leaves
 from treecast.generators import (
@@ -535,17 +535,56 @@ def test_batch_rejects_bad_height_method_and_noise():
         generate_binary_batch(shape, Fraction(1, 2), seed, 4, s=Fraction(3, 4))
 
 
+def _check_guided_draw(tables: CutTables) -> None:
+    """Probe every row with 100k random words and every in-range cut, cut - 1
+    and cut + 1: the guide answers most random words alone, and `draw`
+    equals the row's plain search on every probe, in any array shape."""
+    rng = np.random.default_rng(0)
+    rows, words, random = [], [], []
+    for r, cuts in enumerate(tables.cuts.tolist()):
+        near = [c + e for c in cuts for e in (-1, 0, 1) if 0 <= c + e < 1 << 63]
+        w = np.concatenate(
+            [rng.integers(0, 2**63, 100_000, dtype=np.uint64), np.array(near, dtype=np.uint64)]
+        )
+        rows.append(np.full(w.size, r, dtype=np.intp))
+        words.append(w)
+        random.append(np.arange(w.size) < 100_000)
+    rows, words, random = map(np.concatenate, (rows, words, random))
+    hit = tables.guide[rows, words >> tables.shift] >= 0
+    assert hit[random].mean() > 0.8
+    expected = np.concatenate(
+        [np.searchsorted(cuts, words[rows == r], side="right") for r, cuts in enumerate(tables.cuts)]
+    )
+    assert np.array_equal(tables.draw(rows, words), expected)
+    pick = rng.permutation(rows.size)[:100_000].reshape(400, 250)  # 100k probes of mixed rows
+    assert np.array_equal(tables.draw(rows[pick], words[pick]), expected[pick])
+
+
 @pytest.mark.parametrize("k,h,theta,s", [
     (2, 4, Fraction(4, 5), Fraction(1, 10)),
     (3, 2, Fraction(-1, 2), Fraction(0)),
     (2, 2, Fraction(1), Fraction(0)),
 ])
 def test_code_guide_table_agrees_with_the_plain_search(k, h, theta, s):
-    cuts, _, guide = generators._code_cuts(k, h, theta, s)
-    rng = np.random.default_rng(0)
-    words = [rng.integers(0, 2**63, 100_000, dtype=np.uint64) | np.uint64(a << 63) for a in (0, 1)]
-    keys = np.concatenate(words + [cuts, cuts - np.uint64(1), cuts + np.uint64(1)])
-    found = guide[keys >> np.uint64(63 - generators.GUIDE_BITS)]
-    hit = found >= 0
-    assert hit[: 200_000].mean() > 0.8
-    assert np.array_equal(found[hit], np.searchsorted(cuts, keys[hit], side="right"))
+    _check_guided_draw(generators._code_tables(k, h, theta, s))
+
+
+@pytest.mark.parametrize("channel", ["quotient", Channel.binary(1), Channel.from_columns([[1]])])
+def test_channel_guide_table_agrees_with_the_plain_search(channel):
+    # The quotient channel's 16 rows, deterministic columns, and empty rows.
+    if channel == "quotient":
+        from treecast.a5.quotient import quotient_channel
+
+        channel = quotient_channel()
+    _check_guided_draw(CutTables(channel.sampling_cuts()))
+
+
+def test_cut_tables_guide_stays_within_budget():
+    rng = np.random.default_rng(5)
+    cuts = np.sort(rng.integers(0, 2**63, (600, 599), dtype=np.uint64), axis=1)
+    tables = CutTables(cuts)
+    assert tables.guide.size <= CutTables.GUIDE_CELLS
+    rows = rng.integers(0, 600, 100_000)
+    words = rng.integers(0, 2**63, 100_000, dtype=np.uint64)
+    expected = np.array([np.searchsorted(cuts[r], w, side="right") for r, w in zip(rows, words)])
+    assert np.array_equal(tables.draw(rows, words), expected)
