@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import ceil, floor, isqrt
 
 import numpy as np
@@ -125,27 +126,81 @@ def reconstruct_level_class16(
     return reconstruct_level_class16_from_counts(counts, tau, tie_key)
 
 
+_TAIL = 1 << 32  # bound on each tail `_pmf_bounds` leaves out
+
+
+def _pmf_bounds(n: int, a: int, c: int, x: int, until: int) -> list[tuple[int, int]]:
+    """Floor and ceiling bounds on 2^160 f(y) / f(x) for the Bin(n, a/(a + c))
+    pmf f, at y = x + 1, x + 2, ..., from the mode x upward.
+
+    Past `until` the walk stops once the rest of the tail is below 2^32: f
+    falls above the mode by ratios r that fall too, so the tail beyond y is
+    below (its bound at y) * r / (1 - r).  Each step widens the gap between
+    the bounds by less than 2, so the gaps of a walk of L steps sum to below
+    (L + 1)^2.  The walk down from the mode is this walk of n - X.
+    """
+    low = high = 1 << 160
+    out = []
+    while True:
+        num, den = (n - x) * a, (x + 1) * c
+        if num == 0 or x >= until and high * num < (den - num) * _TAIL:
+            return out
+        low, high, x = low * num // den, -(-high * num // den), x + 1
+        out.append((low, high))
+
+
+def _bounded_binomial_cuts(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray | None:
+    """floor(2^63 P[X <= x]) for lo <= x < hi, X ~ Bin(n, a/b) with 0 < a < b,
+    from `_pmf_bounds` around the mode; None if the bounds of some cut differ.
+
+    With S(x) the sums of the bounds from the leftmost walked y to x, and
+    both tails below 2^32, P[X <= x] lies between S_low(x) / (S_high(end) +
+    2^33) and (S_high(x) + 2^32) / (S_low(end) + 2^32), and below 1 as x < n.
+    """
+    mode = (n + 1) * a // b
+    left = _pmf_bounds(n, b - a, a, n - mode, n - lo)
+    walk = left[::-1] + [(1 << 160, 1 << 160)] + _pmf_bounds(n, a, b - a, mode, hi - 1)
+    low, high = (list(accumulate(bounds)) for bounds in zip(*walk))
+    window = slice(lo - mode + len(left), hi - mode + len(left))
+    cuts, low_end, high_end = [], low[-1] + _TAIL, high[-1] + 2 * _TAIL
+    for s_low, s_high in zip(low[window], high[window]):
+        cut = (s_low << 63) // high_end
+        if cut < (1 << 63) - 1 and (s_high + _TAIL) << 63 >= (cut + 1) * low_end:
+            return None
+        cuts.append(cut)
+    return np.array(cuts, dtype=np.uint64)
+
+
 @lru_cache(maxsize=4096)
 def binomial_cuts(n: int, p: Fraction) -> tuple[int, np.ndarray]:
     """Offset lo and 63-bit CDF cut table that sample Bin(n, p) from one word.
 
     A word w63 uniform on [0, 2^63) draws lo + searchsorted(cuts, w63,
-    'right'), where cuts[i] = floor(2^63 * P[X <= lo + i]) exactly: the pmf
+    'right'), where cuts[i] = floor(2^63 * P[X <= lo + i]) exactly.  The table
+    spans only n*p -/+ sqrt(23 n): by Hoeffding's bound the CDF is within
+    e^-46 < 2^-66 of 0 left of it and of 1 right of it, where the cuts would
+    read 0 and 2^63 - 1 or 2^63, so dropping them moves at most the one word
+    2^63 - 1 to lo + len(cuts), and the table grows as sqrt(n), not n.
+
+    The cuts come from 160-bit bounds on the pmf (`_bounded_binomial_cuts`),
+    in time and memory that grow as sqrt(n).  Where the bounds of a cut
+    straddle an integer (2^63 P[X <= x] can be one for dyadic p), the pmf
     numerators C(n, x) a^x (b - a)^(n - x) over b^n (p = a/b) go through
-    `cumulative_cuts`.  The table spans only n*p -/+ sqrt(23 n): by
-    Hoeffding's bound the CDF is within e^-46 < 2^-66 of 0 left of it and of
-    1 right of it, where the cuts would read 0 and 2^63 - 1 or 2^63, so
-    dropping them moves at most the one word 2^63 - 1 to lo + len(cuts), and
-    the table grows as sqrt(n), not n.  Cached and read-only.
+    `cumulative_cuts` instead, exact but in time that grows as n^2.  Cached
+    and read-only.
     """
     a, b = p.numerator, p.denominator
     half = isqrt(23 * n) + 1
     lo = max(0, floor(n * p) - half)
     hi = min(n, ceil(n * p) + half)
-    pmf = [(b - a) ** n]  # then pmf[x + 1] = pmf[x] (n - x) a / ((x + 1) (b - a))
-    for x in range(hi):
-        pmf.append(pmf[-1] * (n - x) * a // ((x + 1) * (b - a)) if a < b else 0)
-    cuts = cumulative_cuts(pmf, b**n)[lo:]
+    if a in (0, b):  # X = n p: the CDF is 0 below it and 1 from it on
+        cuts = np.full(hi - lo, 0 if a else 1 << 63, dtype=np.uint64)
+    elif (cuts := _bounded_binomial_cuts(n, a, b, lo, hi)) is None:
+
+        def next_pmf(pmf: int, x: int) -> int:  # numerator of x + 1 from that of x
+            return pmf * (n - x) * a // ((x + 1) * (b - a))
+
+        cuts = cumulative_cuts(accumulate(range(hi), next_pmf, initial=(b - a) ** n), b**n)[lo:]
     cuts.setflags(write=False)
     return lo, cuts
 

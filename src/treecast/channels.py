@@ -170,8 +170,10 @@ def cumulative_cuts(numerators, den: int) -> np.ndarray:
     """Cut points floor(2^63 (n_0 + ... + n_i) / den) of every prefix but the
     full one, as uint64: `cut63` of each cumulative probability, on Python
     ints.  A word w63 uniform on [0, 2^63) draws i with probability within
-    2^-63 of n_i / den as searchsorted(cuts, w63, 'right')."""
-    return np.array([(c << 63) // den for c in accumulate(numerators[:-1])], dtype=np.uint64)
+    2^-63 of n_i / den as searchsorted(cuts, w63, 'right').  `numerators` may
+    be any iterable; only the running sum is kept."""
+    cuts = [(c << 63) // den for c in accumulate(numerators)]
+    return np.array(cuts[:-1], dtype=np.uint64)
 
 
 def uniform_cuts(m: int) -> np.ndarray:
@@ -193,7 +195,7 @@ class CutTables:
     GUIDE_CELLS = 1 << 22  # int32 entries, 16 MiB
 
     def __init__(self, cuts: np.ndarray) -> None:
-        self.cuts = np.asarray(cuts, dtype=np.uint64)
+        self.cuts = np.array(cuts, dtype=np.uint64)  # a copy: it is frozen below
         rows, width = self.cuts.shape
         bits = min(width.bit_length() + 4, (self.GUIDE_CELLS // rows).bit_length() - 1)
         self.shift = np.uint64(63 - bits)

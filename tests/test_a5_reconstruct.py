@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import treecast.a5
@@ -71,12 +74,12 @@ class TestTallyRules:
         assert 0 <= int(labels[0]) < 16
 
 
-def _exact_binomial_cuts(n: int, p: Fraction) -> list[int]:
-    """floor(2^63 * P[Bin(n, p) <= x]) for x < n, in integers."""
+def _exact_binomial_cuts(n: int, p: Fraction, stop: int | None = None) -> list[int]:
+    """floor(2^63 * P[Bin(n, p) <= x]) for x < stop (default n), in integers."""
     a, b = p.numerator, p.denominator
     total, term = b**n, (b - a) ** n  # term = C(n, x) a^x (b - a)^(n - x)
     out, cum = [], 0
-    for x in range(n):
+    for x in range(n if stop is None else stop):
         cum += term
         out.append((cum << 63) // total)
         term = term * (n - x) * a // ((x + 1) * (b - a)) if term else 0
@@ -136,6 +139,37 @@ class TestIdentityFirstSampler:
         # 2^63 - 1 on the right, as the Hoeffding bound promises.
         assert set(exact[:lo]) <= {0} and all(c >= (1 << 63) - 1 for c in exact[hi:])
         assert not cuts.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 400),
+        st.integers(1, 63).flatmap(lambda a: st.integers(a + 1, 64).map(lambda b: Fraction(a, b))),
+    )
+    def test_binomial_cuts_match_exact_cdf_for_any_p(self, n, p):
+        lo, cuts = binomial_cuts(n, p)
+        assert cuts.tolist() == _exact_binomial_cuts(n, p)[lo : lo + len(cuts)]
+
+    def test_binomial_cuts_fall_back_to_integers_where_bounds_straddle_a_cut(self):
+        # P[Bin(2, 1/2) <= 0] = 1/4 puts a cut exactly on 2^61, which the
+        # floor and ceiling bounds straddle; the integer path then decides it.
+        assert reconstruct._bounded_binomial_cuts(2, 1, 2, 0, 2) is None
+        assert binomial_cuts(2, Fraction(1, 2))[1].tolist() == [1 << 61, 3 << 61]
+
+    @pytest.mark.parametrize("n, limit_mb", [(10**5, 4), (10**6, 8)])
+    def test_binomial_cuts_stay_small_at_large_n(self, n, limit_mb):
+        # The tables grow as sqrt(n); the exact pmf numerators would hold
+        # about n/60 integers of 5.9 n bits each (16 GB at n = 10^6).
+        p = Fraction(1, 60)
+        tracemalloc.start()
+        try:
+            lo, cuts = binomial_cuts.__wrapped__(n, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb << 20
+        assert len(cuts) <= 2 * isqrt(23 * n) + 4
+        if n <= 10**5:
+            assert cuts.tolist() == _exact_binomial_cuts(n, p, lo + len(cuts))[lo:]
 
     @pytest.mark.parametrize("k, d", [(40, 2), (5, 3), (3, 1)])
     def test_trial_upper_levels_match_generate_direct(self, monkeypatch, k, d):

@@ -588,3 +588,11 @@ def test_cut_tables_guide_stays_within_budget():
     words = rng.integers(0, 2**63, 100_000, dtype=np.uint64)
     expected = np.array([np.searchsorted(cuts[r], w, side="right") for r, w in zip(rows, words)])
     assert np.array_equal(tables.draw(rows, words), expected)
+
+
+def test_cut_tables_leave_the_callers_array_writeable():
+    cuts = np.array([[1 << 61, 1 << 62]], dtype=np.uint64)
+    tables = CutTables(cuts)
+    assert cuts.flags.writeable and not tables.cuts.flags.writeable
+    cuts[0, 0] = 0
+    assert tables.cuts[0, 0] == 1 << 61
