@@ -265,8 +265,10 @@ def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) ->
     parents = np.asarray(parents, dtype=np.intp)
     (masses, mass_of), (shares, share_of), heavy, light = _identity_first_laws()
     count = parents.size
-    w_total = level_words(key, level, count, 0) >> np.uint64(1)
-    w_split = level_words(key, level, count, 1) >> np.uint64(1)
+    w_total = level_words(key, level, count, 0)
+    w_split = level_words(key, level, count, 1)
+    w_total >>= np.uint64(1)
+    w_split >>= np.uint64(1)
     total = _binomial_draws(np.full(count, k, dtype=np.int64), masses, mass_of[parents], w_total)
     first = _binomial_draws(total, shares, share_of[parents], w_split)
     tallies = np.zeros((count, 4), dtype=np.int64)

@@ -241,11 +241,12 @@ def bp_posterior_batch_binary(
     before the first level whose table would have more entries than the
     batch has nodes at that level (V^k > trials * nodes), so the depth it
     reaches depends on the batch but the output does not.  From there the
-    log-odds are gathered once and the float recursion finishes the tree.
-    Each table entry is computed by the same float operations, in the same
-    order, as the per-node recursion applies to a node with those children,
-    so the result is bit-identical to it.  Agrees with the rational mode to
-    float precision.
+    float recursion finishes the tree; its first level gathers the
+    edge-mapped table entries of the codes, so the edge map runs once per
+    entry there too.  Each table entry is computed by the same float
+    operations, in the same order, as the per-node recursion applies to a
+    node with those children, so the result is bit-identical to it.  Agrees
+    with the rational mode to float precision.
 
     With `height` h > 0, `leaves` holds the height-h codes instead, shape
     (trials, nodes_at(d - h)), as `generators.generate_binary_batch` draws
@@ -255,9 +256,9 @@ def bp_posterior_batch_binary(
     NaN marks evidence of probability zero: at theta = +-1 with s = 0 a
     table entry or a sum meets inf - inf exactly where leaves conflict.  The
     tables hold such entries even when no row uses them, so the arithmetic
-    runs with numpy's invalid-value warnings off.  (At theta = +-1 with
-    0 < s < 1/2 the edge map also saturates to inf once |lam| > ~38, so
-    sibling subtrees with strong opposite evidence give NaN as well.)
+    runs with numpy's invalid-value warnings off.  At theta = +-1 the edge
+    map is applied exactly, as lam -> theta lam, so with 0 < s < 1/2 every
+    log-odds stays finite and no row gives NaN.
     """
     trials, n = leaves.shape
     if not 0 <= height <= shape.d:
@@ -291,10 +292,13 @@ def bp_posterior_batch_binary(
                 np.add(nxt, codes[:, j::k], out=nxt, casting="unsafe")
             codes = nxt
             height += 1
-        lam = table[codes]
-        for _ in range(shape.d - height):
-            up = _edge_log_odds(lam, theta_float)
-            lam = up.reshape(trials, -1, k).sum(axis=2)
+        if height == shape.d:
+            lam = table[codes]
+        else:
+            # The first float level maps the table, not each node, through the edge.
+            lam = _child_sums(_edge_log_odds(table, theta_float)[codes], k)
+            for _ in range(shape.d - height - 1):
+                lam = _child_sums(_edge_log_odds(lam, theta_float), k)
     return _sigmoid(lam[:, 0])
 
 
@@ -306,10 +310,39 @@ def _parent_table(table: np.ndarray, k: int, theta_float: float) -> np.ndarray:
     return up[digits].sum(axis=-1)
 
 
+def _child_sums(up: np.ndarray, k: int) -> np.ndarray:
+    """Sums of each node's k consecutive children, shape (trials, nodes / k).
+
+    Below k = 8 numpy's `add.reduce` over a (trials, nodes, k) view adds the
+    children left to right, so k strided adds give the same bits without a
+    reduction.  From k = 8 on it switches to pairwise summation, whose order
+    only the reduction itself reproduces.
+    """
+    if k == 1 or k >= 8:
+        return up.reshape(len(up), -1, k).sum(axis=2)
+    lam = up[:, 0::k] + up[:, 1::k]
+    for j in range(2, k):
+        lam += up[:, j::k]
+    return lam
+
+
 def _edge_log_odds(lam: np.ndarray, theta_float: float) -> np.ndarray:
-    """Child log-odds seen from the parent through a binary edge of bias theta."""
+    """Child log-odds seen from the parent through a binary edge of bias theta,
+    2 artanh(theta tanh(lam / 2)), as a new array.
+
+    At theta = +-1 the edge is exactly lam -> theta lam: the float form
+    would round tanh to +-1 once |lam| passes ~38 and send finite evidence to
+    +-inf.
+    """
+    if abs(theta_float) == 1:
+        return lam * theta_float
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 2.0 * np.arctanh(theta_float * np.tanh(lam / 2.0))
+        up = lam / 2.0
+        np.tanh(up, out=up)
+        up *= theta_float
+        np.arctanh(up, out=up)
+        up *= 2.0
+    return up
 
 
 def _sigmoid(lam: np.ndarray) -> np.ndarray:

@@ -21,6 +21,8 @@ from numbers import Rational
 
 import numpy as np
 
+from .rng import BLOCK_WORDS
+
 FractionLike = Fraction | int | float | str
 
 
@@ -207,8 +209,26 @@ class CutTables:
 
     def draw(self, rows: np.ndarray, w63: np.ndarray) -> np.ndarray:
         """Row rows[i]'s draw from word w63[i] < 2^63, as an int32 array."""
-        found = self.guide[rows, w63 >> self.shift]
-        miss = np.nonzero(found < 0)
+        rows, w63 = np.broadcast_arrays(rows, w63)
+        shape = w63.shape
+        rows, w63 = rows.reshape(-1), w63.reshape(-1)
+        # The flat guide index (row << bits) | (word >> shift), built one
+        # block at a time in a scratch buffer, read as int64 by `take`.
+        found = np.empty(w63.size, dtype=np.int32)
+        flat = self.guide.reshape(-1)
+        row_shift = np.uint64(63) - self.shift
+        index = np.empty(min(w63.size, BLOCK_WORDS), dtype=np.uint64)
+        scratch = np.empty_like(index)
+        for start in range(0, w63.size, BLOCK_WORDS):
+            part = slice(start, start + BLOCK_WORDS)
+            n = min(BLOCK_WORDS, w63.size - start)
+            idx, tmp = index[:n], scratch[:n]
+            np.right_shift(w63[part], self.shift, out=idx)
+            tmp[...] = rows[part]
+            tmp <<= row_shift
+            idx |= tmp
+            flat.take(idx.view(np.int64), out=found[part])
+        miss = np.flatnonzero(found < 0)
         width = self.cuts.shape[1]
         r, w, lo = rows[miss], w63[miss], ~found[miss]
         hi = np.full_like(lo, width)
@@ -217,7 +237,7 @@ class CutTables:
             up = (mid < hi) & (self.cuts[r, np.minimum(mid, width - 1)] <= w)
             lo, hi = np.where(up, mid + 1, lo), np.where(up, hi, mid)
         found[miss] = lo
-        return found
+        return found.reshape(shape)
 
 
 def ks_parameter(channel: Channel, k: int) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -450,12 +451,49 @@ def exact_joint_of_leaves(
     return enumerate_joint(shape, Channel.binary(theta), leaves=tuple(leaf_indices)).cond[root]
 
 
+def chi_square_sf(x: float, dof: int) -> float:
+    """P[X > x] for X chi-square with an integer `dof` >= 1, in closed form.
+
+    With half = x / 2 and a = (dof mod 2) / 2 it is erfc(sqrt(half)) (odd
+    dof only) plus the dof // 2 terms e^-half half^(i+a) / Gamma(i+1+a),
+    i = 0, 1, ...: positive terms, each from the one before.
+    """
+    if x <= 0:
+        return 1.0
+    half = x / 2
+    a = dof % 2 / 2
+    total = math.erfc(math.sqrt(half)) if a else 0.0
+    term = math.exp(-half) * half**a / math.gamma(1 + a)
+    for i in range(dof // 2):
+        total += term
+        term *= half / (i + 1 + a)
+    return total
+
+
+def chi_square_quantile(p: float, dof: int) -> float:
+    """The x with P[X <= x] = p for X chi-square with an integer `dof` >= 1:
+    `chi_square_sf` inverted by bisection down to adjacent floats.  The
+    tail 1 - p is exact for p >= 1/2, so upper quantiles keep full precision."""
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if dof < 1:
+        raise ValueError(f"dof must be >= 1, got {dof}")
+    tail = 1.0 - p
+    lo, hi = 0.0, float(dof)
+    while chi_square_sf(hi, dof) > tail:
+        lo, hi = hi, 2 * hi
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if chi_square_sf(mid, dof) > tail:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def _chi_square_vs_exact(
     counts: dict, exact: dict, total: int, p_value: float
 ) -> tuple[bool, float, float]:
     """Goodness of fit against an exact law; fails on out-of-support mass."""
-    from scipy.stats import chi2
-
     support = set(exact)
     if any(c not in support for c in counts):
         return False, float("inf"), 0.0
@@ -469,7 +507,7 @@ def _chi_square_vs_exact(
             continue
         stat += (observed - expected) ** 2 / expected
     dof = max(sum(1 for p in exact.values() if p > 0) - 1, 1)
-    threshold = float(chi2.ppf(1 - p_value, dof))
+    threshold = chi_square_quantile(1 - p_value, dof)
     return stat <= threshold, stat, threshold
 
 

@@ -141,7 +141,8 @@ def direct_levels(
     tables = CutTables(channel.sampling_cuts())
     levels = [np.array([_sample_root(key, channel.m, root)], dtype=dtype)]
     for lvl in range(1, shape.d + 1):
-        w63 = level_words(key, lvl, shape.nodes_at(lvl)) >> np.uint64(1)
+        w63 = level_words(key, lvl, shape.nodes_at(lvl))
+        w63 >>= np.uint64(1)
         levels.append(tables.draw(np.repeat(levels[-1], shape.k), w63).astype(dtype))
     return levels
 
@@ -164,9 +165,11 @@ def generate_path_product(
     levels = [np.array([_sample_root(key, 2, root)], dtype=np.uint8)]
     for lvl in range(1, shape.d + 1):
         count = shape.nodes_at(lvl)
-        w63 = level_words(key, lvl, count) >> np.uint64(1)
-        flips = (w63 < flip_cut).astype(np.uint8)
-        levels.append(np.repeat(levels[-1], shape.k) ^ flips)
+        w63 = level_words(key, lvl, count)
+        w63 >>= np.uint64(1)
+        labels = np.repeat(levels[-1], shape.k)
+        labels ^= w63 < flip_cut
+        levels.append(labels)
     return LabelArray(shape=shape, m=2, levels=levels)
 
 
@@ -179,7 +182,8 @@ def sample_restriction(
         raise ValueError(f"restriction distributions need theta in [0, 1], got {t}")
     c0 = np.uint64(cut63((1 - t) / 2))
     c1 = np.uint64(cut63(1 - t))
-    w63 = level_words(seed.key(), level, count) >> np.uint64(1)
+    w63 = level_words(seed.key(), level, count)
+    w63 >>= np.uint64(1)
     sym = np.full(count, STAR, dtype=np.uint8)
     sym[w63 < c1] = 1
     sym[w63 < c0] = 0
@@ -250,7 +254,8 @@ def live_inputs_after(
         level = shape.d - round_idx
         if len(live) == 0:
             break
-        w63 = words_vec(tkeys[row], node_counters(level, live)) >> np.uint64(1)
+        w63 = words_vec(tkeys[row], node_counters(level, live))
+        w63 >>= np.uint64(1)
         star = w63 < star_cut
         merged = np.unique(row[star] * shape.n + live[star] // shape.k)
         row, live = merged // shape.n, merged % shape.n
@@ -267,10 +272,10 @@ def add_leaf_noise(x: LabelArray, spec: NoiseSpec, seed: SeedSpec) -> LabelArray
     if x.m != 2:
         raise ValueError("leaf noise is defined for binary labels only")
     cut = np.uint64(cut63(spec.s))
-    w63 = level_words(seed.key(), x.shape.d, len(x.leaves)) >> np.uint64(1)
-    flips = (w63 < cut).astype(np.uint8)
+    w63 = level_words(seed.key(), x.shape.d, len(x.leaves))
+    w63 >>= np.uint64(1)
     levels = [lvl.copy() for lvl in x.levels]
-    levels[-1] = levels[-1] ^ flips
+    levels[-1] ^= w63 < cut
     return LabelArray(shape=x.shape, m=2, levels=levels)
 
 
@@ -424,9 +429,9 @@ def generate_binary_batch(
     instead, shape (trials, nodes_at(d - h)) (see `code_law`).  Levels
     1..d-h take the same words as the leaf sampler; then each height-h node
     draws its code from one word, `word_index` 1 at its address, inverted
-    through its label's cumulative code law.  That law is cut with `cut63`,
-    so each code's probability is within V_h * 2^-63 of exact, and a code of
-    probability zero is never drawn.
+    through its label's cumulative code law.  That law is cut by
+    `cumulative_cuts`, so each code's probability is within 2^-63 of exact,
+    and a code of probability zero is never drawn.
     """
     t, sf = binary_theta(theta), NoiseSpec(s).s
     if method not in BATCH_METHODS:
@@ -450,24 +455,27 @@ def generate_binary_batch(
         labels = labels ^ (w63 < np.uint64(cut63(sf))).astype(np.uint8)
     for lvl in range(1, shape.d - height + 1):
         lt = t * (1 - 2 * sf) if lvl == shape.d else t
-        w63 = trial_level_words(tkeys, lvl, shape.nodes_at(lvl)) >> np.uint64(1)
+        w63 = trial_level_words(tkeys, lvl, shape.nodes_at(lvl))
+        w63 >>= np.uint64(1)
         parents = np.repeat(labels, shape.k, axis=1)
         if method == "direct":
             # Column draw: the keep probability is (1+theta)/2 for both columns.
-            labels = np.where(w63 < np.uint64(cut63((1 + lt) / 2)), parents, parents ^ 1)
+            parents ^= w63 >= np.uint64(cut63((1 + lt) / 2))
         elif method == "path":
-            labels = parents ^ (w63 < np.uint64(cut63((1 - lt) / 2))).astype(np.uint8)
+            parents ^= w63 < np.uint64(cut63((1 - lt) / 2))
         else:
             # Below the first cut the symbol is 0, below the second 1, else *.
-            labels = np.where(
+            parents = np.where(
                 w63 < np.uint64(cut63((1 - lt) / 2)),
                 0,
                 np.where(w63 < np.uint64(cut63(1 - lt)), 1, parents),
             ).astype(np.uint8)
+        labels = parents
     if height == 0:
         return roots, labels
     count = shape.nodes_at(shape.d - height)
-    w63 = trial_level_words(tkeys, shape.d - height, count, word_index=1) >> np.uint64(1)
+    w63 = trial_level_words(tkeys, shape.d - height, count, word_index=1)
+    w63 >>= np.uint64(1)
     codes = _code_tables(shape.k, height, t, sf).draw(labels, w63)
     return roots, codes.astype(np.min_scalar_type(len(code_ones(shape.k, height)) - 1))
 

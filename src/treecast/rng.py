@@ -15,6 +15,14 @@ and a second pass decorrelates streams.  This is not cryptographic, but its
 statistical quality is far beyond what the Monte Carlo tolerances here need,
 and it vectorizes cleanly in numpy (the scalar and vector paths are verified
 bit-identical in the test suite).
+
+`words_vec` allocates only its output and one scratch block.  The first
+finalizer pass runs on a copy of the counters alone (for `trial_level_words`
+one row of counters, shared by every trial key); the key xor writes the
+output array, and the second pass runs in place over it, BLOCK_WORDS words
+at a time, so each block stays in cache through the pass's eight
+operations.  A word is a pure function of (key, counter), so the blocking
+cannot change one.  Callers that want 63-bit words shift the output in place.
 """
 
 from __future__ import annotations
@@ -71,19 +79,47 @@ def word(key: int, counter: int) -> int:
     return _fin(_fin((counter * _C1 + _C2) & _M64) ^ key)
 
 
-def _fin_vec(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
-        return z ^ (z >> np.uint64(31))
+# Words per block of the in-place second pass: two uint64 blocks (the words
+# and one scratch buffer) stay within a typical L2 cache.
+BLOCK_WORDS = 1 << 15
+_FIN_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mult))
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+)
+_FIN_LAST = np.uint64(31)
+_UC1, _UC2 = np.uint64(_C1), np.uint64(_C2)
+
+
+def _fin_inplace(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a fresh C-contiguous uint64 array, in place,
+    one BLOCK_WORDS block at a time through one scratch buffer.  Integer
+    array arithmetic wraps modulo 2^64 without a warning."""
+    flat = z.reshape(-1)
+    scratch = np.empty(min(flat.size, BLOCK_WORDS), dtype=np.uint64)
+    for start in range(0, flat.size, BLOCK_WORDS):
+        block = flat[start : start + BLOCK_WORDS]
+        tmp = scratch[: block.size]
+        for shift, mult in _FIN_STEPS:
+            np.right_shift(block, shift, out=tmp)
+            block ^= tmp
+            block *= mult
+        np.right_shift(block, _FIN_LAST, out=tmp)
+        block ^= tmp
+    return z
 
 
 def words_vec(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Vectorized `word`; `key` may be an array that broadcasts against `counters`."""
-    with np.errstate(over="ignore"):
-        z = counters.astype(np.uint64, copy=True)
-        z = z * np.uint64(_C1) + np.uint64(_C2)
-        return _fin_vec(_fin_vec(z) ^ np.asarray(key, dtype=np.uint64))
+    """Vectorized `word`; `key` may be an array that broadcasts against `counters`.
+
+    The first finalizer pass runs on the counters alone; the key xor writes
+    the one output array, and the second pass runs on it in place.
+    """
+    key = np.asarray(key, dtype=np.uint64)
+    z = np.array(counters, dtype=np.uint64, order="C")
+    z *= _UC1
+    z += _UC2
+    _fin_inplace(z)
+    return _fin_inplace(np.bitwise_xor(z, key, order="C"))
 
 
 def trial_keys(key: int, trials: int, start: int = 0) -> np.ndarray:

@@ -210,6 +210,7 @@ class TestIdentityFirstSampler:
             "from treecast.a5.reconstruct import class16_reconstruction_trial\n"
             "from treecast.rng import SeedSpec\n"
             "class16_reconstruction_trial(6000, 2, SeedSpec(3, 'scipy-free').key())\n"
+            "treecast.experiments._chi_square_vs_exact({0: 4, 1: 6}, {0: 0.5, 1: 0.5}, 10, 1e-3)\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         )
         src = str(Path(treecast.a5.__file__).parents[2])

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from treecast import bp as bp_module
 from treecast.bp import LeafLikelihood, _sigmoid, bp_posterior, bp_posterior_batch_binary
 from treecast.channels import Channel
-from treecast.estimators import noisy_leaf_channel
+from treecast.estimators import bp_rounding_decisions, noisy_leaf_channel
 from treecast.oracle import enumerate_joint
+from treecast.rng import SeedSpec
 from treecast.trees import TreeShape
 
 THETAS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
@@ -263,7 +264,10 @@ def _per_node_bp(shape, theta_float, leaves, s):
         leaf_up = 2.0 * np.arctanh(theta_float * (1.0 - 2.0 * s))
         lam = leaf_up * (2.0 * leaves.reshape(trials, -1, shape.k).sum(axis=2) - shape.k)
         for _ in range(shape.d - 1):
-            up = 2.0 * np.arctanh(theta_float * np.tanh(lam / 2.0))
+            if abs(theta_float) == 1:
+                up = theta_float * lam  # the edge map, exactly, at theta = +-1
+            else:
+                up = 2.0 * np.arctanh(theta_float * np.tanh(lam / 2.0))
             lam = up.reshape(trials, -1, shape.k).sum(axis=2)
     return _sigmoid(lam[:, 0])
 
@@ -317,12 +321,13 @@ def _edge_map_sizes(monkeypatch, shape, trials):
 def test_table_depth_follows_batch_size(monkeypatch):
     # k=2, d=10: tables of 3, 9, 81 entries are coded while they fit the
     # level they replace; the 6561-entry table would not fit 64 trials x 64
-    # nodes, so the float recursion takes over at height 3.
-    assert _edge_map_sizes(monkeypatch, TreeShape(k=2, d=10), 64) == [3, 9] + [
-        64 * 2**j for j in range(7, 0, -1)
+    # nodes, so the float recursion takes over at height 3.  Its first level
+    # maps the 81-entry table through the edge, then each node's sum.
+    assert _edge_map_sizes(monkeypatch, TreeShape(k=2, d=10), 64) == [3, 9, 81] + [
+        64 * 2**j for j in range(6, 0, -1)
     ]
     # Large k stops at once: 17^16 entries never fit, only height 1 is tabled.
-    assert _edge_map_sizes(monkeypatch, TreeShape(k=16, d=2), 50) == [50 * 16]
+    assert _edge_map_sizes(monkeypatch, TreeShape(k=16, d=2), 50) == [17]
 
 
 def test_batch_results_do_not_depend_on_trial_count():
@@ -331,3 +336,121 @@ def test_batch_results_do_not_depend_on_trial_count():
     whole = bp_posterior_batch_binary(shape, 0.9, leaves, s=0.1)
     parts = [bp_posterior_batch_binary(shape, 0.9, leaves[i : i + 1], s=0.1) for i in range(0, 300, 7)]
     assert np.array_equal(whole[::7], np.concatenate(parts))
+
+
+# --- the batched kernel against a frozen copy of its earlier float recursion ---
+
+
+def _frozen_edge_log_odds(lam, theta_float):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * np.arctanh(theta_float * np.tanh(lam / 2.0))
+
+
+def _frozen_parent_table(table, k, theta_float):
+    up = _frozen_edge_log_odds(table, theta_float)
+    digits = np.indices((len(table),) * k).reshape(k, -1).T
+    return up[digits].sum(axis=-1)
+
+
+def _frozen_batch_bp(shape, theta_float, leaves, s=0.0, height=0):
+    """`bp_posterior_batch_binary` as it was before its float levels gathered
+    the edge-mapped table and summed children by strided adds: every node
+    through the edge map, children summed by `reshape(..., k).sum(axis=2)`.
+    Kept verbatim as the bit-for-bit reference (for |theta| < 1)."""
+    trials = leaves.shape[0]
+    k = shape.k
+    if shape.d == 0:
+        lam_e = 0.0 if s == 0.5 else np.arctanh(1 - 2 * s) if s > 0 else np.inf
+        lam = (2.0 * leaves[:, 0] - 1.0) * (2 * lam_e if np.isfinite(lam_e) else np.inf)
+        return _sigmoid(lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        leaf_up = 2.0 * np.arctanh(theta_float * (1.0 - 2.0 * s))
+        table = leaf_up * (2.0 * np.arange(k + 1) - k)
+        if height == 0:
+            codes = leaves[:, 0::k].astype(np.min_scalar_type(k))
+            for j in range(1, k):
+                np.add(codes, leaves[:, j::k], out=codes, casting="unsafe")
+            height = 1
+        else:
+            codes = leaves
+            for _ in range(1, height):
+                table = _frozen_parent_table(table, k, theta_float)
+        while height < shape.d and len(table) ** k <= trials * shape.nodes_at(shape.d - height - 1):
+            radix = len(table)
+            table = _frozen_parent_table(table, k, theta_float)
+            nxt = codes[:, 0::k].astype(np.min_scalar_type(len(table) - 1))
+            for j in range(1, k):
+                nxt *= radix
+                np.add(nxt, codes[:, j::k], out=nxt, casting="unsafe")
+            codes = nxt
+            height += 1
+        lam = table[codes]
+        for _ in range(shape.d - height):
+            up = _frozen_edge_log_odds(lam, theta_float)
+            lam = up.reshape(trials, -1, k).sum(axis=2)
+    return _sigmoid(lam[:, 0])
+
+
+def _code_count(k, h):
+    count = k + 1
+    for _ in range(1, h):
+        count **= k
+    return count if h else 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 16])
+def test_batch_bit_identical_to_the_frozen_recursion(k, subtree_codes):
+    # Every height whose code table has at most 2^13 entries, on a depth-1
+    # tree (codes reach the root) and the deepest one with at most 729
+    # leaves; rows in one batch and in uneven blocks (small blocks code fewer
+    # levels).  Strided child sums replace numpy's reduction for k < 8 only.
+    rng = np.random.default_rng(k)
+    deepest = max(d for d in range(1, 10) if k**d <= 729)
+    for d in sorted({1, deepest}):
+        shape = TreeShape(k=k, d=d)
+        bias = rng.random((37, 1))
+        leaves = (rng.random((37, shape.n)) < bias).astype(np.uint8)
+        heights = [h for h in range(d + 1) if _code_count(k, h) <= 1 << 13]
+        for h, theta, s in product(heights, (-0.6, 0.3, 0.8), (0.0, 0.1, 0.5)):
+            codes = subtree_codes(leaves, k, h)
+            want = _frozen_batch_bp(shape, theta, codes, s, h)
+            got = bp_posterior_batch_binary(shape, theta, codes, s, h)
+            assert np.array_equal(got, want, equal_nan=True), (k, d, h, theta, s)
+            blocks = [bp_posterior_batch_binary(shape, theta, codes[a:b], s, h)
+                      for a, b in ((0, 1), (1, 6), (6, 37))]
+            assert np.array_equal(np.concatenate(blocks), want, equal_nan=True), (k, d, h, theta, s)
+
+
+# --- theta = +-1 with noisy leaves: the edge map is applied exactly ---
+
+
+@pytest.mark.parametrize("theta", [1, -1])
+@pytest.mark.parametrize("s", [Fraction(1, 10), Fraction(1, 4)])
+@pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_batch_at_theta_pm1_matches_rational_on_every_configuration(k, d, s, theta):
+    shape = TreeShape(k=k, d=d)
+    leaves = np.array(list(product((0, 1), repeat=shape.n)), dtype=np.uint8)
+    got = bp_posterior_batch_binary(shape, float(theta), leaves, s=float(s))
+    channel = Channel.binary(theta)
+    for row, post in zip(leaves, got):
+        evidence = LeafLikelihood.from_noisy_bits(row, s)
+        want = bp_posterior(shape, channel, evidence, mode="rational").masses[1]
+        assert post == pytest.approx(float(want), abs=1e-12), (row, theta)
+
+
+@pytest.mark.parametrize("theta", [1.0, -1.0])
+def test_batch_at_theta_pm1_stays_finite_on_strong_opposite_evidence(theta):
+    # Left 32 leaves 1, right 32 leaves 0: each half's log-odds passes the
+    # ~38 where tanh rounds to 1, yet the evidence cancels exactly.
+    shape = TreeShape(k=2, d=6)
+    leaves = np.zeros((1, 64), dtype=np.uint8)
+    leaves[0, :32] = 1
+    assert bp_posterior_batch_binary(shape, theta, leaves, s=0.1).tolist() == [0.5]
+    evidence = LeafLikelihood.from_noisy_bits(leaves[0], Fraction(1, 10))
+    for mode in ("rational", "float"):
+        report = bp_posterior(shape, Channel.binary(int(theta)), evidence, mode=mode)
+        assert report.masses[1] == 0.5
+    # Hard evidence that conflicts still has probability zero, and raises.
+    assert np.isnan(bp_posterior_batch_binary(shape, theta, leaves, s=0.0)).all()
+    with pytest.raises(ValueError, match="evidence has zero probability"):
+        bp_rounding_decisions(shape, theta, leaves, 0, SeedSpec(1, "pm1"))

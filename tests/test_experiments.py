@@ -13,7 +13,10 @@ from treecast.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     ResultRow,
+    _SUITE_P_VALUE,
     _resolve_jobs,
+    chi_square_quantile,
+    chi_square_sf,
     emit,
     exact_joint_of_leaves,
     read_csv,
@@ -321,3 +324,19 @@ class TestA5Accuracy:
         rows = run_a5_accuracy(cfg)
         assert len(rows) == 1
         assert rows[0].accuracy >= 0.9
+
+
+@pytest.mark.parametrize("p", [1 - _SUITE_P_VALUE, 1 - 1e-9, 0.5, 0.05])
+def test_chi_square_quantile_matches_scipy(p):
+    from scipy.stats import chi2
+
+    for dof in range(1, 201):
+        got, want = chi_square_quantile(p, dof), chi2.ppf(p, dof)
+        assert abs(got - want) <= 1e-9 * want, (p, dof, got, want)
+        assert chi_square_sf(got, dof) == pytest.approx(chi2.sf(got, dof), rel=1e-9)
+
+
+def test_chi_square_quantile_rejects_bad_arguments():
+    for p, dof in ((0.0, 3), (1.0, 3), (0.5, 0)):
+        with pytest.raises(ValueError):
+            chi_square_quantile(p, dof)

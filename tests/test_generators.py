@@ -32,7 +32,7 @@ from treecast.generators import (
     total_variation,
 )
 from treecast.oracle import enumerate_joint
-from treecast.rng import SeedSpec, node_counters, subkey, words_vec
+from treecast.rng import BLOCK_WORDS, SeedSpec, node_counters, subkey, words_vec
 from treecast.trees import TreeShape
 
 
@@ -588,6 +588,31 @@ def test_cut_tables_guide_stays_within_budget():
     words = rng.integers(0, 2**63, 100_000, dtype=np.uint64)
     expected = np.array([np.searchsorted(cuts[r], w, side="right") for r, w in zip(rows, words)])
     assert np.array_equal(tables.draw(rows, words), expected)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_cut_tables_draw_strided_views(dtype):
+    # Rows and words as non-contiguous views spanning several index blocks,
+    # some words exactly at a cut: the draw equals each row's plain search,
+    # in the views' shape.
+    rng = np.random.default_rng(9)
+    cuts = np.sort(rng.integers(0, 2**63, (3, 40), dtype=np.uint64), axis=1)
+    cuts[1, :20] = cuts[1, 0]  # repeated cuts: labels of probability zero
+    tables = CutTables(cuts)
+    n = 2 * BLOCK_WORDS + 11
+    rows_1d = rng.integers(0, 3, 3 * n).astype(dtype)[::3]
+    words_1d = rng.integers(0, 2**63, (n, 2), dtype=np.uint64)[:, 1]
+    rows_2d = rng.integers(0, 3, (300, 1400)).astype(dtype)[:, ::2]
+    words_2d = rng.integers(0, 2**63, (700, 300), dtype=np.uint64).T
+    for rows, words in ((rows_1d, words_1d), (rows_2d, words_2d)):
+        assert not rows.flags.c_contiguous and not words.flags.c_contiguous
+        words[..., :120] = cuts.ravel()
+        want = np.empty(rows.shape, dtype=np.int64)
+        for row in range(3):
+            at = rows == row
+            want[at] = np.searchsorted(cuts[row], words[at], side="right")
+        got = tables.draw(rows, words)
+        assert got.shape == rows.shape and np.array_equal(got, want)
 
 
 def test_cut_tables_leave_the_callers_array_writeable():

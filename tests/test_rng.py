@@ -3,6 +3,7 @@ import pytest
 
 from treecast.trees import NodeAddr
 from treecast.rng import (
+    BLOCK_WORDS,
     SeedSpec,
     bits_from_word,
     level_words,
@@ -132,3 +133,31 @@ def test_trial_words_no_reuse_across_many_trials():
     assert len(np.unique(w[:, 0])) == 70_000
     flat = np.unique(w.reshape(-1))
     assert len(flat) == 140_000
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1, 3 * BLOCK_WORDS + 7])
+def test_blocked_words_vec_equals_the_scalar_word(size):
+    # Sizes around the in-place pass's block boundaries, counters as a
+    # strided view, a scalar key and a (T, 1) key array.
+    key = SeedSpec(5, "blocks").key()
+    base = np.arange(2 * size, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(3)
+    ctrs = base[::2]
+    assert not ctrs.flags.c_contiguous or size <= 1
+    want = [word(key, c) for c in ctrs.tolist()]
+    assert words_vec(key, ctrs).tolist() == want
+    keys = np.array([key, subkey(key, 1)], dtype=np.uint64)[:, None]
+    grid = words_vec(keys, ctrs)
+    assert grid.shape == (2, size) and grid.flags.c_contiguous
+    assert grid[0].tolist() == want
+    assert grid[1].tolist() == [word(subkey(key, 1), c) for c in ctrs.tolist()]
+
+
+def test_words_vec_on_a_transposed_counter_grid():
+    key = SeedSpec(6, "grid").key()
+    ctrs = np.arange(3 * (BLOCK_WORDS + 5), dtype=np.uint64).reshape(3, -1).T
+    got = words_vec(key, ctrs)
+    assert got.shape == ctrs.shape
+    assert got.ravel().tolist() == [word(key, c) for c in ctrs.ravel().tolist()]
+    counters = ctrs.copy()
+    words_vec(key, ctrs)
+    assert np.array_equal(ctrs, counters)  # the caller's counters are left alone
