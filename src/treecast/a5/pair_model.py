@@ -20,11 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..channels import cut63, uniform_cuts
+from ..channels import cut63, uniform_tables
 from ..generators import check_node_budget
 from ..labels import LabelArray
 from ..oracle import LawView
-from ..rng import SeedSpec, level_words, trial_keys, trial_level_words
+from ..rng import SeedSpec, level_words, node_counters, trial_keys, trial_level_words, words_vec
 from ..trees import TreeShape
 from .group import A5
 
@@ -39,13 +39,9 @@ def pair_decode(code: int) -> tuple[int, int]:
     return code // 60, code % 60
 
 
-_UNIFORM60_CUTS = uniform_cuts(60)
-
-
 def _uniform60(w: np.ndarray) -> np.ndarray:
     """Uniform element indices from 64-bit words via the fixed-point cuts."""
-    w63 = w >> np.uint64(1)
-    return np.searchsorted(_UNIFORM60_CUTS, w63, side="right").astype(np.uint8)
+    return uniform_tables(60).draw(0, w >> np.uint64(1)).astype(np.uint8)
 
 
 def generate_pair_model(
@@ -54,11 +50,8 @@ def generate_pair_model(
     """Sample the pair-label broadcast process; root uniform when unspecified."""
     check_node_budget(shape)
     key = seed.key()
-    if root is None:
-        w = level_words(key, 0, 1, word_index=0)
-        b = int(_uniform60(w)[0])
-        w2 = level_words(key, 0, 1, word_index=1)
-        s = int(_uniform60(w2)[0])
+    if root is None:  # words 0 and 1 of the root address
+        b, s = _uniform60(words_vec(key, node_counters(0, 0, np.arange(2)))).tolist()
         root = pair_code(b, s)
     if not 0 <= root < 3600:
         raise ValueError(f"root pair code {root} outside [0, 3600)")

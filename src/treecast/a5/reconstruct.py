@@ -26,11 +26,15 @@ to (e, C1) when C1 = C2, so the tallies are N ~ Bin(k, 1/60) and
 A | N ~ Bin(N, 2/3) at the heavier code (the laws are read from rows 0..3 of
 the channel).  N reads the counter word at the unused leaf-level address
 `node_counters(d, i, 0)` and A the one at `node_counters(d, i, 1)`, each
-inverted through a cached exact binomial cut table (`binomial_cuts`).
+inverted through exact binomial cuts (`binomial_cuts`).  Both draws are one
+`channels.CutTables.draw` each, from two tables cached per k and built on
+first use (`_tally_tables`): N's, one row per distinct mass, and A's, one
+row per distinct share and per n that a draw of N has met.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +43,7 @@ from math import ceil, floor, isqrt
 
 import numpy as np
 
-from ..channels import FractionLike, as_fraction, cumulative_cuts
+from ..channels import CutTables, FractionLike, as_fraction, cumulative_cuts
 from ..generators import check_node_budget, direct_levels
 from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
@@ -126,52 +130,55 @@ def reconstruct_level_class16(
     return reconstruct_level_class16_from_counts(counts, tau, tie_key)
 
 
-_TAIL = 1 << 32  # bound on each tail `_pmf_bounds` leaves out
+_TAIL = 1 << 64  # bound on each tail `_pmf_floors` leaves out
 
 
-def _pmf_bounds(n: int, a: int, c: int, x: int, until: int) -> list[tuple[int, int]]:
-    """Floor and ceiling bounds on 2^160 f(y) / f(x) for the Bin(n, a/(a + c))
-    pmf f, at y = x + 1, x + 2, ..., from the mode x upward.
+def _pmf_floors(n: int, a: int, c: int, x: int, until: int) -> list[int]:
+    """Floors of 2^160 f(y) / f(x) for the Bin(n, a/(a + c)) pmf f, at
+    y = x + 1, x + 2, ..., from the mode x upward, each from the one before.
 
-    Past `until` the walk stops once the rest of the tail is below 2^32: f
-    falls above the mode by ratios r that fall too, so the tail beyond y is
-    below (its bound at y) * r / (1 - r).  Each step widens the gap between
-    the bounds by less than 2, so the gaps of a walk of L steps sum to below
-    (L + 1)^2.  The walk down from the mode is this walk of n - X.
+    f falls above the mode by ratios r <= 1, so the j-th floor is less than j
+    below the exact value: each step scales the error by r and adds under 1.
+    Past `until` the walk stops once the rest of the tail is below 2^64: the
+    ratios fall too, so the tail beyond y is below (its bound at y) *
+    r / (1 - r).  The walk down from the mode is this walk of n - X.
     """
-    low = high = 1 << 160
-    out = []
-    while True:
-        num, den = (n - x) * a, (x + 1) * c
-        if num == 0 or x >= until and high * num < (den - num) * _TAIL:
-            return out
-        low, high, x = low * num // den, -(-high * num // den), x + 1
-        out.append((low, high))
+    low = 1 << 160
+    lows = []
+    num, den = (n - x) * a, (x + 1) * c  # f(y + 1) / f(y) = num / den at y = x
+    inside = (n - until) * a  # num > inside while y < until
+    while num and (num > inside or (low + len(lows)) * num >= (den - num) * _TAIL):
+        low = low * num // den
+        lows.append(low)
+        num, den = num - a, den + c
+    return lows
 
 
 def _bounded_binomial_cuts(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray | None:
     """floor(2^63 P[X <= x]) for lo <= x < hi, X ~ Bin(n, a/b) with 0 < a < b,
-    from `_pmf_bounds` around the mode; None if the bounds of some cut differ.
+    from `_pmf_floors` around the mode; None if the bounds of some cut differ.
 
-    With S(x) the sums of the bounds from the leftmost walked y to x, and
-    both tails below 2^32, P[X <= x] lies between S_low(x) / (S_high(end) +
-    2^33) and (S_high(x) + 2^32) / (S_low(end) + 2^32), and below 1 as x < n.
+    With S(x) the sum of the floors from the leftmost walked y to x, E =
+    L^2 + R^2 above the summed errors of walks of L and R steps, and both
+    tails below T = 2^64, P[X <= x] lies between S(x) / (S(end) + E + 2T) and
+    (S(x) + E + T) / (S(end) + T), and below 1 as x < n.  The bounds are
+    within about 2^-96 of each other, so they straddle a cut only where
+    2^63 P[X <= x] is within about 2^-33 of an integer, or is one.
     """
     mode = (n + 1) * a // b
-    left = _pmf_bounds(n, b - a, a, n - mode, n - lo)
-    walk = left[::-1] + [(1 << 160, 1 << 160)] + _pmf_bounds(n, a, b - a, mode, hi - 1)
-    low, high = (list(accumulate(bounds)) for bounds in zip(*walk))
-    window = slice(lo - mode + len(left), hi - mode + len(left))
-    cuts, low_end, high_end = [], low[-1] + _TAIL, high[-1] + 2 * _TAIL
-    for s_low, s_high in zip(low[window], high[window]):
-        cut = (s_low << 63) // high_end
-        if cut < (1 << 63) - 1 and (s_high + _TAIL) << 63 >= (cut + 1) * low_end:
+    left = _pmf_floors(n, b - a, a, n - mode, n - lo)
+    right = _pmf_floors(n, a, b - a, mode, hi - 1)
+    start = len(left) + lo - mode  # the walk's index of x = lo
+    low = list(accumulate([*left[::-1], 1 << 160, *right]))
+    slack = len(left) ** 2 + len(right) ** 2
+    low_end, high_end = low[-1] + _TAIL, low[-1] + slack + 2 * _TAIL
+    cuts = [(s << 63) // high_end for s in low[start : start + hi - lo]]
+    for cut, s in zip(cuts, low[start:]):
+        if cut < (1 << 63) - 1 and (s + slack + _TAIL) << 63 >= (cut + 1) * low_end:
             return None
-        cuts.append(cut)
     return np.array(cuts, dtype=np.uint64)
 
 
-@lru_cache(maxsize=4096)
 def binomial_cuts(n: int, p: Fraction) -> tuple[int, np.ndarray]:
     """Offset lo and 63-bit CDF cut table that sample Bin(n, p) from one word.
 
@@ -186,8 +193,8 @@ def binomial_cuts(n: int, p: Fraction) -> tuple[int, np.ndarray]:
     in time and memory that grow as sqrt(n).  Where the bounds of a cut
     straddle an integer (2^63 P[X <= x] can be one for dyadic p), the pmf
     numerators C(n, x) a^x (b - a)^(n - x) over b^n (p = a/b) go through
-    `cumulative_cuts` instead, exact but in time that grows as n^2.  Cached
-    and read-only.
+    `cumulative_cuts` instead, exact but in time that grows as n^2.
+    Read-only; the class16 tallies keep their cuts in `_tally_tables`.
     """
     a, b = p.numerator, p.denominator
     half = isqrt(23 * n) + 1
@@ -205,23 +212,69 @@ def binomial_cuts(n: int, p: Fraction) -> tuple[int, np.ndarray]:
     return lo, cuts
 
 
-def _binomial_draws(
-    n: np.ndarray, p: tuple[Fraction, ...], which: np.ndarray, w63: np.ndarray
-) -> np.ndarray:
-    """X_i ~ Bin(n_i, p[which_i]) by inverting word w63_i, one table per
-    distinct (n, p)."""
-    group = which * (int(n.max(initial=0)) + 1) + n
-    order = np.argsort(group, kind="stable")
-    bounds = np.flatnonzero(np.diff(group[order], prepend=-1, append=-1)).tolist()
-    words = w63[order]
-    drawn = np.empty(n.size, dtype=np.int64)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        i = order[start]
-        lo, cuts = binomial_cuts(int(n[i]), p[which[i]])
-        drawn[start:stop] = lo + cuts.searchsorted(words[start:stop], side="right")
-    out = np.empty_like(drawn)
-    out[order] = drawn
-    return out
+class _BinomialTables:
+    """Draws from the laws Bin(*params(0)), Bin(*params(1)), ... through one
+    padded `CutTables` that holds a row for each law drawn from so far.
+
+    Each row is `binomial_cuts(n, p)` less its cuts of 0, which every word
+    draws past (the law's offset `lo` moves up by their count), and of 2^63,
+    which none does; shorter rows are padded with 2^63.  Row 0 is all
+    padding: a law left with no cuts draws its offset alone.
+    """
+
+    def __init__(self, params: Callable[[int], tuple[int, Fraction]], count: int) -> None:
+        self.params = params
+        self.row = np.full(count, -1, dtype=np.intp)  # -1 until the law is first drawn
+        self.lo = np.zeros(count, dtype=np.int64)
+        self.tables = CutTables(np.zeros((1, 0), dtype=np.uint64))
+
+    def draw(self, law: np.ndarray, w63: np.ndarray) -> np.ndarray:
+        """X_i ~ law law[i] by inverting word w63[i]."""
+        row = self.row[law]
+        if (row < 0).any():
+            self._add(np.unique(law[row < 0]).tolist())
+            row = self.row[law]
+        return self.tables.draw(row, w63) + self.lo[law]
+
+    def _add(self, laws: list[int]) -> None:
+        """Rows for `laws`, in a table rebuilt around the rows it holds."""
+        old, rows, placed = self.tables.cuts, [], []
+        for i in laws:
+            low, cuts = binomial_cuts(*self.params(i))
+            kept = cuts[(cuts != 0) & (cuts != 1 << 63)]  # a middle run: cuts ascend
+            row = len(old) + len(rows) if kept.size else 0
+            placed.append((i, row, low + np.count_nonzero(cuts == 0)))
+            if kept.size:
+                rows.append(kept)
+        if rows:
+            width = max(old.shape[1], *map(len, rows))
+            cuts = np.full((len(old) + len(rows), width), 1 << 63, dtype=np.uint64)
+            cuts[: len(old), : old.shape[1]] = old
+            for r, kept in enumerate(rows, len(old)):
+                cuts[r, : len(kept)] = kept
+            self.tables = CutTables(cuts)
+        for i, row, lo in placed:  # only once the table holds their rows
+            self.row[i], self.lo[i] = row, lo
+
+
+@lru_cache(maxsize=4)
+def _tally_tables(k: int) -> tuple[_BinomialTables, _BinomialTables, int, int]:
+    """The tables of the identity-first tallies at arity k, built on first use.
+
+    The first draws N ~ Bin(k, q), law m for the m-th distinct mass q.  Its
+    draws of the words 0 and 2^63 - 1 bound what N can take to [low, low +
+    span).  The second draws A ~ Bin(n, p), law s * span + n - low for the
+    s-th distinct share p and each n there, and grows a row for each (p, n)
+    a draw meets: a trial over few nodes builds few rows, not all of them.
+    Returns (N's tables, A's tables, low, span).
+    """
+    (masses, _), (shares, _), _, _ = _identity_first_laws()
+    total = _BinomialTables(lambda m: (k, masses[m]), len(masses))
+    every = np.arange(len(masses))
+    low = int(total.draw(every, np.zeros(every.size, dtype=np.uint64)).min())
+    span = int(total.draw(every, np.full(every.size, 2**63 - 1, dtype=np.uint64)).max()) - low + 1
+    split = _BinomialTables(lambda i: (low + i % span, shares[i // span]), len(shares) * span)
+    return total, split, low, span
 
 
 def _distinct(values: list[Fraction]) -> tuple[tuple[Fraction, ...], np.ndarray]:
@@ -269,8 +322,9 @@ def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) ->
     w_split = level_words(key, level, count, 1)
     w_total >>= np.uint64(1)
     w_split >>= np.uint64(1)
-    total = _binomial_draws(np.full(count, k, dtype=np.int64), masses, mass_of[parents], w_total)
-    first = _binomial_draws(total, shares, share_of[parents], w_split)
+    total_tables, split_tables, low, span = _tally_tables(k)
+    total = total_tables.draw(mass_of[parents], w_total)
+    first = split_tables.draw(share_of[parents] * span + total - low, w_split)
     tallies = np.zeros((count, 4), dtype=np.int64)
     rows = np.arange(count)
     tallies[rows, heavy[parents]] = first

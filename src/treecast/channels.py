@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from numbers import Rational
@@ -58,6 +59,7 @@ class Channel:
     m: int
     matrix: tuple[tuple[Fraction, ...], ...]  # matrix[i][j] = P[child=i | parent=j]
     _cuts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _tables: "CutTables | None" = field(default=None, init=False, repr=False, compare=False)
     _ints: tuple[tuple, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -127,6 +129,13 @@ class Channel:
             object.__setattr__(self, "_cuts", cuts)
         return self._cuts
 
+    def sampling_tables(self) -> "CutTables":
+        """`sampling_cuts` behind a guide: row j draws from column j.  Built
+        once per channel."""
+        if self._tables is None:
+            object.__setattr__(self, "_tables", CutTables(self.sampling_cuts()))
+        return self._tables
+
     def integer_columns(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
         """The matrix as integer numerators over one denominator, by column:
         (cols, den) with matrix[b][a] = w / den for each (b, w) in cols[a],
@@ -183,40 +192,62 @@ def uniform_cuts(m: int) -> np.ndarray:
     return cumulative_cuts([1] * m, m)
 
 
+@lru_cache(maxsize=64)
+def uniform_tables(m: int) -> "CutTables":
+    """`uniform_cuts(m)` as a one-row `CutTables`, built on first use per m."""
+    return CutTables(uniform_cuts(m)[None])
+
+
 class CutTables:
     """A (rows, L) array of `cumulative_cuts` rows behind a guide table.
 
     draw(rows, w63)[i] = searchsorted(cuts[rows[i]], w63[i], 'right'), for
     arrays of any shape.  The guide (Chen and Asau, 1974) splits each row's
     words into 2^bits buckets by their top bits, 16 or more per cut within
-    GUIDE_CELLS entries, and holds the count of the row's cuts below each
-    bucket, bit-inverted if a cut falls inside it.  Words in a bucket without
-    a cut take one lookup; the rest are binary-searched from that count.
+    GUIDE_CELLS entries, and holds the count of the row's cuts below the end
+    of each bucket, bit-inverted if a cut falls inside it.  Words in a bucket
+    without a cut take one lookup.  The rest (misses) are searched only
+    within their own bucket: below the entry's count, and at most C cuts
+    below it, C the most cuts in one bucket.  So every miss takes the same
+    `rounds`, the bit length of C, fixed when the table is built, and a draw
+    without misses skips the search.  A cut of 2^63 is above every word, so
+    rows of different lengths may be padded with it.
+
+    The budget of 2^18 entries (1 MiB) gives mc-scan's code tables 2 x 2^17
+    buckets and the quotient channel 16 x 2^8, 16 per cut for both, and
+    caps the class16 split tallies' guide (hundreds of rows) at 1 MiB.
     """
 
-    GUIDE_CELLS = 1 << 22  # int32 entries, 16 MiB
+    GUIDE_CELLS = 1 << 18  # int32 entries, 1 MiB
 
     def __init__(self, cuts: np.ndarray) -> None:
         self.cuts = np.array(cuts, dtype=np.uint64)  # a copy: it is frozen below
         rows, width = self.cuts.shape
-        bits = min(width.bit_length() + 4, (self.GUIDE_CELLS // rows).bit_length() - 1)
-        self.shift = np.uint64(63 - bits)
-        first = np.arange((1 << bits) + 1, dtype=np.uint64) << self.shift
+        self.bits = min(width.bit_length() + 4, (self.GUIDE_CELLS // rows).bit_length() - 1)
+        self.shift = np.uint64(63 - self.bits)
+        first = np.arange((1 << self.bits) + 1, dtype=np.uint64) << self.shift
         below = np.array([row.searchsorted(first) for row in self.cuts], dtype=np.int32)
-        self.guide = np.where(below[:, :-1] == below[:, 1:], below[:, :-1], ~below[:, :-1])
+        self.guide = below[:, 1:].copy()
+        np.invert(self.guide, out=self.guide, where=below[:, :-1] != self.guide)
+        self._most = max(int(np.diff(counts).max()) for counts in below)
+        self.rounds = self._most.bit_length()
         self.cuts.setflags(write=False)
         self.guide.setflags(write=False)
 
-    def draw(self, rows: np.ndarray, w63: np.ndarray) -> np.ndarray:
-        """Row rows[i]'s draw from word w63[i] < 2^63, as an int32 array."""
-        rows, w63 = np.broadcast_arrays(rows, w63)
-        shape = w63.shape
-        rows, w63 = rows.reshape(-1), w63.reshape(-1)
+    def draw(self, rows: np.ndarray | int, w63: np.ndarray) -> np.ndarray:
+        """Row rows[i]'s draw from word w63[i] < 2^63, as an int32 array of
+        the two arrays' broadcast shape; an integer `rows` is one row for all."""
+        rows = np.asarray(rows)
+        if rows.ndim and rows.shape != w63.shape:
+            rows, w63 = np.broadcast_arrays(rows, w63)
+        shape, w63 = w63.shape, w63.reshape(-1)
+        if rows.ndim:
+            rows = rows.reshape(-1)
         # The flat guide index (row << bits) | (word >> shift), built one
         # block at a time in a scratch buffer, read as int64 by `take`.
         found = np.empty(w63.size, dtype=np.int32)
         flat = self.guide.reshape(-1)
-        row_shift = np.uint64(63) - self.shift
+        row_shift = np.uint64(self.bits)
         index = np.empty(min(w63.size, BLOCK_WORDS), dtype=np.uint64)
         scratch = np.empty_like(index)
         for start in range(0, w63.size, BLOCK_WORDS):
@@ -224,20 +255,40 @@ class CutTables:
             n = min(BLOCK_WORDS, w63.size - start)
             idx, tmp = index[:n], scratch[:n]
             np.right_shift(w63[part], self.shift, out=idx)
-            tmp[...] = rows[part]
-            tmp <<= row_shift
-            idx |= tmp
+            if rows.ndim:
+                tmp[...] = rows[part]
+                tmp <<= row_shift
+                idx |= tmp
+            elif rows:
+                idx |= rows.astype(np.uint64) << row_shift
             flat.take(idx.view(np.int64), out=found[part])
-        miss = np.flatnonzero(found < 0)
-        width = self.cuts.shape[1]
-        r, w, lo = rows[miss], w63[miss], ~found[miss]
-        hi = np.full_like(lo, width)
-        for _ in range(width.bit_length()):
-            mid = (lo + hi) >> 1
-            up = (mid < hi) & (self.cuts[r, np.minimum(mid, width - 1)] <= w)
-            lo, hi = np.where(up, mid + 1, lo), np.where(up, hi, mid)
-        found[miss] = lo
+        miss = (found < 0).nonzero()[0]
+        if miss.size:
+            found[miss] = self._search(rows[miss] if rows.ndim else rows, w63[miss], found[miss])
         return found.reshape(shape)
+
+    def _search(self, rows: np.ndarray, w63: np.ndarray, entry: np.ndarray) -> np.ndarray:
+        """Draws of words whose bucket holds a cut, from their guide entries
+        ~hi, hi the row's cuts below the bucket's end.
+
+        The draw lies in [hi - C, hi], C the most cuts in one bucket: cuts
+        below the bucket are below the word and cuts from hi on above it.  A
+        branchless search with steps 2^(rounds-1), ..., 1 finds `last`, the
+        flat index of the last cut at most the word; a probe past hi - 1
+        tests hi - 1 instead, which keeps it in the word's row.
+        """
+        before = rows.astype(np.int64) * self.cuts.shape[1] - 1  # flat index of cut -1
+        top = ~entry.astype(np.int64)
+        top += before  # flat index of cut hi - 1
+        last = top - self._most
+        np.maximum(last, before, out=last)
+        flat = self.cuts.reshape(-1)
+        for i in reversed(range(self.rounds)):
+            probe = last + (1 << i)
+            np.minimum(probe, top, out=probe)
+            np.copyto(last, probe, where=flat.take(probe) <= w63)
+        last -= before
+        return last
 
 
 def ks_parameter(channel: Channel, k: int) -> float:

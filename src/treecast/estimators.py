@@ -44,7 +44,7 @@ from .bp import bp_posterior_batch_binary
 from .channels import Channel, FractionLike, as_fraction, binary_theta, integer_numerators
 from .generators import code_ones, generate_binary_batch
 from .oracle import DEFAULT_CONFIG_CAP, bayes_accuracy, config_count, likelihood_law
-from .rng import SeedSpec, trial_keys, words_vec
+from .rng import BLOCK_WORDS, SeedSpec, trial_keys, words_vec
 from .trees import TreeShape
 
 
@@ -95,8 +95,18 @@ def _trial_tie(key: int, start: int):
 
 def _ones(leaves: np.ndarray, k: int, height: int) -> np.ndarray:
     """Leaf ones of each column: the leaves themselves, or each height-h code's
-    ones count (`code_ones`)."""
-    return leaves if height == 0 else code_ones(k, height)[leaves]
+    ones count (`code_ones`, in its small dtype: sum with dtype=np.int64).
+
+    `take` copies its index to intp, so the codes go in blocks of rows.
+    """
+    if height == 0:
+        return leaves
+    table = code_ones(k, height)
+    ones = np.empty(leaves.shape, dtype=table.dtype)
+    block = max(1, BLOCK_WORDS // max(1, leaves.shape[1]))
+    for start in range(0, len(leaves), block):
+        table.take(leaves[start : start + block], out=ones[start : start + block])
+    return ones
 
 
 def majority_decisions(
@@ -107,7 +117,7 @@ def majority_decisions(
     With `height` h > 0 the rows hold the height-h codes of a k-ary tree.
     """
     n = leaves.shape[1] * k**height
-    ones = _ones(leaves, k, height).sum(axis=1)
+    ones = _ones(leaves, k, height).sum(axis=1, dtype=np.int64)
     return _decide(2 * ones > n, 2 * ones == n, _trial_tie(seed.key(), start))
 
 
@@ -149,7 +159,7 @@ def linearized_bp_decisions(
     trials = leaves.shape[0]
     count = shape.nodes_at(d_prime)
     block = shape.n // count
-    sums = _ones(leaves, shape.k, height).reshape(trials, count, -1).sum(axis=2)
+    sums = _ones(leaves, shape.k, height).reshape(trials, count, -1).sum(axis=2, dtype=np.int64)
 
     def subtree_tie(rows, nodes):
         return words_vec(trial_keys(key, trials, start)[rows], nodes)

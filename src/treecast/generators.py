@@ -44,7 +44,7 @@ from .channels import (
     cumulative_cuts,
     cut63,
     integer_numerators,
-    uniform_cuts,
+    uniform_tables,
 )
 from .labels import LabelArray, code_dtype
 from .oracle import LawView, Numerators
@@ -114,7 +114,7 @@ def _sample_root(key: int, m: int, root: int | None) -> int:
             raise ValueError(f"root label {root} outside [0, {m})")
         return root
     w63 = level_words(key, 0, 1) >> np.uint64(1)
-    return int(np.searchsorted(uniform_cuts(m), w63[0], side="right"))
+    return int(uniform_tables(m).draw(0, w63)[0])
 
 
 def generate_direct(
@@ -134,11 +134,11 @@ def direct_levels(
     """The levels `generate_direct` samples, drawn from the counter key `key`.
 
     Node i of level l reads word `level_words(key, l, .)[i]` and inverts it
-    through its parent's row of `channel.sampling_cuts()`, one draw per level.
+    through its parent's row of `channel.sampling_tables()`, one draw per level.
     """
     check_node_budget(shape)
     dtype = code_dtype(channel.m)
-    tables = CutTables(channel.sampling_cuts())
+    tables = channel.sampling_tables()
     levels = [np.array([_sample_root(key, channel.m, root)], dtype=dtype)]
     for lvl in range(1, shape.d + 1):
         w63 = level_words(key, lvl, shape.nodes_at(lvl))
@@ -384,10 +384,12 @@ def code_law(
 
 @lru_cache(maxsize=64)
 def code_ones(k: int, h: int) -> np.ndarray:
-    """Read-only table of the leaf ones count of each height-h code."""
+    """Read-only table of the leaf ones count of each height-h code, in the
+    smallest unsigned dtype that holds k^h."""
     ones = np.arange(k + 1, dtype=np.int64)
     for _ in range(1, h):
         ones = _outer_power(ones, k, np.add)
+    ones = ones.astype(np.min_scalar_type(k**h))
     ones.flags.writeable = False
     return ones
 

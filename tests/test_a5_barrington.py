@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import treecast.a5.barrington as barrington
 from treecast.a5.barrington import (
+    Instruction,
     barrington_compile,
     commutator_witness,
     evaluate_program,
@@ -100,3 +102,27 @@ def test_program_length_scaling():
     p1 = barrington_compile(f1, TARGET)
     p2 = barrington_compile(f2, TARGET)
     assert len(p2) <= 4 * len(p1) + 6
+
+
+@pytest.mark.parametrize("block", [1, 4, 7])
+def test_batch_product_tree_equals_the_sequential_product(monkeypatch, block):
+    # Random programs (not compiled ones, so every product is reachable) of
+    # length 0, 1, odd and block size +/- 1, in blocks of `block` instructions.
+    assignments = _all_assignments(3)
+    monkeypatch.setattr(barrington, "EVAL_BLOCK_CELLS", block * len(assignments))
+    rng = np.random.default_rng(block)
+    for length in sorted({0, 1, 3, 9, block - 1, block, block + 1, 2 * block + 1, 5 * block}):
+        program = [
+            Instruction(var=int(v), g0=int(g0), g1=int(g1))
+            for v, g0, g1 in zip(
+                rng.integers(0, 3, length), rng.integers(0, 60, length), rng.integers(0, 60, length)
+            )
+        ]
+        got = evaluate_program_batch(program, assignments)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [evaluate_program(program, row) for row in assignments], length
+
+
+def test_batch_evaluation_of_no_assignments():
+    program = barrington_compile(Var(0), TARGET)
+    assert evaluate_program_batch(program, np.zeros((0, 1), dtype=np.uint8)).shape == (0,)

@@ -7,6 +7,7 @@ from scipy.stats import chi2
 from treecast.a5.group import A5
 from treecast.a5.pair_model import (
     _product_tree_levels,
+    _uniform60,
     generate_pair_model,
     pair_code,
     pair_model_child_law,
@@ -20,7 +21,7 @@ from treecast.a5.quotient import (
     pair_to_class_pair,
     quotient_channel,
 )
-from treecast.channels import ks_parameter
+from treecast.channels import ks_parameter, uniform_cuts
 from treecast.rng import SeedSpec
 from treecast.trees import TreeShape
 
@@ -30,6 +31,17 @@ def _pair_parts(codes):
 
 
 class TestPairModel:
+    def test_uniform60_equals_the_plain_search_at_every_cut(self):
+        # 64-bit words: the draw reads word >> 1, so 2 cut + {-2..3} puts
+        # w63 at cut - 1, cut and cut + 1.
+        cuts = uniform_cuts(60).astype(object)
+        words = [0, 2**64 - 1, *(2 * c + e for c in cuts for e in range(-2, 4))]
+        words = np.array(words, dtype=np.uint64)
+        want = np.searchsorted(uniform_cuts(60), words >> np.uint64(1), side="right")
+        got = _uniform60(words)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert _uniform60(words[:1]).tolist() == [0] and _uniform60(words[1:2]).tolist() == [59]
+
     def test_child_product_invariant(self):
         shape = TreeShape(k=5, d=3)
         tree = generate_pair_model(shape, SeedSpec(31, "pair"))

@@ -103,6 +103,24 @@ def _multinomial_law(k: int, column: tuple[Fraction, ...]) -> dict[tuple[int, ..
     return law
 
 
+def _grouped_binomial_draws(n, p, which, w63):
+    """X_i ~ Bin(n_i, p[which_i]) by inverting word w63_i, one `binomial_cuts`
+    table and one plain search per distinct (n, p): the tallies' draw before
+    they had cached tables."""
+    group = which * (int(n.max(initial=0)) + 1) + n
+    order = np.argsort(group, kind="stable")
+    bounds = np.flatnonzero(np.diff(group[order], prepend=-1, append=-1)).tolist()
+    words = w63[order]
+    drawn = np.empty(n.size, dtype=np.int64)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        i = order[start]
+        lo, cuts = binomial_cuts(int(n[i]), p[which[i]])
+        drawn[start:stop] = lo + cuts.searchsorted(words[start:stop], side="right")
+    out = np.empty_like(drawn)
+    out[order] = drawn
+    return out
+
+
 class TestIdentityFirstSampler:
     @pytest.mark.parametrize("label", [class_pair_code(2, 2), class_pair_code(1, 3)])
     def test_tallies_follow_exact_multinomial(self, label):
@@ -162,7 +180,7 @@ class TestIdentityFirstSampler:
         p = Fraction(1, 60)
         tracemalloc.start()
         try:
-            lo, cuts = binomial_cuts.__wrapped__(n, p)
+            lo, cuts = binomial_cuts(n, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -170,6 +188,43 @@ class TestIdentityFirstSampler:
         assert len(cuts) <= 2 * isqrt(23 * n) + 4
         if n <= 10**5:
             assert cuts.tolist() == _exact_binomial_cuts(n, p, lo + len(cuts))[lo:]
+
+    @pytest.mark.parametrize("k", [1, 2, 500, 6000])
+    def test_tally_tables_equal_the_grouped_binomial_draws(self, k):
+        # Word by word, fresh tally tables draw what one `binomial_cuts` table
+        # per (n, p) group and a plain search drew: N at both ends of what it
+        # can take, and A from every n there, while the tables grow.
+        total, split, low, span = reconstruct._tally_tables.__wrapped__(k)
+        (masses, _), (shares, _), _, _ = reconstruct._identity_first_laws()
+        rng = np.random.default_rng(k)
+        ends = np.array([0, 1, 2**62, 2**63 - 2, 2**63 - 1], dtype=np.uint64)
+        words = np.concatenate([ends, rng.integers(0, 2**63, 3000, dtype=np.uint64)])
+        for m in range(len(masses)):
+            law = np.full(words.size, m)
+            n = total.draw(law, words)
+            assert np.array_equal(n, _grouped_binomial_draws(np.full(words.size, k), masses, law, words))
+            assert low <= n.min() and n.max() < low + span
+        assert (n[0], n[4]) == (low, low + span - 1)
+        ns = np.repeat(np.arange(low, low + span), ends.size)
+        for s in range(len(shares)):
+            which = np.full(ns.size, s)
+            for w in (np.tile(ends, span), rng.integers(0, 2**63, ns.size, dtype=np.uint64)):
+                # A first draw from every other n, then from all of them.
+                for part in (slice(None, None, 2 * ends.size), slice(None)):
+                    got = split.draw(which[part] * span + ns[part] - low, w[part])
+                    assert np.array_equal(got, _grouped_binomial_draws(ns[part], shares, which[part], w[part]))
+
+    def test_tally_tables_grow_only_the_rows_a_draw_meets(self):
+        # At k = 10^6 N can take thousands of values; one trial over one node
+        # builds one row of A (Bin(n, 1) rows are empty and share row 0).
+        total, split, low, span = reconstruct._tally_tables.__wrapped__(10**6)
+        assert span > 1000 and len(total.tables.cuts) == 2
+        key = SeedSpec(4, "one-node").key()
+        n = total.draw(np.zeros(1, dtype=np.intp), np.array([12345 << 40], dtype=np.uint64))
+        split.draw(n - low, np.array([1 << 62], dtype=np.uint64))
+        split.draw(span + n - low, np.array([1 << 62], dtype=np.uint64))
+        assert len(split.tables.cuts) == 2
+        assert class16_reconstruction_trial(10**6, 1, key)[0] in range(16)
 
     @pytest.mark.parametrize("k, d", [(40, 2), (5, 3), (3, 1)])
     def test_trial_upper_levels_match_generate_direct(self, monkeypatch, k, d):
@@ -203,6 +258,19 @@ class TestIdentityFirstSampler:
             text = path.read_text(encoding="utf-8")
             assert "np.random" not in text and "PCG64" not in text, path.name
             assert "scipy" not in text, path.name
+
+    def test_import_builds_no_draw_tables(self):
+        code = (
+            "import treecast, treecast.cli, treecast.experiments, treecast.a5\n"
+            "from treecast.channels import uniform_tables\n"
+            "from treecast.a5.reconstruct import _tally_tables\n"
+            "assert uniform_tables.cache_info().currsize == 0\n"
+            "assert _tally_tables.cache_info().currsize == 0\n"
+        )
+        src = str(Path(treecast.a5.__file__).parents[2])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_import_and_class16_trial_load_no_scipy(self):
         code = (

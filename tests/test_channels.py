@@ -1,18 +1,23 @@
+import ast
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import treecast
 from treecast.channels import (
     Channel,
+    CutTables,
     as_fraction,
     cumulative_cuts,
     cut63,
     ks_parameter,
     uniform_cuts,
+    uniform_tables,
 )
 
 
@@ -190,3 +195,107 @@ def test_sampling_cuts_within_fixed_point_budget(weights):
             assert abs(mass - ch.matrix[i][j]) < Fraction(1, 1 << 60)
             prev = int(cuts[j][i])
         assert abs(Fraction((1 << 63) - prev, 1 << 63) - ch.matrix[2][j]) < Fraction(1, 1 << 60)
+
+
+def test_sampling_tables_cached_over_the_sampling_cuts():
+    ch = Channel.binary(Fraction(1, 3))
+    tables = ch.sampling_tables()
+    assert ch.sampling_tables() is tables
+    assert np.array_equal(tables.cuts, ch.sampling_cuts())
+    assert uniform_tables(7) is uniform_tables(7)
+    assert uniform_tables(7).cuts.tolist() == [uniform_cuts(7).tolist()]
+
+
+_TOP = 1 << 63
+
+
+@st.composite
+def _adversarial_cut_tables(draw):
+    """Sorted cut rows aimed at the guide, mixing a drawn subset of: cuts on
+    bucket edges and one off them, many cuts in one bucket, repeated cuts
+    (labels of probability zero), cuts in the last bucket, cuts of 0, 2^63
+    padding at a row's end, and cuts anywhere.  The values come from a
+    drawn seed, so a failure shrinks over a few small integers."""
+    rows = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 24))
+    kinds = draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = 63 - (width.bit_length() + 4)  # the table's buckets, as CutTables sizes them
+    buckets = 1 << (63 - shift)
+    crowded = int(rng.integers(buckets)) << shift
+
+    def value(kind: int) -> int:
+        if kind == 0:
+            return min(max((int(rng.integers(buckets + 1)) << shift) + int(rng.integers(-1, 2)), 0), _TOP)
+        if kind == 1:
+            return crowded + int(rng.integers(1 << shift))
+        if kind == 2:
+            return crowded
+        if kind == 3:
+            return _TOP - int(rng.integers((1 << shift) + 1))
+        return (0, _TOP, int(rng.integers(_TOP, endpoint=True, dtype=np.uint64)))[kind - 4]
+
+    table = [sorted(value(kinds[rng.integers(len(kinds))]) for _ in range(width)) for _ in range(rows)]
+    return np.array(table, dtype=np.uint64)
+
+
+def _probe_words(cuts: np.ndarray, shift: int) -> np.ndarray:
+    """Every cut and its neighbours, both edges of every bucket that holds a
+    cut, and the two extreme words."""
+    near = cuts.astype(object).ravel()
+    edges = [(int(c) >> shift) << shift for c in near if c < _TOP]
+    probes = {0, _TOP - 1}
+    for x in [*near, *edges, *(e + (1 << shift) for e in edges)]:
+        probes.update(w for w in (x - 1, x, x + 1) if 0 <= w < _TOP)
+    return np.array(sorted(probes), dtype=np.uint64)
+
+
+@given(_adversarial_cut_tables())
+def test_cut_tables_bounded_miss_search_equals_the_plain_search(cuts):
+    tables = CutTables(cuts)
+    shift = int(tables.shift)
+    words = _probe_words(cuts, shift)
+    rows = np.repeat(np.arange(len(cuts)), words.size)
+    probes = np.tile(words, len(cuts))
+    want = np.concatenate([np.searchsorted(row, words, side="right") for row in cuts])
+    assert np.array_equal(tables.draw(rows, probes), want)
+    # The round count is the bit length of the most cuts in one bucket.
+    buckets = [np.unique(row[row < _TOP] >> np.uint64(shift), return_counts=True)[1] for row in cuts]
+    assert tables.rounds == int(max(c.max(initial=0) for c in buckets)).bit_length()
+    # One row for every word, a single word, and no words at all.
+    last = len(cuts) - 1
+    assert np.array_equal(tables.draw(last, words), want[last * words.size :])
+    one = words[-1:]
+    assert tables.draw(np.array([last]), one).tolist() == [int(want[-1])]
+    assert tables.draw(0, one[:0]).shape == (0,)
+    assert tables.draw(np.zeros((0, 3), dtype=np.intp), np.zeros((0, 3), dtype=np.uint64)).shape == (0, 3)
+
+
+def test_cut_tables_guide_budget_fits_the_tables_in_use():
+    # The mc-scan code tables (2 rows) and the 16-row quotient channel keep
+    # 16 buckets per cut; 600 rows of 599 cuts fall back to 2^18 / 600.
+    from treecast.a5.quotient import quotient_channel
+    from treecast.generators import _code_tables
+
+    code = _code_tables(2, 4, Fraction(4, 5), Fraction(1, 10))
+    quotient = quotient_channel().sampling_tables()
+    for tables in (code, quotient):
+        assert tables.bits == tables.cuts.shape[1].bit_length() + 4
+        assert tables.guide.size <= CutTables.GUIDE_CELLS
+    assert code.guide.shape == (2, 1 << 17) and quotient.guide.shape == (16, 1 << 8)
+    wide = CutTables(np.sort(np.random.default_rng(1).integers(0, _TOP, (600, 599), dtype=np.uint64)))
+    assert wide.guide.shape == (600, 1 << 8)
+
+
+def test_every_word_draw_outside_channels_goes_through_cut_tables():
+    # An inverse-CDF draw of a word is a `CutTables.draw`; no other module
+    # calls searchsorted (docstrings may still name it).
+    src = Path(treecast.__file__).parent
+    for path in src.rglob("*.py"):
+        if path.name == "channels.py" and path.parent == src:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                assert name != "searchsorted", f"{path.name}:{node.lineno}"
