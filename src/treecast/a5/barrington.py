@@ -29,7 +29,7 @@ from ..formulas import Const, Formula, Gate, Not, Var
 from .group import A5
 
 MAX_COMPILE_DEPTH = 20
-# Entries of the (instructions x assignments) choice matrix that
+# Entries of the (assignments x instructions) choice matrix that
 # `evaluate_program_batch` holds at once.
 EVAL_BLOCK_CELLS = 1 << 18
 
@@ -111,23 +111,18 @@ def _compile(f: Formula, target: int) -> Program:
 
 
 def evaluate_program(program: Program, assignment) -> int:
-    mul = A5.mul
-    out = A5.identity
-    for ins in program:
-        out = int(mul[out, ins.g1 if assignment[ins.var] else ins.g0])
-    return out
+    return A5.product(ins.g1 if assignment[ins.var] else ins.g0 for ins in program)
 
 
 def evaluate_program_batch(program: Program, assignments: np.ndarray) -> np.ndarray:
     """Products over a batch of assignments (rows of a 0/1 matrix).
 
     Block by block of instructions, the elements each instruction chooses
-    on each assignment form a matrix whose rows are multiplied out as a
-    product tree, adjacent rows pairwise (the group is associative), and
-    folded into the running product.  A block holds at most
-    EVAL_BLOCK_CELLS choices, so memory stays bounded for any program.
+    on each assignment form an (assignments, instructions) matrix whose rows
+    `A5.products` multiplies out, folded into the running product.  A block
+    holds at most EVAL_BLOCK_CELLS choices, so memory stays bounded for any
+    program.
     """
-    mul = A5.mul
     out = np.full(len(assignments), A5.identity, dtype=np.uint8)
     block = max(1, EVAL_BLOCK_CELLS // max(1, len(assignments)))
     for start in range(0, len(program), block):
@@ -135,11 +130,7 @@ def evaluate_program_batch(program: Program, assignments: np.ndarray) -> np.ndar
         var = np.array([ins.var for ins in part], dtype=np.intp)
         g0 = np.array([ins.g0 for ins in part], dtype=np.uint8)
         g1 = np.array([ins.g1 for ins in part], dtype=np.uint8)
-        rows = np.where(assignments[:, var].T == 1, g1[:, None], g0[:, None])
-        while len(rows) > 1:
-            paired = mul[rows[:-1:2], rows[1::2]]
-            rows = np.concatenate([paired, rows[-1:]]) if len(rows) % 2 else paired
-        out = mul[out, rows[0]]
+        out = A5.mul[out, A5.products(np.where(assignments[:, var] == 1, g1, g0))]
     return out
 
 

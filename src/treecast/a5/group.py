@@ -71,11 +71,26 @@ class GroupTables:
         return 0
 
     def product(self, word) -> int:
+        """Product of one word, as a Python int (the identity when empty)."""
         rows = self._mul_rows
         out = self.identity
         for g in word.tolist() if isinstance(word, np.ndarray) else word:
             out = rows[out][g]
         return out
+
+    def products(self, words) -> np.ndarray:
+        """Products of the rows of a (..., r) array, as uint8 of shape (...):
+        adjacent columns multiply pairwise (an odd last one folds into the
+        last pair) until one is left; the identity at r = 0."""
+        rows = np.asarray(words)
+        if rows.shape[-1] == 0:
+            return np.full(rows.shape[:-1], self.identity, dtype=np.uint8)
+        while rows.shape[-1] > 1:
+            paired = self.mul[rows[..., :-1:2], rows[..., 1::2]]
+            if rows.shape[-1] % 2:
+                paired[..., -1] = self.mul[paired[..., -1], rows[..., -1]]
+            rows = paired
+        return rows[..., 0].astype(np.uint8)
 
     def conjugate(self, g: int, q: int) -> int:
         """q g q^-1."""

@@ -10,8 +10,8 @@ root label is implicitly the pair (product of the first half of a supplied
 word, product of the second half), and each child halves its parent's
 segment with a fresh uniform boundary randomizer, choosing the first-segment
 branch with probability 2/3.  Per node it stores only the segment start and
-the three boundary randomizers; actual labels are resolved lazily through
-prefix products of the word.
+the three boundary randomizers; actual labels are resolved level by level
+from the products of the word's aligned blocks.
 """
 
 from __future__ import annotations
@@ -89,20 +89,6 @@ def pair_model_child_law(root_code: int) -> LawView:
 # --- product-tree construction --------------------------------------------
 
 
-def _prefix_products(sigma: np.ndarray) -> np.ndarray:
-    """pref[i] = sigma_0 ... sigma_{i-1} (pref[0] = identity)."""
-    pref = np.empty(len(sigma) + 1, dtype=np.uint8)
-    pref[0] = A5.identity
-    for i, g in enumerate(sigma):
-        pref[i + 1] = A5.mul[pref[i], g]
-    return pref
-
-
-def _segment_product(pref: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Product sigma_start ... sigma_{stop-1} = pref[start]^-1 pref[stop]."""
-    return A5.mul[A5.inv[pref[start]], pref[stop]]
-
-
 def product_tree_generate(
     d: int,
     sigma,
@@ -133,37 +119,27 @@ def _product_tree_levels(
     tkeys = trial_keys(seed.key(), trees)
     mul = A5.mul
     inv = A5.inv
-    pref = _prefix_products(sigma)
-
-    ident = A5.identity
     j = np.zeros((trees, 1), dtype=np.int64)
-    x = np.full((trees, 1), ident, dtype=np.uint8)
-    y = np.full((trees, 1), ident, dtype=np.uint8)
-    z = np.full((trees, 1), ident, dtype=np.uint8)
+    x = y = z = np.full((trees, 1), A5.identity, dtype=np.uint8)
 
     def resolve(level: int) -> np.ndarray:
-        H = 1 << (d - level)
-        first = mul[mul[x, _segment_product(pref, j, j + H)], y]
-        second = mul[mul[inv[y], _segment_product(pref, j + H, j + 2 * H)], z]
+        H = 1 << (d - level)  # segments are aligned blocks j // H and j // H + 1
+        blocks = A5.products(sigma.reshape(-1, H))
+        first = mul[mul[x, blocks[j // H]], y]
+        second = mul[mul[inv[y], blocks[j // H + 1]], z]
         return first.astype(np.uint16) * 60 + second.astype(np.uint16)
 
     out = [resolve(0)]
     for level in range(1, d + 1):
         count = k**level
         H = 1 << (d - level + 1)  # parent half-length
-        j = np.repeat(j, k, axis=1)
-        x = np.repeat(x, k, axis=1)
-        y = np.repeat(y, k, axis=1)
-        z = np.repeat(z, k, axis=1)
+        j, x, y, z = (np.repeat(a, k, axis=1) for a in (j, x, y, z))
         b3 = _uniform60(trial_level_words(tkeys, level, count, word_index=0))
         branch = (
             trial_level_words(tkeys, level, count, word_index=1) >> np.uint64(1)
         ) < _TWO_THIRDS_CUT
-        take_second = ~branch
-        j = j + np.where(take_second, H, 0)
-        x_new = np.where(take_second, inv[y], x)
-        z_new = np.where(take_second, z, y)
-        x, y, z = x_new.astype(np.uint8), b3, z_new.astype(np.uint8)
+        j = j + np.where(branch, 0, H)
+        x, y, z = np.where(branch, x, inv[y]), b3, np.where(branch, y, z)
         out.append(resolve(level))
     return out
 

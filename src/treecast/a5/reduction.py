@@ -8,7 +8,7 @@ uniform; its product is (product of the word) * b_r.
 `amplify_oracle` turns any word->element guesser with advantage over random
 guessing into a decision procedure for promise instances (product is the
 identity or a fixed target c).  It randomizes the word for all trials in one
-table pass (one row per trial), queries the guesser once per row, and
+table pass, hands the guesser the whole (trials, r) table in one call, and
 accepts a vote only when the answer equals b_r (identity vote) or c * b_r
 (target vote); the majority of accepted votes decides.
 
@@ -20,11 +20,14 @@ least as hard as the word problem.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
+from ..channels import cut63
 from ..rng import SeedSpec, subkey, words_vec
 from .group import A5
 from .pair_model import _product_tree_levels, _uniform60, pair_code
@@ -41,10 +44,14 @@ class WordInstance:
     def __post_init__(self) -> None:
         if self.promise not in ("identity", "target"):
             raise ValueError(f"unknown promise {self.promise!r}")
+        if not 0 <= self.target < A5.order:
+            raise ValueError(f"target {self.target} outside [0, {A5.order})")
         if self.target == A5.identity:
             raise ValueError("the promise target must differ from the identity")
         if not self.word:
             raise ValueError("the word must be nonempty")
+        if not all(0 <= g < A5.order for g in self.word):
+            raise ValueError(f"word symbols must be element indices in [0, {A5.order})")
         prod = A5.product(self.word)
         expect = A5.identity if self.promise == "identity" else self.target
         if prod != expect:
@@ -62,11 +69,14 @@ class WordInstance:
     @classmethod
     def from_json(cls, text: str) -> "WordInstance":
         doc = json.loads(text)
-        return cls(
-            word=tuple(int(g) for g in doc["word"]),
-            promise=str(doc["promise"]),
-            target=int(doc["target"]),
-        )
+        try:
+            return cls(
+                word=tuple(int(g) for g in doc["word"]),
+                promise=str(doc["promise"]),
+                target=int(doc["target"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"word instance JSON lacks the key {exc}") from None
 
 
 def make_instance(r: int, promise: str, target: int, seed: SeedSpec) -> WordInstance:
@@ -92,6 +102,8 @@ def randomize_word(word, seed: SeedSpec, trial=0):
     r = len(word)
     if r < 1:
         raise ValueError("the word must be nonempty")
+    if word.min() < 0 or word.max() >= A5.order:
+        raise ValueError(f"word symbols must be element indices in [0, {A5.order})")
     if np.ndim(trial) > 1:
         raise ValueError("trial must be an int or a 1-D integer array")
     tkeys = np.asarray(subkey(seed.key(), trial), dtype=np.uint64).reshape(-1)
@@ -118,22 +130,24 @@ class AmplifyResult:
 
 
 def amplify_oracle(
-    oracle: Callable[[tuple[int, ...]], int],
+    oracle: Callable[[np.ndarray], np.ndarray],
     instance: WordInstance,
     trials: int,
     seed: SeedSpec,
 ) -> AmplifyResult:
     """Majority-vote decision of a promise instance through a product guesser.
 
-    A trial votes only when the guess lands on one of the two values
-    consistent with the promise; an all-miss run returns "undecided".
+    The guesser gets the (trials, r) uint8 table of randomized words in one
+    call and answers with `trials` guesses.  A trial votes only when its guess
+    lands on one of the two values consistent with the promise; an all-miss
+    run returns "undecided".
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     randomized, bs = randomize_word(instance.word, seed, trial=np.arange(trials))
-    answers = np.fromiter(
-        (int(oracle(row)) for row in map(tuple, randomized.tolist())),
-        dtype=np.int64,
-        count=trials,
-    )
+    answers = np.asarray(oracle(randomized))
+    if answers.shape != (trials,):
+        raise ValueError(f"the oracle gave answers of shape {answers.shape}, not ({trials},)")
     b_r = bs[:, -1]
     # The target c is not the identity, so c * b_r != b_r and no answer
     # counts for both sides.
@@ -148,26 +162,31 @@ def amplify_oracle(
     )
 
 
-def synthetic_oracle(epsilon: float, seed: SeedSpec) -> Callable[[tuple[int, ...]], int]:
+def synthetic_oracle(epsilon: float, seed: SeedSpec) -> Callable[[np.ndarray], np.ndarray]:
     """A guesser correct with probability 1/60 + epsilon, else uniformly wrong.
 
-    Stateless in the query: the coin and the wrong answer are hashed from the
-    query word itself, so repeated queries answer consistently.
+    It maps a (..., r) array of words to the (...) uint8 array of its guesses,
+    statelessly: word w hashes to h = sum_i w_i (word i of subkey(key, r) | 1)
+    mod 2^64; it is answered right when counter word 2h >> 1 falls below
+    cut63(1/60 + epsilon), else word 2h + 1 mod 59 offsets the wrong answer
+    from the product.  A query answers the same in any batch.
     """
-    from hashlib import blake2b
+    p = Fraction(1, 60) + Fraction(epsilon) if math.isfinite(epsilon) else None
+    if p is None or not 0 <= p <= 1:
+        raise ValueError(f"epsilon must be a finite number in [-1/60, 59/60], got {epsilon}")
+    cut = np.uint64(cut63(p))
+    key = seed.key()
 
-    key_bytes = seed.key().to_bytes(8, "little")
-
-    def oracle(word) -> int:
-        word = tuple(int(g) for g in word)
-        h = blake2b(bytes(word), digest_size=16, key=key_bytes).digest()
-        coin = int.from_bytes(h[:8], "little")
-        pick = int.from_bytes(h[8:], "little")
-        u = (coin >> 11) * (1.0 / 9007199254740992.0)
-        truth = A5.product(word)
-        if u < 1 / 60 + epsilon:
-            return truth
-        return (truth + 1 + pick % 59) % 60
+    def oracle(words) -> np.ndarray:
+        words = np.asarray(words)
+        lead, r = words.shape[:-1], words.shape[-1]
+        flat = words.reshape(math.prod(lead), r)
+        mults = words_vec(subkey(key, r), np.arange(r, dtype=np.uint64)) | np.uint64(1)
+        h2 = (flat.astype(np.uint64) * mults).sum(axis=1, dtype=np.uint64) << np.uint64(1)
+        truth = A5.products(flat)
+        wrong = (truth + 1 + words_vec(key, h2 | np.uint64(1)) % np.uint64(59)) % np.uint64(60)
+        correct = (words_vec(key, h2) >> np.uint64(1)) < cut
+        return np.where(correct, truth, wrong).astype(np.uint8).reshape(lead)
 
     return oracle
 

@@ -73,11 +73,14 @@ class LabelArray:
     @classmethod
     def from_json(cls, text: str) -> "LabelArray":
         doc = json.loads(text)
-        shape = TreeShape(k=int(doc["k"]), d=int(doc["d"]))
-        m = int(doc["m"])
+        try:
+            shape = TreeShape(k=int(doc["k"]), d=int(doc["d"]))
+            m, codes_by_level = int(doc["m"]), doc["levels"]
+        except KeyError as exc:
+            raise ValueError(f"label dump JSON lacks the key {exc}") from None
         dtype = code_dtype(m)
         levels = []
-        for lvl, codes in enumerate(doc["levels"]):
+        for lvl, codes in enumerate(codes_by_level):
             arr = np.asarray(codes)
             # Check before the cast: a narrowing cast of an out-of-range code overflows.
             if arr.size and (

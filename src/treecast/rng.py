@@ -5,9 +5,10 @@ stream tag naming the consumer ("gen", "tie", "noise", ...), and a counter
 (a tree node address, or a global Monte Carlo trial index).  There is no
 sequential state: the bits drawn for a node or a trial do not depend on how
 many others were drawn first, so generation is order-independent and safe to
-parallelize.  Two Monte Carlo samplers (the ones-count chain and the gadget
-corpus) still run sequential PCG64 streams seeded with a stream key; they are reproducible from the seed too, but each draw
-depends on those before it in its stream.
+parallelize; blake2b only derives a stream's key (`stream_key`).  Two Monte
+Carlo samplers (the ones-count chain and the gadget corpus) still run
+sequential PCG64 streams seeded with a stream key; they are reproducible
+from the seed too, but each draw depends on those before it in its stream.
 
 The word function is a double application of the splitmix64 avalanche
 finalizer: one pass decorrelates the counter, an xor folds in the stream key,

@@ -1,4 +1,7 @@
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treecast.a5.group import A5, CLASS_SIZES, classify
 
@@ -55,6 +58,19 @@ def test_product_of_a_long_word_matches_the_numpy_fold():
     for form in (word.astype(np.uint8), tuple(int(g) for g in word), list(word)):
         got = A5.product(form)
         assert type(got) is int and got == int(out)
+
+
+@given(
+    st.sampled_from([(), (3,), (2, 4)]),
+    st.sampled_from([0, 1, 2, 7, 64]),
+    st.data(),
+)
+def test_products_equal_the_scalar_product_row_by_row(lead, r, data):
+    words = data.draw(arrays(np.uint8, lead + (r,), elements=st.integers(0, 59)))
+    got = A5.products(words)
+    assert got.shape == lead and got.dtype == np.uint8
+    for idx in np.ndindex(*lead):
+        assert int(got[idx]) == A5.product(words[idx])
 
 
 def test_five_cycles():

@@ -6,6 +6,7 @@ from scipy.stats import chi2
 
 from treecast.a5.group import A5
 from treecast.a5.pair_model import (
+    _TWO_THIRDS_CUT,
     _product_tree_levels,
     _uniform60,
     generate_pair_model,
@@ -22,7 +23,7 @@ from treecast.a5.quotient import (
     quotient_channel,
 )
 from treecast.channels import ks_parameter, uniform_cuts
-from treecast.rng import SeedSpec
+from treecast.rng import SeedSpec, trial_keys, trial_level_words
 from treecast.trees import TreeShape
 
 
@@ -85,7 +86,51 @@ class TestPairModel:
         assert len(law2) == 120
 
 
+def _product_tree_levels_by_prefix_products(d, sigma, k, seed, trees):
+    """Frozen reference sampler: segment products from the word's prefix
+    products, seg(a, b) = pref[a]^-1 pref[b]."""
+    sigma = np.asarray(sigma, dtype=np.uint8)
+    mul, inv = A5.mul, A5.inv
+    pref = np.zeros(len(sigma) + 1, dtype=np.uint8)
+    for i, g in enumerate(sigma):
+        pref[i + 1] = mul[pref[i], g]
+    tkeys = trial_keys(seed.key(), trees)
+    j = np.zeros((trees, 1), dtype=np.int64)
+    x = y = z = np.zeros((trees, 1), dtype=np.uint8)
+
+    def resolve(level):
+        H = 1 << (d - level)
+        first = mul[mul[x, mul[inv[pref[j]], pref[j + H]]], y]
+        second = mul[mul[inv[y], mul[inv[pref[j + H]], pref[j + 2 * H]]], z]
+        return first.astype(np.uint16) * 60 + second.astype(np.uint16)
+
+    out = [resolve(0)]
+    for level in range(1, d + 1):
+        H = 1 << (d - level + 1)
+        j, x, y, z = (np.repeat(a, k, axis=1) for a in (j, x, y, z))
+        b3 = _uniform60(trial_level_words(tkeys, level, k**level, word_index=0))
+        take_second = (
+            trial_level_words(tkeys, level, k**level, word_index=1) >> np.uint64(1)
+        ) >= _TWO_THIRDS_CUT
+        j = j + np.where(take_second, H, 0)
+        x, y, z = np.where(take_second, inv[y], x), b3, np.where(take_second, z, y)
+        out.append(resolve(level))
+    return out
+
+
 class TestProductTree:
+    @pytest.mark.parametrize(
+        "d, k, trees", [(1, 3600, 1), (1, 3, 700), (3, 4, 50), (5, 2, 20), (0, 5, 3)]
+    )
+    def test_levels_equal_the_prefix_product_sampler(self, d, k, trees):
+        sigma = _uniform60(np.arange(2 ** (d + 1), dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))
+        seed = SeedSpec(d * 100 + k, "pt")
+        got = _product_tree_levels(d, sigma, k, seed, trees)
+        want = _product_tree_levels_by_prefix_products(d, sigma, k, seed, trees)
+        assert len(got) == len(want) == d + 1
+        for g, w in zip(got, want):
+            assert g.dtype == np.uint16 and np.array_equal(g, w)
+
     def test_root_is_half_products(self):
         rng = np.random.default_rng(3)
         for d in (1, 2, 3):

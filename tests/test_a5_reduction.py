@@ -1,7 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treecast.a5.group import A5
 from treecast.a5.pair_model import _uniform60, pair_code
@@ -76,38 +80,72 @@ def test_randomize_word_trial_array_rows_match_scalar_calls(word, trials, master
         assert (tuple(randomized[row].tolist()), tuple(bs[row].tolist())) == scalar
 
 
-def test_amplify_queries_a_scalar_oracle_with_tuples_of_ints():
+def test_amplify_queries_a_batched_oracle_once():
     seen = []
 
-    def oracle(word):
-        seen.append(word)
-        return A5.product(word)
+    def oracle(words):
+        seen.append(words.copy())
+        return A5.products(words)
 
     inst = make_instance(10, "identity", FIVE, SeedSpec(12, "mi"))
     result = amplify_oracle(oracle, inst, 7, SeedSpec(12, "amp"))
-    assert result.votes_identity == 7 and len(seen) == 7
-    assert all(type(w) is tuple and len(w) == 10 for w in seen)
-    assert all(type(g) is int for w in seen for g in w)
+    assert result.votes_identity == 7 and len(seen) == 1
+    assert seen[0].dtype == np.uint8 and seen[0].shape == (7, 10)
     randomized, _ = randomize_word(inst.word, SeedSpec(12, "amp"), trial=np.arange(7))
-    assert seen == [tuple(row) for row in randomized.tolist()]
+    assert np.array_equal(seen[0], randomized)
+
+
+@pytest.mark.parametrize("answer", [lambda w: np.zeros(len(w) + 1), lambda w: np.zeros((len(w), 1))])
+def test_amplify_rejects_an_answer_of_the_wrong_shape(answer):
+    inst = make_instance(10, "identity", FIVE, SeedSpec(12, "mi"))
+    with pytest.raises(ValueError, match="shape"):
+        amplify_oracle(answer, inst, 5, SeedSpec(12, "amp"))
 
 
 def test_amplify_with_no_trials_is_undecided():
     inst = make_instance(10, "identity", FIVE, SeedSpec(12, "mi"))
-    result = amplify_oracle(lambda word: 0, inst, 0, SeedSpec(12, "amp"))
+    result = amplify_oracle(lambda words: np.zeros(len(words)), inst, 0, SeedSpec(12, "amp"))
     assert (result.decision, result.accepted, result.trials) == ("undecided", 0, 0)
+    oracle = synthetic_oracle(0.1, SeedSpec(12, "or"))
+    assert amplify_oracle(oracle, inst, 0, SeedSpec(12, "amp")).decision == "undecided"
+
+
+def test_amplify_rejects_negative_trials():
+    inst = make_instance(10, "identity", FIVE, SeedSpec(12, "mi"))
+    with pytest.raises(ValueError, match="trials"):
+        amplify_oracle(A5.products, inst, -5, SeedSpec(12, "amp"))
 
 
 def test_single_element_word_uniform():
-    counts = np.zeros(60, dtype=np.int64)
-    for t in range(30_000):
-        randomized, _ = randomize_word((13,), SeedSpec(8, "rw"), trial=t)
-        counts[randomized[0]] += 1
+    randomized, _ = randomize_word((13,), SeedSpec(8, "rw"), trial=np.arange(30_000))
+    counts = np.bincount(randomized[:, 0], minlength=60)
     expected = 30_000 / 60
     stat = float(((counts - expected) ** 2 / expected).sum())
     from scipy.stats import chi2
 
     assert stat <= chi2.ppf(0.999, 59)
+
+
+@pytest.mark.parametrize("word", [(-1, 59), (3, 60), (99,)])
+def test_out_of_range_symbols_are_rejected(word):
+    with pytest.raises(ValueError, match=r"\[0, 60\)"):
+        WordInstance(word=word, promise="identity", target=FIVE)
+    with pytest.raises(ValueError, match=r"\[0, 60\)"):
+        randomize_word(word, SeedSpec(1, "rw"))
+
+
+@pytest.mark.parametrize("target", [-1, 60])
+def test_out_of_range_target_is_rejected(target):
+    with pytest.raises(ValueError, match="target"):
+        WordInstance(word=(0,), promise="identity", target=target)
+
+
+@pytest.mark.parametrize("missing", ["word", "promise", "target"])
+def test_word_instance_json_missing_key_is_a_value_error(missing):
+    doc = {"word": [FIVE], "promise": "target", "target": FIVE}
+    del doc[missing]
+    with pytest.raises(ValueError, match=missing):
+        WordInstance.from_json(json.dumps(doc))
 
 
 def test_make_instance_respects_promise():
@@ -125,19 +163,16 @@ def test_word_instance_json_roundtrip():
 
 
 def test_amplify_with_perfect_oracle():
-    def perfect(word):
-        return A5.product(word)
-
     for promise in ("identity", "target"):
         inst = make_instance(12, promise, FIVE, SeedSpec(11, "mi"))
-        result = amplify_oracle(perfect, inst, 50, SeedSpec(11, "amp"))
+        result = amplify_oracle(A5.products, inst, 50, SeedSpec(11, "amp"))
         assert result.decision == promise
         assert result.accepted == 50  # every trial votes
 
 
 def test_amplify_with_constant_oracle():
-    def stubborn(word):
-        return 17
+    def stubborn(words):
+        return np.full(len(words), 17)
 
     inst = make_instance(12, "target", FIVE, SeedSpec(13, "mi"))
     result = amplify_oracle(stubborn, inst, 200, SeedSpec(13, "amp"))
@@ -160,14 +195,50 @@ def test_amplify_with_weak_synthetic_oracle():
 
 def test_synthetic_oracle_advantage():
     oracle = synthetic_oracle(0.1, SeedSpec(31, "or"))
-    rng = np.random.default_rng(3)
-    correct = 0
-    trials = 20_000
-    for _ in range(trials):
-        word = tuple(int(x) for x in rng.integers(0, 60, size=6))
-        correct += oracle(word) == A5.product(word)
-    acc = correct / trials
+    words = np.random.default_rng(3).integers(0, 60, size=(20_000, 6)).astype(np.uint8)
+    answers = oracle(words)
+    assert answers.shape == (20_000,) and answers.dtype == np.uint8
+    acc = float((answers == A5.products(words)).mean())
     assert abs(acc - (1 / 60 + 0.1)) < 0.01
+
+
+@given(
+    st.sampled_from([(), (5,), (3, 4)]),
+    st.integers(0, 9),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_synthetic_oracle_answers_batched_as_row_by_row(lead, r, master, data):
+    oracle = synthetic_oracle(0.3, SeedSpec(master, "or"))
+    words = data.draw(arrays(np.uint8, lead + (r,), elements=st.integers(0, 59)))
+    answers = oracle(words)
+    assert answers.shape == lead and answers.dtype == np.uint8
+    for idx in np.ndindex(*lead):
+        assert oracle(words[idx]) == answers[idx]
+        assert oracle(words[idx][None])[0] == answers[idx]
+    assert np.array_equal(oracle(words), answers)
+
+
+def test_synthetic_oracle_answers_repeated_queries_identically():
+    oracle = synthetic_oracle(0.1, SeedSpec(31, "or"))
+    words = np.random.default_rng(5).integers(0, 60, size=(50, 8)).astype(np.uint8)
+    repeated = np.concatenate([words, words[::-1], words])
+    answers = oracle(repeated)
+    assert np.array_equal(answers[:50], answers[100:])
+    assert np.array_equal(answers[:50], answers[50:100][::-1])
+
+
+@pytest.mark.parametrize("epsilon", [-1 / 60, 59 / 60])
+def test_synthetic_oracle_accepts_the_ends_of_the_epsilon_range(epsilon):
+    words = np.random.default_rng(6).integers(0, 60, size=(500, 4)).astype(np.uint8)
+    hits = synthetic_oracle(epsilon, SeedSpec(1, "or"))(words) == A5.products(words)
+    assert hits.all() if epsilon > 0 else not hits.any()
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -0.02, 0.99])
+def test_synthetic_oracle_rejects_epsilon_outside_its_range(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        synthetic_oracle(epsilon, SeedSpec(1, "or"))
 
 
 def test_detection_to_word_oblivious_detector():

@@ -299,3 +299,25 @@ def test_every_word_draw_outside_channels_goes_through_cut_tables():
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
                 assert name != "searchsorted", f"{path.name}:{node.lineno}"
+
+
+def test_no_word_is_drawn_from_blake2b():
+    # blake2b only derives stream keys (`rng.stream_key`); every draw is a
+    # counter word.
+    src = Path(treecast.__file__).parent
+    calls = []
+    for path in src.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path == src / "rng.py":
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name == "stream_key":
+                    allowed = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if "blake2b" in name:
+                    calls.append(f"{path.name}:{node.lineno}")
+                    assert id(node) in allowed, calls[-1]
+    assert len(calls) == 1  # the key derivation itself

@@ -285,13 +285,53 @@ def test_a5_class16_bad_shape_is_one_line_error(capsys, argv, words):
 
 
 def test_reduce_word_golden(capsys):
-    # Captured before the amplifier drew all trials in one table pass.
+    # Captured when the synthetic oracle began drawing its coin and wrong
+    # answer from counter words.
     code, out, _ = run(
         capsys, "--seed", "1", "reduce-word", "--length", "64", "--promise", "target",
         "--epsilon", "0.1", "--trials", "500",
     )
     assert code == EXIT_OK
     assert out == (
-        '{"accepted": 66, "correct": true, "decision": "target", "promise": "target", '
-        '"trials": 500, "votes_identity": 3, "votes_target": 63}\n'
+        '{"accepted": 74, "correct": true, "decision": "target", "promise": "target", '
+        '"trials": 500, "votes_identity": 13, "votes_target": 61}\n'
     )
+
+
+@pytest.mark.parametrize(
+    "doc, words",
+    [
+        ({"word": [-1, 59], "promise": "identity", "target": 13}, ["[0, 60)"]),
+        ({"word": [99], "promise": "target", "target": 13}, ["[0, 60)"]),
+        ({"word": [13], "promise": "target", "target": 60}, ["target", "60"]),
+        ({"word": [13], "target": 13}, ["lacks", "promise"]),
+    ],
+)
+def test_reduce_word_bad_instance_is_one_line_error(tmp_path, capsys, doc, words):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "reduce-word", "--instance", str(path), "--trials", "10")
+    _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["--trials", "-5"], ["trials", ">= 0"]),
+        (["--epsilon", "nan"], ["epsilon", "nan"]),
+        (["--epsilon", "inf"], ["epsilon", "inf"]),
+        (["--epsilon", "0.99"], ["epsilon", "[-1/60, 59/60]"]),
+    ],
+)
+def test_reduce_word_bad_option_is_one_line_error(capsys, argv, words):
+    code, out, err = run(capsys, "reduce-word", "--length", "8", *argv)
+    _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
+def test_bp_label_dump_missing_key_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"k": 2, "d": 1, "levels": [[1], [0, 1]]}))
+    code, _, err = run(capsys, "bp", "--leaves", str(path), "--theta", "1/2")
+    _one_line_usage_error(code, err, "lacks", "'m'")
