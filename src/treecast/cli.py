@@ -12,6 +12,7 @@ import json
 import logging
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +60,18 @@ class SystemExit2(Exception):
     pass
 
 
+def fraction(text: str) -> str:
+    """Type of every rational option: the text itself, once each of its
+    comma-separated values reads as a Fraction within float range.  The
+    ValueError becomes argparse's usage error, not a traceback."""
+    for item in text.split(","):
+        try:
+            float(Fraction(item))
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(item) from exc
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="treecast", description="Broadcast processes on trees: generate, infer, compile, reduce, verify.")
     p.add_argument("--seed", type=int, default=1, help="64-bit master seed")
@@ -72,33 +85,33 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate one tree and dump its labels")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
-    g.add_argument("--theta", type=str, default="1/2")
+    g.add_argument("--theta", type=fraction, default="1/2")
     g.add_argument("--generator", choices=("direct", "path-product", "restrictions", "pair3600", "class16"), default="direct")
     g.add_argument("--root", type=int, default=None)
 
     b = sub.add_parser("bp", help="posterior for a dumped tree's leaves")
     b.add_argument("--leaves", type=str, required=True, help="LabelArray dump (.json or binary)")
-    b.add_argument("--theta", type=str, default="1/2")
-    b.add_argument("--flip-rate", type=str, default="0", help="leaf observation flip rate")
+    b.add_argument("--theta", type=fraction, default="1/2")
+    b.add_argument("--flip-rate", type=fraction, default="0", help="leaf observation flip rate")
 
     t = sub.add_parser("detect", help="run an estimator on generated trees")
     t.add_argument("--k", type=int, required=True)
     t.add_argument("--d", type=int, required=True)
-    t.add_argument("--theta", type=str, required=True)
+    t.add_argument("--theta", type=fraction, required=True)
     t.add_argument("--trials", type=int, default=1000)
     t.add_argument("--estimator", choices=("majority", "linearized-bp", "bp-rounding"), default="majority")
 
     ks = sub.add_parser("scan-ks", help="estimator scan over a (k, theta, d) grid")
     ks.add_argument("--k", type=str, default="2")
-    ks.add_argument("--theta", type=str, default="1/2,4/5")
+    ks.add_argument("--theta", type=fraction, default="1/2,4/5")
     ks.add_argument("--d", type=str, default="4,6")
     ks.add_argument("--trials", type=int, default=10_000)
 
     ns = sub.add_parser("scan-noise", help="noisy-recovery accuracy over an (s, d) grid")
     ns.add_argument("--k", type=str, default="2")
-    ns.add_argument("--theta", type=str, default="9/10")
+    ns.add_argument("--theta", type=fraction, default="9/10")
     ns.add_argument("--d", type=str, default="1,2,3")
-    ns.add_argument("--s", type=str, default="0,1/10,1/5,3/10,2/5,1/2")
+    ns.add_argument("--s", type=fraction, default="0,1/10,1/5,3/10,2/5,1/2")
     ns.add_argument("--trials", type=int, default=2000)
 
     a = sub.add_parser("a5", help="pair/class model runs and recursive reconstruction")

@@ -49,8 +49,10 @@ from .channels import (
 from .labels import LabelArray, code_dtype
 from .oracle import LawView, Numerators
 from .rng import (
+    BLOCK_WORDS,
     SeedSpec,
     bits_from_word,
+    level_blocks,
     level_words,
     node_counters,
     subkey,
@@ -434,6 +436,11 @@ def generate_binary_batch(
     through its label's cumulative code law.  That law is cut by
     `cumulative_cuts`, so each code's probability is within 2^-63 of exact,
     and a code of probability zero is never drawn.
+
+    No level's word array is built: `rng.level_blocks` streams each level
+    through one buffer pair, and each block is compared, raw, against the
+    doubled cuts (w >> 1 < c exactly when w < 2c) into its rows of the
+    labels, or drawn into its rows of the codes.
     """
     t, sf = binary_theta(theta), NoiseSpec(s).s
     if method not in BATCH_METHODS:
@@ -453,33 +460,46 @@ def generate_binary_batch(
     labels = roots.reshape(-1, 1)
     if shape.d == 0 and sf:
         # The one leaf is the root itself, seen through flip(s).
-        w63 = trial_level_words(tkeys, 0, 1, word_index=1) >> np.uint64(1)
-        labels = labels ^ (w63 < np.uint64(cut63(sf))).astype(np.uint8)
+        w = trial_level_words(tkeys, 0, 1, word_index=1)
+        labels = labels ^ _doubled_cut_compare(np.less, w, cut63(sf))
+    buffers = np.empty((2, min(BLOCK_WORDS, trials * shape.n)), dtype=np.uint64)
+    if height:
+        # Allocated before the levels' labels, so the codes, which outlive
+        # them, do not sit above them on the heap.
+        code_type = np.min_scalar_type(len(code_ones(shape.k, height)) - 1)
+        codes = np.empty((trials, shape.nodes_at(shape.d - height)), code_type)
     for lvl in range(1, shape.d - height + 1):
         lt = t * (1 - 2 * sf) if lvl == shape.d else t
-        w63 = trial_level_words(tkeys, lvl, shape.nodes_at(lvl))
-        w63 >>= np.uint64(1)
-        parents = np.repeat(labels, shape.k, axis=1)
-        if method == "direct":
-            # Column draw: the keep probability is (1+theta)/2 for both columns.
-            parents ^= w63 >= np.uint64(cut63((1 + lt) / 2))
-        elif method == "path":
-            parents ^= w63 < np.uint64(cut63((1 - lt) / 2))
-        else:
-            # Below the first cut the symbol is 0, below the second 1, else *.
-            parents = np.where(
-                w63 < np.uint64(cut63((1 - lt) / 2)),
-                0,
-                np.where(w63 < np.uint64(cut63(1 - lt)), 1, parents),
-            ).astype(np.uint8)
-        labels = parents
+        flip, keep = cut63((1 - lt) / 2), cut63((1 + lt) / 2)
+        one = cut63(1 - lt) if method == "restrictions" else None
+        labels = np.repeat(labels, shape.k, axis=1)
+        for first, w in level_blocks(tkeys, lvl, shape.nodes_at(lvl), 0, buffers):
+            part = labels.reshape(-1)[first : first + w.size]
+            if method == "direct":
+                # Column draw: the keep probability is (1+theta)/2 for both columns.
+                part ^= _doubled_cut_compare(np.greater_equal, w, keep)
+            elif method == "path":
+                part ^= _doubled_cut_compare(np.less, w, flip)
+            else:
+                # Below the first cut the symbol is 0, below the second 1, else *.
+                part |= _doubled_cut_compare(np.less, w, one)
+                part &= _doubled_cut_compare(np.greater_equal, w, flip)
     if height == 0:
         return roots, labels
-    count = shape.nodes_at(shape.d - height)
-    w63 = trial_level_words(tkeys, shape.d - height, count, word_index=1)
-    w63 >>= np.uint64(1)
-    codes = _code_tables(shape.k, height, t, sf).draw(labels, w63)
-    return roots, codes.astype(np.min_scalar_type(len(code_ones(shape.k, height)) - 1))
+    tables = _code_tables(shape.k, height, t, sf)
+    for first, w in level_blocks(tkeys, shape.d - height, labels.shape[1], 1, buffers):
+        w >>= np.uint64(1)
+        part = slice(first, first + w.size)
+        codes.reshape(-1)[part] = tables.draw(labels.reshape(-1)[part], w)
+    return roots, codes
+
+
+def _doubled_cut_compare(op, words: np.ndarray, cut: int) -> np.ndarray:
+    """op(words >> 1, cut), op np.less or np.greater_equal, as op(words, 2 cut).
+    A cut of 2^63 doubles past uint64: every word is below it."""
+    if cut >> 63:
+        return np.full(words.shape, op is np.less)
+    return op(words, np.uint64(cut << 1))
 
 
 # --- exact per-generator leaf laws ---------------------------------------

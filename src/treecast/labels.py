@@ -73,6 +73,8 @@ class LabelArray:
     @classmethod
     def from_json(cls, text: str) -> "LabelArray":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("label dump JSON must be an object with keys k, d, m and levels")
         try:
             shape = TreeShape(k=int(doc["k"]), d=int(doc["d"]))
             m, codes_by_level = int(doc["m"]), doc["levels"]

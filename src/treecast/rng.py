@@ -22,7 +22,9 @@ finalizer pass runs on a copy of the counters alone (for `trial_level_words`
 one row of counters, shared by every trial key); the key xor writes the
 output array, and the second pass runs in place over it, BLOCK_WORDS words
 at a time, so each block stays in cache through the pass's eight
-operations.  A word is a pure function of (key, counter), so the blocking
+operations.  `level_blocks` streams the same (trial, node) words one block
+at a time through two buffers its caller reuses, so no level's word array
+is ever built.  A word is a pure function of (key, counter), so the blocking
 cannot change one.  Callers that want 63-bit words shift the output in place.
 """
 
@@ -91,12 +93,14 @@ _FIN_LAST = np.uint64(31)
 _UC1, _UC2 = np.uint64(_C1), np.uint64(_C2)
 
 
-def _fin_inplace(z: np.ndarray) -> np.ndarray:
+def _fin_inplace(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """splitmix64 finalizer over a fresh C-contiguous uint64 array, in place,
-    one BLOCK_WORDS block at a time through one scratch buffer.  Integer
-    array arithmetic wraps modulo 2^64 without a warning."""
+    one BLOCK_WORDS block at a time through one scratch buffer (`scratch`,
+    else a new one).  Integer array arithmetic wraps modulo 2^64 without a
+    warning."""
     flat = z.reshape(-1)
-    scratch = np.empty(min(flat.size, BLOCK_WORDS), dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty(min(flat.size, BLOCK_WORDS), dtype=np.uint64)
     for start in range(0, flat.size, BLOCK_WORDS):
         block = flat[start : start + BLOCK_WORDS]
         tmp = scratch[: block.size]
@@ -109,6 +113,14 @@ def _fin_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _counter_pass(counters) -> np.ndarray:
+    """The first finalizer pass, on a fresh copy of the counters."""
+    z = np.array(counters, dtype=np.uint64, order="C")
+    z *= _UC1
+    z += _UC2
+    return _fin_inplace(z)
+
+
 def words_vec(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Vectorized `word`; `key` may be an array that broadcasts against `counters`.
 
@@ -116,11 +128,7 @@ def words_vec(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
     the one output array, and the second pass runs on it in place.
     """
     key = np.asarray(key, dtype=np.uint64)
-    z = np.array(counters, dtype=np.uint64, order="C")
-    z *= _UC1
-    z += _UC2
-    _fin_inplace(z)
-    return _fin_inplace(np.bitwise_xor(z, key, order="C"))
+    return _fin_inplace(np.bitwise_xor(_counter_pass(counters), key, order="C"))
 
 
 def trial_keys(key: int, trials: int, start: int = 0) -> np.ndarray:
@@ -135,6 +143,24 @@ def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int
     so no trial count can wrap the counter space into reuse.
     """
     return words_vec(tkeys[:, None], node_counters(level, np.arange(count), word_index))
+
+
+def level_blocks(tkeys: np.ndarray, level: int, count: int, word_index: int, buffers: np.ndarray):
+    """Yield (start, block) over `trial_level_words(tkeys, level, count,
+    word_index)` flattened: blocks of whole rows, or of one wide row, of at
+    most BLOCK_WORDS words, `start` the flat index of the first.  The first
+    pass runs once, on the counters; the key xor and second pass write each
+    block into `buffers[0]` (scratch `buffers[1]`), a (2, >= min(BLOCK_WORDS,
+    len(tkeys) * count)) uint64 array the caller reuses across levels."""
+    first = _counter_pass(node_counters(level, np.arange(count), word_index))
+    rows, width = max(1, BLOCK_WORDS // count), min(count, BLOCK_WORDS)
+    for r0 in range(0, len(tkeys), rows):
+        keys = tkeys[r0 : r0 + rows, None]
+        for c0 in range(0, count, width):
+            cols = first[c0 : c0 + width]
+            block = buffers[0, : len(keys) * len(cols)]
+            np.bitwise_xor(keys, cols, out=block.reshape(len(keys), len(cols)))
+            yield r0 * count + c0, _fin_inplace(block, buffers[1])
 
 
 def subkey(key: int, index):

@@ -321,3 +321,16 @@ def test_no_word_is_drawn_from_blake2b():
                     calls.append(f"{path.name}:{node.lineno}")
                     assert id(node) in allowed, calls[-1]
     assert len(calls) == 1  # the key derivation itself
+
+
+def test_splitmix_finalizer_lives_in_rng_only():
+    # One hashing implementation: the splitmix64 multipliers appear in
+    # rng.py alone, so no second finalizer loop grows elsewhere under src/.
+    multipliers = {0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
+    src = Path(treecast.__file__).parent
+    found = {}
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in multipliers:
+                found.setdefault(path.relative_to(src).as_posix(), set()).add(node.value)
+    assert found == {"rng.py": multipliers}

@@ -335,3 +335,28 @@ def test_bp_label_dump_missing_key_is_one_line_error(tmp_path, capsys):
     path.write_text(json.dumps({"k": 2, "d": 1, "levels": [[1], [0, 1]]}))
     code, _, err = run(capsys, "bp", "--leaves", str(path), "--theta", "1/2")
     _one_line_usage_error(code, err, "lacks", "'m'")
+
+
+def test_bp_label_dump_that_is_not_an_object_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps([{"k": 2, "d": 1, "m": 2, "levels": [[1], [0, 1]]}]))
+    code, _, err = run(capsys, "bp", "--leaves", str(path), "--theta", "1/2")
+    _one_line_usage_error(code, err, "label dump JSON must be an object with keys")
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["detect", "--k", "2", "--d", "3", "--theta", "1/0"], "--theta", "1/0"),
+        (["scan-noise", "--s", "1/0"], "--s", "1/0"),
+        (["detect", "--k", "2", "--d", "3", "--theta", "1e400"], "--theta", "1e400"),
+    ],
+)
+def test_unreadable_fraction_option_is_a_usage_error(capsys, argv, option, value):
+    # argparse rejects the value: the usage, then one error line naming it.
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert errors == [err.strip().splitlines()[-1]]
+    assert option in errors[0] and value in errors[0], errors[0]

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 
@@ -11,6 +12,7 @@ from treecast.channels import Channel, CutTables, cut63
 from treecast.estimators import noisy_leaf_channel
 from treecast.experiments import DEFAULT_EXACT_SHAPES, _chi_square_vs_exact, exact_joint_of_leaves
 from treecast.generators import (
+    BATCH_METHODS,
     STAR,
     NoiseSpec,
     Restriction,
@@ -21,6 +23,7 @@ from treecast.generators import (
     biased_bit_exact_from_bits,
     check_node_budget,
     code_law,
+    code_ones,
     generate_binary_batch,
     generate_direct,
     generate_path_product,
@@ -32,7 +35,15 @@ from treecast.generators import (
     total_variation,
 )
 from treecast.oracle import enumerate_joint
-from treecast.rng import BLOCK_WORDS, SeedSpec, node_counters, subkey, words_vec
+from treecast.rng import (
+    BLOCK_WORDS,
+    SeedSpec,
+    node_counters,
+    subkey,
+    trial_keys,
+    trial_level_words,
+    words_vec,
+)
 from treecast.trees import TreeShape
 
 
@@ -621,3 +632,110 @@ def test_cut_tables_leave_the_callers_array_writeable():
     assert cuts.flags.writeable and not tables.cuts.flags.writeable
     cuts[0, 0] = 0
     assert tables.cuts[0, 0] == 1 << 61
+
+
+# --- the streamed batch sampler against its per-level form ---------------------
+
+
+def _per_level_batch(shape, theta, seed, trials, method, roots=None, start=0, height=0, s=0):
+    """`generate_binary_batch` as it sampled before its levels were streamed,
+    frozen here as the reference: one (trials, nodes) word array per level,
+    shifted to 63 bits and compared against the cuts, then one flat code draw."""
+    t, sf = Fraction(theta), Fraction(s)
+    tkeys = trial_keys(seed.key(), trials, start)
+    if roots is None:
+        root_words = trial_level_words(tkeys, 0, 1)[:, 0]
+        roots = ((root_words >> np.uint64(1)) >= np.uint64(cut63(Fraction(1, 2)))).astype(np.uint8)
+    labels = roots.reshape(-1, 1)
+    if shape.d == 0 and sf:
+        w63 = trial_level_words(tkeys, 0, 1, word_index=1) >> np.uint64(1)
+        labels = labels ^ (w63 < np.uint64(cut63(sf))).astype(np.uint8)
+    for lvl in range(1, shape.d - height + 1):
+        lt = t * (1 - 2 * sf) if lvl == shape.d else t
+        w63 = trial_level_words(tkeys, lvl, shape.nodes_at(lvl))
+        w63 >>= np.uint64(1)
+        parents = np.repeat(labels, shape.k, axis=1)
+        if method == "direct":
+            parents ^= w63 >= np.uint64(cut63((1 + lt) / 2))
+        elif method == "path":
+            parents ^= w63 < np.uint64(cut63((1 - lt) / 2))
+        else:
+            parents = np.where(
+                w63 < np.uint64(cut63((1 - lt) / 2)),
+                0,
+                np.where(w63 < np.uint64(cut63(1 - lt)), 1, parents),
+            ).astype(np.uint8)
+        labels = parents
+    if height == 0:
+        return roots, labels
+    w63 = trial_level_words(tkeys, shape.d - height, shape.nodes_at(shape.d - height), word_index=1)
+    w63 >>= np.uint64(1)
+    codes = generators._code_tables(shape.k, height, t, sf).draw(labels, w63)
+    return roots, codes.astype(np.min_scalar_type(len(code_ones(shape.k, height)) - 1))
+
+
+BATCH_THETAS = [Fraction(x) for x in ("-1", "-1/3", "0", "1/2", "4/5", "1")]
+BATCH_NOISE = [Fraction(0), Fraction(1, 10), Fraction(1, 2)]
+
+
+@st.composite
+def _batch_cases(draw):
+    method = draw(st.sampled_from(BATCH_METHODS))
+    theta = draw(st.sampled_from(BATCH_THETAS) | st.fractions(-1, 1, max_denominator=30))
+    if method == "restrictions":
+        theta = abs(theta)
+    shape = TreeShape(k=draw(st.integers(2, 3)), d=draw(st.integers(0, 4)))
+    trials = draw(st.integers(0, 40))
+    roots = draw(st.none() | st.lists(st.integers(0, 1), min_size=trials, max_size=trials))
+    return dict(
+        shape=shape,
+        theta=theta,
+        seed=SeedSpec(draw(st.integers(0, 2**64 - 1)), "stream"),
+        trials=trials,
+        method=method,
+        roots=None if roots is None else np.array(roots, dtype=np.uint8),
+        start=draw(st.integers(0, 2**40)),
+        height=draw(st.integers(0, shape.d)),
+        s=draw(st.sampled_from(BATCH_NOISE) | st.fractions(0, Fraction(1, 2), max_denominator=30)),
+    )
+
+
+def _assert_batch_equals_per_level(case):
+    got = generate_binary_batch(**case)
+    want = _per_level_batch(**case)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@given(case=_batch_cases())
+def test_streamed_batch_equals_the_per_level_sampler(case):
+    _assert_batch_equals_per_level(case)
+
+
+@pytest.mark.parametrize("method", BATCH_METHODS)
+def test_streamed_batch_equals_the_per_level_sampler_across_blocks(monkeypatch, method):
+    # 64-word blocks: levels of many blocks, leaves of (2, 7) and (3, 5)
+    # wider than one block, and codes drawn from levels of 27 and 128 nodes.
+    monkeypatch.setattr("treecast.rng.BLOCK_WORDS", 64)
+    for shape, height in ((TreeShape(2, 7), 0), (TreeShape(3, 5), 0), (TreeShape(3, 5), 2), (TreeShape(2, 9), 2)):
+        for theta, s in ((Fraction(4, 5), Fraction(1, 10)), (Fraction(1), 0), (Fraction(0), Fraction(1, 2))):
+            _assert_batch_equals_per_level(
+                dict(shape=shape, theta=theta, seed=SeedSpec(3, "blocks"), trials=23,
+                     method=method, start=5, height=height, s=s)
+            )
+
+
+@pytest.mark.parametrize("method", BATCH_METHODS)
+def test_batch_sampler_builds_no_level_word_array(method):
+    # One (trials, nodes) uint64 level array is 8 times the leaves' bytes;
+    # the streamed sampler keeps the labels and one block pair.
+    tracemalloc.start()
+    try:
+        _, leaves = generate_binary_batch(
+            TreeShape(3, 5), Fraction(4, 5), SeedSpec(1, "mem"), 20_000, method=method
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * leaves.nbytes, (peak, leaves.nbytes)
