@@ -353,15 +353,24 @@ def class16_reconstruction_trial(
     check_node_budget(TreeShape(k, max(d - 1, 1)))
     levels = direct_levels(TreeShape(k, d - 1), quotient_channel(), key)
     tallies = identity_first_tallies(levels[-1], k, key, d)
-    est, empty = reconstruct_level_class16_from_counts(tallies, tau, subkey(key, 1))
-    flagged = int(empty.sum())
-    level = est
-    depth_ctr = 1
+    level, empty = reconstruct_level_class16_from_counts(tallies, tau, subkey(key, 1))
+    root, flagged = _class16_climb(level, k, tau, key, 1, int(empty.sum()))
+    return int(levels[0][0]), root, flagged
+
+
+def _class16_climb(
+    level: np.ndarray, k: int, tau: Fraction, tie_key: int, depth: int, flagged: int
+) -> tuple[int, int]:
+    """Apply `reconstruct_level_class16` level by level up to the root, the
+    j-th level above `depth` with ties from `subkey(tie_key, depth + j)`.
+
+    Returns (root estimate, `flagged` plus the flagged nodes on the way).
+    """
     while level.size > 1:
-        depth_ctr += 1
-        level, empty = reconstruct_level_class16(level, k, tau, subkey(key, depth_ctr))
+        depth += 1
+        level, empty = reconstruct_level_class16(level, k, tau, subkey(tie_key, depth))
         flagged += int(empty.sum())
-    return int(levels[0][0]), int(level[0]), flagged
+    return int(level[0]), flagged
 
 
 def recursive_reconstruct(
@@ -380,16 +389,10 @@ def recursive_reconstruct(
     if model not in ("pair3600", "class16"):
         raise ValueError(f"unknown model {model!r}; expected pair3600 or class16")
     level = np.asarray(labels)
-    tie_key = subkey(seed.key(), 0) if seed is not None else subkey(0, 0)
-    flagged = 0
-    depth = 0
+    if model == "class16":
+        tie_key = subkey(seed.key(), 0) if seed is not None else subkey(0, 0)
+        root, flagged = _class16_climb(level, k, tau_f, tie_key, 0, 0)
+        return ReconstructionResult(root_estimate=root, flagged_nodes=flagged)
     while level.size > 1:
-        if level.size % k:
-            raise ValueError(f"level of {level.size} labels is not divisible by k = {k}")
-        if model == "pair3600":
-            level = reconstruct_level_pair(level, k, tau_f)
-        else:
-            depth += 1
-            level, empty = reconstruct_level_class16(level, k, tau_f, subkey(tie_key, depth))
-            flagged += int(empty.sum())
-    return ReconstructionResult(root_estimate=int(level[0]), flagged_nodes=flagged)
+        level = reconstruct_level_pair(level, k, tau_f)
+    return ReconstructionResult(root_estimate=int(level[0]), flagged_nodes=0)

@@ -44,6 +44,21 @@ def as_fraction(x: FractionLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def fraction_text(text: str) -> str:
+    """`text` stripped, once it reads as a Fraction within float range.
+
+    Raises ValueError otherwise, also for a zero denominator or a value past
+    float range, so the text never reaches a later `float` or `as_fraction`
+    that would fail with another error class.
+    """
+    text = text.strip()
+    try:
+        float(Fraction(text))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(text) from exc
+    return text
+
+
 def binary_theta(theta: FractionLike) -> Fraction:
     """Exact correlation parameter of the binary channel, checked to lie in [-1, 1]."""
     t = as_fraction(theta)

@@ -12,9 +12,8 @@ import json
 import logging
 import re
 import sys
-from fractions import Fraction
 
-import numpy as np
+from .channels import fraction_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,13 +61,10 @@ class SystemExit2(Exception):
 
 def fraction(text: str) -> str:
     """Type of every rational option: the text itself, once each of its
-    comma-separated values reads as a Fraction within float range.  The
-    ValueError becomes argparse's usage error, not a traceback."""
+    comma-separated values passes `channels.fraction_text`.  The ValueError
+    becomes argparse's usage error, not a traceback."""
     for item in text.split(","):
-        try:
-            float(Fraction(item))
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(item) from exc
+        fraction_text(item)
     return text
 
 
@@ -139,14 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the full oracle/property suite")
     v.add_argument("--quick", action="store_true")
     return p
-
-
-def _parse_grid_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
-
-def _parse_grid_strs(text: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in text.split(","))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -221,7 +209,7 @@ def _cmd_bp(args) -> int:
 
 def _cmd_detect(args) -> int:
     from .channels import as_fraction
-    from .experiments import ExperimentConfig, _row, append_rows, score_estimators_point
+    from .experiments import _row, append_rows, score_estimators_point
     from .rng import SeedSpec
 
     accs = score_estimators_point(
@@ -235,11 +223,7 @@ def _cmd_detect(args) -> int:
     acc = accs[args.estimator]
     if args.out and (args.format in (None, "csv")):
         # Rows append to the experiment CSV so repeated runs build one table.
-        cfg = ExperimentConfig(
-            experiment="ks-scan", seed=args.seed, trials=max(args.trials, 100),
-            k=(args.k,), theta=(args.theta,), d=(args.d,),
-        )
-        row = _row(cfg, args.k, args.theta, args.d, "0", args.estimator, args.trials, acc)
+        row = _row("ks-scan", args.seed, args.k, args.theta, args.d, "0", args.estimator, args.trials, acc)
         append_rows([row], args.out)
         return EXIT_OK
     doc = {
@@ -284,9 +268,9 @@ def _cmd_scan_ks(args) -> int:
         args,
         "ks-scan",
         trials=args.trials,
-        k=_parse_grid_ints(args.k),
-        theta=_parse_grid_strs(args.theta),
-        d=_parse_grid_ints(args.d),
+        k=args.k.split(","),
+        theta=args.theta.split(","),
+        d=args.d.split(","),
     )
     emit(run_ks_scan(cfg), cfg.out, cfg.format)
     return EXIT_OK
@@ -299,10 +283,10 @@ def _cmd_scan_noise(args) -> int:
         args,
         "noise-scan",
         trials=args.trials,
-        k=_parse_grid_ints(args.k),
-        theta=_parse_grid_strs(args.theta),
-        d=_parse_grid_ints(args.d),
-        s=_parse_grid_strs(args.s),
+        k=args.k.split(","),
+        theta=args.theta.split(","),
+        d=args.d.split(","),
+        s=args.s.split(","),
     )
     report = run_noise_scan(cfg)
     emit(report.rows, cfg.out, cfg.format)
@@ -339,7 +323,7 @@ def _cmd_a5(args) -> int:
 
 
 def _cmd_compile_gadget(args) -> int:
-    from .formulas import parse_formula
+    from .formulas import assignments, parse_formula
     from .gadgets import compile_formula, verify_gadget
 
     f = parse_formula(args.formula)
@@ -348,8 +332,7 @@ def _cmd_compile_gadget(args) -> int:
     if args.check:
         n_vars = (max(f.variables()) + 1) if f.variables() else 1
         all_track = True
-        for bits in range(1 << n_vars):
-            assignment = [(bits >> (n_vars - 1 - i)) & 1 for i in range(n_vars)]
+        for assignment in assignments(n_vars):
             verdict = verify_gadget(f, assignment, mode=args.mode, template=template)
             all_track &= verdict.tracks
         doc["tracks_all_assignments"] = all_track
@@ -363,7 +346,7 @@ def _cmd_compile_gadget(args) -> int:
 def _cmd_compile_barrington(args) -> int:
     from .a5.barrington import barrington_compile, evaluate_program_batch, program_to_json
     from .a5.group import A5
-    from .formulas import parse_formula
+    from .formulas import assignments, parse_formula
 
     f = parse_formula(args.formula)
     target = args.target if args.target is not None else int(A5.five_cycles()[0])
@@ -371,16 +354,10 @@ def _cmd_compile_barrington(args) -> int:
     doc = {"target": target, "length": len(program), "program": program_to_json(program)}
     if args.check:
         n_vars = (max(f.variables()) + 1) if f.variables() else 1
-        assignments = np.array(
-            [[(u >> (n_vars - 1 - i)) & 1 for i in range(n_vars)] for u in range(1 << n_vars)],
-            dtype=np.uint8,
-        )
-        products = evaluate_program_batch(program, assignments)
-        ok = True
-        for u in range(1 << n_vars):
-            want = target if f.evaluate(assignments[u]) else A5.identity
-            ok &= int(products[u]) == want
-        doc["matches_truth_table"] = bool(ok)
+        table = assignments(n_vars)
+        want = [target if f.evaluate(a) else A5.identity for a in table]
+        ok = evaluate_program_batch(program, table).tolist() == want
+        doc["matches_truth_table"] = ok
         if not ok:
             print(json.dumps(doc, sort_keys=True))
             return EXIT_VERIFY

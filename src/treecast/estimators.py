@@ -9,8 +9,8 @@ on the chunking (`trial_chunks`) nor on which other estimators run.
 `height` h > 0 a kernel reads the height-h subtree codes that
 `generate_binary_batch` draws instead of leaves, with decisions identical to
 those on the leaves behind the codes; the Monte Carlo paths
-(`estimate_P_sd` and `experiments.score_estimators_point`) sample at
-h = `code_height(k, d)`.
+(`estimate_P_sd` and `experiments.score_estimators_point`) score their
+kernels in one loop, `sampled_hits`, which samples at h = `code_height(k, d)`.
 
 * linearized BP: subtree majorities at the reduced depth
   d' = floor(log_k(log2(n))), then Bayes decoding of those majority bits on
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import sqrt
 
 import numpy as np
@@ -76,6 +76,32 @@ def trial_chunks(trials: int, n: int):
     size = 1 + CHUNK_CELLS // n
     for start in range(0, trials, size):
         yield start, min(start + size, trials)
+
+
+def sampled_hits(
+    shape: TreeShape,
+    theta: FractionLike,
+    seed: SeedSpec,
+    trials: int,
+    kernels: dict,
+    s: FractionLike = 0,
+) -> dict[str, int]:
+    """How often each kernel finds the root of the same `trials` sampled trees.
+
+    Trials go in `trial_chunks`; each chunk's trees (trials start..stop-1 of
+    the stream `seed`, leaves seen through flip(s)) are drawn once as their
+    `code_height` subtree codes and scored by every `kernels[name](codes,
+    start, height=h)`.
+    """
+    h = code_height(shape.k, shape.d)
+    hits = dict.fromkeys(kernels, 0)
+    for start, stop in trial_chunks(trials, shape.n):
+        roots, codes = generate_binary_batch(
+            shape, theta, seed, stop - start, start=start, height=h, s=s
+        )
+        for name, kernel in kernels.items():
+            hits[name] += int((kernel(codes, start, height=h) == roots).sum())
+    return hits
 
 
 def _decide(above: np.ndarray, tied: np.ndarray, tie_word) -> np.ndarray:
@@ -472,15 +498,8 @@ def estimate_P_sd(
             )
         if method == "exact":
             raise ValueError("tree too large for exact P_{s,d}; use Monte Carlo")
-    h = code_height(shape.k, shape.d)
-    correct = 0
-    for start, stop in trial_chunks(trials, shape.n):
-        roots, codes = generate_binary_batch(
-            shape, t, seed, stop - start, start=start, height=h, s=sf
-        )
-        guess = bp_rounding_decisions(shape, float(t), codes, start, seed, float(sf), h)
-        correct += int((guess == roots).sum())
-    acc = correct / trials
+    kernel = partial(bp_rounding_decisions, shape, float(t), seed=seed, s=float(sf))
+    acc = sampled_hits(shape, t, seed, trials, {"bp-rounding": kernel}, sf)["bp-rounding"] / trials
     return PsdEstimate(
         estimate=acc,
         stderr=sqrt(max(acc * (1 - acc), 1e-12) / trials),

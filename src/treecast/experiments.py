@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import os
 import sys
 import time
@@ -31,19 +32,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
+from itertools import product
+from typing import get_type_hints
 
 import numpy as np
 
-from .channels import Channel, as_fraction, ks_parameter
+from .channels import Channel, as_fraction, fraction_text, ks_parameter
 from .estimators import (
     EstimatorReport,
     bp_rounding_decisions,
-    code_height,
     estimate_P_sd,
     linearized_bp_decisions,
     majority_decisions,
     pilot_flip_rate,
-    trial_chunks,
+    sampled_hits,
 )
 from .generators import (
     generate_binary_batch,
@@ -59,7 +61,26 @@ log = logging.getLogger("treecast.experiments")
 
 EXPERIMENT_KINDS = ("ks-scan", "noise-scan", "a5-accuracy", "gadget-corpus")
 
-CSV_HEADER = "experiment,k,theta_or_channel,d,s,estimator,trials,accuracy,stderr,advantage,seed,wall_ms"
+
+def _parse_grid(name: str, values) -> tuple:
+    """One grid, from the flags or a config file alike: a non-empty list whose
+    k and d entries are ints and whose theta and s entries are the stripped
+    strings that `fraction_text` accepts."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"grid {name!r} must be a list, got {values!r}")
+    if not values:
+        raise ValueError(f"grid {name!r} must be non-empty")
+    parsed = []
+    for value in values:
+        try:
+            if name in ("k", "d"):
+                parsed.append(int(value) if isinstance(value, str) else operator.index(value))
+            else:
+                parsed.append(fraction_text(str(value)))
+        except (TypeError, ValueError):
+            raise ValueError(f"grid {name!r} has an invalid value {value!r}") from None
+    return tuple(parsed)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -84,26 +105,20 @@ class ExperimentConfig:
             raise ValueError(f"unsupported schema_version {self.schema_version}")
         if self.trials < 100:
             raise ValueError("trials must be >= 100 for any asserted statistic")
-        for grid_name in ("k", "theta", "d", "s"):
-            if not getattr(self, grid_name):
-                raise ValueError(f"grid {grid_name!r} must be non-empty")
+        for name in ("k", "theta", "d", "s"):
+            object.__setattr__(self, name, _parse_grid(name, getattr(self, name)))
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("experiment config JSON must be an object")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        for grid in ("k", "d"):
-            if grid in kwargs:
-                kwargs[grid] = tuple(int(x) for x in kwargs[grid])
-        for grid in ("theta", "s"):
-            if grid in kwargs:
-                kwargs[grid] = tuple(str(x) for x in kwargs[grid])
-        return cls(**kwargs)
+        return cls(**doc)
 
     def thetas(self) -> list[Fraction]:
         return [as_fraction(t) for t in self.theta]
@@ -114,6 +129,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One result row.  Its fields, in order, are the CSV columns, and the
+    fields before `trials` identify the row (`sort_key`)."""
+
     experiment: str
     k: int
     theta_or_channel: str
@@ -128,61 +146,33 @@ class ResultRow:
     wall_ms: int = 0
 
     def sort_key(self):
-        return (
-            self.experiment,
-            self.k,
-            self.theta_or_channel,
-            self.d,
-            self.s,
-            self.estimator,
-        )
+        return tuple(getattr(self, name) for name in _KEY_COLUMNS)
 
     def to_csv_line(self) -> str:
-        return ",".join(
-            [
-                self.experiment,
-                str(self.k),
-                self.theta_or_channel,
-                str(self.d),
-                self.s,
-                self.estimator,
-                str(self.trials),
-                repr(self.accuracy),
-                repr(self.stderr),
-                repr(self.advantage),
-                str(self.seed),
-                str(self.wall_ms),
-            ]
-        )
+        # str of a float is its shortest round-trip repr.
+        return ",".join(str(getattr(self, name)) for name in _COLUMNS)
 
     @classmethod
     def from_csv_line(cls, line: str) -> "ResultRow":
         parts = line.split(",")
-        if len(parts) != 12:
-            raise ValueError(f"expected 12 CSV fields, got {len(parts)}")
-        return cls(
-            experiment=parts[0],
-            k=int(parts[1]),
-            theta_or_channel=parts[2],
-            d=int(parts[3]),
-            s=parts[4],
-            estimator=parts[5],
-            trials=int(parts[6]),
-            accuracy=float(parts[7]),
-            stderr=float(parts[8]),
-            advantage=float(parts[9]),
-            seed=int(parts[10]),
-            wall_ms=int(parts[11]),
-        )
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"expected {len(_COLUMNS)} CSV fields, got {len(parts)}")
+        return cls(**{name: _COLUMN_TYPES[name](part) for name, part in zip(_COLUMNS, parts)})
+
+
+_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_COLUMN_TYPES = get_type_hints(ResultRow)
+_KEY_COLUMNS = _COLUMNS[: _COLUMNS.index("trials")]
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _row(
-    cfg: ExperimentConfig, k: int, theta_or_channel: str, d: int, s: str, name: str,
+    experiment: str, seed: int, k: int, theta_or_channel: str, d: int, s: str, name: str,
     trials: int, accuracy: float, m: int = 2, exact: bool = False,
 ) -> ResultRow:
     rep = EstimatorReport(estimator=name, trials=trials, accuracy=accuracy, m=m)
     return ResultRow(
-        experiment=cfg.experiment,
+        experiment=experiment,
         k=k,
         theta_or_channel=theta_or_channel,
         d=d,
@@ -192,7 +182,7 @@ def _row(
         accuracy=rep.accuracy,
         stderr=0.0 if exact else rep.stderr,
         advantage=rep.advantage,
-        seed=cfg.seed,
+        seed=seed,
     )
 
 
@@ -251,6 +241,13 @@ def append_rows(rows: list[ResultRow], path: str) -> None:
 # --- shared-tree estimator scoring ----------------------------------------
 
 
+def _grid(cfg: ExperimentConfig, *axes):
+    """(cfg, index, *values) for each point of the product of `axes`, in
+    order; the index names the point's stream (`_grid_seed`)."""
+    for index, values in enumerate(product(*axes)):
+        yield (cfg, index, *values)
+
+
 def _grid_seed(cfg: ExperimentConfig, index: int) -> SeedSpec:
     return SeedSpec(cfg.seed, f"{cfg.experiment}/{index}")
 
@@ -266,39 +263,28 @@ def score_estimators_point(
     seed: SeedSpec,
     estimators: tuple[str, ...] = ESTIMATORS,
 ) -> dict[str, float]:
-    """Accuracy of each estimator on one shared set of sampled trees.
-
-    Each chunk's trees (trials start..stop-1 of the stream `seed`, drawn as
-    their `code_height` subtree codes) are scored by every requested kernel,
-    with ties from a stream named for the estimator.
+    """Accuracy of each estimator on one shared set of sampled trees (the
+    trials of the stream `seed`, scored by `sampled_hits`), with ties from a
+    stream named for the estimator.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     shape = TreeShape(k=k, d=d)
     tf = float(theta)
-    h = code_height(k, d)
     kernels = {}
     for name in estimators:
         tie = SeedSpec(seed.master_seed, f"{seed.stream_tag}/{name}")
         if name == "majority":
-            kernels[name] = partial(majority_decisions, seed=tie, k=k, height=h)
+            kernels[name] = partial(majority_decisions, seed=tie, k=k)
         elif name == "linearized-bp":
             s_hat = pilot_flip_rate(shape, theta, seed)
-            kernels[name] = partial(
-                linearized_bp_decisions, shape, tf, seed=tie, s_hat=s_hat, height=h
-            )
+            kernels[name] = partial(linearized_bp_decisions, shape, tf, seed=tie, s_hat=s_hat)
         elif name == "bp-rounding":
-            kernels[name] = partial(bp_rounding_decisions, shape, tf, seed=tie, height=h)
+            kernels[name] = partial(bp_rounding_decisions, shape, tf, seed=tie)
         else:
             raise ValueError(f"unknown estimator {name!r}; choose from {list(ESTIMATORS)}")
-    correct = dict.fromkeys(estimators, 0)
-    for start, stop in trial_chunks(trials, shape.n):
-        roots, codes = generate_binary_batch(
-            shape, theta, seed, stop - start, start=start, height=h
-        )
-        for name, kernel in kernels.items():
-            correct[name] += int((kernel(codes, start) == roots).sum())
-    return {name: correct[name] / trials for name in estimators}
+    hits = sampled_hits(shape, theta, seed, trials, kernels)
+    return {name: hits[name] / trials for name in estimators}
 
 
 def _ks_point(args) -> list[ResultRow]:
@@ -312,7 +298,7 @@ def _ks_point(args) -> list[ResultRow]:
         "ks-scan point k=%d theta=%s d=%d ks=%.3f done in %.0f ms", k, theta_str, d, ks, elapsed
     )
     return [
-        _row(cfg, k, theta_str, d, "0", name, cfg.trials, acc)
+        _row(cfg.experiment, cfg.seed, k, theta_str, d, "0", name, cfg.trials, acc)
         for name, acc in accs.items()
     ]
 
@@ -337,17 +323,9 @@ def run_ks_scan(cfg: ExperimentConfig) -> list[ResultRow]:
     """Majority, linearized BP, and Monte Carlo BP rounding on shared trees."""
     if cfg.experiment != "ks-scan":
         raise ValueError("config is not a ks-scan")
-    points = []
-    index = 0
-    for k in cfg.k:
-        for theta_str in cfg.theta:
-            for d in cfg.d:
-                points.append((cfg, index, k, theta_str, d))
-                index += 1
-    rows: list[ResultRow] = []
-    for batch in _map_points(_ks_point, points, _resolve_jobs(cfg.jobs)):
-        rows.extend(batch)
-    return sorted(rows, key=ResultRow.sort_key)
+    points = list(_grid(cfg, cfg.k, cfg.theta, cfg.d))
+    batches = _map_points(_ks_point, points, _resolve_jobs(cfg.jobs))
+    return sorted((row for batch in batches for row in batch), key=ResultRow.sort_key)
 
 
 # --- noise scan ------------------------------------------------------------
@@ -369,7 +347,7 @@ def _noise_point(args):
     name = "p-sd-exact" if est.method == "exact" else "p-sd-mc"
     trials = est.trials if est.method == "mc" else cfg.trials
     return _row(
-        cfg, k, theta_str, d, s_str, name, trials, est.estimate,
+        cfg.experiment, cfg.seed, k, theta_str, d, s_str, name, trials, est.estimate,
         exact=est.method == "exact",
     )
 
@@ -386,33 +364,21 @@ def run_noise_scan(cfg: ExperimentConfig) -> NoiseScanReport:
     """
     if cfg.experiment != "noise-scan":
         raise ValueError("config is not a noise-scan")
-    points = []
-    index = 0
-    for k in cfg.k:
-        for theta_str in cfg.theta:
-            for d in cfg.d:
-                for s_str in cfg.s:
-                    points.append((cfg, index, k, theta_str, d, s_str))
-                    index += 1
-    rows = _map_points(_noise_point, points, _resolve_jobs(cfg.jobs))
-    rows = sorted(rows, key=ResultRow.sort_key)
+    points = list(_grid(cfg, cfg.k, cfg.theta, cfg.d, cfg.s))
+    rows = sorted(_map_points(_noise_point, points, _resolve_jobs(cfg.jobs)), key=ResultRow.sort_key)
     by_key = {(r.k, r.theta_or_channel, r.d, r.s): r.accuracy for r in rows}
-    mono_s: dict[tuple[int, str, int], bool] = {}
-    mono_d: dict[tuple[int, str, str], bool] = {}
-    s_order = list(cfg.s)
-    d_order = list(cfg.d)
-    for k in cfg.k:
-        for theta_str in cfg.theta:
-            for d in cfg.d:
-                vals = [by_key[(k, theta_str, d, s_str)] for s_str in s_order]
-                mono_s[(k, theta_str, d)] = all(
-                    vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1)
-                )
-            for s_str in cfg.s:
-                vals = [by_key[(k, theta_str, d, s_str)] for d in d_order]
-                mono_d[(k, theta_str, s_str)] = all(
-                    vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1)
-                )
+
+    def nonincreasing(vals: list[float]) -> bool:
+        return all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    mono_s = {
+        (k, t, d): nonincreasing([by_key[k, t, d, s] for s in cfg.s])
+        for _, _, k, t, d in _grid(cfg, cfg.k, cfg.theta, cfg.d)
+    }
+    mono_d = {
+        (k, t, s): nonincreasing([by_key[k, t, d, s] for d in cfg.d])
+        for _, _, k, t, s in _grid(cfg, cfg.k, cfg.theta, cfg.s)
+    }
     return NoiseScanReport(rows=rows, monotone_in_s=mono_s, monotone_in_d=mono_d)
 
 
@@ -622,21 +588,18 @@ def run_a5_accuracy(cfg: ExperimentConfig) -> list[ResultRow]:
     from .a5.reconstruct import class16_reconstruction_trial
 
     rows = []
-    index = 0
-    for k in cfg.k:
-        for d in cfg.d:
-            key = _grid_seed(cfg, index).key()
-            correct = 0
-            for trial in range(cfg.trials):
-                root, est, _ = class16_reconstruction_trial(k, d, subkey(key, trial))
-                correct += root == est
-            rows.append(
-                _row(
-                    cfg, k, "class16", d, "0", "class16-recursive", cfg.trials,
-                    correct / cfg.trials, m=16,
-                )
+    for _, index, k, d in _grid(cfg, cfg.k, cfg.d):
+        key = _grid_seed(cfg, index).key()
+        correct = 0
+        for trial in range(cfg.trials):
+            root, est, _ = class16_reconstruction_trial(k, d, subkey(key, trial))
+            correct += root == est
+        rows.append(
+            _row(
+                cfg.experiment, cfg.seed, k, "class16", d, "0", "class16-recursive",
+                cfg.trials, correct / cfg.trials, m=16,
             )
-            index += 1
+        )
     return sorted(rows, key=ResultRow.sort_key)
 
 
@@ -661,7 +624,7 @@ def run_gadget_corpus(cfg: ExperimentConfig) -> GadgetCorpusReport:
     if cfg.experiment != "gadget-corpus":
         raise ValueError("config is not a gadget-corpus run")
     from .bp import bp_posterior_batch_binary
-    from .formulas import random_formula
+    from .formulas import assignments, random_formula
     from .gadgets import GADGET_K, GADGET_THETA, compile_formula, verify_gadget
 
     n_formulas = min(cfg.trials, 100)
@@ -675,24 +638,21 @@ def run_gadget_corpus(cfg: ExperimentConfig) -> GadgetCorpusReport:
         f = random_formula(rng, n_vars=8, max_gates=24, max_depth=5)
         template = compile_formula(f)
         n_vars = (max(f.variables()) + 1) if f.variables() else 1
-        assignments = [
-            [(bits >> (n_vars - 1 - i)) & 1 for i in range(n_vars)]
-            for bits in range(1 << n_vars)
-        ]
-        leaves = np.stack([template.instantiate(a) for a in assignments])
+        table = assignments(n_vars)
+        leaves = np.stack([template.instantiate(a) for a in table])
         shape = TreeShape(k=GADGET_K, d=template.depth)
         posts = bp_posterior_batch_binary(shape, float(GADGET_THETA), leaves)
-        truth = np.array([f.evaluate(a) for a in assignments], dtype=bool)
+        truth = np.array([f.evaluate(a) for a in table], dtype=bool)
         bad = np.where(truth, posts < high, posts > low)
-        checked += len(assignments)
+        checked += len(table)
         violations += int(bad.sum())
         if findex % 25 == 0 and template.depth <= 4:
-            verdict = verify_gadget(f, assignments[0], mode="rational", template=template)
+            verdict = verify_gadget(f, table[0], mode="rational", template=template)
             if abs(verdict.posterior - float(posts[0])) > 1e-9:
                 violations += 1
             rational_spot_checks += 1
     acc = 1.0 - violations / max(checked, 1)
-    row = _row(cfg, 6, "9/10", 5, "0", "gadget-tracking", checked, acc)
+    row = _row(cfg.experiment, cfg.seed, 6, "9/10", 5, "0", "gadget-tracking", checked, acc)
     log.info(
         "gadget corpus: %d formulas, %d assignments, %d rational spot checks",
         n_formulas, checked, rational_spot_checks,

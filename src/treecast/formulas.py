@@ -184,13 +184,16 @@ def parse_formula(text: str) -> Formula:
     return out
 
 
+def assignments(n_vars: int) -> np.ndarray:
+    """All 2^n_vars assignments as (2^n_vars, n_vars) uint8 rows: row u holds
+    the bits of u, most significant first, so variable 0 is the high bit."""
+    rows = np.arange(1 << n_vars)[:, None] >> np.arange(n_vars - 1, -1, -1)
+    return (rows & 1).astype(np.uint8)
+
+
 def evaluate_all(formula: Formula, n_vars: int) -> np.ndarray:
-    """Truth column over all 2^n_vars assignments (variable 0 = high bit)."""
-    out = np.empty(1 << n_vars, dtype=np.uint8)
-    for bits in range(1 << n_vars):
-        assignment = [(bits >> (n_vars - 1 - i)) & 1 for i in range(n_vars)]
-        out[bits] = formula.evaluate(assignment)
-    return out
+    """Truth column over `assignments(n_vars)`."""
+    return np.array([formula.evaluate(a) for a in assignments(n_vars)], dtype=np.uint8)
 
 
 def random_formula(

@@ -242,6 +242,31 @@ def test_config_with_a_removed_kind_or_key_is_one_line_error(tmp_path, capsys, d
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command, grid, words",
+    [
+        ("scan-ks", {"theta": ["1/0"]}, ("theta", "1/0")),
+        ("scan-ks", {"theta": ["1e400"]}, ("theta", "1e400")),
+        ("scan-noise", {"s": ["1e400"]}, ("'s'", "1e400")),
+        ("scan-ks", {"k": ["x"]}, ("'k'", "x")),
+        ("scan-ks", {"theta": "1/2"}, ("theta", "must be a list")),
+    ],
+)
+def test_config_grid_is_parsed_before_any_point_runs(tmp_path, capsys, monkeypatch, command, grid, words):
+    import treecast.experiments
+
+    def no_points(*args):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(treecast.experiments, "_map_points", no_points)
+    experiment = {"scan-ks": "ks-scan", "scan-noise": "noise-scan"}[command]
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"experiment": experiment, "trials": 100, **grid}))
+    code, out, err = run(capsys, "--config", str(config), command)
+    _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
 def test_scan_ks_format_json_prints_rows(capsys):
     argv = ("--seed", "4", "--jobs", "1", "scan-ks", "--k", "2", "--theta", "4/5", "--d", "3", "--trials", "150")
     code, out, _ = run(capsys, "--format", "json", *argv)

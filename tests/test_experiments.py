@@ -51,6 +51,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="schema_version"):
             ExperimentConfig(experiment="ks-scan", schema_version=2)
 
+    def test_grids_from_flag_text_are_normalized(self):
+        cfg = ExperimentConfig(
+            experiment="noise-scan", k=["2", " 3"], theta=[" 9/10", 0.5], d=[4], s=("0 ",)
+        )
+        assert (cfg.k, cfg.theta, cfg.d, cfg.s) == ((2, 3), ("9/10", "0.5"), (4,), ("0",))
+
     def test_from_json_roundtrip(self):
         doc = {
             "schema_version": 1,

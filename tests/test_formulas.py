@@ -6,6 +6,7 @@ from treecast.formulas import (
     Gate,
     Not,
     Var,
+    assignments,
     evaluate_all,
     parse_formula,
     random_formula,
@@ -48,6 +49,14 @@ def test_parse_errors():
 def test_evaluate_all_column():
     f = parse_formula("(and x1 x2)")
     assert evaluate_all(f, 2).tolist() == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("n_vars", [0, 1, 3, 8])
+def test_assignments_are_the_bits_of_each_row_index_high_bit_first(n_vars):
+    table = assignments(n_vars)
+    assert table.dtype == np.uint8 and table.shape == (1 << n_vars, n_vars)
+    want = [[(u >> (n_vars - 1 - i)) & 1 for i in range(n_vars)] for u in range(1 << n_vars)]
+    assert table.tolist() == want
 
 
 def test_random_formula_budgets():

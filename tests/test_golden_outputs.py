@@ -44,6 +44,10 @@ GOLDEN = {
         ["a5"],
         "d4167f302e56ed9baa04d20c553ffad44c921897347e13ece74a31d3a485c8ef",
     ),
+    "a5-small-k": (
+        ["a5", "--k", "4", "--d", "3", "--trials", "300"],
+        "011c93303a78e62a12eea4295cdb056a47525e49a011ba2e258ef3b38d790919",
+    ),
     "a5-pair3600": (
         ["a5", "--model", "pair3600", "--k", "20", "--d", "2", "--trials", "50"],
         "ca3f86181642bea1bbc4188540e38b110bd95c4b9429bc5a0fb8f638b1323577",
@@ -152,3 +156,23 @@ def test_scan_noise_verdict_lines(capsys):
         "# monotone-in-d k=2 theta=9/10 s=2/5: no",
         "# monotone-in-d k=2 theta=9/10 s=3/10: no",
     ]
+
+
+def test_class16_recursive_reconstruct_digest():
+    """No command reaches `recursive_reconstruct`'s class16 path, so its
+    (root estimate, flagged nodes) pairs on 40 seeded trees are pinned here;
+    at k = 3 most nodes are flagged and many tallies tie."""
+    from treecast.a5.quotient import generate_class16
+    from treecast.a5.reconstruct import recursive_reconstruct
+    from treecast.rng import SeedSpec
+    from treecast.trees import TreeShape
+
+    out = []
+    for i in range(40):
+        tree = generate_class16(TreeShape(3, 4), SeedSpec(5, f"golden/{i}"))
+        r = recursive_reconstruct(tree.leaves, 3, "class16", seed=SeedSpec(5, f"rec/{i}"))
+        out.append((r.root_estimate, r.flagged_nodes))
+    assert sum(flagged for _, flagged in out) == 1268
+    assert _sha256(repr(out).encode()) == (
+        "83f666e730c78ed58fdf8774260dfceae7b2358be97b0ff27fb59e5a99535411"
+    )
