@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from treecast.a5.group import A5
@@ -23,7 +25,7 @@ from treecast.a5.quotient import (
     quotient_channel,
 )
 from treecast.channels import ks_parameter, uniform_cuts
-from treecast.rng import SeedSpec, trial_keys, trial_level_words
+from treecast.rng import SeedSpec, level_words, node_counters, trial_keys, trial_level_words, words_vec
 from treecast.trees import TreeShape
 
 
@@ -116,6 +118,43 @@ def _product_tree_levels_by_prefix_products(d, sigma, k, seed, trees):
         x, y, z = np.where(take_second, inv[y], x), b3, np.where(take_second, z, y)
         out.append(resolve(level))
     return out
+
+
+def _generate_pair_model_by_division(shape, seed, root=None):
+    """Frozen reference sampler: each child decodes its parent with // and %,
+    picks the branch with np.where and multiplies mul[inv[b], target]."""
+    key = seed.key()
+    if root is None:
+        b, s = _uniform60(words_vec(key, node_counters(0, 0, np.arange(2)))).tolist()
+        root = pair_code(b, s)
+    levels = [np.array([root], dtype=np.uint16)]
+    for lvl in range(1, shape.d + 1):
+        count = shape.nodes_at(lvl)
+        parents = np.repeat(levels[-1], shape.k)
+        first = (parents // 60).astype(np.uint8)
+        second = (parents % 60).astype(np.uint8)
+        b = _uniform60(level_words(key, lvl, count, word_index=0))
+        branch = (level_words(key, lvl, count, word_index=1) >> np.uint64(1)) < _TWO_THIRDS_CUT
+        target = np.where(branch, first, second)
+        child_second = A5.mul[A5.inv[b], target]
+        levels.append(b.astype(np.uint16) * 60 + child_second.astype(np.uint16))
+    return levels
+
+
+@given(
+    k=st.integers(1, 40),
+    d=st.integers(0, 3),
+    root=st.none() | st.integers(0, 3599),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_pair_model_equals_the_division_sampler(k, d, root, seed):
+    shape = TreeShape(k=k, d=d)
+    spec = SeedSpec(seed, "pair/frozen")
+    got = generate_pair_model(shape, spec, root=root).levels
+    want = _generate_pair_model_by_division(shape, spec, root=root)
+    assert len(got) == len(want) == d + 1
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.uint16 and g.tobytes() == w.tobytes()
 
 
 class TestProductTree:

@@ -27,7 +27,7 @@ from treecast.a5.reconstruct import (
     recursive_reconstruct,
 )
 from treecast.generators import generate_direct
-from treecast.rng import SeedSpec, subkey
+from treecast.rng import SeedSpec, level_words, subkey
 from treecast.trees import TreeShape
 
 
@@ -119,6 +119,46 @@ def _grouped_binomial_draws(n, p, which, w63):
     out = np.empty_like(drawn)
     out[order] = drawn
     return out
+
+
+def _reconstruct_level_pair_by_division(child_labels, k, tau):
+    """Frozen reference tally: decode each child with // and %, multiply
+    through the 2-D table, and count products per node with one bincount."""
+    codes = np.asarray(child_labels)
+    first = (codes // 60).astype(np.intp)
+    second = (codes % 60).astype(np.intp)
+    products = A5.mul[first, second].astype(np.intp)
+    nodes = codes.size // k
+    offsets = np.repeat(np.arange(nodes, dtype=np.intp) * 60, k)
+    counts = np.bincount(offsets + products, minlength=nodes * 60).reshape(nodes, 60)
+    top, top_count, runner, runner_count = reconstruct._top_two(counts)
+    diagonal = runner_count * tau.denominator < tau.numerator * top_count
+    return (top * 60 + np.where(diagonal, top, runner)).astype(np.uint16)
+
+
+@given(
+    k=st.integers(1, 200),
+    nodes=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+    from_tree=st.booleans(),
+    dtype=st.sampled_from([np.uint16, np.int64, np.intp]),
+    tau=st.fractions(0, 1, max_denominator=1000),
+)
+def test_pair_level_equals_the_division_tally(k, nodes, seed, from_tree, dtype, tau):
+    # Children of one sampled pair-model parent each (most tallies split
+    # 2/3 to 1/3), or uniform codes (near ties everywhere).
+    spec = SeedSpec(seed, "rec/frozen")
+    if from_tree:
+        roots = (np.arange(nodes) * 1013 + seed) % 3600
+        children = np.concatenate(
+            [generate_pair_model(TreeShape(k, 1), spec, root=int(r)).leaves for r in roots]
+        )
+    else:
+        children = level_words(spec.key(), 0, k * nodes) % np.uint64(3600)
+    children = children.astype(dtype)
+    got = reconstruct_level_pair(children, k, tau)
+    want = _reconstruct_level_pair_by_division(children, k, tau)
+    assert got.dtype == want.dtype == np.uint16 and got.tobytes() == want.tobytes()
 
 
 class TestIdentityFirstSampler:

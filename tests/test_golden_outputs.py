@@ -15,6 +15,7 @@ tolerance.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from treecast.cli import EXIT_OK, main
@@ -47,6 +48,10 @@ GOLDEN = {
     "a5-small-k": (
         ["a5", "--k", "4", "--d", "3", "--trials", "300"],
         "011c93303a78e62a12eea4295cdb056a47525e49a011ba2e258ef3b38d790919",
+    ),
+    "a5-k6000": (
+        ["a5", "--k", "6000", "--d", "2", "--trials", "200"],
+        "2784a53ccd9dab2ff43179d22f4800cdf08591f907d705b0f23bfe98d4e8fbed",
     ),
     "a5-pair3600": (
         ["a5", "--model", "pair3600", "--k", "20", "--d", "2", "--trials", "50"],
@@ -101,6 +106,10 @@ GOLDEN = {
     "compile-barrington-check": (
         ["compile-barrington", "--formula", "(or (and x1 (not x2)) x3)", "--check"],
         "0db9412de9a8457d284d424a372ad845fe1c80d231b65be385fc16fddda00393",
+    ),
+    "verify-quick": (
+        ["verify", "--quick"],
+        "a14627ec6dd2a4c5e181b71640a20581b143a2356780ef072e91357ece5df947",
     ),
 }
 
@@ -175,4 +184,69 @@ def test_class16_recursive_reconstruct_digest():
     assert sum(flagged for _, flagged in out) == 1268
     assert _sha256(repr(out).encode()) == (
         "83f666e730c78ed58fdf8774260dfceae7b2358be97b0ff27fb59e5a99535411"
+    )
+
+
+def _arrays_digest(arrays) -> str:
+    """sha256 over each array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+PRODUCT_TREE_GOLDEN = {
+    (1, 3600, 1): "882a054737f84084edb9e1fc165c7b709b9225665c23023408f5e633be6a82d0",
+    (3, 4, 50): "f9ae0c2c192c61b8638635c908cadd3c38422e3831d9d7de8ae78efd19ce1f74",
+    (5, 2, 20): "d660358c00f05ad862caae9b67177935f200eb9427fb62624c6caa3166b81fae",
+}
+
+
+@pytest.mark.parametrize("d, k, trees", sorted(PRODUCT_TREE_GOLDEN))
+def test_product_tree_levels_digest(d, k, trees):
+    """No command reaches the batched product-tree sampler, so its levels on
+    a seeded word are pinned here."""
+    from treecast.a5.pair_model import _product_tree_levels
+    from treecast.rng import SeedSpec, level_words
+
+    sigma = level_words(SeedSpec(11, f"golden/sigma{d}").key(), 0, 2 ** (d + 1)) % np.uint64(60)
+    levels = _product_tree_levels(d, sigma, k, SeedSpec(11, f"golden/ptree{d}/{k}"), trees)
+    assert _arrays_digest(levels) == PRODUCT_TREE_GOLDEN[d, k, trees]
+
+
+def _depth5_formula():
+    """A complete depth-5 formula over 8 variables with every node kind:
+    AND and OR alternate by level, a NOT replaces every fourth gate on
+    level 3, and one leaf is a constant."""
+    from treecast.formulas import Const, Gate, Not, Var
+
+    def build(level, i):
+        if level == 5:
+            return Const(1) if i == 13 else Var((5 * i + 3) % 8)
+        if level == 3 and i % 4 == 1:
+            return Not(build(level + 1, 2 * i))
+        op = "and" if level % 2 == 0 else "or"
+        return Gate(op=op, left=build(level + 1, 2 * i), right=build(level + 1, 2 * i + 1))
+
+    return build(0, 0)
+
+
+def test_barrington_program_and_batch_products_digest():
+    """The compiled depth-5 program and its products on all 256 assignments."""
+    from treecast.a5.barrington import barrington_compile, evaluate_program_batch, program_to_json
+    from treecast.a5.group import A5
+
+    formula = _depth5_formula()
+    target = A5.five_cycles()[7]
+    program = barrington_compile(formula, target)
+    assignments = ((np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1).astype(np.uint8)
+    products = evaluate_program_batch(program, assignments)
+    truth = np.array([formula.evaluate(a) for a in assignments.tolist()], dtype=bool)
+    assert np.array_equal(products, np.where(truth, target, A5.identity))
+    program_bytes = repr(program_to_json(program)).encode()
+    assert (len(program), _sha256(program_bytes), _arrays_digest([products])) == (
+        1662,
+        "87985b879dc14fa32c83d49b3b532f09a5b32d7f1773a94bff1cfbb559aa5275",
+        "2c435de1c4d8bc77c2af53dd192f22396fcafa650d825169d622c946a1cd08c1",
     )
