@@ -29,6 +29,9 @@ from ..formulas import Const, Formula, Gate, Not, Var
 from .group import A5
 
 MAX_COMPILE_DEPTH = 20
+# The inverse table as Python ints: the compiler's scalar lookups are much
+# faster than indexing numpy scalars.
+_INV = A5.inv.tolist()
 # Entries of the (assignments x instructions) choice matrix that
 # `evaluate_program_batch` holds at once.
 EVAL_BLOCK_CELLS = 1 << 18
@@ -70,11 +73,7 @@ def commutator_witness(target: int) -> tuple[int, int, int]:
 
 def invert_program(program: Program) -> Program:
     """Program whose product is the inverse of the input program's product."""
-    inv = A5.inv
-    return [
-        Instruction(var=ins.var, g0=int(inv[ins.g0]), g1=int(inv[ins.g1]))
-        for ins in reversed(program)
-    ]
+    return [Instruction(var=ins.var, g0=_INV[ins.g0], g1=_INV[ins.g1]) for ins in reversed(program)]
 
 
 def barrington_compile(formula: Formula, target: int) -> Program:
@@ -89,14 +88,13 @@ def barrington_compile(formula: Formula, target: int) -> Program:
 
 
 def _compile(f: Formula, target: int) -> Program:
-    mul, inv = A5.mul, A5.inv
     ident = A5.identity
     if isinstance(f, Var):
         return [Instruction(var=f.index, g0=ident, g1=target)]
     if isinstance(f, Const):
         return [constant_instruction(target if f.value else ident)]
     if isinstance(f, Not):
-        inner = _compile(f.child, int(inv[target]))
+        inner = _compile(f.child, _INV[target])
         return inner + [constant_instruction(target)]
     if isinstance(f, Gate):
         if f.op == "or":
@@ -106,7 +104,7 @@ def _compile(f: Formula, target: int) -> Program:
         left = _compile(f.left, a)
         right = _compile(f.right, b)
         body = left + right + invert_program(left) + invert_program(right)
-        return [constant_instruction(q)] + body + [constant_instruction(int(inv[q]))]
+        return [constant_instruction(q)] + body + [constant_instruction(_INV[q])]
     raise TypeError(f"cannot compile node of type {type(f).__name__}")
 
 
@@ -130,7 +128,7 @@ def evaluate_program_batch(program: Program, assignments: np.ndarray) -> np.ndar
         var = np.array([ins.var for ins in part], dtype=np.intp)
         g0 = np.array([ins.g0 for ins in part], dtype=np.uint8)
         g1 = np.array([ins.g1 for ins in part], dtype=np.uint8)
-        out = A5.mul[out, A5.products(np.where(assignments[:, var] == 1, g1, g0))]
+        out = A5.times(out, A5.products(np.where(assignments[:, var] == 1, g1, g0)))
     return out
 
 

@@ -58,9 +58,13 @@ class GroupTables:
     # `mul` as nested lists: Python-int lookups make the scalar fold in
     # `product` about 8x faster than indexing numpy scalars.
     _mul_rows: list[list[int]] = field(init=False, repr=False, compare=False)
+    # `mul` flattened: entry 60 g + h is g h, so a pair code indexes its
+    # product directly, and one `take` on an intp index multiplies arrays.
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._mul_rows = self.mul.tolist()
+        self.flat = self.mul.reshape(-1)
 
     @property
     def order(self) -> int:
@@ -78,6 +82,11 @@ class GroupTables:
             out = rows[out][g]
         return out
 
+    def times(self, g, h) -> np.ndarray:
+        """Elementwise products g h of two broadcasting element arrays, as
+        uint8: one `take` from `flat` at 60 g + h."""
+        return self.flat.take(np.multiply(g, 60, dtype=np.intp) + h)
+
     def products(self, words) -> np.ndarray:
         """Products of the rows of a (..., r) array, as uint8 of shape (...):
         adjacent columns multiply pairwise (an odd last one folds into the
@@ -86,9 +95,9 @@ class GroupTables:
         if rows.shape[-1] == 0:
             return np.full(rows.shape[:-1], self.identity, dtype=np.uint8)
         while rows.shape[-1] > 1:
-            paired = self.mul[rows[..., :-1:2], rows[..., 1::2]]
+            paired = self.times(rows[..., :-1:2], rows[..., 1::2])
             if rows.shape[-1] % 2:
-                paired[..., -1] = self.mul[paired[..., -1], rows[..., -1]]
+                paired[..., -1] = self.times(paired[..., -1], rows[..., -1])
             rows = paired
         return rows[..., 0].astype(np.uint8)
 

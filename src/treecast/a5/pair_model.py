@@ -12,6 +12,11 @@ segment with a fresh uniform boundary randomizer, choosing the first-segment
 branch with probability 2/3.  Per node it stores only the segment start and
 the three boundary randomizers; actual labels are resolved level by level
 from the products of the word's aligned blocks.
+
+Both samplers work on flat tables, one `take` per step: `A5.flat[c]` is the
+product of pair code c, `_HALF[2 c + branch]` is the element of c that a
+child on `branch` (1 for the first) factors, and `_CHILD[60 t + b]` is the
+code (b, b^-1 t) of the child that factors t with first element b.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from ..trees import TreeShape
 from .group import A5
 
 _TWO_THIRDS_CUT = np.uint64(cut63(Fraction(2, 3)))
+_FIRST, _SECOND = np.divmod(np.arange(3600), 60)  # of each pair code
+_HALF = np.stack([_SECOND, _FIRST], axis=1).reshape(-1)
+_CHILD = (60 * _SECOND + A5.times(A5.inv[_SECOND], _FIRST)).astype(np.uint16)
 
 
 def pair_code(first: int, second: int) -> int:
@@ -55,20 +63,15 @@ def generate_pair_model(
         root = pair_code(b, s)
     if not 0 <= root < 3600:
         raise ValueError(f"root pair code {root} outside [0, 3600)")
-    mul = A5.mul
-    inv = A5.inv
     levels = [np.array([root], dtype=np.uint16)]
     for lvl in range(1, shape.d + 1):
         count = shape.nodes_at(lvl)
-        parents = np.repeat(levels[-1], shape.k)
-        first = (parents // 60).astype(np.uint8)
-        second = (parents % 60).astype(np.uint8)
-        b = _uniform60(level_words(key, lvl, count, word_index=0))
-        branch = (level_words(key, lvl, count, word_index=1) >> np.uint64(1)) < _TWO_THIRDS_CUT
-        target = np.where(branch, first, second)
-        child_second = mul[inv[b], target]
-        codes = b.astype(np.uint16) * 60 + child_second.astype(np.uint16)
-        levels.append(codes)
+        half = np.repeat(np.multiply(levels[-1], 2, dtype=np.intp), shape.k)
+        half += (level_words(key, lvl, count, word_index=1) >> np.uint64(1)) < _TWO_THIRDS_CUT
+        target = _HALF.take(half)
+        target *= 60
+        target += _uniform60(level_words(key, lvl, count, word_index=0))
+        levels.append(_CHILD.take(target))
     return LabelArray(shape=shape, m=3600, levels=levels)
 
 
@@ -117,29 +120,30 @@ def _product_tree_levels(
     if sigma.size and int(sigma.max()) >= 60:
         raise ValueError("word entries must be element indices in [0, 60)")
     tkeys = trial_keys(seed.key(), trees)
-    mul = A5.mul
-    inv = A5.inv
+    times = A5.times
     j = np.zeros((trees, 1), dtype=np.int64)
     x = y = z = np.full((trees, 1), A5.identity, dtype=np.uint8)
 
     def resolve(level: int) -> np.ndarray:
-        H = 1 << (d - level)  # segments are aligned blocks j // H and j // H + 1
-        blocks = A5.products(sigma.reshape(-1, H))
-        first = mul[mul[x, blocks[j // H]], y]
-        second = mul[mul[inv[y], blocks[j // H + 1]], z]
-        return first.astype(np.uint16) * 60 + second.astype(np.uint16)
+        shift = d - level  # segments are aligned blocks j >> shift and the next
+        blocks = A5.products(sigma.reshape(-1, 1 << shift))
+        block = j >> shift
+        first = times(times(x, blocks.take(block)), y)
+        second = times(times(A5.inv.take(y), blocks.take(block + 1)), z)
+        return first.astype(np.uint16) * 60 + second
 
     out = [resolve(0)]
     for level in range(1, d + 1):
         count = k**level
         H = 1 << (d - level + 1)  # parent half-length
         j, x, y, z = (np.repeat(a, k, axis=1) for a in (j, x, y, z))
-        b3 = _uniform60(trial_level_words(tkeys, level, count, word_index=0))
-        branch = (
+        second = (
             trial_level_words(tkeys, level, count, word_index=1) >> np.uint64(1)
-        ) < _TWO_THIRDS_CUT
-        j = j + np.where(branch, 0, H)
-        x, y, z = np.where(branch, x, inv[y]), b3, np.where(branch, y, z)
+        ) >= _TWO_THIRDS_CUT
+        j += H * second
+        np.copyto(x, A5.inv.take(y), where=second)
+        np.copyto(z, y, where=~second)
+        y = _uniform60(trial_level_words(tkeys, level, count, word_index=0))
         out.append(resolve(level))
     return out
 

@@ -75,19 +75,23 @@ def _top_two(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return top, top_count, runner, runner_count
 
 
+def _tally(values: np.ndarray, k: int, width: int) -> np.ndarray:
+    """Counts of each value in [0, width) among each node's k children (the
+    values grouped k at a time), shape (nodes, width): one bincount over the
+    flat index width * node + value."""
+    if values.size % k:
+        raise ValueError(f"{values.size} children do not group into nodes of arity {k}")
+    nodes = values.size // k
+    index = values.reshape(nodes, k) + np.arange(0, nodes * width, width, dtype=np.intp)[:, None]
+    return np.bincount(index.reshape(-1), minlength=nodes * width).reshape(nodes, width)
+
+
 def reconstruct_level_pair(
     child_labels: np.ndarray, k: int, tau: Fraction
 ) -> np.ndarray:
-    """Estimate one level of pair labels from children grouped k at a time."""
-    codes = np.asarray(child_labels)
-    if codes.size % k:
-        raise ValueError(f"{codes.size} children do not group into nodes of arity {k}")
-    first = (codes // 60).astype(np.intp)
-    second = (codes % 60).astype(np.intp)
-    products = A5.mul[first, second].astype(np.intp)
-    nodes = codes.size // k
-    offsets = np.repeat(np.arange(nodes, dtype=np.intp) * 60, k)
-    counts = np.bincount(offsets + products, minlength=nodes * 60).reshape(nodes, 60)
+    """Estimate one level of pair labels from children grouped k at a time;
+    `A5.flat` at a child's code is its pair product."""
+    counts = _tally(A5.flat.take(child_labels), k, 60)
     top, top_count, runner, runner_count = _top_two(counts)
     diagonal = runner_count * tau.denominator < tau.numerator * top_count
     second_el = np.where(diagonal, top, runner)
@@ -121,12 +125,7 @@ def reconstruct_level_class16_from_counts(
 def reconstruct_level_class16(
     child_labels: np.ndarray, k: int, tau: Fraction, tie_key: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    codes = np.asarray(child_labels, dtype=np.intp)
-    if codes.size % k:
-        raise ValueError(f"{codes.size} children do not group into nodes of arity {k}")
-    nodes = codes.size // k
-    offsets = np.repeat(np.arange(nodes, dtype=np.intp) * 16, k)
-    counts = np.bincount(offsets + codes, minlength=nodes * 16).reshape(nodes, 16)
+    counts = _tally(np.asarray(child_labels, dtype=np.intp), k, 16)
     return reconstruct_level_class16_from_counts(counts, tau, tie_key)
 
 
@@ -358,6 +357,13 @@ def class16_reconstruction_trial(
     return int(levels[0][0]), root, flagged
 
 
+def _check_shrinks(size: int, k: int) -> None:
+    """Raise unless grouping `size` labels k at a time reaches one root: a
+    level of arity k < 2 never shrinks."""
+    if size > 1 and k < 2:
+        raise ValueError(f"arity k = {k} cannot reduce {size} labels to one root")
+
+
 def _class16_climb(
     level: np.ndarray, k: int, tau: Fraction, tie_key: int, depth: int, flagged: int
 ) -> tuple[int, int]:
@@ -366,6 +372,7 @@ def _class16_climb(
 
     Returns (root estimate, `flagged` plus the flagged nodes on the way).
     """
+    _check_shrinks(level.size, k)
     while level.size > 1:
         depth += 1
         level, empty = reconstruct_level_class16(level, k, tau, subkey(tie_key, depth))
@@ -393,6 +400,7 @@ def recursive_reconstruct(
         tie_key = subkey(seed.key(), 0) if seed is not None else subkey(0, 0)
         root, flagged = _class16_climb(level, k, tau_f, tie_key, 0, 0)
         return ReconstructionResult(root_estimate=root, flagged_nodes=flagged)
+    _check_shrinks(level.size, k)
     while level.size > 1:
         level = reconstruct_level_pair(level, k, tau_f)
     return ReconstructionResult(root_estimate=int(level[0]), flagged_nodes=0)

@@ -101,6 +101,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_KINDS}"
             )
+        for name in ("seed", "trials", "jobs", "schema_version"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"config key {name!r} must be an integer, got {value!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"config key 'out' must be a path string or null, got {self.out!r}")
         if self.schema_version != 1:
             raise ValueError(f"unsupported schema_version {self.schema_version}")
         if self.trials < 100:

@@ -18,14 +18,20 @@ and it vectorizes cleanly in numpy (the scalar and vector paths are verified
 bit-identical in the test suite).
 
 `words_vec` allocates only its output and one scratch block.  The first
-finalizer pass runs on a copy of the counters alone (for `trial_level_words`
-one row of counters, shared by every trial key); the key xor writes the
+finalizer pass runs on a copy of the counters alone; the key xor writes the
 output array, and the second pass runs in place over it, BLOCK_WORDS words
 at a time, so each block stays in cache through the pass's eight
 operations.  `level_blocks` streams the same (trial, node) words one block
 at a time through two buffers its caller reuses, so no level's word array
 is ever built.  A word is a pure function of (key, counter), so the blocking
 cannot change one.  Callers that want 63-bit words shift the output in place.
+
+The first pass over a level's counters does not depend on the key, so
+`level_words`, `trial_level_words` and `level_blocks` share it
+(`_level_pass`): the counters i * 256 + 4 * level + word_index of nodes
+0..count-1 enter it as one `arange` times 256 * C1 plus a constant, with no
+counter array built, and a level of at most MEMO_WORDS nodes keeps its pass
+in a small LRU as a read-only array, reused by every key that hashes it.
 """
 
 from __future__ import annotations
@@ -121,14 +127,48 @@ def _counter_pass(counters) -> np.ndarray:
     return _fin_inplace(z)
 
 
+# Levels of at most MEMO_WORDS nodes keep their first pass in an LRU of
+# MEMO_LEVELS entries: at most 2 MiB of uint64.
+MEMO_WORDS = 8192
+MEMO_LEVELS = 32
+
+
+def _fused_level_pass(level: int, count: int, word_index: int) -> np.ndarray:
+    z = np.arange(count, dtype=np.uint64)
+    z *= np.uint64((256 * _C1) & _M64)
+    z += np.uint64(((4 * level + word_index) * _C1 + _C2) & _M64)
+    return _fin_inplace(z)
+
+
+@lru_cache(maxsize=MEMO_LEVELS)
+def _memo_level_pass(level: int, count: int, word_index: int) -> np.ndarray:
+    z = _fused_level_pass(level, count, word_index)
+    z.setflags(write=False)
+    return z
+
+
+def _level_pass(level: int, count: int, word_index: int) -> np.ndarray:
+    """`_counter_pass(node_counters(level, np.arange(count), word_index))`,
+    from one `arange`: (i * 256 + 4 * level + word_index) * C1 + C2 is
+    i * (256 * C1) + ((4 * level + word_index) * C1 + C2) modulo 2^64.
+    Read-only and shared when count <= MEMO_WORDS."""
+    if count <= MEMO_WORDS:
+        return _memo_level_pass(level, count, word_index)
+    return _fused_level_pass(level, count, word_index)
+
+
+def _second_pass(key: int | np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The key xor into a fresh output array, then the second pass in place."""
+    return _fin_inplace(np.bitwise_xor(first, np.asarray(key, dtype=np.uint64), order="C"))
+
+
 def words_vec(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Vectorized `word`; `key` may be an array that broadcasts against `counters`.
 
     The first finalizer pass runs on the counters alone; the key xor writes
     the one output array, and the second pass runs on it in place.
     """
-    key = np.asarray(key, dtype=np.uint64)
-    return _fin_inplace(np.bitwise_xor(_counter_pass(counters), key, order="C"))
+    return _second_pass(key, _counter_pass(counters))
 
 
 def trial_keys(key: int, trials: int, start: int = 0) -> np.ndarray:
@@ -142,17 +182,18 @@ def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int
     Trials are separated by their derived keys rather than by counter bits,
     so no trial count can wrap the counter space into reuse.
     """
-    return words_vec(tkeys[:, None], node_counters(level, np.arange(count), word_index))
+    return _second_pass(tkeys[:, None], _level_pass(level, count, word_index))
 
 
 def level_blocks(tkeys: np.ndarray, level: int, count: int, word_index: int, buffers: np.ndarray):
     """Yield (start, block) over `trial_level_words(tkeys, level, count,
     word_index)` flattened: blocks of whole rows, or of one wide row, of at
     most BLOCK_WORDS words, `start` the flat index of the first.  The first
-    pass runs once, on the counters; the key xor and second pass write each
-    block into `buffers[0]` (scratch `buffers[1]`), a (2, >= min(BLOCK_WORDS,
-    len(tkeys) * count)) uint64 array the caller reuses across levels."""
-    first = _counter_pass(node_counters(level, np.arange(count), word_index))
+    pass is the level's shared one (`_level_pass`); the key xor and second
+    pass write each block into `buffers[0]` (scratch `buffers[1]`), a (2, >=
+    min(BLOCK_WORDS, len(tkeys) * count)) uint64 array the caller reuses
+    across levels."""
+    first = _level_pass(level, count, word_index)
     rows, width = max(1, BLOCK_WORDS // count), min(count, BLOCK_WORDS)
     for r0 in range(0, len(tkeys), rows):
         keys = tkeys[r0 : r0 + rows, None]
@@ -227,7 +268,7 @@ def _addr_parts(addr) -> tuple[int, int]:
 
 def level_words(key: int, level: int, count: int, word_index: int = 0) -> np.ndarray:
     """Uniform words for all `count` nodes of one level, in index order."""
-    return words_vec(key, node_counters(level, np.arange(count), word_index))
+    return _second_pass(key, _level_pass(level, count, word_index))
 
 
 def bits_from_word(w: int, nbits: int) -> list[int]:

@@ -369,3 +369,19 @@ class TestEndToEnd:
             recursive_reconstruct(np.zeros(4, dtype=np.uint16), 2, "nope")
         with pytest.raises(ValueError):
             recursive_reconstruct(np.zeros(3, dtype=np.uint8), 2, "class16")
+
+    @pytest.mark.parametrize("model", ["pair3600", "class16"])
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_arity_below_two_raises_before_any_level_runs(self, monkeypatch, model, k):
+        # At k = 1 a level keeps its size, so the climb would never end.
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(reconstruct, "reconstruct_level_pair", no_level)
+        monkeypatch.setattr(reconstruct, "reconstruct_level_class16", no_level)
+        with pytest.raises(ValueError, match="cannot reduce 2 labels"):
+            recursive_reconstruct(np.zeros(2, dtype=np.int64), k, model)
+
+    @pytest.mark.parametrize("model", ["pair3600", "class16"])
+    def test_one_label_at_arity_one_is_its_own_root(self, model):
+        assert recursive_reconstruct(np.array([7]), 1, model).root_estimate == 7

@@ -253,6 +253,31 @@ def test_config_with_a_removed_kind_or_key_is_one_line_error(tmp_path, capsys, d
     ],
 )
 def test_config_grid_is_parsed_before_any_point_runs(tmp_path, capsys, monkeypatch, command, grid, words):
+    _assert_config_fails_before_any_point(tmp_path, capsys, monkeypatch, command, grid, words)
+
+
+@pytest.mark.parametrize(
+    "command, fields, words",
+    [
+        ("scan-ks", {"out": 5}, ("'out'", "5")),
+        ("scan-ks", {"out": 1}, ("'out'", "1")),
+        ("scan-ks", {"out": ["rows.csv"]}, ("'out'",)),
+        ("scan-ks", {"seed": "3"}, ("'seed'", "'3'")),
+        ("scan-noise", {"seed": 2.5}, ("'seed'", "2.5")),
+        ("scan-ks", {"trials": "100"}, ("'trials'", "'100'")),
+        ("scan-ks", {"trials": True}, ("'trials'", "True")),
+        ("scan-noise", {"jobs": "2"}, ("'jobs'", "'2'")),
+        ("scan-ks", {"jobs": False}, ("'jobs'", "False")),
+        ("scan-ks", {"schema_version": True}, ("'schema_version'", "True")),
+    ],
+)
+def test_config_scalar_is_checked_before_any_point_runs(tmp_path, capsys, monkeypatch, command, fields, words):
+    _assert_config_fails_before_any_point(tmp_path, capsys, monkeypatch, command, fields, words)
+
+
+def _assert_config_fails_before_any_point(tmp_path, capsys, monkeypatch, command, fields, words):
+    """A --config file with `fields` over a valid base ends in one `error:`
+    line holding `words`, exit 1, before `_map_points` runs any point."""
     import treecast.experiments
 
     def no_points(*args):
@@ -261,7 +286,7 @@ def test_config_grid_is_parsed_before_any_point_runs(tmp_path, capsys, monkeypat
     monkeypatch.setattr(treecast.experiments, "_map_points", no_points)
     experiment = {"scan-ks": "ks-scan", "scan-noise": "noise-scan"}[command]
     config = tmp_path / "grid.json"
-    config.write_text(json.dumps({"experiment": experiment, "trials": 100, **grid}))
+    config.write_text(json.dumps({"experiment": experiment, "trials": 100, **fields}))
     code, out, err = run(capsys, "--config", str(config), command)
     _one_line_usage_error(code, err, *words)
     assert out == ""

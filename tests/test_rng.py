@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import treecast.rng as rng
 from treecast.trees import NodeAddr
 from treecast.rng import (
     BLOCK_WORDS,
+    MEMO_WORDS,
     SeedSpec,
     bits_from_word,
+    level_blocks,
     level_words,
     node_counter,
+    node_counters,
     node_randomness,
     subkey,
+    trial_keys,
+    trial_level_words,
     word,
     words_vec,
 )
@@ -161,3 +169,41 @@ def test_words_vec_on_a_transposed_counter_grid():
     counters = ctrs.copy()
     words_vec(key, ctrs)
     assert np.array_equal(ctrs, counters)  # the caller's counters are left alone
+
+
+@given(
+    level=st.integers(0, 63),
+    word_index=st.integers(0, 3),
+    count=st.sampled_from([0, 1, 2, 3600, MEMO_WORDS + 1]),
+)
+def test_fused_level_pass_equals_the_counter_pass(level, word_index, count):
+    want = rng._counter_pass(node_counters(level, np.arange(count), word_index))
+    got = rng._level_pass(level, count, word_index)
+    assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+    key = SeedSpec(level, "fused").key()
+    assert level_words(key, level, count, word_index).tobytes() == words_vec(
+        key, node_counters(level, np.arange(count), word_index)
+    ).tobytes()
+
+
+def test_memoized_level_pass_is_shared_and_read_only():
+    first = rng._level_pass(5, 3600, 1)
+    assert rng._level_pass(5, 3600, 1) is first
+    with pytest.raises(ValueError):
+        first[0] = 0
+    assert rng._level_pass(5, MEMO_WORDS + 1, 1).flags.writeable
+    assert MEMO_WORDS * 8 * rng._memo_level_pass.cache_info().maxsize <= 2 << 20
+
+
+def test_writes_to_words_leave_the_memoized_pass_alone():
+    key = SeedSpec(3, "memo").key()
+    tkeys = trial_keys(key, 3)
+    want = words_vec(tkeys[:, None], node_counters(2, np.arange(100)))
+    words = level_words(key, 2, 100)
+    words >>= np.uint64(1)  # callers shift their words in place
+    grid = trial_level_words(tkeys, 2, 100)
+    grid ^= grid
+    buffers = np.empty((2, 300), dtype=np.uint64)
+    blocks = [block.copy() for _, block in level_blocks(tkeys, 2, 100, 0, buffers)]
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
+    assert trial_level_words(tkeys, 2, 100).tobytes() == want.tobytes()
