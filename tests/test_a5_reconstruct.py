@@ -123,7 +123,8 @@ def _grouped_binomial_draws(n, p, which, w63):
 
 def _reconstruct_level_pair_by_division(child_labels, k, tau):
     """Frozen reference tally: decode each child with // and %, multiply
-    through the 2-D table, and count products per node with one bincount."""
+    through the 2-D table, count products per node with one bincount, and
+    take the top two by argmax (ties to the lower product)."""
     codes = np.asarray(child_labels)
     first = (codes // 60).astype(np.intp)
     second = (codes % 60).astype(np.intp)
@@ -131,7 +132,13 @@ def _reconstruct_level_pair_by_division(child_labels, k, tau):
     nodes = codes.size // k
     offsets = np.repeat(np.arange(nodes, dtype=np.intp) * 60, k)
     counts = np.bincount(offsets + products, minlength=nodes * 60).reshape(nodes, 60)
-    top, top_count, runner, runner_count = reconstruct._top_two(counts)
+    rows = np.arange(nodes)
+    top = counts.argmax(axis=1)
+    top_count = counts[rows, top]
+    rest = counts.copy()
+    rest[rows, top] = -1
+    runner = rest.argmax(axis=1)
+    runner_count = counts[rows, runner]
     diagonal = runner_count * tau.denominator < tau.numerator * top_count
     return (top * 60 + np.where(diagonal, top, runner)).astype(np.uint16)
 
