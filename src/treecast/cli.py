@@ -315,7 +315,7 @@ def _cmd_a5(args) -> int:
     hits = 0
     for i in range(args.trials):
         tree = generate_pair_model(shape, SeedSpec(args.seed, f"a5/pair{i}"))
-        est = recursive_reconstruct(tree.leaves, args.k, "pair3600", seed=SeedSpec(args.seed, f"a5/rec{i}"))
+        est = recursive_reconstruct(tree.leaves, args.k, "pair3600")
         hits += est.root_estimate == tree.root
     doc = {"model": "pair3600", "k": args.k, "d": args.d, "trials": args.trials, "accuracy": hits / args.trials}
     _write_or_print(json.dumps(doc, sort_keys=True), args.out)

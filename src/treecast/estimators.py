@@ -437,24 +437,22 @@ def noisy_leaf_channel(theta: FractionLike, s: FractionLike) -> Channel:
     return Channel(m=2, matrix=((agree, 1 - agree), (1 - agree, agree)))
 
 
-def exact_P_sd(
-    shape: TreeShape, theta: FractionLike, s: FractionLike, cap: int = DEFAULT_CONFIG_CAP
-) -> Fraction:
+def exact_P_sd(shape: TreeShape, theta: FractionLike, s: FractionLike) -> Fraction:
     """Exact optimal accuracy of recovering the root from s-noisy leaves.
 
     The Bayes accuracy over `oracle.likelihood_law`, with flip(s) composed
     into the last level's edges: it recurses on the law of the likelihood
     vector, not on the 2^n leaf configurations, but keeps the enumeration
-    oracle's configuration cap (and its error), so the shapes it covers are
-    those `enumerate_joint` covers.  At d = 0 the one leaf is the root seen
-    through flip(s), with no edge to compose the noise into, so the answer
-    is max(s, 1 - s).
+    oracle's configuration cap, `DEFAULT_CONFIG_CAP` (and its error), so
+    the shapes it covers are those `enumerate_joint` covers.  At d = 0 the
+    one leaf is the root seen through flip(s), with no edge to compose the
+    noise into, so the answer is max(s, 1 - s).
     """
     if shape.d == 0:
         sf = as_fraction(s)
         return max(sf, 1 - sf)
     channel = Channel.binary(as_fraction(theta))
-    law = likelihood_law(shape, channel, cap=cap, leaf_channel=noisy_leaf_channel(theta, s))
+    law = likelihood_law(shape, channel, leaf_channel=noisy_leaf_channel(theta, s))
     return bayes_accuracy(law)
 
 

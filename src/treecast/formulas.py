@@ -196,27 +196,21 @@ def evaluate_all(formula: Formula, n_vars: int) -> np.ndarray:
     return np.array([formula.evaluate(a) for a in assignments(n_vars)], dtype=np.uint8)
 
 
-def random_formula(
-    rng: np.random.Generator,
-    n_vars: int,
-    max_gates: int,
-    max_depth: int,
-    ops: tuple[str, ...] = ("and", "or", "not"),
-    allow_const: bool = True,
-) -> Formula:
-    """A random well-formed formula within the gate and depth budgets."""
+def random_formula(rng: np.random.Generator, n_vars: int, max_gates: int, max_depth: int) -> Formula:
+    """A random well-formed formula within the gate and depth budgets; a leaf
+    is a constant with probability 0.15, else a uniform variable."""
     if n_vars < 1:
         raise ValueError("need at least one variable")
 
     def leaf() -> Formula:
-        if allow_const and rng.random() < 0.15:
+        if rng.random() < 0.15:
             return Const(int(rng.integers(0, 2)))
         return Var(int(rng.integers(0, n_vars)))
 
     def build(gates_left: int, depth_left: int) -> tuple[Formula, int]:
         if gates_left <= 0 or depth_left <= 0 or rng.random() < 0.2:
             return leaf(), 0
-        op = ops[int(rng.integers(0, len(ops)))]
+        op = ("and", "or", "not")[int(rng.integers(0, 3))]
         if op == "not":
             child, used = build(gates_left - 1, depth_left - 1)
             return Not(child), used + 1

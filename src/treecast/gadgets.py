@@ -135,10 +135,11 @@ def _pad_to(entries: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
     return out
 
 
-def compile_formula(f: Formula, max_depth: int = DEFAULT_MAX_DEPTH) -> LeafTemplate:
-    """Compile a formula into a leaf template of length 6^depth(f)."""
-    if f.depth > max_depth:
-        raise ValueError(f"formula depth {f.depth} exceeds the limit of {max_depth}")
+def compile_formula(f: Formula) -> LeafTemplate:
+    """Compile a formula of depth at most DEFAULT_MAX_DEPTH into a leaf
+    template of length 6^depth(f)."""
+    if f.depth > DEFAULT_MAX_DEPTH:
+        raise ValueError(f"formula depth {f.depth} exceeds the limit of {DEFAULT_MAX_DEPTH}")
     depth, entries = _compile(f)
     return LeafTemplate(depth=depth, entries=entries)
 

@@ -99,12 +99,14 @@ class LabelArray:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LabelArray":
+        offset = len(_MAGIC) + 12
         if blob[: len(_MAGIC)] != _MAGIC:
             raise ValueError("not a BCAST1 dump (bad magic)")
+        if len(blob) < offset:
+            raise ValueError(f"BCAST1 dump has {len(blob)} bytes, fewer than its {offset}-byte header")
         k, d, m = struct.unpack_from("<III", blob, len(_MAGIC))
         shape = TreeShape(k=k, d=d)
         dtype = np.dtype(code_dtype(m)).newbyteorder("<")
-        offset = len(_MAGIC) + 12
         levels = []
         for lvl in range(d + 1):
             count = shape.nodes_at(lvl)

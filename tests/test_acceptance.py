@@ -474,10 +474,7 @@ def test_c13_gadget_compiler():
     t0 = time.perf_counter()
     from treecast.gadgets import lemma_grid_check
 
-    cfg = ExperimentConfig(
-        experiment="gadget-corpus", seed=SEED, trials=100, k=(6,), theta=("9/10",), d=(5,)
-    )
-    report = run_gadget_corpus(cfg)
+    report = run_gadget_corpus(SEED)
     grid = lemma_grid_check(Fraction(1, 100))
     corner = (
         Fraction(19, 20),

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from treecast.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from treecast.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
 def run(capsys, *argv):
@@ -65,6 +66,53 @@ def test_bp_matches_library_on_dump(tmp_path, capsys):
     assert [Fraction(m) for m in doc["masses"]] == list(want.masses)
 
 
+def test_bp_reads_the_binary_dump_as_the_json_dump(tmp_path, capsys):
+    by_format = {}
+    for fmt in ("json", "bin"):
+        path = str(tmp_path / f"tree.{fmt}")
+        gen = ("--seed", "8", "--out", path, "--format", fmt, "gen", "--k", "3", "--d", "3", "--theta", "3/5")
+        assert run(capsys, *gen)[0] == EXIT_OK
+        code, out, _ = run(capsys, "--mode", "rational", "bp", "--leaves", path, "--theta", "3/5")
+        assert code == EXIT_OK
+        by_format[fmt] = out
+    assert open(tmp_path / "tree.bin", "rb").read(6) == b"BCAST1"
+    assert by_format["bin"] == by_format["json"]
+
+
+def test_bp_flip_rate_reads_noisy_leaves(tmp_path, capsys):
+    path = str(tmp_path / "tree.json")
+    run(capsys, "--seed", "5", "--out", path, "gen", "--k", "2", "--d", "3", "--theta", "4/5")
+    code, out, _ = run(
+        capsys, "--mode", "rational", "bp", "--leaves", path, "--theta", "4/5", "--flip-rate", "1/10"
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    from fractions import Fraction
+
+    from treecast.bp import LeafLikelihood, bp_posterior
+    from treecast.channels import Channel
+    from treecast.labels import LabelArray
+
+    arr = LabelArray.from_json(open(path).read())
+    noisy = bp_posterior(
+        arr.shape,
+        Channel.binary(Fraction(4, 5)),
+        LeafLikelihood.from_noisy_bits(arr.leaves, Fraction(1, 10)),
+        mode="rational",
+    )
+    assert [Fraction(m) for m in doc["masses"]] == list(noisy.masses)
+    code, clean, _ = run(capsys, "--mode", "rational", "bp", "--leaves", path, "--theta", "4/5")
+    assert json.loads(clean)["masses"] != doc["masses"]
+
+
+def test_bp_binary_dump_shorter_than_its_header_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"BCAST1\x02\x00")
+    code, out, err = run(capsys, "bp", "--leaves", str(path))
+    _one_line_usage_error(code, err, "BCAST1", "8 bytes", "18-byte header")
+    assert out == ""
+
+
 def test_detect_runs(capsys):
     code, out, _ = run(
         capsys, "--seed", "2", "detect", "--k", "2", "--d", "4", "--theta", "0.9",
@@ -109,6 +157,36 @@ def test_compile_gadget_check(capsys):
     doc = json.loads(out)
     assert doc["tracks_all_assignments"] is True
     assert len(doc["entries"]) == 36
+
+
+def test_compile_gadget_check_failure_exits_2(capsys, monkeypatch):
+    import treecast.gadgets
+
+    real = treecast.gadgets.verify_gadget
+
+    def never_tracks(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), tracks=False)
+
+    monkeypatch.setattr(treecast.gadgets, "verify_gadget", never_tracks)
+    code, out, _ = run(capsys, "compile-gadget", "--formula", "(and x1 (not x2))", "--check")
+    assert code == EXIT_VERIFY
+    assert json.loads(out)["tracks_all_assignments"] is False
+
+
+def test_compile_barrington_check_failure_exits_2(capsys, monkeypatch):
+    import treecast.a5.barrington as barrington
+
+    real = barrington.evaluate_program_batch
+
+    def wrong_last_product(program, table):
+        products = real(program, table).copy()
+        products[-1] = (int(products[-1]) + 1) % 60
+        return products
+
+    monkeypatch.setattr(barrington, "evaluate_program_batch", wrong_last_product)
+    code, out, _ = run(capsys, "compile-barrington", "--formula", "(or x1 x2)", "--check")
+    assert code == EXIT_VERIFY
+    assert json.loads(out)["matches_truth_table"] is False
 
 
 def test_compile_barrington_check(capsys):
@@ -231,15 +309,15 @@ def test_ks_scan_config_writes_the_flag_form_bytes(tmp_path, capsys):
     "doc, words",
     [
         ({"experiment": "reduction-demo"}, ("unknown experiment", "reduction-demo")),
+        (
+            {"experiment": "gadget-corpus"},
+            ("unknown experiment", "gadget-corpus", "'ks-scan', 'noise-scan', 'a5-accuracy'"),
+        ),
         ({"experiment": "ks-scan", "p_value": 0.01}, ("unknown config keys", "p_value")),
     ],
 )
-def test_config_with_a_removed_kind_or_key_is_one_line_error(tmp_path, capsys, doc, words):
-    config = tmp_path / "bad.json"
-    config.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "--config", str(config), "scan-ks")
-    _one_line_usage_error(code, err, *words)
-    assert out == ""
+def test_config_with_a_removed_kind_or_key_is_one_line_error(tmp_path, capsys, monkeypatch, doc, words):
+    _assert_config_fails_before_any_point(tmp_path, capsys, monkeypatch, "scan-ks", doc, words)
 
 
 @pytest.mark.parametrize(

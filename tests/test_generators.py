@@ -38,10 +38,12 @@ from treecast.oracle import enumerate_joint
 from treecast.rng import (
     BLOCK_WORDS,
     SeedSpec,
+    bits_from_word,
     node_counters,
     subkey,
     trial_keys,
     trial_level_words,
+    word,
     words_vec,
 )
 from treecast.trees import TreeShape
@@ -257,6 +259,21 @@ class TestBiasedBits:
             assert biased_bit_approx_from_bits(theta, 4, bits) == biased_bit_exact_from_bits(
                 theta, bits
             )
+
+    def test_seeded_coins_read_their_counter_word(self):
+        import treecast
+
+        seed = SeedSpec(11, "coin")
+        exact, approx = [], []
+        for draw in range(64):
+            w = word(seed.key(), draw)
+            exact.append(treecast.biased_bit_exact(Fraction(3, 8), seed, draw))
+            assert exact[-1] == biased_bit_exact_from_bits(Fraction(3, 8), bits_from_word(w, 4))
+            approx.append(treecast.biased_bit_approx(Fraction(-1, 3), 12, seed, draw))
+            assert approx[-1] == biased_bit_approx_from_bits(Fraction(-1, 3), 12, bits_from_word(w, 12))
+        assert set(exact) == set(approx) == {0, 1}
+        assert treecast.biased_bit_exact(Fraction(3, 8), seed) == exact[0]
+        assert treecast.biased_bit_approx(Fraction(-1, 3), 12, seed) == approx[0]
 
     def test_single_bit_fair(self):
         assert [biased_bit_approx_from_bits(0, 1, [b]) for b in (0, 1)] == [1, 0]
