@@ -6,17 +6,18 @@ becomes (b, b^-1 s) with probability 2/3 and (b, b^-1 s') with probability
 1/3 -- i.e. a uniformly random factorization of s or of s'.
 
 `product_tree_generate` realizes the same conditional law a second way: the
-root label is implicitly the pair (product of the first half of a supplied
-word, product of the second half), and each child halves its parent's
-segment with a fresh uniform boundary randomizer, choosing the first-segment
-branch with probability 2/3.  Per node it stores only the segment start and
-the three boundary randomizers; actual labels are resolved level by level
-from the products of the word's aligned blocks.
+root label is the pair (product of the first half of a supplied word,
+product of the second half), and each child halves its parent's segment
+with a fresh uniform boundary randomizer u, choosing the first-segment
+branch with probability 2/3: two randomizers per node, as in the pair model.
+A child's first element is x * seg(j, j+H) * u, x the left randomizer it
+inherits; its second is fixed by the parent's element on its branch.
 
-Both samplers work on flat tables, one `take` per step: `A5.flat[c]` is the
-product of pair code c, `_HALF[2 c + branch]` is the element of c that a
-child on `branch` (1 for the first) factors, and `_CHILD[60 t + b]` is the
-code (b, b^-1 t) of the child that factors t with first element b.
+Both samplers take that child step from one helper (`_child_codes`) on flat
+tables, one `take` per step: `A5.flat[c]` is the product of pair code c,
+`_HALF[2 c + branch]` is the element of c that a child on `branch` (1 for
+the first) factors, and `_CHILD[60 t + b]` is the code (b, b^-1 t) of the
+child that factors t with first element b.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from ..channels import cut63, uniform_tables
 from ..generators import check_node_budget
 from ..labels import LabelArray
 from ..oracle import LawView
-from ..rng import SeedSpec, level_words, node_counters, trial_keys, trial_level_words, words_vec
+from ..rng import SeedSpec, level_words, progression_words, trial_keys, trial_level_words
 from ..trees import TreeShape
 from .group import A5
 
-_TWO_THIRDS_CUT = np.uint64(cut63(Fraction(2, 3)))
+_FIRST_BRANCH = np.uint64(2 * cut63(Fraction(2, 3)))  # w < it iff (w >> 1) < cut63(2/3)
 _FIRST, _SECOND = np.divmod(np.arange(3600), 60)  # of each pair code
 _HALF = np.stack([_SECOND, _FIRST], axis=1).reshape(-1)
 _CHILD = (60 * _SECOND + A5.times(A5.inv[_SECOND], _FIRST)).astype(np.uint16)
@@ -52,6 +53,17 @@ def _uniform60(w: np.ndarray) -> np.ndarray:
     return uniform_tables(60).draw(0, w >> np.uint64(1)).astype(np.uint8)
 
 
+def _child_codes(parents: np.ndarray, k: int, branch: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Codes `_CHILD[60 * _HALF[2 * parent + branch] + first]` of the k
+    children of each parent code (repeated along the last axis)."""
+    half = np.repeat(np.multiply(parents, 2, dtype=np.intp), k, axis=-1)
+    half += branch
+    target = _HALF.take(half)
+    target *= 60
+    target += first
+    return _CHILD.take(target)
+
+
 def generate_pair_model(
     shape: TreeShape, seed: SeedSpec, root: int | None = None
 ) -> LabelArray:
@@ -59,19 +71,16 @@ def generate_pair_model(
     check_node_budget(shape)
     key = seed.key()
     if root is None:  # words 0 and 1 of the root address
-        b, s = _uniform60(words_vec(key, node_counters(0, 0, np.arange(2)))).tolist()
+        b, s = _uniform60(progression_words(key, 1, 0, 2)).tolist()
         root = pair_code(b, s)
     if not 0 <= root < 3600:
         raise ValueError(f"root pair code {root} outside [0, 3600)")
     levels = [np.array([root], dtype=np.uint16)]
     for lvl in range(1, shape.d + 1):
         count = shape.nodes_at(lvl)
-        half = np.repeat(np.multiply(levels[-1], 2, dtype=np.intp), shape.k)
-        half += (level_words(key, lvl, count, word_index=1) >> np.uint64(1)) < _TWO_THIRDS_CUT
-        target = _HALF.take(half)
-        target *= 60
-        target += _uniform60(level_words(key, lvl, count, word_index=0))
-        levels.append(_CHILD.take(target))
+        branch = level_words(key, lvl, count, word_index=1) < _FIRST_BRANCH
+        first = _uniform60(level_words(key, lvl, count, word_index=0))
+        levels.append(_child_codes(levels[-1], shape.k, branch, first))
     return LabelArray(shape=shape, m=3600, levels=levels)
 
 
@@ -100,10 +109,10 @@ def product_tree_generate(
 ) -> LabelArray:
     """Sample the product-tree construction for a word of length 2^(d+1).
 
-    Node state is (segment start j, boundary randomizers x, y, z); the label
-    at tree level l is (x * seg(j, j+H) * y, y^-1 * seg(j+H, j+2H) * z) with
-    H = 2^(d-l).  The root's randomizers are identities, so its label is the
-    pair of half-word products.
+    Node state is (segment start j, boundary randomizers x, u); the label at
+    tree level l is (x * seg(j, j+H) * u, u^-1 * seg(j+H, j+2H) * y) with
+    H = 2^(d-l) and y the parent's u or right randomizer.  The root's
+    randomizers are identities, so its label is the pair of half-word products.
     """
     levels = _product_tree_levels(d, sigma, k, seed, trees=1)
     shape = TreeShape(k=k, d=d)
@@ -121,30 +130,21 @@ def _product_tree_levels(
         raise ValueError("word entries must be element indices in [0, 60)")
     tkeys = trial_keys(seed.key(), trees)
     times = A5.times
-    j = np.zeros((trees, 1), dtype=np.int64)
-    x = y = z = np.full((trees, 1), A5.identity, dtype=np.uint8)
-
-    def resolve(level: int) -> np.ndarray:
-        shift = d - level  # segments are aligned blocks j >> shift and the next
-        blocks = A5.products(sigma.reshape(-1, 1 << shift))
-        block = j >> shift
-        first = times(times(x, blocks.take(block)), y)
-        second = times(times(A5.inv.take(y), blocks.take(block + 1)), z)
-        return first.astype(np.uint16) * 60 + second
-
-    out = [resolve(0)]
+    codes = np.full((trees, 1), pair_code(*A5.products(sigma.reshape(2, -1)).tolist()), np.uint16)
+    out = [codes]
+    block = np.zeros((trees, 1), dtype=np.intp)  # of the node's first half, at its level
+    x = u = np.full((trees, 1), A5.identity, dtype=np.intp)
     for level in range(1, d + 1):
         count = k**level
-        H = 1 << (d - level + 1)  # parent half-length
-        j, x, y, z = (np.repeat(a, k, axis=1) for a in (j, x, y, z))
-        second = (
-            trial_level_words(tkeys, level, count, word_index=1) >> np.uint64(1)
-        ) >= _TWO_THIRDS_CUT
-        j += H * second
-        np.copyto(x, A5.inv.take(y), where=second)
-        np.copyto(z, y, where=~second)
-        y = _uniform60(trial_level_words(tkeys, level, count, word_index=0))
-        out.append(resolve(level))
+        branch = trial_level_words(tkeys, level, count, word_index=1) < _FIRST_BRANCH
+        # x is the parent's x on the first branch and its u^-1 on the second:
+        # the element on `branch` of the pair (x, u^-1), as `_child_codes` picks.
+        x = _HALF.take(np.repeat(2 * (60 * x + A5.inv.take(u)), k, axis=1) + branch)
+        block = np.repeat(2 * block + 2, k, axis=1) - 2 * branch
+        u = _uniform60(trial_level_words(tkeys, level, count, word_index=0))
+        blocks = A5.products(sigma.reshape(-1, 1 << (d - level)))
+        codes = _child_codes(codes, k, branch, times(times(x, blocks.take(block)), u))
+        out.append(codes)
     return out
 
 

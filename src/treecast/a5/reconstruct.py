@@ -60,30 +60,34 @@ class ReconstructionResult:
 
 
 def _top_two(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row top and runner-up value indices and their counts.
+    """Per-node top and runner-up values and their counts, of (width, nodes) tallies.
 
-    Ties break toward the lower value index (argmax convention), keeping
-    reconstruction deterministic given the tallies.
+    Ties break toward the lower value index (argmax convention): with 2^b >=
+    width, the keys count * 2^b + (2^b - 1 - value) are distinct within a
+    node, so a column-wise max finds the top, and one more, with the top's
+    key zeroed, the runner-up.  Unlike a row-wise argmax, no per-row cost.
     """
-    counts = np.asarray(counts).astype(np.int64, copy=False)
-    top = counts.argmax(axis=1)
-    top_count = counts[np.arange(len(counts)), top]
-    rest = counts.astype(np.int64, copy=True)
-    rest[np.arange(len(counts)), top] = -1
-    runner = rest.argmax(axis=1)
-    runner_count = counts[np.arange(len(counts)), runner]
-    return top, top_count, runner, runner_count
+    bits = (len(counts) - 1).bit_length()
+    keys = np.array(counts, dtype=np.int64, order="C")
+    keys <<= bits
+    keys |= np.arange((1 << bits) - 1, (1 << bits) - 1 - len(counts), -1)[:, None]
+    two = np.empty((2, keys.shape[1]), dtype=np.int64)
+    np.maximum.reduce(keys, axis=0, out=two[0])
+    keys *= keys != two[0]
+    np.maximum.reduce(keys, axis=0, out=two[1])
+    count, value = two >> bits, ~two & ((1 << bits) - 1)
+    return value[0], count[0], value[1], count[1]
 
 
 def _tally(values: np.ndarray, k: int, width: int) -> np.ndarray:
     """Counts of each value in [0, width) among each node's k children (the
-    values grouped k at a time), shape (nodes, width): one bincount over the
-    flat index width * node + value."""
+    values grouped k at a time), value-major, shape (width, nodes): one
+    bincount over the flat index nodes * value + node."""
     if values.size % k:
         raise ValueError(f"{values.size} children do not group into nodes of arity {k}")
     nodes = values.size // k
-    index = values.reshape(nodes, k) + np.arange(0, nodes * width, width, dtype=np.intp)[:, None]
-    return np.bincount(index.reshape(-1), minlength=nodes * width).reshape(nodes, width)
+    index = values.reshape(nodes, k) * np.intp(nodes) + np.arange(nodes, dtype=np.intp)[:, None]
+    return np.bincount(index.reshape(-1), minlength=width * nodes).reshape(width, nodes)
 
 
 def reconstruct_level_pair(
@@ -108,9 +112,7 @@ def reconstruct_level_class16_from_counts(
     signal and are the only ones read.  Rows with
     no identity-first children draw a uniform label and are flagged.
     """
-    counts16 = np.asarray(counts16)
-    id_first = counts16[:, 0:4]
-    top, top_count, runner, runner_count = _top_two(id_first)
+    top, top_count, runner, runner_count = _top_two(np.asarray(counts16)[:, 0:4].T)
     diagonal = runner_count * tau.denominator < tau.numerator * top_count
     second_cl = np.where(diagonal, top, runner)
     labels = (top * 4 + second_cl).astype(np.uint8)
@@ -126,7 +128,7 @@ def reconstruct_level_class16(
     child_labels: np.ndarray, k: int, tau: Fraction, tie_key: int
 ) -> tuple[np.ndarray, np.ndarray]:
     counts = _tally(np.asarray(child_labels, dtype=np.intp), k, 16)
-    return reconstruct_level_class16_from_counts(counts, tau, tie_key)
+    return reconstruct_level_class16_from_counts(counts.T, tau, tie_key)
 
 
 _TAIL = 1 << 64  # bound on each tail `_pmf_floors` leaves out
@@ -324,11 +326,11 @@ def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) ->
     total_tables, split_tables, low, span = _tally_tables(k)
     total = total_tables.draw(mass_of[parents], w_total)
     first = split_tables.draw(share_of[parents] * span + total - low, w_split)
-    tallies = np.zeros((count, 4), dtype=np.int64)
+    tallies = np.zeros((4, count), dtype=np.int64)  # value-major, returned transposed
     rows = np.arange(count)
-    tallies[rows, heavy[parents]] = first
-    tallies[rows, light[parents]] += total - first
-    return tallies
+    tallies[heavy[parents], rows] = first
+    tallies[light[parents], rows] += total - first
+    return tallies.T
 
 
 def class16_reconstruction_trial(

@@ -311,6 +311,10 @@ def _cmd_a5(args) -> int:
     from .rng import SeedSpec
     from .trees import TreeShape
 
+    if args.config or args.format not in (None, "json"):
+        raise SystemExit2("a5 --model pair3600 prints JSON; it takes no --config or --format csv|bin")
+    if args.trials < 1:
+        raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
     shape = TreeShape(k=args.k, d=args.d)
     hits = 0
     for i in range(args.trials):

@@ -26,12 +26,12 @@ at a time through two buffers its caller reuses, so no level's word array
 is ever built.  A word is a pure function of (key, counter), so the blocking
 cannot change one.  Callers that want 63-bit words shift the output in place.
 
-The first pass over a level's counters does not depend on the key, so
-`level_words`, `trial_level_words` and `level_blocks` share it
-(`_level_pass`): the counters i * 256 + 4 * level + word_index of nodes
-0..count-1 enter it as one `arange` times 256 * C1 plus a constant, with no
-counter array built, and a level of at most MEMO_WORDS nodes keeps its pass
-in a small LRU as a read-only array, reused by every key that hashes it.
+The first pass does not depend on the key, and every counter run drawn here
+is a progression offset + step * i (a level's nodes: 256, 4 * level +
+word_index; trial keys: 2, 2 * start + 1; a root's two words: 1, 0), so all
+share `_progression_pass`: one `arange` times step * C1 plus a constant, no
+counter array, and a run of at most MEMO_WORDS counters keeps its pass in a
+small LRU as a read-only array, reused by every key that hashes it.
 """
 
 from __future__ import annotations
@@ -127,34 +127,33 @@ def _counter_pass(counters) -> np.ndarray:
     return _fin_inplace(z)
 
 
-# Levels of at most MEMO_WORDS nodes keep their first pass in an LRU of
-# MEMO_LEVELS entries: at most 2 MiB of uint64.
+# Progressions of at most MEMO_WORDS counters keep their first pass in an
+# LRU of MEMO_LEVELS entries: at most 2 MiB of uint64.
 MEMO_WORDS = 8192
 MEMO_LEVELS = 32
 
 
-def _fused_level_pass(level: int, count: int, word_index: int) -> np.ndarray:
+def _fused_pass(step: int, offset: int, count: int) -> np.ndarray:
     z = np.arange(count, dtype=np.uint64)
-    z *= np.uint64((256 * _C1) & _M64)
-    z += np.uint64(((4 * level + word_index) * _C1 + _C2) & _M64)
+    z *= np.uint64((step * _C1) & _M64)
+    z += np.uint64((offset * _C1 + _C2) & _M64)
     return _fin_inplace(z)
 
 
 @lru_cache(maxsize=MEMO_LEVELS)
-def _memo_level_pass(level: int, count: int, word_index: int) -> np.ndarray:
-    z = _fused_level_pass(level, count, word_index)
+def _memo_progression_pass(step: int, offset: int, count: int) -> np.ndarray:
+    z = _fused_pass(step, offset, count)
     z.setflags(write=False)
     return z
 
 
-def _level_pass(level: int, count: int, word_index: int) -> np.ndarray:
-    """`_counter_pass(node_counters(level, np.arange(count), word_index))`,
-    from one `arange`: (i * 256 + 4 * level + word_index) * C1 + C2 is
-    i * (256 * C1) + ((4 * level + word_index) * C1 + C2) modulo 2^64.
-    Read-only and shared when count <= MEMO_WORDS."""
+def _progression_pass(step: int, offset: int, count: int) -> np.ndarray:
+    """`_counter_pass(offset + step * np.arange(count))` from one `arange`:
+    (offset + step * i) * C1 + C2 is i * (step * C1) + (offset * C1 + C2)
+    modulo 2^64.  Read-only and shared when count <= MEMO_WORDS."""
     if count <= MEMO_WORDS:
-        return _memo_level_pass(level, count, word_index)
-    return _fused_level_pass(level, count, word_index)
+        return _memo_progression_pass(step, offset, count)
+    return _fused_pass(step, offset, count)
 
 
 def _second_pass(key: int | np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -172,8 +171,13 @@ def words_vec(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 
 def trial_keys(key: int, trials: int, start: int = 0) -> np.ndarray:
-    """Derived keys of trials start..start+trials-1, as uint64."""
-    return subkey(key, np.arange(start, start + trials, dtype=np.uint64))
+    """Derived keys of trials start..start+trials-1 (`subkey`), as uint64."""
+    return progression_words(key, 2, 2 * start + 1, trials)
+
+
+def progression_words(key: int, step: int, offset: int, count: int) -> np.ndarray:
+    """`words_vec(key, offset + step * np.arange(count))` from the shared pass."""
+    return _second_pass(key, _progression_pass(step, offset, count))
 
 
 def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int = 0) -> np.ndarray:
@@ -182,18 +186,18 @@ def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int
     Trials are separated by their derived keys rather than by counter bits,
     so no trial count can wrap the counter space into reuse.
     """
-    return _second_pass(tkeys[:, None], _level_pass(level, count, word_index))
+    return _second_pass(tkeys[:, None], _progression_pass(256, 4 * level + word_index, count))
 
 
 def level_blocks(tkeys: np.ndarray, level: int, count: int, word_index: int, buffers: np.ndarray):
     """Yield (start, block) over `trial_level_words(tkeys, level, count,
     word_index)` flattened: blocks of whole rows, or of one wide row, of at
     most BLOCK_WORDS words, `start` the flat index of the first.  The first
-    pass is the level's shared one (`_level_pass`); the key xor and second
+    pass is the level's shared one (`_progression_pass`); the key xor and second
     pass write each block into `buffers[0]` (scratch `buffers[1]`), a (2, >=
     min(BLOCK_WORDS, len(tkeys) * count)) uint64 array the caller reuses
     across levels."""
-    first = _level_pass(level, count, word_index)
+    first = _progression_pass(256, 4 * level + word_index, count)
     rows, width = max(1, BLOCK_WORDS // count), min(count, BLOCK_WORDS)
     for r0 in range(0, len(tkeys), rows):
         keys = tkeys[r0 : r0 + rows, None]
@@ -268,7 +272,7 @@ def _addr_parts(addr) -> tuple[int, int]:
 
 def level_words(key: int, level: int, count: int, word_index: int = 0) -> np.ndarray:
     """Uniform words for all `count` nodes of one level, in index order."""
-    return _second_pass(key, _level_pass(level, count, word_index))
+    return progression_words(key, 256, 4 * level + word_index, count)
 
 
 def bits_from_word(w: int, nbits: int) -> list[int]:

@@ -8,7 +8,6 @@ from scipy.stats import chi2
 
 from treecast.a5.group import A5
 from treecast.a5.pair_model import (
-    _TWO_THIRDS_CUT,
     _product_tree_levels,
     _uniform60,
     generate_pair_model,
@@ -24,9 +23,12 @@ from treecast.a5.quotient import (
     pair_to_class_pair,
     quotient_channel,
 )
-from treecast.channels import ks_parameter, uniform_cuts
+from treecast.channels import cut63, ks_parameter, uniform_cuts
 from treecast.rng import SeedSpec, level_words, node_counters, trial_keys, trial_level_words, words_vec
 from treecast.trees import TreeShape
+
+
+_TWO_THIRDS_CUT = np.uint64(cut63(Fraction(2, 3)))  # the branch cut of 63-bit words
 
 
 def _pair_parts(codes):
@@ -154,6 +156,57 @@ def test_pair_model_equals_the_division_sampler(k, d, root, seed):
     want = _generate_pair_model_by_division(shape, spec, root=root)
     assert len(got) == len(want) == d + 1
     for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.uint16 and g.tobytes() == w.tobytes()
+
+
+def _product_tree_levels_by_resolve(d, sigma, k, seed, trees):
+    """Frozen reference sampler: node state (j, x, y, z), each level's labels
+    resolved from the aligned block products with four products per node."""
+    sigma = np.asarray(sigma, dtype=np.uint8)
+    tkeys = trial_keys(seed.key(), trees)
+    times = A5.times
+    j = np.zeros((trees, 1), dtype=np.int64)
+    x = y = z = np.full((trees, 1), A5.identity, dtype=np.uint8)
+
+    def resolve(level):
+        shift = d - level
+        blocks = A5.products(sigma.reshape(-1, 1 << shift))
+        block = j >> shift
+        first = times(times(x, blocks.take(block)), y)
+        second = times(times(A5.inv.take(y), blocks.take(block + 1)), z)
+        return first.astype(np.uint16) * 60 + second
+
+    out = [resolve(0)]
+    for level in range(1, d + 1):
+        count = k**level
+        H = 1 << (d - level + 1)
+        j, x, y, z = (np.repeat(a, k, axis=1) for a in (j, x, y, z))
+        second = (
+            trial_level_words(tkeys, level, count, word_index=1) >> np.uint64(1)
+        ) >= _TWO_THIRDS_CUT
+        j += H * second
+        np.copyto(x, A5.inv.take(y), where=second)
+        np.copyto(z, y, where=~second)
+        y = _uniform60(trial_level_words(tkeys, level, count, word_index=0))
+        out.append(resolve(level))
+    return out
+
+
+@given(
+    d=st.integers(0, 3),
+    k=st.integers(1, 5),
+    trees=st.integers(1, 3),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_product_tree_equals_the_resolve_sampler(d, k, trees, seed, data):
+    sigma = data.draw(st.lists(st.integers(0, 59), min_size=2 ** (d + 1), max_size=2 ** (d + 1)))
+    spec = SeedSpec(seed, "pt/resolve")
+    got = _product_tree_levels(d, sigma, k, spec, trees)
+    want = _product_tree_levels_by_resolve(d, sigma, k, spec, trees)
+    assert len(got) == len(want) == d + 1
+    for level, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape == (trees, k**level)
         assert g.dtype == w.dtype == np.uint16 and g.tobytes() == w.tobytes()
 
 

@@ -143,6 +143,33 @@ def _reconstruct_level_pair_by_division(child_labels, k, tau):
     return (top * 60 + np.where(diagonal, top, runner)).astype(np.uint16)
 
 
+def _top_two_by_argmax(counts):
+    """Frozen reference: row-wise argmax over node-major (nodes, width)
+    tallies, then again with the top masked (ties to the lower value)."""
+    rows = np.arange(len(counts))
+    top = counts.argmax(axis=1)
+    rest = counts.astype(np.int64, copy=True)
+    rest[rows, top] = -1
+    runner = rest.argmax(axis=1)
+    return top, counts[rows, top], runner, counts[rows, runner]
+
+
+@pytest.mark.parametrize("nodes, width", [(6000, 4), (1, 60), (1, 16), (1, 4), (7, 2)])
+@pytest.mark.parametrize("high", [1, 2, 3, 50])
+def test_top_two_equals_the_argmax_convention(nodes, width, high):
+    # Small count ranges make ties everywhere: all-zero rows, ties for the
+    # top, ties for the runner-up.
+    gen = np.random.default_rng(nodes * 1000 + width * 10 + high)
+    for _ in range(20 if nodes == 1 else 2):
+        counts = gen.integers(0, high + 1, size=(nodes, width))
+        got = reconstruct._top_two(counts.T)
+        want = _top_two_by_argmax(counts)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    empty = reconstruct._top_two(np.zeros((width, 1), dtype=np.int64))
+    assert [int(a[0]) for a in empty] == [0, 0, 1, 0]
+
+
 @given(
     k=st.integers(1, 200),
     nodes=st.integers(1, 6),

@@ -412,6 +412,35 @@ def test_a5_class16_bad_shape_is_one_line_error(capsys, argv, words):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "before, after, words",
+    [
+        ((), ("--trials", "0"), ("--trials", "at least 1")),
+        ((), ("--trials", "-3"), ("--trials", "at least 1")),
+        (("--format", "csv"), (), ("pair3600", "--format")),
+        (("--format", "bin"), (), ("pair3600", "--format")),
+        (("--config", "CONFIG"), (), ("pair3600", "--config")),
+    ],
+    ids=["trials0", "trials-negative", "format-csv", "format-bin", "config"],
+)
+def test_a5_pair3600_bad_option_is_one_line_error(tmp_path, capsys, before, after, words):
+    config = tmp_path / "ks.json"
+    config.write_text(json.dumps({"experiment": "ks-scan"}))
+    before = tuple(str(config) if a == "CONFIG" else a for a in before)
+    argv = (*before, "a5", "--model", "pair3600", "--k", "4", "--d", "2", "--trials", "3", *after)
+    code, out, err = run(capsys, *argv)
+    _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
+def test_a5_pair3600_format_json_is_the_default_output(capsys):
+    argv = ("a5", "--model", "pair3600", "--k", "4", "--d", "2", "--trials", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert run(capsys, "--format", "json", *argv) == (EXIT_OK, out, "")
+    assert json.loads(out)["trials"] == 3
+
+
 def test_reduce_word_golden(capsys):
     # Captured when the synthetic oracle began drawing its coin and wrong
     # answer from counter words.

@@ -178,7 +178,7 @@ def test_words_vec_on_a_transposed_counter_grid():
 )
 def test_fused_level_pass_equals_the_counter_pass(level, word_index, count):
     want = rng._counter_pass(node_counters(level, np.arange(count), word_index))
-    got = rng._level_pass(level, count, word_index)
+    got = rng._progression_pass(256, 4 * level + word_index, count)
     assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
     key = SeedSpec(level, "fused").key()
     assert level_words(key, level, count, word_index).tobytes() == words_vec(
@@ -187,12 +187,46 @@ def test_fused_level_pass_equals_the_counter_pass(level, word_index, count):
 
 
 def test_memoized_level_pass_is_shared_and_read_only():
-    first = rng._level_pass(5, 3600, 1)
-    assert rng._level_pass(5, 3600, 1) is first
+    first = rng._progression_pass(256, 21, 3600)
+    assert rng._progression_pass(256, 21, 3600) is first
     with pytest.raises(ValueError):
         first[0] = 0
-    assert rng._level_pass(5, MEMO_WORDS + 1, 1).flags.writeable
-    assert MEMO_WORDS * 8 * rng._memo_level_pass.cache_info().maxsize <= 2 << 20
+    assert rng._progression_pass(256, 21, MEMO_WORDS + 1).flags.writeable
+    assert MEMO_WORDS * 8 * rng._memo_progression_pass.cache_info().maxsize <= 2 << 20
+
+
+@pytest.mark.parametrize("start", [0, 5])
+@pytest.mark.parametrize("n", [0, 1, 2049, MEMO_WORDS + 1])
+def test_trial_keys_equal_the_subkeys(n, start):
+    key = SeedSpec(17, "progression").key()
+    want = subkey(key, np.arange(start, start + n))
+    got = trial_keys(key, n, start)
+    assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+    assert trial_keys(key, n, start).tobytes() == want.tobytes()  # again, from the memo
+    if n:
+        assert int(got[-1]) == subkey(key, start + n - 1)
+
+
+@given(
+    step=st.integers(1, 2**64),
+    offset=st.integers(0, 2**70),
+    count=st.sampled_from([0, 1, 2, 3, 257]),
+)
+def test_progression_words_equal_words_vec(step, offset, count):
+    key = SeedSpec(step % 997, "progression").key()
+    counters = [(offset + step * i) % 2**64 for i in range(count)]
+    want = words_vec(key, np.array(counters, dtype=np.uint64))
+    assert rng.progression_words(key, step, offset, count).tobytes() == want.tobytes()
+    assert [int(w) for w in want] == [word(key, c) for c in counters]
+
+
+def test_root_words_equal_the_node_counter_draw():
+    # The pair model's root draws words 0 and 1 of node (0, 0) as the
+    # progression (step 1, offset 0, count 2).
+    for seed in range(20):
+        key = SeedSpec(seed, "pair/root").key()
+        want = words_vec(key, node_counters(0, 0, np.arange(2)))
+        assert rng.progression_words(key, 1, 0, 2).tobytes() == want.tobytes()
 
 
 def test_writes_to_words_leave_the_memoized_pass_alone():
