@@ -68,8 +68,12 @@ def generate_pair_model(
     shape: TreeShape, seed: SeedSpec, root: int | None = None
 ) -> LabelArray:
     """Sample the pair-label broadcast process; root uniform when unspecified."""
+    return LabelArray(shape=shape, m=3600, levels=pair_model_levels(shape, seed.key(), root))
+
+
+def pair_model_levels(shape: TreeShape, key: int, root: int | None = None) -> list[np.ndarray]:
+    """The level arrays of `generate_pair_model` on the stream key `key`."""
     check_node_budget(shape)
-    key = seed.key()
     if root is None:  # words 0 and 1 of the root address
         b, s = _uniform60(progression_words(key, 1, 0, 2)).tolist()
         root = pair_code(b, s)
@@ -81,7 +85,7 @@ def generate_pair_model(
         branch = level_words(key, lvl, count, word_index=1) < _FIRST_BRANCH
         first = _uniform60(level_words(key, lvl, count, word_index=0))
         levels.append(_child_codes(levels[-1], shape.k, branch, first))
-    return LabelArray(shape=shape, m=3600, levels=levels)
+    return levels
 
 
 def pair_model_child_law(root_code: int) -> LawView:

@@ -48,6 +48,7 @@ from ..generators import check_node_budget, direct_levels
 from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
 from .group import A5
+from .pair_model import pair_model_levels
 from .quotient import quotient_channel
 
 DEFAULT_TAU = Fraction(1, 5)
@@ -357,6 +358,17 @@ def class16_reconstruction_trial(
     level, empty = reconstruct_level_class16_from_counts(tallies, tau, subkey(key, 1))
     root, flagged = _class16_climb(level, k, tau, key, 1, int(empty.sum()))
     return int(levels[0][0]), root, flagged
+
+
+def pair_reconstruction_trial(k: int, d: int, key: int) -> tuple[int, int, int]:
+    """One pair-model reconstruction trial; returns (root, estimate, flags).
+
+    The tree is `generate_pair_model`'s on a seed with key `key`, decoded
+    from its leaves in pair mode, which flags no node.
+    """
+    levels = pair_model_levels(TreeShape(k, d), key)
+    est = recursive_reconstruct(levels[-1], k, "pair3600")
+    return int(levels[0][0]), est.root_estimate, est.flagged_nodes
 
 
 def _check_shrinks(size: int, k: int) -> None:

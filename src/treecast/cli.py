@@ -212,6 +212,8 @@ def _cmd_detect(args) -> int:
     from .experiments import _row, append_rows, score_estimators_point
     from .rng import SeedSpec
 
+    if args.format == "csv" and not args.out:
+        raise SystemExit2("detect --format csv appends rows to --out; give --out")
     accs = score_estimators_point(
         args.k,
         as_fraction(args.theta),
@@ -221,7 +223,7 @@ def _cmd_detect(args) -> int:
         estimators=(args.estimator,),
     )
     acc = accs[args.estimator]
-    if args.out and (args.format in (None, "csv")):
+    if args.out and args.format in (None, "csv"):
         # Rows append to the experiment CSV so repeated runs build one table.
         row = _row("ks-scan", args.seed, args.k, args.theta, args.d, "0", args.estimator, args.trials, acc)
         append_rows([row], args.out)
@@ -239,39 +241,31 @@ def _cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(args, experiment: str, **overrides):
+def _experiment_config(args, experiment: str):
+    """The `--config` file's config, else one from the global flags and the
+    subcommand's flags of the same names as config keys (a grid flag holds
+    comma-separated values)."""
     from .experiments import ExperimentConfig
 
-    if args.format == "bin":
-        raise SystemExit2("--format bin is not a row format; use csv or json")
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json(fh.read())
         if cfg.experiment != experiment:
             raise SystemExit2(f"config is for {cfg.experiment!r}, not {experiment!r}")
         return cfg
-    base = dict(
-        experiment=experiment,
-        seed=args.seed,
-        jobs=args.jobs,
-        format=args.format or "csv",
-        out=args.out,
+    flags = {name: getattr(args, name) for name in ("trials", "model") if hasattr(args, name)}
+    for name in ("k", "theta", "d", "s"):
+        if hasattr(args, name):
+            flags[name] = str(getattr(args, name)).split(",")
+    return ExperimentConfig(
+        experiment=experiment, seed=args.seed, jobs=args.jobs, format=args.format or "csv", out=args.out, **flags
     )
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 def _cmd_scan_ks(args) -> int:
     from .experiments import emit, run_ks_scan
 
-    cfg = _experiment_config(
-        args,
-        "ks-scan",
-        trials=args.trials,
-        k=args.k.split(","),
-        theta=args.theta.split(","),
-        d=args.d.split(","),
-    )
+    cfg = _experiment_config(args, "ks-scan")
     emit(run_ks_scan(cfg), cfg.out, cfg.format)
     return EXIT_OK
 
@@ -279,15 +273,7 @@ def _cmd_scan_ks(args) -> int:
 def _cmd_scan_noise(args) -> int:
     from .experiments import emit, run_noise_scan
 
-    cfg = _experiment_config(
-        args,
-        "noise-scan",
-        trials=args.trials,
-        k=args.k.split(","),
-        theta=args.theta.split(","),
-        d=args.d.split(","),
-        s=args.s.split(","),
-    )
+    cfg = _experiment_config(args, "noise-scan")
     report = run_noise_scan(cfg)
     emit(report.rows, cfg.out, cfg.format)
     for key, ok in sorted(report.monotone_in_s.items()):
@@ -300,29 +286,8 @@ def _cmd_scan_noise(args) -> int:
 def _cmd_a5(args) -> int:
     from .experiments import emit, run_a5_accuracy
 
-    if args.model == "class16":
-        cfg = _experiment_config(
-            args, "a5-accuracy", trials=args.trials, k=(args.k,), d=(args.d,)
-        )
-        emit(run_a5_accuracy(cfg), cfg.out, cfg.format)
-        return EXIT_OK
-    from .a5 import generate_pair_model
-    from .a5.reconstruct import recursive_reconstruct
-    from .rng import SeedSpec
-    from .trees import TreeShape
-
-    if args.config or args.format not in (None, "json"):
-        raise SystemExit2("a5 --model pair3600 prints JSON; it takes no --config or --format csv|bin")
-    if args.trials < 1:
-        raise SystemExit2(f"--trials must be at least 1, got {args.trials}")
-    shape = TreeShape(k=args.k, d=args.d)
-    hits = 0
-    for i in range(args.trials):
-        tree = generate_pair_model(shape, SeedSpec(args.seed, f"a5/pair{i}"))
-        est = recursive_reconstruct(tree.leaves, args.k, "pair3600")
-        hits += est.root_estimate == tree.root
-    doc = {"model": "pair3600", "k": args.k, "d": args.d, "trials": args.trials, "accuracy": hits / args.trials}
-    _write_or_print(json.dumps(doc, sort_keys=True), args.out)
+    cfg = _experiment_config(args, "a5-accuracy")
+    emit(run_a5_accuracy(cfg), cfg.out, cfg.format)
     return EXIT_OK
 
 
@@ -413,17 +378,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
+# Each command and the formats it writes; any other --format is a usage error.
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "bp": _cmd_bp,
-    "detect": _cmd_detect,
-    "scan-ks": _cmd_scan_ks,
-    "scan-noise": _cmd_scan_noise,
-    "a5": _cmd_a5,
-    "compile-gadget": _cmd_compile_gadget,
-    "compile-barrington": _cmd_compile_barrington,
-    "reduce-word": _cmd_reduce_word,
-    "verify": _cmd_verify,
+    "gen": (_cmd_gen, ("json", "bin")),
+    "bp": (_cmd_bp, ("json",)),
+    "detect": (_cmd_detect, ("json", "csv")),
+    "scan-ks": (_cmd_scan_ks, ("csv", "json")),
+    "scan-noise": (_cmd_scan_noise, ("csv", "json")),
+    "a5": (_cmd_a5, ("csv", "json")),
+    "compile-gadget": (_cmd_compile_gadget, ("json",)),
+    "compile-barrington": (_cmd_compile_barrington, ("json",)),
+    "reduce-word": (_cmd_reduce_word, ("json",)),
+    "verify": (_cmd_verify, ("text",)),
 }
 
 
@@ -438,8 +404,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and friends
         code = exc.code if isinstance(exc.code, int) else 0
         return code
+    command, formats = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if args.format not in (None, *formats):
+            raise SystemExit2(f"{args.command} writes {' or '.join(formats)}, not --format {args.format}")
+        return command(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

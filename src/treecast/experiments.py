@@ -2,9 +2,10 @@
 
 A config names one of three kinds (`EXPERIMENT_KINDS`): `ks-scan`,
 `noise-scan` and `a5-accuracy`, which the `scan-ks`, `scan-noise` and `a5`
-subcommands run.  The generator-equivalence suite, the gadget corpus and
-`verify_all` are plain seeded functions, not config kinds.  `emit` writes
-every row set.
+subcommands run.  `a5-accuracy` covers both A5 models (`A5_MODELS`), chosen
+by the config's `model`.  The generator-equivalence suite, the gadget corpus
+and `verify_all` are plain seeded functions, not config kinds.  `emit`
+writes every row set.
 
 Every experiment is a pure function of (config, master seed): per-grid-point
 substreams are derived by stable indices, rows are sorted by a canonical key
@@ -60,6 +61,7 @@ from .trees import TreeShape
 log = logging.getLogger("treecast.experiments")
 
 EXPERIMENT_KINDS = ("ks-scan", "noise-scan", "a5-accuracy")
+A5_MODELS = {"class16": 16, "pair3600": 3600}  # label count m of each a5-accuracy model
 
 
 def _parse_grid(name: str, values) -> tuple:
@@ -94,6 +96,7 @@ class ExperimentConfig:
     out: str | None = None
     format: str = "csv"
     jobs: int = 0  # 0 means available parallelism
+    model: str = "class16"
     schema_version: int = 1
 
     def __post_init__(self) -> None:
@@ -109,6 +112,10 @@ class ExperimentConfig:
             raise ValueError(f"config key 'out' must be a path string or null, got {self.out!r}")
         if self.schema_version != 1:
             raise ValueError(f"unsupported schema_version {self.schema_version}")
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0 (0 means available parallelism), got {self.jobs}")
+        if self.model not in (models := tuple(A5_MODELS)):
+            raise ValueError(f"unknown model {self.model!r}; expected one of {models}")
         if self.trials < 100:
             raise ValueError("trials must be >= 100 for any asserted statistic")
         for name in ("k", "theta", "d", "s"):
@@ -125,12 +132,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
-
-    def thetas(self) -> list[Fraction]:
-        return [as_fraction(t) for t in self.theta]
-
-    def s_values(self) -> list[Fraction]:
-        return [as_fraction(x) for x in self.s]
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,7 @@ def _ks_point(args) -> list[ResultRow]:
 
 def _resolve_jobs(jobs: int) -> int:
     """`jobs` if positive, else the CPUs this process may run on."""
-    if jobs and jobs > 0:
+    if jobs > 0:
         return jobs
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -587,26 +588,32 @@ def suite_failures(results: list[CheckResult]) -> list[CheckResult]:
 # --- A5 reconstruction accuracy ---------------------------------------------
 
 
+def _a5_point(args) -> ResultRow:
+    cfg, index, k, d = args
+    from .a5.reconstruct import class16_reconstruction_trial, pair_reconstruction_trial
+
+    trial = class16_reconstruction_trial if cfg.model == "class16" else pair_reconstruction_trial
+    key = _grid_seed(cfg, index).key()
+    correct = 0
+    for t in range(cfg.trials):
+        root, est, _ = trial(k, d, subkey(key, t))
+        correct += root == est
+    return _row(
+        cfg.experiment, cfg.seed, k, cfg.model, d, "0", f"{cfg.model}-recursive",
+        cfg.trials, correct / cfg.trials, m=A5_MODELS[cfg.model],
+    )
+
+
 def run_a5_accuracy(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Recursive-reconstruction accuracy on the 16-label quotient model."""
+    """Recursive-reconstruction accuracy of `cfg.model`: the 3600-label pair
+    model or its 16-label quotient, one row per (k, d) point, trial t keyed
+    by `subkey(key, t)` of the point's stream."""
     if cfg.experiment != "a5-accuracy":
         raise ValueError("config is not an a5-accuracy run")
-    from .a5.reconstruct import class16_reconstruction_trial
-
-    rows = []
-    for _, index, k, d in _grid(cfg, cfg.k, cfg.d):
-        key = _grid_seed(cfg, index).key()
-        correct = 0
-        for trial in range(cfg.trials):
-            root, est, _ = class16_reconstruction_trial(k, d, subkey(key, trial))
-            correct += root == est
-        rows.append(
-            _row(
-                cfg.experiment, cfg.seed, k, "class16", d, "0", "class16-recursive",
-                cfg.trials, correct / cfg.trials, m=16,
-            )
-        )
-    return sorted(rows, key=ResultRow.sort_key)
+    if min(cfg.d) < 1:
+        raise ValueError("reconstruction needs depth >= 1")
+    points = list(_grid(cfg, cfg.k, cfg.d))
+    return sorted(_map_points(_a5_point, points, _resolve_jobs(cfg.jobs)), key=ResultRow.sort_key)
 
 
 # --- gadget corpus -----------------------------------------------------------

@@ -22,6 +22,7 @@ from treecast.a5.reconstruct import (
     binomial_cuts,
     class16_reconstruction_trial,
     identity_first_tallies,
+    pair_reconstruction_trial,
     reconstruct_level_class16_from_counts,
     reconstruct_level_pair,
     recursive_reconstruct,
@@ -397,6 +398,14 @@ class TestEndToEnd:
             est = recursive_reconstruct(tree.leaves, shape.k, "pair3600", seed=SeedSpec(t, "r"))
             hits += est.root_estimate == tree.root
         assert hits >= 18
+
+    @pytest.mark.parametrize("k, d", [(20, 2), (3, 4), (1, 3)])
+    def test_pair_trial_decodes_the_tree_of_generate_pair_model(self, k, d):
+        for s in range(4):
+            seed = SeedSpec(400 + s, "pair-trial")
+            tree = generate_pair_model(TreeShape(k, d), seed)
+            est = recursive_reconstruct(tree.leaves, k, "pair3600")
+            assert pair_reconstruction_trial(k, d, seed.key()) == (tree.root, est.root_estimate, 0)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

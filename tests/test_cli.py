@@ -347,6 +347,10 @@ def test_config_grid_is_parsed_before_any_point_runs(tmp_path, capsys, monkeypat
         ("scan-noise", {"jobs": "2"}, ("'jobs'", "'2'")),
         ("scan-ks", {"jobs": False}, ("'jobs'", "False")),
         ("scan-ks", {"schema_version": True}, ("'schema_version'", "True")),
+        ("scan-ks", {"jobs": -4}, ("jobs", ">= 0", "-4")),
+        ("a5", {"model": "pair36"}, ("unknown model", "'pair36'", "'pair3600'")),
+        ("a5", {"model": ["pair3600"]}, ("unknown model", "['pair3600']")),
+        ("a5", {"model": "pair3600", "d": [2, 0]}, ("depth >= 1",)),
     ],
 )
 def test_config_scalar_is_checked_before_any_point_runs(tmp_path, capsys, monkeypatch, command, fields, words):
@@ -362,7 +366,7 @@ def _assert_config_fails_before_any_point(tmp_path, capsys, monkeypatch, command
         raise AssertionError("a grid point ran")
 
     monkeypatch.setattr(treecast.experiments, "_map_points", no_points)
-    experiment = {"scan-ks": "ks-scan", "scan-noise": "noise-scan"}[command]
+    experiment = {"scan-ks": "ks-scan", "scan-noise": "noise-scan", "a5": "a5-accuracy"}[command]
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"experiment": experiment, "trials": 100, **fields}))
     code, out, err = run(capsys, "--config", str(config), command)
@@ -412,33 +416,115 @@ def test_a5_class16_bad_shape_is_one_line_error(capsys, argv, words):
     assert out == ""
 
 
+def test_negative_jobs_flag_is_one_line_error(capsys):
+    code, out, err = run(capsys, "--jobs", "-5", "scan-ks", "--k", "2", "--d", "3", "--trials", "100")
+    _one_line_usage_error(code, err, "jobs", ">= 0", "-5")
+    assert out == ""
+
+
+@pytest.mark.parametrize("model", ["class16", "pair3600"])
+def test_a5_depth_zero_is_one_line_error(capsys, model):
+    code, out, err = run(capsys, "a5", "--model", model, "--k", "5", "--d", "0", "--trials", "100")
+    _one_line_usage_error(code, err, "depth >= 1")
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "before, after, words",
     [
-        ((), ("--trials", "0"), ("--trials", "at least 1")),
-        ((), ("--trials", "-3"), ("--trials", "at least 1")),
-        (("--format", "csv"), (), ("pair3600", "--format")),
-        (("--format", "bin"), (), ("pair3600", "--format")),
-        (("--config", "CONFIG"), (), ("pair3600", "--config")),
+        ((), ("--trials", "0"), ("trials", ">= 100")),
+        ((), ("--trials", "-3"), ("trials", ">= 100")),
+        (("--format", "bin"), (), ("--format bin",)),
     ],
-    ids=["trials0", "trials-negative", "format-csv", "format-bin", "config"],
+    ids=["trials0", "trials-negative", "format-bin"],
 )
-def test_a5_pair3600_bad_option_is_one_line_error(tmp_path, capsys, before, after, words):
-    config = tmp_path / "ks.json"
-    config.write_text(json.dumps({"experiment": "ks-scan"}))
-    before = tuple(str(config) if a == "CONFIG" else a for a in before)
-    argv = (*before, "a5", "--model", "pair3600", "--k", "4", "--d", "2", "--trials", "3", *after)
+def test_a5_pair3600_bad_option_is_one_line_error(capsys, before, after, words):
+    argv = (*before, "a5", "--model", "pair3600", "--k", "4", "--d", "2", "--trials", "100", *after)
     code, out, err = run(capsys, *argv)
     _one_line_usage_error(code, err, *words)
     assert out == ""
 
 
-def test_a5_pair3600_format_json_is_the_default_output(capsys):
-    argv = ("a5", "--model", "pair3600", "--k", "4", "--d", "2", "--trials", "3")
+def test_a5_pair3600_prints_rows_in_csv_and_json(capsys):
+    argv = ("a5", "--model", "pair3600", "--k", "4", "--d", "2", "--trials", "100")
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    assert run(capsys, "--format", "json", *argv) == (EXIT_OK, out, "")
-    assert json.loads(out)["trials"] == 3
+    assert run(capsys, "--format", "csv", *argv) == (EXIT_OK, out, "")
+    from treecast.experiments import CSV_HEADER
+
+    header, line = out.splitlines()
+    assert header == CSV_HEADER
+    code, json_out, _ = run(capsys, "--format", "json", *argv)
+    assert code == EXIT_OK
+    (row,) = json.loads(json_out)
+    assert (row["theta_or_channel"], row["estimator"], row["trials"]) == ("pair3600", "pair3600-recursive", 100)
+    assert line.split(",")[7] == repr(row["accuracy"])
+    assert row["advantage"] == row["accuracy"] - 1 / 3600
+
+
+def test_a5_config_model_writes_the_flag_form_bytes(tmp_path, capsys):
+    by_flags = str(tmp_path / "flags.csv")
+    argv = ("--seed", "5", "--out", by_flags, "a5", "--model", "pair3600", "--k", "4", "--d", "2", "--trials", "100")
+    assert run(capsys, *argv)[0] == EXIT_OK
+    by_config = str(tmp_path / "config.csv")
+    config = tmp_path / "a5.json"
+    config.write_text(json.dumps({
+        "experiment": "a5-accuracy", "model": "pair3600", "seed": 5, "trials": 100, "k": [4],
+        "d": [2], "out": by_config,
+    }))
+    assert run(capsys, "--config", str(config), "a5")[0] == EXIT_OK
+    assert open(by_config, "rb").read() == open(by_flags, "rb").read()
+
+
+# What each command writes for --format csv, json and bin; every other
+# pairing is a one-line usage error.
+_WRITES = {
+    "gen": ("json", "bin"),
+    "bp": ("json",),
+    "detect": ("json", "csv"),
+    "scan-ks": ("csv", "json"),
+    "scan-noise": ("csv", "json"),
+    "a5": ("csv", "json"),
+    "compile-gadget": ("json",),
+    "compile-barrington": ("json",),
+    "reduce-word": ("json",),
+    "verify": (),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "bin"])
+@pytest.mark.parametrize("command", sorted(_WRITES))
+def test_every_command_writes_its_format_or_refuses_it(tmp_path, capsys, command, fmt):
+    leaves = str(tmp_path / "tree.json")
+    assert run(capsys, "--out", leaves, "gen", "--k", "2", "--d", "2")[0] == EXIT_OK
+    argv = {
+        "gen": ("--k", "2", "--d", "2"),
+        "bp": ("--leaves", leaves),
+        "detect": ("--k", "2", "--d", "3", "--theta", "4/5", "--trials", "100"),
+        "scan-ks": ("--k", "2", "--theta", "4/5", "--d", "3", "--trials", "100"),
+        "scan-noise": ("--k", "2", "--theta", "4/5", "--d", "2", "--s", "1/10", "--trials", "100"),
+        "a5": ("--k", "4", "--d", "2", "--trials", "100"),
+        "compile-gadget": ("--formula", "(and x1 x2)"),
+        "compile-barrington": ("--formula", "(and x1 x2)"),
+        "reduce-word": ("--length", "8", "--trials", "20"),
+        "verify": ("--quick",),
+    }[command]
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "--jobs", "1", "--format", fmt, "--out", str(out), command, *argv)
+    if fmt not in _WRITES[command]:
+        _one_line_usage_error(code, err, command, f"--format {fmt}")
+        assert stdout == "" and not out.exists()
+        return
+    assert code == EXIT_OK, err
+    data = out.read_bytes()
+    if fmt == "bin":
+        assert data.startswith(b"BCAST1")
+    elif fmt == "csv":
+        from treecast.experiments import read_csv
+
+        assert read_csv(str(out))
+    else:
+        json.loads(data)
 
 
 def test_reduce_word_golden(capsys):

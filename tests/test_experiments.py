@@ -29,7 +29,7 @@ from treecast.experiments import (
 )
 from treecast.generators import generate_binary_batch
 from treecast.oracle import LawView, enumerate_joint
-from treecast.rng import SeedSpec
+from treecast.rng import SeedSpec, subkey
 from treecast.trees import TreeShape
 
 
@@ -69,8 +69,9 @@ class TestConfig:
             "s": ["0", "1/10"],
         }
         cfg = ExperimentConfig.from_json(json.dumps(doc))
-        assert cfg.thetas() == [Fraction(9, 10)]
-        assert cfg.s_values() == [Fraction(0), Fraction(1, 10)]
+        assert {name: getattr(cfg, name) for name in doc} == {
+            **doc, "k": (2,), "theta": ("9/10",), "d": (1, 2), "s": ("0", "1/10")
+        }
 
 
 class TestEmit:
@@ -330,6 +331,27 @@ class TestA5Accuracy:
         rows = run_a5_accuracy(cfg)
         assert len(rows) == 1
         assert rows[0].accuracy >= 0.9
+
+    def test_pair3600_rows_count_the_trials_of_each_point(self, monkeypatch):
+        import treecast.a5.reconstruct as reconstruct
+
+        keys = []
+
+        def spy(k, d, key):
+            keys.append(key)
+            return (1, 1 if len(keys) % 4 else 2, 0)
+
+        monkeypatch.setattr(reconstruct, "pair_reconstruction_trial", spy)
+        cfg = ExperimentConfig(
+            experiment="a5-accuracy", model="pair3600", seed=5, trials=100, k=(3, 4), d=(2,), jobs=1
+        )
+        rows = run_a5_accuracy(cfg)
+        assert [(r.k, r.theta_or_channel, r.estimator, r.accuracy) for r in rows] == [
+            (3, "pair3600", "pair3600-recursive", 0.75), (4, "pair3600", "pair3600-recursive", 0.75)
+        ]
+        assert rows[0].advantage == 0.75 - 1 / 3600
+        point_keys = [SeedSpec(5, f"a5-accuracy/{i}").key() for i in range(2)]
+        assert keys == [subkey(key, t) for key in point_keys for t in range(100)]
 
 
 @pytest.mark.parametrize("p", [1 - _SUITE_P_VALUE, 1 - 1e-9, 0.5, 0.05])

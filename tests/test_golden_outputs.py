@@ -54,8 +54,8 @@ GOLDEN = {
         "2784a53ccd9dab2ff43179d22f4800cdf08591f907d705b0f23bfe98d4e8fbed",
     ),
     "a5-pair3600": (
-        ["a5", "--model", "pair3600", "--k", "20", "--d", "2", "--trials", "50"],
-        "ca3f86181642bea1bbc4188540e38b110bd95c4b9429bc5a0fb8f638b1323577",
+        ["a5", "--model", "pair3600", "--k", "20", "--d", "2", "--trials", "100"],
+        "4c22d50df654af8a838b9a0c0aab873df98fc7f55629c3588ed5db94c0198060",
     ),
     "detect-majority": (
         ["detect", "--k", "2", "--d", "10", "--theta", "4/5", "--trials", "3000",

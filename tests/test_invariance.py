@@ -4,9 +4,13 @@ Each command runs in-process through `cli.main` three times: at `--jobs 1`,
 at `--jobs 2`, and at `--jobs 1` with `estimators.CHUNK_CELLS` shrunk so its
 Monte Carlo trials go in at least three `trial_chunks`.  All three must
 print the same bytes.  Every command here runs one grid point, so `--jobs 2`
-starts no worker process.  `a5` draws its class16 trials one at a time and
-takes no chunks; it is held to the same three runs.
+starts no worker process.  `a5` draws its trials of either model one at a
+time and takes no chunks; it is held to the same three runs.  A two-point
+`a5-accuracy` config runs its points in one real pool of two workers, and
+must write the bytes of its in-process run.
 """
+
+import json
 
 import pytest
 
@@ -35,6 +39,7 @@ COMMANDS = {
         256 * 900,
     ),
     "a5": (["a5", "--k", "4", "--d", "3", "--trials", "300"], None),
+    "a5-pair3600": (["a5", "--model", "pair3600", "--k", "20", "--d", "2", "--trials", "100"], None),
 }
 
 
@@ -64,3 +69,28 @@ def test_stdout_is_independent_of_jobs_and_chunks(capsys, monkeypatch, name):
         monkeypatch.setattr(estimators, "CHUNK_CELLS", chunk_cells)
     assert _stdout(capsys, ["--jobs", "1", *argv]) == one
     assert len(chunks) >= 3 if chunk_cells is not None else not chunks
+
+
+def test_a5_config_rows_are_independent_of_a_real_pool(tmp_path, capsys, monkeypatch):
+    """Two grid points at jobs 2 start one pool of two workers."""
+    import treecast.experiments as experiments
+
+    pools = []
+
+    class CountedPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    outputs = []
+    for jobs in (1, 2):
+        config = tmp_path / f"a5-jobs{jobs}.json"
+        config.write_text(json.dumps({
+            "experiment": "a5-accuracy", "model": "pair3600", "trials": 100, "k": [4, 5],
+            "d": [2], "jobs": jobs,
+        }))
+        outputs.append(_stdout(capsys, ["--config", str(config), "a5"]))
+    assert outputs[0].count("\n") == 3
+    assert outputs[1] == outputs[0]
+    assert pools == [2]
