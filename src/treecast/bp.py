@@ -75,13 +75,18 @@ class LeafLikelihood:
 
     @classmethod
     def from_labels(cls, labels, m: int) -> "LeafLikelihood":
+        """Hard evidence: each label range-checked, each row its shared
+        `_unit_row`.  Those rows are valid by construction, so the per-row
+        checks of `__post_init__` are not rerun."""
         rows = []
         for x in labels:
             x = int(x)
             if not 0 <= x < m:
                 raise ValueError(f"observed label {x} outside [0, {m})")
             rows.append(_unit_row(m, x))
-        return cls(m=m, weights=tuple(rows))
+        evidence = object.__new__(cls)
+        evidence.__dict__.update(m=m, weights=tuple(rows))
+        return evidence
 
     @classmethod
     def from_noisy_bits(cls, bits, s: FractionLike) -> "LeafLikelihood":

@@ -305,11 +305,8 @@ def _cmd_compile_gadget(args) -> int:
             verdict = verify_gadget(f, assignment, mode=args.mode, template=template)
             all_track &= verdict.tracks
         doc["tracks_all_assignments"] = all_track
-        if not all_track:
-            print(json.dumps(doc, sort_keys=True))
-            return EXIT_VERIFY
     _write_or_print(json.dumps(doc, sort_keys=True), args.out)
-    return EXIT_OK
+    return EXIT_OK if doc.get("tracks_all_assignments", True) else EXIT_VERIFY
 
 
 def _cmd_compile_barrington(args) -> int:
@@ -327,11 +324,8 @@ def _cmd_compile_barrington(args) -> int:
         want = [target if f.evaluate(a) else A5.identity for a in table]
         ok = evaluate_program_batch(program, table).tolist() == want
         doc["matches_truth_table"] = ok
-        if not ok:
-            print(json.dumps(doc, sort_keys=True))
-            return EXIT_VERIFY
     _write_or_print(json.dumps(doc, sort_keys=True), args.out)
-    return EXIT_OK
+    return EXIT_OK if doc.get("matches_truth_table", True) else EXIT_VERIFY
 
 
 def _cmd_reduce_word(args) -> int:

@@ -12,9 +12,9 @@ first-class citizens, not test scaffolding:
 
 Their exact leaf laws coincide; `*_leaf_law` functions enumerate each
 generator's own randomness (flip bits, restriction symbols) so the
-equivalence can be checked exactly, with zero tolerance.  The enumeration
-extends each level one node at a time, one branch per symbol, in integer
-numerators over one running denominator, returned as an `oracle.LawView`;
+equivalence can be checked exactly, with zero tolerance.  Each law is
+contracted level by level from the generator's per-node step block, in
+integer numerators over one denominator, returned as an `oracle.LawView`;
 `total_variation` compares two laws on their numerators.
 
 Also here: the leaf noise channel, survival counting under composed
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -47,7 +48,7 @@ from .channels import (
     uniform_tables,
 )
 from .labels import LabelArray, code_dtype
-from .oracle import LawView, Numerators
+from .oracle import DEFAULT_CONFIG_CAP, LawView, config_count
 from .rng import (
     BLOCK_WORDS,
     SeedSpec,
@@ -511,33 +512,31 @@ def _enumerated_leaf_law(
     """Exact leaf law of a generator that draws one symbol per non-root node.
 
     `branches` lists each symbol as (child label given parent 0 and 1,
-    probability).  The level's symbols are independent, so each parent
-    configuration's child tuple is extended one node at a time, one branch
-    per symbol, merging equal partial tuples as it goes.  Weights are integer
-    numerators over one running denominator; zero-probability symbols are
-    skipped.
+    probability).  The symbols' integer numerators sum into a 2x2 step block
+    (parent label -> child label), whose k-fold outer power is one parent's
+    block over its children.  The law is an object array of ints with one
+    axis of size 2 per node of a level, contracted against that block once
+    per parent, level by level: variable elimination in the sum-product view
+    (Kschischang, Frey and Loeliger 2001).  Each node adds one factor of the
+    symbols' common denominator.  A shape with more leaf configurations than
+    the oracle's `DEFAULT_CONFIG_CAP` is refused before anything is built.
     """
+    count = config_count(shape.n, 2)
+    if count > DEFAULT_CONFIG_CAP:
+        raise ValueError(f"leaf law needs {count} configurations, above the cap of {DEFAULT_CONFIG_CAP}")
     weights, den = integer_numerators([p for _, p in branches])
-    rules = [(child, w) for (child, _), w in zip(branches, weights) if w]
-    law: Numerators = {(root,): 1}
-    total_den = 1
-    for lvl in range(1, shape.d + 1):
-        nxt: Numerators = {}
-        for cfg, pr in law.items():
-            partial = {(): pr}
-            for parent in cfg:
-                for _ in range(shape.k):
-                    grown: Numerators = {}
-                    for prefix, w in partial.items():
-                        for child, rw in rules:
-                            key = prefix + (child[parent],)
-                            grown[key] = grown.get(key, 0) + w * rw
-                    partial = grown
-            for key, w in partial.items():
-                nxt[key] = nxt.get(key, 0) + w
-        law = nxt
-        total_den *= den ** shape.nodes_at(lvl)
-    return LawView(law, total_den)
+    step = np.zeros((2, 2), dtype=object)
+    for (child, _), w in zip(branches, weights):
+        step[(0, 1), child] += w
+    block = np.array([reduce(np.multiply.outer, [row] * shape.k) for row in step])
+    law = np.zeros(2, dtype=object)
+    law[root] = 1
+    for lvl in range(shape.d):
+        for _ in range(shape.nodes_at(lvl)):
+            law = np.tensordot(law, block, axes=(0, 0))
+    leaves = product((0, 1), repeat=shape.n)
+    numerators = {x: w for x, w in zip(leaves, law.reshape(-1)) if w}
+    return LawView(numerators, den ** (shape.total_nodes - 1))
 
 
 def path_product_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LawView:
@@ -551,6 +550,8 @@ def path_product_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> L
 def restriction_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LawView:
     """Exact leaf law of the restriction generator, by enumerating symbols."""
     t = as_fraction(theta)
+    if not 0 <= t <= 1:
+        raise ValueError(f"restriction distributions need theta in [0, 1], got {t}")
     p_const = (1 - t) / 2
     # Symbols 0 and 1 set the child; STAR copies the parent.
     return _enumerated_leaf_law(shape, root, [((0, 0), p_const), ((1, 1), p_const), ((0, 1), t)])

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treecast import bp as bp_module
-from treecast.bp import LeafLikelihood, _sigmoid, bp_posterior, bp_posterior_batch_binary
+from treecast.bp import LeafLikelihood, _sigmoid, _unit_row, bp_posterior, bp_posterior_batch_binary
 from treecast.channels import Channel
 from treecast.estimators import bp_rounding_decisions, noisy_leaf_channel
 from treecast.oracle import enumerate_joint
@@ -66,6 +66,7 @@ def test_hard_evidence_rows_equal_fresh_unit_fractions(m):
     fresh = tuple(tuple(Fraction(1) if a == x else Fraction(0) for a in range(m)) for x in labels)
     ev = LeafLikelihood.from_labels(np.array(labels), m)
     assert ev.weights == fresh
+    assert all(row is _unit_row(m, x) for row, x in zip(ev.weights, labels))
     assert ev == LeafLikelihood(m=m, weights=fresh)
     assert all(type(w) is Fraction for row in ev.weights for w in row)
     for bad in (m, -1):

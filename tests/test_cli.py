@@ -159,7 +159,7 @@ def test_compile_gadget_check(capsys):
     assert len(doc["entries"]) == 36
 
 
-def test_compile_gadget_check_failure_exits_2(capsys, monkeypatch):
+def _fail_gadget_check(monkeypatch):
     import treecast.gadgets
 
     real = treecast.gadgets.verify_gadget
@@ -168,12 +168,9 @@ def test_compile_gadget_check_failure_exits_2(capsys, monkeypatch):
         return dataclasses.replace(real(*args, **kwargs), tracks=False)
 
     monkeypatch.setattr(treecast.gadgets, "verify_gadget", never_tracks)
-    code, out, _ = run(capsys, "compile-gadget", "--formula", "(and x1 (not x2))", "--check")
-    assert code == EXIT_VERIFY
-    assert json.loads(out)["tracks_all_assignments"] is False
 
 
-def test_compile_barrington_check_failure_exits_2(capsys, monkeypatch):
+def _fail_barrington_check(monkeypatch):
     import treecast.a5.barrington as barrington
 
     real = barrington.evaluate_program_batch
@@ -184,9 +181,38 @@ def test_compile_barrington_check_failure_exits_2(capsys, monkeypatch):
         return products
 
     monkeypatch.setattr(barrington, "evaluate_program_batch", wrong_last_product)
+
+
+# command -> (patch making its --check fail, formula, the document's verdict key)
+FAILING_CHECKS = {
+    "compile-gadget": (_fail_gadget_check, "(and x1 (not x2))", "tracks_all_assignments"),
+    "compile-barrington": (_fail_barrington_check, "(or x1 x2)", "matches_truth_table"),
+}
+
+
+def test_compile_gadget_check_failure_exits_2(capsys, monkeypatch):
+    _fail_gadget_check(monkeypatch)
+    code, out, _ = run(capsys, "compile-gadget", "--formula", "(and x1 (not x2))", "--check")
+    assert code == EXIT_VERIFY
+    assert json.loads(out)["tracks_all_assignments"] is False
+
+
+def test_compile_barrington_check_failure_exits_2(capsys, monkeypatch):
+    _fail_barrington_check(monkeypatch)
     code, out, _ = run(capsys, "compile-barrington", "--formula", "(or x1 x2)", "--check")
     assert code == EXIT_VERIFY
     assert json.loads(out)["matches_truth_table"] is False
+
+
+@pytest.mark.parametrize("command", sorted(FAILING_CHECKS))
+def test_compile_check_failure_writes_out(tmp_path, capsys, monkeypatch, command):
+    fail, formula, verdict = FAILING_CHECKS[command]
+    fail(monkeypatch)
+    path = tmp_path / "doc.json"
+    code, out, _ = run(capsys, "--out", str(path), command, "--formula", formula, "--check")
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert json.loads(path.read_text())[verdict] is False
 
 
 def test_compile_barrington_check(capsys):

@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
-from math import sqrt
+from itertools import product
+from math import lcm, sqrt
 
 import numpy as np
 import pytest
@@ -424,6 +425,64 @@ def test_leaf_laws_build_no_fraction_per_configuration(monkeypatch):
         monkeypatch.undo()
         assert tv == (0, 0)
     assert counts[0] == counts[1]
+
+
+def _brute_force_leaf_law(shape, root, symbols):
+    """Sum the exact weight of every per-node symbol assignment, applying
+    `symbols` (symbol -> (child label given the parent's, probability)) down
+    the tree: an independent reference for the contracted leaf laws."""
+    den = lcm(*(p.denominator for _, p in symbols.values()))
+    below_root = shape.total_nodes - 1
+    law = {}
+    for pattern in product(symbols, repeat=below_root):
+        level, weight, rest = [root], Fraction(1), iter(pattern)
+        for lvl in range(1, shape.d + 1):
+            children = []
+            for j in range(shape.nodes_at(lvl)):
+                rule, p = symbols[next(rest)]
+                children.append(rule(level[j // shape.k]))
+                weight *= p
+            level = children
+        law[tuple(level)] = law.get(tuple(level), 0) + weight
+    total = den**below_root
+    return {x: w * total for x, w in law.items() if w}, total
+
+
+@pytest.mark.parametrize("k,d", [(1, 3), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("theta", [Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1)])
+@pytest.mark.parametrize("root", [0, 1])
+def test_leaf_laws_equal_brute_force_over_symbol_assignments(k, d, theta, root):
+    shape = TreeShape(k=k, d=d)
+    p = (1 - theta) / 2  # the flip probability, and each constant's
+    laws = [(path_product_leaf_law, {0: (lambda a: a, 1 - p), 1: (lambda a: 1 - a, p)})]
+    if theta >= 0:
+        laws.append((restriction_leaf_law, {0: (lambda a: 0, p), 1: (lambda a: 1, p), STAR: (lambda a: a, theta)}))
+    for law_fn, symbols in laws:
+        law = law_fn(shape, theta, root)
+        numerators, denominator = _brute_force_leaf_law(shape, root, symbols)
+        assert dict(law.numerators) == numerators
+        assert law.denominator == denominator
+
+
+@pytest.mark.parametrize("law_fn", [path_product_leaf_law, restriction_leaf_law])
+def test_leaf_laws_refuse_shapes_past_the_cap_before_allocating(law_fn):
+    # (2,5) has 2^32 leaf configurations, 4096 times the cap.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"4294967296 configurations, above the cap of 1048576"):
+            law_fn(TreeShape(k=2, d=5), Fraction(1, 2), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_restriction_leaf_law_rejects_negative_theta():
+    message = r"restriction distributions need theta in \[0, 1\], got -1/2"
+    with pytest.raises(ValueError, match=message):
+        generate_via_restrictions(TreeShape(k=2, d=1), Fraction(-1, 2), SeedSpec(1, "gen"))
+    with pytest.raises(ValueError, match=message):
+        restriction_leaf_law(TreeShape(k=2, d=1), Fraction(-1, 2), 0)
 
 
 def test_batch_rejects_theta_outside_unit_interval():
