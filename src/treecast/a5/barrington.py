@@ -78,8 +78,8 @@ def invert_program(program: Program) -> Program:
 
 def barrington_compile(formula: Formula, target: int) -> Program:
     """Compile a formula so the program multiplies to `target` iff it is true."""
-    if A5.class_code[target] != 3:
-        raise ValueError("the compilation target must be a five-cycle")
+    if not 0 <= target < A5.order or A5.class_code[target] != 3:
+        raise ValueError(f"the compilation target must be a five-cycle in [0, {A5.order}), got {target}")
     if formula.depth > MAX_COMPILE_DEPTH:
         raise ValueError(
             f"formula depth {formula.depth} exceeds the budget of {MAX_COMPILE_DEPTH}"

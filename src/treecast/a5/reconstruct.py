@@ -26,10 +26,10 @@ to (e, C1) when C1 = C2, so the tallies are N ~ Bin(k, 1/60) and
 A | N ~ Bin(N, 2/3) at the heavier code (the laws are read from rows 0..3 of
 the channel).  N reads the counter word at the unused leaf-level address
 `node_counters(d, i, 0)` and A the one at `node_counters(d, i, 1)`, each
-inverted through exact binomial cuts (`binomial_cuts`).  Both draws are one
-`channels.CutTables.draw` each, from two tables cached per k and built on
-first use (`_tally_tables`): N's, one row per distinct mass, and A's, one
-row per distinct share and per n that a draw of N has met.
+inverted through exact binomial cuts (`channels.binomial_cuts`).  Both
+draws are one `channels.CutTables.draw` each, from two tables cached per k
+and built on first use (`_tally_tables`): N's, one row per distinct mass,
+and A's, one row per distinct share and per n that a draw of N has met.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import ceil, floor, isqrt
 
 import numpy as np
 
-from ..channels import CutTables, FractionLike, as_fraction, cumulative_cuts
+from ..channels import CutTables, FractionLike, as_fraction, binomial_cuts
 from ..generators import check_node_budget, direct_levels
 from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
@@ -130,88 +128,6 @@ def reconstruct_level_class16(
 ) -> tuple[np.ndarray, np.ndarray]:
     counts = _tally(np.asarray(child_labels, dtype=np.intp), k, 16)
     return reconstruct_level_class16_from_counts(counts.T, tau, tie_key)
-
-
-_TAIL = 1 << 64  # bound on each tail `_pmf_floors` leaves out
-
-
-def _pmf_floors(n: int, a: int, c: int, x: int, until: int) -> list[int]:
-    """Floors of 2^160 f(y) / f(x) for the Bin(n, a/(a + c)) pmf f, at
-    y = x + 1, x + 2, ..., from the mode x upward, each from the one before.
-
-    f falls above the mode by ratios r <= 1, so the j-th floor is less than j
-    below the exact value: each step scales the error by r and adds under 1.
-    Past `until` the walk stops once the rest of the tail is below 2^64: the
-    ratios fall too, so the tail beyond y is below (its bound at y) *
-    r / (1 - r).  The walk down from the mode is this walk of n - X.
-    """
-    low = 1 << 160
-    lows = []
-    num, den = (n - x) * a, (x + 1) * c  # f(y + 1) / f(y) = num / den at y = x
-    inside = (n - until) * a  # num > inside while y < until
-    while num and (num > inside or (low + len(lows)) * num >= (den - num) * _TAIL):
-        low = low * num // den
-        lows.append(low)
-        num, den = num - a, den + c
-    return lows
-
-
-def _bounded_binomial_cuts(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray | None:
-    """floor(2^63 P[X <= x]) for lo <= x < hi, X ~ Bin(n, a/b) with 0 < a < b,
-    from `_pmf_floors` around the mode; None if the bounds of some cut differ.
-
-    With S(x) the sum of the floors from the leftmost walked y to x, E =
-    L^2 + R^2 above the summed errors of walks of L and R steps, and both
-    tails below T = 2^64, P[X <= x] lies between S(x) / (S(end) + E + 2T) and
-    (S(x) + E + T) / (S(end) + T), and below 1 as x < n.  The bounds are
-    within about 2^-96 of each other, so they straddle a cut only where
-    2^63 P[X <= x] is within about 2^-33 of an integer, or is one.
-    """
-    mode = (n + 1) * a // b
-    left = _pmf_floors(n, b - a, a, n - mode, n - lo)
-    right = _pmf_floors(n, a, b - a, mode, hi - 1)
-    start = len(left) + lo - mode  # the walk's index of x = lo
-    low = list(accumulate([*left[::-1], 1 << 160, *right]))
-    slack = len(left) ** 2 + len(right) ** 2
-    low_end, high_end = low[-1] + _TAIL, low[-1] + slack + 2 * _TAIL
-    cuts = [(s << 63) // high_end for s in low[start : start + hi - lo]]
-    for cut, s in zip(cuts, low[start:]):
-        if cut < (1 << 63) - 1 and (s + slack + _TAIL) << 63 >= (cut + 1) * low_end:
-            return None
-    return np.array(cuts, dtype=np.uint64)
-
-
-def binomial_cuts(n: int, p: Fraction) -> tuple[int, np.ndarray]:
-    """Offset lo and 63-bit CDF cut table that sample Bin(n, p) from one word.
-
-    A word w63 uniform on [0, 2^63) draws lo + searchsorted(cuts, w63,
-    'right'), where cuts[i] = floor(2^63 * P[X <= lo + i]) exactly.  The table
-    spans only n*p -/+ sqrt(23 n): by Hoeffding's bound the CDF is within
-    e^-46 < 2^-66 of 0 left of it and of 1 right of it, where the cuts would
-    read 0 and 2^63 - 1 or 2^63, so dropping them moves at most the one word
-    2^63 - 1 to lo + len(cuts), and the table grows as sqrt(n), not n.
-
-    The cuts come from 160-bit bounds on the pmf (`_bounded_binomial_cuts`),
-    in time and memory that grow as sqrt(n).  Where the bounds of a cut
-    straddle an integer (2^63 P[X <= x] can be one for dyadic p), the pmf
-    numerators C(n, x) a^x (b - a)^(n - x) over b^n (p = a/b) go through
-    `cumulative_cuts` instead, exact but in time that grows as n^2.
-    Read-only; the class16 tallies keep their cuts in `_tally_tables`.
-    """
-    a, b = p.numerator, p.denominator
-    half = isqrt(23 * n) + 1
-    lo = max(0, floor(n * p) - half)
-    hi = min(n, ceil(n * p) + half)
-    if a in (0, b):  # X = n p: the CDF is 0 below it and 1 from it on
-        cuts = np.full(hi - lo, 0 if a else 1 << 63, dtype=np.uint64)
-    elif (cuts := _bounded_binomial_cuts(n, a, b, lo, hi)) is None:
-
-        def next_pmf(pmf: int, x: int) -> int:  # numerator of x + 1 from that of x
-            return pmf * (n - x) * a // ((x + 1) * (b - a))
-
-        cuts = cumulative_cuts(accumulate(range(hi), next_pmf, initial=(b - a) ** n), b**n)[lo:]
-    cuts.setflags(write=False)
-    return lo, cuts
 
 
 class _BinomialTables:

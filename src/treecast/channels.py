@@ -7,8 +7,8 @@ probability (1+theta)/2.
 
 Columns are exact; sampling cuts each column once, by `cumulative_cuts` on
 integer numerators, into a fixed-point table of 63-bit cut points (per-label
-error below 2^-60) that `CutTables` draws from.  These tables, the A5 binomial
-tallies' included, are the only approximation anywhere in generation.
+error below 2^-60) that `CutTables` draws from.  These tables, the binomial
+ones included, are the only approximation anywhere in generation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
+from math import ceil, floor, isqrt, lcm
 from numbers import Rational
 
 import numpy as np
@@ -202,6 +202,88 @@ def cumulative_cuts(numerators, den: int) -> np.ndarray:
     return np.array(cuts[:-1], dtype=np.uint64)
 
 
+_TAIL = 1 << 64  # bound on each tail `_pmf_floors` leaves out
+
+
+def _pmf_floors(n: int, a: int, c: int, x: int, until: int) -> list[int]:
+    """Floors of 2^160 f(y) / f(x) for the Bin(n, a/(a + c)) pmf f, at
+    y = x + 1, x + 2, ..., from the mode x upward, each from the one before.
+
+    f falls above the mode by ratios r <= 1, so the j-th floor is less than j
+    below the exact value: each step scales the error by r and adds under 1.
+    Past `until` the walk stops once the rest of the tail is below 2^64: the
+    ratios fall too, so the tail beyond y is below (its bound at y) *
+    r / (1 - r).  The walk down from the mode is this walk of n - X.
+    """
+    low = 1 << 160
+    lows = []
+    num, den = (n - x) * a, (x + 1) * c  # f(y + 1) / f(y) = num / den at y = x
+    inside = (n - until) * a  # num > inside while y < until
+    while num and (num > inside or (low + len(lows)) * num >= (den - num) * _TAIL):
+        low = low * num // den
+        lows.append(low)
+        num, den = num - a, den + c
+    return lows
+
+
+def _bounded_binomial_cuts(n: int, a: int, b: int, lo: int, hi: int) -> np.ndarray | None:
+    """floor(2^63 P[X <= x]) for lo <= x < hi, X ~ Bin(n, a/b) with 0 < a < b,
+    from `_pmf_floors` around the mode; None if the bounds of some cut differ.
+
+    With S(x) the sum of the floors from the leftmost walked y to x, E =
+    L^2 + R^2 above the summed errors of walks of L and R steps, and both
+    tails below T = 2^64, P[X <= x] lies between S(x) / (S(end) + E + 2T) and
+    (S(x) + E + T) / (S(end) + T), and below 1 as x < n.  The bounds are
+    within about 2^-96 of each other, so they straddle a cut only where
+    2^63 P[X <= x] is within about 2^-33 of an integer, or is one.
+    """
+    mode = (n + 1) * a // b
+    left = _pmf_floors(n, b - a, a, n - mode, n - lo)
+    right = _pmf_floors(n, a, b - a, mode, hi - 1)
+    start = len(left) + lo - mode  # the walk's index of x = lo
+    low = list(accumulate([*left[::-1], 1 << 160, *right]))
+    slack = len(left) ** 2 + len(right) ** 2
+    low_end, high_end = low[-1] + _TAIL, low[-1] + slack + 2 * _TAIL
+    cuts = [(s << 63) // high_end for s in low[start : start + hi - lo]]
+    for cut, s in zip(cuts, low[start:]):
+        if cut < (1 << 63) - 1 and (s + slack + _TAIL) << 63 >= (cut + 1) * low_end:
+            return None
+    return np.array(cuts, dtype=np.uint64)
+
+
+def binomial_cuts(n: int, p: Fraction) -> tuple[int, np.ndarray]:
+    """Offset lo and 63-bit CDF cut table that sample Bin(n, p) from one word.
+
+    A word w63 uniform on [0, 2^63) draws lo + searchsorted(cuts, w63,
+    'right'), where cuts[i] = floor(2^63 * P[X <= lo + i]) exactly.  The table
+    spans only n*p -/+ sqrt(23 n): by Hoeffding's bound the CDF is within
+    e^-46 < 2^-66 of 0 left of it and of 1 right of it, where the cuts would
+    read 0 and 2^63 - 1 or 2^63, so dropping them moves at most the one word
+    2^63 - 1 to lo + len(cuts), and the table grows as sqrt(n), not n.
+
+    The cuts come from 160-bit bounds on the pmf (`_bounded_binomial_cuts`),
+    in time and memory that grow as sqrt(n).  Where the bounds of a cut
+    straddle an integer (2^63 P[X <= x] can be one for dyadic p), the pmf
+    numerators C(n, x) a^x (b - a)^(n - x) over b^n (p = a/b) go through
+    `cumulative_cuts` instead, exact but in time that grows as n^2.
+    Read-only; the class16 tallies and `binomial_tables` build on it.
+    """
+    a, b = p.numerator, p.denominator
+    half = isqrt(23 * n) + 1
+    lo = max(0, floor(n * p) - half)
+    hi = min(n, ceil(n * p) + half)
+    if a in (0, b):  # X = n p: the CDF is 0 below it and 1 from it on
+        cuts = np.full(hi - lo, 0 if a else 1 << 63, dtype=np.uint64)
+    elif (cuts := _bounded_binomial_cuts(n, a, b, lo, hi)) is None:
+
+        def next_pmf(pmf: int, x: int) -> int:  # numerator of x + 1 from that of x
+            return pmf * (n - x) * a // ((x + 1) * (b - a))
+
+        cuts = cumulative_cuts(accumulate(range(hi), next_pmf, initial=(b - a) ** n), b**n)[lo:]
+    cuts.setflags(write=False)
+    return lo, cuts
+
+
 def uniform_cuts(m: int) -> np.ndarray:
     """Cut points sampling the uniform distribution over m labels."""
     return cumulative_cuts([1] * m, m)
@@ -211,6 +293,13 @@ def uniform_cuts(m: int) -> np.ndarray:
 def uniform_tables(m: int) -> "CutTables":
     """`uniform_cuts(m)` as a one-row `CutTables`, built on first use per m."""
     return CutTables(uniform_cuts(m)[None])
+
+
+@lru_cache(maxsize=128)
+def binomial_tables(n: int, p: Fraction) -> tuple[int, "CutTables"]:
+    """`binomial_cuts(n, p)` as its offset and a one-row `CutTables`, built on first use."""
+    lo, cuts = binomial_cuts(n, p)
+    return lo, CutTables(cuts[None])
 
 
 class CutTables:

@@ -28,7 +28,7 @@ The majority-miss and flip-rate statistics use a per-level ones-count chain
 (sums of two binomials) rather than materialized trees: the leaf ones-count
 given the root is a Markov chain in the level counts, so the chain sampler
 has exactly the law of counting ones in a sampled tree, at a tiny fraction
-of the cost.
+of the cost.  Its binomials are sums of exact Bin(2^j, p) counter-word draws.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from math import sqrt
 import numpy as np
 
 from .bp import bp_posterior_batch_binary
-from .channels import Channel, FractionLike, as_fraction, binary_theta, integer_numerators
-from .generators import code_ones, generate_binary_batch
+from .channels import Channel, FractionLike, as_fraction, binary_theta, binomial_tables, integer_numerators
+from .generators import check_node_budget, code_ones, generate_binary_batch
 from .oracle import DEFAULT_CONFIG_CAP, bayes_accuracy, config_count, likelihood_law
-from .rng import BLOCK_WORDS, SeedSpec, trial_keys, words_vec
+from .rng import BLOCK_WORDS, SeedSpec, node_counters, trial_keys, words_vec
 from .trees import TreeShape
 
 
@@ -297,40 +297,51 @@ def linearized_bp(
 # --- ones-count chain ------------------------------------------------------
 
 
-def leaf_ones_counts(
-    k: int, depth: int, theta_float: float, root: int, trials: int, rng: np.random.Generator
-) -> np.ndarray:
+def _binomial_draws(n: np.ndarray, p: Fraction, tkeys: np.ndarray, level: int, word_index: int) -> np.ndarray:
+    """Bin(n[i], p) as a sum over the set bits j of n[i] of Bin(2^j, p) draws, draw j
+    inverting word `node_counters(level, j, word_index)` of key tkeys[i] by `binomial_tables`."""
+    out = np.zeros(n.shape, dtype=np.int64)
+    for j in range(int(n.max(initial=0)).bit_length()):
+        rows = np.flatnonzero((n >> j) & 1)
+        lo, table = binomial_tables(1 << j, p)
+        w63 = words_vec(tkeys[rows], node_counters(level, j, word_index)) >> np.uint64(1)
+        out[rows] += lo + table.draw(0, w63)
+    return out
+
+
+def leaf_ones_counts(k: int, depth: int, theta: FractionLike, root: int, trials: int, seed: SeedSpec) -> np.ndarray:
     """Sample leaf ones-counts of depth-`depth` trees given the root label.
 
     Level by level, the ones among children of the c current ones are
     Binomial(c*k, (1+theta)/2) and the ones among children of zeros are
     Binomial((K-c)*k, (1-theta)/2); their sum is the next level's count.
+    Trial i draws them from `subkey(seed.key(), i)` by `_binomial_draws`, at
+    word_index 0 for the children of ones and 1 for those of zeros.
     """
-    p_keep = (1 + theta_float) / 2
-    p_gain = (1 - theta_float) / 2
-    ones = np.full(trials, root, dtype=np.int64)
-    total = 1
-    for _ in range(depth):
-        from_ones = rng.binomial(ones * k, p_keep)
-        from_zeros = rng.binomial((total - ones) * k, p_gain)
-        ones = from_ones + from_zeros
-        total *= k
+    t = binary_theta(theta)
+    if root not in (0, 1):
+        raise ValueError(f"root label must be 0 or 1, got {root}")
+    check_node_budget(TreeShape(k=k, d=depth))  # the tables grow as 2^(j/2)
+    if depth > 64:  # `node_counters` is injective below level 64
+        raise ValueError(f"the chain reads levels below 64, got depth {depth}")
+    tkeys = trial_keys(seed.key(), trials)
+    ones, total = np.full(trials, root, dtype=np.int64), 1
+    for level in range(depth):
+        from_ones = _binomial_draws(ones * k, (1 + t) / 2, tkeys, level, 0)
+        from_zeros = _binomial_draws((total - ones) * k, (1 - t) / 2, tkeys, level, 1)
+        ones, total = from_ones + from_zeros, total * k
     return ones
 
 
-def _chain_miss_rate(k: int, depth: int, theta_float: float, trials: int, seed: SeedSpec) -> float:
-    """P[leaf majority != root | root = 1] at depth `depth`: one PCG64 stream
-    keyed by `seed` draws the chain's ones counts, then a fair bit per tie."""
+def _chain_miss_rate(k: int, depth: int, theta: FractionLike, trials: int, seed: SeedSpec) -> float:
+    """P[leaf majority != root | root = 1] at depth `depth`, over
+    `leaf_ones_counts` from root 1; a tie takes a `_trial_tie` word."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.Generator(np.random.PCG64(seed.key()))
-    ones = leaf_ones_counts(k, depth, theta_float, root=1, trials=trials, rng=rng)
+    ones = leaf_ones_counts(k, depth, theta, 1, trials, seed)
     n = k**depth
-    wrong = (2 * ones < n).sum()
-    ties = (2 * ones == n).sum()
-    if ties:
-        wrong += rng.integers(0, 2, size=int(ties)).sum()
-    return float(wrong) / trials
+    right = _decide(2 * ones > n, 2 * ones == n, _trial_tie(seed.key(), 0))
+    return float(trials - int(right.sum())) / trials
 
 
 def majority_misclassification(
@@ -340,7 +351,7 @@ def majority_misclassification(
     seed: SeedSpec,
 ) -> EstimatorReport:
     """Monte Carlo P[leaf majority != root | root], via the ones-count chain."""
-    err = _chain_miss_rate(shape.k, shape.d, float(binary_theta(theta)), trials, seed)
+    err = _chain_miss_rate(shape.k, shape.d, theta, trials, seed)
     return EstimatorReport(estimator="majority-miss", trials=trials, accuracy=1 - err)
 
 
@@ -367,9 +378,8 @@ def estimate_flip_rate(
     if not 0 <= d_prime <= shape.d:
         raise ValueError(f"d' must lie in [0, {shape.d}]")
     t = float(binary_theta(theta))
-    est = _chain_miss_rate(shape.k, shape.d - d_prime, t, trials, seed)
-    kt2 = shape.k * t * t
-    bound = 1.0 / (t * t * shape.k - 1) if kt2 > 2 else None
+    est = _chain_miss_rate(shape.k, shape.d - d_prime, theta, trials, seed)
+    bound = 1.0 / (t * t * shape.k - 1) if shape.k * t * t > 2 else None
     return FlipRateEstimate(
         estimate=est,
         bound=bound,

@@ -33,12 +33,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import count, product
 from typing import get_type_hints
 
 import numpy as np
 
-from .channels import Channel, as_fraction, fraction_text, ks_parameter
+from .channels import Channel, as_fraction, fraction_text, ks_parameter, uniform_tables
 from .estimators import (
     EstimatorReport,
     bp_rounding_decisions,
@@ -55,7 +55,7 @@ from .generators import (
     total_variation,
 )
 from .oracle import LawView, enumerate_joint
-from .rng import SeedSpec, subkey
+from .rng import SeedSpec, subkey, word
 from .trees import TreeShape
 
 log = logging.getLogger("treecast.experiments")
@@ -626,6 +626,19 @@ class GadgetCorpusReport:
     violations: int
 
 
+class _CounterDraws:
+    """`random_formula`'s `random()` and `integers(lo, hi)`, draw i from `word(key, i)`."""
+
+    def __init__(self, key: int) -> None:
+        self.w63 = (word(key, i) >> 1 for i in count())
+
+    def random(self) -> float:
+        return (next(self.w63) >> 10) / (1 << 53)
+
+    def integers(self, lo: int, hi: int) -> int:
+        return lo + int(uniform_tables(hi - lo).draw(0, np.array([next(self.w63)], dtype=np.uint64))[0])
+
+
 def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
     """Verify posterior tracking on 100 random formulas drawn from `seed`.
 
@@ -638,14 +651,11 @@ def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
     from .gadgets import GADGET_K, GADGET_THETA, compile_formula, verify_gadget
 
     n_formulas = 100
-    rng = np.random.Generator(np.random.PCG64(SeedSpec(seed, "gadget-corpus").key()))
-    checked = 0
-    violations = 0
-    high = 19 / 20 - 1e-9
-    low = 1 / 20 + 1e-9
-    rational_spot_checks = 0
+    key = SeedSpec(seed, "gadget-corpus").key()
+    checked = violations = rational_spot_checks = 0
+    high, low = 19 / 20 - 1e-9, 1 / 20 + 1e-9
     for findex in range(n_formulas):
-        f = random_formula(rng, n_vars=8, max_gates=24, max_depth=5)
+        f = random_formula(_CounterDraws(subkey(key, findex)), n_vars=8, max_gates=24, max_depth=5)
         template = compile_formula(f)
         n_vars = (max(f.variables()) + 1) if f.variables() else 1
         table = assignments(n_vars)

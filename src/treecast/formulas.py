@@ -137,14 +137,19 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
+MAX_NESTING = 200  # gate levels `parse_formula` reads, far inside the recursion limit
+
+
 def parse_formula(text: str) -> Formula:
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty formula")
     pos = 0
 
-    def parse() -> Formula:
+    def parse(nesting: int = 0) -> Formula:
         nonlocal pos
+        if nesting > MAX_NESTING:
+            raise ValueError(f"formula nests deeper than {MAX_NESTING} gates")
         if pos >= len(tokens):
             raise ValueError("unexpected end of formula")
         tok = tokens[pos]
@@ -155,12 +160,9 @@ def parse_formula(text: str) -> Formula:
             head = tokens[pos]
             pos += 1
             if head == "not":
-                child = parse()
-                out: Formula = Not(child)
-            elif head in ("and", "or"):
-                left = parse()
-                right = parse()
-                out = Gate(op=head, left=left, right=right)
+                out: Formula = Not(parse(nesting + 1))
+            elif head in ("and", "or"):  # keyword arguments run left to right
+                out = Gate(op=head, left=parse(nesting + 1), right=parse(nesting + 1))
             else:
                 raise ValueError(f"unknown operator {head!r}")
             if pos >= len(tokens) or tokens[pos] != ")":
@@ -196,9 +198,9 @@ def evaluate_all(formula: Formula, n_vars: int) -> np.ndarray:
     return np.array([formula.evaluate(a) for a in assignments(n_vars)], dtype=np.uint8)
 
 
-def random_formula(rng: np.random.Generator, n_vars: int, max_gates: int, max_depth: int) -> Formula:
-    """A random well-formed formula within the gate and depth budgets; a leaf
-    is a constant with probability 0.15, else a uniform variable."""
+def random_formula(rng, n_vars: int, max_gates: int, max_depth: int) -> Formula:
+    """A random formula within the gate and depth budgets, from `rng.random()`
+    and `rng.integers(lo, hi)`; a leaf is a constant w.p. 0.15, else a variable."""
     if n_vars < 1:
         raise ValueError("need at least one variable")
 

@@ -541,7 +541,7 @@ def _enumerated_leaf_law(
 
 def path_product_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LawView:
     """Exact leaf law of the path-product generator, by enumerating flip bits."""
-    t = as_fraction(theta)
+    t = binary_theta(theta)
     p_flip = (1 - t) / 2
     # Flip bit 0 keeps the parent's label; flip bit 1 inverts it.
     return _enumerated_leaf_law(shape, root, [((0, 1), 1 - p_flip), ((1, 0), p_flip)])

@@ -169,10 +169,8 @@ def test_c05_ks_phase_behavior():
     advantages = {}
     for theta in (0.5, 0.8):
         for d in (4, 6, 8, 10):
-            rng = np.random.Generator(
-                np.random.PCG64(subkey(SeedSpec(SEED, "c5").key(), int(theta * 10) * 100 + d))
-            )
-            ones = leaf_ones_counts(2, d, theta, root=1, trials=trials, rng=rng)
+            seed = SeedSpec(SEED, f"c5/{int(theta * 10) * 100 + d}")
+            ones = leaf_ones_counts(2, d, theta, root=1, trials=trials, seed=seed)
             n = 2**d
             acc = float(
                 (2 * ones > n).sum() + 0.5 * (2 * ones == n).sum()

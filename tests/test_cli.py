@@ -266,6 +266,21 @@ def test_detect_theta_outside_range_names_theta(capsys, estimator):
     _one_line_usage_error(code, err, "theta", "[-1, 1]", "3")
 
 
+@pytest.mark.parametrize("target", ["999", "-44"])
+def test_barrington_target_outside_the_group_is_usage_error(capsys, target):
+    code, out, err = run(capsys, "compile-barrington", "--formula", "(and x1 x2)", "--target", target)
+    _one_line_usage_error(code, err, "target", target, "[0, 60)")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["compile-gadget", "compile-barrington"])
+def test_too_deeply_nested_formula_is_usage_error(capsys, command):
+    formula = "(not " * 2000 + "x1" + ")" * 2000
+    code, out, err = run(capsys, command, "--formula", formula)
+    _one_line_usage_error(code, err, "formula nests deeper than")
+    assert out == ""
+
+
 @pytest.mark.parametrize("code_value", [-1, 2])
 def test_bp_label_code_out_of_range_is_usage_error(tmp_path, capsys, code_value):
     path = tmp_path / "tree.json"

@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import sqrt
+from math import exp, isqrt, lgamma, log, sqrt
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import treecast.estimators as estimators
 from treecast.bp import bp_posterior_batch_binary
@@ -28,7 +29,7 @@ from treecast.estimators import (
 from treecast.experiments import DEFAULT_EXACT_SHAPES
 from treecast.generators import generate_binary_batch, generate_direct
 from treecast.oracle import bayes_accuracy, enumerate_joint, likelihood_law
-from treecast.rng import SeedSpec
+from treecast.rng import SeedSpec, trial_keys
 from treecast.trees import TreeShape
 
 
@@ -119,11 +120,84 @@ def test_flip_rate_matches_exact_small_tree():
 
 
 def test_ones_count_chain_mean():
-    rng = np.random.Generator(np.random.PCG64(7))
-    ones = leaf_ones_counts(3, 4, 0.8, root=1, trials=30_000, rng=rng)
+    ones = leaf_ones_counts(3, 4, 0.8, root=1, trials=30_000, seed=SeedSpec(7, "chain"))
     n = 3**4
     want = n / 2 + n * 0.8**4 / 2
     assert abs(ones.mean() - want) <= 3 * ones.std(ddof=1) / sqrt(30_000)
+
+
+def _assert_follows(draws: np.ndarray, law: dict[int, float]) -> None:
+    """Every draw has positive probability under `law`, and a chi-square
+    over cells of expected count >= 5, the rest pooled, passes at p = 1e-9."""
+    values, counts = np.unique(draws, return_counts=True)
+    seen = dict(zip(values.tolist(), counts.tolist()))
+    assert {x for x in seen if law.get(x, 0) <= 0} == set()
+    cells, pooled_obs, pooled_exp = [], 0, 0.0
+    for x, prob in law.items():
+        expected = len(draws) * prob
+        if expected >= 5:
+            cells.append((seen.get(x, 0), expected))
+        else:
+            pooled_obs, pooled_exp = pooled_obs + seen.get(x, 0), pooled_exp + expected
+    if pooled_exp > 0:
+        cells.append((pooled_obs, pooled_exp))
+    if len(cells) > 1:
+        stat = sum((o - e) ** 2 / e for o, e in cells)
+        assert stat <= chi2.isf(1e-9, len(cells) - 1), (stat, len(cells))
+
+
+@pytest.mark.parametrize("k, d", [(2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("theta", [Fraction(-1, 2), Fraction(0), Fraction(4, 5), Fraction(1)])
+@pytest.mark.parametrize("root", [0, 1])
+def test_ones_count_chain_follows_the_exact_law(k, d, theta, root):
+    ones = leaf_ones_counts(k, d, theta, root, 20_000, SeedSpec(5, f"chain/{k}/{d}/{theta}/{root}"))
+    coeffs, den = ones_count_law(k, d, theta, root)
+    _assert_follows(ones, {c: int(w) / den for c, w in enumerate(coeffs) if w})
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1000, 2**20 + 3])
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(9, 10)])
+def test_dyadic_binomial_draw_follows_the_exact_pmf(n, p):
+    trials = 20_000
+    tkeys = trial_keys(SeedSpec(6, f"bin/{n}/{p}").key(), trials)
+    draws = estimators._binomial_draws(np.full(trials, n), p, tkeys, 0, 0)
+    half = 8 * isqrt(n) + 8  # beyond it the pmf sums below 1e-20
+    low, high = max(0, round(n * p) - half), min(n, round(n * p) + half)
+    log_pmf = [
+        lgamma(n + 1) - lgamma(x + 1) - lgamma(n - x + 1) + x * log(p) + (n - x) * log(1 - p)
+        for x in range(low, high + 1)
+    ]
+    _assert_follows(draws, {x: exp(v) for x, v in zip(range(low, high + 1), log_pmf)})
+
+
+def test_ones_count_trial_does_not_depend_on_the_trial_count():
+    seed = SeedSpec(8, "prefix")
+    short = leaf_ones_counts(3, 5, Fraction(3, 5), 1, 100, seed)
+    assert short.tolist() == leaf_ones_counts(3, 5, Fraction(3, 5), 1, 2000, seed)[:100].tolist()
+
+
+@pytest.mark.parametrize(
+    "k, depth, theta, root, message",
+    [
+        (2, 3, Fraction(1, 2), 2, "root label must be 0 or 1, got 2"),
+        (2, 3, Fraction(3, 2), 1, r"theta must lie in \[-1, 1\]"),
+        (2, 3, Fraction(-2), 0, r"theta must lie in \[-1, 1\]"),
+        (2, 26, Fraction(1, 2), 1, "more than 67108864 nodes"),
+        (1, 65, Fraction(1, 2), 1, "levels below 64"),
+    ],
+)
+def test_ones_count_chain_rejects_inputs_before_drawing(monkeypatch, k, depth, theta, root, message):
+    def no_draws(*args):
+        raise AssertionError("drew before checking its inputs")
+
+    monkeypatch.setattr(estimators, "trial_keys", no_draws)
+    with pytest.raises(ValueError, match=message):
+        leaf_ones_counts(k, depth, theta, root, 10, SeedSpec(1, "bad"))
+
+
+def test_ones_count_chain_reads_level_63():
+    ones = leaf_ones_counts(1, 64, Fraction(1, 2), 1, 50, SeedSpec(2, "unary"))
+    assert set(ones.tolist()) <= {0, 1}
 
 
 def test_majority_misclassification_bound_point():

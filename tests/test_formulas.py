@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from treecast.formulas import (
+    MAX_NESTING,
     Const,
     Gate,
     Not,
@@ -44,6 +45,13 @@ def test_parse_errors():
     for bad in ("", "(and x1)", "(xor x1 x2)", "x0", "(not x1))", "(and x1 x2 x3)"):
         with pytest.raises(ValueError):
             parse_formula(bad)
+
+
+def test_parse_nesting_limit():
+    assert parse_formula("(not " * MAX_NESTING + "x1" + ")" * MAX_NESTING).depth == MAX_NESTING
+    deeper = "(not " * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ValueError, match=f"formula nests deeper than {MAX_NESTING} gates"):
+        parse_formula(deeper)
 
 
 def test_evaluate_all_column():

@@ -166,10 +166,29 @@ class TestGrid:
 
 
 def test_gadget_corpus_counts_at_the_default_seed():
-    # The corpus draws its formulas from the PCG64 stream of
-    # SeedSpec(seed, "gadget-corpus"); these counts pin that stream.
+    # Formula f of the corpus draws from the counter words of
+    # subkey(SeedSpec(seed, "gadget-corpus").key(), f); these counts pin them.
     from treecast.experiments import GadgetCorpusReport, run_gadget_corpus
 
     assert run_gadget_corpus() == GadgetCorpusReport(
-        formulas=100, assignments_checked=16_112, violations=0
+        formulas=100, assignments_checked=13_568, violations=0
     )
+
+
+def test_gadget_corpus_formula_is_a_function_of_seed_and_index():
+    from treecast.experiments import _CounterDraws
+    from treecast.rng import SeedSpec, subkey, word
+
+    def formula(seed, f):  # formula f of the corpus of `seed`
+        draws = _CounterDraws(subkey(SeedSpec(seed, "gadget-corpus").key(), f))
+        return random_formula(draws, n_vars=8, max_gates=24, max_depth=5).to_text()
+
+    forward = [formula(1, f) for f in range(8)]
+    assert [formula(1, f) for f in reversed(range(8))] == forward[::-1]
+    assert len(set(forward)) > 1
+    assert [formula(2, f) for f in range(8)] != forward
+    # Draw i inverts word(key, i), whatever the draws before it asked for.
+    draws = _CounterDraws(77)
+    assert draws.random() == (word(77, 0) >> 11) / 2**53
+    assert {draws.integers(2, 7) for _ in range(500)} == {2, 3, 4, 5, 6}
+    assert draws.random() == (word(77, 501) >> 11) / 2**53

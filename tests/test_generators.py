@@ -121,6 +121,9 @@ class TestPathProduct:
     def test_rejects_nonbinary_theta(self):
         with pytest.raises(ValueError):
             generate_path_product(TreeShape(k=2, d=2), Fraction(3, 2), SeedSpec(1, "g"))
+        for theta in (Fraction(3), Fraction(-3, 2)):
+            with pytest.raises(ValueError, match=r"theta must lie in \[-1, 1\]"):
+                path_product_leaf_law(TreeShape(k=2, d=1), theta, 0)
 
 
 class TestRestrictions:
