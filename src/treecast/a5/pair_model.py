@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..channels import cut63, uniform_tables
+from ..channels import Threshold, uniform_tables
 from ..generators import check_node_budget
 from ..labels import LabelArray
 from ..oracle import LawView
@@ -34,7 +34,7 @@ from ..rng import SeedSpec, level_words, progression_words, trial_keys, trial_le
 from ..trees import TreeShape
 from .group import A5
 
-_FIRST_BRANCH = np.uint64(2 * cut63(Fraction(2, 3)))  # w < it iff (w >> 1) < cut63(2/3)
+_FIRST_BRANCH = Threshold(Fraction(2, 3))
 _FIRST, _SECOND = np.divmod(np.arange(3600), 60)  # of each pair code
 _HALF = np.stack([_SECOND, _FIRST], axis=1).reshape(-1)
 _CHILD = (60 * _SECOND + A5.times(A5.inv[_SECOND], _FIRST)).astype(np.uint16)
@@ -50,7 +50,7 @@ def pair_decode(code: int) -> tuple[int, int]:
 
 def _uniform60(w: np.ndarray) -> np.ndarray:
     """Uniform element indices from 64-bit words via the fixed-point cuts."""
-    return uniform_tables(60).draw(0, w >> np.uint64(1)).astype(np.uint8)
+    return uniform_tables(60).draw(0, w).astype(np.uint8)
 
 
 def _child_codes(parents: np.ndarray, k: int, branch: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -82,7 +82,7 @@ def pair_model_levels(shape: TreeShape, key: int, root: int | None = None) -> li
     levels = [np.array([root], dtype=np.uint16)]
     for lvl in range(1, shape.d + 1):
         count = shape.nodes_at(lvl)
-        branch = level_words(key, lvl, count, word_index=1) < _FIRST_BRANCH
+        branch = _FIRST_BRANCH.below(level_words(key, lvl, count, word_index=1))
         first = _uniform60(level_words(key, lvl, count, word_index=0))
         levels.append(_child_codes(levels[-1], shape.k, branch, first))
     return levels
@@ -140,7 +140,7 @@ def _product_tree_levels(
     x = u = np.full((trees, 1), A5.identity, dtype=np.intp)
     for level in range(1, d + 1):
         count = k**level
-        branch = trial_level_words(tkeys, level, count, word_index=1) < _FIRST_BRANCH
+        branch = _FIRST_BRANCH.below(trial_level_words(tkeys, level, count, word_index=1))
         # x is the parent's x on the first branch and its u^-1 on the second:
         # the element on `branch` of the pair (x, u^-1), as `_child_codes` picks.
         x = _HALF.take(np.repeat(2 * (60 * x + A5.inv.take(u)), k, axis=1) + branch)

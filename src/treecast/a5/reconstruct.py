@@ -146,13 +146,13 @@ class _BinomialTables:
         self.lo = np.zeros(count, dtype=np.int64)
         self.tables = CutTables(np.zeros((1, 0), dtype=np.uint64))
 
-    def draw(self, law: np.ndarray, w63: np.ndarray) -> np.ndarray:
-        """X_i ~ law law[i] by inverting word w63[i]."""
+    def draw(self, law: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """X_i ~ law law[i] by inverting the raw word words[i]."""
         row = self.row[law]
         if (row < 0).any():
             self._add(np.unique(law[row < 0]).tolist())
             row = self.row[law]
-        return self.tables.draw(row, w63) + self.lo[law]
+        return self.tables.draw(row, words) + self.lo[law]
 
     def _add(self, laws: list[int]) -> None:
         """Rows for `laws`, in a table rebuilt around the rows it holds."""
@@ -180,7 +180,7 @@ def _tally_tables(k: int) -> tuple[_BinomialTables, _BinomialTables, int, int]:
     """The tables of the identity-first tallies at arity k, built on first use.
 
     The first draws N ~ Bin(k, q), law m for the m-th distinct mass q.  Its
-    draws of the words 0 and 2^63 - 1 bound what N can take to [low, low +
+    draws of the words 0 and 2^64 - 1 bound what N can take to [low, low +
     span).  The second draws A ~ Bin(n, p), law s * span + n - low for the
     s-th distinct share p and each n there, and grows a row for each (p, n)
     a draw meets: a trial over few nodes builds few rows, not all of them.
@@ -190,7 +190,7 @@ def _tally_tables(k: int) -> tuple[_BinomialTables, _BinomialTables, int, int]:
     total = _BinomialTables(lambda m: (k, masses[m]), len(masses))
     every = np.arange(len(masses))
     low = int(total.draw(every, np.zeros(every.size, dtype=np.uint64)).min())
-    span = int(total.draw(every, np.full(every.size, 2**63 - 1, dtype=np.uint64)).max()) - low + 1
+    span = int(total.draw(every, np.full(every.size, 2**64 - 1, dtype=np.uint64)).max()) - low + 1
     split = _BinomialTables(lambda i: (low + i % span, shares[i // span]), len(shares) * span)
     return total, split, low, span
 
@@ -236,13 +236,9 @@ def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) ->
     parents = np.asarray(parents, dtype=np.intp)
     (masses, mass_of), (shares, share_of), heavy, light = _identity_first_laws()
     count = parents.size
-    w_total = level_words(key, level, count, 0)
-    w_split = level_words(key, level, count, 1)
-    w_total >>= np.uint64(1)
-    w_split >>= np.uint64(1)
     total_tables, split_tables, low, span = _tally_tables(k)
-    total = total_tables.draw(mass_of[parents], w_total)
-    first = split_tables.draw(share_of[parents] * span + total - low, w_split)
+    total = total_tables.draw(mass_of[parents], level_words(key, level, count, 0))
+    first = split_tables.draw(share_of[parents] * span + total - low, level_words(key, level, count, 1))
     tallies = np.zeros((4, count), dtype=np.int64)  # value-major, returned transposed
     rows = np.arange(count)
     tallies[heavy[parents], rows] = first

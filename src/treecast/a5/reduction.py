@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..channels import cut63
+from ..channels import Threshold
 from ..rng import SeedSpec, subkey, words_vec
 from .group import A5
 from .pair_model import _product_tree_levels, _uniform60, pair_code
@@ -68,15 +68,17 @@ class WordInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "WordInstance":
+        """`to_json`'s form; a word entry or target that is no JSON integer raises ValueError."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a word instance must be a JSON object")
         try:
-            return cls(
-                word=tuple(int(g) for g in doc["word"]),
-                promise=str(doc["promise"]),
-                target=int(doc["target"]),
-            )
+            word, promise, target = doc["word"], doc["promise"], doc["target"]
         except KeyError as exc:
             raise ValueError(f"word instance JSON lacks the key {exc}") from None
+        if not isinstance(word, list) or any(type(x) is not int for x in [*word, target]):
+            raise ValueError("the word must be a list of JSON integers, and the target one")
+        return cls(word=tuple(word), promise=str(promise), target=target)
 
 
 def make_instance(r: int, promise: str, target: int, seed: SeedSpec) -> WordInstance:
@@ -167,14 +169,14 @@ def synthetic_oracle(epsilon: float, seed: SeedSpec) -> Callable[[np.ndarray], n
 
     It maps a (..., r) array of words to the (...) uint8 array of its guesses,
     statelessly: word w hashes to h = sum_i w_i (word i of subkey(key, r) | 1)
-    mod 2^64; it is answered right when counter word 2h >> 1 falls below
-    cut63(1/60 + epsilon), else word 2h + 1 mod 59 offsets the wrong answer
-    from the product.  A query answers the same in any batch.
+    mod 2^64; it is answered right when counter word 2h falls below the
+    `Threshold` of 1/60 + epsilon, else word 2h + 1 mod 59 offsets the wrong
+    answer from the product.  A query answers the same in any batch.
     """
     p = Fraction(1, 60) + Fraction(epsilon) if math.isfinite(epsilon) else None
     if p is None or not 0 <= p <= 1:
         raise ValueError(f"epsilon must be a finite number in [-1/60, 59/60], got {epsilon}")
-    cut = np.uint64(cut63(p))
+    coin = Threshold(p)
     key = seed.key()
 
     def oracle(words) -> np.ndarray:
@@ -185,7 +187,7 @@ def synthetic_oracle(epsilon: float, seed: SeedSpec) -> Callable[[np.ndarray], n
         h2 = (flat.astype(np.uint64) * mults).sum(axis=1, dtype=np.uint64) << np.uint64(1)
         truth = A5.products(flat)
         wrong = (truth + 1 + words_vec(key, h2 | np.uint64(1)) % np.uint64(59)) % np.uint64(60)
-        correct = (words_vec(key, h2) >> np.uint64(1)) < cut
+        correct = coin.below(words_vec(key, h2))
         return np.where(correct, truth, wrong).astype(np.uint8).reshape(lead)
 
     return oracle

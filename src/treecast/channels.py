@@ -8,7 +8,8 @@ probability (1+theta)/2.
 Columns are exact; sampling cuts each column once, by `cumulative_cuts` on
 integer numerators, into a fixed-point table of 63-bit cut points (per-label
 error below 2^-60) that `CutTables` draws from.  These tables, the binomial
-ones included, are the only approximation anywhere in generation.
+ones included, are the only approximation anywhere in generation.  Samplers
+pass raw 64-bit counter words w, and only this module reads them, as w >> 1.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class Channel:
 
     m: int
     matrix: tuple[tuple[Fraction, ...], ...]  # matrix[i][j] = P[child=i | parent=j]
-    _cuts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _tables: "CutTables | None" = field(default=None, init=False, repr=False, compare=False)
     _ints: tuple[tuple, int] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -135,20 +135,17 @@ class Channel:
         searchsorted(cuts[j], w63, 'right') from column j; each label
         probability is within 2^-60 of the exact column entry, and columns
         with dyadic cumulative sums (in particular deterministic columns) are
-        sampled exactly.  Built once per channel; the array is read-only.
+        sampled exactly.  The read-only cuts of `sampling_tables`.
         """
-        if self._cuts is None:
-            cols = [cumulative_cuts(*integer_numerators(self.column(j))) for j in range(self.m)]
-            cuts = np.array(cols, dtype=np.uint64).reshape(self.m, self.m - 1)
-            cuts.setflags(write=False)
-            object.__setattr__(self, "_cuts", cuts)
-        return self._cuts
+        return self.sampling_tables().cuts
 
     def sampling_tables(self) -> "CutTables":
         """`sampling_cuts` behind a guide: row j draws from column j.  Built
         once per channel."""
         if self._tables is None:
-            object.__setattr__(self, "_tables", CutTables(self.sampling_cuts()))
+            cols = [cumulative_cuts(*integer_numerators(self.column(j))) for j in range(self.m)]
+            cuts = np.array(cols, dtype=np.uint64).reshape(self.m, self.m - 1)
+            object.__setattr__(self, "_tables", CutTables(cuts))
         return self._tables
 
     def integer_columns(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
@@ -190,6 +187,33 @@ def cut63(p: Fraction) -> int:
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0, 1]")
     return (p.numerator << 63) // p.denominator
+
+
+class Threshold:
+    """`below(w)`: the event (w >> 1) < cut63(p) on raw counter words w, of
+    probability floor(2^63 p) / 2^63, read as w < 2 cut63(p), one compare of
+    the words as given; `above(w)` is its complement.  At p = 1 the doubled
+    cut 2^64 is past uint64, so they read w <= 2^64 - 1 and w > 2^64 - 1."""
+
+    def __init__(self, p: Fraction) -> None:
+        cut = cut63(p) << 1
+        full = cut >> 64
+        self._cut = np.uint64(cut - full)
+        self._below, self._above = (np.less_equal, np.greater) if full else (np.less, np.greater_equal)
+
+    def below(self, words: np.ndarray) -> np.ndarray:
+        return self._below(words, self._cut)
+
+    def above(self, words: np.ndarray) -> np.ndarray:
+        return self._above(words, self._cut)
+
+
+FAIR = Threshold(Fraction(1, 2))  # above(w) is the top bit of w
+
+
+def unit_float(w: int) -> float:
+    """The top 53 bits of a raw counter word, as a float in [0, 1)."""
+    return (w >> 11) / (1 << 53)
 
 
 def cumulative_cuts(numerators, den: int) -> np.ndarray:
@@ -305,17 +329,18 @@ def binomial_tables(n: int, p: Fraction) -> tuple[int, "CutTables"]:
 class CutTables:
     """A (rows, L) array of `cumulative_cuts` rows behind a guide table.
 
-    draw(rows, w63)[i] = searchsorted(cuts[rows[i]], w63[i], 'right'), for
-    arrays of any shape.  The guide (Chen and Asau, 1974) splits each row's
-    words into 2^bits buckets by their top bits, 16 or more per cut within
-    GUIDE_CELLS entries, and holds the count of the row's cuts below the end
-    of each bucket, bit-inverted if a cut falls inside it.  Words in a bucket
-    without a cut take one lookup.  The rest (misses) are searched only
-    within their own bucket: below the entry's count, and at most C cuts
-    below it, C the most cuts in one bucket.  So every miss takes the same
-    `rounds`, the bit length of C, fixed when the table is built, and a draw
-    without misses skips the search.  A cut of 2^63 is above every word, so
-    rows of different lengths may be padded with it.
+    draw(rows, w)[i] = searchsorted(cuts[rows[i]], w[i] >> 1, 'right') for
+    raw counter words w, in arrays of any shape.  The guide (Chen and Asau,
+    1974) splits each row's words into 2^bits buckets by their top bits
+    (w >> shift), 16 or more per cut within GUIDE_CELLS entries, and holds the
+    count of the row's cuts below the end of each bucket, bit-inverted if a
+    cut falls inside it.  Words in a bucket without a cut take one lookup.
+    Only the rest (misses) are shifted to 63 bits, and searched only within
+    their bucket: below the entry's count, and at most C cuts below it, C the
+    most cuts in one bucket.  So every miss takes the same `rounds`, the bit
+    length of C, fixed when the table is built, and a draw without misses
+    skips the search.  A cut of 2^63 is above every w >> 1, so rows of
+    different lengths may be padded with it.
 
     The budget of 2^18 entries (1 MiB) gives mc-scan's code tables 2 x 2^17
     buckets and the quotient channel 16 x 2^8, 16 per cut for both, and
@@ -328,8 +353,8 @@ class CutTables:
         self.cuts = np.array(cuts, dtype=np.uint64)  # a copy: it is frozen below
         rows, width = self.cuts.shape
         self.bits = min(width.bit_length() + 4, (self.GUIDE_CELLS // rows).bit_length() - 1)
-        self.shift = np.uint64(63 - self.bits)
-        first = np.arange((1 << self.bits) + 1, dtype=np.uint64) << self.shift
+        self.shift = np.uint64(64 - self.bits)
+        first = np.arange((1 << self.bits) + 1, dtype=np.uint64) << np.uint64(63 - self.bits)
         below = np.array([row.searchsorted(first) for row in self.cuts], dtype=np.int32)
         self.guide = below[:, 1:].copy()
         np.invert(self.guide, out=self.guide, where=below[:, :-1] != self.guide)
@@ -338,27 +363,27 @@ class CutTables:
         self.cuts.setflags(write=False)
         self.guide.setflags(write=False)
 
-    def draw(self, rows: np.ndarray | int, w63: np.ndarray) -> np.ndarray:
-        """Row rows[i]'s draw from word w63[i] < 2^63, as an int32 array of
-        the two arrays' broadcast shape; an integer `rows` is one row for all."""
+    def draw(self, rows: np.ndarray | int, words: np.ndarray) -> np.ndarray:
+        """Row rows[i]'s draw from raw word words[i], as an int32 array of the
+        two arrays' broadcast shape; an integer `rows` is one row for all."""
         rows = np.asarray(rows)
-        if rows.ndim and rows.shape != w63.shape:
-            rows, w63 = np.broadcast_arrays(rows, w63)
-        shape, w63 = w63.shape, w63.reshape(-1)
+        if rows.ndim and rows.shape != words.shape:
+            rows, words = np.broadcast_arrays(rows, words)
+        shape, words = words.shape, words.reshape(-1)
         if rows.ndim:
             rows = rows.reshape(-1)
         # The flat guide index (row << bits) | (word >> shift), built one
         # block at a time in a scratch buffer, read as int64 by `take`.
-        found = np.empty(w63.size, dtype=np.int32)
+        found = np.empty(words.size, dtype=np.int32)
         flat = self.guide.reshape(-1)
         row_shift = np.uint64(self.bits)
-        index = np.empty(min(w63.size, BLOCK_WORDS), dtype=np.uint64)
+        index = np.empty(min(words.size, BLOCK_WORDS), dtype=np.uint64)
         scratch = np.empty_like(index)
-        for start in range(0, w63.size, BLOCK_WORDS):
+        for start in range(0, words.size, BLOCK_WORDS):
             part = slice(start, start + BLOCK_WORDS)
-            n = min(BLOCK_WORDS, w63.size - start)
+            n = min(BLOCK_WORDS, words.size - start)
             idx, tmp = index[:n], scratch[:n]
-            np.right_shift(w63[part], self.shift, out=idx)
+            np.right_shift(words[part], self.shift, out=idx)
             if rows.ndim:
                 tmp[...] = rows[part]
                 tmp <<= row_shift
@@ -368,7 +393,7 @@ class CutTables:
             flat.take(idx.view(np.int64), out=found[part])
         miss = (found < 0).nonzero()[0]
         if miss.size:
-            found[miss] = self._search(rows[miss] if rows.ndim else rows, w63[miss], found[miss])
+            found[miss] = self._search(rows[miss] if rows.ndim else rows, words[miss] >> np.uint64(1), found[miss])
         return found.reshape(shape)
 
     def _search(self, rows: np.ndarray, w63: np.ndarray, entry: np.ndarray) -> np.ndarray:

@@ -299,12 +299,10 @@ def _cmd_compile_gadget(args) -> int:
     template = compile_formula(f)
     doc = {"depth": template.depth, "entries": template.to_tags()}
     if args.check:
-        n_vars = (max(f.variables()) + 1) if f.variables() else 1
-        all_track = True
-        for assignment in assignments(n_vars):
-            verdict = verify_gadget(f, assignment, mode=args.mode, template=template)
-            all_track &= verdict.tracks
-        doc["tracks_all_assignments"] = all_track
+        table = assignments(max(f.variables(), default=0) + 1)
+        doc["tracks_all_assignments"] = all(
+            verify_gadget(f, a, mode=args.mode, template=template).tracks for a in table
+        )
     _write_or_print(json.dumps(doc, sort_keys=True), args.out)
     return EXIT_OK if doc.get("tracks_all_assignments", True) else EXIT_VERIFY
 
@@ -319,8 +317,7 @@ def _cmd_compile_barrington(args) -> int:
     program = barrington_compile(f, target)
     doc = {"target": target, "length": len(program), "program": program_to_json(program)}
     if args.check:
-        n_vars = (max(f.variables()) + 1) if f.variables() else 1
-        table = assignments(n_vars)
+        table = assignments(max(f.variables(), default=0) + 1)
         want = [target if f.evaluate(a) else A5.identity for a in table]
         ok = evaluate_program_batch(program, table).tolist() == want
         doc["matches_truth_table"] = ok

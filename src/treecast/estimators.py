@@ -41,7 +41,7 @@ from math import sqrt
 import numpy as np
 
 from .bp import bp_posterior_batch_binary
-from .channels import Channel, FractionLike, as_fraction, binary_theta, binomial_tables, integer_numerators
+from .channels import FAIR, Channel, FractionLike, as_fraction, binary_theta, binomial_tables, integer_numerators
 from .generators import check_node_budget, code_ones, generate_binary_batch
 from .oracle import DEFAULT_CONFIG_CAP, bayes_accuracy, config_count, likelihood_law
 from .rng import BLOCK_WORDS, SeedSpec, node_counters, trial_keys, words_vec
@@ -105,12 +105,12 @@ def sampled_hits(
 
 
 def _decide(above: np.ndarray, tied: np.ndarray, tie_word) -> np.ndarray:
-    """1 where `above`, else 0; tied entries take the top bits of the words that
+    """1 where `above`, else 0; tied entries take a fair coin of the words that
     `tie_word(*np.nonzero(tied))` computes for them alone."""
     guess = above.astype(np.uint8)
     where = np.nonzero(tied)
     if where[0].size:
-        guess[where] = tie_word(*where) >> np.uint64(63)
+        guess[where] = FAIR.above(tie_word(*where))
     return guess
 
 
@@ -304,8 +304,7 @@ def _binomial_draws(n: np.ndarray, p: Fraction, tkeys: np.ndarray, level: int, w
     for j in range(int(n.max(initial=0)).bit_length()):
         rows = np.flatnonzero((n >> j) & 1)
         lo, table = binomial_tables(1 << j, p)
-        w63 = words_vec(tkeys[rows], node_counters(level, j, word_index)) >> np.uint64(1)
-        out[rows] += lo + table.draw(0, w63)
+        out[rows] += lo + table.draw(0, words_vec(tkeys[rows], node_counters(level, j, word_index)))
     return out
 
 
@@ -492,6 +491,7 @@ def estimate_P_sd(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    check_node_budget(shape)
     t = as_fraction(theta)
     sf = as_fraction(s)
     if not 0 <= sf <= Fraction(1, 2):

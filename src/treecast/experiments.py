@@ -38,7 +38,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .channels import Channel, as_fraction, fraction_text, ks_parameter, uniform_tables
+from .channels import Channel, as_fraction, fraction_text, ks_parameter, uniform_tables, unit_float
 from .estimators import (
     EstimatorReport,
     bp_rounding_decisions,
@@ -49,6 +49,7 @@ from .estimators import (
     sampled_hits,
 )
 from .generators import (
+    check_node_budget,
     generate_binary_batch,
     path_product_leaf_law,
     restriction_leaf_law,
@@ -277,6 +278,7 @@ def score_estimators_point(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     shape = TreeShape(k=k, d=d)
+    check_node_budget(shape)
     tf = float(theta)
     kernels = {}
     for name in estimators:
@@ -630,13 +632,13 @@ class _CounterDraws:
     """`random_formula`'s `random()` and `integers(lo, hi)`, draw i from `word(key, i)`."""
 
     def __init__(self, key: int) -> None:
-        self.w63 = (word(key, i) >> 1 for i in count())
+        self.words = (word(key, i) for i in count())
 
     def random(self) -> float:
-        return (next(self.w63) >> 10) / (1 << 53)
+        return unit_float(next(self.words))
 
     def integers(self, lo: int, hi: int) -> int:
-        return lo + int(uniform_tables(hi - lo).draw(0, np.array([next(self.w63)], dtype=np.uint64))[0])
+        return lo + int(uniform_tables(hi - lo).draw(0, np.array([next(self.words)], dtype=np.uint64))[0])
 
 
 def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
@@ -657,8 +659,7 @@ def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
     for findex in range(n_formulas):
         f = random_formula(_CounterDraws(subkey(key, findex)), n_vars=8, max_gates=24, max_depth=5)
         template = compile_formula(f)
-        n_vars = (max(f.variables()) + 1) if f.variables() else 1
-        table = assignments(n_vars)
+        table = assignments(max(f.variables(), default=0) + 1)
         leaves = np.stack([template.instantiate(a) for a in table])
         shape = TreeShape(k=GADGET_K, d=template.depth)
         posts = bp_posterior_batch_binary(shape, float(GADGET_THETA), leaves)

@@ -138,6 +138,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 MAX_NESTING = 200  # gate levels `parse_formula` reads, far inside the recursion limit
+MAX_ASSIGNMENT_VARS = 16  # 2^16 rows of `assignments`, a few MiB to build
 
 
 def parse_formula(text: str) -> Formula:
@@ -189,6 +190,8 @@ def parse_formula(text: str) -> Formula:
 def assignments(n_vars: int) -> np.ndarray:
     """All 2^n_vars assignments as (2^n_vars, n_vars) uint8 rows: row u holds
     the bits of u, most significant first, so variable 0 is the high bit."""
+    if not 0 <= n_vars <= MAX_ASSIGNMENT_VARS:
+        raise ValueError(f"cannot enumerate the assignments of {n_vars} variables; the limit is {MAX_ASSIGNMENT_VARS}")
     rows = np.arange(1 << n_vars)[:, None] >> np.arange(n_vars - 1, -1, -1)
     return (rows & 1).astype(np.uint8)
 

@@ -39,16 +39,19 @@ TRACK_LOW = Fraction(1, 20)
 DEFAULT_MAX_DEPTH = 6
 RATIONAL_DEPTH_LIMIT = 4
 
-# Entry codes: 0 const0, 1 const1, 2+2i var(i), 3+2i negvar(i).
+# Entry codes: 0 const0, 1 const1, 2+2i var(i), 3+2i negvar(i), as int32.
 CONST0, CONST1 = 0, 1
+MAX_VARIABLE = (np.iinfo(np.int32).max - 3) // 2  # the last i whose codes fit int32
 
 
 def var_entry(i: int) -> int:
+    if not 0 <= i <= MAX_VARIABLE:
+        raise ValueError(f"variable x{i + 1} is outside x1..x{MAX_VARIABLE + 1}, the int32 entry codes")
     return 2 + 2 * i
 
 
 def negvar_entry(i: int) -> int:
-    return 3 + 2 * i
+    return var_entry(i) + 1
 
 
 def entry_tag(code: int) -> str:

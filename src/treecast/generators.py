@@ -37,13 +37,14 @@ from math import comb
 import numpy as np
 
 from .channels import (
+    FAIR,
     Channel,
     CutTables,
     FractionLike,
+    Threshold,
     as_fraction,
     binary_theta,
     cumulative_cuts,
-    cut63,
     integer_numerators,
     uniform_tables,
 )
@@ -103,12 +104,12 @@ class NoiseSpec:
 
 
 def check_node_budget(shape: TreeShape) -> None:
-    """Raise ValueError past MAX_TREE_NODES nodes, counting level by level."""
-    total, count = 0, 1
-    for _ in range(shape.d + 1):
-        total, count = total + count, count * shape.k
-        if total > MAX_TREE_NODES:
-            raise ValueError(f"tree k={shape.k}, d={shape.d} has more than {MAX_TREE_NODES} nodes")
+    """Raise ValueError past MAX_TREE_NODES nodes, counted in closed form: at
+    k >= 2 any depth past the budget's bit length is past the budget too."""
+    k, d = shape.k, min(shape.d, MAX_TREE_NODES.bit_length())
+    total = shape.d + 1 if k == 1 else (k ** (d + 1) - 1) // (k - 1)
+    if total > MAX_TREE_NODES:
+        raise ValueError(f"tree k={shape.k}, d={shape.d} has more than {MAX_TREE_NODES} nodes")
 
 
 def _sample_root(key: int, m: int, root: int | None) -> int:
@@ -116,8 +117,7 @@ def _sample_root(key: int, m: int, root: int | None) -> int:
         if not 0 <= root < m:
             raise ValueError(f"root label {root} outside [0, {m})")
         return root
-    w63 = level_words(key, 0, 1) >> np.uint64(1)
-    return int(uniform_tables(m).draw(0, w63)[0])
+    return int(uniform_tables(m).draw(0, level_words(key, 0, 1))[0])
 
 
 def generate_direct(
@@ -144,9 +144,8 @@ def direct_levels(
     tables = channel.sampling_tables()
     levels = [np.array([_sample_root(key, channel.m, root)], dtype=dtype)]
     for lvl in range(1, shape.d + 1):
-        w63 = level_words(key, lvl, shape.nodes_at(lvl))
-        w63 >>= np.uint64(1)
-        levels.append(tables.draw(np.repeat(levels[-1], shape.k), w63).astype(dtype))
+        words = level_words(key, lvl, shape.nodes_at(lvl))
+        levels.append(tables.draw(np.repeat(levels[-1], shape.k), words).astype(dtype))
     return levels
 
 
@@ -164,15 +163,10 @@ def generate_path_product(
     check_node_budget(shape)
     t = binary_theta(theta)
     key = seed.key()
-    flip_cut = np.uint64(cut63((1 - t) / 2))
+    flip = Threshold((1 - t) / 2)
     levels = [np.array([_sample_root(key, 2, root)], dtype=np.uint8)]
     for lvl in range(1, shape.d + 1):
-        count = shape.nodes_at(lvl)
-        w63 = level_words(key, lvl, count)
-        w63 >>= np.uint64(1)
-        labels = np.repeat(levels[-1], shape.k)
-        labels ^= w63 < flip_cut
-        levels.append(labels)
+        levels.append(np.repeat(levels[-1], shape.k) ^ flip.below(level_words(key, lvl, shape.nodes_at(lvl))))
     return LabelArray(shape=shape, m=2, levels=levels)
 
 
@@ -183,13 +177,10 @@ def sample_restriction(
     t = as_fraction(theta)
     if not 0 <= t <= 1:
         raise ValueError(f"restriction distributions need theta in [0, 1], got {t}")
-    c0 = np.uint64(cut63((1 - t) / 2))
-    c1 = np.uint64(cut63(1 - t))
-    w63 = level_words(seed.key(), level, count)
-    w63 >>= np.uint64(1)
+    words = level_words(seed.key(), level, count)
     sym = np.full(count, STAR, dtype=np.uint8)
-    sym[w63 < c1] = 1
-    sym[w63 < c0] = 0
+    sym[Threshold(1 - t).below(words)] = 1
+    sym[Threshold((1 - t) / 2).below(words)] = 0
     return Restriction(symbols=sym)
 
 
@@ -248,7 +239,7 @@ def live_inputs_after(
     t = as_fraction(theta)
     if not 0 <= t <= 1:
         raise ValueError(f"theta must lie in [0, 1], got {t}")
-    star_cut = np.uint64(cut63(t))
+    star = Threshold(t)
     tkeys = np.asarray(subkey(seed.key(), trial), dtype=np.uint64).reshape(-1)
     # One (row, variable) pair per live variable; a row is one entry of `trial`.
     row = np.repeat(np.arange(len(tkeys), dtype=np.int64), len(tracked))
@@ -257,10 +248,8 @@ def live_inputs_after(
         level = shape.d - round_idx
         if len(live) == 0:
             break
-        w63 = words_vec(tkeys[row], node_counters(level, live))
-        w63 >>= np.uint64(1)
-        star = w63 < star_cut
-        merged = np.unique(row[star] * shape.n + live[star] // shape.k)
+        kept = star.below(words_vec(tkeys[row], node_counters(level, live)))
+        merged = np.unique(row[kept] * shape.n + live[kept] // shape.k)
         row, live = merged // shape.n, merged % shape.n
     counts = np.bincount(row, minlength=len(tkeys))
     return int(counts[0]) if np.ndim(trial) == 0 else counts
@@ -274,11 +263,8 @@ def add_leaf_noise(x: LabelArray, spec: NoiseSpec, seed: SeedSpec) -> LabelArray
     """
     if x.m != 2:
         raise ValueError("leaf noise is defined for binary labels only")
-    cut = np.uint64(cut63(spec.s))
-    w63 = level_words(seed.key(), x.shape.d, len(x.leaves))
-    w63 >>= np.uint64(1)
     levels = [lvl.copy() for lvl in x.levels]
-    levels[-1] ^= w63 < cut
+    levels[-1] ^= Threshold(spec.s).below(level_words(seed.key(), x.shape.d, len(x.leaves)))
     return LabelArray(shape=x.shape, m=2, levels=levels)
 
 
@@ -439,9 +425,9 @@ def generate_binary_batch(
     and a code of probability zero is never drawn.
 
     No level's word array is built: `rng.level_blocks` streams each level
-    through one buffer pair, and each block is compared, raw, against the
-    doubled cuts (w >> 1 < c exactly when w < 2c) into its rows of the
-    labels, or drawn into its rows of the codes.
+    through one buffer pair, and each block of raw words goes through the
+    level's `channels.Threshold`s into its rows of the labels, or through
+    `CutTables.draw` into its rows of the codes.
     """
     t, sf = binary_theta(theta), NoiseSpec(s).s
     if method not in BATCH_METHODS:
@@ -452,8 +438,7 @@ def generate_binary_batch(
         raise ValueError(f"height must lie in [0, {shape.d}], got {height}")
     tkeys = trial_keys(seed.key(), trials, start)
     if roots is None:
-        root_words = trial_level_words(tkeys, 0, 1)[:, 0]
-        roots = ((root_words >> np.uint64(1)) >= np.uint64(cut63(Fraction(1, 2)))).astype(np.uint8)
+        roots = FAIR.above(trial_level_words(tkeys, 0, 1)[:, 0]).astype(np.uint8)
     else:
         roots = np.asarray(roots, dtype=np.uint8)
         if roots.shape != (trials,):
@@ -461,8 +446,7 @@ def generate_binary_batch(
     labels = roots.reshape(-1, 1)
     if shape.d == 0 and sf:
         # The one leaf is the root itself, seen through flip(s).
-        w = trial_level_words(tkeys, 0, 1, word_index=1)
-        labels = labels ^ _doubled_cut_compare(np.less, w, cut63(sf))
+        labels = labels ^ Threshold(sf).below(trial_level_words(tkeys, 0, 1, word_index=1))
     buffers = np.empty((2, min(BLOCK_WORDS, trials * shape.n)), dtype=np.uint64)
     if height:
         # Allocated before the levels' labels, so the codes, which outlive
@@ -471,36 +455,27 @@ def generate_binary_batch(
         codes = np.empty((trials, shape.nodes_at(shape.d - height)), code_type)
     for lvl in range(1, shape.d - height + 1):
         lt = t * (1 - 2 * sf) if lvl == shape.d else t
-        flip, keep = cut63((1 - lt) / 2), cut63((1 + lt) / 2)
-        one = cut63(1 - lt) if method == "restrictions" else None
+        flip, keep = Threshold((1 - lt) / 2), Threshold((1 + lt) / 2)
+        one = Threshold(1 - lt) if method == "restrictions" else None
         labels = np.repeat(labels, shape.k, axis=1)
         for first, w in level_blocks(tkeys, lvl, shape.nodes_at(lvl), 0, buffers):
             part = labels.reshape(-1)[first : first + w.size]
             if method == "direct":
                 # Column draw: the keep probability is (1+theta)/2 for both columns.
-                part ^= _doubled_cut_compare(np.greater_equal, w, keep)
+                part ^= keep.above(w)
             elif method == "path":
-                part ^= _doubled_cut_compare(np.less, w, flip)
+                part ^= flip.below(w)
             else:
                 # Below the first cut the symbol is 0, below the second 1, else *.
-                part |= _doubled_cut_compare(np.less, w, one)
-                part &= _doubled_cut_compare(np.greater_equal, w, flip)
+                part |= one.below(w)
+                part &= flip.above(w)
     if height == 0:
         return roots, labels
     tables = _code_tables(shape.k, height, t, sf)
     for first, w in level_blocks(tkeys, shape.d - height, labels.shape[1], 1, buffers):
-        w >>= np.uint64(1)
         part = slice(first, first + w.size)
         codes.reshape(-1)[part] = tables.draw(labels.reshape(-1)[part], w)
     return roots, codes
-
-
-def _doubled_cut_compare(op, words: np.ndarray, cut: int) -> np.ndarray:
-    """op(words >> 1, cut), op np.less or np.greater_equal, as op(words, 2 cut).
-    A cut of 2^63 doubles past uint64: every word is below it."""
-    if cut >> 63:
-        return np.full(words.shape, op is np.less)
-    return op(words, np.uint64(cut << 1))
 
 
 # --- exact per-generator leaf laws ---------------------------------------

@@ -22,7 +22,7 @@ at a time, so each block stays in cache through the pass's eight
 operations.  `level_blocks` streams the same (trial, node) words one block
 at a time through two buffers its caller reuses, so no level's word array
 is ever built.  A word is a pure function of (key, counter), so the blocking
-cannot change one.  Callers that want 63-bit words shift the output in place.
+cannot change one.  `channels` alone turns the raw words into draws.
 
 The first pass does not depend on the key, and every counter run drawn here
 is a progression offset + step * i (a level's nodes: 256, 4 * level +

@@ -26,11 +26,8 @@ class TreeShape:
 
     @property
     def n(self) -> int:
-        """Leaf count k^d, computed by repeated multiplication."""
-        out = 1
-        for _ in range(self.d):
-            out *= self.k
-        return out
+        """Leaf count k^d."""
+        return self.nodes_at(self.d)
 
     def nodes_at(self, level: int) -> int:
         if not 0 <= level <= self.d:

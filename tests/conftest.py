@@ -25,3 +25,17 @@ def _subtree_codes(leaves, k, h):
 @pytest.fixture
 def subtree_codes():
     return _subtree_codes
+
+
+def _raw_words(w63, seed=0):
+    """Raw 64-bit counter words whose 63-bit value w >> 1, the one
+    `CutTables.draw` reads, is w63: each shifted left one bit, with a random
+    low bit that the draw must ignore."""
+    w63 = np.asarray(w63, dtype=np.uint64)
+    low = np.random.default_rng(seed).integers(0, 2, w63.shape, dtype=np.uint64)
+    return (w63 << np.uint64(1)) | low
+
+
+@pytest.fixture(scope="session")
+def raw_words():
+    return _raw_words

@@ -265,7 +265,7 @@ class TestIdentityFirstSampler:
             assert cuts.tolist() == _exact_binomial_cuts(n, p, lo + len(cuts))[lo:]
 
     @pytest.mark.parametrize("k", [1, 2, 500, 6000])
-    def test_tally_tables_equal_the_grouped_binomial_draws(self, k):
+    def test_tally_tables_equal_the_grouped_binomial_draws(self, raw_words, k):
         # Word by word, fresh tally tables draw what one `binomial_cuts` table
         # per (n, p) group and a plain search drew: N at both ends of what it
         # can take, and A from every n there, while the tables grow.
@@ -276,7 +276,7 @@ class TestIdentityFirstSampler:
         words = np.concatenate([ends, rng.integers(0, 2**63, 3000, dtype=np.uint64)])
         for m in range(len(masses)):
             law = np.full(words.size, m)
-            n = total.draw(law, words)
+            n = total.draw(law, raw_words(words))
             assert np.array_equal(n, _grouped_binomial_draws(np.full(words.size, k), masses, law, words))
             assert low <= n.min() and n.max() < low + span
         assert (n[0], n[4]) == (low, low + span - 1)
@@ -286,18 +286,18 @@ class TestIdentityFirstSampler:
             for w in (np.tile(ends, span), rng.integers(0, 2**63, ns.size, dtype=np.uint64)):
                 # A first draw from every other n, then from all of them.
                 for part in (slice(None, None, 2 * ends.size), slice(None)):
-                    got = split.draw(which[part] * span + ns[part] - low, w[part])
+                    got = split.draw(which[part] * span + ns[part] - low, raw_words(w[part]))
                     assert np.array_equal(got, _grouped_binomial_draws(ns[part], shares, which[part], w[part]))
 
-    def test_tally_tables_grow_only_the_rows_a_draw_meets(self):
+    def test_tally_tables_grow_only_the_rows_a_draw_meets(self, raw_words):
         # At k = 10^6 N can take thousands of values; one trial over one node
         # builds one row of A (Bin(n, 1) rows are empty and share row 0).
         total, split, low, span = reconstruct._tally_tables.__wrapped__(10**6)
         assert span > 1000 and len(total.tables.cuts) == 2
         key = SeedSpec(4, "one-node").key()
-        n = total.draw(np.zeros(1, dtype=np.intp), np.array([12345 << 40], dtype=np.uint64))
-        split.draw(n - low, np.array([1 << 62], dtype=np.uint64))
-        split.draw(span + n - low, np.array([1 << 62], dtype=np.uint64))
+        n = total.draw(np.zeros(1, dtype=np.intp), raw_words([12345 << 40]))
+        split.draw(n - low, raw_words([1 << 62]))
+        split.draw(span + n - low, raw_words([1 << 62]))
         assert len(split.tables.cuts) == 2
         assert class16_reconstruction_trial(10**6, 1, key)[0] in range(16)
 

@@ -148,6 +148,28 @@ def test_word_instance_json_missing_key_is_a_value_error(missing):
         WordInstance.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text", [
+    '{"word": [1e400], "promise": "target", "target": 13}',
+    '{"word": [13], "promise": "target", "target": 1e400}',
+    '{"word": [13.0], "promise": "target", "target": 13}',
+    '{"word": [13], "promise": "target", "target": 1.5}',
+    '{"word": [true], "promise": "target", "target": 13}',
+    '{"word": [13], "promise": "target", "target": true}',
+    '{"word": ["13"], "promise": "target", "target": 13}',
+    '{"word": [13], "promise": "target", "target": "7"}',
+    '{"word": "13", "promise": "target", "target": 13}',
+])
+def test_word_instance_json_takes_only_integers(text):
+    with pytest.raises(ValueError, match="JSON integers"):
+        WordInstance.from_json(text)
+
+
+@pytest.mark.parametrize("text", ["[13]", "13", "null"])
+def test_word_instance_json_must_be_an_object(text):
+    with pytest.raises(ValueError, match="JSON object"):
+        WordInstance.from_json(text)
+
+
 def test_make_instance_respects_promise():
     inst = make_instance(16, "identity", FIVE, SeedSpec(3, "mi"))
     assert A5.product(inst.word) == A5.identity

@@ -11,6 +11,7 @@ part.  See the repository notes for the worked counterexample.
 import time
 from fractions import Fraction
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import chi2
@@ -533,7 +534,7 @@ def test_c15_reproducibility(tmp_path):
         path = str(tmp_path / f"run{i}.csv")
         emit(rows, path)
         paths.append(path)
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     identical = blobs[0] == blobs[1] == blobs[2]
     elapsed = time.perf_counter() - t0
     _report(

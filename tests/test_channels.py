@@ -12,6 +12,7 @@ import treecast
 from treecast.channels import (
     Channel,
     CutTables,
+    Threshold,
     as_fraction,
     cumulative_cuts,
     cut63,
@@ -251,21 +252,21 @@ def _probe_words(cuts: np.ndarray, shift: int) -> np.ndarray:
 
 
 @given(_adversarial_cut_tables())
-def test_cut_tables_bounded_miss_search_equals_the_plain_search(cuts):
+def test_cut_tables_bounded_miss_search_equals_the_plain_search(raw_words, cuts):
     tables = CutTables(cuts)
-    shift = int(tables.shift)
+    shift = int(tables.shift) - 1  # the buckets of 63-bit words
     words = _probe_words(cuts, shift)
     rows = np.repeat(np.arange(len(cuts)), words.size)
     probes = np.tile(words, len(cuts))
     want = np.concatenate([np.searchsorted(row, words, side="right") for row in cuts])
-    assert np.array_equal(tables.draw(rows, probes), want)
+    assert np.array_equal(tables.draw(rows, raw_words(probes)), want)
     # The round count is the bit length of the most cuts in one bucket.
     buckets = [np.unique(row[row < _TOP] >> np.uint64(shift), return_counts=True)[1] for row in cuts]
     assert tables.rounds == int(max(c.max(initial=0) for c in buckets)).bit_length()
     # One row for every word, a single word, and no words at all.
     last = len(cuts) - 1
-    assert np.array_equal(tables.draw(last, words), want[last * words.size :])
-    one = words[-1:]
+    assert np.array_equal(tables.draw(last, raw_words(words)), want[last * words.size :])
+    one = raw_words(words[-1:])
     assert tables.draw(np.array([last]), one).tolist() == [int(want[-1])]
     assert tables.draw(0, one[:0]).shape == (0,)
     assert tables.draw(np.zeros((0, 3), dtype=np.intp), np.zeros((0, 3), dtype=np.uint64)).shape == (0, 3)
@@ -299,6 +300,59 @@ def test_every_word_draw_outside_channels_goes_through_cut_tables():
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
                 assert name != "searchsorted", f"{path.name}:{node.lineno}"
+
+
+def _is_one(node) -> bool:
+    if isinstance(node, ast.Call) and len(node.args) == 1:  # np.uint64(1)
+        node = node.args[0]
+    return isinstance(node, ast.Constant) and node.value == 1
+
+
+def _reads_63_bits(node) -> bool:
+    """`x >> 1`, `x >>= 1` or `right_shift(x, 1)`, or any mention of `cut63`."""
+    if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.RShift):
+        return _is_one(node.right if isinstance(node, ast.BinOp) else node.value)
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        return name == "right_shift" and len(node.args) > 1 and _is_one(node.args[1])
+    return "cut63" in {getattr(node, key, None) for key in ("id", "attr", "name")}
+
+
+def test_only_channels_reads_a_counter_word_as_a_draw():
+    # Every other module passes raw 64-bit words to `channels`: none shifts a
+    # word to 63 bits or builds a `cut63` threshold of its own.
+    src = Path(treecast.__file__).parent
+    found = []
+    for path in src.rglob("*.py"):
+        if path == src / "channels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _reads_63_bits(node):
+                found.append(f"{path.relative_to(src).as_posix()}:{node.lineno}")
+    assert not found
+
+
+@given(_adversarial_cut_tables(), st.fractions(min_value=0, max_value=1), st.integers(0, 2**32 - 1))
+def test_draws_ignore_the_low_bit_of_a_raw_word(cuts, p, seed):
+    # A raw word and the same word with its low bit flipped draw alike, from
+    # a cut table and from a threshold, at every cut, bucket edge and extreme.
+    tables = CutTables(cuts)
+    w63 = np.concatenate([
+        _probe_words(cuts, int(tables.shift) - 1),
+        np.array([0, cut63(p) - 1, cut63(p), _TOP - 1], dtype=object).clip(0, _TOP - 1).astype(np.uint64),
+        np.random.default_rng(seed).integers(0, _TOP, 64, dtype=np.uint64),
+    ])
+    even = w63 << np.uint64(1)
+    odd = even | np.uint64(1)
+    rows = np.arange(w63.size) % len(cuts)
+    want = [np.searchsorted(cuts[r], w, side="right") for r, w in zip(rows, w63)]
+    assert tables.draw(rows, even).tolist() == tables.draw(rows, odd).tolist() == want
+    threshold = Threshold(p)
+    below = w63 < np.uint64(cut63(p))
+    for words in (even, odd):
+        assert np.array_equal(threshold.below(words), below)
+        assert np.array_equal(threshold.above(words), ~below)
 
 
 def test_no_word_is_drawn_from_blake2b():

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,7 @@ def test_gen_reproducible_dumps(tmp_path, capsys):
     a = run(capsys, "--seed", "7", "--out", p1, "gen", "--k", "2", "--d", "3", "--theta", "0.5")
     b = run(capsys, "--seed", "7", "--out", p2, "gen", "--k", "2", "--d", "3", "--theta", "0.5")
     assert a[0] == b[0] == EXIT_OK
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_gen_binary_dump_roundtrip(tmp_path, capsys):
@@ -39,7 +41,7 @@ def test_gen_binary_dump_roundtrip(tmp_path, capsys):
     assert code == EXIT_OK
     from treecast.labels import LabelArray
 
-    arr = LabelArray.from_bytes(open(path, "rb").read())
+    arr = LabelArray.from_bytes(Path(path).read_bytes())
     assert arr.shape.k == 3 and arr.shape.d == 2
 
 
@@ -55,7 +57,7 @@ def test_bp_matches_library_on_dump(tmp_path, capsys):
     from treecast.channels import Channel
     from treecast.labels import LabelArray
 
-    arr = LabelArray.from_json(open(path).read())
+    arr = LabelArray.from_json(Path(path).read_text())
     want = bp_posterior(
         arr.shape,
         Channel.binary(Fraction(1, 2)),
@@ -75,7 +77,7 @@ def test_bp_reads_the_binary_dump_as_the_json_dump(tmp_path, capsys):
         code, out, _ = run(capsys, "--mode", "rational", "bp", "--leaves", path, "--theta", "3/5")
         assert code == EXIT_OK
         by_format[fmt] = out
-    assert open(tmp_path / "tree.bin", "rb").read(6) == b"BCAST1"
+    assert (tmp_path / "tree.bin").read_bytes()[:6] == b"BCAST1"
     assert by_format["bin"] == by_format["json"]
 
 
@@ -93,7 +95,7 @@ def test_bp_flip_rate_reads_noisy_leaves(tmp_path, capsys):
     from treecast.channels import Channel
     from treecast.labels import LabelArray
 
-    arr = LabelArray.from_json(open(path).read())
+    arr = LabelArray.from_json(Path(path).read_text())
     noisy = bp_posterior(
         arr.shape,
         Channel.binary(Fraction(4, 5)),
@@ -146,7 +148,7 @@ def test_scan_ks_writes_csv(tmp_path, capsys):
         "scan-ks", "--k", "2", "--theta", "0,1", "--d", "3", "--trials", "150",
     )
     assert code == EXIT_OK
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("experiment,k,theta_or_channel")
     assert len(lines) == 1 + 6  # two theta values x three estimators
 
@@ -281,6 +283,32 @@ def test_too_deeply_nested_formula_is_usage_error(capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["compile-gadget", "--formula", "x99999999999"], ["x99999999999", "int32 entry codes"]),
+        (["compile-gadget", "--formula", "x40", "--check"], ["40 variables", "limit is 16"]),
+        (["compile-barrington", "--formula", "x40", "--check"], ["40 variables", "limit is 16"]),
+    ],
+)
+def test_formula_variable_past_the_bounds_is_usage_error(capsys, argv, words):
+    code, out, err = run(capsys, *argv)
+    _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+@pytest.mark.parametrize("command", [("detect", "--theta", "4/5"), ("scan-ks",), ("scan-noise", "--s", "0")])
+def test_huge_depth_is_refused_at_once(capsys, command, k):
+    # Refused by the node budget before any k^d or d-step loop.
+    d = "99999999999999999999"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--jobs", "1", *command, "--k", k, "--d", d)
+    assert time.perf_counter() - start < 1
+    _one_line_usage_error(code, err, f"k={k}, d={d}", "more than 67108864 nodes")
+    assert out == ""
+
+
 @pytest.mark.parametrize("code_value", [-1, 2])
 def test_bp_label_code_out_of_range_is_usage_error(tmp_path, capsys, code_value):
     path = tmp_path / "tree.json"
@@ -343,7 +371,7 @@ def test_ks_scan_config_writes_the_flag_form_bytes(tmp_path, capsys):
     }))
     code, _, _ = run(capsys, "--config", str(config), "scan-ks")
     assert code == EXIT_OK
-    assert open(by_config, "rb").read() == open(by_flags, "rb").read()
+    assert Path(by_config).read_bytes() == Path(by_flags).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -514,7 +542,7 @@ def test_a5_config_model_writes_the_flag_form_bytes(tmp_path, capsys):
         "d": [2], "out": by_config,
     }))
     assert run(capsys, "--config", str(config), "a5")[0] == EXIT_OK
-    assert open(by_config, "rb").read() == open(by_flags, "rb").read()
+    assert Path(by_config).read_bytes() == Path(by_flags).read_bytes()
 
 
 # What each command writes for --format csv, json and bin; every other
@@ -596,6 +624,20 @@ def test_reduce_word_bad_instance_is_one_line_error(tmp_path, capsys, doc, words
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "reduce-word", "--instance", str(path), "--trials", "10")
     _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    '{"word": [1e400], "promise": "target", "target": 13}',
+    '{"word": [13], "promise": "target", "target": 1.5}',
+    '{"word": [true], "promise": "target", "target": 13}',
+    '{"word": [13], "promise": "target", "target": "7"}',
+])
+def test_reduce_word_instance_of_non_integers_is_one_line_error(tmp_path, capsys, text):
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "reduce-word", "--instance", str(path), "--trials", "10")
+    _one_line_usage_error(code, err, "JSON integers")
     assert out == ""
 
 

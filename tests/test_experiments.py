@@ -3,6 +3,7 @@ import os
 from fractions import Fraction
 from itertools import combinations
 from math import sqrt
+from pathlib import Path
 
 import pytest
 
@@ -104,7 +105,7 @@ class TestEmit:
     def test_json_emit(self, tmp_path):
         path = str(tmp_path / "rows.json")
         emit(self._rows(), path, fmt="json")
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         assert doc[0]["estimator"] == "majority"
         assert set(doc[0]) == set(CSV_HEADER.split(","))
 
@@ -137,7 +138,7 @@ class TestKsScan:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         emit(rows1, p1)
         emit(rows2, p2)
-        assert open(p1).read() == open(p2).read()
+        assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = ExperimentConfig(
@@ -146,7 +147,7 @@ class TestKsScan:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         emit(run_ks_scan(cfg), p1)
         emit(run_ks_scan(cfg), p2)
-        assert open(p1).read() == open(p2).read()
+        assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_no_estimator_beats_bp_rounding(self):
         # Bayes-rounding optimality within Monte Carlo error on shared trees.

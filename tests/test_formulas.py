@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from treecast.formulas import (
+    MAX_ASSIGNMENT_VARS,
     MAX_NESTING,
     Const,
     Gate,
@@ -65,6 +68,18 @@ def test_assignments_are_the_bits_of_each_row_index_high_bit_first(n_vars):
     assert table.dtype == np.uint8 and table.shape == (1 << n_vars, n_vars)
     want = [[(u >> (n_vars - 1 - i)) & 1 for i in range(n_vars)] for u in range(1 << n_vars)]
     assert table.tolist() == want
+
+
+@pytest.mark.parametrize("n_vars", [MAX_ASSIGNMENT_VARS + 1, 25, 40, 99999999999, -1])
+def test_assignments_past_the_cap_raise_before_allocating(n_vars):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{n_vars} variables; the limit is {MAX_ASSIGNMENT_VARS}"):
+            assignments(n_vars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_random_formula_budgets():

@@ -7,6 +7,7 @@ from treecast.formulas import Const, Gate, Not, Var, parse_formula, random_formu
 from treecast.gadgets import (
     CONST0,
     CONST1,
+    MAX_VARIABLE,
     LeafTemplate,
     compile_formula,
     gadget_posterior_bound,
@@ -192,3 +193,14 @@ def test_gadget_corpus_formula_is_a_function_of_seed_and_index():
     assert draws.random() == (word(77, 0) >> 11) / 2**53
     assert {draws.integers(2, 7) for _ in range(500)} == {2, 3, 4, 5, 6}
     assert draws.random() == (word(77, 501) >> 11) / 2**53
+
+
+def test_variables_past_the_int32_entry_codes_are_value_errors():
+    last = compile_formula(Var(MAX_VARIABLE))
+    assert last.entries.tolist() == [var_entry(MAX_VARIABLE)]
+    assert negvar_entry(MAX_VARIABLE) == np.iinfo(np.int32).max
+    for f in (Var(MAX_VARIABLE + 1), Not(Var(99999999998)), parse_formula("(and x1 x99999999999)")):
+        with pytest.raises(ValueError, match="int32 entry codes"):
+            compile_formula(f)
+    with pytest.raises(ValueError, match="int32 entry codes"):
+        LeafTemplate.from_tags(0, ["!x99999999999"])

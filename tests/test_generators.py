@@ -625,10 +625,11 @@ def test_batch_rejects_bad_height_method_and_noise():
         generate_binary_batch(shape, Fraction(1, 2), seed, 4, s=Fraction(3, 4))
 
 
-def _check_guided_draw(tables: CutTables) -> None:
+def _check_guided_draw(tables: CutTables, raw_words) -> None:
     """Probe every row with 100k random words and every in-range cut, cut - 1
-    and cut + 1: the guide answers most random words alone, and `draw`
-    equals the row's plain search on every probe, in any array shape."""
+    and cut + 1, each as a raw word: the guide answers most random words
+    alone, and `draw` equals the row's plain search on every probe, in any
+    array shape."""
     rng = np.random.default_rng(0)
     rows, words, random = [], [], []
     for r, cuts in enumerate(tables.cuts.tolist()):
@@ -640,14 +641,15 @@ def _check_guided_draw(tables: CutTables) -> None:
         words.append(w)
         random.append(np.arange(w.size) < 100_000)
     rows, words, random = map(np.concatenate, (rows, words, random))
-    hit = tables.guide[rows, words >> tables.shift] >= 0
+    raw = raw_words(words)
+    hit = tables.guide[rows, raw >> tables.shift] >= 0
     assert hit[random].mean() > 0.8
     expected = np.concatenate(
         [np.searchsorted(cuts, words[rows == r], side="right") for r, cuts in enumerate(tables.cuts)]
     )
-    assert np.array_equal(tables.draw(rows, words), expected)
+    assert np.array_equal(tables.draw(rows, raw), expected)
     pick = rng.permutation(rows.size)[:100_000].reshape(400, 250)  # 100k probes of mixed rows
-    assert np.array_equal(tables.draw(rows[pick], words[pick]), expected[pick])
+    assert np.array_equal(tables.draw(rows[pick], raw[pick]), expected[pick])
 
 
 @pytest.mark.parametrize("k,h,theta,s", [
@@ -655,21 +657,21 @@ def _check_guided_draw(tables: CutTables) -> None:
     (3, 2, Fraction(-1, 2), Fraction(0)),
     (2, 2, Fraction(1), Fraction(0)),
 ])
-def test_code_guide_table_agrees_with_the_plain_search(k, h, theta, s):
-    _check_guided_draw(generators._code_tables(k, h, theta, s))
+def test_code_guide_table_agrees_with_the_plain_search(raw_words, k, h, theta, s):
+    _check_guided_draw(generators._code_tables(k, h, theta, s), raw_words)
 
 
 @pytest.mark.parametrize("channel", ["quotient", Channel.binary(1), Channel.from_columns([[1]])])
-def test_channel_guide_table_agrees_with_the_plain_search(channel):
+def test_channel_guide_table_agrees_with_the_plain_search(raw_words, channel):
     # The quotient channel's 16 rows, deterministic columns, and empty rows.
     if channel == "quotient":
         from treecast.a5.quotient import quotient_channel
 
         channel = quotient_channel()
-    _check_guided_draw(CutTables(channel.sampling_cuts()))
+    _check_guided_draw(CutTables(channel.sampling_cuts()), raw_words)
 
 
-def test_cut_tables_guide_stays_within_budget():
+def test_cut_tables_guide_stays_within_budget(raw_words):
     rng = np.random.default_rng(5)
     cuts = np.sort(rng.integers(0, 2**63, (600, 599), dtype=np.uint64), axis=1)
     tables = CutTables(cuts)
@@ -677,11 +679,11 @@ def test_cut_tables_guide_stays_within_budget():
     rows = rng.integers(0, 600, 100_000)
     words = rng.integers(0, 2**63, 100_000, dtype=np.uint64)
     expected = np.array([np.searchsorted(cuts[r], w, side="right") for r, w in zip(rows, words)])
-    assert np.array_equal(tables.draw(rows, words), expected)
+    assert np.array_equal(tables.draw(rows, raw_words(words)), expected)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
-def test_cut_tables_draw_strided_views(dtype):
+def test_cut_tables_draw_strided_views(raw_words, dtype):
     # Rows and words as non-contiguous views spanning several index blocks,
     # some words exactly at a cut: the draw equals each row's plain search,
     # in the views' shape.
@@ -701,7 +703,10 @@ def test_cut_tables_draw_strided_views(dtype):
         for row in range(3):
             at = rows == row
             want[at] = np.searchsorted(cuts[row], words[at], side="right")
-        got = tables.draw(rows, words)
+        raw = np.empty(words.shape + (2,), dtype=np.uint64)[..., 0]  # strided, as `words` is
+        raw[...] = raw_words(words)
+        assert not raw.flags.c_contiguous
+        got = tables.draw(rows, raw)
         assert got.shape == rows.shape and np.array_equal(got, want)
 
 
@@ -719,7 +724,8 @@ def test_cut_tables_leave_the_callers_array_writeable():
 def _per_level_batch(shape, theta, seed, trials, method, roots=None, start=0, height=0, s=0):
     """`generate_binary_batch` as it sampled before its levels were streamed,
     frozen here as the reference: one (trials, nodes) word array per level,
-    shifted to 63 bits and compared against the cuts, then one flat code draw."""
+    shifted to 63 bits and compared against the cuts, then one flat code draw
+    of the raw words."""
     t, sf = Fraction(theta), Fraction(s)
     tkeys = trial_keys(seed.key(), trials, start)
     if roots is None:
@@ -747,9 +753,8 @@ def _per_level_batch(shape, theta, seed, trials, method, roots=None, start=0, he
         labels = parents
     if height == 0:
         return roots, labels
-    w63 = trial_level_words(tkeys, shape.d - height, shape.nodes_at(shape.d - height), word_index=1)
-    w63 >>= np.uint64(1)
-    codes = generators._code_tables(shape.k, height, t, sf).draw(labels, w63)
+    words = trial_level_words(tkeys, shape.d - height, shape.nodes_at(shape.d - height), word_index=1)
+    codes = generators._code_tables(shape.k, height, t, sf).draw(labels, words)
     return roots, codes.astype(np.min_scalar_type(len(code_ones(shape.k, height)) - 1))
 
 
