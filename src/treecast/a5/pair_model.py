@@ -27,7 +27,6 @@ from fractions import Fraction
 import numpy as np
 
 from ..channels import Threshold, uniform_tables
-from ..generators import check_node_budget
 from ..labels import LabelArray
 from ..oracle import LawView
 from ..rng import SeedSpec, level_words, progression_words, trial_keys, trial_level_words
@@ -73,7 +72,6 @@ def generate_pair_model(
 
 def pair_model_levels(shape: TreeShape, key: int, root: int | None = None) -> list[np.ndarray]:
     """The level arrays of `generate_pair_model` on the stream key `key`."""
-    check_node_budget(shape)
     if root is None:  # words 0 and 1 of the root address
         b, s = _uniform60(progression_words(key, 1, 0, 2)).tolist()
         root = pair_code(b, s)
@@ -127,6 +125,7 @@ def _product_tree_levels(
     d: int, sigma, k: int, seed: SeedSpec, trees: int
 ) -> list[np.ndarray]:
     """Batch sampler; returns per-level arrays of pair codes, shape (trees, k^l)."""
+    TreeShape(k=k, d=d)  # the size rule, before the word check and any draw
     sigma = np.asarray(sigma, dtype=np.uint8)
     if len(sigma) != 2 ** (d + 1):
         raise ValueError(f"word length must be 2^(d+1) = {2 ** (d + 1)}, got {len(sigma)}")

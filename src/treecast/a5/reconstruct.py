@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..channels import CutTables, FractionLike, as_fraction, binomial_cuts
-from ..generators import check_node_budget, direct_levels
+from ..generators import direct_levels
 from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
 from .group import A5
@@ -264,7 +264,7 @@ def class16_reconstruction_trial(
         raise ValueError("reconstruction needs depth >= 1")
     # Before any draw: k >= 1 (TreeShape), and the k^(d-1) bottom labels and
     # one node's k children (its tally tables grow with k) within the budget.
-    check_node_budget(TreeShape(k, max(d - 1, 1)))
+    TreeShape(k, max(d - 1, 1))
     levels = direct_levels(TreeShape(k, d - 1), quotient_channel(), key)
     tallies = identity_first_tallies(levels[-1], k, key, d)
     level, empty = reconstruct_level_class16_from_counts(tallies, tau, subkey(key, 1))

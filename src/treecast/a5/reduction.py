@@ -32,6 +32,10 @@ from ..rng import SeedSpec, subkey, words_vec
 from .group import A5
 from .pair_model import _product_tree_levels, _uniform60, pair_code
 
+# Most cells of a word, and of `amplify_oracle`'s trials x length table:
+# 2^26, as many as a tree may have nodes (`trees.MAX_TREE_NODES`).
+MAX_WORD_CELLS = 1 << 26
+
 
 @dataclass(frozen=True)
 class WordInstance:
@@ -50,7 +54,7 @@ class WordInstance:
             raise ValueError("the promise target must differ from the identity")
         if not self.word:
             raise ValueError("the word must be nonempty")
-        if not all(0 <= g < A5.order for g in self.word):
+        if min(self.word) < 0 or max(self.word) >= A5.order:
             raise ValueError(f"word symbols must be element indices in [0, {A5.order})")
         prod = A5.product(self.word)
         expect = A5.identity if self.promise == "identity" else self.target
@@ -85,12 +89,14 @@ def make_instance(r: int, promise: str, target: int, seed: SeedSpec) -> WordInst
     """Uniform word of length r conditioned on the promised product."""
     if r < 1:
         raise ValueError("word length must be >= 1")
+    if r > MAX_WORD_CELLS:
+        raise ValueError(f"word length {r} is past the cap of {MAX_WORD_CELLS} symbols")
     key = seed.key()
     prefix = _uniform60(words_vec(key, np.arange(r - 1, dtype=np.uint64)))
-    prod = A5.product(prefix)
+    prod = int(A5.products(prefix))
     want = A5.identity if promise == "identity" else target
     last = int(A5.mul[A5.inv[prod], want])
-    return WordInstance(word=tuple(int(g) for g in prefix) + (last,), promise=promise, target=target)
+    return WordInstance(word=(*prefix.tolist(), last), promise=promise, target=target)
 
 
 def randomize_word(word, seed: SeedSpec, trial=0):
@@ -146,6 +152,10 @@ def amplify_oracle(
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if trials * len(instance.word) > MAX_WORD_CELLS:
+        raise ValueError(
+            f"{trials} trials of a length-{len(instance.word)} word are past the cap of {MAX_WORD_CELLS} table cells"
+        )
     randomized, bs = randomize_word(instance.word, seed, trial=np.arange(trials))
     answers = np.asarray(oracle(randomized))
     if answers.shape != (trials,):

@@ -42,7 +42,7 @@ import numpy as np
 
 from .bp import bp_posterior_batch_binary
 from .channels import FAIR, Channel, FractionLike, as_fraction, binary_theta, binomial_tables, integer_numerators
-from .generators import check_node_budget, code_ones, generate_binary_batch
+from .generators import code_ones, generate_binary_batch
 from .oracle import DEFAULT_CONFIG_CAP, bayes_accuracy, config_count, likelihood_law
 from .rng import BLOCK_WORDS, SeedSpec, node_counters, trial_keys, words_vec
 from .trees import TreeShape
@@ -320,9 +320,9 @@ def leaf_ones_counts(k: int, depth: int, theta: FractionLike, root: int, trials:
     t = binary_theta(theta)
     if root not in (0, 1):
         raise ValueError(f"root label must be 0 or 1, got {root}")
-    check_node_budget(TreeShape(k=k, d=depth))  # the tables grow as 2^(j/2)
-    if depth > 64:  # `node_counters` is injective below level 64
-        raise ValueError(f"the chain reads levels below 64, got depth {depth}")
+    # Before any draw: k^depth within the node budget (the tables grow as
+    # 2^(j/2)), and the levels drawn below `rng.node_counters`' limit.
+    TreeShape(k=k, d=depth)
     tkeys = trial_keys(seed.key(), trials)
     ones, total = np.full(trials, root, dtype=np.int64), 1
     for level in range(depth):
@@ -438,12 +438,9 @@ def exact_majority_error(shape: TreeShape, theta: FractionLike) -> Fraction:
 
 
 def noisy_leaf_channel(theta: FractionLike, s: FractionLike) -> Channel:
-    """Composition flip(s) after broadcast(theta): the last-level edge channel."""
-    t = as_fraction(theta)
-    sf = as_fraction(s)
-    keep = (1 + t) / 2
-    agree = (1 - sf) * keep + sf * (1 - keep)
-    return Channel(m=2, matrix=((agree, 1 - agree), (1 - agree, agree)))
+    """Composition flip(s) after broadcast(theta): the last-level edge channel,
+    the binary channel of bias theta * (1 - 2s)."""
+    return Channel.binary(as_fraction(theta) * (1 - 2 * as_fraction(s)))
 
 
 def exact_P_sd(shape: TreeShape, theta: FractionLike, s: FractionLike) -> Fraction:
@@ -491,7 +488,6 @@ def estimate_P_sd(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    check_node_budget(shape)
     t = as_fraction(theta)
     sf = as_fraction(s)
     if not 0 <= sf <= Fraction(1, 2):

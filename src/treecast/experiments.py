@@ -49,7 +49,6 @@ from .estimators import (
     sampled_hits,
 )
 from .generators import (
-    check_node_budget,
     generate_binary_batch,
     path_product_leaf_law,
     restriction_leaf_law,
@@ -278,7 +277,6 @@ def score_estimators_point(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     shape = TreeShape(k=k, d=d)
-    check_node_budget(shape)
     tf = float(theta)
     kernels = {}
     for name in estimators:

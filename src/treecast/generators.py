@@ -67,10 +67,6 @@ from .trees import TreeShape
 
 STAR = 2  # restriction symbol codes: 0, 1, STAR
 
-# Node limit of the single-tree generators: admits the 16-label k=6000, d=2
-# tree (36M nodes); a binary tree peaks near 24 bytes/node, so ~1.6 GB here.
-MAX_TREE_NODES = 1 << 26
-
 
 @dataclass(frozen=True)
 class Restriction:
@@ -103,15 +99,6 @@ class NoiseSpec:
         object.__setattr__(self, "s", s)
 
 
-def check_node_budget(shape: TreeShape) -> None:
-    """Raise ValueError past MAX_TREE_NODES nodes, counted in closed form: at
-    k >= 2 any depth past the budget's bit length is past the budget too."""
-    k, d = shape.k, min(shape.d, MAX_TREE_NODES.bit_length())
-    total = shape.d + 1 if k == 1 else (k ** (d + 1) - 1) // (k - 1)
-    if total > MAX_TREE_NODES:
-        raise ValueError(f"tree k={shape.k}, d={shape.d} has more than {MAX_TREE_NODES} nodes")
-
-
 def _sample_root(key: int, m: int, root: int | None) -> int:
     if root is not None:
         if not 0 <= root < m:
@@ -139,7 +126,6 @@ def direct_levels(
     Node i of level l reads word `level_words(key, l, .)[i]` and inverts it
     through its parent's row of `channel.sampling_tables()`, one draw per level.
     """
-    check_node_budget(shape)
     dtype = code_dtype(channel.m)
     tables = channel.sampling_tables()
     levels = [np.array([_sample_root(key, channel.m, root)], dtype=dtype)]
@@ -160,7 +146,6 @@ def generate_path_product(
     Each non-root node carries an independent Bernoulli((1-theta)/2) flip
     bit; a node's label is the root XOR the flip bits on its path.
     """
-    check_node_budget(shape)
     t = binary_theta(theta)
     key = seed.key()
     flip = Threshold((1 - t) / 2)
@@ -204,7 +189,6 @@ def generate_via_restrictions(
     root: int | None = None,
 ) -> LabelArray:
     """Sample the binary process as a composition of per-level restrictions."""
-    check_node_budget(shape)
     key = seed.key()
     levels = [np.array([_sample_root(key, 2, root)], dtype=np.uint8)]
     for lvl in range(1, shape.d + 1):

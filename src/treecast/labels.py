@@ -76,10 +76,12 @@ class LabelArray:
         if not isinstance(doc, dict):
             raise ValueError("label dump JSON must be an object with keys k, d, m and levels")
         try:
-            shape = TreeShape(k=int(doc["k"]), d=int(doc["d"]))
-            m, codes_by_level = int(doc["m"]), doc["levels"]
+            k, d, m, codes_by_level = doc["k"], doc["d"], doc["m"], doc["levels"]
         except KeyError as exc:
             raise ValueError(f"label dump JSON lacks the key {exc}") from None
+        if any(type(x) is not int for x in (k, d, m)):
+            raise ValueError("label dump k, d and m must be JSON integers")
+        shape = TreeShape(k=k, d=d)
         dtype = code_dtype(m)
         levels = []
         for lvl, codes in enumerate(codes_by_level):

@@ -225,6 +225,12 @@ def node_counters(level: int, index, word_index: int = 0) -> np.ndarray:
     word_index) for level < 64 and word_index < 4, and independent of the
     tree arity, so the bits at an address are a pure function of (seed, tag,
     address) as the reproducibility contract requires.
+
+    The level has six bits, which is why `trees.MAX_DEPTH` is 64: past it a
+    level would wrap into the index bits and reuse another node's counter.
+    The ones-count chain draws levels 0..d-1 < 64; the samplers also draw a
+    depth-64 tree's leaf level, whose counters are those of level 0 at index
+    >= 1, addresses no tree has.
     """
     with np.errstate(over="ignore"):
         idx = np.asarray(index, dtype=np.uint64)

@@ -10,10 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Node limit of every tree: admits the 16-label k=6000, d=2 tree (36M nodes);
+# a binary tree peaks near 24 bytes/node in the generators, so ~1.6 GB here.
+MAX_TREE_NODES = 1 << 26
+# Depth limit: `rng.node_counters` keeps counters distinct only below level 64.
+MAX_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class TreeShape:
-    """Arity k and depth d; the leaf count n = k^d is derived exactly."""
+    """Arity k and depth d; the leaf count n = k^d is derived exactly.
+
+    The package's one tree-size rule: a shape of more than `MAX_TREE_NODES`
+    nodes (decided in closed form, at any d) or `MAX_DEPTH` levels raises.
+    """
 
     k: int
     d: int
@@ -23,6 +33,12 @@ class TreeShape:
             raise ValueError(f"arity k must be >= 1, got {self.k}")
         if self.d < 0:
             raise ValueError(f"depth d must be >= 0, got {self.d}")
+        # At k >= 2 a depth-d tree has more than 2^d nodes, so the closed form
+        # is evaluated only at depths the budget can hold.
+        if self.k > 1 and self.d >= MAX_TREE_NODES.bit_length() or self.total_nodes > MAX_TREE_NODES:
+            raise ValueError(f"tree k={self.k}, d={self.d} has more than {MAX_TREE_NODES} nodes")
+        if self.d > MAX_DEPTH:
+            raise ValueError(f"tree k={self.k}, d={self.d} is deeper than {MAX_DEPTH} levels")
 
     @property
     def n(self) -> int:
@@ -32,14 +48,14 @@ class TreeShape:
     def nodes_at(self, level: int) -> int:
         if not 0 <= level <= self.d:
             raise ValueError(f"level {level} outside [0, {self.d}]")
-        out = 1
-        for _ in range(level):
-            out *= self.k
-        return out
+        return self.k**level
 
     @property
     def total_nodes(self) -> int:
-        return sum(self.nodes_at(level) for level in range(self.d + 1))
+        """(k^(d+1) - 1) / (k - 1), or d + 1 at k = 1."""
+        if self.k == 1:
+            return self.d + 1
+        return (self.k ** (self.d + 1) - 1) // (self.k - 1)
 
 
 @dataclass(frozen=True)

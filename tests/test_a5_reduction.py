@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import treecast.a5.reduction as reduction
 from treecast.a5.group import A5
 from treecast.a5.pair_model import _uniform60, pair_code
 from treecast.a5.reconstruct import recursive_reconstruct
 from treecast.a5.reduction import (
+    MAX_WORD_CELLS,
     WordInstance,
     amplify_oracle,
     detection_to_word,
@@ -296,3 +299,40 @@ def test_detection_to_word_with_reconstructor():
         )
         hits += record.correct
     assert hits >= 23
+
+
+def _unreachable(*args, **kwargs):
+    raise LookupError("passed the cell cap")
+
+
+def _amplify(trials):
+    inst = make_instance(64, "target", FIVE, SeedSpec(1, "w"))
+    return amplify_oracle(_unreachable, inst, trials, SeedSpec(1, "a"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_instance(10**11, "target", FIVE, SeedSpec(1, "big")),
+        lambda: make_instance(MAX_WORD_CELLS + 1, "target", FIVE, SeedSpec(1, "big")),
+        lambda: _amplify(10**11),
+        lambda: _amplify(MAX_WORD_CELLS // 64 + 1),
+    ],
+    ids=["huge-word", "word-one-past-the-cap", "huge-table", "table-one-past-the-cap"],
+)
+def test_word_and_table_past_the_cell_cap_are_refused_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="past the cap of 67108864"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+def test_table_at_the_cell_cap_passes_the_check(monkeypatch):
+    # The randomization past the check raises, so no 2^26-cell table is built.
+    monkeypatch.setattr(reduction, "randomize_word", _unreachable)
+    with pytest.raises(LookupError):
+        _amplify(MAX_WORD_CELLS // 64)

@@ -309,6 +309,24 @@ def test_huge_depth_is_refused_at_once(capsys, command, k):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("detect", "--k", "1", "--theta", "4/5", "--d", "67108863", "--trials", "2"),
+        ("gen", "--k", "1", "--d", "65"),
+        ("a5", "--model", "pair3600", "--k", "1", "--d", "65"),
+    ],
+    ids=["detect", "gen", "a5-pair3600"],
+)
+def test_unary_tree_past_the_depth_limit_is_refused_at_once(capsys, argv):
+    # Within the node budget, but deeper than `rng.node_counters` can address.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--jobs", "1", *argv)
+    assert time.perf_counter() - start < 1
+    _one_line_usage_error(code, err, "tree k=1", "deeper than 64 levels")
+    assert out == ""
+
+
 @pytest.mark.parametrize("code_value", [-1, 2])
 def test_bp_label_code_out_of_range_is_usage_error(tmp_path, capsys, code_value):
     path = tmp_path / "tree.json"
@@ -350,9 +368,9 @@ def test_detect_negative_theta_outside_range_is_one_line_error(capsys):
 
 @pytest.mark.parametrize("generator", ["direct", "path-product", "restrictions", "pair3600", "class16"])
 def test_gen_over_node_budget_is_one_line_error(capsys, monkeypatch, generator):
-    import treecast.generators
+    import treecast.trees
 
-    monkeypatch.setattr(treecast.generators, "MAX_TREE_NODES", 100)
+    monkeypatch.setattr(treecast.trees, "MAX_TREE_NODES", 100)
     code, out, err = run(capsys, "gen", "--k", "2", "--d", "7", "--generator", generator)
     _one_line_usage_error(code, err, "k=2, d=7", "more than 100 nodes")
     assert out == ""
@@ -656,11 +674,40 @@ def test_reduce_word_bad_option_is_one_line_error(capsys, argv, words):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["--length", "100000000000"], ["word length 100000000000", "cap of 67108864 symbols"]),
+        (["--trials", "100000000000"], ["100000000000 trials", "length-64", "cap of 67108864 table cells"]),
+        (["--length", "3000000", "--trials", "1000000"], ["1000000 trials", "length-3000000", "67108864"]),
+    ],
+    ids=["length", "trials", "table"],
+)
+def test_reduce_word_past_the_cell_cap_is_refused_at_once(capsys, argv, words):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce-word", *argv)
+    assert time.perf_counter() - start < 1
+    _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
 def test_bp_label_dump_missing_key_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps({"k": 2, "d": 1, "levels": [[1], [0, 1]]}))
     code, _, err = run(capsys, "bp", "--leaves", str(path), "--theta", "1/2")
     _one_line_usage_error(code, err, "lacks", "'m'")
+
+
+@pytest.mark.parametrize("k, d, m", [("2.9", "1", "2"), ("2", "1e400", "2"), ("2", "1", "true")])
+def test_bp_label_dump_with_a_non_integer_size_is_one_line_error(tmp_path, capsys, k, d, m):
+    # 1e400 reads as a float infinity, 2.9 as a float, true as a bool: none is a size.
+    path = tmp_path / "tree.json"
+    path.write_text(f'{{"k": {k}, "d": {d}, "m": {m}, "levels": [[1], [0, 1]]}}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bp", "--leaves", str(path), "--theta", "1/2")
+    assert time.perf_counter() - start < 1
+    _one_line_usage_error(code, err, "k, d and m must be JSON integers")
+    assert out == ""
 
 
 def test_bp_label_dump_that_is_not_an_object_is_one_line_error(tmp_path, capsys):

@@ -183,7 +183,7 @@ def test_ones_count_trial_does_not_depend_on_the_trial_count():
         (2, 3, Fraction(3, 2), 1, r"theta must lie in \[-1, 1\]"),
         (2, 3, Fraction(-2), 0, r"theta must lie in \[-1, 1\]"),
         (2, 26, Fraction(1, 2), 1, "more than 67108864 nodes"),
-        (1, 65, Fraction(1, 2), 1, "levels below 64"),
+        (1, 65, Fraction(1, 2), 1, "deeper than 64 levels"),
     ],
 )
 def test_ones_count_chain_rejects_inputs_before_drawing(monkeypatch, k, depth, theta, root, message):
@@ -249,7 +249,7 @@ class TestPsd:
             raise AssertionError("built an edge matrix past the cap")
 
         monkeypatch.setattr(Channel, "integer_columns", unreachable)
-        for d in (5, 40):
+        for d in (5, 25):
             with pytest.raises(ValueError, match="configurations, above the cap of 1048576"):
                 exact_P_sd(TreeShape(k=2, d=d), Fraction(9, 10), Fraction(1, 10))
         with pytest.raises(ValueError, match="enumeration needs 4294967296 configurations"):
@@ -308,6 +308,17 @@ class TestPsd:
         ch = noisy_leaf_channel(Fraction(9, 10), Fraction(1, 10))
         # agree = (1-s)(1+theta)/2 + s(1-theta)/2 = 0.9*0.95 + 0.1*0.05
         assert ch.matrix[1][1] == Fraction(9, 10) * Fraction(19, 20) + Fraction(1, 10) * Fraction(1, 20)
+
+    @pytest.mark.parametrize("theta", [Fraction(i, 6) for i in range(-6, 7)])
+    def test_noisy_channel_is_the_binary_channel_of_the_leaf_edge_bias(self, theta):
+        # (1-s) keep + s (1-keep) = (1 + theta (1-2s)) / 2: the bias that
+        # `code_law` and the batch sampler give the leaf edge.
+        for s in [Fraction(i, 20) for i in range(11)]:
+            keep = (1 + theta) / 2
+            agree = (1 - s) * keep + s * (1 - keep)
+            composed = ((agree, 1 - agree), (1 - agree, agree))
+            assert noisy_leaf_channel(theta, s).matrix == composed
+            assert noisy_leaf_channel(theta, s) == Channel.binary(theta * (1 - 2 * s))
 
     def test_noise_robustness_well_above_threshold(self):
         # Pilot-pinned regression point: at k=15, theta=0.7, d=4 (k theta^2 =

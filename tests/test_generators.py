@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import treecast.generators as generators
+import treecast.trees as trees
 from treecast.channels import Channel, CutTables, cut63
 from treecast.estimators import noisy_leaf_channel
 from treecast.experiments import DEFAULT_EXACT_SHAPES, _chi_square_vs_exact, exact_joint_of_leaves
@@ -22,7 +23,6 @@ from treecast.generators import (
     biased_bit_approx_from_bits,
     biased_bit_exact,
     biased_bit_exact_from_bits,
-    check_node_budget,
     code_law,
     code_ones,
     generate_binary_batch,
@@ -526,11 +526,11 @@ def test_batch_start_draws_the_global_trials(method):
 
 class TestNodeBudget:
     def test_budget_is_counted_without_allocating(self):
-        check_node_budget(TreeShape(k=6000, d=2))  # the class16 tree of the paper
-        check_node_budget(TreeShape(k=10, d=5))
-        for shape in (TreeShape(k=2, d=40), TreeShape(k=3, d=10**9)):
+        assert TreeShape(k=6000, d=2).total_nodes == 36_006_001  # the class16 tree of the paper
+        assert TreeShape(k=10, d=5).total_nodes == 111_111
+        for k, d in ((2, 40), (3, 10**9)):
             with pytest.raises(ValueError, match="nodes"):
-                check_node_budget(shape)
+                TreeShape(k=k, d=d)
 
     @pytest.mark.parametrize("generate", [
         lambda shape: generate_direct(shape, Channel.binary(Fraction(1, 2)), SeedSpec(1, "g")),
@@ -538,7 +538,7 @@ class TestNodeBudget:
         lambda shape: generate_via_restrictions(shape, Fraction(1, 2), SeedSpec(1, "g")),
     ])
     def test_generators_check_the_budget_first(self, monkeypatch, generate):
-        monkeypatch.setattr(generators, "MAX_TREE_NODES", 100)
+        monkeypatch.setattr(trees, "MAX_TREE_NODES", 100)
         assert generate(TreeShape(k=2, d=5)).shape.total_nodes == 63
         with pytest.raises(ValueError, match="more than 100 nodes"):
             generate(TreeShape(k=2, d=7))

@@ -71,3 +71,13 @@ def test_from_json_range_checks_before_cast(codes):
     doc = {"k": 2, "d": 1, "m": 2, "levels": [[1], codes]}
     with pytest.raises(ValueError, match=r"level 1 must be a list of integer codes in \[0, 2\)"):
         LabelArray.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("k", "2.9"), ("d", "1e400"), ("m", "2.0"), ("k", "true"), ("d", '"1"'), ("m", "null")]
+)
+def test_from_json_reads_k_d_and_m_only_as_json_integers(key, value):
+    fields = {"k": "2", "d": "1", "m": "2", key: value}
+    text = '{"k": %(k)s, "d": %(d)s, "m": %(m)s, "levels": [[1], [0, 1]]}' % fields
+    with pytest.raises(ValueError, match="k, d and m must be JSON integers"):
+        LabelArray.from_json(text)
