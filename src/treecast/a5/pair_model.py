@@ -26,10 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..channels import Threshold, uniform_tables
+from ..channels import Threshold, uniform_draw
 from ..labels import LabelArray
 from ..oracle import LawView
-from ..rng import SeedSpec, level_words, progression_words, trial_keys, trial_level_words
+from ..rng import SeedSpec, level_words, trial_keys, trial_level_words, word
 from ..trees import TreeShape
 from .group import A5
 
@@ -48,8 +48,8 @@ def pair_decode(code: int) -> tuple[int, int]:
 
 
 def _uniform60(w: np.ndarray) -> np.ndarray:
-    """Uniform element indices from 64-bit words via the fixed-point cuts."""
-    return uniform_tables(60).draw(0, w).astype(np.uint8)
+    """Uniform element indices from raw 64-bit counter words."""
+    return uniform_draw(60, w).astype(np.uint8)
 
 
 def _child_codes(parents: np.ndarray, k: int, branch: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -73,7 +73,7 @@ def generate_pair_model(
 def pair_model_levels(shape: TreeShape, key: int, root: int | None = None) -> list[np.ndarray]:
     """The level arrays of `generate_pair_model` on the stream key `key`."""
     if root is None:  # words 0 and 1 of the root address
-        b, s = _uniform60(progression_words(key, 1, 0, 2)).tolist()
+        b, s = (uniform_draw(60, word(key, c)) for c in (0, 1))
         root = pair_code(b, s)
     if not 0 <= root < 3600:
         raise ValueError(f"root pair code {root} outside [0, 3600)")

@@ -10,6 +10,10 @@ integer numerators, into a fixed-point table of 63-bit cut points (per-label
 error below 2^-60) that `CutTables` draws from.  These tables, the binomial
 ones included, are the only approximation anywhere in generation.  Samplers
 pass raw 64-bit counter words w, and only this module reads them, as w >> 1.
+
+A uniform law over m labels needs no table: `uniform_draw` computes the
+draw of the cuts floor(2^63 i / m) in closed form.  Every other law is drawn
+through `CutTables` or, for two outcomes, a `Threshold`.
 """
 
 from __future__ import annotations
@@ -308,15 +312,35 @@ def binomial_cuts(n: int, p: Fraction) -> tuple[int, np.ndarray]:
     return lo, cuts
 
 
-def uniform_cuts(m: int) -> np.ndarray:
-    """Cut points sampling the uniform distribution over m labels."""
-    return cumulative_cuts([1] * m, m)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
-@lru_cache(maxsize=64)
-def uniform_tables(m: int) -> "CutTables":
-    """`uniform_cuts(m)` as a one-row `CutTables`, built on first use per m."""
-    return CutTables(uniform_cuts(m)[None])
+def uniform_draw(m: int, w: int | np.ndarray) -> int | np.ndarray:
+    """The uniform draw over m labels of raw counter words w:
+    searchsorted(cumulative_cuts([1] * m, m), w >> 1, 'right'), exactly.
+
+    With x = w >> 1 < 2^63, cut floor(2^63 i / m) <= x exactly when 2^63 i <
+    m (x + 1), so the draw is floor((m x + m - 1) / 2^63).  A Python int w
+    draws a Python int.  An array draws a uint64 array of its shape on the
+    32-bit halves x = 2^32 h + l: m h < 2^63 and m l + m - 1 < 2^64 for m <
+    2^32, so floor((m h + ((m l + m - 1) >> 32)) / 2^31) takes no product
+    past 64 bits.
+    """
+    if not 1 <= m < 1 << 32:
+        raise ValueError(f"uniform draws need 1 <= m < 2^32, got {m}")
+    if isinstance(w, int):
+        return (m * (w >> 1) + m - 1) >> 63
+    w = np.asarray(w, dtype=np.uint64)
+    low = w >> np.uint64(1)
+    low &= _LOW32
+    low *= np.uint64(m)
+    low += np.uint64(m - 1)
+    low >>= np.uint64(32)
+    out = w >> np.uint64(33)
+    out *= np.uint64(m)
+    out += low
+    out >>= np.uint64(31)
+    return out
 
 
 @lru_cache(maxsize=128)

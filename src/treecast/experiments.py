@@ -38,7 +38,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .channels import Channel, as_fraction, fraction_text, ks_parameter, uniform_tables, unit_float
+from .channels import Channel, as_fraction, fraction_text, ks_parameter, uniform_draw, unit_float
 from .estimators import (
     EstimatorReport,
     bp_rounding_decisions,
@@ -636,7 +636,7 @@ class _CounterDraws:
         return unit_float(next(self.words))
 
     def integers(self, lo: int, hi: int) -> int:
-        return lo + int(uniform_tables(hi - lo).draw(0, np.array([next(self.words)], dtype=np.uint64))[0])
+        return lo + uniform_draw(hi - lo, next(self.words))
 
 
 def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:

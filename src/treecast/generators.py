@@ -46,7 +46,7 @@ from .channels import (
     binary_theta,
     cumulative_cuts,
     integer_numerators,
-    uniform_tables,
+    uniform_draw,
 )
 from .labels import LabelArray, code_dtype
 from .oracle import DEFAULT_CONFIG_CAP, LawView, config_count
@@ -104,7 +104,7 @@ def _sample_root(key: int, m: int, root: int | None) -> int:
         if not 0 <= root < m:
             raise ValueError(f"root label {root} outside [0, {m})")
         return root
-    return int(uniform_tables(m).draw(0, level_words(key, 0, 1))[0])
+    return uniform_draw(m, word(key, 0))  # the root's counter, node_counter(0, 0)
 
 
 def generate_direct(

@@ -15,21 +15,30 @@ statistical quality is far beyond what the Monte Carlo tolerances here need,
 and it vectorizes cleanly in numpy (the scalar and vector paths are verified
 bit-identical in the test suite).
 
+The finalizer opens with the xorshift z ^= z >> 30, which is linear over
+GF(2): fold(a ^ key) = fold(a) ^ fold(key).  So the vector paths move the
+second pass's fold out of the keyed work, bit for bit: the first pass stores
+fold(fin(counter)), each call folds its int key or array of trial keys once,
+and the keyed pass runs only the rest of the finalizer (multiply, xorshift
+27, multiply, xorshift 31) after the key xor: six array passes where the
+whole finalizer takes eight.  A pass over at most _TINY_WORDS words under an
+int key skips numpy and runs `word` on Python ints instead.
+
 `words_vec` allocates only its output and one scratch block.  The first
-finalizer pass runs on a copy of the counters alone; the key xor writes the
-output array, and the second pass runs in place over it, BLOCK_WORDS words
-at a time, so each block stays in cache through the pass's eight
-operations.  `level_blocks` streams the same (trial, node) words one block
-at a time through two buffers its caller reuses, so no level's word array
-is ever built.  A word is a pure function of (key, counter), so the blocking
-cannot change one.  `channels` alone turns the raw words into draws.
+pass runs on a copy of the counters alone; the key xor writes the output
+array, and the keyed pass runs in place over it, BLOCK_WORDS words at a
+time, so each block stays in cache through its operations.  `level_blocks`
+streams the same (trial, node) words one block at a time through two
+buffers its caller reuses, so no level's word array is ever built.  A word
+is a pure function of (key, counter), so the blocking cannot change one.
+`channels` alone turns the raw words into draws.
 
 The first pass does not depend on the key, and every counter run drawn here
 is a progression offset + step * i (a level's nodes: 256, 4 * level +
-word_index; trial keys: 2, 2 * start + 1; a root's two words: 1, 0), so all
-share `_progression_pass`: one `arange` times step * C1 plus a constant, no
-counter array, and a run of at most MEMO_WORDS counters keeps its pass in a
-small LRU as a read-only array, reused by every key that hashes it.
+word_index; trial keys: 2, 2 * start + 1), so all share `_progression_pass`:
+one `arange` times step * C1 plus a constant, no counter array, and a run of
+at most MEMO_WORDS counters keeps its pass in a small LRU as a read-only
+array, reused by every key that hashes it.
 """
 
 from __future__ import annotations
@@ -86,20 +95,23 @@ def word(key: int, counter: int) -> int:
     return _fin(_fin((counter * _C1 + _C2) & _M64) ^ key)
 
 
-# Words per block of the in-place second pass: two uint64 blocks (the words
-# and one scratch buffer) stay within a typical L2 cache.
+# Words per block of the in-place passes: two uint64 blocks (the words and
+# one scratch buffer) stay within a typical L2 cache.
 BLOCK_WORDS = 1 << 15
-_FIN_STEPS = tuple(
-    (np.uint64(shift), np.uint64(mult))
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
-)
-_FIN_LAST = np.uint64(31)
+# Int-key passes over at most this many words run `word` on Python ints,
+# which costs less than the numpy calls of one keyed pass.
+_TINY_WORDS = 4
+_MULT_1, _MULT_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 _UC1, _UC2 = np.uint64(_C1), np.uint64(_C2)
 
 
-def _fin_inplace(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """splitmix64 finalizer over a fresh C-contiguous uint64 array, in place,
-    one BLOCK_WORDS block at a time through one scratch buffer (`scratch`,
+def _fin_inplace(z: np.ndarray, scratch: np.ndarray | None = None, first: bool = False) -> np.ndarray:
+    """The finalizer after its fold, over a fresh C-contiguous uint64 array,
+    in place: multiply, xorshift 27, multiply, xorshift 31, the six array
+    passes of the keyed pass on folded words.  With `first` it runs the whole
+    first pass instead: the fold, those steps, and the fold of the result.
+    One BLOCK_WORDS block at a time through one scratch buffer (`scratch`,
     else a new one).  Integer array arithmetic wraps modulo 2^64 without a
     warning."""
     flat = z.reshape(-1)
@@ -108,21 +120,27 @@ def _fin_inplace(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray
     for start in range(0, flat.size, BLOCK_WORDS):
         block = flat[start : start + BLOCK_WORDS]
         tmp = scratch[: block.size]
-        for shift, mult in _FIN_STEPS:
-            np.right_shift(block, shift, out=tmp)
+        if first:
+            np.right_shift(block, _S30, out=tmp)
             block ^= tmp
-            block *= mult
-        np.right_shift(block, _FIN_LAST, out=tmp)
+        block *= _MULT_1
+        np.right_shift(block, _S27, out=tmp)
         block ^= tmp
+        block *= _MULT_2
+        np.right_shift(block, _S31, out=tmp)
+        block ^= tmp
+        if first:
+            np.right_shift(block, _S30, out=tmp)
+            block ^= tmp
     return z
 
 
 def _counter_pass(counters) -> np.ndarray:
-    """The first finalizer pass, on a fresh copy of the counters."""
+    """The first pass, fold(fin(counter)), on a fresh copy of the counters."""
     z = np.array(counters, dtype=np.uint64, order="C")
     z *= _UC1
     z += _UC2
-    return _fin_inplace(z)
+    return _fin_inplace(z, first=True)
 
 
 # Progressions of at most MEMO_WORDS counters keep their first pass in an
@@ -135,7 +153,7 @@ def _fused_pass(step: int, offset: int, count: int) -> np.ndarray:
     z = np.arange(count, dtype=np.uint64)
     z *= np.uint64((step * _C1) & _M64)
     z += np.uint64((offset * _C1 + _C2) & _M64)
-    return _fin_inplace(z)
+    return _fin_inplace(z, first=True)
 
 
 @lru_cache(maxsize=MEMO_LEVELS)
@@ -154,18 +172,36 @@ def _progression_pass(step: int, offset: int, count: int) -> np.ndarray:
     return _fused_pass(step, offset, count)
 
 
-def _second_pass(key: int | np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The key xor into a fresh output array, then the second pass in place."""
-    return _fin_inplace(np.bitwise_xor(first, np.asarray(key, dtype=np.uint64), order="C"))
+def _folded_keys(key: int | np.ndarray) -> np.uint64 | np.ndarray:
+    """key ^ (key >> 30) of an int key, or of each key of a uint64 array."""
+    if isinstance(key, np.ndarray):
+        key = key.astype(np.uint64, copy=False)
+        return key ^ (key >> _S30)
+    key = int(key) & _M64
+    return np.uint64(key ^ (key >> 30))
+
+
+def _keyed_pass(key: int | np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The folded key xor into a fresh output array, then the rest of the
+    second pass in place."""
+    return _fin_inplace(np.bitwise_xor(first, _folded_keys(key), order="C"))
+
+
+def _tiny_words(key: int, counters: list[int]) -> np.ndarray:
+    """`word(key, c)` for each counter, on Python ints, as a fresh uint64 array."""
+    return np.array([word(key, c) for c in counters], dtype=np.uint64)
 
 
 def words_vec(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Vectorized `word`; `key` may be an array that broadcasts against `counters`.
 
-    The first finalizer pass runs on the counters alone; the key xor writes
-    the one output array, and the second pass runs on it in place.
+    The first pass runs on the counters alone; the folded key xor writes the
+    one output array, and the keyed pass runs on it in place.
     """
-    return _second_pass(key, _counter_pass(counters))
+    if np.ndim(key) == 0 and np.size(counters) <= _TINY_WORDS:
+        counters = np.asarray(counters, dtype=np.uint64)
+        return _tiny_words(int(key), counters.ravel().tolist()).reshape(counters.shape)
+    return _keyed_pass(key, _counter_pass(counters))
 
 
 def trial_keys(key: int, trials: int, start: int = 0) -> np.ndarray:
@@ -175,7 +211,9 @@ def trial_keys(key: int, trials: int, start: int = 0) -> np.ndarray:
 
 def progression_words(key: int, step: int, offset: int, count: int) -> np.ndarray:
     """`words_vec(key, offset + step * np.arange(count))` from the shared pass."""
-    return _second_pass(key, _progression_pass(step, offset, count))
+    if count <= _TINY_WORDS:
+        return _tiny_words(int(key), [offset + step * i for i in range(count)])
+    return _keyed_pass(key, _progression_pass(step, offset, count))
 
 
 def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int = 0) -> np.ndarray:
@@ -184,19 +222,22 @@ def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int
     Trials are separated by their derived keys rather than by counter bits,
     so no trial count can wrap the counter space into reuse.
     """
-    return _second_pass(tkeys[:, None], _progression_pass(256, 4 * level + word_index, count))
+    return _keyed_pass(tkeys[:, None], _progression_pass(256, 4 * level + word_index, count))
 
 
 def level_blocks(tkeys: np.ndarray, level: int, count: int, word_index: int, buffers: np.ndarray):
     """Yield (start, block) over `trial_level_words(tkeys, level, count,
     word_index)` flattened: blocks of whole rows, or of one wide row, of at
     most BLOCK_WORDS words, `start` the flat index of the first.  The first
-    pass is the level's shared one (`_progression_pass`); the key xor and second
-    pass write each block into `buffers[0]` (scratch `buffers[1]`), a (2, >=
-    min(BLOCK_WORDS, len(tkeys) * count)) uint64 array the caller reuses
-    across levels."""
+    pass is the level's shared one (`_progression_pass`), the keys are folded
+    once per call; the key xor and keyed pass write each block into
+    `buffers[0]` (scratch `buffers[1]`), a (2, >= min(BLOCK_WORDS, len(tkeys)
+    * count)) uint64 array the caller reuses across levels.  An empty level
+    yields nothing."""
     first = _progression_pass(256, 4 * level + word_index, count)
-    rows, width = max(1, BLOCK_WORDS // count), min(count, BLOCK_WORDS)
+    tkeys = _folded_keys(tkeys)
+    width = max(1, min(count, BLOCK_WORDS))
+    rows = BLOCK_WORDS // width
     for r0 in range(0, len(tkeys), rows):
         keys = tkeys[r0 : r0 + rows, None]
         for c0 in range(0, count, width):

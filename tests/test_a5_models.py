@@ -23,7 +23,7 @@ from treecast.a5.quotient import (
     pair_to_class_pair,
     quotient_channel,
 )
-from treecast.channels import cut63, ks_parameter, uniform_cuts
+from treecast.channels import cumulative_cuts, cut63, ks_parameter
 from treecast.rng import SeedSpec, level_words, node_counters, trial_keys, trial_level_words, words_vec
 from treecast.trees import TreeShape
 
@@ -39,10 +39,10 @@ class TestPairModel:
     def test_uniform60_equals_the_plain_search_at_every_cut(self):
         # 64-bit words: the draw reads word >> 1, so 2 cut + {-2..3} puts
         # w63 at cut - 1, cut and cut + 1.
-        cuts = uniform_cuts(60).astype(object)
+        cuts = cumulative_cuts([1] * 60, 60).astype(object)
         words = [0, 2**64 - 1, *(2 * c + e for c in cuts for e in range(-2, 4))]
         words = np.array(words, dtype=np.uint64)
-        want = np.searchsorted(uniform_cuts(60), words >> np.uint64(1), side="right")
+        want = np.searchsorted(cumulative_cuts([1] * 60, 60), words >> np.uint64(1), side="right")
         got = _uniform60(words)
         assert got.dtype == np.uint8 and np.array_equal(got, want)
         assert _uniform60(words[:1]).tolist() == [0] and _uniform60(words[1:2]).tolist() == [59]

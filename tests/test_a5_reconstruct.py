@@ -339,9 +339,7 @@ class TestIdentityFirstSampler:
     def test_import_builds_no_draw_tables(self):
         code = (
             "import treecast, treecast.cli, treecast.experiments, treecast.a5\n"
-            "from treecast.channels import uniform_tables\n"
             "from treecast.a5.reconstruct import _tally_tables\n"
-            "assert uniform_tables.cache_info().currsize == 0\n"
             "assert _tally_tables.cache_info().currsize == 0\n"
         )
         src = str(Path(treecast.a5.__file__).parents[2])

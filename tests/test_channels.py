@@ -17,8 +17,7 @@ from treecast.channels import (
     cumulative_cuts,
     cut63,
     ks_parameter,
-    uniform_cuts,
-    uniform_tables,
+    uniform_draw,
 )
 
 
@@ -81,14 +80,47 @@ def test_cut63_bounds():
 
 
 def test_uniform_cuts_unbiased():
-    cuts = uniform_cuts(60)
+    cuts = cumulative_cuts([1] * 60, 60)
     assert len(cuts) == 59
-    # each label mass within 2^-60 of 1/60
+    # the uniform draw steps to label i + 1 at cut i; each label mass within
+    # 2^-60 of 1/60
     prev = 0
     for i, c in enumerate(cuts):
+        assert uniform_draw(60, 2 * int(c) - 1) == i and uniform_draw(60, 2 * int(c)) == i + 1
         mass = (int(c) - prev) / 2**63
         assert abs(mass - 1 / 60) < 2**-60
         prev = int(c)
+
+
+@pytest.mark.parametrize("ms", [range(1, 257), [3600], [1 << 16]], ids=["1-256", "3600", "2^16"])
+def test_uniform_draw_equals_the_plain_search_at_every_cut(ms):
+    # Every cut - 1, cut and cut + 1 as a 63-bit word, each with both low
+    # bits, and the raw words 0 and 2^64 - 1.
+    for m in ms:
+        cuts = cumulative_cuts([1] * m, m)
+        near = np.concatenate([cuts - np.uint64(1), cuts, cuts + np.uint64(1)]) << np.uint64(1)
+        words = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), near, near | np.uint64(1)])
+        want = np.searchsorted(cuts, words >> np.uint64(1), side="right")
+        got = uniform_draw(m, words)
+        assert got.dtype == np.uint64 and got.shape == words.shape
+        assert np.array_equal(got, want), m
+        assert uniform_draw(m, 0) == 0 and uniform_draw(m, 2**64 - 1) == m - 1
+
+
+@given(st.integers(1, 2**32 - 1), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+def test_uniform_draw_array_and_int_forms_equal_the_formula(m, words):
+    want = [(m * (w >> 1) + m - 1) >> 63 for w in words]
+    assert [uniform_draw(m, w) for w in words] == want
+    assert uniform_draw(m, np.array(words, dtype=np.uint64)).tolist() == want
+    assert all(0 <= x < m for x in want)
+
+
+@pytest.mark.parametrize("m", [0, -1, 1 << 32, 1 << 40])
+def test_uniform_draw_rejects_m_outside_1_to_2_32(m):
+    with pytest.raises(ValueError, match="uniform draws"):
+        uniform_draw(m, 5)
+    with pytest.raises(ValueError, match="uniform draws"):
+        uniform_draw(m, np.arange(3, dtype=np.uint64))
 
 
 @given(
@@ -203,8 +235,6 @@ def test_sampling_tables_cached_over_the_sampling_cuts():
     tables = ch.sampling_tables()
     assert ch.sampling_tables() is tables
     assert np.array_equal(tables.cuts, ch.sampling_cuts())
-    assert uniform_tables(7) is uniform_tables(7)
-    assert uniform_tables(7).cuts.tolist() == [uniform_cuts(7).tolist()]
 
 
 _TOP = 1 << 63
@@ -333,10 +363,16 @@ def test_only_channels_reads_a_counter_word_as_a_draw():
     assert not found
 
 
-@given(_adversarial_cut_tables(), st.fractions(min_value=0, max_value=1), st.integers(0, 2**32 - 1))
-def test_draws_ignore_the_low_bit_of_a_raw_word(cuts, p, seed):
+@given(
+    _adversarial_cut_tables(),
+    st.fractions(min_value=0, max_value=1),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2**32 - 1),
+)
+def test_draws_ignore_the_low_bit_of_a_raw_word(cuts, p, seed, m):
     # A raw word and the same word with its low bit flipped draw alike, from
-    # a cut table and from a threshold, at every cut, bucket edge and extreme.
+    # a cut table, a threshold and a uniform draw over m labels, at every
+    # cut, bucket edge and extreme.
     tables = CutTables(cuts)
     w63 = np.concatenate([
         _probe_words(cuts, int(tables.shift) - 1),
@@ -353,6 +389,8 @@ def test_draws_ignore_the_low_bit_of_a_raw_word(cuts, p, seed):
     for words in (even, odd):
         assert np.array_equal(threshold.below(words), below)
         assert np.array_equal(threshold.above(words), ~below)
+    uniform = [(m * w + m - 1) >> 63 for w in w63.tolist()]
+    assert uniform_draw(m, even).tolist() == uniform_draw(m, odd).tolist() == uniform
 
 
 def test_no_word_is_drawn_from_blake2b():

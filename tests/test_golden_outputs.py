@@ -250,3 +250,74 @@ def test_barrington_program_and_batch_products_digest():
         "87985b879dc14fa32c83d49b3b532f09a5b32d7f1773a94bff1cfbb559aa5275",
         "2c435de1c4d8bc77c2af53dd192f22396fcafa650d825169d622c946a1cd08c1",
     )
+
+
+# Guards on the counter-word layer and the uniform draw: the words and draws
+# of the A5 hot path, pinned in-process so a faster hashing pass or uniform
+# draw cannot move one.
+GUARD_KEYS = (0, 1, 1 << 63, (1 << 64) - 1, 0x0123456789ABCDEF)
+
+
+def test_uniform60_over_counter_words_digest():
+    from treecast.a5.pair_model import _uniform60
+    from treecast.rng import SeedSpec, words_vec
+
+    words = words_vec(SeedSpec(13, "golden/uniform60").key(), np.arange(1 << 20, dtype=np.uint64))
+    assert _arrays_digest([_uniform60(words)]) == (
+        "217890c3092339d5cffe6487db4ee13cdd1ce849940f5473b9a2af8195629772"
+    )
+
+
+def test_sample_root_digest():
+    from treecast.generators import _sample_root
+    from treecast.rng import SeedSpec, subkey
+
+    key = SeedSpec(13, "golden/roots").key()
+    roots = [[_sample_root(subkey(key, i), m, None) for i in range(1000)] for m in (2, 16, 3600)]
+    assert _sha256(repr(roots).encode()) == (
+        "7f0af3210446dc8c6b72ae2bf8adda5f4cbf0f1a0cf2afa6df8e7dde33805355"
+    )
+
+
+def test_gadget_corpus_formulas_digest():
+    from treecast.experiments import GadgetCorpusReport, _CounterDraws, run_gadget_corpus
+    from treecast.formulas import random_formula
+    from treecast.rng import SeedSpec, subkey
+
+    assert run_gadget_corpus(1) == GadgetCorpusReport(100, 13_568, 0)
+    key = SeedSpec(1, "gadget-corpus").key()
+    texts = [
+        random_formula(_CounterDraws(subkey(key, f)), n_vars=8, max_gates=24, max_depth=5).to_text()
+        for f in range(100)
+    ]
+    assert _sha256("\n".join(texts).encode()) == (
+        "71132e3edea2832ea2968feca1a7e0586cc6843755c9c92a4aa87ff8fa6576db"
+    )
+
+
+def test_trial_keys_and_progression_words_digest():
+    from treecast.rng import progression_words, trial_keys
+
+    arrays = []
+    for key in GUARD_KEYS:
+        arrays.append(trial_keys(key, 1))
+        for count in (1, 2, 8, 9, 3600):
+            for step, offset in ((1, 0), (2, 1), (256, 9)):
+                arrays.append(progression_words(key, step, offset, count))
+    assert _arrays_digest(arrays) == (
+        "fd9f54afec5cb0d0a8c9c4ba9542d517b6fc377749aeae99c479e58d15eefeda"
+    )
+
+
+def test_level_blocks_digest():
+    from treecast.rng import BLOCK_WORDS, SeedSpec, level_blocks, trial_keys
+
+    tkeys = trial_keys(SeedSpec(13, "golden/blocks").key(), 2049)
+    buffers = np.empty((2, BLOCK_WORDS), dtype=np.uint64)
+    h = hashlib.sha256()
+    for start, block in level_blocks(tkeys, 3, 256, 1, buffers):
+        h.update(start.to_bytes(8, "little"))
+        h.update(block.tobytes())
+    assert h.hexdigest() == (
+        "7f8f00dec52df25298bc7fa3790c890da8ebd0306ff332596993faf6ae11ff90"
+    )

@@ -221,7 +221,7 @@ def test_progression_words_equal_words_vec(step, offset, count):
 
 
 def test_root_words_equal_the_node_counter_draw():
-    # The pair model's root draws words 0 and 1 of node (0, 0) as the
+    # Words 0 and 1 of node (0, 0), the pair model's root words, are the
     # progression (step 1, offset 0, count 2).
     for seed in range(20):
         key = SeedSpec(seed, "pair/root").key()
@@ -241,3 +241,49 @@ def test_writes_to_words_leave_the_memoized_pass_alone():
     blocks = [block.copy() for _, block in level_blocks(tkeys, 2, 100, 0, buffers)]
     assert np.concatenate(blocks).tobytes() == want.tobytes()
     assert trial_level_words(tkeys, 2, 100).tobytes() == want.tobytes()
+
+
+# Keys at the edges of the fold key ^ (key >> 30), and two drawn ones.
+EDGE_KEYS = [0, 1, 1 << 63, (1 << 64) - 1, SeedSpec(1, "edge").key(), SeedSpec(2, "edge").key()]
+TINY = rng._TINY_WORDS
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, TINY, TINY + 1, BLOCK_WORDS - 1, BLOCK_WORDS + 1])
+def test_keyed_passes_equal_the_scalar_word(size):
+    # Every vector path folds its keys and runs the short keyed pass, or the
+    # tiny int-key path; each must equal `word` under int keys and (n, 1)
+    # key arrays alike.
+    level, word_index = 5, 2
+    counters = node_counters(level, np.arange(size), word_index)
+    want = np.array(
+        [[word(key, c) for c in counters.tolist()] for key in EDGE_KEYS], dtype=np.uint64
+    ).reshape(len(EDGE_KEYS), size)
+    keys = np.array(EDGE_KEYS, dtype=np.uint64)
+    for key, row in zip(EDGE_KEYS, want):
+        assert words_vec(key, counters).tobytes() == row.tobytes()
+        assert rng.progression_words(key, 256, 4 * level + word_index, size).tobytes() == row.tobytes()
+        assert level_words(key, level, size, word_index).tobytes() == row.tobytes()
+        sub = [subkey(key, i) for i in range(size)]
+        assert subkey(key, np.arange(size)).tolist() == sub
+        assert trial_keys(key, size).tolist() == sub
+    assert words_vec(keys[:, None], counters).tobytes() == want.tobytes()
+    assert trial_level_words(keys, level, size, word_index).tobytes() == want.tobytes()
+    buffers = np.empty((2, max(1, min(BLOCK_WORDS, want.size))), dtype=np.uint64)
+    blocks = [(start, block.copy()) for start, block in level_blocks(keys, level, size, word_index, buffers)]
+    assert [start for start, _ in blocks] == sorted(start for start, _ in blocks)
+    flat = np.concatenate([np.zeros(0, dtype=np.uint64), *(block for _, block in blocks)])
+    assert flat.tobytes() == want.tobytes()
+
+
+def test_tiny_keyed_passes_return_fresh_writeable_arrays():
+    key = SeedSpec(4, "tiny").key()
+    counters = np.arange(TINY, dtype=np.uint64).reshape(2, -1)
+    grid = words_vec(key, counters)
+    assert grid.dtype == np.uint64 and grid.shape == counters.shape and grid.flags.writeable
+    assert grid.ravel().tolist() == [word(key, c) for c in range(TINY)]
+    assert words_vec(key, np.uint64(7)).shape == () and int(words_vec(key, np.uint64(7))) == word(key, 7)
+    a, b = rng.progression_words(key, 1, 0, 2), rng.progression_words(key, 1, 0, 2)
+    assert a.flags.writeable and not np.shares_memory(a, b)
+    a ^= a
+    assert b.tolist() == [word(key, 0), word(key, 1)] and not a.any()
+    assert not np.shares_memory(grid, counters) and counters.ravel().tolist() == list(range(TINY))
