@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import CutTables, FractionLike, as_fraction, binomial_cuts
+from ..channels import CutTables, FractionLike, as_fraction, binomial_cuts, uniform_draw
 from ..generators import direct_levels
 from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
@@ -108,8 +108,9 @@ def reconstruct_level_class16_from_counts(
 
     `counts16` has one row per node and 16 columns (class-pair code order),
     or only the first 4: the identity-first columns (codes 0..3) carry the
-    signal and are the only ones read.  Rows with
-    no identity-first children draw a uniform label and are flagged.
+    signal and are the only ones read.  A row with no identity-first
+    children is flagged and labelled `uniform_draw(16, w)`, w the word of
+    its row index under `tie_key`.
     """
     top, top_count, runner, runner_count = _top_two(np.asarray(counts16)[:, 0:4].T)
     diagonal = runner_count * tau.denominator < tau.numerator * top_count
@@ -119,7 +120,7 @@ def reconstruct_level_class16_from_counts(
     if empty.any():
         idx = np.nonzero(empty)[0]
         w = words_vec(tie_key, idx.astype(np.uint64))
-        labels[idx] = (w % np.uint64(16)).astype(np.uint8)
+        labels[idx] = uniform_draw(16, w).astype(np.uint8)
     return labels, empty
 
 

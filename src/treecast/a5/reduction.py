@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..channels import Threshold
+from ..channels import Threshold, uniform_draw
 from ..rng import SeedSpec, subkey, words_vec
 from .group import A5
 from .pair_model import _product_tree_levels, _uniform60, pair_code
@@ -180,8 +180,9 @@ def synthetic_oracle(epsilon: float, seed: SeedSpec) -> Callable[[np.ndarray], n
     It maps a (..., r) array of words to the (...) uint8 array of its guesses,
     statelessly: word w hashes to h = sum_i w_i (word i of subkey(key, r) | 1)
     mod 2^64; it is answered right when counter word 2h falls below the
-    `Threshold` of 1/60 + epsilon, else word 2h + 1 mod 59 offsets the wrong
-    answer from the product.  A query answers the same in any batch.
+    `Threshold` of 1/60 + epsilon, else it answers product + 1 + u mod 60,
+    with u = `uniform_draw(59, w)` of counter word 2h + 1, one of the 59
+    other elements.  A query answers the same in any batch.
     """
     p = Fraction(1, 60) + Fraction(epsilon) if math.isfinite(epsilon) else None
     if p is None or not 0 <= p <= 1:
@@ -196,7 +197,7 @@ def synthetic_oracle(epsilon: float, seed: SeedSpec) -> Callable[[np.ndarray], n
         mults = words_vec(subkey(key, r), np.arange(r, dtype=np.uint64)) | np.uint64(1)
         h2 = (flat.astype(np.uint64) * mults).sum(axis=1, dtype=np.uint64) << np.uint64(1)
         truth = A5.products(flat)
-        wrong = (truth + 1 + words_vec(key, h2 | np.uint64(1)) % np.uint64(59)) % np.uint64(60)
+        wrong = (truth + 1 + uniform_draw(59, words_vec(key, h2 | np.uint64(1)))) % np.uint64(60)
         correct = coin.below(words_vec(key, h2))
         return np.where(correct, truth, wrong).astype(np.uint8).reshape(lead)
 

@@ -643,8 +643,9 @@ def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
     """Verify posterior tracking on 100 random formulas drawn from `seed`.
 
     Assignments are verified in one batched float BP per formula (the 1e-6
-    error budget sits far inside the 19/20-vs-1/20 gap); a few rational
-    cross-checks guard the float path itself.
+    error budget sits far inside the 19/20-vs-1/20 gap); every 25th formula
+    is cross-checked by `verify_gadget`'s own BP, rational wherever
+    `bp_posterior` picks it, to guard the float path itself.
     """
     from .bp import bp_posterior_batch_binary
     from .formulas import assignments, random_formula
@@ -665,11 +666,11 @@ def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
         bad = np.where(truth, posts < high, posts > low)
         checked += len(table)
         violations += int(bad.sum())
-        if findex % 25 == 0 and template.depth <= 4:
-            verdict = verify_gadget(f, table[0], mode="rational", template=template)
+        if findex % 25 == 0:
+            verdict = verify_gadget(f, table[0], template=template)
             if abs(verdict.posterior - float(posts[0])) > 1e-9:
                 violations += 1
-            rational_spot_checks += 1
+            rational_spot_checks += verdict.mode == "exact-rational"
     log.info(
         "gadget corpus: %d formulas, %d assignments, %d rational spot checks",
         n_formulas, checked, rational_spot_checks,

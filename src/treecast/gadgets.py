@@ -37,7 +37,6 @@ GADGET_EDGE = Fraction(19, 20)  # copy probability (1 + theta) / 2
 TRACK_HIGH = Fraction(19, 20)
 TRACK_LOW = Fraction(1, 20)
 DEFAULT_MAX_DEPTH = 6
-RATIONAL_DEPTH_LIMIT = 4
 
 # Entry codes: 0 const0, 1 const1, 2+2i var(i), 3+2i negvar(i), as int32.
 CONST0, CONST1 = 0, 1
@@ -208,32 +207,21 @@ def verify_gadget(
 ) -> GadgetVerdict:
     """Instantiate the compiled template and check the posterior tracks f.
 
-    mode="auto" uses rational BP up to depth 4 and float log-domain BP above
-    (its 1e-6 log-odds error budget is far inside the 19/20-vs-1/20 gap).
+    `mode` goes to `bp_posterior`, whose "auto" picks rational BP up to its
+    node limit (depth 5 at k = 6) and float log-domain BP above.  A rational
+    posterior is compared exactly, a float one with 1e-9 slack (its 1e-6
+    log-odds error budget is far inside the 19/20-vs-1/20 gap).
     """
     if template is None:
         template = compile_formula(f)
     leaves = template.instantiate(assignment)
     shape = TreeShape(k=GADGET_K, d=template.depth)
-    if mode == "auto":
-        mode = "rational" if template.depth <= RATIONAL_DEPTH_LIMIT else "float"
-    report = bp_posterior(
-        shape, gadget_channel(), LeafLikelihood.from_labels(leaves, 2), mode=mode
-    )
+    report = bp_posterior(shape, gadget_channel(), LeafLikelihood.from_labels(leaves, 2), mode=mode)
     expected = f.evaluate(assignment)
-    if report.mode == "exact-rational":
-        post = report.masses[1]
-        tracks = post >= TRACK_HIGH if expected else post <= TRACK_LOW
-        return GadgetVerdict(
-            posterior=float(post),
-            tracks=bool(tracks),
-            expected=expected,
-            mode=report.mode,
-            posterior_exact=post,
-        )
-    post_f = float(report.masses[1])
-    tracks = post_f >= float(TRACK_HIGH) - 1e-9 if expected else post_f <= float(TRACK_LOW) + 1e-9
-    return GadgetVerdict(posterior=post_f, tracks=bool(tracks), expected=expected, mode=report.mode)
+    post, exact = report.masses[1], report.mode == "exact-rational"
+    slack = 0 if exact else 1e-9
+    tracks = post >= TRACK_HIGH - slack if expected else post <= TRACK_LOW + slack
+    return GadgetVerdict(float(post), bool(tracks), expected, report.mode, post if exact else None)
 
 
 @dataclass(frozen=True)

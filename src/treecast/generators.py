@@ -155,17 +155,25 @@ def generate_path_product(
     return LabelArray(shape=shape, m=2, levels=levels)
 
 
-def sample_restriction(
-    count: int, theta: FractionLike, seed: SeedSpec, level: int
-) -> Restriction:
-    """Draw `count` symbols: 0 and 1 with probability (1-theta)/2 each, * with theta."""
+@lru_cache(maxsize=64)
+def restriction_rule(theta: FractionLike) -> tuple[Fraction, Threshold, Threshold]:
+    """(theta, zero, one) for theta in [0, 1], else ValueError: the one rule
+    by which every restriction sampler, law and survivor count reads a raw
+    counter word w as symbol 0 if `zero.below(w)`, else 1 if `one.below(w)`,
+    else * (probabilities (1-theta)/2, (1-theta)/2 and theta, within 2^-63)."""
     t = as_fraction(theta)
     if not 0 <= t <= 1:
         raise ValueError(f"restriction distributions need theta in [0, 1], got {t}")
+    return t, Threshold((1 - t) / 2), Threshold(1 - t)
+
+
+def sample_restriction(count: int, theta: FractionLike, seed: SeedSpec, level: int) -> Restriction:
+    """Draw `count` symbols: 0 and 1 with probability (1-theta)/2 each, * with theta."""
+    _, zero, one = restriction_rule(theta)
     words = level_words(seed.key(), level, count)
     sym = np.full(count, STAR, dtype=np.uint8)
-    sym[Threshold(1 - t).below(words)] = 1
-    sym[Threshold((1 - t) / 2).below(words)] = 0
+    sym[one.below(words)] = 1
+    sym[zero.below(words)] = 0
     return Restriction(symbols=sym)
 
 
@@ -210,8 +218,10 @@ def live_inputs_after(
     A tracked input survives one composed restriction iff its symbol is *, in
     which case its dependence moves to the parent variable; survivors landing
     on the same ancestor merge.  `trial` is an int (the count is an int) or a
-    1-D integer array (one count per entry, equal to the scalar calls); the
-    symbols of trial t are drawn under `subkey(key, t)`.
+    1-D integer array (one count per entry, equal to the scalar calls).  Entry
+    t reads, by `restriction_rule`, the symbols that trial t of the batch
+    sampler's "restrictions" method draws on levels d-h+1..d: at h = d one
+    tracked leaf counts 1 exactly when flipping the root flips it.
     """
     if h < 0 or h > shape.d:
         raise ValueError(f"rounds h must lie in [0, {shape.d}]")
@@ -220,10 +230,7 @@ def live_inputs_after(
     tracked = sorted(set(int(i) for i in tracked))
     if tracked and (tracked[0] < 0 or tracked[-1] >= shape.n):
         raise ValueError("tracked indices must be leaf indices")
-    t = as_fraction(theta)
-    if not 0 <= t <= 1:
-        raise ValueError(f"theta must lie in [0, 1], got {t}")
-    star = Threshold(t)
+    one = restriction_rule(theta)[2]
     tkeys = np.asarray(subkey(seed.key(), trial), dtype=np.uint64).reshape(-1)
     # One (row, variable) pair per live variable; a row is one entry of `trial`.
     row = np.repeat(np.arange(len(tkeys), dtype=np.int64), len(tracked))
@@ -232,7 +239,7 @@ def live_inputs_after(
         level = shape.d - round_idx
         if len(live) == 0:
             break
-        kept = star.below(words_vec(tkeys[row], node_counters(level, live)))
+        kept = one.above(words_vec(tkeys[row], node_counters(level, live)))
         merged = np.unique(row[kept] * shape.n + live[kept] // shape.k)
         row, live = merged // shape.n, merged % shape.n
     counts = np.bincount(row, minlength=len(tkeys))
@@ -416,8 +423,8 @@ def generate_binary_batch(
     t, sf = binary_theta(theta), NoiseSpec(s).s
     if method not in BATCH_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "restrictions" and t < 0:
-        raise ValueError("restriction sampling needs theta in [0, 1]")
+    if method == "restrictions":
+        restriction_rule(t)  # raises outside [0, 1] before any word is drawn
     if not 0 <= height <= shape.d:
         raise ValueError(f"height must lie in [0, {shape.d}], got {height}")
     tkeys = trial_keys(seed.key(), trials, start)
@@ -439,8 +446,10 @@ def generate_binary_batch(
         codes = np.empty((trials, shape.nodes_at(shape.d - height)), code_type)
     for lvl in range(1, shape.d - height + 1):
         lt = t * (1 - 2 * sf) if lvl == shape.d else t
-        flip, keep = Threshold((1 - lt) / 2), Threshold((1 + lt) / 2)
-        one = Threshold(1 - lt) if method == "restrictions" else None
+        if method == "restrictions":
+            _, zero, one = restriction_rule(lt)
+        else:
+            flip, keep = Threshold((1 - lt) / 2), Threshold((1 + lt) / 2)
         labels = np.repeat(labels, shape.k, axis=1)
         for first, w in level_blocks(tkeys, lvl, shape.nodes_at(lvl), 0, buffers):
             part = labels.reshape(-1)[first : first + w.size]
@@ -450,9 +459,9 @@ def generate_binary_batch(
             elif method == "path":
                 part ^= flip.below(w)
             else:
-                # Below the first cut the symbol is 0, below the second 1, else *.
+                # Symbols 0 and 1 set the label, * keeps the parent's.
                 part |= one.below(w)
-                part &= flip.above(w)
+                part &= zero.above(w)
     if height == 0:
         return roots, labels
     tables = _code_tables(shape.k, height, t, sf)
@@ -508,9 +517,7 @@ def path_product_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> L
 
 def restriction_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LawView:
     """Exact leaf law of the restriction generator, by enumerating symbols."""
-    t = as_fraction(theta)
-    if not 0 <= t <= 1:
-        raise ValueError(f"restriction distributions need theta in [0, 1], got {t}")
+    t = restriction_rule(theta)[0]
     p_const = (1 - t) / 2
     # Symbols 0 and 1 set the child; STAR copies the parent.
     return _enumerated_leaf_law(shape, root, [((0, 0), p_const), ((1, 1), p_const), ((0, 1), t)])

@@ -26,9 +26,9 @@ from treecast.a5.reconstruct import (
     reconstruct_level_pair,
     recursive_reconstruct,
 )
-from treecast.channels import _bounded_binomial_cuts, binomial_cuts
+from treecast.channels import _bounded_binomial_cuts, binomial_cuts, uniform_draw
 from treecast.generators import generate_direct
-from treecast.rng import SeedSpec, level_words, subkey
+from treecast.rng import SeedSpec, level_words, subkey, words_vec
 from treecast.trees import TreeShape
 
 
@@ -73,6 +73,18 @@ class TestTallyRules:
         labels, empty = reconstruct_level_class16_from_counts(counts, DEFAULT_TAU, tie_key=9)
         assert empty[0] and not empty[1]
         assert 0 <= int(labels[0]) < 16
+
+    @pytest.mark.parametrize("columns", [4, 16])
+    def test_class_rule_empty_rows_draw_uniform_labels(self, columns):
+        # An all-zero row is flagged and labelled by the uniform draw over 16
+        # labels of its row's word under tie_key.
+        rows = 2000
+        labels, empty = reconstruct_level_class16_from_counts(
+            np.zeros((rows, columns), dtype=np.int64), DEFAULT_TAU, tie_key=7
+        )
+        assert empty.all()
+        assert labels.tolist() == uniform_draw(16, words_vec(7, np.arange(rows, dtype=np.uint64))).tolist()
+        assert set(labels.tolist()) == set(range(16))
 
 
 def _exact_binomial_cuts(n: int, p: Fraction, stop: int | None = None) -> list[int]:

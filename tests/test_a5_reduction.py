@@ -227,6 +227,16 @@ def test_synthetic_oracle_advantage():
     assert abs(acc - (1 / 60 + 0.1)) < 0.01
 
 
+def test_synthetic_oracle_wrong_answers_cover_the_59_other_elements():
+    oracle = synthetic_oracle(0.1, SeedSpec(41, "or"))
+    words = np.unique(np.random.default_rng(7).integers(0, 60, size=(12_000, 6)).astype(np.uint8), axis=0)
+    assert len(words) >= 10_000
+    answers, truth = oracle(words).astype(int), A5.products(words).astype(int)
+    assert answers.max() < 60
+    wrong = answers != truth
+    assert set(((answers[wrong] - truth[wrong]) % 60).tolist()) == set(range(1, 60))
+
+
 @given(
     st.sampled_from([(), (5,), (3, 4)]),
     st.integers(0, 9),

@@ -363,6 +363,100 @@ def test_only_channels_reads_a_counter_word_as_a_draw():
     assert not found
 
 
+# The `rng` functions whose values are counter words (or keys made of them),
+# and the operators that keep a word a word.
+_WORD_FUNCTIONS = {
+    "word", "words_vec", "progression_words", "trial_level_words", "level_words",
+    "level_blocks", "node_randomness", "subkey", "trial_keys",
+}
+_BIT_OPS = ast.RShift | ast.LShift | ast.BitAnd | ast.BitOr | ast.BitXor
+
+
+def _call_name(node) -> str:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def _word_names(scope) -> set[str]:
+    """Local names bound to a counter word in `scope`: by assignment or a
+    for loop over a word function's value (every name of a tuple target)."""
+    names = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign | ast.For | ast.AnnAssign):
+            value = node.iter if isinstance(node, ast.For) else node.value
+            if isinstance(value, ast.Call) and _call_name(value) in _WORD_FUNCTIONS:
+                targets = [node.target] if not isinstance(node, ast.Assign) else node.targets
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _is_word(node, names: set[str]) -> bool:
+    """`node` is a counter word: a word function's value, a local name bound
+    to one, or a shift, mask, index or method call (`.astype`) of a word."""
+    if isinstance(node, ast.Call):
+        if _call_name(node) in _WORD_FUNCTIONS:
+            return True
+        return isinstance(node.func, ast.Attribute) and _is_word(node.func.value, names)
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Subscript):
+        return _is_word(node.value, names)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _BIT_OPS):
+        return _is_word(node.left, names) or _is_word(node.right, names)
+    return False
+
+
+def _word_remainders(source: str) -> list[int]:
+    """Lines of `source` that take `w % m` or `w // m` of a counter word w."""
+    tree = ast.parse(source)
+    scopes = [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]
+    found = set()
+    for scope in scopes:
+        names = _word_names(scope)
+        for node in ast.walk(scope):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod | ast.FloorDiv):
+                if _is_word(node.left, names):
+                    found.add(node.lineno)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod | ast.FloorDiv):
+                if _is_word(node.target, names):
+                    found.add(node.lineno)
+    return sorted(found)
+
+
+def test_word_remainder_detector_flags_direct_and_named_words():
+    flagged = """
+def f(key, idx, h2):
+    w = words_vec(key, idx)
+    a = (w % np.uint64(16)).astype(np.uint8)
+    b = (t + 1 + words_vec(key, h2 | np.uint64(1)) % np.uint64(59)) % np.uint64(60)
+    c = (rng.word(key, 3) >> 1) // 7
+    for first, block in level_blocks(tkeys, 1, 8, 0, buffers):
+        block %= 5
+"""
+    assert _word_remainders(flagged) == [4, 5, 6, 8]
+    clean = """
+def f(key, idx, h2, t):
+    w = words_vec(key, idx)
+    a = uniform_draw(16, w).astype(np.uint8)
+    b = (t + 1 + uniform_draw(59, words_vec(key, h2 | np.uint64(1)))) % np.uint64(60)
+    c = (width + 63) // 64
+"""
+    assert _word_remainders(clean) == []
+
+
+def test_only_channels_takes_a_remainder_of_a_counter_word():
+    # A categorical draw of a word is `channels.uniform_draw` (or a cut
+    # table); no other module reads a word modulo m or divides it down.
+    src = Path(treecast.__file__).parent
+    found = []
+    for path in src.rglob("*.py"):
+        if path == src / "channels.py":
+            continue
+        lines = _word_remainders(path.read_text(encoding="utf-8"))
+        found += [f"{path.relative_to(src).as_posix()}:{line}" for line in lines]
+    assert not found
+
+
 @given(
     _adversarial_cut_tables(),
     st.fractions(min_value=0, max_value=1),

@@ -615,16 +615,16 @@ def test_every_command_writes_its_format_or_refuses_it(tmp_path, capsys, command
 
 
 def test_reduce_word_golden(capsys):
-    # Captured when the synthetic oracle began drawing its coin and wrong
-    # answer from counter words.
+    # Captured when the synthetic oracle began drawing its wrong answer
+    # through `channels.uniform_draw`.
     code, out, _ = run(
         capsys, "--seed", "1", "reduce-word", "--length", "64", "--promise", "target",
         "--epsilon", "0.1", "--trials", "500",
     )
     assert code == EXIT_OK
     assert out == (
-        '{"accepted": 74, "correct": true, "decision": "target", "promise": "target", '
-        '"trials": 500, "votes_identity": 13, "votes_target": 61}\n'
+        '{"accepted": 66, "correct": true, "decision": "target", "promise": "target", '
+        '"trials": 500, "votes_identity": 5, "votes_target": 61}\n'
     )
 
 

@@ -207,7 +207,8 @@ class TestLiveInputs:
         live = np.array(sorted(tracked), dtype=np.int64)
         for round_idx in range(h):
             w63 = words_vec(key, node_counters(shape.d - round_idx, live)) >> np.uint64(1)
-            live = np.unique(live[w63 < np.uint64(cut63(theta))] // shape.k)
+            # The samplers' rule: * is the top theta of the 63-bit range.
+            live = np.unique(live[w63 >= np.uint64(cut63(1 - theta))] // shape.k)
         return len(live)
 
     def test_trial_array_matches_scalar_calls(self):
@@ -222,6 +223,20 @@ class TestLiveInputs:
         assert counts.tolist() == scalar == reference
         assert all(type(n) is int for n in scalar)
         assert 0 < counts.sum() < 5 * 500
+
+    @pytest.mark.parametrize("shape", [TreeShape(k=2, d=4), TreeShape(k=3, d=3)])
+    @pytest.mark.parametrize("theta", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)])
+    def test_one_leaf_survives_exactly_when_it_follows_the_root(self, shape, theta):
+        # Trial t of the batch sampler draws the restrictions that
+        # live_inputs_after counts: leaf i survives all d rounds exactly when
+        # flipping the root flips it.
+        seed, trials = SeedSpec(16, "r"), 300
+        zeros, ones = np.zeros(trials, dtype=np.uint8), np.ones(trials, dtype=np.uint8)
+        _, low = generate_binary_batch(shape, theta, seed, trials, "restrictions", roots=zeros)
+        _, high = generate_binary_batch(shape, theta, seed, trials, "restrictions", roots=ones)
+        for i in range(shape.n):
+            counts = live_inputs_after(shape, {i}, shape.d, theta, seed, trial=np.arange(trials))
+            assert counts.tolist() == (low[:, i] != high[:, i]).astype(int).tolist(), i
 
     def test_trial_array_repeats_and_order(self):
         shape = TreeShape(k=2, d=8)
@@ -511,7 +526,7 @@ def test_batch_negative_theta_matches_exact_law(method):
 
 
 def test_restriction_batch_rejects_negative_theta():
-    with pytest.raises(ValueError, match="restriction sampling needs theta in"):
+    with pytest.raises(ValueError, match=r"restriction distributions need theta in \[0, 1\], got -1/2"):
         generate_binary_batch(TreeShape(k=2, d=2), Fraction(-1, 2), SeedSpec(1, "g"), 4, "restrictions")
 
 

@@ -93,11 +93,11 @@ GOLDEN = {
     ),
     "reduce-word-target": (
         ["reduce-word", "--promise", "target"],
-        "81f630e10bd389f3f703b0bcd79a8dff30a29cfde47ce80311c8b9ac3c6477ab",
+        "a0fb6e7d347f63b9973abd6be2c3db51b84507a9bb72cb5214b3003ba359b0b9",
     ),
     "reduce-word-identity": (
         ["reduce-word", "--promise", "identity"],
-        "e23064f4dea67f208aad097773f3095960fb39def148d6afc6d4049c47d20642",
+        "a8f8194687c1a53f6ef13e10e280f6322eb2e7c3b43dc68503a1bf510078739a",
     ),
     "compile-gadget-check": (
         ["compile-gadget", "--formula", "(or (and x1 (not x2)) x3)", "--check"],
@@ -181,9 +181,9 @@ def test_class16_recursive_reconstruct_digest():
         tree = generate_class16(TreeShape(3, 4), SeedSpec(5, f"golden/{i}"))
         r = recursive_reconstruct(tree.leaves, 3, "class16", seed=SeedSpec(5, f"rec/{i}"))
         out.append((r.root_estimate, r.flagged_nodes))
-    assert sum(flagged for _, flagged in out) == 1268
+    assert sum(flagged for _, flagged in out) == 1247
     assert _sha256(repr(out).encode()) == (
-        "83f666e730c78ed58fdf8774260dfceae7b2358be97b0ff27fb59e5a99535411"
+        "6e53066dafa9b0b1680ac2b3de871cdcd614164d1b7cf595c254868f81010d32"
     )
 
 
