@@ -138,13 +138,18 @@ class _BinomialTables:
     Each row is `binomial_cuts(n, p)` less its cuts of 0, which every word
     draws past (the law's offset `lo` moves up by their count), and of 2^63,
     which none does; shorter rows are padded with 2^63.  Row 0 is all
-    padding: a law left with no cuts draws its offset alone.
+    padding: a law left with no cuts draws its offset alone.  A new row goes
+    into a spare row of padding in place (`CutTables.put`); only when none
+    is left, or the row is too wide, is the table rebuilt, with its row
+    count and width doubled until the rows fit, so a run rebuilds
+    O(log rows) times.
     """
 
     def __init__(self, params: Callable[[int], tuple[int, Fraction]], count: int) -> None:
         self.params = params
         self.row = np.full(count, -1, dtype=np.intp)  # -1 until the law is first drawn
         self.lo = np.zeros(count, dtype=np.int64)
+        self.used = 1  # rows that hold a law's cuts, row 0 included
         self.tables = CutTables(np.zeros((1, 0), dtype=np.uint64))
 
     def draw(self, law: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -156,22 +161,29 @@ class _BinomialTables:
         return self.tables.draw(row, words) + self.lo[law]
 
     def _add(self, laws: list[int]) -> None:
-        """Rows for `laws`, in a table rebuilt around the rows it holds."""
-        old, rows, placed = self.tables.cuts, [], []
+        """Rows for `laws`, put into spare rows of the table."""
+        rows, placed = [], []
         for i in laws:
             low, cuts = binomial_cuts(*self.params(i))
             kept = cuts[(cuts != 0) & (cuts != 1 << 63)]  # a middle run: cuts ascend
-            row = len(old) + len(rows) if kept.size else 0
+            row = self.used + len(rows) if kept.size else 0
             placed.append((i, row, low + np.count_nonzero(cuts == 0)))
             if kept.size:
                 rows.append(kept)
         if rows:
-            width = max(old.shape[1], *map(len, rows))
-            cuts = np.full((len(old) + len(rows), width), 1 << 63, dtype=np.uint64)
-            cuts[: len(old), : old.shape[1]] = old
-            for r, kept in enumerate(rows, len(old)):
-                cuts[r, : len(kept)] = kept
-            self.tables = CutTables(cuts)
+            old = self.tables.cuts
+            height, width = old.shape
+            while height < self.used + len(rows):
+                height *= 2
+            while width < max(map(len, rows)):
+                width = 2 * width or 1
+            if (height, width) != old.shape:
+                cuts = np.full((height, width), 1 << 63, dtype=np.uint64)
+                cuts[: self.used, : old.shape[1]] = old[: self.used]
+                self.tables = CutTables(cuts)
+            for r, kept in enumerate(rows, self.used):
+                self.tables.put(r, kept)
+            self.used += len(rows)
         for i, row, lo in placed:  # only once the table holds their rows
             self.row[i], self.lo[i] = row, lo
 

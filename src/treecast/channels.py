@@ -369,23 +369,45 @@ class CutTables:
     The budget of 2^18 entries (1 MiB) gives mc-scan's code tables 2 x 2^17
     buckets and the quotient channel 16 x 2^8, 16 per cut for both, and
     caps the class16 split tallies' guide (hundreds of rows) at 1 MiB.
+
+    `cuts` and `guide` are read-only views.  `put` fills a row of padding in
+    place, so a table built with spare rows takes new rows without a rebuild.
     """
 
     GUIDE_CELLS = 1 << 18  # int32 entries, 1 MiB
 
     def __init__(self, cuts: np.ndarray) -> None:
-        self.cuts = np.array(cuts, dtype=np.uint64)  # a copy: it is frozen below
-        rows, width = self.cuts.shape
+        self._cuts = np.array(cuts, dtype=np.uint64)  # a copy, written only by `put`
+        rows, width = self._cuts.shape
         self.bits = min(width.bit_length() + 4, (self.GUIDE_CELLS // rows).bit_length() - 1)
         self.shift = np.uint64(64 - self.bits)
-        first = np.arange((1 << self.bits) + 1, dtype=np.uint64) << np.uint64(63 - self.bits)
-        below = np.array([row.searchsorted(first) for row in self.cuts], dtype=np.int32)
-        self.guide = below[:, 1:].copy()
-        np.invert(self.guide, out=self.guide, where=below[:, :-1] != self.guide)
-        self._most = max(int(np.diff(counts).max()) for counts in below)
-        self.rounds = self._most.bit_length()
+        self._guide = np.empty((rows, 1 << self.bits), dtype=np.int32)
+        self._most = 0
+        first = self._bucket_starts()
+        for row in range(rows):
+            self._place(row, first)
+        self.cuts, self.guide = self._cuts.view(), self._guide.view()
         self.cuts.setflags(write=False)
         self.guide.setflags(write=False)
+
+    def put(self, row: int, cuts: np.ndarray) -> None:
+        """Write ascending `cuts`, at most the table's width of them, into
+        row `row` (all padding until now) and its guide entries."""
+        self._cuts[row, : len(cuts)] = cuts
+        self._place(row, self._bucket_starts())
+
+    def _bucket_starts(self) -> np.ndarray:
+        """The 63-bit words that start each bucket, and 2^63 after the last."""
+        return np.arange((1 << self.bits) + 1, dtype=np.uint64) << np.uint64(63 - self.bits)
+
+    def _place(self, row: int, first: np.ndarray) -> None:
+        """Row `row`'s guide entries, from its cuts; `rounds` grows to cover it."""
+        below = self._cuts[row].searchsorted(first).astype(np.int32)
+        guide = self._guide[row]
+        guide[:] = below[1:]
+        np.invert(guide, out=guide, where=below[:-1] != guide)
+        self._most = max(self._most, int(np.diff(below).max()))
+        self.rounds = self._most.bit_length()
 
     def draw(self, rows: np.ndarray | int, words: np.ndarray) -> np.ndarray:
         """Row rows[i]'s draw from raw word words[i], as an int32 array of the

@@ -302,6 +302,18 @@ def test_cut_tables_bounded_miss_search_equals_the_plain_search(raw_words, cuts)
     assert tables.draw(np.zeros((0, 3), dtype=np.intp), np.zeros((0, 3), dtype=np.uint64)).shape == (0, 3)
 
 
+@given(_adversarial_cut_tables())
+def test_cut_tables_put_row_by_row_equal_the_table_built_whole(cuts):
+    whole = CutTables(cuts)
+    grown = CutTables(np.full(cuts.shape, _TOP, dtype=np.uint64))
+    for row, kept in enumerate(cuts):
+        grown.put(row, kept[kept < _TOP])
+    assert np.array_equal(grown.cuts, whole.cuts)
+    assert np.array_equal(grown.guide, whole.guide)
+    assert grown.rounds == whole.rounds
+    assert not (grown.cuts.flags.writeable or grown.guide.flags.writeable)
+
+
 def test_cut_tables_guide_budget_fits_the_tables_in_use():
     # The mc-scan code tables (2 rows) and the 16-row quotient channel keep
     # 16 buckets per cut; 600 rows of 599 cuts fall back to 2^18 / 600.

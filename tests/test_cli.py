@@ -275,6 +275,17 @@ def test_barrington_target_outside_the_group_is_usage_error(capsys, target):
     assert out == ""
 
 
+def test_barrington_program_past_the_length_cap_is_usage_error(capsys):
+    # A complete depth-12 AND/OR formula: 4,096 leaves in ~14 KB of text,
+    # whose program would hold 50,331,646 instructions.
+    formula = "x1"
+    for level in range(12):
+        formula = f"({'or' if level % 2 == 0 else 'and'} {formula} {formula})"
+    code, out, err = run(capsys, "compile-barrington", "--formula", formula)
+    _one_line_usage_error(code, err, "50331646 instructions", "the limit is")
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["compile-gadget", "compile-barrington"])
 def test_too_deeply_nested_formula_is_usage_error(capsys, command):
     formula = "(not " * 2000 + "x1" + ")" * 2000
@@ -289,6 +300,7 @@ def test_too_deeply_nested_formula_is_usage_error(capsys, command):
         (["compile-gadget", "--formula", "x99999999999"], ["x99999999999", "int32 entry codes"]),
         (["compile-gadget", "--formula", "x40", "--check"], ["40 variables", "limit is 16"]),
         (["compile-barrington", "--formula", "x40", "--check"], ["40 variables", "limit is 16"]),
+        (["compile-barrington", "--formula", "x99999999999999999999"], ["variable index", "exceeds"]),
     ],
 )
 def test_formula_variable_past_the_bounds_is_usage_error(capsys, argv, words):
