@@ -121,15 +121,19 @@ def invert_program(program: Program) -> Program:
 
 
 def program_length(formula: Formula) -> int:
-    """Instruction count of the formula's compiled program, without compiling."""
-    if isinstance(formula, (Var, Const)):
-        return 1
-    if isinstance(formula, Not):
-        return program_length(formula.child) + 1
-    if isinstance(formula, Gate):
-        both = 2 * program_length(formula.left) + 2 * program_length(formula.right)
-        return both + (7 if formula.op == "or" else 2)
-    raise TypeError(f"cannot compile node of type {type(formula).__name__}")
+    """Instruction count of the formula's compiled program, without compiling,
+    from one visit per distinct node (`Formula.fold`)."""
+
+    def length(f: Formula, kids: list[int]) -> int:
+        if isinstance(f, (Var, Const)):
+            return 1
+        if isinstance(f, Not):
+            return kids[0] + 1
+        if isinstance(f, Gate):
+            return 2 * sum(kids) + (7 if f.op == "or" else 2)
+        raise TypeError(f"cannot compile node of type {type(f).__name__}")
+
+    return formula.fold(length)
 
 
 def barrington_compile(formula: Formula, target: int) -> Program:

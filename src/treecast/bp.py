@@ -19,14 +19,14 @@ zero under the model.
 channel, one log-odds per node across a batch of trees.  On hard or
 symmetric-noise evidence a low-level message takes only a few values (the
 finite-support observation behind the Mezard-Montanari distributional
-recursion), so the low levels carry integer codes into a small log-odds table
-instead of floats: the edge map runs once per table entry rather than once
-per node.  A level is coded while its table has no more entries than the
-batch has nodes at that level; the rest of the tree runs the per-node float
-recursion.  Table entries are built by the same float operations in the same
-order as the per-node recursion, so the output is bit-identical to it.
-The Monte Carlo estimators pass the height-h codes that
-`generate_binary_batch` samples directly, and the table stage starts there.
+recursion), so the levels up to the height of the codes it is given (the
+subtree codes `generate_binary_batch` samples, or height 1 for leaves) carry
+integer codes into a small log-odds table: the edge map runs once per table
+entry rather than once per node.  Above that height the per-node float
+recursion finishes the tree.  Its operations depend on the tree, the code
+height, theta and s, never on the batch, and table entries are built by the
+same float operations in the same order as the per-node recursion, so the
+output is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -238,25 +238,15 @@ def bp_posterior_batch_binary(
     binary channel the BP message is a single log-odds per node: an edge maps
     lam to 2 artanh(theta tanh(lam / 2)) and a node sums its children.
 
-    The low levels run on integer codes (see the module docstring): a height-1
-    node's code is its children's ones count, with log-odds
-    `leaf_up * (2 c - k)`, leaf_up = 2 artanh(theta (1 - 2s)); a height-h+1
-    code is the mixed-radix number of its k child codes, and its table entry
-    is the edge-mapped child entries summed in child order.  Coding stops
-    before the first level whose table would have more entries than the
-    batch has nodes at that level (V^k > trials * nodes), so the depth it
-    reaches depends on the batch but the output does not.  From there the
-    float recursion finishes the tree; its first level gathers the
-    edge-mapped table entries of the codes, so the edge map runs once per
-    entry there too.  Each table entry is computed by the same float
-    operations, in the same order, as the per-node recursion applies to a
-    node with those children, so the result is bit-identical to it.  Agrees
+    The low levels run on integer codes (see the module docstring).  With
+    `height` h > 0, `leaves` holds the height-h codes that
+    `generators.generate_binary_batch` draws, shape (trials, nodes_at(d - h)):
+    at height 1 the ones count c of the k children, log-odds
+    `leaf_up * (2 c - k)` with leaf_up = 2 artanh(theta (1 - 2s)); at height
+    j+1 the mixed-radix number of the k child codes (see `_parent_table`).
+    Leaves (h = 0) are summed into height-1 counts first.  The output is
+    bit-identical to running on the leaves that produce the codes, and agrees
     with the rational mode to float precision.
-
-    With `height` h > 0, `leaves` holds the height-h codes instead, shape
-    (trials, nodes_at(d - h)), as `generators.generate_binary_batch` draws
-    them: the table stage starts at height h, and the output is
-    bit-identical to running on the leaves that produce those codes.
 
     NaN marks evidence of probability zero: at theta = +-1 with s = 0 a
     table entry or a sum meets inf - inf exactly where leaves conflict.  The
@@ -265,7 +255,7 @@ def bp_posterior_batch_binary(
     map is applied exactly, as lam -> theta lam, so with 0 < s < 1/2 every
     log-odds stays finite and no row gives NaN.
     """
-    trials, n = leaves.shape
+    n = leaves.shape[1]
     if not 0 <= height <= shape.d:
         raise ValueError(f"height must lie in [0, {shape.d}], got {height}")
     want = shape.nodes_at(shape.d - height)
@@ -279,31 +269,20 @@ def bp_posterior_batch_binary(
     with np.errstate(divide="ignore", invalid="ignore"):
         leaf_up = 2.0 * np.arctanh(theta_float * (1.0 - 2.0 * s))
         table = leaf_up * (2.0 * np.arange(k + 1) - k)
+        codes = leaves
         if height == 0:
-            codes = leaves[:, 0::k].astype(np.min_scalar_type(k))
-            for j in range(1, k):
-                np.add(codes, leaves[:, j::k], out=codes, casting="unsafe")
+            # bool leaves would add as logical or; their bytes add as counts.
+            codes = _child_sums(leaves.view(np.uint8) if leaves.dtype == bool else leaves, k)
             height = 1
-        else:
-            codes = leaves
-            for _ in range(1, height):
-                table = _parent_table(table, k, theta_float)
-        while height < shape.d and len(table) ** k <= trials * shape.nodes_at(shape.d - height - 1):
-            radix = len(table)
+        for _ in range(1, height):
             table = _parent_table(table, k, theta_float)
-            nxt = codes[:, 0::k].astype(np.min_scalar_type(len(table) - 1))
-            for j in range(1, k):
-                nxt *= radix
-                np.add(nxt, codes[:, j::k], out=nxt, casting="unsafe")
-            codes = nxt
-            height += 1
         if height == shape.d:
             lam = table[codes]
         else:
             # The first float level maps the table, not each node, through the edge.
             lam = _child_sums(_edge_log_odds(table, theta_float)[codes], k)
-            for _ in range(shape.d - height - 1):
-                lam = _child_sums(_edge_log_odds(lam, theta_float), k)
+        for _ in range(shape.d - height - 1):
+            lam = _child_sums(_edge_log_odds(lam, theta_float), k)
     return _sigmoid(lam[:, 0])
 
 

@@ -71,7 +71,7 @@ def fraction(text: str) -> str:
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="treecast", description="Broadcast processes on trees: generate, infer, compile, reduce, verify.")
     p.add_argument("--seed", type=int, default=1, help="64-bit master seed")
-    p.add_argument("--config", type=str, default=None, help="JSON experiment config path")
+    p.add_argument("--config", type=str, default=None, help="JSON experiment config path (scan-ks, scan-noise, a5)")
     p.add_argument("--out", type=str, default=None, help="output path")
     p.add_argument("--format", choices=("csv", "json", "bin"), default=None, help="output format")
     p.add_argument("--mode", choices=("float", "rational", "auto"), default="auto", help="BP arithmetic")
@@ -369,18 +369,19 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
-# Each command and the formats it writes; any other --format is a usage error.
+# Each command, the formats it writes and whether it reads --config; any
+# other --format, or a --config it does not read, is a usage error.
 _COMMANDS = {
-    "gen": (_cmd_gen, ("json", "bin")),
-    "bp": (_cmd_bp, ("json",)),
-    "detect": (_cmd_detect, ("json", "csv")),
-    "scan-ks": (_cmd_scan_ks, ("csv", "json")),
-    "scan-noise": (_cmd_scan_noise, ("csv", "json")),
-    "a5": (_cmd_a5, ("csv", "json")),
-    "compile-gadget": (_cmd_compile_gadget, ("json",)),
-    "compile-barrington": (_cmd_compile_barrington, ("json",)),
-    "reduce-word": (_cmd_reduce_word, ("json",)),
-    "verify": (_cmd_verify, ("text",)),
+    "gen": (_cmd_gen, ("json", "bin"), False),
+    "bp": (_cmd_bp, ("json",), False),
+    "detect": (_cmd_detect, ("json", "csv"), False),
+    "scan-ks": (_cmd_scan_ks, ("csv", "json"), True),
+    "scan-noise": (_cmd_scan_noise, ("csv", "json"), True),
+    "a5": (_cmd_a5, ("csv", "json"), True),
+    "compile-gadget": (_cmd_compile_gadget, ("json",), False),
+    "compile-barrington": (_cmd_compile_barrington, ("json",), False),
+    "reduce-word": (_cmd_reduce_word, ("json",), False),
+    "verify": (_cmd_verify, ("text",), False),
 }
 
 
@@ -395,10 +396,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and friends
         code = exc.code if isinstance(exc.code, int) else 0
         return code
-    command, formats = _COMMANDS[args.command]
+    command, formats, reads_config = _COMMANDS[args.command]
     try:
         if args.format not in (None, *formats):
             raise SystemExit2(f"{args.command} writes {' or '.join(formats)}, not --format {args.format}")
+        if args.config is not None and not reads_config:
+            raise SystemExit2(f"{args.command} reads no --config; give its flags instead")
         return command(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

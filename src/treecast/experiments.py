@@ -131,6 +131,8 @@ class ExperimentConfig:
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if "experiment" not in doc:
+            raise ValueError("experiment config JSON lacks the key 'experiment'")
         return cls(**doc)
 
 

@@ -16,18 +16,40 @@ import numpy as np
 
 class Formula:
     op: str
+    _children: tuple[Formula, ...] = ()
+
+    def fold(self, value):
+        """`value(node, its children's values)` at every distinct node, each
+        once and after its children, by an explicit stack: a formula that
+        shares subtrees costs one visit per distinct node, at any depth.
+        Returns this node's value."""
+        order, seen, stack = [], set(), [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((c, False) for c in node._children)
+        done: dict[int, object] = {}  # by id: every node stays alive in self
+        for node in order:
+            done[id(node)] = value(node, [done[id(c)] for c in node._children])
+        return done[id(self)]
 
     @property
     def depth(self) -> int:
-        raise NotImplementedError
+        return self.fold(lambda f, kids: 1 + max(kids) if kids else 0)
 
-    def evaluate(self, assignment) -> int:
-        raise NotImplementedError
-
-    def variables(self) -> set[int]:
-        raise NotImplementedError
+    def variables(self) -> frozenset[int]:
+        return self.fold(
+            lambda f, kids: frozenset((f.index,)) if isinstance(f, Var) else frozenset().union(*kids)
+        )
 
     def gate_count(self) -> int:
+        return self.fold(lambda f, kids: 1 + sum(kids) if kids else 0)
+
+    def evaluate(self, assignment) -> int:
         raise NotImplementedError
 
     def to_text(self) -> str:
@@ -39,18 +61,8 @@ class Var(Formula):
     index: int
     op: str = "var"
 
-    @property
-    def depth(self) -> int:
-        return 0
-
     def evaluate(self, assignment) -> int:
         return int(assignment[self.index]) & 1
-
-    def variables(self) -> set[int]:
-        return {self.index}
-
-    def gate_count(self) -> int:
-        return 0
 
     def to_text(self) -> str:
         return f"x{self.index + 1}"
@@ -65,18 +77,8 @@ class Const(Formula):
         if self.value not in (0, 1):
             raise ValueError("constants are 0 or 1")
 
-    @property
-    def depth(self) -> int:
-        return 0
-
     def evaluate(self, assignment) -> int:
         return self.value
-
-    def variables(self) -> set[int]:
-        return set()
-
-    def gate_count(self) -> int:
-        return 0
 
     def to_text(self) -> str:
         return str(self.value)
@@ -88,17 +90,11 @@ class Not(Formula):
     op: str = "not"
 
     @property
-    def depth(self) -> int:
-        return 1 + self.child.depth
+    def _children(self) -> tuple[Formula, ...]:
+        return (self.child,)
 
     def evaluate(self, assignment) -> int:
         return 1 - self.child.evaluate(assignment)
-
-    def variables(self) -> set[int]:
-        return self.child.variables()
-
-    def gate_count(self) -> int:
-        return 1 + self.child.gate_count()
 
     def to_text(self) -> str:
         return f"(not {self.child.to_text()})"
@@ -115,19 +111,13 @@ class Gate(Formula):
             raise ValueError(f"unknown gate {self.op!r}")
 
     @property
-    def depth(self) -> int:
-        return 1 + max(self.left.depth, self.right.depth)
+    def _children(self) -> tuple[Formula, ...]:
+        return (self.left, self.right)
 
     def evaluate(self, assignment) -> int:
         a = self.left.evaluate(assignment)
         b = self.right.evaluate(assignment)
         return a & b if self.op == "and" else a | b
-
-    def variables(self) -> set[int]:
-        return self.left.variables() | self.right.variables()
-
-    def gate_count(self) -> int:
-        return 1 + self.left.gate_count() + self.right.gate_count()
 
     def to_text(self) -> str:
         return f"({self.op} {self.left.to_text()} {self.right.to_text()})"

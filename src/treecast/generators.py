@@ -334,7 +334,7 @@ def code_law(
 ) -> tuple[tuple[np.ndarray, ...], int]:
     """Exact law of a height-h subtree's code given its root label.
 
-    The code is the one `bp.bp_posterior_batch_binary` builds: at height 1
+    The code is the one `bp.bp_posterior_batch_binary` reads: at height 1
     the ones count of the k children, at height j+1 the mixed-radix number
     of the k child codes, child 0 most significant, so there are V_h codes
     (V_1 = k + 1, V_{j+1} = V_j^k).  Edges carry the binary channel of bias

@@ -81,6 +81,8 @@ class LabelArray:
             raise ValueError(f"label dump JSON lacks the key {exc}") from None
         if any(type(x) is not int for x in (k, d, m)):
             raise ValueError("label dump k, d and m must be JSON integers")
+        if not isinstance(codes_by_level, list):
+            raise ValueError("label dump levels must be a JSON list of levels")
         shape = TreeShape(k=k, d=d)
         dtype = code_dtype(m)
         levels = []

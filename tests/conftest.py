@@ -9,8 +9,9 @@ hypothesis.settings.load_profile("ci")
 
 
 def _subtree_codes(leaves, k, h):
-    """Height-h codes of (trials, n) leaves, built as bp.py builds them: the
-    children's ones count at height 1, then mixed radix, child 0 first."""
+    """Height-h codes of (trials, n) leaves in the layout of the sampler's
+    codes (`generators.code_law`): the children's ones count at height 1,
+    then mixed radix, child 0 first."""
     if h == 0:
         return leaves.astype(np.int64)
     trials = len(leaves)

@@ -304,7 +304,7 @@ def test_batch_bit_identical_to_per_node_recursion(case):
     assert np.array_equal(got, want, equal_nan=True)
 
 
-def _edge_map_sizes(monkeypatch, shape, trials):
+def _edge_map_sizes(monkeypatch, shape, codes, height=0):
     """Sizes of the arrays the edge map sees, in call order."""
     sizes = []
     real = bp_module._edge_log_odds
@@ -315,20 +315,28 @@ def _edge_map_sizes(monkeypatch, shape, trials):
 
     monkeypatch.setattr(bp_module, "_edge_log_odds", spy)
     with np.errstate(invalid="ignore"):
-        bp_posterior_batch_binary(shape, 0.8, _random_leaves(shape, trials, 0.6, 3), s=0.1)
+        bp_posterior_batch_binary(shape, 0.8, codes, s=0.1, height=height)
     return sizes
 
 
-def test_table_depth_follows_batch_size(monkeypatch):
-    # k=2, d=10: tables of 3, 9, 81 entries are coded while they fit the
-    # level they replace; the 6561-entry table would not fit 64 trials x 64
-    # nodes, so the float recursion takes over at height 3.  Its first level
-    # maps the 81-entry table through the edge, then each node's sum.
-    assert _edge_map_sizes(monkeypatch, TreeShape(k=2, d=10), 64) == [3, 9, 81] + [
-        64 * 2**j for j in range(6, 0, -1)
-    ]
-    # Large k stops at once: 17^16 entries never fit, only height 1 is tabled.
-    assert _edge_map_sizes(monkeypatch, TreeShape(k=16, d=2), 50) == [17]
+@pytest.mark.parametrize("trials", [1, 64, 300])
+@pytest.mark.parametrize("height", [0, 2])
+def test_table_stage_does_not_depend_on_trial_count(monkeypatch, subtree_codes, trials, height):
+    # k=2, d=10: leaves count as height-1 codes (a 3-entry table) and h = 2
+    # codes build the 9-entry table from it; no batch codes a level more.
+    # The first float level maps the table through the edge, then each
+    # node's sum, from the nodes at height max(h, 1) + 1 up.
+    shape = TreeShape(k=2, d=10)
+    codes = subtree_codes(_random_leaves(shape, trials, 0.6, 3), 2, height)
+    tables = [3, 9][: max(height, 1)]
+    per_node = [trials * 2**j for j in range(shape.d - len(tables) - 1, 0, -1)]
+    assert _edge_map_sizes(monkeypatch, shape, codes, height) == tables + per_node
+
+
+def test_large_k_tables_only_height_one(monkeypatch):
+    # k=16, d=2: the leaves' 17-entry table is the only one.
+    shape = TreeShape(k=16, d=2)
+    assert _edge_map_sizes(monkeypatch, shape, _random_leaves(shape, 50, 0.6, 3)) == [17]
 
 
 def test_batch_results_do_not_depend_on_trial_count():

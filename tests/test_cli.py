@@ -745,3 +745,23 @@ def test_unreadable_fraction_option_is_a_usage_error(capsys, argv, option, value
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert errors == [err.strip().splitlines()[-1]]
     assert option in errors[0] and value in errors[0], errors[0]
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["config", "missing"])
+@pytest.mark.parametrize("command", sorted(set(_WRITES) - {"scan-ks", "scan-noise", "a5"}))
+def test_commands_that_read_no_config_refuse_one(tmp_path, capsys, command, exists):
+    config = tmp_path / "ks.json"
+    if exists:
+        config.write_text(json.dumps({"experiment": "ks-scan", "trials": 100}))
+    argv = {
+        "gen": ("--k", "2", "--d", "2"),
+        "bp": ("--leaves", str(tmp_path / "tree.json")),
+        "detect": ("--k", "2", "--d", "3", "--theta", "4/5", "--trials", "100"),
+        "compile-gadget": ("--formula", "(and x1 x2)"),
+        "compile-barrington": ("--formula", "(and x1 x2)"),
+        "reduce-word": ("--length", "8", "--trials", "20"),
+        "verify": ("--quick",),
+    }[command]
+    code, out, err = run(capsys, "--config", str(config), command, *argv)
+    _one_line_usage_error(code, err, command, "--config")
+    assert out == ""

@@ -1,8 +1,11 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from treecast.a5.barrington import barrington_compile, program_length
+from treecast.a5.group import A5
 from treecast.formulas import (
     MAX_ASSIGNMENT_VARS,
     MAX_NESTING,
@@ -15,6 +18,7 @@ from treecast.formulas import (
     parse_formula,
     random_formula,
 )
+from treecast.gadgets import compile_formula
 
 
 def test_parse_and_roundtrip():
@@ -89,3 +93,54 @@ def test_random_formula_budgets():
         assert f.depth <= 4
         assert f.gate_count() <= 12
         f.evaluate([0, 1, 0, 1, 1])
+
+
+def _path_walks(f):
+    """(depth, variables, gate count, program length) by plain recursion over
+    every root-to-leaf path: the reference for trees, where paths are nodes."""
+    if isinstance(f, Var):
+        return 0, {f.index}, 0, 1
+    if isinstance(f, Const):
+        return 0, set(), 0, 1
+    if isinstance(f, Not):
+        d, v, g, n = _path_walks(f.child)
+        return d + 1, v, g + 1, n + 1
+    dl, vl, gl, nl = _path_walks(f.left)
+    dr, vr, gr, nr = _path_walks(f.right)
+    return 1 + max(dl, dr), vl | vr, 1 + gl + gr, 2 * nl + 2 * nr + (7 if f.op == "or" else 2)
+
+
+def test_walks_on_random_tree_formulas_match_the_path_recursion():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        f = random_formula(rng, n_vars=6, max_gates=30, max_depth=7)
+        assert (f.depth, f.variables(), f.gate_count(), program_length(f)) == _path_walks(f)
+
+
+def _shared_formula(levels):
+    """`levels` AND gates, each with one object as both children: 2^levels
+    leaves held in levels + 1 objects."""
+    f = Var(0)
+    for _ in range(levels):
+        f = Gate(op="and", left=f, right=f)
+    return f
+
+
+def test_walks_visit_each_distinct_node_once():
+    f = _shared_formula(60)
+    assert (f.depth, f.variables(), f.gate_count()) == (60, {0}, 2**60 - 1)
+    assert program_length(f) == 4**60 + 2 * (4**60 - 1) // 3  # L = 4 L' + 2, L(x) = 1
+    chain = Var(0)
+    for _ in range(5000):  # far past the recursion limit: the walks use a stack
+        chain = Not(chain)
+    assert (chain.depth, chain.gate_count(), program_length(chain)) == (5000, 5000, 5001)
+
+
+@pytest.mark.parametrize("compile_", [compile_formula, lambda f: barrington_compile(f, A5.five_cycles()[0])])
+def test_compilers_refuse_a_deep_shared_formula_at_once(compile_):
+    f = _shared_formula(20)
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        compile_(f)
+    assert time.perf_counter() - start < 0.1
+
