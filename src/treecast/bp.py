@@ -9,8 +9,9 @@ given per-leaf likelihood weights.  Two arithmetic modes are supported:
   `Fraction`s only at the end.  Every scale factor is common to all root
   labels, so the normalized posterior is exactly the rational one.  This is
   the verification path and is auto-selected while the tree is small;
-* float -- log-domain messages (per-node max-shift), immune to underflow at
-  depth, within 1e-9 relative of the rational mode where both run.
+* float -- for a binary symmetric channel only: one log-odds per node, the
+  recursion of `bp_posterior_batch_binary` on one row, immune to underflow
+  at depth, within 1e-9 relative of the rational mode where both run.
 
 `bp_posterior` raises ValueError in both modes on evidence of probability
 zero under the model.
@@ -176,27 +177,6 @@ def _bp_rational(shape: TreeShape, channel: Channel, evidence: LeafLikelihood):
     return tuple(Fraction(w, total) for w in root)
 
 
-def _bp_float_log(shape: TreeShape, M: np.ndarray, leaf_log: np.ndarray) -> np.ndarray:
-    """Log-domain BP; returns root posterior masses (normalized floats)."""
-    m = M.shape[0]
-    log_msgs = leaf_log
-    for _ in range(shape.d):
-        shift = log_msgs.max(axis=1, keepdims=True)
-        # An all -inf row is a subtree of probability zero; keep its shift finite.
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        lin = np.exp(log_msgs - shift)
-        up = lin @ M  # up[c, a] = sum_b M[b, a] * msg[c, b]
-        with np.errstate(divide="ignore"):
-            log_up = np.log(up) + shift
-        log_msgs = log_up.reshape(-1, shape.k, m).sum(axis=1)
-    root = log_msgs[0]
-    if root.max() == -np.inf:
-        raise ValueError("evidence has zero probability under the model")
-    root = root - root.max()
-    masses = np.exp(root)
-    return masses / masses.sum()
-
-
 def bp_posterior(
     shape: TreeShape,
     channel: Channel,
@@ -215,16 +195,16 @@ def bp_posterior(
         argmax, tie = _argmax_with_tie(masses)
         return PosteriorReport(masses=masses, mode="exact-rational", argmax=argmax, tie=tie)
     if mode == "float":
+        if not channel.is_binary_symmetric:
+            raise ValueError('float BP takes a binary symmetric channel; use mode="rational"')
         with np.errstate(divide="ignore"):
-            leaf_log = np.log(evidence.to_float())
-        masses = _bp_float_log(shape, channel.to_float(), leaf_log)
-        argmax, tie = _argmax_with_tie(tuple(masses), float_tol=1e-12)
-        return PosteriorReport(
-            masses=tuple(float(x) for x in masses),
-            mode="float-log-domain",
-            argmax=argmax,
-            tie=tie,
-        )
+            w = np.log(evidence.to_float())
+        lam = _log_odds_up((w[:, 1] - w[:, 0])[None], shape.k, float(channel.theta), shape.d)[0, 0]
+        if np.isnan(lam):
+            raise ValueError("evidence has zero probability under the model")
+        masses = tuple(_sigmoid(np.array([-lam, lam])).tolist())
+        argmax, tie = _argmax_with_tie(masses, float_tol=1e-12)
+        return PosteriorReport(masses=masses, mode="float-log-domain", argmax=argmax, tie=tie)
     raise ValueError(f"unknown mode {mode!r}; expected auto, rational, or float")
 
 
@@ -281,8 +261,7 @@ def bp_posterior_batch_binary(
         else:
             # The first float level maps the table, not each node, through the edge.
             lam = _child_sums(_edge_log_odds(table, theta_float)[codes], k)
-        for _ in range(shape.d - height - 1):
-            lam = _child_sums(_edge_log_odds(lam, theta_float), k)
+        lam = _log_odds_up(lam, k, theta_float, shape.d - height - 1)
     return _sigmoid(lam[:, 0])
 
 
@@ -292,6 +271,15 @@ def _parent_table(table: np.ndarray, k: int, theta_float: float) -> np.ndarray:
     up = _edge_log_odds(table, theta_float)
     digits = np.indices((len(table),) * k).reshape(k, -1).T
     return up[digits].sum(axis=-1)
+
+
+def _log_odds_up(lam: np.ndarray, k: int, theta_float: float, levels: int) -> np.ndarray:
+    """`levels` rounds of the per-node recursion: each node through the edge,
+    then each parent's k children summed.  inf - inf gives NaN, unwarned."""
+    with np.errstate(invalid="ignore"):
+        for _ in range(levels):
+            lam = _child_sums(_edge_log_odds(lam, theta_float), k)
+    return lam
 
 
 def _child_sums(up: np.ndarray, k: int) -> np.ndarray:

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, default=None, help="JSON experiment config path (scan-ks, scan-noise, a5)")
     p.add_argument("--out", type=str, default=None, help="output path")
     p.add_argument("--format", choices=("csv", "json", "bin"), default=None, help="output format")
-    p.add_argument("--mode", choices=("float", "rational", "auto"), default="auto", help="BP arithmetic")
+    p.add_argument("--mode", choices=("float", "rational", "auto"), default=None, help="BP arithmetic (default auto)")
     p.add_argument("--jobs", type=int, default=0, help="worker count (0 = available parallelism); results are independent of it")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -199,8 +199,7 @@ def _cmd_bp(args) -> int:
         evidence = LeafLikelihood.from_labels(arr.leaves, 2)
     else:
         evidence = LeafLikelihood.from_noisy_bits(arr.leaves, s)
-    mode = args.mode
-    report = bp_posterior(arr.shape, Channel.binary(as_fraction(args.theta)), evidence, mode=mode)
+    report = bp_posterior(arr.shape, Channel.binary(as_fraction(args.theta)), evidence, mode=args.mode or "auto")
     masses = [str(x) if report.mode == "exact-rational" else repr(float(x)) for x in report.masses]
     doc = {"mode": report.mode, "argmax": report.argmax, "tie": report.tie, "masses": masses}
     _write_or_print(json.dumps(doc, sort_keys=True), args.out)
@@ -244,10 +243,16 @@ def _cmd_detect(args) -> int:
 def _experiment_config(args, experiment: str):
     """The `--config` file's config, else one from the global flags and the
     subcommand's flags of the same names as config keys (a grid flag holds
-    comma-separated values)."""
+    comma-separated values).  The config replaces the flags, so a flag given
+    beside it away from its parser default is a usage error."""
     from .experiments import ExperimentConfig
 
     if args.config:
+        defaults = vars(build_parser().parse_args([args.command]))
+        given = [f"--{name}" for name, value in vars(args).items()
+                 if name != "config" and value != defaults[name]]
+        if given:
+            raise SystemExit2(f"--config replaces the flags; drop {', '.join(given)}")
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json(fh.read())
         if cfg.experiment != experiment:
@@ -301,7 +306,7 @@ def _cmd_compile_gadget(args) -> int:
     if args.check:
         table = assignments(max(f.variables(), default=0) + 1)
         doc["tracks_all_assignments"] = all(
-            verify_gadget(f, a, mode=args.mode, template=template).tracks for a in table
+            verify_gadget(f, a, mode=args.mode or "auto", template=template).tracks for a in table
         )
     _write_or_print(json.dumps(doc, sort_keys=True), args.out)
     return EXIT_OK if doc.get("tracks_all_assignments", True) else EXIT_VERIFY
@@ -369,19 +374,20 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
-# Each command, the formats it writes and whether it reads --config; any
-# other --format, or a --config it does not read, is a usage error.
+# Each command, the formats it writes and the global flags it reads of
+# --config, --mode and --out; any other --format, or any other of those
+# three given, is a usage error.
 _COMMANDS = {
-    "gen": (_cmd_gen, ("json", "bin"), False),
-    "bp": (_cmd_bp, ("json",), False),
-    "detect": (_cmd_detect, ("json", "csv"), False),
-    "scan-ks": (_cmd_scan_ks, ("csv", "json"), True),
-    "scan-noise": (_cmd_scan_noise, ("csv", "json"), True),
-    "a5": (_cmd_a5, ("csv", "json"), True),
-    "compile-gadget": (_cmd_compile_gadget, ("json",), False),
-    "compile-barrington": (_cmd_compile_barrington, ("json",), False),
-    "reduce-word": (_cmd_reduce_word, ("json",), False),
-    "verify": (_cmd_verify, ("text",), False),
+    "gen": (_cmd_gen, ("json", "bin"), ("out",)),
+    "bp": (_cmd_bp, ("json",), ("mode", "out")),
+    "detect": (_cmd_detect, ("json", "csv"), ("out",)),
+    "scan-ks": (_cmd_scan_ks, ("csv", "json"), ("config", "out")),
+    "scan-noise": (_cmd_scan_noise, ("csv", "json"), ("config", "out")),
+    "a5": (_cmd_a5, ("csv", "json"), ("config", "out")),
+    "compile-gadget": (_cmd_compile_gadget, ("json",), ("mode", "out")),
+    "compile-barrington": (_cmd_compile_barrington, ("json",), ("out",)),
+    "reduce-word": (_cmd_reduce_word, ("json",), ("out",)),
+    "verify": (_cmd_verify, ("text",), ()),
 }
 
 
@@ -396,12 +402,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and friends
         code = exc.code if isinstance(exc.code, int) else 0
         return code
-    command, formats, reads_config = _COMMANDS[args.command]
+    command, formats, reads = _COMMANDS[args.command]
     try:
         if args.format not in (None, *formats):
             raise SystemExit2(f"{args.command} writes {' or '.join(formats)}, not --format {args.format}")
-        if args.config is not None and not reads_config:
-            raise SystemExit2(f"{args.command} reads no --config; give its flags instead")
+        for flag in ("config", "mode", "out"):
+            if getattr(args, flag) is not None and flag not in reads:
+                raise SystemExit2(f"{args.command} reads no --{flag}")
         return command(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

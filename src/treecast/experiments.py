@@ -49,6 +49,7 @@ from .estimators import (
     sampled_hits,
 )
 from .generators import (
+    BATCH_METHODS,
     generate_binary_batch,
     path_product_leaf_law,
     restriction_leaf_law,
@@ -486,7 +487,6 @@ def _chi_square_vs_exact(
     return stat <= threshold, stat, threshold
 
 
-_GENERATOR_METHODS = ("direct", "path", "restrictions")
 _SUITE_P_VALUE = 0.001
 
 
@@ -531,7 +531,7 @@ def run_equivalence_suite(
     leaf_sel = (0, shape.n // 2, shape.n - 1)
     joint = enumerate_joint(shape, Channel.binary(theta), leaves=leaf_sel)
     exact = {cfg: joint.mixture_prob(cfg) for num in joint.numerators for cfg in num}
-    for method in _GENERATOR_METHODS:
+    for method in BATCH_METHODS:
         _, leaves = batch_sampler(
             shape, theta, SeedSpec(seed, f"equiv/{method}"), statistical_trials, method=method
         )

@@ -208,7 +208,7 @@ def verify_gadget(
     """Instantiate the compiled template and check the posterior tracks f.
 
     `mode` goes to `bp_posterior`, whose "auto" picks rational BP up to its
-    node limit (depth 5 at k = 6) and float log-domain BP above.  A rational
+    node limit (depth 5 at k = 6) and float log-odds BP above.  A rational
     posterior is compared exactly, a float one with 1e-9 slack (its 1e-6
     log-odds error budget is far inside the 19/20-vs-1/20 gap).
     """

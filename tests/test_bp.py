@@ -153,11 +153,16 @@ def test_bp_soft_evidence_with_mixed_denominators_equals_oracle_sum():
             ]
             evidence = LeafLikelihood(m=2, weights=rows)
             if sum(weight) == 0:
-                with pytest.raises(ValueError, match="evidence has zero probability"):
-                    bp_posterior(shape, channel, evidence, mode="rational")
+                for mode in ("rational", "float"):
+                    with pytest.raises(ValueError, match="evidence has zero probability"):
+                        bp_posterior(shape, channel, evidence, mode=mode)
                 continue
+            want = tuple(w / sum(weight) for w in weight)
             got = bp_posterior(shape, channel, evidence, mode="rational").masses
-            assert got == tuple(w / sum(weight) for w in weight), (k, d, theta)
+            assert got == want, (k, d, theta)
+            fl = bp_posterior(shape, channel, evidence, mode="float").masses
+            for a in (0, 1):
+                assert abs(fl[a] - float(want[a])) <= 1e-9 * float(want[a]), (k, d, theta, a)
 
 
 @pytest.mark.parametrize("mode", ["float", "auto"])
@@ -176,6 +181,19 @@ def test_float_bp_rejects_zero_probability_evidence(mode):
         evidence = LeafLikelihood.from_labels(leaves, 2)
         report = bp_posterior(shape, Channel.binary(1), evidence, mode=mode)
     assert report.mode == "float-log-domain" and report.masses == (1.0, 0.0)
+
+
+_THREE_LABELS = Channel.from_columns([["1/2", "1/2", "0"], ["0", "3/4", "1/4"], ["0", "0", "1"]])
+
+
+@pytest.mark.parametrize("mode", ["float", "auto"])
+def test_float_bp_refuses_a_channel_that_is_not_binary_symmetric(mode):
+    # "auto" picks float BP above AUTO_RATIONAL_NODE_LIMIT nodes.
+    shape = TreeShape(k=2, d=1) if mode == "float" else TreeShape(k=2, d=14)
+    assert mode == "float" or shape.total_nodes > bp_module.AUTO_RATIONAL_NODE_LIMIT
+    evidence = LeafLikelihood.from_labels(np.zeros(shape.n, dtype=np.uint8), 3)
+    with pytest.raises(ValueError, match='binary symmetric channel; use mode="rational"'):
+        bp_posterior(shape, _THREE_LABELS, evidence, mode=mode)
 
 
 def test_complement_symmetry_exact():

@@ -591,12 +591,11 @@ _WRITES = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json", "bin"])
-@pytest.mark.parametrize("command", sorted(_WRITES))
-def test_every_command_writes_its_format_or_refuses_it(tmp_path, capsys, command, fmt):
+def _small_run_argv(tmp_path, capsys, command):
+    """Flags for a quick run of `command`; `bp` reads a dumped k=2, d=2 tree."""
     leaves = str(tmp_path / "tree.json")
     assert run(capsys, "--out", leaves, "gen", "--k", "2", "--d", "2")[0] == EXIT_OK
-    argv = {
+    return {
         "gen": ("--k", "2", "--d", "2"),
         "bp": ("--leaves", leaves),
         "detect": ("--k", "2", "--d", "3", "--theta", "4/5", "--trials", "100"),
@@ -608,6 +607,12 @@ def test_every_command_writes_its_format_or_refuses_it(tmp_path, capsys, command
         "reduce-word": ("--length", "8", "--trials", "20"),
         "verify": ("--quick",),
     }[command]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "bin"])
+@pytest.mark.parametrize("command", sorted(_WRITES))
+def test_every_command_writes_its_format_or_refuses_it(tmp_path, capsys, command, fmt):
+    argv = _small_run_argv(tmp_path, capsys, command)
     out = tmp_path / "out"
     code, stdout, err = run(capsys, "--jobs", "1", "--format", fmt, "--out", str(out), command, *argv)
     if fmt not in _WRITES[command]:
@@ -624,6 +629,75 @@ def test_every_command_writes_its_format_or_refuses_it(tmp_path, capsys, command
         assert read_csv(str(out))
     else:
         json.loads(data)
+
+
+# The global --mode and --out each command reads; giving it any other of the
+# two is a one-line usage error.
+_READS = {command: ("--out",) for command in _WRITES}
+_READS.update({"bp": ("--mode", "--out"), "compile-gadget": ("--mode", "--out"), "verify": ()})
+
+
+@pytest.mark.parametrize("flag", ["--mode", "--out"])
+@pytest.mark.parametrize("command", sorted(_WRITES))
+def test_every_command_reads_its_global_flags_or_refuses_them(tmp_path, capsys, command, flag):
+    argv = _small_run_argv(tmp_path, capsys, command)
+    out = tmp_path / "out"
+    value = {"--mode": "rational", "--out": str(out)}[flag]
+    code, stdout, err = run(capsys, "--jobs", "1", flag, value, command, *argv)
+    if flag not in _READS[command]:
+        _one_line_usage_error(code, err, command, f"reads no {flag}")
+        assert stdout == "" and not out.exists()
+        return
+    assert code == EXIT_OK, err
+    if flag == "--out":
+        assert stdout == "" and out.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["float", "rational", "auto"])
+def test_mode_reaches_bp_and_defaults_to_auto(tmp_path, capsys, mode):
+    argv = _small_run_argv(tmp_path, capsys, "bp")
+    code, out, _ = run(capsys, "--mode", mode, "bp", *argv)
+    assert code == EXIT_OK
+    want = "float-log-domain" if mode == "float" else "exact-rational"
+    assert json.loads(out)["mode"] == want
+    if mode == "auto":
+        assert run(capsys, "bp", *argv) == (EXIT_OK, out, "")
+
+
+_CONFIGS = {
+    "scan-ks": {"experiment": "ks-scan", "k": [2], "theta": ["1/2"], "d": [2]},
+    "scan-noise": {"experiment": "noise-scan", "k": [2], "theta": ["4/5"], "d": [2], "s": ["1/10"]},
+    "a5": {"experiment": "a5-accuracy", "k": [4], "d": [2]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, before, after, named",
+    [
+        ("scan-ks", ("--seed", "5", "--out", "o.csv", "--format", "json"), (), "--seed, --out, --format"),
+        ("scan-ks", (), ("--trials", "5000", "--d", "7"), "--d, --trials"),
+        ("scan-noise", ("--jobs", "2"), ("--s", "0"), "--jobs, --s"),
+        ("a5", (), ("--model", "pair3600"), "--model"),
+    ],
+    ids=["globals", "grid", "noise", "a5-model"],
+)
+def test_flag_beside_config_is_one_line_error(tmp_path, capsys, monkeypatch, command, before, after, named):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({**_CONFIGS[command], "trials": 100, "jobs": 1}))
+    code, out, err = run(capsys, *before, "--config", str(config), command, *after)
+    _one_line_usage_error(code, err, "--config replaces the flags", f"drop {named}")
+    assert out == "" and not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIGS))
+def test_flag_at_its_default_beside_config_is_ignored(tmp_path, capsys, command):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({**_CONFIGS[command], "trials": 100, "jobs": 1}))
+    plain = run(capsys, "--config", str(config), command)
+    assert plain[0] == EXIT_OK
+    defaults = ("--seed", "1", "--jobs", "0")
+    assert run(capsys, *defaults, "--config", str(config), command)[:2] == plain[:2]
 
 
 def test_reduce_word_golden(capsys):
