@@ -1,11 +1,12 @@
 """Exact and float belief propagation on regular trees.
 
 Bottom-up message passing computes the exact conditional law of the root
-given per-leaf likelihood weights.  Two arithmetic modes are supported:
+given per-leaf likelihood weights, a `LeafLikelihood`: each distinct row of
+weights once and a row index per leaf.  Two arithmetic modes are supported:
 
 * rational -- exact, on Python ints: the channel is scaled once to integer
-  numerators over one denominator (`Channel.integer_columns`), each leaf row
-  by the lcm of its own denominators, and the m root masses become
+  numerators over one denominator (`Channel.integer_columns`), each distinct
+  leaf row by the lcm of its own denominators, and the m root masses become
   `Fraction`s only at the end.  Every scale factor is common to all root
   labels, so the normalized posterior is exactly the rational one.  This is
   the verification path and is auto-selected while the tree is small;
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -49,45 +51,38 @@ AUTO_RATIONAL_NODE_LIMIT = 20_000
 class LeafLikelihood:
     """Per-leaf, per-label likelihood weights (exact rationals).
 
-    Weights must be nonnegative and not all zero for any leaf.  Hard
-    observations are point masses; a flip channel with rate s maps an
-    observed bit x to weights (1-s) on x and s on 1-x.
+    `rows` holds each distinct row of m nonnegative weights, not all zero,
+    once; `index` holds each leaf's observed label, the number of its row.
+    Hard evidence is the m unit rows, and flip evidence of rate s the rows
+    (1-s, s) and (s, 1-s), at any number of leaves.  Equality compares this
+    layout, so the same weights in another row order compare unequal.
     """
 
     m: int
-    weights: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+    index: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Leaves often share one row object (hard evidence does); check each once.
-        checked = set()
-        for i, row in enumerate(self.weights):
-            if id(row) in checked:
+        n = len(self.rows)
+        if not set(self.index).issubset(range(n)):
+            leaf, bad = next((i, x) for i, x in enumerate(self.index) if not 0 <= x < n)
+            raise ValueError(f"leaf {leaf}: observed label {bad} outside [0, {n})")
+        # Each row once; a bad row is reported at the first leaf that reads it.
+        for r, row in enumerate(self.rows):
+            if len(row) == self.m and any(row) and min(map(_numerator, row)) >= 0:
                 continue
-            checked.add(id(row))
-            if len(row) != self.m:
-                raise ValueError(f"leaf {i} has {len(row)} weights, expected {self.m}")
-            if any(w < 0 for w in row):
-                raise ValueError(f"leaf {i} has a negative likelihood weight")
-            if all(w == 0 for w in row):
-                raise ValueError(f"leaf {i} has an all-zero likelihood")
+            problem = (f"has {len(row)} weights, expected {self.m}" if len(row) != self.m
+                       else "has a negative likelihood weight" if any(row) else "has an all-zero likelihood")
+            where = f"leaf {self.index.index(r)}" if r in self.index else f"row {r}"
+            raise ValueError(f"{where} {problem}")
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.index)
 
     @classmethod
     def from_labels(cls, labels, m: int) -> "LeafLikelihood":
-        """Hard evidence: each label range-checked, each row its shared
-        `_unit_row`.  Those rows are valid by construction, so the per-row
-        checks of `__post_init__` are not rerun."""
-        rows = []
-        for x in labels:
-            x = int(x)
-            if not 0 <= x < m:
-                raise ValueError(f"observed label {x} outside [0, {m})")
-            rows.append(_unit_row(m, x))
-        evidence = object.__new__(cls)
-        evidence.__dict__.update(m=m, weights=tuple(rows))
-        return evidence
+        """Hard evidence: the m shared unit rows, each label its leaf's row."""
+        return cls(m, _unit_rows(m), _ints(labels))
 
     @classmethod
     def from_noisy_bits(cls, bits, s: FractionLike) -> "LeafLikelihood":
@@ -95,25 +90,34 @@ class LeafLikelihood:
         sf = as_fraction(s)
         if not 0 <= sf <= 1:
             raise ValueError(f"flip rate must lie in [0, 1], got {sf}")
-        seen = ((1 - sf, sf), (sf, 1 - sf))
-        rows = []
-        for x in bits:
-            x = int(x)
-            if x not in (0, 1):
-                raise ValueError(f"noisy-bit evidence must be binary, got {x}")
-            rows.append(seen[x])
-        return cls(m=2, weights=tuple(rows))
+        return cls(2, ((1 - sf, sf), (sf, 1 - sf)), _ints(bits))
+
+    @classmethod
+    def from_weights(cls, m: int, weights) -> "LeafLikelihood":
+        """Soft evidence: one row of m weights per leaf, each weight made exact
+        by `as_fraction`; equal rows are stored once."""
+        rows: dict[tuple[Fraction, ...], int] = {}
+        index = tuple(rows.setdefault(tuple(map(as_fraction, row)), len(rows)) for row in weights)
+        return cls(m, tuple(rows), index)
 
     def to_float(self) -> np.ndarray:
-        return np.array(
-            [[float(w) for w in row] for row in self.weights], dtype=np.float64
-        )
+        """Weights as floats, shape (leaves, m): each distinct row converted once."""
+        return np.array(self.rows, dtype=np.float64).take(self.index, axis=0)
 
 
-@lru_cache(maxsize=64)
-def _unit_row(m: int, x: int) -> tuple[Fraction, ...]:
-    """The point mass on label x: one row shared by every leaf that observes x."""
-    return tuple(Fraction(int(a == x)) for a in range(m))
+_numerator = attrgetter("numerator")  # a weight's sign, without comparing Fractions
+
+
+def _ints(values) -> tuple[int, ...]:
+    """Labels or bits as a tuple of ints; an array converts in one `tolist`."""
+    return tuple(values.astype(np.intp).tolist() if isinstance(values, np.ndarray) else map(int, values))
+
+
+@lru_cache(maxsize=16)
+def _unit_rows(m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The point masses on labels 0, ..., m-1, the rows of all hard evidence."""
+    zero, one = Fraction(0), Fraction(1)
+    return tuple(tuple(one if a == x else zero for a in range(m)) for x in range(m))
 
 
 @dataclass(frozen=True)
@@ -152,12 +156,8 @@ def _bp_rational(shape: TreeShape, channel: Channel, evidence: LeafLikelihood):
     # Each message is scaled by a factor common to every label, so the
     # normalized posterior is unchanged: a leaf row by its own lcm, a sum by
     # the channel denominator.
-    scaled: dict[int, list[int]] = {}  # by row object: leaves often share one
-    msgs = []
-    for row in evidence.weights:
-        if id(row) not in scaled:
-            scaled[id(row)] = integer_numerators(row)[0]
-        msgs.append(scaled[id(row)])
+    scaled = [integer_numerators(row)[0] for row in evidence.rows]
+    msgs = [scaled[r] for r in evidence.index]
     for _ in range(shape.d):
         nxt = []
         for base in range(0, len(msgs), shape.k):
@@ -198,8 +198,9 @@ def bp_posterior(
         if not channel.is_binary_symmetric:
             raise ValueError('float BP takes a binary symmetric channel; use mode="rational"')
         with np.errstate(divide="ignore"):
-            w = np.log(evidence.to_float())
-        lam = _log_odds_up((w[:, 1] - w[:, 0])[None], shape.k, float(channel.theta), shape.d)[0, 0]
+            w = np.log(np.array(evidence.rows, dtype=np.float64))
+        leaf = (w[:, 1] - w[:, 0]).take(evidence.index)[None]  # each distinct row's log-odds, gathered
+        lam = _log_odds_up(leaf, shape.k, float(channel.theta), shape.d)[0, 0]
         if np.isnan(lam):
             raise ValueError("evidence has zero probability under the model")
         masses = tuple(_sigmoid(np.array([-lam, lam])).tolist())

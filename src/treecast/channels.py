@@ -42,8 +42,8 @@ def as_fraction(x: FractionLike) -> Fraction:
     """
     if isinstance(x, Rational):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
+    if isinstance(x, float):  # numpy floats too, whose repr is not the number
+        return Fraction(repr(float(x)))
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")
@@ -182,8 +182,9 @@ class Channel:
 
 def integer_numerators(probs: list[Fraction]) -> tuple[list[int], int]:
     """Exact probabilities as integer numerators over the lcm of their denominators."""
-    den = lcm(*(p.denominator for p in probs))
-    return [p.numerator * (den // p.denominator) for p in probs], den
+    ratios = [p.as_integer_ratio() for p in probs]
+    den = lcm(*[q for _, q in ratios])
+    return [n * (den // q) for n, q in ratios], den
 
 
 def cut63(p: Fraction) -> int:

@@ -194,11 +194,7 @@ def _cmd_bp(args) -> int:
     arr = _load_labels(args.leaves)
     if arr.m != 2:
         raise SystemExit2("bp works on binary trees")
-    s = as_fraction(args.flip_rate)
-    if s == 0:
-        evidence = LeafLikelihood.from_labels(arr.leaves, 2)
-    else:
-        evidence = LeafLikelihood.from_noisy_bits(arr.leaves, s)
+    evidence = LeafLikelihood.from_noisy_bits(arr.leaves, as_fraction(args.flip_rate))
     report = bp_posterior(arr.shape, Channel.binary(as_fraction(args.theta)), evidence, mode=args.mode or "auto")
     masses = [str(x) if report.mode == "exact-rational" else repr(float(x)) for x in report.masses]
     doc = {"mode": report.mode, "argmax": report.argmax, "tie": report.tie, "masses": masses}
@@ -300,6 +296,8 @@ def _cmd_compile_gadget(args) -> int:
     from .formulas import assignments, parse_formula
     from .gadgets import compile_formula, verify_gadget
 
+    if args.mode is not None and not args.check:
+        raise SystemExit2("compile-gadget reads --mode only with --check")
     f = parse_formula(args.formula)
     template = compile_formula(f)
     doc = {"depth": template.depth, "entries": template.to_tags()}
@@ -315,7 +313,7 @@ def _cmd_compile_gadget(args) -> int:
 def _cmd_compile_barrington(args) -> int:
     from .a5.barrington import barrington_compile, evaluate_program_batch, program_to_json
     from .a5.group import A5
-    from .formulas import assignments, parse_formula
+    from .formulas import assignments, evaluate_all, parse_formula
 
     f = parse_formula(args.formula)
     target = args.target if args.target is not None else int(A5.five_cycles()[0])
@@ -323,9 +321,8 @@ def _cmd_compile_barrington(args) -> int:
     doc = {"target": target, "length": len(program), "program": program_to_json(program)}
     if args.check:
         table = assignments(max(f.variables(), default=0) + 1)
-        want = [target if f.evaluate(a) else A5.identity for a in table]
-        ok = evaluate_program_batch(program, table).tolist() == want
-        doc["matches_truth_table"] = ok
+        want = [target if t else A5.identity for t in evaluate_all(f, table.shape[1])]
+        doc["matches_truth_table"] = evaluate_program_batch(program, table).tolist() == want
     _write_or_print(json.dumps(doc, sort_keys=True), args.out)
     return EXIT_OK if doc.get("matches_truth_table", True) else EXIT_VERIFY
 

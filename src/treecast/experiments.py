@@ -650,7 +650,7 @@ def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
     `bp_posterior` picks it, to guard the float path itself.
     """
     from .bp import bp_posterior_batch_binary
-    from .formulas import assignments, random_formula
+    from .formulas import assignments, evaluate_all, random_formula
     from .gadgets import GADGET_K, GADGET_THETA, compile_formula, verify_gadget
 
     n_formulas = 100
@@ -664,8 +664,7 @@ def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
         leaves = np.stack([template.instantiate(a) for a in table])
         shape = TreeShape(k=GADGET_K, d=template.depth)
         posts = bp_posterior_batch_binary(shape, float(GADGET_THETA), leaves)
-        truth = np.array([f.evaluate(a) for a in table], dtype=bool)
-        bad = np.where(truth, posts < high, posts > low)
+        bad = np.where(evaluate_all(f, table.shape[1]), posts < high, posts > low)
         checked += len(table)
         violations += int(bad.sum())
         if findex % 25 == 0:

@@ -50,7 +50,8 @@ class Formula:
         return self.fold(lambda f, kids: 1 + sum(kids) if kids else 0)
 
     def evaluate(self, assignment) -> int:
-        raise NotImplementedError
+        """Truth value under `assignment` (0/1 per variable); each variable node reads it once."""
+        return self.fold(lambda f, kids: _truth(f, kids, lambda i: int(assignment[i]) & 1))
 
     def to_text(self) -> str:
         raise NotImplementedError
@@ -60,9 +61,6 @@ class Formula:
 class Var(Formula):
     index: int
     op: str = "var"
-
-    def evaluate(self, assignment) -> int:
-        return int(assignment[self.index]) & 1
 
     def to_text(self) -> str:
         return f"x{self.index + 1}"
@@ -77,9 +75,6 @@ class Const(Formula):
         if self.value not in (0, 1):
             raise ValueError("constants are 0 or 1")
 
-    def evaluate(self, assignment) -> int:
-        return self.value
-
     def to_text(self) -> str:
         return str(self.value)
 
@@ -92,9 +87,6 @@ class Not(Formula):
     @property
     def _children(self) -> tuple[Formula, ...]:
         return (self.child,)
-
-    def evaluate(self, assignment) -> int:
-        return 1 - self.child.evaluate(assignment)
 
     def to_text(self) -> str:
         return f"(not {self.child.to_text()})"
@@ -114,13 +106,20 @@ class Gate(Formula):
     def _children(self) -> tuple[Formula, ...]:
         return (self.left, self.right)
 
-    def evaluate(self, assignment) -> int:
-        a = self.left.evaluate(assignment)
-        b = self.right.evaluate(assignment)
-        return a & b if self.op == "and" else a | b
-
     def to_text(self) -> str:
         return f"({self.op} {self.left.to_text()} {self.right.to_text()})"
+
+
+def _truth(f: Formula, kids: list, var):
+    """`f`'s truth value from its children's, where `var(i)` reads variable
+    i: an int, or a numpy column that the int ops broadcast over."""
+    if f.op == "var":
+        return var(f.index)
+    if f.op == "const":
+        return f.value
+    if f.op == "not":
+        return 1 - kids[0]
+    return kids[0] & kids[1] if f.op == "and" else kids[0] | kids[1]
 
 
 def _tokenize(text: str) -> list[str]:
@@ -187,8 +186,9 @@ def assignments(n_vars: int) -> np.ndarray:
 
 
 def evaluate_all(formula: Formula, n_vars: int) -> np.ndarray:
-    """Truth column over `assignments(n_vars)`."""
-    return np.array([formula.evaluate(a) for a in assignments(n_vars)], dtype=np.uint8)
+    """Truth column over `assignments(n_vars)`, one fold over uint8 columns."""
+    columns = assignments(n_vars).T.copy()
+    return np.full(1 << n_vars, formula.fold(lambda f, kids: _truth(f, kids, columns.__getitem__)), dtype=np.uint8)
 
 
 def random_formula(rng, n_vars: int, max_gates: int, max_depth: int) -> Formula:

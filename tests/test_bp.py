@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treecast import bp as bp_module
-from treecast.bp import LeafLikelihood, _sigmoid, _unit_row, bp_posterior, bp_posterior_batch_binary
+from treecast.bp import LeafLikelihood, _sigmoid, _unit_rows, bp_posterior, bp_posterior_batch_binary
 from treecast.channels import Channel
 from treecast.estimators import bp_rounding_decisions, noisy_leaf_channel
 from treecast.oracle import enumerate_joint
@@ -50,14 +50,21 @@ def test_theta_zero_posterior_uniform():
 
 
 def test_all_zero_likelihood_rejected():
-    with pytest.raises(ValueError):
-        LeafLikelihood(m=2, weights=((Fraction(0), Fraction(0)),))
-    with pytest.raises(ValueError):
-        LeafLikelihood(m=2, weights=((Fraction(-1), Fraction(1)),))
+    with pytest.raises(ValueError, match="leaf 0 has an all-zero"):
+        LeafLikelihood(m=2, rows=((Fraction(0), Fraction(0)),), index=(0,))
+    with pytest.raises(ValueError, match="leaf 0 has a negative"):
+        LeafLikelihood(m=2, rows=((Fraction(-1), Fraction(1)),), index=(0,))
     # A row shared by several leaves is reported at its first leaf.
     good, bad = (Fraction(1), Fraction(0)), (Fraction(-1), Fraction(2))
     with pytest.raises(ValueError, match="leaf 1 has a negative"):
-        LeafLikelihood(m=2, weights=(good, bad, good, bad))
+        LeafLikelihood.from_weights(2, (good, bad, good, bad))
+    with pytest.raises(ValueError, match="leaf 2 has 3 weights, expected 2"):
+        LeafLikelihood.from_weights(2, (good, good, (1, 2, 3)))
+    # A row no leaf reads is still checked; a leaf must read a row that exists.
+    with pytest.raises(ValueError, match="row 1 has an all-zero"):
+        LeafLikelihood(m=2, rows=(good, (Fraction(0), Fraction(0))), index=(0, 0))
+    with pytest.raises(ValueError, match=r"leaf 1: observed label 2 outside \[0, 2\)"):
+        LeafLikelihood(m=2, rows=(good, good), index=(0, 2))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 16])
@@ -65,10 +72,12 @@ def test_hard_evidence_rows_equal_fresh_unit_fractions(m):
     labels = [x for x in range(m) for _ in range(3)]
     fresh = tuple(tuple(Fraction(1) if a == x else Fraction(0) for a in range(m)) for x in labels)
     ev = LeafLikelihood.from_labels(np.array(labels), m)
-    assert ev.weights == fresh
-    assert all(row is _unit_row(m, x) for row, x in zip(ev.weights, labels))
-    assert ev == LeafLikelihood(m=m, weights=fresh)
-    assert all(type(w) is Fraction for row in ev.weights for w in row)
+    assert tuple(ev.rows[x] for x in ev.index) == fresh
+    # Every hard evidence on m labels shares the m cached unit rows.
+    assert ev.rows is _unit_rows(m) is LeafLikelihood.from_labels(labels[::-1], m).rows
+    assert ev.index == tuple(labels) and all(type(x) is int for x in ev.index)
+    assert ev == LeafLikelihood.from_weights(m, fresh)
+    assert all(type(w) is Fraction for row in ev.rows for w in row)
     for bad in (m, -1):
         with pytest.raises(ValueError, match=rf"observed label {bad} outside \[0, {m}\)"):
             LeafLikelihood.from_labels([0, bad], m)
@@ -151,7 +160,7 @@ def test_bp_soft_evidence_with_mixed_denominators_equals_oracle_sum():
                 )
                 for a in (0, 1)
             ]
-            evidence = LeafLikelihood(m=2, weights=rows)
+            evidence = LeafLikelihood.from_weights(2, rows)
             if sum(weight) == 0:
                 for mode in ("rational", "float"):
                     with pytest.raises(ValueError, match="evidence has zero probability"):
@@ -244,8 +253,42 @@ def test_float_mode_close_to_rational():
 def test_noisy_evidence_channel():
     # Flip-channel likelihoods: observed bit through rate s.
     ev = LeafLikelihood.from_noisy_bits([1, 0], Fraction(1, 10))
-    assert ev.weights[0] == (Fraction(1, 10), Fraction(9, 10))
-    assert ev.weights[1] == (Fraction(9, 10), Fraction(1, 10))
+    assert ev.rows[ev.index[0]] == (Fraction(1, 10), Fraction(9, 10))
+    assert ev.rows[ev.index[1]] == (Fraction(9, 10), Fraction(1, 10))
+    # At s = 0 the flip channel is hard evidence.
+    bits = np.array([1, 0, 0, 1, 1], dtype=np.uint8)
+    assert LeafLikelihood.from_noisy_bits(bits, 0) == LeafLikelihood.from_labels(bits, 2)
+    with pytest.raises(ValueError, match=r"leaf 1: observed label 2 outside \[0, 2\)"):
+        LeafLikelihood.from_noisy_bits([0, 2, 1], Fraction(1, 10))
+
+
+def test_soft_evidence_stores_each_distinct_row_once():
+    a, b = (Fraction(1, 3), Fraction(1, 2)), (Fraction(2), Fraction(0))
+    ev = LeafLikelihood.from_weights(2, [a, b, a, a, (1, 0), b, ("1/3", 0.5)])
+    assert ev.rows == (a, b, (1, 0)) and ev.index == (0, 1, 0, 0, 2, 1, 0)
+    assert len(ev) == 7
+    assert all(type(w) is Fraction for row in ev.rows for w in row)
+    # Floats are read as typed, numpy's as well.
+    grid = LeafLikelihood.from_weights(2, np.array([[0.8, 0.2], [0.2, 0.8], [0.8, 0.2]]))
+    assert grid.rows == ((Fraction(4, 5), Fraction(1, 5)), (Fraction(1, 5), Fraction(4, 5))) and grid.index == (0, 1, 0)
+
+
+_S, _LABELS, _BITS = Fraction(1, 7), [2, 0, 1, 1, 2, 0], [1, 0, 1, 1]
+_SOFT = [(Fraction(1, 3), 1), (0, Fraction(2, 9)), (Fraction(1, 3), 1)]
+
+
+@pytest.mark.parametrize(
+    "evidence, per_leaf",
+    [
+        (LeafLikelihood.from_labels(_LABELS, 3), [[int(a == x) for a in range(3)] for x in _LABELS]),
+        (LeafLikelihood.from_noisy_bits(_BITS, _S), [[_S, 1 - _S] if x else [1 - _S, _S] for x in _BITS]),
+        (LeafLikelihood.from_weights(2, _SOFT), _SOFT),
+    ],
+    ids=["hard", "noisy", "soft"],
+)
+def test_to_float_equals_each_weight_converted(evidence, per_leaf):
+    got = evidence.to_float()
+    assert got.dtype == np.float64 and got.tolist() == [[float(w) for w in row] for row in per_leaf]
 
 
 def test_batch_matches_single():

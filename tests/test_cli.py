@@ -602,7 +602,7 @@ def _small_run_argv(tmp_path, capsys, command):
         "scan-ks": ("--k", "2", "--theta", "4/5", "--d", "3", "--trials", "100"),
         "scan-noise": ("--k", "2", "--theta", "4/5", "--d", "2", "--s", "1/10", "--trials", "100"),
         "a5": ("--k", "4", "--d", "2", "--trials", "100"),
-        "compile-gadget": ("--formula", "(and x1 x2)"),
+        "compile-gadget": ("--formula", "(and x1 x2)", "--check"),
         "compile-barrington": ("--formula", "(and x1 x2)"),
         "reduce-word": ("--length", "8", "--trials", "20"),
         "verify": ("--quick",),
@@ -651,6 +651,16 @@ def test_every_command_reads_its_global_flags_or_refuses_them(tmp_path, capsys, 
     assert code == EXIT_OK, err
     if flag == "--out":
         assert stdout == "" and out.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["float", "rational", "auto"])
+def test_compile_gadget_reads_mode_only_with_check(capsys, mode):
+    code, stdout, err = run(capsys, "--mode", mode, "compile-gadget", "--formula", "x1")
+    _one_line_usage_error(code, err, "compile-gadget reads --mode only with --check")
+    assert stdout == ""
+    code, stdout, err = run(capsys, "--mode", mode, "compile-gadget", "--formula", "x1", "--check")
+    assert code == EXIT_OK, err
+    assert json.loads(stdout)["tracks_all_assignments"] is True
 
 
 @pytest.mark.parametrize("mode", ["float", "rational", "auto"])

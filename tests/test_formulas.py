@@ -136,6 +136,40 @@ def test_walks_visit_each_distinct_node_once():
     assert (chain.depth, chain.gate_count(), program_length(chain)) == (5000, 5000, 5001)
 
 
+class _CountingAssignment:
+    """0/1 per variable, counting the reads of each."""
+
+    def __init__(self, bits):
+        self.bits, self.reads = bits, [0] * len(bits)
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return self.bits[i]
+
+
+def test_evaluate_reads_each_variable_once_on_a_shared_formula():
+    # 2^16 paths reach x1; level i gives f or (f and x_{i+1}) = f, or
+    # f and (f and x_{i+1}), so f = x1 and x3 and ... and x17.
+    f = Var(0)
+    for i in range(1, 17):
+        f = Gate(op="or" if i % 2 else "and", left=f, right=Gate(op="and", left=f, right=Var(i)))
+    for bits, want in (([1] * 17, 1), ([1] * 16 + [0], 0), ([1, 0] * 8 + [1], 1)):
+        assignment = _CountingAssignment(bits)
+        assert f.evaluate(assignment) == want
+        assert assignment.reads == [1] * 17
+
+
+def test_evaluate_all_equals_each_assignment_evaluated():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        f = random_formula(rng, n_vars=5, max_gates=20, max_depth=6)
+        column = evaluate_all(f, 5)
+        assert column.dtype == np.uint8
+        assert column.tolist() == [f.evaluate(a) for a in assignments(5)]
+    assert evaluate_all(Const(1), 0).tolist() == [1]
+    assert evaluate_all(Not(Const(1)), 2).tolist() == [0, 0, 0, 0]
+
+
 @pytest.mark.parametrize("compile_", [compile_formula, lambda f: barrington_compile(f, A5.five_cycles()[0])])
 def test_compilers_refuse_a_deep_shared_formula_at_once(compile_):
     f = _shared_formula(20)
