@@ -10,8 +10,8 @@ its children's (estimated) labels:
   the second classes; the top class is the parent's first class, the
   runner-up its second.
 
-In both modes, a runner-up count below tau times the top count declares a
-diagonal label (second = first); tau defaults to 1/5, between the 1/3-vs-2/3
+In both modes, a runner-up count below tau = 1/5 of the top count declares a
+diagonal label (second = first): tau is a constant, between the 1/3-vs-2/3
 split of distinct parents and the all-one-value diagonal case.  A class-mode
 node with no identity-first children gets a uniformly random estimate and is
 flagged.
@@ -41,16 +41,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channels import CutTables, FractionLike, as_fraction, binomial_cuts, uniform_draw
+from ..channels import CutTables, binomial_cuts, uniform_draw
 from ..generators import direct_levels
 from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
 from .group import A5
 from .pair_model import pair_model_levels
 from .quotient import quotient_channel
-
-DEFAULT_TAU = Fraction(1, 5)
-
 
 @dataclass(frozen=True)
 class ReconstructionResult:
@@ -78,6 +75,14 @@ def _top_two(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return value[0], count[0], value[1], count[1]
 
 
+def _top_and_second(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per node of (width, nodes) tallies: the top value, the second element
+    (the runner-up, or the top again when the runner-up's count is below
+    1/5 of the top's, a diagonal label) and the top's count."""
+    top, top_count, runner, runner_count = _top_two(counts)
+    return top, np.where(5 * runner_count < top_count, top, runner), top_count
+
+
 def _tally(values: np.ndarray, k: int, width: int) -> np.ndarray:
     """Counts of each value in [0, width) among each node's k children (the
     values grouped k at a time), value-major, shape (width, nodes): one
@@ -89,21 +94,14 @@ def _tally(values: np.ndarray, k: int, width: int) -> np.ndarray:
     return np.bincount(index.reshape(-1), minlength=width * nodes).reshape(width, nodes)
 
 
-def reconstruct_level_pair(
-    child_labels: np.ndarray, k: int, tau: Fraction
-) -> np.ndarray:
+def reconstruct_level_pair(child_labels: np.ndarray, k: int) -> np.ndarray:
     """Estimate one level of pair labels from children grouped k at a time;
     `A5.flat` at a child's code is its pair product."""
-    counts = _tally(A5.flat.take(child_labels), k, 60)
-    top, top_count, runner, runner_count = _top_two(counts)
-    diagonal = runner_count * tau.denominator < tau.numerator * top_count
-    second_el = np.where(diagonal, top, runner)
-    return (top * 60 + second_el).astype(np.uint16)
+    top, second, _ = _top_and_second(_tally(A5.flat.take(child_labels), k, 60))
+    return (top * 60 + second).astype(np.uint16)
 
 
-def reconstruct_level_class16_from_counts(
-    counts16: np.ndarray, tau: Fraction, tie_key: int
-) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_level_class16_from_counts(counts16: np.ndarray, tie_key: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimate class-pair labels from per-node child-label tallies.
 
     `counts16` has one row per node and 16 columns (class-pair code order),
@@ -112,10 +110,8 @@ def reconstruct_level_class16_from_counts(
     children is flagged and labelled `uniform_draw(16, w)`, w the word of
     its row index under `tie_key`.
     """
-    top, top_count, runner, runner_count = _top_two(np.asarray(counts16)[:, 0:4].T)
-    diagonal = runner_count * tau.denominator < tau.numerator * top_count
-    second_cl = np.where(diagonal, top, runner)
-    labels = (top * 4 + second_cl).astype(np.uint8)
+    top, second, top_count = _top_and_second(np.asarray(counts16)[:, 0:4].T)
+    labels = (top * 4 + second).astype(np.uint8)
     empty = top_count == 0
     if empty.any():
         idx = np.nonzero(empty)[0]
@@ -124,11 +120,9 @@ def reconstruct_level_class16_from_counts(
     return labels, empty
 
 
-def reconstruct_level_class16(
-    child_labels: np.ndarray, k: int, tau: Fraction, tie_key: int
-) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_level_class16(child_labels: np.ndarray, k: int, tie_key: int) -> tuple[np.ndarray, np.ndarray]:
     counts = _tally(np.asarray(child_labels, dtype=np.intp), k, 16)
-    return reconstruct_level_class16_from_counts(counts.T, tau, tie_key)
+    return reconstruct_level_class16_from_counts(counts.T, tie_key)
 
 
 class _BinomialTables:
@@ -259,9 +253,7 @@ def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) ->
     return tallies.T
 
 
-def class16_reconstruction_trial(
-    k: int, d: int, key: int, tau: Fraction = DEFAULT_TAU
-) -> tuple[int, int, int]:
+def class16_reconstruction_trial(k: int, d: int, key: int) -> tuple[int, int, int]:
     """One quotient-model reconstruction trial; returns (root, estimate, flags).
 
     Levels 0..d-1 are `direct_levels` of the quotient channel on `key`, so the
@@ -280,8 +272,8 @@ def class16_reconstruction_trial(
     TreeShape(k, max(d - 1, 1))
     levels = direct_levels(TreeShape(k, d - 1), quotient_channel(), key)
     tallies = identity_first_tallies(levels[-1], k, key, d)
-    level, empty = reconstruct_level_class16_from_counts(tallies, tau, subkey(key, 1))
-    root, flagged = _class16_climb(level, k, tau, key, 1, int(empty.sum()))
+    level, empty = reconstruct_level_class16_from_counts(tallies, subkey(key, 1))
+    root, flagged = _class16_climb(level, k, key, 1, int(empty.sum()))
     return int(levels[0][0]), root, flagged
 
 
@@ -303,9 +295,7 @@ def _check_shrinks(size: int, k: int) -> None:
         raise ValueError(f"arity k = {k} cannot reduce {size} labels to one root")
 
 
-def _class16_climb(
-    level: np.ndarray, k: int, tau: Fraction, tie_key: int, depth: int, flagged: int
-) -> tuple[int, int]:
+def _class16_climb(level: np.ndarray, k: int, tie_key: int, depth: int, flagged: int) -> tuple[int, int]:
     """Apply `reconstruct_level_class16` level by level up to the root, the
     j-th level above `depth` with ties from `subkey(tie_key, depth + j)`.
 
@@ -314,32 +304,27 @@ def _class16_climb(
     _check_shrinks(level.size, k)
     while level.size > 1:
         depth += 1
-        level, empty = reconstruct_level_class16(level, k, tau, subkey(tie_key, depth))
+        level, empty = reconstruct_level_class16(level, k, subkey(tie_key, depth))
         flagged += int(empty.sum())
     return int(level[0]), flagged
 
 
 def recursive_reconstruct(
-    labels: np.ndarray,
-    k: int,
-    model: str,
-    tau: FractionLike = DEFAULT_TAU,
-    seed: SeedSpec | None = None,
+    labels: np.ndarray, k: int, model: str, seed: SeedSpec | None = None
 ) -> ReconstructionResult:
     """Run the tally rule level by level from estimated labels up to the root.
 
     `labels` holds the (estimated) labels of one full level; its length must
     be a power of k.
     """
-    tau_f = as_fraction(tau)
     if model not in ("pair3600", "class16"):
         raise ValueError(f"unknown model {model!r}; expected pair3600 or class16")
     level = np.asarray(labels)
     if model == "class16":
         tie_key = subkey(seed.key(), 0) if seed is not None else subkey(0, 0)
-        root, flagged = _class16_climb(level, k, tau_f, tie_key, 0, 0)
+        root, flagged = _class16_climb(level, k, tie_key, 0, 0)
         return ReconstructionResult(root_estimate=root, flagged_nodes=flagged)
     _check_shrinks(level.size, k)
     while level.size > 1:
-        level = reconstruct_level_pair(level, k, tau_f)
+        level = reconstruct_level_pair(level, k)
     return ReconstructionResult(root_estimate=int(level[0]), flagged_nodes=0)

@@ -236,13 +236,19 @@ def _cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(args, experiment: str):
-    """The `--config` file's config, else one from the global flags and the
-    subcommand's flags of the same names as config keys (a grid flag holds
-    comma-separated values).  The config replaces the flags, so a flag given
-    beside it away from its parser default is a usage error."""
+# The experiment kind each grid subcommand runs.
+_KIND_OF_COMMAND = {"scan-ks": "ks-scan", "scan-noise": "noise-scan", "a5": "a5-accuracy"}
+
+
+def _experiment_config(args):
+    """The grid subcommand's config: the `--config` file's, which must be of
+    the command's kind, else one from the global flags and the subcommand's
+    flags of the same names as config keys (a grid flag holds comma-separated
+    values).  The config replaces the flags, so a flag given beside it away
+    from its parser default is a usage error."""
     from .experiments import ExperimentConfig
 
+    experiment = _KIND_OF_COMMAND[args.command]
     if args.config:
         defaults = vars(build_parser().parse_args([args.command]))
         given = [f"--{name}" for name, value in vars(args).items()
@@ -263,32 +269,21 @@ def _experiment_config(args, experiment: str):
     )
 
 
-def _cmd_scan_ks(args) -> int:
-    from .experiments import emit, run_ks_scan
+def _cmd_experiment(args) -> int:
+    """scan-ks, scan-noise and a5: emit the kind's rows; a noise scan also
+    prints its monotonicity verdicts to stderr."""
+    from .experiments import emit, run_experiment, run_noise_scan
 
-    cfg = _experiment_config(args, "ks-scan")
-    emit(run_ks_scan(cfg), cfg.out, cfg.format)
-    return EXIT_OK
-
-
-def _cmd_scan_noise(args) -> int:
-    from .experiments import emit, run_noise_scan
-
-    cfg = _experiment_config(args, "noise-scan")
+    cfg = _experiment_config(args)
+    if cfg.experiment != "noise-scan":
+        emit(run_experiment(cfg), cfg.out, cfg.format)
+        return EXIT_OK
     report = run_noise_scan(cfg)
     emit(report.rows, cfg.out, cfg.format)
     for key, ok in sorted(report.monotone_in_s.items()):
         print(f"# monotone-in-s k={key[0]} theta={key[1]} d={key[2]}: {'yes' if ok else 'no'}", file=sys.stderr)
     for key, ok in sorted(report.monotone_in_d.items()):
         print(f"# monotone-in-d k={key[0]} theta={key[1]} s={key[2]}: {'yes' if ok else 'no'}", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_a5(args) -> int:
-    from .experiments import emit, run_a5_accuracy
-
-    cfg = _experiment_config(args, "a5-accuracy")
-    emit(run_a5_accuracy(cfg), cfg.out, cfg.format)
     return EXIT_OK
 
 
@@ -378,9 +373,9 @@ _COMMANDS = {
     "gen": (_cmd_gen, ("json", "bin"), ("out",)),
     "bp": (_cmd_bp, ("json",), ("mode", "out")),
     "detect": (_cmd_detect, ("json", "csv"), ("out",)),
-    "scan-ks": (_cmd_scan_ks, ("csv", "json"), ("config", "out")),
-    "scan-noise": (_cmd_scan_noise, ("csv", "json"), ("config", "out")),
-    "a5": (_cmd_a5, ("csv", "json"), ("config", "out")),
+    "scan-ks": (_cmd_experiment, ("csv", "json"), ("config", "out")),
+    "scan-noise": (_cmd_experiment, ("csv", "json"), ("config", "out")),
+    "a5": (_cmd_experiment, ("csv", "json"), ("config", "out")),
     "compile-gadget": (_cmd_compile_gadget, ("json",), ("mode", "out")),
     "compile-barrington": (_cmd_compile_barrington, ("json",), ("out",)),
     "reduce-word": (_cmd_reduce_word, ("json",), ("out",)),

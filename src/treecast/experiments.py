@@ -1,11 +1,12 @@
 """Declarative experiment harness: parameter scans, statistics, emitters.
 
-A config names one of three kinds (`EXPERIMENT_KINDS`): `ks-scan`,
-`noise-scan` and `a5-accuracy`, which the `scan-ks`, `scan-noise` and `a5`
-subcommands run.  `a5-accuracy` covers both A5 models (`A5_MODELS`), chosen
-by the config's `model`.  The generator-equivalence suite, the gadget corpus
-and `verify_all` are plain seeded functions, not config kinds.  `emit`
-writes every row set.
+A config names one of three kinds: `ks-scan`, `noise-scan` and `a5-accuracy`,
+which the `scan-ks`, `scan-noise` and `a5` subcommands run.  One table,
+`EXPERIMENTS`, gives each kind its grid axes and point function, and one
+runner, `run_experiment`, runs them all.  `a5-accuracy` covers both A5 models
+(`A5_MODELS`), chosen by the config's `model`.  The generator-equivalence
+suite, the gadget corpus and `verify_all` are plain seeded functions, not
+config kinds.  `emit` writes every row set.
 
 Every experiment is a pure function of (config, master seed): per-grid-point
 substreams are derived by stable indices, rows are sorted by a canonical key
@@ -61,28 +62,31 @@ from .trees import TreeShape
 
 log = logging.getLogger("treecast.experiments")
 
-EXPERIMENT_KINDS = ("ks-scan", "noise-scan", "a5-accuracy")
 A5_MODELS = {"class16": 16, "pair3600": 3600}  # label count m of each a5-accuracy model
 
 
 def _parse_grid(name: str, values) -> tuple:
     """One grid, from the flags or a config file alike: a non-empty list whose
     k and d entries are ints and whose theta and s entries are the stripped
-    strings that `fraction_text` accepts."""
+    strings that `fraction_text` accepts, no value twice (`4/5` and `0.8`
+    are one value)."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"grid {name!r} must be a list, got {values!r}")
     if not values:
         raise ValueError(f"grid {name!r} must be non-empty")
-    parsed = []
+    parsed: dict = {}  # each value's number: its int, or its Fraction
     for value in values:
         try:
             if name in ("k", "d"):
-                parsed.append(int(value) if isinstance(value, str) else operator.index(value))
+                item = int(value) if isinstance(value, str) else operator.index(value)
             else:
-                parsed.append(fraction_text(str(value)))
+                item = fraction_text(str(value))
         except (TypeError, ValueError):
             raise ValueError(f"grid {name!r} has an invalid value {value!r}") from None
-    return tuple(parsed)
+        if (number := as_fraction(item)) in parsed:
+            raise ValueError(f"grid {name!r} repeats the value {value!r}")
+        parsed[number] = item
+    return tuple(parsed.values())
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 100 for any asserted statistic")
         for name in ("k", "theta", "d", "s"):
             object.__setattr__(self, name, _parse_grid(name, getattr(self, name)))
+        if self.experiment == "a5-accuracy" and min(self.d) < 1:
+            raise ValueError("reconstruction needs depth >= 1")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
@@ -251,17 +257,6 @@ def append_rows(rows: list[ResultRow], path: str) -> None:
 # --- shared-tree estimator scoring ----------------------------------------
 
 
-def _grid(cfg: ExperimentConfig, *axes):
-    """(cfg, index, *values) for each point of the product of `axes`, in
-    order; the index names the point's stream (`_grid_seed`)."""
-    for index, values in enumerate(product(*axes)):
-        yield (cfg, index, *values)
-
-
-def _grid_seed(cfg: ExperimentConfig, index: int) -> SeedSpec:
-    return SeedSpec(cfg.seed, f"{cfg.experiment}/{index}")
-
-
 ESTIMATORS = ("majority", "linearized-bp", "bp-rounding")
 
 
@@ -297,6 +292,20 @@ def score_estimators_point(
     return {name: hits[name] / trials for name in estimators}
 
 
+# --- the grid runner ---------------------------------------------------------
+
+
+def _grid(cfg: ExperimentConfig, *axes):
+    """(cfg, index, *values) for each point of the product of `axes`, in
+    order; the index names the point's stream (`_grid_seed`)."""
+    for index, values in enumerate(product(*axes)):
+        yield (cfg, index, *values)
+
+
+def _grid_seed(cfg: ExperimentConfig, index: int) -> SeedSpec:
+    return SeedSpec(cfg.seed, f"{cfg.experiment}/{index}")
+
+
 def _ks_point(args) -> list[ResultRow]:
     cfg, index, k, theta_str, d = args
     theta = as_fraction(theta_str)
@@ -311,6 +320,43 @@ def _ks_point(args) -> list[ResultRow]:
         _row(cfg.experiment, cfg.seed, k, theta_str, d, "0", name, cfg.trials, acc)
         for name, acc in accs.items()
     ]
+
+
+def _noise_point(args) -> list[ResultRow]:
+    cfg, index, k, theta_str, d, s_str = args
+    shape, theta, s = TreeShape(k=k, d=d), as_fraction(theta_str), as_fraction(s_str)
+    est = estimate_P_sd(shape, theta, s, cfg.trials, _grid_seed(cfg, index))
+    exact = est.method == "exact"
+    trials = cfg.trials if exact else est.trials
+    return [_row(
+        cfg.experiment, cfg.seed, k, theta_str, d, s_str, f"p-sd-{est.method}", trials, est.estimate, exact=exact
+    )]
+
+
+def _a5_point(args) -> list[ResultRow]:
+    cfg, index, k, d = args
+    from .a5.reconstruct import class16_reconstruction_trial, pair_reconstruction_trial
+
+    trial = class16_reconstruction_trial if cfg.model == "class16" else pair_reconstruction_trial
+    key = _grid_seed(cfg, index).key()
+    correct = sum(root == est for root, est, _ in (trial(k, d, subkey(key, t)) for t in range(cfg.trials)))
+    return [_row(
+        cfg.experiment, cfg.seed, k, cfg.model, d, "0", f"{cfg.model}-recursive",
+        cfg.trials, correct / cfg.trials, m=A5_MODELS[cfg.model],
+    )]
+
+
+# Each kind's grid axes, in point order, and its point function, from
+# (cfg, index, *axis values) to that point's rows: majority, linearized BP
+# and Monte Carlo BP rounding on shared trees; P_{s,d}, exact wherever the
+# enumeration cap permits; and the reconstruction accuracy of `cfg.model`,
+# trial t keyed by `subkey(key, t)` of the point's stream.
+EXPERIMENTS = {
+    "ks-scan": (("k", "theta", "d"), _ks_point),
+    "noise-scan": (("k", "theta", "d", "s"), _noise_point),
+    "a5-accuracy": (("k", "d"), _a5_point),
+}
+EXPERIMENT_KINDS = tuple(EXPERIMENTS)
 
 
 def _resolve_jobs(jobs: int) -> int:
@@ -329,16 +375,16 @@ def _map_points(worker, points, jobs: int):
         return list(pool.map(worker, points))
 
 
-def run_ks_scan(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Majority, linearized BP, and Monte Carlo BP rounding on shared trees."""
-    if cfg.experiment != "ks-scan":
-        raise ValueError("config is not a ks-scan")
-    points = list(_grid(cfg, cfg.k, cfg.theta, cfg.d))
-    batches = _map_points(_ks_point, points, _resolve_jobs(cfg.jobs))
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
+    """The rows of `cfg`'s kind: its point function over the product of its
+    axes, spread over `cfg.jobs` workers, sorted by `ResultRow.sort_key`."""
+    axes, point = EXPERIMENTS[cfg.experiment]
+    points = list(_grid(cfg, *(getattr(cfg, axis) for axis in axes)))
+    batches = _map_points(point, points, _resolve_jobs(cfg.jobs))
     return sorted((row for batch in batches for row in batch), key=ResultRow.sort_key)
 
 
-# --- noise scan ------------------------------------------------------------
+run_ks_scan = run_a5_accuracy = run_experiment
 
 
 @dataclass(frozen=True)
@@ -348,34 +394,16 @@ class NoiseScanReport:
     monotone_in_d: dict[tuple[int, str, str], bool]
 
 
-def _noise_point(args):
-    cfg, index, k, theta_str, d, s_str = args
-    shape = TreeShape(k=k, d=d)
-    theta = as_fraction(theta_str)
-    s = as_fraction(s_str)
-    est = estimate_P_sd(shape, theta, s, cfg.trials, _grid_seed(cfg, index))
-    name = "p-sd-exact" if est.method == "exact" else "p-sd-mc"
-    trials = est.trials if est.method == "mc" else cfg.trials
-    return _row(
-        cfg.experiment, cfg.seed, k, theta_str, d, s_str, name, trials, est.estimate,
-        exact=est.method == "exact",
-    )
-
-
 def run_noise_scan(cfg: ExperimentConfig) -> NoiseScanReport:
-    """P_{s,d} over the (s, d) grid, with monotonicity verdicts.
+    """A noise-scan's rows, with monotonicity verdicts.
 
-    Exact values are substituted wherever the enumeration cap permits.  The
-    verdicts report observed monotonicity: nonincreasing in s at fixed (k,
-    theta, d), and nonincreasing in d at fixed (k, theta, s).  The in-s law
-    always holds for exact columns; the in-d direction genuinely fails for
-    s > 0 (more noisy observations can beat fewer), so it is reported, not
-    asserted.
+    The verdicts report observed monotonicity: nonincreasing in s at fixed
+    (k, theta, d), and nonincreasing in d at fixed (k, theta, s).  The in-s
+    law always holds for exact columns; the in-d direction genuinely fails
+    for s > 0 (more noisy observations can beat fewer), so it is reported,
+    not asserted.
     """
-    if cfg.experiment != "noise-scan":
-        raise ValueError("config is not a noise-scan")
-    points = list(_grid(cfg, cfg.k, cfg.theta, cfg.d, cfg.s))
-    rows = sorted(_map_points(_noise_point, points, _resolve_jobs(cfg.jobs)), key=ResultRow.sort_key)
+    rows = run_experiment(cfg)
     by_key = {(r.k, r.theta_or_channel, r.d, r.s): r.accuracy for r in rows}
 
     def nonincreasing(vals: list[float]) -> bool:
@@ -585,37 +613,6 @@ def run_equivalence_suite(
 
 def suite_failures(results: list[CheckResult]) -> list[CheckResult]:
     return [r for r in results if not r.passed]
-
-
-# --- A5 reconstruction accuracy ---------------------------------------------
-
-
-def _a5_point(args) -> ResultRow:
-    cfg, index, k, d = args
-    from .a5.reconstruct import class16_reconstruction_trial, pair_reconstruction_trial
-
-    trial = class16_reconstruction_trial if cfg.model == "class16" else pair_reconstruction_trial
-    key = _grid_seed(cfg, index).key()
-    correct = 0
-    for t in range(cfg.trials):
-        root, est, _ = trial(k, d, subkey(key, t))
-        correct += root == est
-    return _row(
-        cfg.experiment, cfg.seed, k, cfg.model, d, "0", f"{cfg.model}-recursive",
-        cfg.trials, correct / cfg.trials, m=A5_MODELS[cfg.model],
-    )
-
-
-def run_a5_accuracy(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Recursive-reconstruction accuracy of `cfg.model`: the 3600-label pair
-    model or its 16-label quotient, one row per (k, d) point, trial t keyed
-    by `subkey(key, t)` of the point's stream."""
-    if cfg.experiment != "a5-accuracy":
-        raise ValueError("config is not an a5-accuracy run")
-    if min(cfg.d) < 1:
-        raise ValueError("reconstruction needs depth >= 1")
-    points = list(_grid(cfg, cfg.k, cfg.d))
-    return sorted(_map_points(_a5_point, points, _resolve_jobs(cfg.jobs)), key=ResultRow.sort_key)
 
 
 # --- gadget corpus -----------------------------------------------------------

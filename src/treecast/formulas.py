@@ -56,6 +56,12 @@ class Formula:
     def to_text(self) -> str:
         raise NotImplementedError
 
+    def __hash__(self) -> int:
+        """Hash of the op and the children's hashes, once per distinct node (a
+        leaf keeps its dataclass hash).  Gate classes set it in their body, or
+        `dataclass` would replace it with one that walks every path."""
+        return self.fold(lambda f, kids: hash((f.op, *kids)) if kids else hash(f))
+
 
 @dataclass(frozen=True)
 class Var(Formula):
@@ -84,6 +90,8 @@ class Not(Formula):
     child: Formula
     op: str = "not"
 
+    __hash__ = Formula.__hash__
+
     @property
     def _children(self) -> tuple[Formula, ...]:
         return (self.child,)
@@ -101,6 +109,8 @@ class Gate(Formula):
     def __post_init__(self) -> None:
         if self.op not in ("and", "or"):
             raise ValueError(f"unknown gate {self.op!r}")
+
+    __hash__ = Formula.__hash__
 
     @property
     def _children(self) -> tuple[Formula, ...]:

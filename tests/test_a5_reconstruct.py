@@ -18,7 +18,6 @@ from treecast.a5.group import A5
 from treecast.a5.pair_model import generate_pair_model, pair_code
 from treecast.a5.quotient import class_pair_code, generate_class16, quotient_channel
 from treecast.a5.reconstruct import (
-    DEFAULT_TAU,
     class16_reconstruction_trial,
     identity_first_tallies,
     pair_reconstruction_trial,
@@ -40,14 +39,14 @@ class TestTallyRules:
         kids_first = pair_code(b, A5.mul[A5.inv[b], first])
         kids_second = pair_code(b[:30], A5.mul[A5.inv[b[:30]], second])
         children = np.concatenate([kids_first, kids_second]).astype(np.uint16)
-        out = reconstruct_level_pair(children, len(children), DEFAULT_TAU)
+        out = reconstruct_level_pair(children, len(children))
         assert int(out[0]) == pair_code(first, second)
 
     def test_pair_rule_diagonal(self):
         first = 23
         b = np.arange(60)
         children = pair_code(b, A5.mul[A5.inv[b], first]).astype(np.uint16)
-        out = reconstruct_level_pair(children, 60, DEFAULT_TAU)
+        out = reconstruct_level_pair(children, 60)
         assert int(out[0]) == pair_code(first, first)
 
     def test_class_rule_noise_free(self):
@@ -56,21 +55,32 @@ class TestTallyRules:
         counts[0, class_pair_code(0, 3)] = 40
         counts[0, class_pair_code(0, 1)] = 20
         counts[0, class_pair_code(2, 2)] = 500
-        labels, empty = reconstruct_level_class16_from_counts(counts, DEFAULT_TAU, tie_key=1)
+        labels, empty = reconstruct_level_class16_from_counts(counts, tie_key=1)
         assert int(labels[0]) == class_pair_code(3, 1)
         assert not empty[0]
 
     def test_class_rule_diagonal_threshold(self):
         counts = np.zeros((1, 16), dtype=np.int64)
-        counts[0, class_pair_code(0, 2)] = 100  # runner-up count 0 < tau * 100
-        labels, _ = reconstruct_level_class16_from_counts(counts, Fraction(1, 5), tie_key=1)
+        counts[0, class_pair_code(0, 2)] = 100  # runner-up count 0 < 100 / 5
+        labels, _ = reconstruct_level_class16_from_counts(counts, tie_key=1)
         assert int(labels[0]) == class_pair_code(2, 2)
+
+    @pytest.mark.parametrize("runner, second", [(19, 2), (20, 1)])
+    def test_diagonal_exactly_below_a_fifth_of_the_top(self, runner, second):
+        counts = np.zeros((1, 16), dtype=np.int64)
+        counts[0, class_pair_code(0, 2)] = 100
+        counts[0, class_pair_code(0, 1)] = runner
+        labels, _ = reconstruct_level_class16_from_counts(counts, tie_key=1)
+        assert int(labels[0]) == class_pair_code(2, second)
+        # Children whose pair products are 7 (100 of them) and 3.
+        children = np.repeat([pair_code(A5.identity, 7), pair_code(A5.identity, 3)], [100, runner]).astype(np.uint16)
+        assert int(reconstruct_level_pair(children, children.size)[0]) == pair_code(7, 7 if second == 2 else 3)
 
     def test_class_rule_zero_identity_children_flagged(self):
         counts = np.zeros((2, 16), dtype=np.int64)
         counts[0, class_pair_code(1, 1)] = 50  # no identity-first children at all
         counts[1, class_pair_code(0, 3)] = 10
-        labels, empty = reconstruct_level_class16_from_counts(counts, DEFAULT_TAU, tie_key=9)
+        labels, empty = reconstruct_level_class16_from_counts(counts, tie_key=9)
         assert empty[0] and not empty[1]
         assert 0 <= int(labels[0]) < 16
 
@@ -80,7 +90,7 @@ class TestTallyRules:
         # labels of its row's word under tie_key.
         rows = 2000
         labels, empty = reconstruct_level_class16_from_counts(
-            np.zeros((rows, columns), dtype=np.int64), DEFAULT_TAU, tie_key=7
+            np.zeros((rows, columns), dtype=np.int64), tie_key=7
         )
         assert empty.all()
         assert labels.tolist() == uniform_draw(16, words_vec(7, np.arange(rows, dtype=np.uint64))).tolist()
@@ -134,10 +144,11 @@ def _grouped_binomial_draws(n, p, which, w63):
     return out
 
 
-def _reconstruct_level_pair_by_division(child_labels, k, tau):
+def _reconstruct_level_pair_by_division(child_labels, k):
     """Frozen reference tally: decode each child with // and %, multiply
     through the 2-D table, count products per node with one bincount, and
-    take the top two by argmax (ties to the lower product)."""
+    take the top two by argmax (ties to the lower product); a runner-up
+    below 1/5 of the top makes the label diagonal."""
     codes = np.asarray(child_labels)
     first = (codes // 60).astype(np.intp)
     second = (codes % 60).astype(np.intp)
@@ -152,7 +163,7 @@ def _reconstruct_level_pair_by_division(child_labels, k, tau):
     rest[rows, top] = -1
     runner = rest.argmax(axis=1)
     runner_count = counts[rows, runner]
-    diagonal = runner_count * tau.denominator < tau.numerator * top_count
+    diagonal = runner_count * 5 < top_count
     return (top * 60 + np.where(diagonal, top, runner)).astype(np.uint16)
 
 
@@ -189,9 +200,8 @@ def test_top_two_equals_the_argmax_convention(nodes, width, high):
     seed=st.integers(0, 2**64 - 1),
     from_tree=st.booleans(),
     dtype=st.sampled_from([np.uint16, np.int64, np.intp]),
-    tau=st.fractions(0, 1, max_denominator=1000),
 )
-def test_pair_level_equals_the_division_tally(k, nodes, seed, from_tree, dtype, tau):
+def test_pair_level_equals_the_division_tally(k, nodes, seed, from_tree, dtype):
     # Children of one sampled pair-model parent each (most tallies split
     # 2/3 to 1/3), or uniform codes (near ties everywhere).
     spec = SeedSpec(seed, "rec/frozen")
@@ -203,8 +213,8 @@ def test_pair_level_equals_the_division_tally(k, nodes, seed, from_tree, dtype, 
     else:
         children = level_words(spec.key(), 0, k * nodes) % np.uint64(3600)
     children = children.astype(dtype)
-    got = reconstruct_level_pair(children, k, tau)
-    want = _reconstruct_level_pair_by_division(children, k, tau)
+    got = reconstruct_level_pair(children, k)
+    want = _reconstruct_level_pair_by_division(children, k)
     assert got.dtype == want.dtype == np.uint16 and got.tobytes() == want.tobytes()
 
 

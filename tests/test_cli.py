@@ -427,6 +427,10 @@ def test_config_with_a_removed_kind_or_key_is_one_line_error(tmp_path, capsys, m
         ("scan-noise", {"s": ["1e400"]}, ("'s'", "1e400")),
         ("scan-ks", {"k": ["x"]}, ("'k'", "x")),
         ("scan-ks", {"theta": "1/2"}, ("theta", "must be a list")),
+        ("scan-ks", {"d": [3, 3]}, ("grid 'd'", "repeats the value 3")),
+        ("scan-noise", {"theta": ["4/5", "0.8"]}, ("grid 'theta'", "repeats the value '0.8'")),
+        ("scan-noise", {"s": ["0", "1/10", " 0 "]}, ("grid 's'", "repeats the value ' 0 '")),
+        ("a5", {"k": [20, "20"]}, ("grid 'k'", "repeats the value '20'")),
     ],
 )
 def test_config_grid_is_parsed_before_any_point_runs(tmp_path, capsys, monkeypatch, command, grid, words):
@@ -471,6 +475,46 @@ def _assert_config_fails_before_any_point(tmp_path, capsys, monkeypatch, command
     code, out, err = run(capsys, "--config", str(config), command)
     _one_line_usage_error(code, err, *words)
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (("scan-ks", "--k", "2", "--theta", "4/5", "--d", "3,3", "--trials", "200"), ("grid 'd'", "'3'")),
+        (("scan-ks", "--k", "2,3,2", "--d", "3"), ("grid 'k'", "'2'")),
+        (("scan-ks", "--theta", "4/5,0.8", "--d", "3"), ("grid 'theta'", "'0.8'")),
+        (("scan-noise", "--d", "2,2"), ("grid 'd'", "'2'")),
+        (("scan-noise", "--s", "1/10,0.1"), ("grid 's'", "'0.1'")),
+    ],
+)
+def test_repeated_grid_flag_value_is_refused_before_any_point_runs(capsys, monkeypatch, argv, words):
+    import treecast.experiments
+
+    def no_points(*args):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(treecast.experiments, "_map_points", no_points)
+    code, out, err = run(capsys, "--jobs", "1", *argv)
+    _one_line_usage_error(code, err, "repeats the value", *words)
+    assert out == ""
+
+
+def test_choices_and_grid_commands_follow_the_experiments_tables():
+    import argparse
+
+    from treecast.cli import _COMMANDS, _KIND_OF_COMMAND, _cmd_experiment, build_parser
+    from treecast.experiments import A5_MODELS, ESTIMATORS, EXPERIMENT_KINDS
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        command: {a.dest: a.choices for a in parser._actions}
+        for command, parser in sub.choices.items()
+    }
+    assert tuple(options["detect"]["estimator"]) == ESTIMATORS
+    assert tuple(options["a5"]["model"]) == tuple(A5_MODELS)
+    grid_commands = [c for c, (handler, _, _) in _COMMANDS.items() if handler is _cmd_experiment]
+    assert grid_commands == list(_KIND_OF_COMMAND) and set(grid_commands) <= set(sub.choices)
+    assert tuple(_KIND_OF_COMMAND.values()) == EXPERIMENT_KINDS
 
 
 def test_scan_ks_format_json_prints_rows(capsys):

@@ -52,6 +52,28 @@ class TestConfig:
         with pytest.raises(ValueError, match="schema_version"):
             ExperimentConfig(experiment="ks-scan", schema_version=2)
 
+    @pytest.mark.parametrize("d", [(0,), (2, 0), (-1,)])
+    def test_a5_depth_below_one_raises_at_construction(self, d):
+        with pytest.raises(ValueError, match="depth >= 1"):
+            ExperimentConfig(experiment="a5-accuracy", d=d)
+        ExperimentConfig(experiment="ks-scan", d=d)  # the rule is a5-accuracy's
+
+    @pytest.mark.parametrize(
+        "name, values, value",
+        [
+            ("k", [2, 3, 2], "2"),
+            ("k", ["2", 2], "2"),
+            ("d", [3, 3], "3"),
+            ("theta", ["4/5", "0.8"], "'0.8'"),
+            ("theta", ["1/2", "2/4"], "'2/4'"),
+            ("s", ["0", "-0"], "'-0'"),
+        ],
+    )
+    def test_repeated_grid_value_rejected(self, name, values, value):
+        doc = {"experiment": "noise-scan", name: values}
+        with pytest.raises(ValueError, match=f"grid '{name}' repeats the value {value}"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
     def test_grids_from_flag_text_are_normalized(self):
         cfg = ExperimentConfig(
             experiment="noise-scan", k=["2", " 3"], theta=[" 9/10", 0.5], d=[4], s=("0 ",)

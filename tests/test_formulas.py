@@ -159,6 +159,28 @@ def test_evaluate_reads_each_variable_once_on_a_shared_formula():
         assert assignment.reads == [1] * 17
 
 
+def test_hash_visits_each_distinct_node_once_on_a_shared_formula(monkeypatch):
+    # The formula of the test above: 2^16 paths reach x1.
+    def shared():
+        f = Var(0)
+        for i in range(1, 17):
+            f = Gate(op="or" if i % 2 else "and", left=f, right=Gate(op="and", left=f, right=Var(i)))
+        return f
+
+    f, g = shared(), shared()
+    var_hash, hashed = Var.__hash__, []
+
+    def counting_hash(self):
+        hashed.append(self.index)
+        return var_hash(self)
+
+    monkeypatch.setattr(Var, "__hash__", counting_hash)
+    assert hash(f) == hash(g)
+    assert sorted(hashed) == sorted(list(range(17)) * 2)
+    assert hash(_shared_formula(60)) == hash(_shared_formula(60))
+    assert len({f, g, Not(f), Not(g), Gate(op="or", left=f, right=g)}) == 3
+
+
 def test_evaluate_all_equals_each_assignment_evaluated():
     rng = np.random.default_rng(5)
     for _ in range(100):
