@@ -387,36 +387,25 @@ def estimate_flip_rate(
     )
 
 
-def ones_count_law(
-    k: int, d: int, theta: FractionLike, root: int = 1, exact: bool = True
-) -> tuple[np.ndarray, int | float]:
+def ones_count_law(k: int, d: int, theta: FractionLike, root: int = 1) -> tuple[np.ndarray, int]:
     """Law of the leaf ones count of a depth-d k-ary tree given its root label.
 
     The count of a subtree with root label a has generating polynomial
     f_d^a = (keep f_{d-1}^a + flip f_{d-1}^(1-a))^k, f_0^1 = x, f_0^0 = 1,
     keep = (1 + theta)/2, expanded by convolution.  Returns (coeffs, den)
-    with P[c ones] = coeffs[c] / den.  Exact: integer numerators in an
-    object array over an int den.  exact=False runs the same recursion in
-    float64 with den = 1.0; every coefficient is a sum of products of
-    nonnegative terms, so its relative error is at most about
-    (2n + 3kd) * 2^-53 (n = k^d), except that coefficients below ~1e-300
-    underflow (an absolute error below that).  At k=2, d=12, theta=4/5 the
-    majority accuracy summed from them is within 1e-13 of exact.
+    with P[c ones] = coeffs[c] / den: integer numerators in an object array
+    over an int den.
     """
     t = binary_theta(theta)
     if root not in (0, 1):
         raise ValueError(f"root label must be 0 or 1, got {root}")
-    if exact:
-        (keep, flip), step = integer_numerators([(1 + t) / 2, (1 - t) / 2])
-        dtype, den = object, 1
-    else:
-        keep, flip, step = float((1 + t) / 2), float((1 - t) / 2), 1.0
-        dtype, den = np.float64, 1.0
-    f = [np.array([1], dtype=dtype), np.array([0, 1], dtype=dtype)]
+    (keep, flip), step = integer_numerators([(1 + t) / 2, (1 - t) / 2])
+    den = 1
+    f = [np.array([1], dtype=object), np.array([0, 1], dtype=object)]
     for _ in range(d):
         mixed = []
         for a in (0, 1):
-            mix = np.zeros(len(f[1]), dtype=dtype)
+            mix = np.zeros(len(f[1]), dtype=object)
             mix[: len(f[a])] += keep * f[a]
             mix[: len(f[1 - a])] += flip * f[1 - a]
             mixed.append(mix)

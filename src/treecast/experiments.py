@@ -452,6 +452,8 @@ def exact_joint_of_leaves(
 ) -> LawView:
     """Exact joint law of selected leaves given the root: the oracle tracking
     only those leaves, listed in increasing index order."""
+    if root not in (0, 1):
+        raise ValueError(f"root label {root} outside [0, 2)")
     return enumerate_joint(shape, Channel.binary(theta), leaves=tuple(leaf_indices)).cond[root]
 
 

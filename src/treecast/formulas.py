@@ -62,6 +62,23 @@ class Formula:
         `dataclass` would replace it with one that walks every path."""
         return self.fold(lambda f, kids: hash((f.op, *kids)) if kids else hash(f))
 
+    def __eq__(self, other: object) -> bool:
+        """Same class and op at each node pair, children pairwise, leaves by
+        their dataclass equality; each distinct (node, node) pair is compared
+        once, by an explicit stack.  Gate classes set it in their body, as
+        `__hash__`."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen, stack = set(), [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                if a.__class__ is not b.__class__ or a.op != b.op or (not a._children and a != b):
+                    return False
+                stack.extend(zip(a._children, b._children))
+        return True
+
 
 @dataclass(frozen=True)
 class Var(Formula):
@@ -91,6 +108,7 @@ class Not(Formula):
     op: str = "not"
 
     __hash__ = Formula.__hash__
+    __eq__ = Formula.__eq__
 
     @property
     def _children(self) -> tuple[Formula, ...]:
@@ -111,6 +129,7 @@ class Gate(Formula):
             raise ValueError(f"unknown gate {self.op!r}")
 
     __hash__ = Formula.__hash__
+    __eq__ = Formula.__eq__
 
     @property
     def _children(self) -> tuple[Formula, ...]:

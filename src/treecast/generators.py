@@ -10,12 +10,13 @@ first-class citizens, not test scaffolding:
 * `generate_via_restrictions` composes per-level random restrictions with
   symbols in {0, 1, *}, where * copies the parent's value.
 
-Their exact leaf laws coincide; `*_leaf_law` functions enumerate each
-generator's own randomness (flip bits, restriction symbols) so the
-equivalence can be checked exactly, with zero tolerance.  Each law is
-contracted level by level from the generator's per-node step block, in
-integer numerators over one denominator, returned as an `oracle.LawView`;
-`total_variation` compares two laws on their numerators.
+Their exact leaf laws coincide, and are checked equal with zero tolerance.
+Each `*_leaf_law` sums its generator's own per-node symbol rules (flip bits,
+restriction symbols) into the 2x2 channel they put on every edge, and
+returns the oracle's tabulation of that channel: `oracle.enumerate_joint`,
+in integer numerators over one denominator, as an `oracle.LawView`, with
+the oracle's configuration cap.  `total_variation` compares two laws on
+their numerators.
 
 Also here: the leaf noise channel, survival counting under composed
 restrictions, the exact/approximate biased-bit samplers, and the batched
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product
 from math import comb
 
 import numpy as np
@@ -49,7 +49,7 @@ from .channels import (
     uniform_draw,
 )
 from .labels import LabelArray, code_dtype
-from .oracle import DEFAULT_CONFIG_CAP, LawView, config_count
+from .oracle import LawView, enumerate_joint
 from .rng import (
     BLOCK_WORDS,
     SeedSpec,
@@ -474,53 +474,43 @@ def generate_binary_batch(
 # --- exact per-generator leaf laws ---------------------------------------
 
 
-def _enumerated_leaf_law(
-    shape: TreeShape, root: int, branches: list[tuple[tuple[int, int], Fraction]]
-) -> LawView:
-    """Exact leaf law of a generator that draws one symbol per non-root node.
+@lru_cache(maxsize=64)
+def _edge_channel(symbols: tuple[tuple[tuple[int, int], Fraction], ...]) -> Channel:
+    """The 2x2 edge channel of a generator that draws one symbol per non-root
+    node: `symbols` lists each as (child label given parent 0 and 1,
+    probability), and each adds its probability to both of its entries."""
+    columns = [[0, 0], [0, 0]]
+    for children, p in symbols:
+        for parent, child in enumerate(children):
+            columns[parent][child] += p
+    return Channel.from_columns(columns)
 
-    `branches` lists each symbol as (child label given parent 0 and 1,
-    probability).  The symbols' integer numerators sum into a 2x2 step block
-    (parent label -> child label), whose k-fold outer power is one parent's
-    block over its children.  The law is an object array of ints with one
-    axis of size 2 per node of a level, contracted against that block once
-    per parent, level by level: variable elimination in the sum-product view
-    (Kschischang, Frey and Loeliger 2001).  Each node adds one factor of the
-    symbols' common denominator.  A shape with more leaf configurations than
-    the oracle's `DEFAULT_CONFIG_CAP` is refused before anything is built.
-    """
-    count = config_count(shape.n, 2)
-    if count > DEFAULT_CONFIG_CAP:
-        raise ValueError(f"leaf law needs {count} configurations, above the cap of {DEFAULT_CONFIG_CAP}")
-    weights, den = integer_numerators([p for _, p in branches])
-    step = np.zeros((2, 2), dtype=object)
-    for (child, _), w in zip(branches, weights):
-        step[(0, 1), child] += w
-    block = np.array([reduce(np.multiply.outer, [row] * shape.k) for row in step])
-    law = np.zeros(2, dtype=object)
-    law[root] = 1
-    for lvl in range(shape.d):
-        for _ in range(shape.nodes_at(lvl)):
-            law = np.tensordot(law, block, axes=(0, 0))
-    leaves = product((0, 1), repeat=shape.n)
-    numerators = {x: w for x, w in zip(leaves, law.reshape(-1)) if w}
-    return LawView(numerators, den ** (shape.total_nodes - 1))
+
+def _symbol_leaf_law(shape: TreeShape, root: int, symbols: tuple) -> LawView:
+    """The oracle's leaf law, given the root, of the symbols' edge channel:
+    each node draws its symbol independently, so every edge carries that
+    channel."""
+    if root not in (0, 1):
+        raise ValueError(f"root label {root} outside [0, 2)")
+    return enumerate_joint(shape, _edge_channel(symbols)).cond[root]
 
 
 def path_product_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LawView:
-    """Exact leaf law of the path-product generator, by enumerating flip bits."""
+    """Exact leaf law of the path-product generator: the oracle's law of the
+    channel that its flip bits put on each edge."""
     t = binary_theta(theta)
     p_flip = (1 - t) / 2
     # Flip bit 0 keeps the parent's label; flip bit 1 inverts it.
-    return _enumerated_leaf_law(shape, root, [((0, 1), 1 - p_flip), ((1, 0), p_flip)])
+    return _symbol_leaf_law(shape, root, (((0, 1), 1 - p_flip), ((1, 0), p_flip)))
 
 
 def restriction_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> LawView:
-    """Exact leaf law of the restriction generator, by enumerating symbols."""
+    """Exact leaf law of the restriction generator: the oracle's law of the
+    channel that its symbols put on each edge."""
     t = restriction_rule(theta)[0]
     p_const = (1 - t) / 2
     # Symbols 0 and 1 set the child; STAR copies the parent.
-    return _enumerated_leaf_law(shape, root, [((0, 0), p_const), ((1, 1), p_const), ((0, 1), t)])
+    return _symbol_leaf_law(shape, root, (((0, 0), p_const), ((1, 1), p_const), ((0, 1), t)))
 
 
 def total_variation(a: LawView, b: LawView) -> Fraction:

@@ -4,8 +4,9 @@ This is the ground-truth oracle the rest of the package is checked against:
 for every root label a it tabulates the exact rational probability
 P[leaves = x | root = a] of every leaf configuration x, by bottom-up dynamic
 programming over subtrees.  Enumeration is only permitted while the
-configuration count m^(k^d) stays below a cap (default 2^20), which keeps
-oracle runs under a second.
+configuration count m^(k^d) stays within the constant cap
+`DEFAULT_CONFIG_CAP` = 2^20, which keeps oracle runs under a second; every
+exact law in the package is refused past it by this module alone.
 
 The dynamic program runs on integers: each channel matrix is scaled to
 integer numerators over the lcm of its denominators, so every probability of
@@ -180,19 +181,17 @@ def config_count(n: int, m: int) -> int:
     return out
 
 
-def _edge_columns(
-    shape: TreeShape, channel: Channel, cap: int, leaf_channel: Channel | None, leaves: int
-):
+def _edge_columns(shape: TreeShape, channel: Channel, leaf_channel: Channel | None, leaves: int):
     """Each level's `integer_columns`, from the leaves up, with `leaf_channel`
     on the first step; raises first if the configurations of `leaves` leaves
-    are over the cap."""
+    are over `DEFAULT_CONFIG_CAP`."""
     m = channel.m
     if leaf_channel is not None and leaf_channel.m != m:
         raise ValueError("leaf_channel must have the same label count")
     count = config_count(leaves, m)
-    if count > cap:
+    if count > DEFAULT_CONFIG_CAP:
         raise ValueError(
-            f"enumeration needs {count} configurations, above the cap of {cap}"
+            f"enumeration needs {count} configurations, above the cap of {DEFAULT_CONFIG_CAP}"
         )
     return [
         (leaf_channel if step == 0 and leaf_channel is not None else channel).integer_columns()
@@ -203,7 +202,6 @@ def _edge_columns(
 def enumerate_joint(
     shape: TreeShape,
     channel: Channel,
-    cap: int = DEFAULT_CONFIG_CAP,
     leaf_channel: Channel | None = None,
     leaves: tuple[int, ...] | None = None,
 ) -> JointDistribution:
@@ -221,7 +219,7 @@ def enumerate_joint(
         if not leaves or leaves[0] < 0 or leaves[-1] >= shape.n or len(set(leaves)) < len(leaves):
             raise ValueError(f"leaves must be distinct indices in [0, {shape.n}), got {leaves}")
     tracked = range(shape.n) if leaves is None else leaves
-    steps = _edge_columns(shape, channel, cap, leaf_channel, len(tracked))
+    steps = _edge_columns(shape, channel, leaf_channel, len(tracked))
     # law[offsets] = (num, den) for the subtrees of the current height whose
     # tracked leaves sit at these offsets within them: num[a] maps each
     # tracked-leaf tuple to its conditional probability given subtree root a,
@@ -268,16 +266,13 @@ def enumerate_joint(
 
 
 def likelihood_law(
-    shape: TreeShape,
-    channel: Channel,
-    cap: int = DEFAULT_CONFIG_CAP,
-    leaf_channel: Channel | None = None,
+    shape: TreeShape, channel: Channel, leaf_channel: Channel | None = None
 ) -> LikelihoodLaw:
     """The law of the likelihood vector, by `enumerate_joint`'s recursion
     keyed by vector: equal vectors merge, and vectors of probability zero
     under every root are dropped, as the oracle drops their configurations."""
     m = channel.m
-    steps = _edge_columns(shape, channel, cap, leaf_channel, shape.n)
+    steps = _edge_columns(shape, channel, leaf_channel, shape.n)
     counts = {tuple(int(a == b) for a in range(m)): 1 for b in range(m)}
     den = 1
     for cols, scale in steps:

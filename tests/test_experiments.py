@@ -9,7 +9,6 @@ import pytest
 
 import treecast.estimators as estimators
 from treecast.channels import Channel
-from treecast.estimators import ones_count_law
 from treecast.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -200,12 +199,10 @@ def test_score_estimators_point_golden():
 
 
 def test_majority_at_depth_12_matches_the_exact_law():
-    # The float ones-count law is the reference; 0.8168466972199109 is the
-    # value the benchmark's mc-scan checks against.
-    law, _ = ones_count_law(2, 12, Fraction(4, 5), exact=False)
-    n = 2**12
-    p = 1 - (law[: n // 2].sum() + law[n // 2] / 2)
-    assert abs(p - 0.8168466972199109) <= 1e-12
+    # The majority accuracy 1 - exact_majority_error at k=2, d=12, theta=4/5,
+    # as the benchmark's mc-scan stores it (its smoke run recomputes it); the
+    # exact law of 4097 ones counts takes minutes at this depth.
+    p = 0.8168466972199109
     trials = 100_000
     seed = SeedSpec(12, "majority-d12")
     acc = score_estimators_point(2, Fraction(4, 5), 12, trials, seed, estimators=("majority",))

@@ -181,6 +181,41 @@ def test_hash_visits_each_distinct_node_once_on_a_shared_formula(monkeypatch):
     assert len({f, g, Not(f), Not(g), Gate(op="or", left=f, right=g)}) == 3
 
 
+def test_eq_visits_each_distinct_node_pair_once_on_shared_formulas(monkeypatch):
+    var_eq, compared = Var.__eq__, []
+
+    def counting_eq(self, other):
+        compared.append(self.index)
+        return var_eq(self, other)
+
+    monkeypatch.setattr(Var, "__eq__", counting_eq)
+    # 2^20 paths reach the one Var of each tower; 21 node pairs.
+    assert _shared_formula(20) == _shared_formula(20)
+    assert compared == [0]
+
+    # The formula of the hash test: 2^16 paths reach x1, each Var pair once.
+    def shared():
+        f = Var(0)
+        for i in range(1, 17):
+            f = Gate(op="or" if i % 2 else "and", left=f, right=Gate(op="and", left=f, right=Var(i)))
+        return f
+
+    compared.clear()
+    assert shared() == shared()
+    assert sorted(compared) == list(range(17))
+
+
+def test_eq_tells_formulas_apart():
+    deep = Var(1)
+    for _ in range(20):
+        deep = Gate(op="and", left=deep, right=deep)
+    assert _shared_formula(20) != deep  # differ only at the deepest Var
+    x, y = Var(0), Var(1)
+    assert Gate(op="and", left=x, right=y) != Gate(op="or", left=x, right=y)
+    assert Not(x) != Gate(op="and", left=x, right=x) and Not(x) != x
+    assert Not(x).__eq__(x) is NotImplemented
+
+
 def test_evaluate_all_equals_each_assignment_evaluated():
     rng = np.random.default_rng(5)
     for _ in range(100):

@@ -434,6 +434,9 @@ def test_leaf_laws_build_no_fraction_per_configuration(monkeypatch):
     counts = []
     for shape in (TreeShape(k=2, d=2), TreeShape(k=2, d=3)):
         direct = enumerate_joint(shape, Channel.binary(Fraction(1, 3))).cond[1]
+        # Warm calls: the first builds each law's cached edge channel.
+        path_product_leaf_law(shape, Fraction(1, 3), 1)
+        restriction_leaf_law(shape, Fraction(1, 3), 1)
         monkeypatch.setattr(Fraction, "__new__", counting)
         calls.clear()
         path = path_product_leaf_law(shape, Fraction(1, 3), 1)
@@ -448,7 +451,7 @@ def test_leaf_laws_build_no_fraction_per_configuration(monkeypatch):
 def _brute_force_leaf_law(shape, root, symbols):
     """Sum the exact weight of every per-node symbol assignment, applying
     `symbols` (symbol -> (child label given the parent's, probability)) down
-    the tree: an independent reference for the contracted leaf laws."""
+    the tree: an independent reference for the leaf laws."""
     den = lcm(*(p.denominator for _, p in symbols.values()))
     below_root = shape.total_nodes - 1
     law = {}
@@ -493,6 +496,20 @@ def test_leaf_laws_refuse_shapes_past_the_cap_before_allocating(law_fn):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("root", [-1, 2])
+def test_exact_laws_refuse_a_root_label_outside_0_1(root):
+    # -1 would index root 1's law from the end; 2 would be an IndexError.
+    shape = TreeShape(k=2, d=2)
+    message = rf"root label {root} outside \[0, 2\)"
+    for law in (
+        lambda: path_product_leaf_law(shape, Fraction(1, 2), root),
+        lambda: restriction_leaf_law(shape, Fraction(1, 2), root),
+        lambda: exact_joint_of_leaves(shape, Fraction(1, 2), (0, 3), root),
+    ):
+        with pytest.raises(ValueError, match=message):
+            law()
 
 
 def test_restriction_leaf_law_rejects_negative_theta():

@@ -1,9 +1,12 @@
+import ast
 import json
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import treecast
 from treecast.channels import Channel
 from treecast.generators import total_variation
 from treecast.oracle import (
@@ -90,9 +93,32 @@ def test_bayes_accuracy_monotone_in_theta():
 def test_cap_error_names_cap():
     with pytest.raises(ValueError, match="cap of 1048576"):
         enumerate_joint(TreeShape(k=2, d=5), Channel.binary(Fraction(1, 2)))
-    # a custom (tighter) cap is honored
-    with pytest.raises(ValueError, match="cap of 16"):
-        enumerate_joint(TreeShape(k=2, d=3), Channel.binary(Fraction(1, 2)), cap=16)
+
+
+def _cap_names(node) -> bool:
+    name = node.name if isinstance(node, ast.alias) else getattr(node, "id", getattr(node, "attr", None))
+    return name in ("DEFAULT_CONFIG_CAP", "config_count")
+
+
+def test_only_the_oracle_applies_the_configuration_cap():
+    # One cap rule: `oracle._edge_columns` refuses every exact law past the
+    # cap.  The one other reader is estimate_P_sd's choice between its exact
+    # and Monte Carlo paths (with the import it needs).
+    src = Path(treecast.__file__).parent
+    found = []
+    for path in src.rglob("*.py"):
+        if path == src / "oracle.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path == src / "estimators.py":
+            for top in tree.body:
+                if isinstance(top, ast.ImportFrom) or getattr(top, "name", None) == "estimate_P_sd":
+                    allowed |= {id(node) for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if _cap_names(node) and id(node) not in allowed:
+                found.append(f"{path.relative_to(src).as_posix()}:{node.lineno}")
+    assert not found
 
 
 def test_correlation_and_mean_identities_exact():
@@ -211,7 +237,5 @@ def test_likelihood_law_merges_equal_vectors():
     law = likelihood_law(TreeShape(2, 3), Channel.binary(0))
     [((p0, p1), count)] = law.counts.items()
     assert count == 256 and p0 == p1 and Fraction(p0, law.denominator) == Fraction(1, 256)
-    with pytest.raises(ValueError, match="cap of 16"):
-        likelihood_law(TreeShape(2, 3), Channel.binary(Fraction(1, 2)), cap=16)
     with pytest.raises(ValueError, match="same label count"):
         likelihood_law(TreeShape(2, 1), Channel.binary(0), leaf_channel=Channel.from_columns([[1]]))
