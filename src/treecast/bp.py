@@ -6,10 +6,15 @@ weights once and a row index per leaf.  Two arithmetic modes are supported:
 
 * rational -- exact, on Python ints: the channel is scaled once to integer
   numerators over one denominator (`Channel.integer_columns`), each distinct
-  leaf row by the lcm of its own denominators, and the m root masses become
-  `Fraction`s only at the end.  Every scale factor is common to all root
-  labels, so the normalized posterior is exactly the rational one.  This is
-  the verification path and is auto-selected while the tree is small;
+  leaf row by the lcm of its own denominators (hard evidence reads cached
+  integer unit rows).  Every scale factor is common to all root labels, so
+  the normalized posterior is exactly the rational one.  A parent's message
+  is a pure function of the channel's integer columns and its k children's
+  messages, so each distinct one is computed once, in a memo of at most
+  `PARENT_MEMO_SIZE` entries shared by all calls and equal channels.  The
+  argmax and tie are read on the root's integers, which share one positive
+  denominator, and the m masses become `Fraction`s once, at the end.  This
+  is the verification path and is auto-selected while the tree is small;
 * float -- for a binary symmetric channel only: one log-odds per node, the
   recursion of `bp_posterior_batch_binary` on one row, immune to underflow
   at depth, within 1e-9 relative of the rational mode where both run.
@@ -45,6 +50,11 @@ from .trees import TreeShape
 
 # Above this many tree nodes, mode="auto" switches to float BP.
 AUTO_RATIONAL_NODE_LIMIT = 20_000
+# Entries of rational BP's parent-message memo, least recently used evicted.
+# A depth-5 gadget check over all assignments of 10 variables meets up to
+# about 1,200 distinct messages; an entry of small messages costs a few
+# hundred bytes.
+PARENT_MEMO_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -152,29 +162,47 @@ def _argmax_with_tie(masses, float_tol: float = 0.0) -> tuple[int, bool]:
 
 
 def _bp_rational(shape: TreeShape, channel: Channel, evidence: LeafLikelihood):
+    """The root's integer masses and their positive sum, the denominator
+    common to all of them."""
     cols, _ = channel.integer_columns()
     # Each message is scaled by a factor common to every label, so the
     # normalized posterior is unchanged: a leaf row by its own lcm, a sum by
     # the channel denominator.
-    scaled = [integer_numerators(row)[0] for row in evidence.rows]
+    if evidence.rows == _unit_rows(evidence.m):
+        scaled = _unit_ints(evidence.m)
+    else:
+        scaled = [tuple(integer_numerators(row)[0]) for row in evidence.rows]
     msgs = [scaled[r] for r in evidence.index]
     for _ in range(shape.d):
-        nxt = []
-        for base in range(0, len(msgs), shape.k):
-            children = msgs[base : base + shape.k]
-            vals = []
-            for col in cols:
-                prod = 1
-                for msg in children:
-                    prod *= sum(w * msg[b] for b, w in col if msg[b])
-                vals.append(prod)
-            nxt.append(vals)
-        msgs = nxt
+        # zip over k references to one iterator groups the k children of each parent.
+        msgs = [_parent_message(cols, children) for children in zip(*[iter(msgs)] * shape.k)]
     root = msgs[0]
     total = sum(root)
     if total == 0:
         raise ValueError("evidence has zero probability under the model")
-    return tuple(Fraction(w, total) for w in root)
+    return root, total
+
+
+@lru_cache(maxsize=PARENT_MEMO_SIZE)
+def _parent_message(cols, children: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """A parent's integer message: for each label a, the product over its
+    children of sum_b w * msg[b] over the (b, w) in cols[a].  A pure function
+    of its arguments, so the memo is exact; each column's numerators sum to
+    the channel's denominator, so cols fix the channel, and equal channels
+    share entries."""
+    vals = []
+    for col in cols:
+        prod = 1
+        for msg in children:
+            prod *= sum(w * msg[b] for b, w in col if msg[b])
+        vals.append(prod)
+    return tuple(vals)
+
+
+@lru_cache(maxsize=16)
+def _unit_ints(m: int) -> tuple[tuple[int, ...], ...]:
+    """`_unit_rows(m)` as integer leaf messages."""
+    return tuple(tuple(int(a == x) for a in range(m)) for x in range(m))
 
 
 def bp_posterior(
@@ -191,8 +219,10 @@ def bp_posterior(
     if mode == "auto":
         mode = "rational" if shape.total_nodes <= AUTO_RATIONAL_NODE_LIMIT else "float"
     if mode == "rational":
-        masses = _bp_rational(shape, channel, evidence)
-        argmax, tie = _argmax_with_tie(masses)
+        root, total = _bp_rational(shape, channel, evidence)
+        # One positive denominator: the integers order as the masses do.
+        argmax, tie = _argmax_with_tie(root)
+        masses = tuple(Fraction(w, total) for w in root)
         return PosteriorReport(masses=masses, mode="exact-rational", argmax=argmax, tie=tie)
     if mode == "float":
         if not channel.is_binary_symmetric:

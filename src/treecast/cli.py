@@ -2,7 +2,9 @@
 
 One binary, subcommand style; every subcommand is non-interactive and
 deterministic given its flags and seed.  Exit codes: 0 success, 1 usage
-error, 2 assertion/verification failure, 3 I/O error.
+error (a bad flag, `ValueError` or `TypeError`), 2 assertion/verification
+failure (a failed check or an `AssertionError`), 3 I/O error (`OSError`),
+each error reported as one stderr line.
 """
 
 from __future__ import annotations
@@ -411,6 +413,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"verification error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import warnings
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -126,10 +127,11 @@ def test_bp_noisy_evidence_equals_oracle_with_leaf_channel(s):
             )
 
 
+THREE_LABELS = [["1/2", "1/2", "0"], ["0", "3/4", "1/4"], ["0", "0", "1"]]
+
+
 def test_bp_three_labels_equals_oracle():
-    channel = Channel.from_columns(
-        [["1/2", "1/2", "0"], ["0", "3/4", "1/4"], ["0", "0", "1"]]
-    )
+    channel = Channel.from_columns(THREE_LABELS)
     shape = TreeShape(k=2, d=2)
     joint = enumerate_joint(shape, channel)
     assert len(joint.configurations()) < 3**shape.n  # siblings 0 and 2 are impossible
@@ -138,40 +140,136 @@ def test_bp_three_labels_equals_oracle():
     )
 
 
-def test_bp_soft_evidence_with_mixed_denominators_equals_oracle_sum():
-    # P[root = a | evidence] is proportional to sum_x P[x | a] prod_i w_i(x_i).
-    pool = [
-        (Fraction(1, 2), Fraction(1, 3)),
-        (Fraction(2), Fraction(5, 7)),
-        (Fraction(0), Fraction(3, 4)),
-        (Fraction(4, 9), Fraction(0)),
-        (Fraction(1, 6), Fraction(1, 10)),
+# Soft likelihood rows with mixed denominators, zeros and a weight above 1.
+SOFT_ROWS = [
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(2), Fraction(5, 7)),
+    (Fraction(0), Fraction(3, 4)),
+    (Fraction(4, 9), Fraction(0)),
+    (Fraction(1, 6), Fraction(1, 10)),
+]
+
+
+def _soft_posterior(joint, rows):
+    """P[root = a | evidence], proportional to sum_x P[x | a] prod_i w_i(x_i);
+    None where the evidence has probability zero."""
+    weight = [
+        sum(p * prod(rows[i][b] for i, b in enumerate(cfg)) for cfg, p in joint.cond[a].items())
+        for a in (0, 1)
     ]
+    return tuple(w / sum(weight) for w in weight) if sum(weight) else None
+
+
+def test_bp_soft_evidence_with_mixed_denominators_equals_oracle_sum():
     for k, d in [(2, 2), (3, 1), (2, 3)]:
         shape = TreeShape(k=k, d=d)
-        rows = tuple(pool[(3 * i + d) % len(pool)] for i in range(shape.n))
+        rows = tuple(SOFT_ROWS[(3 * i + d) % len(SOFT_ROWS)] for i in range(shape.n))
         for theta in ORACLE_THETAS:
             channel = Channel.binary(theta)
-            joint = enumerate_joint(shape, channel)
-            weight = [
-                sum(
-                    p * prod(rows[i][b] for i, b in enumerate(cfg))
-                    for cfg, p in joint.cond[a].items()
-                )
-                for a in (0, 1)
-            ]
             evidence = LeafLikelihood.from_weights(2, rows)
-            if sum(weight) == 0:
+            want = _soft_posterior(enumerate_joint(shape, channel), rows)
+            if want is None:
                 for mode in ("rational", "float"):
                     with pytest.raises(ValueError, match="evidence has zero probability"):
                         bp_posterior(shape, channel, evidence, mode=mode)
                 continue
-            want = tuple(w / sum(weight) for w in weight)
             got = bp_posterior(shape, channel, evidence, mode="rational").masses
             assert got == want, (k, d, theta)
             fl = bp_posterior(shape, channel, evidence, mode="float").masses
             for a in (0, 1):
                 assert abs(fl[a] - float(want[a])) <= 1e-9 * float(want[a]), (k, d, theta, a)
+
+
+MEMO_CASES = [
+    *((kind, k, d, theta) for kind in ("hard", "flip") for k, d in [(2, 3), (3, 2)]
+      for theta in [Fraction(1, 4), Fraction(3, 4), Fraction(-1, 2)]),
+    ("soft", 2, 2, Fraction(3, 4)),
+    ("three-label", 2, 2, None),
+]
+
+
+def _memo_case(kind, k, d, theta):
+    """The channel and every evidence of one case with the oracle's posterior,
+    None where the evidence has probability zero: hard labels, bits seen
+    through flip(1/10), each leaf one of SOFT_ROWS, or 3-label hard labels."""
+    shape = TreeShape(k=k, d=d)
+    if kind == "three-label":
+        channel = Channel.from_columns(THREE_LABELS)
+        joint = enumerate_joint(shape, channel)
+        support = set(joint.configurations())
+        return channel, [
+            (LeafLikelihood.from_labels(cfg, 3), tuple(joint.posterior(cfg)) if cfg in support else None)
+            for cfg in product(range(3), repeat=shape.n)
+        ]
+    channel = Channel.binary(theta)
+    if kind == "soft":
+        joint = enumerate_joint(shape, channel)
+        return channel, [
+            (LeafLikelihood.from_weights(2, rows), _soft_posterior(joint, rows))
+            for rows in product(SOFT_ROWS, repeat=shape.n)
+        ]
+    s = Fraction(1, 10)
+    leaf = noisy_leaf_channel(theta, s) if kind == "flip" else None
+    joint = enumerate_joint(shape, channel, leaf_channel=leaf)
+    if kind == "flip":
+        evidence_of = partial(LeafLikelihood.from_noisy_bits, s=s)
+    else:
+        evidence_of = partial(LeafLikelihood.from_labels, m=2)
+    return channel, [
+        (evidence_of(cfg), tuple(joint.posterior(cfg))) for cfg in product((0, 1), repeat=shape.n)
+    ]
+
+
+@pytest.mark.parametrize("kind, k, d, theta", MEMO_CASES)
+def test_parent_memo_never_changes_a_posterior(kind, k, d, theta):
+    """Every configuration equals the oracle exactly from a cleared memo,
+    warm, and in reversed order."""
+    shape = TreeShape(k=k, d=d)
+    channel, cases = _memo_case(kind, k, d, theta)
+    bp_module._parent_message.cache_clear()
+    for order in (cases, cases, cases[::-1]):
+        for evidence, want in order:
+            if want is None:
+                with pytest.raises(ValueError, match="evidence has zero probability"):
+                    bp_posterior(shape, channel, evidence, mode="rational")
+            else:
+                assert bp_posterior(shape, channel, evidence, mode="rational").masses == want
+    assert bp_module._parent_message.cache_info().hits > 0
+
+
+def test_equal_channels_share_parent_memo_entries():
+    shape = TreeShape(k=3, d=2)
+    built = Channel.binary(Fraction(3, 4))
+    again = Channel.from_columns([["7/8", "1/8"], ["1/8", "7/8"]])
+    assert again == built and again is not built
+    joint = enumerate_joint(shape, built)
+    configs = joint.configurations()
+    bp_module._parent_message.cache_clear()
+    first = [bp_posterior(shape, built, LeafLikelihood.from_labels(x, 2), mode="rational") for x in configs]
+    misses = bp_module._parent_message.cache_info().misses
+    second = [bp_posterior(shape, again, LeafLikelihood.from_labels(x, 2), mode="rational") for x in configs]
+    assert bp_module._parent_message.cache_info().misses == misses
+    assert first == second
+    assert [r.masses for r in second] == [tuple(joint.posterior(x)) for x in configs]
+
+
+def test_parent_memo_work_count():
+    """Noise-free cost rows: the 512 configurations of (3,2) compute at most
+    80 distinct parent messages from a cleared memo, and a call whose every
+    lookup misses leaves the memo within its bound."""
+    shape, channel = TreeShape(k=3, d=2), Channel.binary(Fraction(3, 4))
+    bp_module._parent_message.cache_clear()
+    for cfg in product((0, 1), repeat=shape.n):
+        bp_posterior(shape, channel, LeafLikelihood.from_labels(cfg, 2), mode="rational")
+    info = bp_module._parent_message.cache_info()
+    assert info.misses <= 80 and info.hits + info.misses == 512 * 4
+    deep = TreeShape(k=2, d=13)
+    rows = [(Fraction(1, i + 2), Fraction(i + 1, i + 3)) for i in range(deep.n)]
+    soft = LeafLikelihood.from_weights(2, rows)
+    assert len(soft.rows) == deep.n == 8192
+    bp_posterior(deep, channel, soft, mode="rational")
+    info = bp_module._parent_message.cache_info()
+    assert info.maxsize == bp_module.PARENT_MEMO_SIZE and info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("mode", ["float", "auto"])

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from treecast.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from treecast import cli
+from treecast.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SystemExit2, main
 
 
 def run(capsys, *argv):
@@ -240,6 +241,32 @@ def test_io_error_exit_code(tmp_path, capsys):
         "gen", "--k", "2", "--d", "1", "--theta", "1/2",
     )
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "exc, want",
+    [
+        (SystemExit2("bad flag"), EXIT_USAGE),
+        (ValueError("bad value"), EXIT_USAGE),
+        (TypeError("bad type"), EXIT_USAGE),
+        (OSError("disk gone"), EXIT_IO),
+        (AssertionError("invariant broken"), EXIT_VERIFY),
+        (AssertionError(), EXIT_VERIFY),
+    ],
+    ids=["usage", "value", "type", "io", "assertion", "bare-assertion"],
+)
+def test_each_error_class_has_one_exit_code(capsys, monkeypatch, exc, want):
+    """An error a command raises is one stderr line and its class's exit code."""
+
+    def raises(args):
+        raise exc
+
+    _, formats, reads = cli._COMMANDS["gen"]
+    monkeypatch.setitem(cli._COMMANDS, "gen", (raises, formats, reads))
+    code, out, err = run(capsys, "gen", "--k", "2", "--d", "1")
+    assert code == want
+    assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.rstrip().endswith(str(exc) or "assertion failed")
 
 
 def test_bad_theta_usage_error(capsys):

@@ -149,6 +149,23 @@ def test_detect_out_csv_digest(capsys, tmp_path):
         assert _sha256(fh.read()) == DETECT_APPENDS_DIGEST
 
 
+# `bp` reads a dumped tree: rational BP on one seeded k=2, d=6 `gen` tree,
+# keyed by the leaves' flip rate (0 is hard evidence).
+BP_TREE = ["--seed", "7", "gen", "--k", "2", "--d", "6", "--theta", "3/5"]
+BP_GOLDEN = {
+    "0": "1397981a2249122662234b7aea6f19422c02dddd431ced08bcca5119629a0b01",
+    "1/10": "9974e1b52d12b546502578d9f308624dedad5cf15ef41d49e4abfaf698701a66",
+}
+
+
+@pytest.mark.parametrize("flip_rate", sorted(BP_GOLDEN))
+def test_rational_bp_digest(capsys, tmp_path, flip_rate):
+    path = str(tmp_path / "tree.json")
+    assert _stdout(capsys, ["--out", path, *BP_TREE]) == b""
+    argv = ["--mode", "rational", "bp", "--leaves", path, "--theta", "3/5", "--flip-rate", flip_rate]
+    assert _sha256(_stdout(capsys, argv)) == BP_GOLDEN[flip_rate]
+
+
 def test_scan_noise_verdict_lines(capsys):
     """The default scan's monotonicity verdicts, the `#` lines on stderr."""
     capsys.readouterr()
