@@ -142,9 +142,6 @@ class PosteriorReport:
     argmax: int
     tie: bool
 
-    def mass(self, a: int) -> float:
-        return float(self.masses[a])
-
 
 def _argmax_with_tie(masses, float_tol: float = 0.0) -> tuple[int, bool]:
     best = 0
@@ -161,9 +158,9 @@ def _argmax_with_tie(masses, float_tol: float = 0.0) -> tuple[int, bool]:
     return best, tie
 
 
-def _bp_rational(shape: TreeShape, channel: Channel, evidence: LeafLikelihood):
-    """The root's integer masses and their positive sum, the denominator
-    common to all of them."""
+def bp_rational_root(shape: TreeShape, channel: Channel, evidence: LeafLikelihood):
+    """Rational BP: the root's integer masses and their positive sum, the
+    denominator common to all of them."""
     cols, _ = channel.integer_columns()
     # Each message is scaled by a factor common to every label, so the
     # normalized posterior is unchanged: a leaf row by its own lcm, a sum by
@@ -216,26 +213,32 @@ def bp_posterior(
         raise ValueError(f"evidence covers {len(evidence)} leaves, tree has {shape.n}")
     if evidence.m != channel.m:
         raise ValueError("evidence and channel disagree on label count")
-    if mode == "auto":
-        mode = "rational" if shape.total_nodes <= AUTO_RATIONAL_NODE_LIMIT else "float"
-    if mode == "rational":
-        root, total = _bp_rational(shape, channel, evidence)
+    if resolve_mode(shape, mode) == "rational":
+        root, total = bp_rational_root(shape, channel, evidence)
         # One positive denominator: the integers order as the masses do.
         argmax, tie = _argmax_with_tie(root)
         masses = tuple(Fraction(w, total) for w in root)
         return PosteriorReport(masses=masses, mode="exact-rational", argmax=argmax, tie=tie)
-    if mode == "float":
-        if not channel.is_binary_symmetric:
-            raise ValueError('float BP takes a binary symmetric channel; use mode="rational"')
-        with np.errstate(divide="ignore"):
-            w = np.log(np.array(evidence.rows, dtype=np.float64))
-        leaf = (w[:, 1] - w[:, 0]).take(evidence.index)[None]  # each distinct row's log-odds, gathered
-        lam = _log_odds_up(leaf, shape.k, float(channel.theta), shape.d)[0, 0]
-        if np.isnan(lam):
-            raise ValueError("evidence has zero probability under the model")
-        masses = tuple(_sigmoid(np.array([-lam, lam])).tolist())
-        argmax, tie = _argmax_with_tie(masses, float_tol=1e-12)
-        return PosteriorReport(masses=masses, mode="float-log-domain", argmax=argmax, tie=tie)
+    if not channel.is_binary_symmetric:
+        raise ValueError('float BP takes a binary symmetric channel; use mode="rational"')
+    with np.errstate(divide="ignore"):
+        w = np.log(np.array(evidence.rows, dtype=np.float64))
+    leaf = (w[:, 1] - w[:, 0]).take(evidence.index)[None]  # each distinct row's log-odds, gathered
+    lam = _log_odds_up(leaf, shape.k, float(channel.theta), shape.d)[0, 0]
+    if np.isnan(lam):
+        raise ValueError("evidence has zero probability under the model")
+    masses = tuple(_sigmoid(np.array([-lam, lam])).tolist())
+    argmax, tie = _argmax_with_tie(masses, float_tol=1e-12)
+    return PosteriorReport(masses=masses, mode="float-log-domain", argmax=argmax, tie=tie)
+
+
+def resolve_mode(shape: TreeShape, mode: str) -> str:
+    """The arithmetic `mode` runs on `shape`: "auto" is rational up to
+    AUTO_RATIONAL_NODE_LIMIT tree nodes and float above."""
+    if mode == "auto":
+        return "rational" if shape.total_nodes <= AUTO_RATIONAL_NODE_LIMIT else "float"
+    if mode in ("rational", "float"):
+        return mode
     raise ValueError(f"unknown mode {mode!r}; expected auto, rational, or float")
 
 

@@ -290,8 +290,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_compile_gadget(args) -> int:
-    from .formulas import assignments, parse_formula
-    from .gadgets import compile_formula, verify_gadget
+    from .formulas import parse_formula
+    from .gadgets import check_all_assignments, compile_formula
 
     if args.mode is not None and not args.check:
         raise SystemExit2("compile-gadget reads --mode only with --check")
@@ -299,10 +299,7 @@ def _cmd_compile_gadget(args) -> int:
     template = compile_formula(f)
     doc = {"depth": template.depth, "entries": template.to_tags()}
     if args.check:
-        table = assignments(max(f.variables(), default=0) + 1)
-        doc["tracks_all_assignments"] = all(
-            verify_gadget(f, a, mode=args.mode or "auto", template=template).tracks for a in table
-        )
+        doc["tracks_all_assignments"] = bool(check_all_assignments(f, template, args.mode or "auto")[1].all())
     _write_or_print(json.dumps(doc, sort_keys=True), args.out)
     return EXIT_OK if doc.get("tracks_all_assignments", True) else EXIT_VERIFY
 

@@ -643,31 +643,25 @@ class _CounterDraws:
 def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
     """Verify posterior tracking on 100 random formulas drawn from `seed`.
 
-    Assignments are verified in one batched float BP per formula (the 1e-6
-    error budget sits far inside the 19/20-vs-1/20 gap); every 25th formula
-    is cross-checked by `verify_gadget`'s own BP, rational wherever
+    Each formula is checked on all its assignments by one float
+    `check_all_assignments`; every 25th formula's first assignment is
+    cross-checked by `verify_gadget`'s own BP, rational wherever
     `bp_posterior` picks it, to guard the float path itself.
     """
-    from .bp import bp_posterior_batch_binary
-    from .formulas import assignments, evaluate_all, random_formula
-    from .gadgets import GADGET_K, GADGET_THETA, compile_formula, verify_gadget
+    from .formulas import random_formula
+    from .gadgets import check_all_assignments, compile_formula, verify_gadget
 
     n_formulas = 100
     key = SeedSpec(seed, "gadget-corpus").key()
     checked = violations = rational_spot_checks = 0
-    high, low = 19 / 20 - 1e-9, 1 / 20 + 1e-9
     for findex in range(n_formulas):
         f = random_formula(_CounterDraws(subkey(key, findex)), n_vars=8, max_gates=24, max_depth=5)
         template = compile_formula(f)
-        table = assignments(max(f.variables(), default=0) + 1)
-        leaves = np.stack([template.instantiate(a) for a in table])
-        shape = TreeShape(k=GADGET_K, d=template.depth)
-        posts = bp_posterior_batch_binary(shape, float(GADGET_THETA), leaves)
-        bad = np.where(evaluate_all(f, table.shape[1]), posts < high, posts > low)
-        checked += len(table)
-        violations += int(bad.sum())
+        posts, tracks = check_all_assignments(f, template, mode="float")
+        checked += len(tracks)
+        violations += int((~tracks).sum())
         if findex % 25 == 0:
-            verdict = verify_gadget(f, table[0], template=template)
+            verdict = verify_gadget(f, [0] * (max(f.variables(), default=0) + 1), template=template)
             if abs(verdict.posterior - float(posts[0])) > 1e-9:
                 violations += 1
             rational_spot_checks += verdict.mode == "exact-rational"

@@ -3,7 +3,7 @@
 On that tree an edge copies with probability 19/20.  If four of a node's six
 children carry posterior mass >= 0.95 for label 1, the node itself carries
 mass >= 19/20 -- that closed-form bound is `gadget_posterior_bound`, and
-`lemma_grid_check` sweeps it over a grid to exhibit the minimizing corner.
+`lemma_grid_check` checks it over a whole grid in closed form, not swept.
 
 `compile_formula` turns a boolean formula into a leaf template over
 {const0, const1, var(i), negvar(i)}:
@@ -16,7 +16,7 @@ mass >= 19/20 -- that closed-form bound is `gadget_posterior_bound`, and
 
 Instantiating the template under an assignment and running BP then tracks
 the formula: root posterior >= 19/20 when it evaluates true, <= 1/20 when
-false.
+false: `check_all_assignments` checks every assignment, `verify_gadget` one.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bp import LeafLikelihood, bp_posterior
+from .bp import LeafLikelihood, bp_posterior, bp_posterior_batch_binary, bp_rational_root, resolve_mode
 from .channels import Channel, FractionLike, as_fraction
-from .formulas import Const, Formula, Gate, Not, Var
+from .estimators import trial_chunks
+from .formulas import Const, Formula, Gate, Not, Var, assignments, evaluate_all
 from .trees import TreeShape
 
 GADGET_K = 6
@@ -36,7 +37,9 @@ GADGET_THETA = Fraction(9, 10)
 GADGET_EDGE = Fraction(19, 20)  # copy probability (1 + theta) / 2
 TRACK_HIGH = Fraction(19, 20)
 TRACK_LOW = Fraction(1, 20)
+FLOAT_SLACK = 1e-9  # a float posterior's 1e-6 log-odds error budget is far inside the gap
 DEFAULT_MAX_DEPTH = 6
+_GADGET_CHANNEL = Channel.binary(GADGET_THETA)
 
 # Entry codes: 0 const0, 1 const1, 2+2i var(i), 3+2i negvar(i), as int32.
 CONST0, CONST1 = 0, 1
@@ -96,22 +99,21 @@ class LeafTemplate:
         return LeafTemplate(depth=self.depth, entries=self.entries ^ 1)
 
     def instantiate(self, assignment) -> np.ndarray:
-        """Leaf bits under an assignment (sequence of 0/1 per variable)."""
+        """Leaf bits under an assignment (sequence of 0/1 per variable), or
+        one row of leaf bits per row of a 2-D table of assignments."""
         a = np.asarray(assignment, dtype=np.uint8)
-        out = np.empty(len(self.entries), dtype=np.uint8)
-        consts = self.entries < 2
-        out[consts] = self.entries[consts]
-        varmask = ~consts
-        if varmask.any():
-            idx = (self.entries[varmask] - 2) // 2
-            if idx.size and int(idx.max()) >= len(a):
-                raise ValueError(
-                    f"template references variable x{int(idx.max()) + 1} but the "
-                    f"assignment binds only {len(a)}"
-                )
-            neg = (self.entries[varmask] - 2) % 2
-            out[varmask] = a[idx] ^ neg.astype(np.uint8)
-        return out
+        # Entry code c reads column c of (0, 1, a[0], !a[0], a[1], !a[1], ...).
+        values = np.empty(a.shape[:-1] + (2 + 2 * a.shape[-1],), dtype=np.uint8)
+        values[..., 0], values[..., 1] = CONST0, CONST1
+        values[..., 2::2] = a
+        values[..., 3::2] = a ^ 1
+        top = int(self.entries.max())
+        if top >= values.shape[-1]:
+            raise ValueError(
+                f"template references variable x{(top - 2) // 2 + 1} but the "
+                f"assignment binds only {a.shape[-1]}"
+            )
+        return values.take(self.entries, axis=-1)
 
     def to_tags(self) -> list[str]:
         return [entry_tag(int(c)) for c in self.entries]
@@ -196,7 +198,18 @@ class GadgetVerdict:
 
 
 def gadget_channel() -> Channel:
-    return Channel.binary(GADGET_THETA)
+    return _GADGET_CHANNEL
+
+
+def _tracks(expected, m1, total=None):
+    """The verdict m1 / total >= TRACK_HIGH where f holds, <= TRACK_LOW where
+    it does not: cross-multiplied on exact integers, or with FLOAT_SLACK on
+    float posteriors m1 (a scalar or an array) when total is None."""
+    if total is None:
+        return np.where(expected, m1 >= TRACK_HIGH - FLOAT_SLACK, m1 <= TRACK_LOW + FLOAT_SLACK)
+    if expected:
+        return m1 * TRACK_HIGH.denominator >= TRACK_HIGH.numerator * total
+    return m1 * TRACK_LOW.denominator <= TRACK_LOW.numerator * total
 
 
 def verify_gadget(
@@ -205,23 +218,49 @@ def verify_gadget(
     mode: str = "auto",
     template: LeafTemplate | None = None,
 ) -> GadgetVerdict:
-    """Instantiate the compiled template and check the posterior tracks f.
+    """Instantiate the compiled template on one assignment; check the posterior tracks f.
 
     `mode` goes to `bp_posterior`, whose "auto" picks rational BP up to its
     node limit (depth 5 at k = 6) and float log-odds BP above.  A rational
-    posterior is compared exactly, a float one with 1e-9 slack (its 1e-6
-    log-odds error budget is far inside the 19/20-vs-1/20 gap).
+    posterior is compared exactly, a float one with FLOAT_SLACK.
     """
     if template is None:
         template = compile_formula(f)
     leaves = template.instantiate(assignment)
     shape = TreeShape(k=GADGET_K, d=template.depth)
-    report = bp_posterior(shape, gadget_channel(), LeafLikelihood.from_labels(leaves, 2), mode=mode)
+    report = bp_posterior(shape, _GADGET_CHANNEL, LeafLikelihood.from_labels(leaves, 2), mode=mode)
     expected = f.evaluate(assignment)
     post, exact = report.masses[1], report.mode == "exact-rational"
-    slack = 0 if exact else 1e-9
-    tracks = post >= TRACK_HIGH - slack if expected else post <= TRACK_LOW + slack
+    tracks = _tracks(expected, post.numerator, post.denominator) if exact else _tracks(expected, post)
     return GadgetVerdict(float(post), bool(tracks), expected, report.mode, post if exact else None)
+
+
+def check_all_assignments(f: Formula, template: LeafTemplate, mode: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+    """Root posterior of label 1 and the tracking verdict on every assignment
+    of x1..x(max variable, at least 1), in `formulas.assignments` order.
+
+    `mode` resolves as in `bp_posterior`.  Float mode scores one `trial_chunks`
+    block of rows at a time through `bp_posterior_batch_binary`.  Rational
+    mode runs rational BP row by row (the parent-message memo computes each
+    distinct message once) and reads the verdict on the root's integers.
+    """
+    table = assignments(max(f.variables(), default=0) + 1)
+    expected = evaluate_all(f, table.shape[1])
+    shape = TreeShape(k=GADGET_K, d=template.depth)
+    rational = resolve_mode(shape, mode) == "rational"
+    posts = np.empty(len(table))
+    tracks = np.empty(len(table), dtype=bool)
+    for start, stop in trial_chunks(len(table), len(template)):
+        leaves = template.instantiate(table[start:stop])
+        if not rational:
+            posts[start:stop] = bp_posterior_batch_binary(shape, float(GADGET_THETA), leaves)
+            tracks[start:stop] = _tracks(expected[start:stop], posts[start:stop])
+            continue
+        for i, row in enumerate(leaves, start):
+            root, total = bp_rational_root(shape, _GADGET_CHANNEL, LeafLikelihood.from_labels(row, 2))
+            posts[i] = root[1] / total
+            tracks[i] = _tracks(expected[i], root[1], total)
+    return posts, tracks
 
 
 @dataclass(frozen=True)
@@ -233,70 +272,28 @@ class GridCheckResult:
 
 
 def lemma_grid_check(h: FractionLike = Fraction(1, 100)) -> GridCheckResult:
-    """Sweep four coordinates over [0.95, 1] and two over [0, 1] at step h.
+    """The bound's minimum over four coordinates in [19/20, 1] and two in
+    [0, 1], each axis at step h, in closed form and exact rationals.
 
-    The bound must stay >= 19/20 everywhere.  The sweep runs in float (the
-    gap at the minimizer is ~8e-3, astronomically above float error); the
-    minimizing grid point is then re-evaluated in exact rationals, as is the
-    all-low corner, and the verdict uses the exact values.
+    The bound is 1 / (1 + prod r(p_i)), r = b / a > 0 the ratio of its
+    complementary factor to its label-1 factor, so over a product grid it is
+    smallest at each axis's own argmax of r, and must stay >= 19/20 there.
     """
     step = as_fraction(h)
     if not 0 < step <= Fraction(1, 20):
         raise ValueError(f"step must lie in (0, 0.05], got {step}")
-    hi_vals = []
-    v = Fraction(19, 20)
-    while v <= 1:
-        hi_vals.append(v)
-        v += step
-    lo_vals = []
-    v = Fraction(0)
-    while v <= 1:
-        lo_vals.append(v)
-        v += step
-    hi_f = np.array([float(x) for x in hi_vals])
-    lo_f = np.array([float(x) for x in lo_vals])
+    hi, lo = GADGET_EDGE, 1 - GADGET_EDGE
 
-    def a(p):  # factor toward label 1
-        return 0.95 * p + 0.05 * (1 - p)
+    def ratio(p: Fraction) -> Fraction:
+        return (lo * p + hi * (1 - p)) / (hi * p + lo * (1 - p))
 
-    def b(p):  # complementary factor
-        return 0.05 * p + 0.95 * (1 - p)
-
-    lo_num = np.multiply.outer(a(lo_f), a(lo_f))
-    lo_alt = np.multiply.outer(b(lo_f), b(lo_f))
-    best = None  # (value, (i1, i2, i3, i4, j1, j2))
-    n_hi = len(hi_f)
-    checked = 0
-    for i1 in range(n_hi):
-        for i2 in range(n_hi):
-            for i3 in range(n_hi):
-                for i4 in range(n_hi):
-                    num4 = a(hi_f[i1]) * a(hi_f[i2]) * a(hi_f[i3]) * a(hi_f[i4])
-                    alt4 = b(hi_f[i1]) * b(hi_f[i2]) * b(hi_f[i3]) * b(hi_f[i4])
-                    num = num4 * lo_num
-                    post = num / (num + alt4 * lo_alt)
-                    j = np.unravel_index(np.argmin(post), post.shape)
-                    checked += post.size
-                    val = post[j]
-                    if best is None or val < best[0]:
-                        best = (val, (i1, i2, i3, i4, int(j[0]), int(j[1])))
-    i1, i2, i3, i4, j1, j2 = best[1]
-    min_point = (
-        hi_vals[i1],
-        hi_vals[i2],
-        hi_vals[i3],
-        hi_vals[i4],
-        lo_vals[j1],
-        lo_vals[j2],
-    )
-    exact_min = gadget_posterior_bound(min_point)
-    corner = gadget_posterior_bound(
-        [Fraction(19, 20)] * 4 + [Fraction(0), Fraction(0)]
-    )
-    passed = exact_min >= TRACK_HIGH and corner >= TRACK_HIGH and best[0] >= float(TRACK_HIGH) - 1e-9
+    high_axis, low_axis = ([start + i * step for i in range(int((1 - start) / step) + 1)]
+                           for start in (TRACK_HIGH, Fraction(0)))
+    min_point = (max(high_axis, key=ratio),) * 4 + (max(low_axis, key=ratio),) * 2
+    min_value = gadget_posterior_bound(min_point)
     return GridCheckResult(
-        passed=bool(passed),
+        passed=min_value >= TRACK_HIGH,
         min_point=min_point,
-        min_value=exact_min,
-        points_checked=checked,
+        min_value=min_value,
+        points_checked=len(high_axis) ** 4 * len(low_axis) ** 2,
     )

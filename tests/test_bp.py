@@ -1,8 +1,10 @@
+import ast
 import warnings
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +290,21 @@ def test_float_bp_rejects_zero_probability_evidence(mode):
         evidence = LeafLikelihood.from_labels(leaves, 2)
         report = bp_posterior(shape, Channel.binary(1), evidence, mode=mode)
     assert report.mode == "float-log-domain" and report.masses == (1.0, 0.0)
+
+
+def test_only_bp_applies_the_auto_mode_rule():
+    # One auto rule: `bp.resolve_mode` alone reads the node limit, and every
+    # other caller that resolves "auto" (bp_posterior, the gadget check) asks it.
+    src = Path(bp_module.__file__).parent
+    found = []
+    for path in src.rglob("*.py"):
+        if path == src / "bp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.name if isinstance(node, ast.alias) else getattr(node, "id", getattr(node, "attr", None))
+            if name == "AUTO_RATIONAL_NODE_LIMIT":
+                found.append(f"{path.relative_to(src).as_posix()}:{node.lineno}")
+    assert not found
 
 
 _THREE_LABELS = Channel.from_columns([["1/2", "1/2", "0"], ["0", "3/4", "1/4"], ["0", "0", "1"]])

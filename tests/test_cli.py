@@ -1,8 +1,8 @@
-import dataclasses
 import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treecast import cli
@@ -165,12 +165,13 @@ def test_compile_gadget_check(capsys):
 def _fail_gadget_check(monkeypatch):
     import treecast.gadgets
 
-    real = treecast.gadgets.verify_gadget
+    real = treecast.gadgets.check_all_assignments
 
     def never_tracks(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), tracks=False)
+        posts, tracks = real(*args, **kwargs)
+        return posts, np.zeros_like(tracks)
 
-    monkeypatch.setattr(treecast.gadgets, "verify_gadget", never_tracks)
+    monkeypatch.setattr(treecast.gadgets, "check_all_assignments", never_tracks)
 
 
 def _fail_barrington_check(monkeypatch):

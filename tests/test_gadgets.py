@@ -1,14 +1,19 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from treecast.formulas import Const, Gate, Not, Var, parse_formula, random_formula
+import treecast.gadgets as gadgets
+from treecast.estimators import CHUNK_CELLS
+from treecast.formulas import Const, Gate, Not, Var, assignments, parse_formula, random_formula
 from treecast.gadgets import (
     CONST0,
     CONST1,
     MAX_VARIABLE,
+    GridCheckResult,
     LeafTemplate,
+    check_all_assignments,
     compile_formula,
     gadget_posterior_bound,
     lemma_grid_check,
@@ -104,6 +109,7 @@ class TestTracking:
         from treecast.gadgets import gadget_channel
         from treecast.trees import TreeShape
 
+        assert gadget_channel() is gadget_channel()  # built once, at import
         shape = TreeShape(k=6, d=template.depth)
         for bits in range(4):
             a = [(bits >> 1) & 1, bits & 1]
@@ -148,6 +154,73 @@ class TestTracking:
             assert fl.posterior == pytest.approx(r.posterior, abs=1e-9)
 
 
+def _random_formulas(seed, count, max_depth, min_depth=0):
+    """Seeded random formulas over x1..x4, negated until at least `min_depth` deep."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        f = random_formula(rng, n_vars=4, max_gates=10, max_depth=max_depth)
+        while f.depth < min_depth:
+            f = Not(f)
+        out.append(f)
+    return out
+
+
+class TestCheckAllAssignments:
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_matches_verify_gadget_row_by_row(self, mode):
+        formulas = _random_formulas(11, 20, max_depth=4)
+        if mode == "float":
+            formulas += _random_formulas(12, 3, max_depth=4, min_depth=6)
+        depths = set()
+        for f in formulas:
+            template = compile_formula(f)
+            depths.add(template.depth)
+            posts, tracks = check_all_assignments(f, template, mode)
+            table = assignments(max(f.variables(), default=0) + 1)
+            assert posts.shape == tracks.shape == (len(table),)
+            for post, track, a in zip(posts, tracks, table):
+                verdict = verify_gadget(f, a, mode=mode, template=template)
+                assert track == verdict.tracks, (f.to_text(), a)
+                if mode == "rational":
+                    assert post == float(verdict.posterior_exact)
+                else:
+                    assert post == pytest.approx(verdict.posterior, abs=1e-9)
+        assert max(depths) == (6 if mode == "float" else 4)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_complemented_templates_track_nowhere(self, mode):
+        for f in _random_formulas(13, 6, max_depth=3):
+            template = compile_formula(f)
+            assert check_all_assignments(f, template, mode)[1].all()
+            assert not check_all_assignments(f, template.complement(), mode)[1].any()
+
+    def test_auto_resolves_as_bp_posterior(self):
+        f = parse_formula("(and (or x1 x2) (not x3))")
+        template = compile_formula(f)
+        exact = check_all_assignments(f, template, "rational")[0]
+        assert np.array_equal(check_all_assignments(f, template)[0], exact)
+        with pytest.raises(ValueError, match="unknown mode"):
+            check_all_assignments(f, template, "exact")
+
+    def test_float_mode_scores_one_chunk_of_rows_at_a_time(self, monkeypatch):
+        rows_per_call = []
+        real = gadgets.bp_posterior_batch_binary
+
+        def spy(shape, theta, leaves, *args):
+            rows_per_call.append(len(leaves))
+            return real(shape, theta, leaves, *args)
+
+        monkeypatch.setattr(gadgets, "bp_posterior_batch_binary", spy)
+        f = Not(Not(parse_formula("(or (and x1 (or x2 x3)) (and (or x4 x5) (and x6 (or x7 x8))))")))
+        template = compile_formula(f)
+        assert template.depth == 6
+        posts, tracks = check_all_assignments(f, template, "auto")
+        assert tracks.all() and len(posts) == 256
+        assert sum(rows_per_call) == 256 and len(rows_per_call) > 1
+        assert max(rows_per_call) <= 1 + CHUNK_CELLS // len(template)
+
+
 class TestGrid:
     def test_coarse_grid_passes_with_corner_minimizer(self):
         result = lemma_grid_check(Fraction(1, 20))
@@ -164,6 +237,27 @@ class TestGrid:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             lemma_grid_check(Fraction(1, 10))
+
+    def test_closed_form_equals_the_exact_brute_force_minimum(self):
+        high = [HIGH, Fraction(1)]
+        low = [Fraction(i, 20) for i in range(21)]
+        points = list(itertools.product(*[high] * 4, *[low] * 2))
+        values = [gadget_posterior_bound(p) for p in points]
+        best = min(range(len(points)), key=values.__getitem__)
+        result = lemma_grid_check(Fraction(1, 20))
+        assert result.points_checked == len(points) == 7_056
+        assert (result.min_point, result.min_value) == (points[best], values[best])
+        assert result.passed == (values[best] >= HIGH)
+
+    def test_fine_grid_result(self):
+        corner = (HIGH,) * 4 + (Fraction(0),) * 2
+        assert lemma_grid_check(Fraction(1, 100)) == GridCheckResult(
+            passed=True,
+            min_point=corner,
+            min_value=Fraction(1_073_283_121, 1_120_329_002),
+            points_checked=13_220_496,
+        )
+        assert gadget_posterior_bound(corner) == Fraction(1_073_283_121, 1_120_329_002)
 
 
 def test_gadget_corpus_counts_at_the_default_seed():
