@@ -23,25 +23,24 @@ then for each bottom node i only the tallies of the identity-first codes
 leaf level.  In the quotient channel every parent (C1, C2) sends 1/60 of its
 mass to those codes, 2/3 of it to (e, C1) and 1/3 to (e, C2), or all of it
 to (e, C1) when C1 = C2, so the tallies are N ~ Bin(k, 1/60) and
-A | N ~ Bin(N, 2/3) at the heavier code (the laws are read from rows 0..3 of
-the channel).  N reads the counter word at the unused leaf-level address
-`node_counters(d, i, 0)` and A the one at `node_counters(d, i, 1)`, each
-inverted through exact binomial cuts (`channels.binomial_cuts`).  Both
-draws are one `channels.CutTables.draw` each, from two tables cached per k
-and built on first use (`_tally_tables`): N's, one row per distinct mass,
-and A's, one row per distinct share and per n that a draw of N has met.
+A | N ~ Bin(N, 2/3) at the heavier code, or A = N for a diagonal parent (the
+one mass and share are read from rows 0..3 of the channel).  N reads the
+counter word at the unused leaf-level address `node_counters(d, i, 0)` and A
+the one at `node_counters(d, i, 1)`, each inverted through exact binomial
+cuts (`channels.binomial_cuts`): N through `channels.binomial_tables(k,
+1/60)`, A through one table per k, built on first use (`_tally_tables`),
+with a row for each n that a draw of N has met.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from ..channels import CutTables, binomial_cuts, uniform_draw
+from ..channels import CutTables, binomial_cuts, binomial_tables, uniform_draw
 from ..generators import direct_levels
 from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
@@ -126,28 +125,27 @@ def reconstruct_level_class16(child_labels: np.ndarray, k: int, tie_key: int) ->
 
 
 class _BinomialTables:
-    """Draws from the laws Bin(*params(0)), Bin(*params(1)), ... through one
+    """Draws from the laws Bin(base, p), Bin(base + 1, p), ... through one
     padded `CutTables` that holds a row for each law drawn from so far.
 
     Each row is `binomial_cuts(n, p)` less its cuts of 0, which every word
     draws past (the law's offset `lo` moves up by their count), and of 2^63,
-    which none does; shorter rows are padded with 2^63.  Row 0 is all
-    padding: a law left with no cuts draws its offset alone.  A new row goes
-    into a spare row of padding in place (`CutTables.put`); only when none
-    is left, or the row is too wide, is the table rebuilt, with its row
-    count and width doubled until the rows fit, so a run rebuilds
-    O(log rows) times.
+    which none does; shorter rows are padded with 2^63.  A new row goes into
+    a spare row of padding in place (`CutTables.put`); only when none is
+    left, or the row is too wide, is the table rebuilt, with its row count
+    and width doubled until the rows fit, so a run rebuilds O(log rows)
+    times.
     """
 
-    def __init__(self, params: Callable[[int], tuple[int, Fraction]], count: int) -> None:
-        self.params = params
+    def __init__(self, base: int, p: Fraction, count: int) -> None:
+        self.base, self.p = base, p
         self.row = np.full(count, -1, dtype=np.intp)  # -1 until the law is first drawn
         self.lo = np.zeros(count, dtype=np.int64)
-        self.used = 1  # rows that hold a law's cuts, row 0 included
+        self.used = 0  # rows that hold a law's cuts
         self.tables = CutTables(np.zeros((1, 0), dtype=np.uint64))
 
     def draw(self, law: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """X_i ~ law law[i] by inverting the raw word words[i]."""
+        """X_i ~ Bin(base + law[i], p) by inverting the raw word words[i]."""
         row = self.row[law]
         if (row < 0).any():
             self._add(np.unique(law[row < 0]).tolist())
@@ -156,79 +154,69 @@ class _BinomialTables:
 
     def _add(self, laws: list[int]) -> None:
         """Rows for `laws`, put into spare rows of the table."""
-        rows, placed = [], []
+        rows, offsets = [], []
         for i in laws:
-            low, cuts = binomial_cuts(*self.params(i))
-            kept = cuts[(cuts != 0) & (cuts != 1 << 63)]  # a middle run: cuts ascend
-            row = self.used + len(rows) if kept.size else 0
-            placed.append((i, row, low + np.count_nonzero(cuts == 0)))
-            if kept.size:
-                rows.append(kept)
-        if rows:
-            old = self.tables.cuts
-            height, width = old.shape
-            while height < self.used + len(rows):
-                height *= 2
-            while width < max(map(len, rows)):
-                width = 2 * width or 1
-            if (height, width) != old.shape:
-                cuts = np.full((height, width), 1 << 63, dtype=np.uint64)
-                cuts[: self.used, : old.shape[1]] = old[: self.used]
-                self.tables = CutTables(cuts)
-            for r, kept in enumerate(rows, self.used):
-                self.tables.put(r, kept)
-            self.used += len(rows)
-        for i, row, lo in placed:  # only once the table holds their rows
-            self.row[i], self.lo[i] = row, lo
+            low, cuts = binomial_cuts(self.base + i, self.p)
+            rows.append(cuts[(cuts != 0) & (cuts != 1 << 63)])  # a middle run: cuts ascend
+            offsets.append(low + np.count_nonzero(cuts == 0))
+        old = self.tables.cuts
+        height, width = old.shape
+        while height < self.used + len(rows):
+            height *= 2
+        while width < max(map(len, rows)):
+            width = 2 * width or 1
+        if (height, width) != old.shape:
+            cuts = np.full((height, width), 1 << 63, dtype=np.uint64)
+            cuts[: self.used, : old.shape[1]] = old[: self.used]
+            self.tables = CutTables(cuts)
+        for r, kept in enumerate(rows, self.used):
+            self.tables.put(r, kept)
+        # The laws are marked drawn only once the table holds their rows.
+        self.row[laws], self.lo[laws] = np.arange(self.used, self.used + len(rows)), offsets
+        self.used += len(rows)
 
 
 @lru_cache(maxsize=4)
-def _tally_tables(k: int) -> tuple[_BinomialTables, _BinomialTables, int, int]:
+def _tally_tables(k: int) -> tuple[int, CutTables, _BinomialTables]:
     """The tables of the identity-first tallies at arity k, built on first use.
 
-    The first draws N ~ Bin(k, q), law m for the m-th distinct mass q.  Its
-    draws of the words 0 and 2^64 - 1 bound what N can take to [low, low +
-    span).  The second draws A ~ Bin(n, p), law s * span + n - low for the
-    s-th distinct share p and each n there, and grows a row for each (p, n)
-    a draw meets: a trial over few nodes builds few rows, not all of them.
-    Returns (N's tables, A's tables, low, span).
+    N ~ Bin(k, q) is lo plus the draw of `binomial_tables(k, q)`, so it lies
+    in [lo, lo + len(cuts)].  A ~ Bin(n, p) is law n - lo of the family
+    Bin(lo + i, p), which grows a row for each n a draw meets: a trial over
+    few nodes builds few rows, not all of them.  Returns (lo, N's table, A's
+    tables).
     """
-    (masses, _), (shares, _), _, _ = _identity_first_laws()
-    total = _BinomialTables(lambda m: (k, masses[m]), len(masses))
-    every = np.arange(len(masses))
-    low = int(total.draw(every, np.zeros(every.size, dtype=np.uint64)).min())
-    span = int(total.draw(every, np.full(every.size, 2**64 - 1, dtype=np.uint64)).max()) - low + 1
-    split = _BinomialTables(lambda i: (low + i % span, shares[i // span]), len(shares) * span)
-    return total, split, low, span
-
-
-def _distinct(values: list[Fraction]) -> tuple[tuple[Fraction, ...], np.ndarray]:
-    """The distinct values, and the index of each value among them."""
-    distinct = sorted(set(values))
-    return tuple(distinct), np.array([distinct.index(v) for v in values], dtype=np.intp)
+    q, p, *_ = _identity_first_laws()
+    lo, total = binomial_tables(k, q)
+    return lo, total, _BinomialTables(lo, p, total.cuts.shape[1] + 1)
 
 
 @lru_cache(maxsize=1)
-def _identity_first_laws():
-    """Per parent label, the law of its children's identity-first tallies.
+def _identity_first_laws() -> tuple[Fraction, Fraction, np.ndarray, np.ndarray, np.ndarray]:
+    """The one law of every parent's identity-first tallies.
 
-    Read from rows 0..3 of the quotient channel: column j puts mass q_j on
-    the identity-first codes, spread over at most two of them (a_j and b_j,
-    a_j the heavier; a_j = b_j for a diagonal label), with share p_j on a_j.
+    Read from rows 0..3 of the quotient channel: each column j puts the same
+    mass q on the identity-first codes, spread over at most two of them
+    (heavy_j and light_j, heavy_j the heavier): the same share p on heavy_j,
+    or all of it when label j is diagonal (heavy_j = light_j).  Returns (q,
+    p, heavy, light, diagonal); a second mass or share raises.
     """
     channel = quotient_channel()
-    mass, share, heavy, light = [], [], [], []
+    masses, shares, heavy, light = set(), set(), [], []
     for j in range(channel.m):
         col = channel.column(j)[:4]
         rows = sorted((r for r in range(4) if col[r]), key=lambda r: -col[r]) or [0]
         if len(rows) > 2:
             raise AssertionError(f"column {j} spreads identity-first mass over {rows}")
-        total = sum(col)
-        mass.append(total)
-        share.append(col[rows[0]] / total if total else Fraction(1))
+        masses.add(sum(col))
+        if len(rows) == 2:
+            shares.add(col[rows[0]] / sum(col))
         heavy.append(rows[0])
         light.append(rows[-1])
-    return _distinct(mass), _distinct(share), np.array(heavy), np.array(light)
+    if len(masses) != 1 or len(shares) != 1:
+        raise AssertionError(f"identity-first masses {sorted(masses)} and shares {sorted(shares)}, not one of each")
+    heavy, light = np.array(heavy), np.array(light)
+    return masses.pop(), shares.pop(), heavy, light, heavy == light
 
 
 def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) -> np.ndarray:
@@ -237,20 +225,31 @@ def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) ->
     Returns shape (len(parents), 4).  The children of parent i sit at `level`
     and are never materialized: the identity-first count N ~ Bin(k, q) reads
     word `node_counters(level, i, 0)`, and the count A ~ Bin(N, p) at the
-    heavier code reads `node_counters(level, i, 1)` (laws from
-    `_identity_first_laws`); the lighter code gets N - A.
+    heavier code reads `node_counters(level, i, 1)` (the one law of
+    `_identity_first_laws`; A = N for a diagonal parent); the lighter code
+    gets N - A.
     """
     parents = np.asarray(parents, dtype=np.intp)
-    (masses, mass_of), (shares, share_of), heavy, light = _identity_first_laws()
+    _, _, heavy, light, diagonal = _identity_first_laws()
+    lo, total_table, split = _tally_tables(k)
     count = parents.size
-    total_tables, split_tables, low, span = _tally_tables(k)
-    total = total_tables.draw(mass_of[parents], level_words(key, level, count, 0))
-    first = split_tables.draw(share_of[parents] * span + total - low, level_words(key, level, count, 1))
+    above = total_table.draw(0, level_words(key, level, count, 0))  # N - lo
+    total = above + lo
+    first = np.where(diagonal[parents], total, split.draw(above, level_words(key, level, count, 1)))
     tallies = np.zeros((4, count), dtype=np.int64)  # value-major, returned transposed
     rows = np.arange(count)
     tallies[heavy[parents], rows] = first
     tallies[light[parents], rows] += total - first
     return tallies.T
+
+
+def class16_trial_shape(k: int, d: int) -> TreeShape:
+    """The shape a class16 trial of arity k and depth d >= 1 must fit: the
+    k^(d-1) bottom labels and one node's k children (its tally tables grow
+    with k) within the budget of `TreeShape`, which also asks k >= 1."""
+    if d < 1:
+        raise ValueError("reconstruction needs depth >= 1")
+    return TreeShape(k, max(d - 1, 1))
 
 
 def class16_reconstruction_trial(k: int, d: int, key: int) -> tuple[int, int, int]:
@@ -261,15 +260,12 @@ def class16_reconstruction_trial(k: int, d: int, key: int) -> tuple[int, int, in
     leaf level enters reconstruction only through each bottom node's tallies
     of the identity-first codes 0..3 (children are i.i.d. given the parent,
     and the decoder reads no other code), so it is sampled as those tallies:
-    two binomials per node, from counter words at the unused leaf-level
+    N ~ Bin(k, q) and A | N ~ Bin(N, p), q and p the one identity-first mass
+    and share of the channel, from counter words at the unused leaf-level
     addresses `node_counters(d, i, 0)` and `node_counters(d, i, 1)` (see
     `identity_first_tallies`).  Tie words of level j use `subkey(key, j)`.
     """
-    if d < 1:
-        raise ValueError("reconstruction needs depth >= 1")
-    # Before any draw: k >= 1 (TreeShape), and the k^(d-1) bottom labels and
-    # one node's k children (its tally tables grow with k) within the budget.
-    TreeShape(k, max(d - 1, 1))
+    class16_trial_shape(k, d)  # before any draw
     levels = direct_levels(TreeShape(k, d - 1), quotient_channel(), key)
     tallies = identity_first_tallies(levels[-1], k, key, d)
     level, empty = reconstruct_level_class16_from_counts(tallies, subkey(key, 1))

@@ -139,6 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _refuse_given(args, names, rule: str, *argv: str) -> None:
+    """A usage error, `rule` and the flags to drop, if `args` holds any of
+    `names` away from its parser default; `argv` gives the command's
+    required flags, at any value, so that the defaults can be parsed."""
+    defaults = vars(build_parser().parse_args([args.command, *argv]))
+    if given := [f"--{name}" for name in names if getattr(args, name) != defaults[name]]:
+        raise SystemExit2(f"{rule}; drop {', '.join(given)}")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         print(text)
@@ -153,6 +162,8 @@ def _cmd_gen(args) -> int:
     from .rng import SeedSpec
     from .trees import TreeShape
 
+    if args.generator in ("pair3600", "class16"):
+        _refuse_given(args, ("theta",), f"--generator {args.generator} has no theta", "--k", "1", "--d", "0")
     shape = TreeShape(k=args.k, d=args.d)
     seed = SeedSpec(args.seed, f"gen/{args.generator}")
     if args.generator == "direct":
@@ -252,11 +263,7 @@ def _experiment_config(args):
 
     experiment = _KIND_OF_COMMAND[args.command]
     if args.config:
-        defaults = vars(build_parser().parse_args([args.command]))
-        given = [f"--{name}" for name, value in vars(args).items()
-                 if name != "config" and value != defaults[name]]
-        if given:
-            raise SystemExit2(f"--config replaces the flags; drop {', '.join(given)}")
+        _refuse_given(args, [name for name in vars(args) if name != "config"], "--config replaces the flags")
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json(fh.read())
         if cfg.experiment != experiment:
@@ -328,6 +335,7 @@ def _cmd_reduce_word(args) -> int:
     from .rng import SeedSpec
 
     if args.instance:
+        _refuse_given(args, ("length", "promise"), "--instance replaces the flags")
         with open(args.instance, encoding="utf-8") as fh:
             inst = WordInstance.from_json(fh.read())
     else:

@@ -248,13 +248,10 @@ def reduced_depth(k: int, d: int) -> int:
     """
     if k < 2:
         return 0
-    n = k**d
-    t = 0
-    while True:
-        if 2 ** (k ** (t + 1)) <= n:
-            t += 1
-        else:
-            return t
+    n, t = k**d, 0
+    while 2 ** (k ** (t + 1)) <= n:
+        t += 1
+    return t
 
 
 def default_flip_rate(k: int, theta: float) -> float:
@@ -468,7 +465,8 @@ def estimate_P_sd(
     seed: SeedSpec,
     method: str = "auto",
 ) -> PsdEstimate:
-    """P_{s,d} by exact enumeration when the cap permits, else Monte Carlo.
+    """P_{s,d} by exact enumeration when the cap permits, else (or with
+    `method="mc"`) Monte Carlo.
 
     Monte Carlo trial i draws its root and its `code_height` subtree codes,
     leaves seen through flip(s), from the key derived from i in the stream
@@ -481,16 +479,11 @@ def estimate_P_sd(
     sf = as_fraction(s)
     if not 0 <= sf <= Fraction(1, 2):
         raise ValueError(f"s must lie in [0, 1/2], got {sf}")
-    if method not in ("auto", "exact", "mc"):
+    if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "exact"):
-        if config_count(shape.n, 2) <= DEFAULT_CONFIG_CAP:
-            val = exact_P_sd(shape, t, sf)
-            return PsdEstimate(
-                estimate=float(val), stderr=0.0, trials=0, method="exact", exact=val
-            )
-        if method == "exact":
-            raise ValueError("tree too large for exact P_{s,d}; use Monte Carlo")
+    if method == "auto" and config_count(shape.n, 2) <= DEFAULT_CONFIG_CAP:
+        val = exact_P_sd(shape, t, sf)
+        return PsdEstimate(estimate=float(val), stderr=0.0, trials=0, method="exact", exact=val)
     kernel = partial(bp_rounding_decisions, shape, float(t), seed=seed, s=float(sf))
     acc = sampled_hits(shape, t, seed, trials, {"bp-rounding": kernel}, sf)["bp-rounding"] / trials
     return PsdEstimate(

@@ -39,7 +39,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .channels import Channel, as_fraction, fraction_text, ks_parameter, uniform_draw, unit_float
+from .channels import Channel, as_fraction, binary_theta, fraction_text, ks_parameter, uniform_draw, unit_float
 from .estimators import (
     EstimatorReport,
     bp_rounding_decisions,
@@ -67,9 +67,10 @@ A5_MODELS = {"class16": 16, "pair3600": 3600}  # label count m of each a5-accura
 
 def _parse_grid(name: str, values) -> tuple:
     """One grid, from the flags or a config file alike: a non-empty list whose
-    k and d entries are ints and whose theta and s entries are the stripped
-    strings that `fraction_text` accepts, no value twice (`4/5` and `0.8`
-    are one value)."""
+    k and d entries are ints (not bools) and whose theta and s entries are
+    the stripped strings that `fraction_text` accepts, theta in [-1, 1] and
+    s in [0, 1/2] as the points check, no value twice (`4/5` and `0.8` are
+    one value)."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"grid {name!r} must be a list, got {values!r}")
     if not values:
@@ -78,6 +79,8 @@ def _parse_grid(name: str, values) -> tuple:
     for value in values:
         try:
             if name in ("k", "d"):
+                if isinstance(value, bool):
+                    raise TypeError
                 item = int(value) if isinstance(value, str) else operator.index(value)
             else:
                 item = fraction_text(str(value))
@@ -85,6 +88,10 @@ def _parse_grid(name: str, values) -> tuple:
             raise ValueError(f"grid {name!r} has an invalid value {value!r}") from None
         if (number := as_fraction(item)) in parsed:
             raise ValueError(f"grid {name!r} repeats the value {value!r}")
+        if name == "theta":
+            binary_theta(number)
+        if name == "s" and not 0 <= number <= Fraction(1, 2):
+            raise ValueError(f"s must lie in [0, 1/2], got {number}")
         parsed[number] = item
     return tuple(parsed.values())
 
@@ -127,6 +134,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, _parse_grid(name, getattr(self, name)))
         if self.experiment == "a5-accuracy" and min(self.d) < 1:
             raise ValueError("reconstruction needs depth >= 1")
+        shape = TreeShape  # every point's shape passes the check its run makes
+        if self.experiment == "a5-accuracy" and self.model == "class16":
+            from .a5.reconstruct import class16_trial_shape as shape
+        for k, d in product(self.k, self.d):
+            shape(k, d)
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
@@ -140,7 +152,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in doc:
             raise ValueError("experiment config JSON lacks the key 'experiment'")
-        return cls(**doc)
+        cfg = cls(**doc)
+        reads = EXPERIMENTS[cfg.experiment][0] + (("model",) if cfg.experiment == "a5-accuracy" else ())
+        if unread := sorted({"theta", "s", "model"} & set(doc) - set(reads)):
+            raise ValueError(f"{cfg.experiment} reads no config key {', '.join(map(repr, unread))}")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -431,19 +447,8 @@ class CheckResult:
     detail: str = ""
 
 
-# Every regular shape with at most eight leaves.
-DEFAULT_EXACT_SHAPES = (
-    (1, 3),
-    (2, 1),
-    (2, 2),
-    (2, 3),
-    (3, 1),
-    (4, 1),
-    (5, 1),
-    (6, 1),
-    (7, 1),
-    (8, 1),
-)
+# Every regular shape with at most eight leaves, k = 1 once, at d = 3.
+DEFAULT_EXACT_SHAPES = ((1, 3), *((k, d) for k in range(2, 9) for d in (1, 2, 3) if k**d <= 8))
 DEFAULT_EXACT_THETAS = ("0", "1/4", "1/2", "3/4", "1")
 
 
@@ -732,10 +737,7 @@ def verify_all(seed: int = 1, quick: bool = False) -> list[CheckResult]:
     check("bp-vs-oracle", f"shapes={shapes}", bp_ok, worst)
 
     # Generator equivalence.
-    for res in run_equivalence_suite(
-        seed=seed, statistical_trials=20_000 if quick else 100_000
-    ):
-        results.append(res)
+    results += run_equivalence_suite(seed=seed, statistical_trials=20_000 if quick else 100_000)
 
     # Biased-bit samplers, exhaustive.
     exact_ok = True

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, isqrt
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from treecast.a5.reconstruct import (
     reconstruct_level_pair,
     recursive_reconstruct,
 )
-from treecast.channels import _bounded_binomial_cuts, binomial_cuts, uniform_draw
+from treecast.channels import Channel, _bounded_binomial_cuts, binomial_cuts, uniform_draw
 from treecast.generators import generate_direct
 from treecast.rng import SeedSpec, level_words, subkey, words_vec
 from treecast.trees import TreeShape
@@ -291,37 +292,52 @@ class TestIdentityFirstSampler:
         # Word by word, fresh tally tables draw what one `binomial_cuts` table
         # per (n, p) group and a plain search drew: N at both ends of what it
         # can take, and A from every n there, while the tables grow.
-        total, split, low, span = reconstruct._tally_tables.__wrapped__(k)
-        (masses, _), (shares, _), _, _ = reconstruct._identity_first_laws()
+        lo, total, split = reconstruct._tally_tables.__wrapped__(k)
+        q, p, *_ = reconstruct._identity_first_laws()
+        hi = lo + total.cuts.shape[1]  # N lies in [lo, hi]
         rng = np.random.default_rng(k)
         ends = np.array([0, 1, 2**62, 2**63 - 2, 2**63 - 1], dtype=np.uint64)
         words = np.concatenate([ends, rng.integers(0, 2**63, 3000, dtype=np.uint64)])
-        for m in range(len(masses)):
-            law = np.full(words.size, m)
-            n = total.draw(law, raw_words(words))
-            assert np.array_equal(n, _grouped_binomial_draws(np.full(words.size, k), masses, law, words))
-            assert low <= n.min() and n.max() < low + span
-        assert (n[0], n[4]) == (low, low + span - 1)
-        ns = np.repeat(np.arange(low, low + span), ends.size)
-        for s in range(len(shares)):
-            which = np.full(ns.size, s)
-            for w in (np.tile(ends, span), rng.integers(0, 2**63, ns.size, dtype=np.uint64)):
-                # A first draw from every other n, then from all of them.
-                for part in (slice(None, None, 2 * ends.size), slice(None)):
-                    got = split.draw(which[part] * span + ns[part] - low, raw_words(w[part]))
-                    assert np.array_equal(got, _grouped_binomial_draws(ns[part], shares, which[part], w[part]))
+        n = lo + total.draw(0, raw_words(words))
+        which = np.zeros(words.size, int)
+        assert np.array_equal(n, _grouped_binomial_draws(np.full(words.size, k), (q,), which, words))
+        assert lo <= n.min() and n.max() <= hi
+        assert (n[0], n[4]) == (lo + np.count_nonzero(total.cuts == 0), lo + np.count_nonzero(total.cuts < 2**63))
+        ns = np.repeat(np.arange(lo, hi + 1), ends.size)
+        which = np.zeros(ns.size, int)
+        for w in (np.tile(ends, hi + 1 - lo), rng.integers(0, 2**63, ns.size, dtype=np.uint64)):
+            # A first draw from every other n, then from all of them.
+            for part in (slice(None, None, 2 * ends.size), slice(None)):
+                got = split.draw(ns[part] - lo, raw_words(w[part]))
+                assert np.array_equal(got, _grouped_binomial_draws(ns[part], (p,), which[part], w[part]))
 
-    def test_tally_tables_grow_only_the_rows_a_draw_meets(self, raw_words):
-        # At k = 10^6 N can take thousands of values; one trial over one node
-        # builds one row of A (Bin(n, 1) rows are empty and share row 0).
-        total, split, low, span = reconstruct._tally_tables.__wrapped__(10**6)
-        assert span > 1000 and len(total.tables.cuts) == 2
+    def test_tally_tables_grow_only_the_rows_a_draw_meets(self, monkeypatch):
+        # At k = 10^6 N can take thousands of values; a trial over one node
+        # builds one row of A.
+        monkeypatch.setattr(reconstruct, "_tally_tables", lru_cache(reconstruct._tally_tables.__wrapped__))
         key = SeedSpec(4, "one-node").key()
-        n = total.draw(np.zeros(1, dtype=np.intp), raw_words([12345 << 40]))
-        split.draw(n - low, raw_words([1 << 62]))
-        split.draw(span + n - low, raw_words([1 << 62]))
-        assert len(split.tables.cuts) == 2
         assert class16_reconstruction_trial(10**6, 1, key)[0] in range(16)
+        _, total, split = reconstruct._tally_tables(10**6)
+        assert total.cuts.shape[1] > 1000
+        assert split.used == 1 and len(split.tables.cuts) == 1
+
+    @pytest.mark.parametrize(
+        "moves",
+        [{0: Fraction(1, 90), 1: Fraction(1, 180), 15: -Fraction(1, 60)}, {0: Fraction(1, 360), 1: -Fraction(1, 360)}],
+        ids=["second-mass", "second-share"],
+    )
+    def test_identity_first_laws_refuse_a_second_mass_or_share(self, monkeypatch, moves):
+        # Column 1 sends 1/90 to code 0 and 1/180 to code 1.  The first moves
+        # make that 1/45 and 1/90 (mass 1/30, share still 2/3), the second
+        # 1/72 and 1/360 (mass still 1/60, share 5/6).
+        assert reconstruct._identity_first_laws()[:2] == (Fraction(1, 60), Fraction(2, 3))
+        channel = quotient_channel()
+        columns = [list(channel.column(j)) for j in range(channel.m)]
+        for code, delta in moves.items():
+            columns[1][code] += delta
+        monkeypatch.setattr(reconstruct, "quotient_channel", lambda: Channel.from_columns(columns))
+        with pytest.raises(AssertionError, match="not one of each"):
+            reconstruct._identity_first_laws.__wrapped__()
 
     @pytest.mark.parametrize("k, d", [(40, 2), (5, 3), (3, 1)])
     def test_trial_upper_levels_match_generate_direct(self, monkeypatch, k, d):

@@ -459,6 +459,15 @@ def test_config_with_a_removed_kind_or_key_is_one_line_error(tmp_path, capsys, m
         ("scan-noise", {"theta": ["4/5", "0.8"]}, ("grid 'theta'", "repeats the value '0.8'")),
         ("scan-noise", {"s": ["0", "1/10", " 0 "]}, ("grid 's'", "repeats the value ' 0 '")),
         ("a5", {"k": [20, "20"]}, ("grid 'k'", "repeats the value '20'")),
+        ("scan-ks", {"k": [True], "d": [False]}, ("grid 'k'", "invalid value True")),
+        ("a5", {"d": [False]}, ("grid 'd'", "invalid value False")),
+        ("scan-ks", {"theta": ["1/2", "2"]}, ("theta must lie in [-1, 1]", "got 2")),
+        ("scan-noise", {"theta": ["-3/2"]}, ("theta must lie in [-1, 1]", "got -3/2")),
+        ("scan-noise", {"s": ["0", "3/5"]}, ("s must lie in [0, 1/2]", "got 3/5")),
+        ("scan-ks", {"k": [2, 0]}, ("arity k must be >= 1", "got 0")),
+        ("scan-noise", {"d": [2, 40]}, ("tree k=2, d=40", "more than")),
+        ("a5", {"model": "pair3600", "k": [6000], "d": [2, 3]}, ("tree k=6000, d=3", "more than")),
+        ("a5", {"k": [20000], "d": [3]}, ("tree k=20000, d=2", "more than")),
     ],
 )
 def test_config_grid_is_parsed_before_any_point_runs(tmp_path, capsys, monkeypatch, command, grid, words):
@@ -482,6 +491,10 @@ def test_config_grid_is_parsed_before_any_point_runs(tmp_path, capsys, monkeypat
         ("a5", {"model": "pair36"}, ("unknown model", "'pair36'", "'pair3600'")),
         ("a5", {"model": ["pair3600"]}, ("unknown model", "['pair3600']")),
         ("a5", {"model": "pair3600", "d": [2, 0]}, ("depth >= 1",)),
+        ("scan-ks", {"s": ["0"]}, ("ks-scan reads no config key 's'",)),
+        ("scan-ks", {"model": "class16", "s": ["0"]}, ("ks-scan reads no config key 'model', 's'",)),
+        ("scan-noise", {"model": "pair3600"}, ("noise-scan reads no config key 'model'",)),
+        ("a5", {"theta": ["1/2"], "s": ["0"]}, ("a5-accuracy reads no config key 's', 'theta'",)),
     ],
 )
 def test_config_scalar_is_checked_before_any_point_runs(tmp_path, capsys, monkeypatch, command, fields, words):
@@ -516,6 +529,25 @@ def _assert_config_fails_before_any_point(tmp_path, capsys, monkeypatch, command
     ],
 )
 def test_repeated_grid_flag_value_is_refused_before_any_point_runs(capsys, monkeypatch, argv, words):
+    _assert_flags_fail_before_any_point(capsys, monkeypatch, argv, ("repeats the value", *words))
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (("scan-ks", "--theta", "1/2,2", "--d", "2"), ("theta must lie in [-1, 1]", "got 2")),
+        (("scan-noise", "--s", "0,1,1/2", "--d", "1"), ("s must lie in [0, 1/2]", "got 1")),
+        (("scan-ks", "--k", "3,0", "--d", "1"), ("arity k must be >= 1", "got 0")),
+        (("a5", "--model", "pair3600", "--k", "6000", "--d", "3"), ("tree k=6000, d=3", "more than")),
+    ],
+)
+def test_out_of_range_grid_flag_is_refused_before_any_point_runs(capsys, monkeypatch, argv, words):
+    _assert_flags_fail_before_any_point(capsys, monkeypatch, argv, words)
+
+
+def _assert_flags_fail_before_any_point(capsys, monkeypatch, argv, words):
+    """`argv` ends in one `error:` line holding `words`, exit 1, before
+    `_map_points` runs any point."""
     import treecast.experiments
 
     def no_points(*args):
@@ -523,8 +555,30 @@ def test_repeated_grid_flag_value_is_refused_before_any_point_runs(capsys, monke
 
     monkeypatch.setattr(treecast.experiments, "_map_points", no_points)
     code, out, err = run(capsys, "--jobs", "1", *argv)
-    _one_line_usage_error(code, err, "repeats the value", *words)
+    _one_line_usage_error(code, err, *words)
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("reduce-word", "--instance", "{instance}", "--length", "999", "--promise", "target"), "--instance replaces the flags; drop --length"),
+        (("reduce-word", "--length", "8", "--instance", "{instance}", "--promise", "identity"), "drop --length, --promise"),
+        (("gen", "--k", "2", "--d", "1", "--generator", "pair3600", "--theta", "7"), "--generator pair3600 has no theta; drop --theta"),
+        (("gen", "--k", "2", "--d", "1", "--generator", "class16", "--theta", "9/10"), "--generator class16 has no theta; drop --theta"),
+    ],
+    ids=["reduce-length", "reduce-both", "gen-pair3600", "gen-class16"],
+)
+def test_flag_the_command_does_not_read_is_one_line_error(tmp_path, capsys, argv, named):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"word": [13], "promise": "target", "target": 13}))
+    code, out, err = run(capsys, *(a.format(instance=instance) for a in argv))
+    _one_line_usage_error(code, err, named)
+    assert out == ""
+    # At its parser default the same flag passes.
+    default = {"--length": "64", "--promise": "target", "--theta": "1/2"}
+    argv = [default.get(flag, a) for flag, a in zip(("",) + argv, argv)]
+    assert run(capsys, *(a.format(instance=instance) for a in argv))[0] == EXIT_OK
 
 
 def test_choices_and_grid_commands_follow_the_experiments_tables():

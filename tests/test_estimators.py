@@ -214,6 +214,12 @@ class TestPsd:
         with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
             estimate_P_sd(shape, Fraction(4, 5), Fraction(1, 10), 0, SeedSpec(1, "p"))
 
+    @pytest.mark.parametrize("method", ["exact", "float"])
+    def test_rejects_a_method_other_than_auto_or_mc(self, method):
+        # `auto` takes the exact path wherever the cap permits; no caller forced it.
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            estimate_P_sd(TreeShape(2, 3), Fraction(4, 5), Fraction(1, 10), 10, SeedSpec(1, "p"), method=method)
+
     def test_half_noise_is_coin(self):
         est = estimate_P_sd(
             TreeShape(k=2, d=4), Fraction(3, 5), Fraction(1, 2), 4000, SeedSpec(5, "p"),

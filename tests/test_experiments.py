@@ -55,7 +55,11 @@ class TestConfig:
     def test_a5_depth_below_one_raises_at_construction(self, d):
         with pytest.raises(ValueError, match="depth >= 1"):
             ExperimentConfig(experiment="a5-accuracy", d=d)
-        ExperimentConfig(experiment="ks-scan", d=d)  # the rule is a5-accuracy's
+        if min(d) < 0:  # every kind checks each point's `TreeShape` up front
+            with pytest.raises(ValueError, match="depth d must be >= 0, got -1"):
+                ExperimentConfig(experiment="ks-scan", d=d)
+        else:
+            ExperimentConfig(experiment="ks-scan", d=d)  # the rule is a5-accuracy's
 
     @pytest.mark.parametrize(
         "name, values, value",
