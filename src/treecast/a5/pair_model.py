@@ -13,23 +13,29 @@ branch with probability 2/3: two randomizers per node, as in the pair model.
 A child's first element is x * seg(j, j+H) * u, x the left randomizer it
 inherits; its second is fixed by the parent's element on its branch.
 
-Both samplers take that child step from one helper (`_child_codes`) on flat
-tables, one `take` per step: `A5.flat[c]` is the product of pair code c,
-`_HALF[2 c + branch]` is the element of c that a child on `branch` (1 for
-the first) factors, and `_CHILD[60 t + b]` is the code (b, b^-1 t) of the
-child that factors t with first element b.
+Both samplers take that child step as one gather into one flat table
+(`_step_table`, 60^3 uint16, built on first use): entry (t * 60 + left) * 60
++ u is `_CHILD[60 t + left * u]`, the code (b, b^-1 t) of the child that
+factors t with first element b = left * u, where `_HALF[2 c + branch]` is
+the element of pair code c that a child on `branch` (1 for the first)
+factors.  Per parent and branch, (t * 60 + left) * 60 is one row entry
+(`_child_step`); the pair model is the case left = identity, the product
+tree's left is x * seg(j, j+H).  A level's two words per node, word 0 for u
+and word 1 for the branch, come from one keyed pass
+(`rng.level_word_pairs`, `rng.trial_level_word_pairs`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from ..channels import Threshold, uniform_draw
 from ..labels import LabelArray
 from ..oracle import LawView
-from ..rng import SeedSpec, level_words, trial_keys, trial_level_words, word
+from ..rng import SeedSpec, level_word_pairs, trial_keys, trial_level_word_pairs, word
 from ..trees import TreeShape
 from .group import A5
 
@@ -37,6 +43,17 @@ _FIRST_BRANCH = Threshold(Fraction(2, 3))
 _FIRST, _SECOND = np.divmod(np.arange(3600), 60)  # of each pair code
 _HALF = np.stack([_SECOND, _FIRST], axis=1).reshape(-1)
 _CHILD = (60 * _SECOND + A5.times(A5.inv[_SECOND], _FIRST)).astype(np.uint16)
+# (t * 60 + left) * 60 of each (code, branch) at left = the identity, index 0:
+# the pair model's row entries into the step table, as (3600, 2) uint64.
+_ROWS = (3600 * _HALF).astype(np.uint64).reshape(3600, 2)
+
+
+@lru_cache(maxsize=1)
+def _step_table() -> np.ndarray:
+    """Entry (t * 60 + left) * 60 + u is `_CHILD[60 * t + A5.mul[left, u]]`."""
+    table = _CHILD.reshape(60, 60)[:, A5.mul].reshape(-1)
+    table.setflags(write=False)
+    return table
 
 
 def pair_code(first: int, second: int) -> int:
@@ -52,15 +69,21 @@ def _uniform60(w: np.ndarray) -> np.ndarray:
     return uniform_draw(60, w).astype(np.uint8)
 
 
-def _child_codes(parents: np.ndarray, k: int, branch: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Codes `_CHILD[60 * _HALF[2 * parent + branch] + first]` of the k
-    children of each parent code (repeated along the last axis)."""
-    half = np.repeat(np.multiply(parents, 2, dtype=np.intp), k, axis=-1)
-    half += branch
-    target = _HALF.take(half)
-    target *= 60
-    target += first
-    return _CHILD.take(target)
+def _branch_index(parents: int, k: int, branch: np.ndarray) -> np.ndarray:
+    """2 p + b for each child of `parents` parents, k each in order: p its
+    parent and b its branch (the branches alone under one parent)."""
+    if parents == 1:
+        return branch
+    return np.repeat(np.arange(0, 2 * parents, 2), k).reshape(branch.shape) + branch
+
+
+def _child_step(rows: np.ndarray, index: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Children's codes `_step_table()[rows.flat[index] + u]`: `rows` holds
+    (t * 60 + left) * 60 per parent and branch as uint64, `index` is
+    `_branch_index` and u the uniform draws, a fresh uint64 array that this
+    overwrites."""
+    u += rows.reshape(-1).take(index)
+    return _step_table().take(u)
 
 
 def generate_pair_model(
@@ -79,10 +102,9 @@ def pair_model_levels(shape: TreeShape, key: int, root: int | None = None) -> li
         raise ValueError(f"root pair code {root} outside [0, 3600)")
     levels = [np.array([root], dtype=np.uint16)]
     for lvl in range(1, shape.d + 1):
-        count = shape.nodes_at(lvl)
-        branch = _FIRST_BRANCH.below(level_words(key, lvl, count, word_index=1))
-        first = _uniform60(level_words(key, lvl, count, word_index=0))
-        levels.append(_child_codes(levels[-1], shape.k, branch, first))
+        words = level_word_pairs(key, lvl, shape.nodes_at(lvl))
+        index = _branch_index(levels[-1].size, shape.k, _FIRST_BRANCH.below(words[1]))
+        levels.append(_child_step(_ROWS[levels[-1]], index, uniform_draw(60, words[0])))
     return levels
 
 
@@ -132,21 +154,23 @@ def _product_tree_levels(
     if sigma.size and int(sigma.max()) >= 60:
         raise ValueError("word entries must be element indices in [0, 60)")
     tkeys = trial_keys(seed.key(), trees)
-    times = A5.times
     codes = np.full((trees, 1), pair_code(*A5.products(sigma.reshape(2, -1)).tolist()), np.uint16)
     out = [codes]
-    block = np.zeros((trees, 1), dtype=np.intp)  # of the node's first half, at its level
-    x = u = np.full((trees, 1), A5.identity, dtype=np.intp)
+    # Per node and branch (0 second, 1 first): the child's left randomizer x,
+    # the node's u^-1 or x, and its first-half block at the child's level.
+    x = np.full((trees, 1, 2), A5.identity, dtype=np.intp)
+    block = np.full((trees, 1, 2), (2, 0), dtype=np.intp)
     for level in range(1, d + 1):
-        count = k**level
-        branch = _FIRST_BRANCH.below(trial_level_words(tkeys, level, count, word_index=1))
-        # x is the parent's x on the first branch and its u^-1 on the second:
-        # the element on `branch` of the pair (x, u^-1), as `_child_codes` picks.
-        x = _HALF.take(np.repeat(2 * (60 * x + A5.inv.take(u)), k, axis=1) + branch)
-        block = np.repeat(2 * block + 2, k, axis=1) - 2 * branch
-        u = _uniform60(trial_level_words(tkeys, level, count, word_index=0))
+        words = trial_level_word_pairs(tkeys, level, k**level)
+        index = _branch_index(codes.size, k, _FIRST_BRANCH.below(words[1]))
+        u = uniform_draw(60, words[0])
         blocks = A5.products(sigma.reshape(-1, 1 << (d - level)))
-        codes = _child_codes(codes, k, branch, times(times(x, blocks.take(block)), u))
+        rows = _ROWS[codes]
+        rows += np.multiply(A5.times(x, blocks.take(block)), 60, dtype=np.uint64)
+        if level < d:  # the children's own x and block, per branch
+            x = np.stack([A5.inv.take(u), x.reshape(-1).take(index)], axis=-1)
+            block = 2 * block.reshape(-1).take(index)[..., None] + np.array([2, 0])
+        codes = _child_step(rows, index, u)
         out.append(codes)
     return out
 

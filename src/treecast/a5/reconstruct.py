@@ -42,7 +42,7 @@ import numpy as np
 
 from ..channels import CutTables, binomial_cuts, binomial_tables, uniform_draw
 from ..generators import direct_levels
-from ..rng import SeedSpec, level_words, subkey, words_vec
+from ..rng import SeedSpec, level_word_pairs, subkey, words_vec
 from ..trees import TreeShape
 from .group import A5
 from .pair_model import pair_model_levels
@@ -89,6 +89,8 @@ def _tally(values: np.ndarray, k: int, width: int) -> np.ndarray:
     if values.size % k:
         raise ValueError(f"{values.size} children do not group into nodes of arity {k}")
     nodes = values.size // k
+    if nodes == 1:
+        return np.bincount(values, minlength=width).reshape(width, 1)
     index = values.reshape(nodes, k) * np.intp(nodes) + np.arange(nodes, dtype=np.intp)[:, None]
     return np.bincount(index.reshape(-1), minlength=width * nodes).reshape(width, nodes)
 
@@ -227,20 +229,21 @@ def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) ->
     word `node_counters(level, i, 0)`, and the count A ~ Bin(N, p) at the
     heavier code reads `node_counters(level, i, 1)` (the one law of
     `_identity_first_laws`; A = N for a diagonal parent); the lighter code
-    gets N - A.
+    gets N - A.  Both words come from one keyed pass (`level_word_pairs`).
     """
     parents = np.asarray(parents, dtype=np.intp)
     _, _, heavy, light, diagonal = _identity_first_laws()
     lo, total_table, split = _tally_tables(k)
     count = parents.size
-    above = total_table.draw(0, level_words(key, level, count, 0))  # N - lo
+    words = level_word_pairs(key, level, count)
+    above = total_table.draw(0, words[0])  # N - lo
     total = above + lo
-    first = np.where(diagonal[parents], total, split.draw(above, level_words(key, level, count, 1)))
-    tallies = np.zeros((4, count), dtype=np.int64)  # value-major, returned transposed
-    rows = np.arange(count)
-    tallies[heavy[parents], rows] = first
-    tallies[light[parents], rows] += total - first
-    return tallies.T
+    first = np.where(diagonal[parents], total, split.draw(above, words[1]))
+    tallies = np.zeros(4 * count, dtype=np.int64)
+    rows = np.arange(0, 4 * count, 4)
+    tallies[rows + light[parents]] = total - first  # 0 where light = heavy
+    tallies[rows + heavy[parents]] = first
+    return tallies.reshape(count, 4)
 
 
 def class16_trial_shape(k: int, d: int) -> TreeShape:

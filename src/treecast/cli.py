@@ -52,9 +52,8 @@ class _Parser(argparse.ArgumentParser):
         # grids such as -1/2,4/5, so `--theta -1/2` is not taken for a flag.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        raise SystemExit2(message)
+    def error(self, message):  # argparse prints its usage and exits 2
+        raise SystemExit2(f"{self.prog}: {message}")
 
 
 class SystemExit2(Exception):

@@ -36,13 +36,16 @@ is a pure function of (key, counter), so the blocking cannot change one.
 The first pass does not depend on the key, and every counter run drawn here
 is a progression offset + step * i (a level's nodes: 256, 4 * level +
 word_index; trial keys: 2, 2 * start + 1), so all share `_progression_pass`:
-one `arange` times step * C1 plus a constant, no counter array, and a run of
-at most MEMO_WORDS counters keeps its pass in a small LRU as a read-only
-array, reused by every key that hashes it.
+one `arange` times step * C1 plus a constant per row, no counter array.
+Rows are consecutive offsets, so a level's words 0 and 1 are one (2, count)
+pass and one keyed pass (`level_word_pairs`, `trial_level_word_pairs`).
+Each pass is kept as a read-only array in an LRU of at most MEMO_BYTES in
+all, reused by every key that hashes it.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
@@ -143,33 +146,49 @@ def _counter_pass(counters) -> np.ndarray:
     return _fin_inplace(z, first=True)
 
 
-# Progressions of at most MEMO_WORDS counters keep their first pass in an
-# LRU of MEMO_LEVELS entries: at most 2 MiB of uint64.
-MEMO_WORDS = 8192
-MEMO_LEVELS = 32
+# The first passes of progressions are kept while they fit in MEMO_BYTES:
+# a pair model level of 250,000 nodes takes 4 MB of it.
+MEMO_BYTES = 16 << 20
 
 
-def _fused_pass(step: int, offset: int, count: int) -> np.ndarray:
-    z = np.arange(count, dtype=np.uint64)
-    z *= np.uint64((step * _C1) & _M64)
-    z += np.uint64((offset * _C1 + _C2) & _M64)
-    return _fin_inplace(z, first=True)
+class _ByteLRU:
+    """An LRU of read-only arrays of at most `budget` bytes in all.  An
+    array larger than the budget is returned writable and not kept."""
+
+    def __init__(self, budget: int) -> None:
+        self.budget, self.nbytes = budget, 0
+        self.items: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def get(self, key: tuple, build) -> np.ndarray:
+        value = self.items.get(key)
+        if value is not None:
+            self.items.move_to_end(key)
+            return value
+        value = build()
+        if value.nbytes <= self.budget:
+            while self.nbytes + value.nbytes > self.budget:
+                self.nbytes -= self.items.popitem(last=False)[1].nbytes
+            value.setflags(write=False)
+            self.items[key] = value
+            self.nbytes += value.nbytes
+        return value
 
 
-@lru_cache(maxsize=MEMO_LEVELS)
-def _memo_progression_pass(step: int, offset: int, count: int) -> np.ndarray:
-    z = _fused_pass(step, offset, count)
-    z.setflags(write=False)
-    return z
+_PASSES = _ByteLRU(MEMO_BYTES)
 
 
-def _progression_pass(step: int, offset: int, count: int) -> np.ndarray:
-    """`_counter_pass(offset + step * np.arange(count))` from one `arange`:
-    (offset + step * i) * C1 + C2 is i * (step * C1) + (offset * C1 + C2)
-    modulo 2^64.  Read-only and shared when count <= MEMO_WORDS."""
-    if count <= MEMO_WORDS:
-        return _memo_progression_pass(step, offset, count)
-    return _fused_pass(step, offset, count)
+def _fused_pass(step: int, offset: int, count: int, rows: int) -> np.ndarray:
+    starts = np.array([((offset + r) * _C1 + _C2) & _M64 for r in range(rows)], dtype=np.uint64)
+    z = np.add.outer(starts, np.arange(count, dtype=np.uint64) * np.uint64((step * _C1) & _M64))
+    return _fin_inplace(z if rows > 1 else z.reshape(-1), first=True)
+
+
+def _progression_pass(step: int, offset: int, count: int, rows: int = 1) -> np.ndarray:
+    """`_counter_pass(offset + r + step * np.arange(count))` in row r < rows,
+    shape (count,) at rows = 1 and (rows, count) past it, from one `arange`:
+    (offset + r + step * i) * C1 + C2 is i * (step * C1) + ((offset + r) * C1
+    + C2) modulo 2^64.  Read-only and shared while it fits the memo."""
+    return _PASSES.get((step, offset, count, rows), lambda: _fused_pass(step, offset, count, rows))
 
 
 def _folded_keys(key: int | np.ndarray) -> np.uint64 | np.ndarray:
@@ -223,6 +242,12 @@ def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int
     so no trial count can wrap the counter space into reuse.
     """
     return _keyed_pass(tkeys[:, None], _progression_pass(256, 4 * level + word_index, count))
+
+
+def trial_level_word_pairs(tkeys: np.ndarray, level: int, count: int) -> np.ndarray:
+    """`trial_level_words(tkeys, level, count, j)` in row j of a (2,
+    len(tkeys), count) array: words 0 and 1 from one keyed pass."""
+    return _keyed_pass(tkeys[:, None], _progression_pass(256, 4 * level, count, 2)[:, None])
 
 
 def level_blocks(tkeys: np.ndarray, level: int, count: int, word_index: int, buffers: np.ndarray):
@@ -318,6 +343,12 @@ def _addr_parts(addr) -> tuple[int, int]:
 def level_words(key: int, level: int, count: int, word_index: int = 0) -> np.ndarray:
     """Uniform words for all `count` nodes of one level, in index order."""
     return progression_words(key, 256, 4 * level + word_index, count)
+
+
+def level_word_pairs(key: int, level: int, count: int) -> np.ndarray:
+    """`level_words(key, level, count, j)` in row j of a (2, count) array:
+    words 0 and 1 of each node from one keyed pass."""
+    return _keyed_pass(key, _progression_pass(256, 4 * level, count, 2))
 
 
 def bits_from_word(w: int, nbits: int) -> list[int]:

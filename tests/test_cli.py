@@ -283,6 +283,21 @@ def _one_line_usage_error(code, err, *words):
     assert all(w in lines[0] for w in words), lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (("a5", "--k", "3,0", "--d", "1"), ("treecast a5", "--k", "invalid int value", "'3,0'")),
+        (("gen", "--k", "2"), ("treecast gen", "required", "--d")),
+        (("--bogus", "verify"), ("unrecognized arguments", "--bogus")),
+    ],
+    ids=["wrong-type", "missing", "unknown"],
+)
+def test_argparse_error_is_one_line(capsys, argv, words):
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    _one_line_usage_error(code, err, *words)
+
+
 def test_detect_zero_trials_is_usage_error(capsys):
     code, _, err = run(capsys, "detect", "--k", "2", "--d", "3", "--theta", "1/2", "--trials", "0")
     _one_line_usage_error(code, err, "trials", ">= 1")

@@ -7,16 +7,18 @@ import treecast.rng as rng
 from treecast.trees import NodeAddr
 from treecast.rng import (
     BLOCK_WORDS,
-    MEMO_WORDS,
+    MEMO_BYTES,
     SeedSpec,
     bits_from_word,
     level_blocks,
+    level_word_pairs,
     level_words,
     node_counter,
     node_counters,
     node_randomness,
     subkey,
     trial_keys,
+    trial_level_word_pairs,
     trial_level_words,
     word,
     words_vec,
@@ -174,7 +176,7 @@ def test_words_vec_on_a_transposed_counter_grid():
 @given(
     level=st.integers(0, 63),
     word_index=st.integers(0, 3),
-    count=st.sampled_from([0, 1, 2, 3600, MEMO_WORDS + 1]),
+    count=st.sampled_from([0, 1, 2, 3600, 8193]),
 )
 def test_fused_level_pass_equals_the_counter_pass(level, word_index, count):
     want = rng._counter_pass(node_counters(level, np.arange(count), word_index))
@@ -191,12 +193,45 @@ def test_memoized_level_pass_is_shared_and_read_only():
     assert rng._progression_pass(256, 21, 3600) is first
     with pytest.raises(ValueError):
         first[0] = 0
-    assert rng._progression_pass(256, 21, MEMO_WORDS + 1).flags.writeable
-    assert MEMO_WORDS * 8 * rng._memo_progression_pass.cache_info().maxsize <= 2 << 20
+    # A pair-model leaf level of 250,000 nodes (k = 500, d = 2) is kept: its
+    # second call is served from the memo.
+    big = rng._progression_pass(256, 8, 250_000, 2)
+    assert rng._progression_pass(256, 8, 250_000, 2) is big and not big.flags.writeable
+    # A pass past the whole budget is built writable and not kept.
+    huge = MEMO_BYTES // 8 + 1
+    assert rng._progression_pass(2, 1, huge).flags.writeable
+    assert rng._progression_pass(2, 1, huge) is not rng._progression_pass(2, 1, huge)
+
+
+def test_memo_never_exceeds_its_budget():
+    memo = rng._ByteLRU(1 << 16)
+    for count in [1000, 3000, 5000, 8192, 7, 4000, 8193, 2000]:
+        memo.get(("pass", count), lambda: np.zeros(count, dtype=np.uint64))
+        assert memo.nbytes == sum(v.nbytes for v in memo.items.values()) <= memo.budget
+    assert ("pass", 8193) not in memo.items  # 65,544 bytes: over the budget
+    assert list(memo.items) == [("pass", 7), ("pass", 4000), ("pass", 2000)]
+    kept = memo.items[("pass", 7)]
+    assert memo.get(("pass", 7), None) is kept  # a hit builds nothing and is used last
+    memo.get(("pass", 3000), lambda: np.zeros(3000, dtype=np.uint64))
+    assert list(memo.items) == [("pass", 2000), ("pass", 7), ("pass", 3000)]
+    assert rng._PASSES.budget == MEMO_BYTES
+    assert rng._PASSES.nbytes == sum(v.nbytes for v in rng._PASSES.items.values()) <= MEMO_BYTES
+
+
+@given(level=st.integers(0, 63), count=st.sampled_from([0, 1, 2, 3, 3600]), trials=st.integers(1, 5))
+def test_word_pairs_equal_the_two_word_indices(level, count, trials):
+    key = SeedSpec(level, "pairs").key()
+    want = np.stack([level_words(key, level, count, j) for j in (0, 1)])
+    got = level_word_pairs(key, level, count)
+    assert got.shape == (2, count) and got.tobytes() == want.tobytes()
+    tkeys = trial_keys(key, trials)
+    want = np.stack([trial_level_words(tkeys, level, count, j) for j in (0, 1)])
+    got = trial_level_word_pairs(tkeys, level, count)
+    assert got.shape == (2, trials, count) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("start", [0, 5])
-@pytest.mark.parametrize("n", [0, 1, 2049, MEMO_WORDS + 1])
+@pytest.mark.parametrize("n", [0, 1, 2049, 8193])
 def test_trial_keys_equal_the_subkeys(n, start):
     key = SeedSpec(17, "progression").key()
     want = subkey(key, np.arange(start, start + n))
