@@ -22,7 +22,7 @@ factors.  Per parent and branch, (t * 60 + left) * 60 is one row entry
 (`_child_step`); the pair model is the case left = identity, the product
 tree's left is x * seg(j, j+H).  A level's two words per node, word 0 for u
 and word 1 for the branch, come from one keyed pass
-(`rng.level_word_pairs`, `rng.trial_level_word_pairs`).
+(`rng.level_words`, `rng.trial_level_words` at rows = 2).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from ..channels import Threshold, uniform_draw
 from ..labels import LabelArray
 from ..oracle import LawView
-from ..rng import SeedSpec, level_word_pairs, trial_keys, trial_level_word_pairs, word
+from ..rng import SeedSpec, level_words, trial_keys, trial_level_words, word
 from ..trees import TreeShape
 from .group import A5
 
@@ -102,7 +102,7 @@ def pair_model_levels(shape: TreeShape, key: int, root: int | None = None) -> li
         raise ValueError(f"root pair code {root} outside [0, 3600)")
     levels = [np.array([root], dtype=np.uint16)]
     for lvl in range(1, shape.d + 1):
-        words = level_word_pairs(key, lvl, shape.nodes_at(lvl))
+        words = level_words(key, lvl, shape.nodes_at(lvl), rows=2)
         index = _branch_index(levels[-1].size, shape.k, _FIRST_BRANCH.below(words[1]))
         levels.append(_child_step(_ROWS[levels[-1]], index, uniform_draw(60, words[0])))
     return levels
@@ -161,7 +161,7 @@ def _product_tree_levels(
     x = np.full((trees, 1, 2), A5.identity, dtype=np.intp)
     block = np.full((trees, 1, 2), (2, 0), dtype=np.intp)
     for level in range(1, d + 1):
-        words = trial_level_word_pairs(tkeys, level, k**level)
+        words = trial_level_words(tkeys, level, k**level, rows=2)
         index = _branch_index(codes.size, k, _FIRST_BRANCH.below(words[1]))
         u = uniform_draw(60, words[0])
         blocks = A5.products(sigma.reshape(-1, 1 << (d - level)))

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..channels import CutTables, binomial_cuts, binomial_tables, uniform_draw
 from ..generators import direct_levels
-from ..rng import SeedSpec, level_word_pairs, subkey, words_vec
+from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
 from .group import A5
 from .pair_model import pair_model_levels
@@ -229,13 +229,13 @@ def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) ->
     word `node_counters(level, i, 0)`, and the count A ~ Bin(N, p) at the
     heavier code reads `node_counters(level, i, 1)` (the one law of
     `_identity_first_laws`; A = N for a diagonal parent); the lighter code
-    gets N - A.  Both words come from one keyed pass (`level_word_pairs`).
+    gets N - A.  Both words come from one keyed pass (`level_words` at rows = 2).
     """
     parents = np.asarray(parents, dtype=np.intp)
     _, _, heavy, light, diagonal = _identity_first_laws()
     lo, total_table, split = _tally_tables(k)
     count = parents.size
-    words = level_word_pairs(key, level, count)
+    words = level_words(key, level, count, rows=2)
     above = total_table.draw(0, words[0])  # N - lo
     total = above + lo
     first = np.where(diagonal[parents], total, split.draw(above, words[1]))

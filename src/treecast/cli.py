@@ -98,24 +98,26 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--trials", type=int, default=1000)
     t.add_argument("--estimator", choices=("majority", "linearized-bp", "bp-rounding"), default="majority")
 
+    # The grid commands' flags default to their kind's values in the
+    # experiments table (`experiments.EXPERIMENTS`), filled in by the config.
     ks = sub.add_parser("scan-ks", help="estimator scan over a (k, theta, d) grid")
-    ks.add_argument("--k", type=str, default="2")
-    ks.add_argument("--theta", type=fraction, default="1/2,4/5")
-    ks.add_argument("--d", type=str, default="4,6")
-    ks.add_argument("--trials", type=int, default=10_000)
+    ks.add_argument("--k", type=str)
+    ks.add_argument("--theta", type=fraction)
+    ks.add_argument("--d", type=str)
+    ks.add_argument("--trials", type=int)
 
     ns = sub.add_parser("scan-noise", help="noisy-recovery accuracy over an (s, d) grid")
-    ns.add_argument("--k", type=str, default="2")
-    ns.add_argument("--theta", type=fraction, default="9/10")
-    ns.add_argument("--d", type=str, default="1,2,3")
-    ns.add_argument("--s", type=fraction, default="0,1/10,1/5,3/10,2/5,1/2")
-    ns.add_argument("--trials", type=int, default=2000)
+    ns.add_argument("--k", type=str)
+    ns.add_argument("--theta", type=fraction)
+    ns.add_argument("--d", type=str)
+    ns.add_argument("--s", type=fraction)
+    ns.add_argument("--trials", type=int)
 
     a = sub.add_parser("a5", help="pair/class model runs and recursive reconstruction")
-    a.add_argument("--k", type=int, default=500)
-    a.add_argument("--d", type=int, default=2)
-    a.add_argument("--trials", type=int, default=200)
-    a.add_argument("--model", choices=("class16", "pair3600"), default="class16")
+    a.add_argument("--k", type=str)
+    a.add_argument("--d", type=str)
+    a.add_argument("--trials", type=int)
+    a.add_argument("--model", choices=("class16", "pair3600"))
 
     cg = sub.add_parser("compile-gadget", help="compile a formula to a leaf template")
     cg.add_argument("--formula", type=str, required=True, help="prefix syntax, e.g. '(and x1 (not x2))'")
@@ -255,10 +257,10 @@ _KIND_OF_COMMAND = {"scan-ks": "ks-scan", "scan-noise": "noise-scan", "a5": "a5-
 def _experiment_config(args):
     """The grid subcommand's config: the `--config` file's, which must be of
     the command's kind, else one from the global flags and the subcommand's
-    flags of the same names as config keys (a grid flag holds comma-separated
-    values).  The config replaces the flags, so a flag given beside it away
-    from its parser default is a usage error."""
-    from .experiments import ExperimentConfig
+    flags given, of the same names as config keys (a grid flag holds
+    comma-separated values).  The config replaces the flags, so a flag given
+    beside it away from its parser default (a grid flag's is None) is refused."""
+    from .experiments import GRID_KEYS, ExperimentConfig
 
     experiment = _KIND_OF_COMMAND[args.command]
     if args.config:
@@ -268,13 +270,8 @@ def _experiment_config(args):
         if cfg.experiment != experiment:
             raise SystemExit2(f"config is for {cfg.experiment!r}, not {experiment!r}")
         return cfg
-    flags = {name: getattr(args, name) for name in ("trials", "model") if hasattr(args, name)}
-    for name in ("k", "theta", "d", "s"):
-        if hasattr(args, name):
-            flags[name] = str(getattr(args, name)).split(",")
-    return ExperimentConfig(
-        experiment=experiment, seed=args.seed, jobs=args.jobs, format=args.format or "csv", out=args.out, **flags
-    )
+    given = {n: v for n, v in vars(args).items() if v is not None and n not in ("command", "config")}
+    return ExperimentConfig(experiment, **{n: v.split(",") if n in GRID_KEYS else v for n, v in given.items()})
 
 
 def _cmd_experiment(args) -> int:
@@ -373,19 +370,20 @@ def _cmd_verify(args) -> int:
 
 
 # Each command, the formats it writes and the global flags it reads of
-# --config, --mode and --out; any other --format, or any other of those
-# three given, is a usage error.
+# --config, --mode, --out and --seed; any other --format, or any other of
+# those four away from its parser default, is a usage error.  Every command
+# accepts --jobs, on which no output depends.
 _COMMANDS = {
-    "gen": (_cmd_gen, ("json", "bin"), ("out",)),
+    "gen": (_cmd_gen, ("json", "bin"), ("out", "seed")),
     "bp": (_cmd_bp, ("json",), ("mode", "out")),
-    "detect": (_cmd_detect, ("json", "csv"), ("out",)),
-    "scan-ks": (_cmd_experiment, ("csv", "json"), ("config", "out")),
-    "scan-noise": (_cmd_experiment, ("csv", "json"), ("config", "out")),
-    "a5": (_cmd_experiment, ("csv", "json"), ("config", "out")),
+    "detect": (_cmd_detect, ("json", "csv"), ("out", "seed")),
+    "scan-ks": (_cmd_experiment, ("csv", "json"), ("config", "out", "seed")),
+    "scan-noise": (_cmd_experiment, ("csv", "json"), ("config", "out", "seed")),
+    "a5": (_cmd_experiment, ("csv", "json"), ("config", "out", "seed")),
     "compile-gadget": (_cmd_compile_gadget, ("json",), ("mode", "out")),
     "compile-barrington": (_cmd_compile_barrington, ("json",), ("out",)),
-    "reduce-word": (_cmd_reduce_word, ("json",), ("out",)),
-    "verify": (_cmd_verify, ("text",), ()),
+    "reduce-word": (_cmd_reduce_word, ("json",), ("out", "seed")),
+    "verify": (_cmd_verify, ("text",), ("seed",)),
 }
 
 
@@ -404,8 +402,8 @@ def main(argv=None) -> int:
     try:
         if args.format not in (None, *formats):
             raise SystemExit2(f"{args.command} writes {' or '.join(formats)}, not --format {args.format}")
-        for flag in ("config", "mode", "out"):
-            if getattr(args, flag) is not None and flag not in reads:
+        for flag in ("config", "mode", "out", "seed"):
+            if getattr(args, flag) != parser.get_default(flag) and flag not in reads:
                 raise SystemExit2(f"{args.command} reads no --{flag}")
         return command(args)
     except SystemExit2 as exc:

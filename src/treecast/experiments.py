@@ -2,11 +2,11 @@
 
 A config names one of three kinds: `ks-scan`, `noise-scan` and `a5-accuracy`,
 which the `scan-ks`, `scan-noise` and `a5` subcommands run.  One table,
-`EXPERIMENTS`, gives each kind its grid axes and point function, and one
-runner, `run_experiment`, runs them all.  `a5-accuracy` covers both A5 models
-(`A5_MODELS`), chosen by the config's `model`.  The generator-equivalence
-suite, the gadget corpus and `verify_all` are plain seeded functions, not
-config kinds.  `emit` writes every row set.
+`EXPERIMENTS`, gives each kind the keys it reads, with their defaults, and
+its point function, and one runner, `run_experiment`, runs them all.
+`a5-accuracy` covers both A5 models (`A5_MODELS`), chosen by the config's
+`model`.  The generator-equivalence suite, the gadget corpus and `verify_all`
+are plain seeded functions, not config kinds.  `emit` writes every row set.
 
 Every experiment is a pure function of (config, master seed): per-grid-point
 substreams are derived by stable indices, rows are sorted by a canonical key
@@ -98,17 +98,20 @@ def _parse_grid(name: str, values) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run of a kind: each key the kind reads (`EXPERIMENTS`) left None
+    takes the kind's default, and every other key stays None."""
+
     experiment: str
     seed: int = 1
-    trials: int = 10_000
-    k: tuple[int, ...] = (2,)
-    theta: tuple[str, ...] = ("1/2",)
-    d: tuple[int, ...] = (4,)
-    s: tuple[str, ...] = ("0",)
+    trials: int | None = None
+    k: tuple[int, ...] | None = None
+    theta: tuple[str, ...] | None = None
+    d: tuple[int, ...] | None = None
+    s: tuple[str, ...] | None = None
     out: str | None = None
     format: str = "csv"
     jobs: int = 0  # 0 means available parallelism
-    model: str = "class16"
+    model: str | None = None
     schema_version: int = 1
 
     def __post_init__(self) -> None:
@@ -116,6 +119,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_KINDS}"
             )
+        reads = EXPERIMENTS[self.experiment][0]
+        if unread := sorted(n for n in (*GRID_KEYS, "model") if n not in reads and getattr(self, n) is not None):
+            raise ValueError(f"{self.experiment} reads no config key {', '.join(map(repr, unread))}")
+        for name, default in reads.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         for name in ("seed", "trials", "jobs", "schema_version"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -126,16 +135,16 @@ class ExperimentConfig:
             raise ValueError(f"unsupported schema_version {self.schema_version}")
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0 (0 means available parallelism), got {self.jobs}")
-        if self.model not in (models := tuple(A5_MODELS)):
-            raise ValueError(f"unknown model {self.model!r}; expected one of {models}")
+        if self.model not in (None, *A5_MODELS):
+            raise ValueError(f"unknown model {self.model!r}; expected one of {tuple(A5_MODELS)}")
         if self.trials < 100:
             raise ValueError("trials must be >= 100 for any asserted statistic")
-        for name in ("k", "theta", "d", "s"):
+        for name in filter(GRID_KEYS.__contains__, reads):  # in point order
             object.__setattr__(self, name, _parse_grid(name, getattr(self, name)))
         if self.experiment == "a5-accuracy" and min(self.d) < 1:
             raise ValueError("reconstruction needs depth >= 1")
         shape = TreeShape  # every point's shape passes the check its run makes
-        if self.experiment == "a5-accuracy" and self.model == "class16":
+        if self.model == "class16":
             from .a5.reconstruct import class16_trial_shape as shape
         for k, d in product(self.k, self.d):
             shape(k, d)
@@ -147,16 +156,11 @@ class ExperimentConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("experiment config JSON must be an object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
+        if unknown := set(doc) - {f.name for f in fields(cls)}:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in doc:
             raise ValueError("experiment config JSON lacks the key 'experiment'")
-        cfg = cls(**doc)
-        reads = EXPERIMENTS[cfg.experiment][0] + (("model",) if cfg.experiment == "a5-accuracy" else ())
-        if unread := sorted({"theta", "s", "model"} & set(doc) - set(reads)):
-            raise ValueError(f"{cfg.experiment} reads no config key {', '.join(map(repr, unread))}")
-        return cfg
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -362,17 +366,20 @@ def _a5_point(args) -> list[ResultRow]:
     )]
 
 
-# Each kind's grid axes, in point order, and its point function, from
-# (cfg, index, *axis values) to that point's rows: majority, linearized BP
-# and Monte Carlo BP rounding on shared trees; P_{s,d}, exact wherever the
-# enumeration cap permits; and the reconstruction accuracy of `cfg.model`,
-# trial t keyed by `subkey(key, t)` of the point's stream.
+# Each kind's keys with their defaults, which a config's None takes and which
+# are its command's defaults: the grid axes in point order, then `trials` (and
+# `model`).  Then its point function, from (cfg, index, *axis values) to that
+# point's rows: majority, linearized BP and Monte Carlo BP rounding on shared
+# trees; P_{s,d}, exact wherever the enumeration cap permits; and the
+# reconstruction accuracy of `cfg.model`, trial t keyed by `subkey(key, t)`.
 EXPERIMENTS = {
-    "ks-scan": (("k", "theta", "d"), _ks_point),
-    "noise-scan": (("k", "theta", "d", "s"), _noise_point),
-    "a5-accuracy": (("k", "d"), _a5_point),
+    "ks-scan": ({"k": (2,), "theta": ("1/2", "4/5"), "d": (4, 6), "trials": 10_000}, _ks_point),
+    "noise-scan": ({"k": (2,), "theta": ("9/10",), "d": (1, 2, 3), "s": ("0", "1/10", "1/5", "3/10", "2/5", "1/2"),
+                    "trials": 2000}, _noise_point),
+    "a5-accuracy": ({"k": (500,), "d": (2,), "trials": 200, "model": "class16"}, _a5_point),
 }
 EXPERIMENT_KINDS = tuple(EXPERIMENTS)
+GRID_KEYS = ("k", "theta", "d", "s")
 
 
 def _resolve_jobs(jobs: int) -> int:
@@ -394,8 +401,8 @@ def _map_points(worker, points, jobs: int):
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """The rows of `cfg`'s kind: its point function over the product of its
     axes, spread over `cfg.jobs` workers, sorted by `ResultRow.sort_key`."""
-    axes, point = EXPERIMENTS[cfg.experiment]
-    points = list(_grid(cfg, *(getattr(cfg, axis) for axis in axes)))
+    keys, point = EXPERIMENTS[cfg.experiment]
+    points = list(_grid(cfg, *(getattr(cfg, axis) for axis in keys if axis in GRID_KEYS)))
     batches = _map_points(point, points, _resolve_jobs(cfg.jobs))
     return sorted((row for batch in batches for row in batch), key=ResultRow.sort_key)
 
@@ -687,7 +694,7 @@ def verify_all(seed: int = 1, quick: bool = False) -> list[CheckResult]:
     from .a5.group import A5
     from .a5.quotient import quotient_channel
     from .bp import LeafLikelihood, bp_posterior
-    from .gadgets import gadget_posterior_bound
+    from .gadgets import lemma_grid_check
     from .generators import biased_bit_approx_from_bits, biased_bit_exact_from_bits, generate_direct
 
     results: list[CheckResult] = []
@@ -762,9 +769,9 @@ def verify_all(seed: int = 1, quick: bool = False) -> list[CheckResult]:
         approx_ok &= abs(F(ones, 1 << t_bits) - (1 + theta) / 2) <= F(1, 1 << t_bits)
     check("biased-bit-approx", "theta=1/3, t in {1, 4, 8}", approx_ok)
 
-    # Gadget posterior floor at the extreme grid corner.
-    corner = gadget_posterior_bound([F(19, 20)] * 4 + [F(0), F(0)])
-    check("gadget-corner", "(0.95, 0.95, 0.95, 0.95, 0, 0)", corner >= F(19, 20), f"value={float(corner):.6f}")
+    # Gadget posterior floor at the bound's minimum over the lemma grid.
+    corner = lemma_grid_check()
+    check("gadget-corner", "(0.95, 0.95, 0.95, 0.95, 0, 0)", corner.passed, f"value={float(corner.min_value):.6f}")
 
     # Reproducibility: identical dumps from identical seeds.
     shape = TreeShape(k=2, d=3)

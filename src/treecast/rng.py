@@ -38,7 +38,7 @@ is a progression offset + step * i (a level's nodes: 256, 4 * level +
 word_index; trial keys: 2, 2 * start + 1), so all share `_progression_pass`:
 one `arange` times step * C1 plus a constant per row, no counter array.
 Rows are consecutive offsets, so a level's words 0 and 1 are one (2, count)
-pass and one keyed pass (`level_word_pairs`, `trial_level_word_pairs`).
+pass and one keyed pass (`level_words` and `trial_level_words` at rows = 2).
 Each pass is kept as a read-only array in an LRU of at most MEMO_BYTES in
 all, reused by every key that hashes it.
 """
@@ -235,19 +235,16 @@ def progression_words(key: int, step: int, offset: int, count: int) -> np.ndarra
     return _keyed_pass(key, _progression_pass(step, offset, count))
 
 
-def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int = 0) -> np.ndarray:
-    """Per-(trial, node) words, shape (len(tkeys), count).
+def trial_level_words(tkeys: np.ndarray, level: int, count: int, word_index: int = 0, rows: int = 1) -> np.ndarray:
+    """Per-(trial, node) words, shape (len(tkeys), count); past rows = 1,
+    word word_index + j in row j of a (rows, len(tkeys), count) array, from
+    one keyed pass.
 
     Trials are separated by their derived keys rather than by counter bits,
     so no trial count can wrap the counter space into reuse.
     """
-    return _keyed_pass(tkeys[:, None], _progression_pass(256, 4 * level + word_index, count))
-
-
-def trial_level_word_pairs(tkeys: np.ndarray, level: int, count: int) -> np.ndarray:
-    """`trial_level_words(tkeys, level, count, j)` in row j of a (2,
-    len(tkeys), count) array: words 0 and 1 from one keyed pass."""
-    return _keyed_pass(tkeys[:, None], _progression_pass(256, 4 * level, count, 2)[:, None])
+    first = _progression_pass(256, 4 * level + word_index, count, rows)
+    return _keyed_pass(tkeys[:, None], first[:, None] if rows > 1 else first)
 
 
 def level_blocks(tkeys: np.ndarray, level: int, count: int, word_index: int, buffers: np.ndarray):
@@ -340,15 +337,13 @@ def _addr_parts(addr) -> tuple[int, int]:
     return int(level), int(index)
 
 
-def level_words(key: int, level: int, count: int, word_index: int = 0) -> np.ndarray:
-    """Uniform words for all `count` nodes of one level, in index order."""
-    return progression_words(key, 256, 4 * level + word_index, count)
-
-
-def level_word_pairs(key: int, level: int, count: int) -> np.ndarray:
-    """`level_words(key, level, count, j)` in row j of a (2, count) array:
-    words 0 and 1 of each node from one keyed pass."""
-    return _keyed_pass(key, _progression_pass(256, 4 * level, count, 2))
+def level_words(key: int, level: int, count: int, word_index: int = 0, rows: int = 1) -> np.ndarray:
+    """Uniform words for all `count` nodes of one level, in index order; past
+    rows = 1, word word_index + j in row j of a (rows, count) array, from one
+    keyed pass."""
+    if rows == 1:
+        return progression_words(key, 256, 4 * level + word_index, count)
+    return _keyed_pass(key, _progression_pass(256, 4 * level + word_index, count, rows))
 
 
 def bits_from_word(w: int, nbits: int) -> list[int]:

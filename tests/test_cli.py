@@ -286,7 +286,7 @@ def _one_line_usage_error(code, err, *words):
 @pytest.mark.parametrize(
     "argv, words",
     [
-        (("a5", "--k", "3,0", "--d", "1"), ("treecast a5", "--k", "invalid int value", "'3,0'")),
+        (("a5", "--trials", "x"), ("treecast a5", "--trials", "invalid int value", "'x'")),
         (("gen", "--k", "2"), ("treecast gen", "required", "--d")),
         (("--bogus", "verify"), ("unrecognized arguments", "--bogus")),
     ],
@@ -614,6 +614,37 @@ def test_choices_and_grid_commands_follow_the_experiments_tables():
     assert tuple(_KIND_OF_COMMAND.values()) == EXPERIMENT_KINDS
 
 
+def test_grid_command_flags_have_no_parser_default():
+    # Each kind's defaults are written once, in `experiments.EXPERIMENTS`:
+    # no flag of a grid command in cli.py gives a `default=`.
+    import ast
+
+    import treecast.cli as cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    parsers = {
+        target.id: node.value.args[0].value
+        for node in ast.walk(tree) if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "attr", None) == "add_parser" for target in node.targets
+    }
+    assert set(parsers.values()) >= set(cli._KIND_OF_COMMAND)
+    found = [
+        f"{parsers[node.func.value.id]} {node.args[0].value}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        and parsers.get(getattr(node.func.value, "id", None)) in cli._KIND_OF_COMMAND
+        and any(keyword.arg == "default" for keyword in node.keywords)
+    ]
+    assert not found
+
+
+def test_a5_flags_take_grids(capsys):
+    code, out, _ = run(capsys, "--jobs", "1", "a5", "--k", "4,5", "--d", "2", "--trials", "100")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 3 and [line.split(",")[1] for line in lines[1:]] == ["4", "5"]
+
+
 def test_scan_ks_format_json_prints_rows(capsys):
     argv = ("--seed", "4", "--jobs", "1", "scan-ks", "--k", "2", "--theta", "4/5", "--d", "3", "--trials", "150")
     code, out, _ = run(capsys, "--format", "json", *argv)
@@ -772,18 +803,21 @@ def test_every_command_writes_its_format_or_refuses_it(tmp_path, capsys, command
         json.loads(data)
 
 
-# The global --mode and --out each command reads; giving it any other of the
-# two is a one-line usage error.
-_READS = {command: ("--out",) for command in _WRITES}
-_READS.update({"bp": ("--mode", "--out"), "compile-gadget": ("--mode", "--out"), "verify": ()})
+# The global --mode, --out and --seed each command reads; giving it any
+# other of the three is a one-line usage error.
+_READS = {command: ("--out", "--seed") for command in _WRITES}
+_READS.update({
+    "bp": ("--mode", "--out"), "compile-gadget": ("--mode", "--out"), "compile-barrington": ("--out",),
+    "verify": ("--seed",),
+})
 
 
-@pytest.mark.parametrize("flag", ["--mode", "--out"])
+@pytest.mark.parametrize("flag", ["--mode", "--out", "--seed"])
 @pytest.mark.parametrize("command", sorted(_WRITES))
 def test_every_command_reads_its_global_flags_or_refuses_them(tmp_path, capsys, command, flag):
     argv = _small_run_argv(tmp_path, capsys, command)
     out = tmp_path / "out"
-    value = {"--mode": "rational", "--out": str(out)}[flag]
+    value = {"--mode": "rational", "--out": str(out), "--seed": "9"}[flag]
     code, stdout, err = run(capsys, "--jobs", "1", flag, value, command, *argv)
     if flag not in _READS[command]:
         _one_line_usage_error(code, err, command, f"reads no {flag}")

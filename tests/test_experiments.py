@@ -11,6 +11,8 @@ import treecast.estimators as estimators
 from treecast.channels import Channel
 from treecast.experiments import (
     CSV_HEADER,
+    EXPERIMENT_KINDS,
+    EXPERIMENTS,
     ExperimentConfig,
     ResultRow,
     _SUITE_P_VALUE,
@@ -38,6 +40,26 @@ class TestConfig:
         doc = {"experiment": "ks-scan", "seed": 1, "trails": 100}
         with pytest.raises(ValueError, match="trails"):
             ExperimentConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_omitted_keys_are_the_kinds_defaults(self, kind):
+        cfg = ExperimentConfig(experiment=kind)
+        defaults = EXPERIMENTS[kind][0]
+        assert {name: getattr(cfg, name) for name in defaults} == defaults
+        unread = {"trials", "k", "theta", "d", "s", "model"} - set(defaults)
+        assert unread and all(getattr(cfg, name) is None for name in unread)
+
+    @pytest.mark.parametrize(
+        "kind, fields, words",
+        [
+            ("ks-scan", {"s": ("0",)}, "ks-scan reads no config key 's'"),
+            ("noise-scan", {"model": "class16", "trials": 100}, "noise-scan reads no config key 'model'"),
+            ("a5-accuracy", {"theta": ("1/2",), "s": ("0",)}, "a5-accuracy reads no config key 's', 'theta'"),
+        ],
+    )
+    def test_a_key_the_kind_does_not_read_is_refused(self, kind, fields, words):
+        with pytest.raises(ValueError, match=words):
+            ExperimentConfig(experiment=kind, **fields)
 
     def test_trials_floor(self):
         with pytest.raises(ValueError, match="trials"):

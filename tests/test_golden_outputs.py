@@ -141,6 +141,20 @@ def test_stdout_digest(capsys, name):
     assert _sha256(_stdout(capsys, argv)) == digest
 
 
+@pytest.mark.parametrize(
+    "command, kind", [("scan-ks", "ks-scan"), ("scan-noise", "noise-scan"), ("a5", "a5-accuracy")]
+)
+def test_config_of_only_the_kind_writes_the_bare_command_digest(capsys, tmp_path, command, kind):
+    # A config may leave out every key its kind reads: it then runs the
+    # command's defaults.  Beside --config no --jobs is given, so the
+    # points run on the available CPUs, which changes no row.
+    config = tmp_path / "kind.json"
+    config.write_text(f'{{"experiment": "{kind}"}}')
+    capsys.readouterr()
+    assert main(["--config", str(config), command]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == GOLDEN[f"{command}-default"][1]
+
+
 def test_detect_out_csv_digest(capsys, tmp_path):
     path = str(tmp_path / "detect.csv")
     for argv in DETECT_APPENDS:

@@ -11,14 +11,12 @@ from treecast.rng import (
     SeedSpec,
     bits_from_word,
     level_blocks,
-    level_word_pairs,
     level_words,
     node_counter,
     node_counters,
     node_randomness,
     subkey,
     trial_keys,
-    trial_level_word_pairs,
     trial_level_words,
     word,
     words_vec,
@@ -222,11 +220,11 @@ def test_memo_never_exceeds_its_budget():
 def test_word_pairs_equal_the_two_word_indices(level, count, trials):
     key = SeedSpec(level, "pairs").key()
     want = np.stack([level_words(key, level, count, j) for j in (0, 1)])
-    got = level_word_pairs(key, level, count)
+    got = level_words(key, level, count, rows=2)
     assert got.shape == (2, count) and got.tobytes() == want.tobytes()
     tkeys = trial_keys(key, trials)
     want = np.stack([trial_level_words(tkeys, level, count, j) for j in (0, 1)])
-    got = trial_level_word_pairs(tkeys, level, count)
+    got = trial_level_words(tkeys, level, count, rows=2)
     assert got.shape == (2, trials, count) and got.tobytes() == want.tobytes()
 
 
