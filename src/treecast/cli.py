@@ -69,6 +69,13 @@ def fraction(text: str) -> str:
     return text
 
 
+def jobs(text: str) -> int:
+    """Type of --jobs: a worker count, 0 for available parallelism."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 0 (0 means available parallelism), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="treecast", description="Broadcast processes on trees: generate, infer, compile, reduce, verify.")
     p.add_argument("--seed", type=int, default=1, help="64-bit master seed")
@@ -76,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="output path")
     p.add_argument("--format", choices=("csv", "json", "bin"), default=None, help="output format")
     p.add_argument("--mode", choices=("float", "rational", "auto"), default=None, help="BP arithmetic (default auto)")
-    p.add_argument("--jobs", type=int, default=0, help="worker count (0 = available parallelism); results are independent of it")
+    p.add_argument("--jobs", type=jobs, default=0, help="worker count (0 = available parallelism); results are independent of it")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate one tree and dump its labels")

@@ -5,8 +5,9 @@ which the `scan-ks`, `scan-noise` and `a5` subcommands run.  One table,
 `EXPERIMENTS`, gives each kind the keys it reads, with their defaults, and
 its point function, and one runner, `run_experiment`, runs them all.
 `a5-accuracy` covers both A5 models (`A5_MODELS`), chosen by the config's
-`model`.  The generator-equivalence suite, the gadget corpus and `verify_all`
-are plain seeded functions, not config kinds.  `emit` writes every row set.
+`model`.  `verify_all` runs one ordered table of checks, `VERIFY_CHECKS`,
+whose families printed per parameter point each have a function of one point.
+The gadget corpus is a plain seeded function.  `emit` writes every row set.
 
 Every experiment is a pure function of (config, master seed): per-grid-point
 substreams are derived by stable indices, rows are sorted by a canonical key
@@ -39,6 +40,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .bp import LeafLikelihood, bp_posterior
 from .channels import Channel, as_fraction, binary_theta, fraction_text, ks_parameter, uniform_draw, unit_float
 from .estimators import (
     EstimatorReport,
@@ -51,7 +53,10 @@ from .estimators import (
 )
 from .generators import (
     BATCH_METHODS,
+    biased_bit_approx_from_bits,
+    biased_bit_exact_from_bits,
     generate_binary_batch,
+    generate_direct,
     path_product_leaf_law,
     restriction_leaf_law,
     total_variation,
@@ -508,28 +513,75 @@ def chi_square_quantile(p: float, dof: int) -> float:
     return mid
 
 
-def _chi_square_vs_exact(
-    counts: dict, exact: dict, total: int, p_value: float
-) -> tuple[bool, float, float]:
-    """Goodness of fit against an exact law; fails on out-of-support mass."""
-    support = set(exact)
-    if any(c not in support for c in counts):
-        return False, float("inf"), 0.0
-    stat = 0.0
-    for cell, p in exact.items():
-        expected = float(p) * total
-        observed = counts.get(cell, 0)
-        if expected == 0:
-            if observed:
-                return False, float("inf"), 0.0
-            continue
-        stat += (observed - expected) ** 2 / expected
+def _chi_square_vs_exact(counts: dict, exact: dict, total: int, p_value: float) -> tuple[bool, str]:
+    """Goodness of fit of `total` samples, tallied in `counts`, against the
+    exact law `exact` at `p_value`: the verdict, and a detail naming the
+    statistic, the threshold and any samples outside the support."""
+    outside = sum(c for cell, c in counts.items() if not exact.get(cell))
+    stat = sum((counts.get(cell, 0) - float(p) * total) ** 2 / (float(p) * total) for cell, p in exact.items() if p)
     dof = max(sum(1 for p in exact.values() if p > 0) - 1, 1)
     threshold = chi_square_quantile(1 - p_value, dof)
-    return stat <= threshold, stat, threshold
+    if outside:
+        return False, f"stat=inf threshold={threshold:.2f} outside-support={outside}"
+    return stat <= threshold, f"stat={stat:.2f} threshold={threshold:.2f}"
+
+
+def tally(samples: np.ndarray) -> dict:
+    """Each distinct sample's count: a row of a 2-D array keyed by its tuple
+    of ints, an entry of a 1-D array by its int."""
+    keys, counts = np.unique(samples, axis=0, return_counts=True)
+    return {(tuple(key) if samples.ndim > 1 else key): c for key, c in zip(keys.tolist(), counts.tolist())}
+
+
+def chi_square_of_samples(samples: np.ndarray, exact: dict, p_value: float) -> tuple[bool, str]:
+    """`samples` (`tally`'s cells) against the exact law `exact`."""
+    return _chi_square_vs_exact(tally(samples), exact, len(samples), p_value)
 
 
 _SUITE_P_VALUE = 0.001
+
+
+def exact_law_checks(k: int, d: int, theta: str, root: int) -> list[CheckResult]:
+    """The path-product and restriction leaf laws of the (k, d) tree at
+    `theta` given `root`, each against the enumeration oracle's."""
+    shape, value = TreeShape(k=k, d=d), as_fraction(theta)
+    direct_law = enumerate_joint(shape, Channel.binary(value)).cond[root]
+    results = []
+    for name, law_fn in (("path-product", path_product_leaf_law), ("restrictions", restriction_leaf_law)):
+        tv = total_variation(direct_law, law_fn(shape, value, root))
+        results.append(CheckResult(f"exact-law:{name}", f"k={k} d={d} theta={theta} root={root}", tv == 0, f"TV={tv}"))
+    return results
+
+
+def chi_square_check(seed: int, method: str, trials: int, batch_sampler=generate_binary_batch) -> CheckResult:
+    """One batch method's joint law of three fixed leaves at k=3, d=5,
+    theta=4/5 against the oracle's, over `trials` sampled trees."""
+    shape, theta = TreeShape(k=3, d=5), Fraction(4, 5)
+    leaf_sel = (0, shape.n // 2, shape.n - 1)
+    joint = enumerate_joint(shape, Channel.binary(theta), leaves=leaf_sel)
+    exact = {cfg: joint.mixture_prob(cfg) for num in joint.numerators for cfg in num}
+    _, leaves = batch_sampler(shape, theta, SeedSpec(seed, f"equiv/{method}"), trials, method=method)
+    passed, detail = chi_square_of_samples(leaves[:, list(leaf_sel)], exact, _SUITE_P_VALUE)
+    return CheckResult(f"chi-square:{method}", f"k=3 d=5 theta=4/5 leaves={leaf_sel}", passed, detail)
+
+
+def pair_vs_product_tree_checks(seed: int, trials: int) -> list[CheckResult]:
+    """The pair model's child law against the product tree's at depth 1,
+    exactly, then by chi-square over the children of `trials` // 3 trees."""
+    from .a5 import pair_model_child_law, product_tree_child_law
+    from .a5.group import A5
+    from .a5.pair_model import _product_tree_levels, pair_code
+
+    sigma = (3, 17, 42, 9)
+    law_tree = product_tree_child_law(sigma)
+    law_pair = pair_model_child_law(pair_code(A5.product(sigma[:2]), A5.product(sigma[2:])))
+    trees = max(trials // 3, 1)
+    children = _product_tree_levels(1, np.array(sigma, dtype=np.uint8), 3, SeedSpec(seed, "equiv/ptree"), trees)[1]
+    passed, detail = chi_square_of_samples(children.reshape(-1), law_tree, _SUITE_P_VALUE)
+    return [
+        CheckResult("pair-vs-product-tree:exact", f"sigma={sigma}", law_tree == law_pair, f"support={len(law_tree)}"),
+        CheckResult("pair-vs-product-tree:chi-square", f"sigma={sigma} samples={children.size}", passed, detail),
+    ]
 
 
 def run_equivalence_suite(
@@ -537,92 +589,17 @@ def run_equivalence_suite(
     statistical_trials: int = 100_000,
     batch_sampler=generate_binary_batch,
 ) -> list[CheckResult]:
-    """All exact generator-equivalence checks plus the statistical ones.
-
-    Each chi-square test rejects at p = `_SUITE_P_VALUE`.  `batch_sampler`
-    is injectable so a deliberately corrupted generator can be shown to fail
-    the suite; the default is the real sampler.
-    """
-    results: list[CheckResult] = []
-
-    # Exact: the three leaf laws coincide with the enumeration oracle.
-    for k, d in DEFAULT_EXACT_SHAPES:
-        shape = TreeShape(k=k, d=d)
-        for theta_str in DEFAULT_EXACT_THETAS:
-            theta = as_fraction(theta_str)
-            joint = enumerate_joint(shape, Channel.binary(theta))
-            for root in (0, 1):
-                direct_law = joint.cond[root]
-                for name, law_fn in (
-                    ("path-product", path_product_leaf_law),
-                    ("restrictions", restriction_leaf_law),
-                ):
-                    tv = total_variation(direct_law, law_fn(shape, theta, root))
-                    results.append(
-                        CheckResult(
-                            name=f"exact-law:{name}",
-                            params=f"k={k} d={d} theta={theta_str} root={root}",
-                            passed=tv == 0,
-                            detail=f"TV={tv}",
-                        )
-                    )
-
-    # Statistical: joint law of three fixed leaves at k=3, d=5.
-    shape = TreeShape(k=3, d=5)
-    theta = as_fraction("4/5")
-    leaf_sel = (0, shape.n // 2, shape.n - 1)
-    joint = enumerate_joint(shape, Channel.binary(theta), leaves=leaf_sel)
-    exact = {cfg: joint.mixture_prob(cfg) for num in joint.numerators for cfg in num}
-    for method in BATCH_METHODS:
-        _, leaves = batch_sampler(
-            shape, theta, SeedSpec(seed, f"equiv/{method}"), statistical_trials, method=method
-        )
-        picked = leaves[:, list(leaf_sel)]
-        keys, counts = np.unique(picked, axis=0, return_counts=True)
-        counted = {tuple(int(b) for b in row): int(c) for row, c in zip(keys, counts)}
-        ok, stat, threshold = _chi_square_vs_exact(counted, exact, statistical_trials, _SUITE_P_VALUE)
-        results.append(
-            CheckResult(
-                name=f"chi-square:{method}",
-                params=f"k=3 d=5 theta=4/5 leaves={leaf_sel}",
-                passed=ok,
-                detail=f"stat={stat:.2f} threshold={threshold:.2f}",
-            )
-        )
-
-    # Pair model vs product tree: exact child law at depth 1, then chi-square.
-    from .a5 import pair_model_child_law, product_tree_child_law
-    from .a5.group import A5
-    from .a5.pair_model import _product_tree_levels, pair_code
-
-    sigma = (3, 17, 42, 9)
-    law_tree = product_tree_child_law(sigma)
-    root_pair = pair_code(A5.product(sigma[:2]), A5.product(sigma[2:]))
-    law_pair = pair_model_child_law(root_pair)
-    results.append(
-        CheckResult(
-            name="pair-vs-product-tree:exact",
-            params=f"sigma={sigma}",
-            passed=law_tree == law_pair,
-            detail=f"support={len(law_tree)}",
-        )
-    )
-    k_chi = 3
-    trees = max(statistical_trials // k_chi, 1)
-    levels = _product_tree_levels(1, np.array(sigma, dtype=np.uint8), k_chi, SeedSpec(seed, "equiv/ptree"), trees)
-    children = levels[1].reshape(-1)
-    keys, counts = np.unique(children, return_counts=True)
-    counted = {int(c): int(n) for c, n in zip(keys, counts)}
-    ok, stat, threshold = _chi_square_vs_exact(counted, law_tree, children.size, _SUITE_P_VALUE)
-    results.append(
-        CheckResult(
-            name="pair-vs-product-tree:chi-square",
-            params=f"sigma={sigma} samples={children.size}",
-            passed=ok,
-            detail=f"stat={stat:.2f} threshold={threshold:.2f}",
-        )
-    )
-    return results
+    """The generator families of `verify`: the exact leaf laws at each
+    (shape, theta, root) of `DEFAULT_EXACT_SHAPES` x `DEFAULT_EXACT_THETAS`,
+    each batch method's chi-square and the pair model against the product
+    tree.  `batch_sampler` is injectable so a deliberately corrupted
+    generator can be shown to fail the suite."""
+    points = product(DEFAULT_EXACT_SHAPES, DEFAULT_EXACT_THETAS, (0, 1))
+    return [
+        *(result for (k, d), theta, root in points for result in exact_law_checks(k, d, theta, root)),
+        *(chi_square_check(seed, method, statistical_trials, batch_sampler) for method in BATCH_METHODS),
+        *pair_vs_product_tree_checks(seed, statistical_trials),
+    ]
 
 
 def suite_failures(results: list[CheckResult]) -> list[CheckResult]:
@@ -687,96 +664,107 @@ def run_gadget_corpus(seed: int = 1) -> GadgetCorpusReport:
 # --- self-verification -------------------------------------------------------
 
 
+def _a5_tables(seed: int, quick: bool) -> list[CheckResult]:
+    from .a5.group import A5
+
+    A5.verify()
+    return [CheckResult("a5-tables", "60^3 associativity, inverses, identity, class sizes", True)]
+
+
+def _quotient_channel(seed: int, quick: bool) -> list[CheckResult]:
+    """Lumpability and stochasticity (checked as the channel is built), and
+    the zero second eigenvalue."""
+    from .a5.quotient import quotient_channel
+
+    ch = quotient_channel()
+    flat = ch.square().has_identical_columns()
+    return [
+        CheckResult("quotient-channel", "16-label lumpability + M'^2 column equality", flat,
+                    "columns identical" if flat else "columns differ"),
+        CheckResult("quotient-ks", "k=60000", ks_parameter(ch, 60000) == 0.0),
+    ]
+
+
+def bp_oracle_mismatches(k: int, d: int, theta: str) -> tuple[list[tuple[int, ...]], int]:
+    """The leaf configurations of the (k, d) tree at `theta` on which
+    rational BP's posterior differs from the enumeration oracle's, in the
+    oracle's order, and the count of configurations."""
+    shape, channel = TreeShape(k=k, d=d), Channel.binary(as_fraction(theta))
+    joint = enumerate_joint(shape, channel)
+    configs = joint.configurations()
+    masses = [bp_posterior(shape, channel, LeafLikelihood.from_labels(x, 2), mode="rational").masses for x in configs]
+    return [x for x, got in zip(configs, masses) if tuple(joint.posterior(x)) != tuple(got)], len(configs)
+
+
+def _bp_vs_oracle(seed: int, quick: bool) -> list[CheckResult]:
+    """BP equals the oracle on every configuration: one line for all shapes."""
+    shapes = ((2, 1), (2, 2), (3, 1)) if quick else ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+    differ, total = [], 0
+    for (k, d), theta in product(shapes, ("1/4", "1/2", "3/4")):
+        configs, count = bp_oracle_mismatches(k, d, theta)
+        differ += [f"k={k} d={d} theta={theta} x={x}" for x in configs]
+        total += count
+    detail = f"{differ[0]}; {len(differ)} of {total} configurations differ" if differ else ""
+    return [CheckResult("bp-vs-oracle", f"shapes={shapes}", not differ, detail)]
+
+
+def _biased_bits(seed: int, quick: bool) -> list[CheckResult]:
+    """Both biased-bit samplers' rate of ones, (1 + theta) / 2, over every
+    string of their input bits."""
+    def rate(sampler, width: int) -> Fraction:  # strings of `width` bits, most significant first
+        ones = sum(sampler([(u >> (width - 1 - i)) & 1 for i in range(width)]) for u in range(1 << width))
+        return Fraction(ones, 1 << width)
+
+    exact = ((Fraction(0), 0), (Fraction(1, 2), 1), (Fraction(3, 4), 2), (Fraction(5, 8), 3))
+    exact_ok = all(rate(partial(biased_bit_exact_from_bits, theta), b + 1) == (1 + theta) / 2 for theta, b in exact)
+    theta = Fraction(1, 3)
+    approx_ok = all(
+        abs(rate(partial(biased_bit_approx_from_bits, theta, t), t) - (1 + theta) / 2) <= Fraction(1, 1 << t)
+        for t in (1, 4, 8)
+    )
+    return [
+        CheckResult("biased-bit-exact", "theta in {0, 1/2, 3/4, 5/8}", exact_ok),
+        CheckResult("biased-bit-approx", "theta=1/3, t in {1, 4, 8}", approx_ok),
+    ]
+
+
+def _gadget_corner(seed: int, quick: bool) -> list[CheckResult]:
+    """The gadget posterior floor at the bound's minimum over the lemma grid."""
+    from .gadgets import lemma_grid_check
+
+    corner = lemma_grid_check()
+    return [CheckResult("gadget-corner", "(0.95, 0.95, 0.95, 0.95, 0, 0)", corner.passed,
+                        f"value={float(corner.min_value):.6f}")]
+
+
+def _reproducibility(seed: int, quick: bool) -> list[CheckResult]:
+    """Identical dumps from identical seeds."""
+    shape, channel = TreeShape(k=2, d=3), Channel.binary(Fraction(1, 2))
+    a, b = (generate_direct(shape, channel, SeedSpec(seed, "verify")).to_bytes() for _ in "ab")
+    return [CheckResult("reproducibility", "gen twice, same seed", a == b)]
+
+
+# Every check `verify` runs, in order, each a function of (seed, quick).
+VERIFY_CHECKS = {
+    "a5-tables": _a5_tables,
+    "quotient-channel": _quotient_channel,
+    "bp-vs-oracle": _bp_vs_oracle,
+    "generator-equivalence": lambda seed, quick: run_equivalence_suite(seed, 20_000 if quick else 100_000),
+    "biased-bits": _biased_bits,
+    "gadget-corner": _gadget_corner,
+    "reproducibility": _reproducibility,
+}
+
+
+def run_check(name: str, seed: int = 1, quick: bool = False) -> list[CheckResult]:
+    """The results of one `VERIFY_CHECKS` entry; an AssertionError it raises
+    is one failed check named after the entry."""
+    try:
+        return VERIFY_CHECKS[name](seed, quick)
+    except AssertionError as exc:
+        return [CheckResult(name, "", False, str(exc))]
+
+
 def verify_all(seed: int = 1, quick: bool = False) -> list[CheckResult]:
     """The oracle/property suite behind the `verify` CLI subcommand."""
-    from fractions import Fraction as F
-
-    from .a5.group import A5
-    from .a5.quotient import quotient_channel
-    from .bp import LeafLikelihood, bp_posterior
-    from .gadgets import lemma_grid_check
-    from .generators import biased_bit_approx_from_bits, biased_bit_exact_from_bits, generate_direct
-
-    results: list[CheckResult] = []
-
-    def check(name: str, params: str, passed: bool, detail: str = "") -> None:
-        results.append(CheckResult(name=name, params=params, passed=bool(passed), detail=detail))
-
-    # Group algebra.
-    try:
-        A5.verify()
-        check("a5-tables", "60^3 associativity, inverses, identity, class sizes", True)
-    except AssertionError as exc:
-        check("a5-tables", "", False, str(exc))
-
-    # Quotient channel: lumpability, stochasticity, zero second eigenvalue.
-    try:
-        ch = quotient_channel()
-        sq = ch.square()
-        check(
-            "quotient-channel",
-            "16-label lumpability + M'^2 column equality",
-            sq.has_identical_columns(),
-            "columns identical" if sq.has_identical_columns() else "columns differ",
-        )
-        check("quotient-ks", "k=60000", ks_parameter(ch, 60000) == 0.0)
-    except AssertionError as exc:
-        check("quotient-channel", "", False, str(exc))
-
-    # BP equals the enumeration oracle on every configuration.
-    shapes = ((2, 1), (2, 2), (3, 1)) if quick else ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
-    bp_ok = True
-    worst = ""
-    for k, d in shapes:
-        shape = TreeShape(k=k, d=d)
-        for theta_str in ("1/4", "1/2", "3/4"):
-            theta = as_fraction(theta_str)
-            channel = Channel.binary(theta)
-            joint = enumerate_joint(shape, channel)
-            for cfg_bits in joint.configurations():
-                want = joint.posterior(cfg_bits)
-                got = bp_posterior(
-                    shape, channel, LeafLikelihood.from_labels(cfg_bits, 2), mode="rational"
-                ).masses
-                if tuple(want) != tuple(got):
-                    bp_ok = False
-                    worst = f"k={k} d={d} theta={theta_str} x={cfg_bits}"
-    check("bp-vs-oracle", f"shapes={shapes}", bp_ok, worst)
-
-    # Generator equivalence.
-    results += run_equivalence_suite(seed=seed, statistical_trials=20_000 if quick else 100_000)
-
-    # Biased-bit samplers, exhaustive.
-    exact_ok = True
-    for theta_str, b in (("0", 0), ("1/2", 1), ("3/4", 2), ("5/8", 3)):
-        theta = as_fraction(theta_str)
-        ones = sum(
-            biased_bit_exact_from_bits(theta, [(u >> (b - i)) & 1 for i in range(b + 1)])
-            for u in range(1 << (b + 1))
-        )
-        expect = (1 << b) + theta.numerator * ((1 << b) // theta.denominator)
-        exact_ok &= ones == expect
-    check("biased-bit-exact", "theta in {0, 1/2, 3/4, 5/8}", exact_ok)
-    approx_ok = True
-    for t_bits in (1, 4, 8):
-        theta = F(1, 3)
-        ones = sum(
-            biased_bit_approx_from_bits(
-                theta, t_bits, [(u >> (t_bits - 1 - i)) & 1 for i in range(t_bits)]
-            )
-            for u in range(1 << t_bits)
-        )
-        approx_ok &= abs(F(ones, 1 << t_bits) - (1 + theta) / 2) <= F(1, 1 << t_bits)
-    check("biased-bit-approx", "theta=1/3, t in {1, 4, 8}", approx_ok)
-
-    # Gadget posterior floor at the bound's minimum over the lemma grid.
-    corner = lemma_grid_check()
-    check("gadget-corner", "(0.95, 0.95, 0.95, 0.95, 0, 0)", corner.passed, f"value={float(corner.min_value):.6f}")
-
-    # Reproducibility: identical dumps from identical seeds.
-    shape = TreeShape(k=2, d=3)
-    a = generate_direct(shape, Channel.binary(F(1, 2)), SeedSpec(seed, "verify"))
-    b = generate_direct(shape, Channel.binary(F(1, 2)), SeedSpec(seed, "verify"))
-    check("reproducibility", "gen twice, same seed", a.to_bytes() == b.to_bytes())
-    return results
-
+    return [result for name in VERIFY_CHECKS for result in run_check(name, seed, quick)]

@@ -687,12 +687,6 @@ def test_a5_class16_bad_shape_is_one_line_error(capsys, argv, words):
     assert out == ""
 
 
-def test_negative_jobs_flag_is_one_line_error(capsys):
-    code, out, err = run(capsys, "--jobs", "-5", "scan-ks", "--k", "2", "--d", "3", "--trials", "100")
-    _one_line_usage_error(code, err, "jobs", ">= 0", "-5")
-    assert out == ""
-
-
 @pytest.mark.parametrize("model", ["class16", "pair3600"])
 def test_a5_depth_zero_is_one_line_error(capsys, model):
     code, out, err = run(capsys, "a5", "--model", model, "--k", "5", "--d", "0", "--trials", "100")
@@ -779,6 +773,15 @@ def _small_run_argv(tmp_path, capsys, command):
         "reduce-word": ("--length", "8", "--trials", "20"),
         "verify": ("--quick",),
     }[command]
+
+
+@pytest.mark.parametrize("command", sorted(_WRITES))
+def test_negative_jobs_flag_is_one_line_error(tmp_path, capsys, command):
+    # Refused as the flag is parsed, by every command alike.
+    argv = _small_run_argv(tmp_path, capsys, command)
+    code, out, err = run(capsys, "--jobs", "-5", command, *argv)
+    _one_line_usage_error(code, err, "jobs", ">= 0", "-5")
+    assert out == ""
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "bin"])

@@ -16,7 +16,11 @@ from treecast.experiments import (
     ExperimentConfig,
     ResultRow,
     _SUITE_P_VALUE,
+    VERIFY_CHECKS,
+    CheckResult,
+    _chi_square_vs_exact,
     _resolve_jobs,
+    chi_square_check,
     chi_square_quantile,
     chi_square_sf,
     emit,
@@ -25,9 +29,11 @@ from treecast.experiments import (
     run_a5_accuracy,
     run_equivalence_suite,
     run_ks_scan,
+    run_check,
     run_noise_scan,
     score_estimators_point,
     suite_failures,
+    verify_all,
 )
 from treecast.generators import generate_binary_batch
 from treecast.oracle import LawView, enumerate_joint
@@ -308,6 +314,69 @@ class TestEquivalenceSuite:
         assert bad
         assert any("path" in r.name for r in bad)
         assert all("path" in r.name for r in bad if r.name.startswith("chi-square"))
+
+
+class TestVerifyChecks:
+    def test_each_entry_runs_alone(self):
+        # Run last to first, each entry alone; in table order they are the suite.
+        alone = {name: run_check(name, seed=3, quick=True) for name in reversed(VERIFY_CHECKS)}
+        assert all(alone.values())
+        assert [r for name in VERIFY_CHECKS for r in alone[name]] == verify_all(seed=3, quick=True)
+
+    @pytest.mark.parametrize(
+        "name, target",
+        [("a5-tables", "treecast.a5.group.A5.verify"), ("quotient-channel", "treecast.a5.quotient.quotient_channel")],
+    )
+    def test_an_assertion_is_one_failed_check_named_after_its_entry(self, monkeypatch, name, target):
+        def broken(*args):
+            raise AssertionError("broken table")
+
+        monkeypatch.setattr(target, broken)
+        assert run_check(name) == [CheckResult(name, "", False, "broken table")]
+
+    def test_bp_vs_oracle_names_the_first_mismatch(self, monkeypatch):
+        import dataclasses
+
+        import treecast.experiments as experiments
+
+        real = experiments.bp_posterior
+        corrupt = {(2, 2, Fraction(1, 2), (0, 0, 0, 1)), (3, 1, Fraction(3, 4), (1, 1, 0))}
+
+        def corrupted(shape, channel, evidence, mode):
+            report = real(shape, channel, evidence, mode=mode)
+            if (shape.k, shape.d, channel.theta, evidence.index) in corrupt:
+                return dataclasses.replace(report, masses=report.masses[::-1])
+            return report
+
+        monkeypatch.setattr(experiments, "bp_posterior", corrupted)
+        (result,) = run_check("bp-vs-oracle", quick=True)
+        configurations = 3 * (2**2 + 2**4 + 2**3)  # three thetas on (2, 1), (2, 2) and (3, 1)
+        assert not result.passed
+        assert result.detail == f"k=2 d=2 theta=1/2 x=(0, 0, 0, 1); 2 of {configurations} configurations differ"
+
+
+class TestChiSquare:
+    def test_samples_outside_the_support_fail_against_the_real_threshold(self):
+        threshold = chi_square_quantile(1 - 1e-3, 1)
+        got = _chi_square_vs_exact({0: 4, 1: 4, 2: 2}, {0: Fraction(1, 2), 1: Fraction(1, 2)}, 10, 1e-3)
+        assert got == (False, f"stat=inf threshold={threshold:.2f} outside-support=2")
+        # A cell of probability zero in the law is outside the support too.
+        law = {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(0)}
+        assert _chi_square_vs_exact({0: 5, 2: 1}, law, 6, 1e-3)[1].endswith(" outside-support=1")
+
+    def test_passing_detail_names_no_outside_count(self):
+        got = _chi_square_vs_exact({0: 4, 1: 6}, {0: Fraction(1, 2), 1: Fraction(1, 2)}, 10, 1e-3)
+        assert got == (True, f"stat=0.40 threshold={chi_square_quantile(1 - 1e-3, 1):.2f}")
+
+    def test_check_line_counts_the_leaves_outside_the_support(self):
+        def off_support(shape, theta, seed, trials, method="direct", roots=None):
+            roots, leaves = generate_binary_batch(shape, theta, seed, trials, method=method, roots=roots)
+            leaves[:3, 0] = 2  # a label the binary law never takes
+            return roots, leaves
+
+        result = chi_square_check(2, "path", 2000, batch_sampler=off_support)
+        assert not result.passed
+        assert result.detail == "stat=inf threshold=24.32 outside-support=3"
 
 
 class TestExactLeafJoint:

@@ -12,7 +12,13 @@ import treecast.generators as generators
 import treecast.trees as trees
 from treecast.channels import Channel, CutTables, cut63
 from treecast.estimators import noisy_leaf_channel
-from treecast.experiments import DEFAULT_EXACT_SHAPES, _chi_square_vs_exact, exact_joint_of_leaves
+from treecast.experiments import (
+    DEFAULT_EXACT_SHAPES,
+    _chi_square_vs_exact,
+    chi_square_of_samples,
+    exact_joint_of_leaves,
+    tally,
+)
 from treecast.generators import (
     BATCH_METHODS,
     STAR,
@@ -536,10 +542,8 @@ def test_batch_negative_theta_matches_exact_law(method):
     _, leaves = generate_binary_batch(
         shape, theta, SeedSpec(5, f"neg/{method}"), trials, method, roots=np.ones(trials, dtype=np.uint8)
     )
-    keys, counts = np.unique(leaves[:, list(sel)], axis=0, return_counts=True)
-    counted = {tuple(int(b) for b in row): int(c) for row, c in zip(keys, counts)}
-    ok, stat, threshold = _chi_square_vs_exact(counted, exact, trials, 1e-3)
-    assert ok, (stat, threshold)
+    passed, detail = chi_square_of_samples(leaves[:, list(sel)], exact, 1e-3)
+    assert passed, detail
 
 
 def test_restriction_batch_rejects_negative_theta():
@@ -628,12 +632,11 @@ def test_sampled_codes_follow_the_oracle(k, d, h, theta, s, subtree_codes):
         roots = np.full(trials, root, dtype=np.uint8)
         _, codes = generate_binary_batch(shape, theta, seed, trials, roots=roots, height=h, s=s)
         assert codes.shape == (trials, shape.nodes_at(d - h))
-        keys, counts = np.unique(codes, axis=0, return_counts=True)
-        counted = {tuple(int(c) for c in row): int(n) for row, n in zip(keys, counts)}
+        counted = tally(codes)
         assert set(counted) <= set(exact)  # no code of probability zero is drawn
         law, counted = _pool_rare(exact, counted, trials)
-        ok, stat, threshold = _chi_square_vs_exact(counted, law, trials, 1e-4)
-        assert ok, (root, stat, threshold)
+        passed, detail = _chi_square_vs_exact(counted, law, trials, 1e-4)
+        assert passed, (root, detail)
 
 
 def test_code_draws_are_keyed_by_trial():

@@ -111,6 +111,10 @@ GOLDEN = {
         ["verify", "--quick"],
         "a14627ec6dd2a4c5e181b71640a20581b143a2356780ef072e91357ece5df947",
     ),
+    "verify-full": (
+        ["verify"],
+        "8037daf116b106be1f6fc6c317a159bb7e3a6e3b7dde9fbce15df91210a1eec1",
+    ),
 }
 
 # Two `detect --out` runs append two rows to one experiment CSV.
