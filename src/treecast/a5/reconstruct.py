@@ -14,7 +14,8 @@ In both modes, a runner-up count below tau = 1/5 of the top count declares a
 diagonal label (second = first): tau is a constant, between the 1/3-vs-2/3
 split of distinct parents and the all-one-value diagonal case.  A class-mode
 node with no identity-first children gets a uniformly random estimate and is
-flagged.
+flagged.  One loop, `_climb`, runs either rule up to the root, and
+`trial_shape` refuses d < 1 and k < 2 before a trial's first draw.
 
 `class16_reconstruction_trial` samples only what the class-mode decoder
 reads.  It draws levels 0..d-1 as `generate_direct` does from the trial key,
@@ -246,13 +247,16 @@ def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) ->
     return tallies.reshape(count, 4)
 
 
-def class16_trial_shape(k: int, d: int) -> TreeShape:
-    """The shape a class16 trial of arity k and depth d >= 1 must fit: the
-    k^(d-1) bottom labels and one node's k children (its tally tables grow
-    with k) within the budget of `TreeShape`, which also asks k >= 1."""
+def trial_shape(model: str, k: int, d: int) -> TreeShape:
+    """Check a `model` trial's shape before any draw: `TreeShape`'s budget on
+    the pair tree, or on class16's k^(d-1) bottom labels and one node's k
+    children (its tally tables grow with k); then d >= 1 and k >= 2."""
+    shape = TreeShape(k, max(d - 1, 1)) if model == "class16" else TreeShape(k, d)
     if d < 1:
         raise ValueError("reconstruction needs depth >= 1")
-    return TreeShape(k, max(d - 1, 1))
+    if k < 2:
+        raise ValueError(f"reconstruction needs arity k >= 2, got {k}")
+    return shape
 
 
 def class16_reconstruction_trial(k: int, d: int, key: int) -> tuple[int, int, int]:
@@ -268,11 +272,11 @@ def class16_reconstruction_trial(k: int, d: int, key: int) -> tuple[int, int, in
     addresses `node_counters(d, i, 0)` and `node_counters(d, i, 1)` (see
     `identity_first_tallies`).  Tie words of level j use `subkey(key, j)`.
     """
-    class16_trial_shape(k, d)  # before any draw
+    trial_shape("class16", k, d)  # before any draw
     levels = direct_levels(TreeShape(k, d - 1), quotient_channel(), key)
     tallies = identity_first_tallies(levels[-1], k, key, d)
     level, empty = reconstruct_level_class16_from_counts(tallies, subkey(key, 1))
-    root, flagged = _class16_climb(level, k, key, 1, int(empty.sum()))
+    root, flagged = _climb(level, k, "class16", key, 1, int(empty.sum()))
     return int(levels[0][0]), root, flagged
 
 
@@ -282,29 +286,24 @@ def pair_reconstruction_trial(k: int, d: int, key: int) -> tuple[int, int, int]:
     The tree is `generate_pair_model`'s on a seed with key `key`, decoded
     from its leaves in pair mode, which flags no node.
     """
-    levels = pair_model_levels(TreeShape(k, d), key)
-    est = recursive_reconstruct(levels[-1], k, "pair3600")
-    return int(levels[0][0]), est.root_estimate, est.flagged_nodes
+    levels = pair_model_levels(trial_shape("pair3600", k, d), key)
+    root, flagged = _climb(levels[-1], k, "pair3600", 0)
+    return int(levels[0][0]), root, flagged
 
 
-def _check_shrinks(size: int, k: int) -> None:
-    """Raise unless grouping `size` labels k at a time reaches one root: a
-    level of arity k < 2 never shrinks."""
-    if size > 1 and k < 2:
-        raise ValueError(f"arity k = {k} cannot reduce {size} labels to one root")
-
-
-def _class16_climb(level: np.ndarray, k: int, tie_key: int, depth: int, flagged: int) -> tuple[int, int]:
-    """Apply `reconstruct_level_class16` level by level up to the root, the
-    j-th level above `depth` with ties from `subkey(tie_key, depth + j)`.
-
-    Returns (root estimate, `flagged` plus the flagged nodes on the way).
-    """
-    _check_shrinks(level.size, k)
+def _climb(level: np.ndarray, k: int, model: str, tie_key: int, depth: int = 0, flagged: int = 0) -> tuple[int, int]:
+    """Apply the `model` level rule up to the root, class16 ties of the j-th
+    level above `depth` from `subkey(tie_key, depth + j)`.  Returns (root
+    estimate, `flagged` plus the flagged nodes on the way)."""
+    if level.size > 1 and k < 2:
+        raise ValueError(f"arity k = {k} cannot reduce {level.size} labels to one root")
     while level.size > 1:
         depth += 1
-        level, empty = reconstruct_level_class16(level, k, subkey(tie_key, depth))
-        flagged += int(empty.sum())
+        if model == "class16":
+            level, empty = reconstruct_level_class16(level, k, subkey(tie_key, depth))
+            flagged += int(empty.sum())
+        else:
+            level = reconstruct_level_pair(level, k)
     return int(level[0]), flagged
 
 
@@ -318,12 +317,8 @@ def recursive_reconstruct(
     """
     if model not in ("pair3600", "class16"):
         raise ValueError(f"unknown model {model!r}; expected pair3600 or class16")
-    level = np.asarray(labels)
+    tie_key = 0  # the pair rule breaks no ties
     if model == "class16":
-        tie_key = subkey(seed.key(), 0) if seed is not None else subkey(0, 0)
-        root, flagged = _class16_climb(level, k, tie_key, 0, 0)
-        return ReconstructionResult(root_estimate=root, flagged_nodes=flagged)
-    _check_shrinks(level.size, k)
-    while level.size > 1:
-        level = reconstruct_level_pair(level, k)
-    return ReconstructionResult(root_estimate=int(level[0]), flagged_nodes=0)
+        tie_key = subkey(seed.key() if seed is not None else 0, 0)
+    root, flagged = _climb(np.asarray(labels), k, model, tie_key)
+    return ReconstructionResult(root_estimate=root, flagged_nodes=flagged)

@@ -146,11 +146,11 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 100 for any asserted statistic")
         for name in filter(GRID_KEYS.__contains__, reads):  # in point order
             object.__setattr__(self, name, _parse_grid(name, getattr(self, name)))
-        if self.experiment == "a5-accuracy" and min(self.d) < 1:
-            raise ValueError("reconstruction needs depth >= 1")
         shape = TreeShape  # every point's shape passes the check its run makes
-        if self.model == "class16":
-            from .a5.reconstruct import class16_trial_shape as shape
+        if self.model is not None:
+            from .a5.reconstruct import trial_shape
+
+            shape = partial(trial_shape, self.model)
         for k, d in product(self.k, self.d):
             shape(k, d)
         if self.format not in ("csv", "json"):
@@ -351,10 +351,9 @@ def _noise_point(args) -> list[ResultRow]:
     cfg, index, k, theta_str, d, s_str = args
     shape, theta, s = TreeShape(k=k, d=d), as_fraction(theta_str), as_fraction(s_str)
     est = estimate_P_sd(shape, theta, s, cfg.trials, _grid_seed(cfg, index))
-    exact = est.method == "exact"
-    trials = cfg.trials if exact else est.trials
     return [_row(
-        cfg.experiment, cfg.seed, k, theta_str, d, s_str, f"p-sd-{est.method}", trials, est.estimate, exact=exact
+        cfg.experiment, cfg.seed, k, theta_str, d, s_str, f"p-sd-{est.method}", cfg.trials, est.estimate,
+        exact=est.method == "exact",
     )]
 
 
@@ -527,10 +526,18 @@ def _chi_square_vs_exact(counts: dict, exact: dict, total: int, p_value: float) 
 
 
 def tally(samples: np.ndarray) -> dict:
-    """Each distinct sample's count: a row of a 2-D array keyed by its tuple
-    of ints, an entry of a 1-D array by its int."""
-    keys, counts = np.unique(samples, axis=0, return_counts=True)
-    return {(tuple(key) if samples.ndim > 1 else key): c for key, c in zip(keys.tolist(), counts.tolist())}
+    """Each distinct sample's count, in sorted order: a row of a 2-D array
+    keyed by its tuple of ints, an entry of a 1-D array by its int.  Rows are
+    sorted as their indices in the box of the columns' value ranges, which
+    `np.ravel_multi_index` refuses past 2^63 cells."""
+    if not len(samples):
+        return {}
+    rows = samples.reshape(len(samples), -1)
+    low = rows.min(axis=0)
+    dims = tuple((rows.max(axis=0) - low + 1).tolist())
+    cells, counts = np.unique(np.ravel_multi_index(tuple((rows - low).T), dims), return_counts=True)
+    keys = np.stack(np.unravel_index(cells, dims), axis=1) + low
+    return {(tuple(key) if samples.ndim > 1 else key[0]): c for key, c in zip(keys.tolist(), counts.tolist())}
 
 
 def chi_square_of_samples(samples: np.ndarray, exact: dict, p_value: float) -> tuple[bool, str]:

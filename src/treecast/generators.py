@@ -262,43 +262,36 @@ def add_leaf_noise(x: LabelArray, spec: NoiseSpec, seed: SeedSpec) -> LabelArray
 # --- biased-bit samplers ------------------------------------------------
 
 
-def dyadic_exponent(theta: Fraction) -> int:
-    """Smallest b with theta * 2^b integral; raises for non-dyadic theta."""
-    den = theta.denominator
-    b = den.bit_length() - 1
-    if den != (1 << b):
-        raise ValueError(
-            f"theta = {theta} is not dyadic; use biased_bit_approx for general biases"
-        )
-    return b
+def _exact_bit_budget(theta: FractionLike) -> tuple[Fraction, int]:
+    """theta = a/2^b in [0, 1) and the b + 1 bits its exact coin reads."""
+    t = as_fraction(theta)
+    if not 0 <= t < 1:
+        raise ValueError(f"theta must lie in [0, 1), got {t}")
+    b = t.denominator.bit_length() - 1
+    if t.denominator != 1 << b:
+        raise ValueError(f"theta = {t} is not dyadic; use biased_bit_approx for general biases")
+    return t, b + 1
 
 
 def biased_bit_exact_from_bits(theta: FractionLike, bits: list[int]) -> int:
     """Exact Bernoulli((1+theta)/2) bit from b+1 fair bits, theta = a/2^b.
 
     Reads the leading b+1 bits as an integer u in [0, 2^(b+1)) and returns
-    1 iff u < 2^b + a; exactly 2^b + a of the 2^(b+1) inputs map to 1.
+    1 iff u < 2^b + a; exactly 2^b + a of the 2^(b+1) inputs map to 1.  That
+    is `biased_bit_approx_from_bits` at b+1 bits, whose cut
+    ceil((1+theta)/2 * 2^(b+1)) is 2^b + a exactly.
     """
-    t = as_fraction(theta)
-    if not 0 <= t < 1:
-        raise ValueError(f"theta must lie in [0, 1), got {t}")
-    b = dyadic_exponent(t)
-    a = t.numerator * ((1 << b) // t.denominator)
-    need = b + 1
+    t, need = _exact_bit_budget(theta)
     if len(bits) < need:
         raise ValueError(f"need {need} bits for theta = {t}, got {len(bits)}")
-    u = 0
-    for bit in bits[:need]:
-        u = (u << 1) | (bit & 1)
-    return 1 if u < (1 << b) + a else 0
+    return biased_bit_approx_from_bits(t, need, bits)
 
 
 def biased_bit_exact(theta: FractionLike, seed: SeedSpec, draw: int = 0) -> int:
-    """Exact dyadic-bias coin using the counter stream at index `draw`."""
-    t = as_fraction(theta)
-    b = dyadic_exponent(t)
-    w = word(seed.key(), draw)
-    return biased_bit_exact_from_bits(t, bits_from_word(w, b + 1))
+    """Exact dyadic-bias coin using the counter stream at index `draw`:
+    `biased_bit_approx` at b+1 bits, as `biased_bit_exact_from_bits`."""
+    t, need = _exact_bit_budget(theta)
+    return biased_bit_approx(t, need, seed, draw)
 
 
 def biased_bit_approx_from_bits(theta: FractionLike, t_bits: int, bits: list[int]) -> int:

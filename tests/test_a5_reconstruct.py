@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -437,13 +438,30 @@ class TestEndToEnd:
             hits += est.root_estimate == tree.root
         assert hits >= 18
 
-    @pytest.mark.parametrize("k, d", [(20, 2), (3, 4), (1, 3)])
+    @pytest.mark.parametrize("k, d", [(20, 2), (3, 4), (2, 5)])
     def test_pair_trial_decodes_the_tree_of_generate_pair_model(self, k, d):
         for s in range(4):
             seed = SeedSpec(400 + s, "pair-trial")
             tree = generate_pair_model(TreeShape(k, d), seed)
             est = recursive_reconstruct(tree.leaves, k, "pair3600")
             assert pair_reconstruction_trial(k, d, seed.key()) == (tree.root, est.root_estimate, 0)
+
+    @pytest.mark.parametrize("trial", [pair_reconstruction_trial, class16_reconstruction_trial])
+    @pytest.mark.parametrize(
+        "k, d, words",
+        [(1, 3, "arity k >= 2, got 1"), (1, 1, "arity k >= 2, got 1"), (0, 2, "arity k must be >= 1"),
+         (2, 0, "depth >= 1")],
+        ids=["k1-d3", "k1-d1", "k0", "d0"],
+    )
+    def test_trials_refuse_a_shape_before_any_draw(self, monkeypatch, trial, k, d, words):
+        # At k = 1 no level shrinks, so a decode would return a leaf's label.
+        def no_draw(*args):
+            raise AssertionError("a trial drew")
+
+        for sampler in ("direct_levels", "identity_first_tallies", "pair_model_levels"):
+            monkeypatch.setattr(reconstruct, sampler, no_draw)
+        with pytest.raises(ValueError, match=re.escape(words)):
+            trial(k, d, SeedSpec(400, "pair-trial").key())
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -510,6 +510,8 @@ def test_config_grid_is_parsed_before_any_point_runs(tmp_path, capsys, monkeypat
         ("scan-ks", {"model": "class16", "s": ["0"]}, ("ks-scan reads no config key 'model', 's'",)),
         ("scan-noise", {"model": "pair3600"}, ("noise-scan reads no config key 'model'",)),
         ("a5", {"theta": ["1/2"], "s": ["0"]}, ("a5-accuracy reads no config key 's', 'theta'",)),
+        ("a5", {"k": [1], "d": [2]}, ("reconstruction needs arity k >= 2, got 1",)),
+        ("a5", {"model": "pair3600", "k": [3, 1], "d": [2]}, ("reconstruction needs arity k >= 2, got 1",)),
     ],
 )
 def test_config_scalar_is_checked_before_any_point_runs(tmp_path, capsys, monkeypatch, command, fields, words):
@@ -691,6 +693,20 @@ def test_a5_class16_bad_shape_is_one_line_error(capsys, argv, words):
 def test_a5_depth_zero_is_one_line_error(capsys, model):
     code, out, err = run(capsys, "a5", "--model", model, "--k", "5", "--d", "0", "--trials", "100")
     _one_line_usage_error(code, err, "depth >= 1")
+    assert out == ""
+
+
+@pytest.mark.parametrize("model", ["class16", "pair3600"])
+def test_a5_arity_one_is_one_line_error_before_any_point(capsys, monkeypatch, model):
+    # At k = 1 no level shrinks, so the decoder would report a leaf's label.
+    import treecast.experiments
+
+    def no_points(*args):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(treecast.experiments, "_map_points", no_points)
+    code, out, err = run(capsys, "a5", "--model", model, "--k", "1", "--d", "2", "--trials", "100")
+    _one_line_usage_error(code, err, "reconstruction needs arity k >= 2, got 1")
     assert out == ""
 
 

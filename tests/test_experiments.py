@@ -5,6 +5,7 @@ from itertools import combinations
 from math import sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treecast.estimators as estimators
@@ -33,6 +34,7 @@ from treecast.experiments import (
     run_noise_scan,
     score_estimators_point,
     suite_failures,
+    tally,
     verify_all,
 )
 from treecast.generators import generate_binary_batch
@@ -356,6 +358,25 @@ class TestVerifyChecks:
 
 
 class TestChiSquare:
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.random.default_rng(1).integers(-3, 5, size=200),
+            np.random.default_rng(2).integers(0, 2, size=(500, 3)).astype(np.uint8),
+            np.random.default_rng(3).integers(0, 60, size=(300, 1)).astype(np.uint16),
+            np.array([[7, 1 << 40], [7, 0], [7, 1 << 40]]),
+            np.zeros(0, dtype=np.int64),
+            np.zeros((0, 3), dtype=np.uint8),
+        ],
+        ids=["1-D", "2-D", "one-column", "wide-range", "empty-1-D", "empty-2-D"],
+    )
+    def test_tally_equals_the_row_sort(self, samples):
+        keys, counts = np.unique(samples, axis=0, return_counts=True)
+        want = {(tuple(key) if samples.ndim > 1 else key): c for key, c in zip(keys.tolist(), counts.tolist())}
+        got = tally(samples)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is int for key in got for v in (key if samples.ndim > 1 else (key,)))
+
     def test_samples_outside_the_support_fail_against_the_real_threshold(self):
         threshold = chi_square_quantile(1 - 1e-3, 1)
         got = _chi_square_vs_exact({0: 4, 1: 4, 2: 2}, {0: Fraction(1, 2), 1: Fraction(1, 2)}, 10, 1e-3)

@@ -278,12 +278,16 @@ class TestBiasedBits:
         assert abs(Fraction(ones, 1 << t) - Fraction(2, 3)) <= Fraction(1, 1 << t)
 
     def test_approx_matches_exact_on_dyadic(self):
-        theta = Fraction(5, 8)  # b = 3
-        for u in range(16):
-            bits = _bits(u, 4)
-            assert biased_bit_approx_from_bits(theta, 4, bits) == biased_bit_exact_from_bits(
-                theta, bits
-            )
+        # For theta = a/2^b, ceil((1+theta)/2 * 2^(b+1)) = 2^b + a exactly, so
+        # both coins read b+1 bits as u and return 1 iff u < 2^b + a.
+        for b in range(7):
+            for a in range(1 << b):
+                theta = Fraction(a, 1 << b)
+                need = theta.denominator.bit_length()  # b + 1 in lowest terms
+                for u in range(1 << need):
+                    bits, want = _bits(u, need), int(u < (1 + theta) * (1 << (need - 1)))
+                    assert biased_bit_exact_from_bits(theta, bits) == want
+                    assert biased_bit_approx_from_bits(theta, need, bits) == want
 
     def test_seeded_coins_read_their_counter_word(self):
         import treecast
