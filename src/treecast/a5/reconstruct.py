@@ -19,18 +19,28 @@ flagged.  One loop, `_climb`, runs either rule up to the root, and
 
 `class16_reconstruction_trial` samples only what the class-mode decoder
 reads.  It draws levels 0..d-1 as `generate_direct` does from the trial key,
-then for each bottom node i only the tallies of the identity-first codes
-0..3 among its k children: those tallies are all the decoder reads of the
-leaf level.  In the quotient channel every parent (C1, C2) sends 1/60 of its
-mass to those codes, 2/3 of it to (e, C1) and 1/3 to (e, C2), or all of it
-to (e, C1) when C1 = C2, so the tallies are N ~ Bin(k, 1/60) and
-A | N ~ Bin(N, 2/3) at the heavier code, or A = N for a diagonal parent (the
-one mass and share are read from rows 0..3 of the channel).  N reads the
-counter word at the unused leaf-level address `node_counters(d, i, 0)` and A
-the one at `node_counters(d, i, 1)`, each inverted through exact binomial
-cuts (`channels.binomial_cuts`): N through `channels.binomial_tables(k,
-1/60)`, A through one table per k, built on first use (`_tally_tables`),
-with a row for each n that a draw of N has met.
+then for each bottom node i only the two draws that fix its tallies of the
+identity-first codes 0..3 among its k children.  In the quotient channel
+every parent (C1, C2) sends 1/60 of its mass to those codes, 2/3 of it to
+(e, C1) and 1/3 to (e, C2), or all of it to (e, C1) when C1 = C2, so the
+draws are N ~ Bin(k, 1/60) and A | N ~ Bin(N, 2/3) at the heavier code, or
+A = N for a diagonal parent (the one mass and share are read from rows
+0..3 of the channel).  N reads the counter word at the unused leaf-level
+address `node_counters(d, i, 0)` and A the one at `node_counters(d, i, 1)`,
+each inverted through exact binomial cuts (`channels.binomial_cuts`): N
+through `channels.binomial_tables(k, 1/60)`, A through one table per k,
+built on first use (`_tally_tables`), with a row for each n that a draw of
+N has met.  The class rule then reads the node's label off (N, A) and its
+parent's two codes (`decode_identity_first`), with no tally built.
+
+A trial keeps levels 0..d-2 whole and streams the bottom level in blocks of
+whole level-(d-2) parents, at most BLOCK_NODES nodes (2^16) or one
+parent's k: each block's labels, words, draws and decoded labels live
+only while it is decoded into its parents' estimates, about 60 bytes per
+node, so a block peaks near 4 MiB.  A trial holds k^(d-2) decoded bytes
+besides, and the blocks' first passes go through `rng`'s pass memo (at most
+16 MiB).  A level with one node tallies its children with one `bincount`
+and takes its top two by two argmaxes.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..channels import CutTables, binomial_cuts, binomial_tables, uniform_draw
-from ..generators import direct_levels
+from ..generators import direct_level, direct_levels
 from ..rng import SeedSpec, level_words, subkey, words_vec
 from ..trees import TreeShape
 from .group import A5
@@ -56,13 +66,21 @@ class ReconstructionResult:
 
 
 def _top_two(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node top and runner-up values and their counts, of (width, nodes) tallies.
+    """Per-node top and runner-up values and their counts, of (width, nodes)
+    tallies, or of one node's 1-D tally.
 
-    Ties break toward the lower value index (argmax convention): with 2^b >=
-    width, the keys count * 2^b + (2^b - 1 - value) are distinct within a
-    node, so a column-wise max finds the top, and one more, with the top's
-    key zeroed, the runner-up.  Unlike a row-wise argmax, no per-row cost.
+    Ties break toward the lower value index (argmax convention).  One node
+    takes two argmaxes, the second with the top's count masked.  Over many,
+    with 2^b >= width, the keys count * 2^b + (2^b - 1 - value) are distinct
+    within a node, so a column-wise max finds the top, and one more, with the
+    top's key zeroed, the runner-up.  Unlike a row-wise argmax, no per-row cost.
     """
+    if counts.ndim == 1:
+        top = int(counts.argmax())
+        rest = counts.astype(np.int64)
+        rest[top] = -1
+        runner = int(rest.argmax())
+        return np.array([top]), counts[top : top + 1], np.array([runner]), counts[runner : runner + 1]
     bits = (len(counts) - 1).bit_length()
     keys = np.array(counts, dtype=np.int64, order="C")
     keys <<= bits
@@ -76,7 +94,7 @@ def _top_two(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def _top_and_second(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per node of (width, nodes) tallies: the top value, the second element
+    """Per node of `_top_two`'s tallies: the top value, the second element
     (the runner-up, or the top again when the runner-up's count is below
     1/5 of the top's, a diagonal label) and the top's count."""
     top, top_count, runner, runner_count = _top_two(counts)
@@ -86,12 +104,13 @@ def _top_and_second(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _tally(values: np.ndarray, k: int, width: int) -> np.ndarray:
     """Counts of each value in [0, width) among each node's k children (the
     values grouped k at a time), value-major, shape (width, nodes): one
-    bincount over the flat index nodes * value + node."""
+    bincount over the flat index nodes * value + node.  One node's counts
+    are the plain bincount, shape (width,)."""
     if values.size % k:
         raise ValueError(f"{values.size} children do not group into nodes of arity {k}")
     nodes = values.size // k
     if nodes == 1:
-        return np.bincount(values, minlength=width).reshape(width, 1)
+        return np.bincount(values, minlength=width)
     index = values.reshape(nodes, k) * np.intp(nodes) + np.arange(nodes, dtype=np.intp)[:, None]
     return np.bincount(index.reshape(-1), minlength=width * nodes).reshape(width, nodes)
 
@@ -103,6 +122,25 @@ def reconstruct_level_pair(child_labels: np.ndarray, k: int) -> np.ndarray:
     return (top * 60 + second).astype(np.uint16)
 
 
+def _flag_empty(labels: np.ndarray, empty: np.ndarray, tie_key: int, start: int) -> np.ndarray:
+    """Label each empty node i (node start + i of its level) by
+    `uniform_draw(16, w)`, w its index's word under `tie_key`; returns `empty`."""
+    if empty.any():
+        idx = np.nonzero(empty)[0]
+        w = words_vec(tie_key, idx.astype(np.uint64) + np.uint64(start))
+        labels[idx] = uniform_draw(16, w).astype(np.uint8)
+    return empty
+
+
+def _class_level(counts4: np.ndarray, tie_key: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The class rule on `_top_two`'s tallies of the identity-first codes
+    0..3: labels and the empty (flagged) nodes, node i being node start + i
+    of its level."""
+    top, second, top_count = _top_and_second(counts4)
+    labels = (top * 4 + second).astype(np.uint8)
+    return labels, _flag_empty(labels, top_count == 0, tie_key, start)
+
+
 def reconstruct_level_class16_from_counts(counts16: np.ndarray, tie_key: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimate class-pair labels from per-node child-label tallies.
 
@@ -112,19 +150,15 @@ def reconstruct_level_class16_from_counts(counts16: np.ndarray, tie_key: int) ->
     children is flagged and labelled `uniform_draw(16, w)`, w the word of
     its row index under `tie_key`.
     """
-    top, second, top_count = _top_and_second(np.asarray(counts16)[:, 0:4].T)
-    labels = (top * 4 + second).astype(np.uint8)
-    empty = top_count == 0
-    if empty.any():
-        idx = np.nonzero(empty)[0]
-        w = words_vec(tie_key, idx.astype(np.uint64))
-        labels[idx] = uniform_draw(16, w).astype(np.uint8)
-    return labels, empty
+    return _class_level(np.asarray(counts16)[:, 0:4].T, tie_key)
 
 
-def reconstruct_level_class16(child_labels: np.ndarray, k: int, tie_key: int) -> tuple[np.ndarray, np.ndarray]:
-    counts = _tally(np.asarray(child_labels, dtype=np.intp), k, 16)
-    return reconstruct_level_class16_from_counts(counts.T, tie_key)
+def reconstruct_level_class16(
+    child_labels: np.ndarray, k: int, tie_key: int, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The class rule on children grouped k at a time, the first group's
+    node being node `start` of its level (it keys the tie words)."""
+    return _class_level(_tally(np.asarray(child_labels, dtype=np.intp), k, 16)[:4], tie_key, start)
 
 
 class _BinomialTables:
@@ -222,29 +256,69 @@ def _identity_first_laws() -> tuple[Fraction, Fraction, np.ndarray, np.ndarray, 
     return masses.pop(), shares.pop(), heavy, light, heavy == light
 
 
-def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) -> np.ndarray:
+def identity_first_draws(
+    parents: np.ndarray, k: int, key: int, level: int, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample how many of each parent's k children carry codes 0..3.
 
-    Returns shape (len(parents), 4).  The children of parent i sit at `level`
-    and are never materialized: the identity-first count N ~ Bin(k, q) reads
-    word `node_counters(level, i, 0)`, and the count A ~ Bin(N, p) at the
-    heavier code reads `node_counters(level, i, 1)` (the one law of
-    `_identity_first_laws`; A = N for a diagonal parent); the lighter code
-    gets N - A.  Both words come from one keyed pass (`level_words` at rows = 2).
+    Returns (N, A): the identity-first count N ~ Bin(k, q) and the count
+    A ~ Bin(N, p) at the parent's heavier code (the one law of
+    `_identity_first_laws`; A = N for a diagonal parent), the lighter code
+    getting N - A.  The children of parent i, node start + i of its level,
+    sit at `level` and are never materialized: N reads word
+    `node_counters(level, start + i, 0)` and A word
+    `node_counters(level, start + i, 1)`, both from one keyed pass
+    (`level_words` at rows = 2).
     """
-    parents = np.asarray(parents, dtype=np.intp)
-    _, _, heavy, light, diagonal = _identity_first_laws()
+    _, _, _, _, diagonal = _identity_first_laws()
     lo, total_table, split = _tally_tables(k)
-    count = parents.size
-    words = level_words(key, level, count, rows=2)
+    words = level_words(key, level, np.size(parents), rows=2, start=start)
     above = total_table.draw(0, words[0])  # N - lo
     total = above + lo
-    first = np.where(diagonal[parents], total, split.draw(above, words[1]))
-    tallies = np.zeros(4 * count, dtype=np.int64)
-    rows = np.arange(0, 4 * count, 4)
+    return total, np.where(diagonal[parents], total, split.draw(above, words[1]))
+
+
+def identity_first_tallies(parents: np.ndarray, k: int, key: int, level: int) -> np.ndarray:
+    """`identity_first_draws` as tallies of codes 0..3, shape (len(parents), 4)."""
+    parents = np.asarray(parents, dtype=np.intp)
+    _, _, heavy, light, _ = _identity_first_laws()
+    total, first = identity_first_draws(parents, k, key, level)
+    tallies = np.zeros(4 * parents.size, dtype=np.int64)
+    rows = np.arange(0, 4 * parents.size, 4)
     tallies[rows + light[parents]] = total - first  # 0 where light = heavy
     tallies[rows + heavy[parents]] = first
-    return tallies.reshape(count, 4)
+    return tallies.reshape(parents.size, 4)
+
+
+@lru_cache(maxsize=1)
+def _draw_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The class rule on one parent's draws (N, A) as two tables: lower[j]
+    is 1 when parent j's heavier code is the lower of its two, and
+    labels[4 j + 2 t + s] is the label with the heavier code on top (t) or
+    the lighter, and with the top as second (s, or a diagonal parent) or
+    the other code."""
+    _, _, heavy, light, diagonal = _identity_first_laws()
+    heavy_top, lone = np.array([0, 0, 1, 1], dtype=bool), np.array([0, 1, 0, 1], dtype=bool)
+    top = np.where(heavy_top, heavy[:, None], light[:, None])
+    second = np.where(lone | diagonal[:, None], top, heavy[:, None] + light[:, None] - top)
+    return (heavy < light).astype(np.int64), (4 * top + second).astype(np.uint8).reshape(-1)
+
+
+def decode_identity_first(
+    parents: np.ndarray, total: np.ndarray, first: np.ndarray, tie_key: int, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The class rule on each node's draws (N, A) (`identity_first_draws`):
+    the labels and flags `reconstruct_level_class16_from_counts` gives their
+    tallies, without them.  The heavier code, with count A, is on top when
+    A > N - A, or on a tie when it is the lower code; the second is the
+    other code unless 5 min(A, N - A) < max(A, N - A), that is 6 min < N, or
+    the parent is diagonal.  N = 0 is an empty node, labelled by the tie
+    word of its index start + i under `tie_key`."""
+    lower, labels = _draw_rule()
+    heavy_top = 2 * first + lower[parents] > total
+    lone = 6 * np.minimum(first, total - first) < total
+    labels = labels[4 * parents.astype(np.intp) + 2 * heavy_top + lone]
+    return labels, _flag_empty(labels, total == 0, tie_key, start)
 
 
 def trial_shape(model: str, k: int, d: int) -> TreeShape:
@@ -259,24 +333,49 @@ def trial_shape(model: str, k: int, d: int) -> TreeShape:
     return shape
 
 
+# Most bottom nodes of a class16 trial held at once: the bottom level is
+# drawn and decoded in blocks of whole level-(d - 2) parents, at least one.
+BLOCK_NODES = 1 << 16
+
+
 def class16_reconstruction_trial(k: int, d: int, key: int) -> tuple[int, int, int]:
     """One quotient-model reconstruction trial; returns (root, estimate, flags).
 
-    Levels 0..d-1 are `direct_levels` of the quotient channel on `key`, so the
-    root and labels equal `generate_class16`'s on a seed with that key.  The
-    leaf level enters reconstruction only through each bottom node's tallies
-    of the identity-first codes 0..3 (children are i.i.d. given the parent,
-    and the decoder reads no other code), so it is sampled as those tallies:
-    N ~ Bin(k, q) and A | N ~ Bin(N, p), q and p the one identity-first mass
-    and share of the channel, from counter words at the unused leaf-level
-    addresses `node_counters(d, i, 0)` and `node_counters(d, i, 1)` (see
-    `identity_first_tallies`).  Tie words of level j use `subkey(key, j)`.
+    Levels 0..d-1 are `direct_levels` of the quotient channel on `key`, so
+    the root and labels equal `generate_class16`'s on a seed with that key.
+    The leaf level enters reconstruction only through each bottom node's
+    tallies of the identity-first codes 0..3 (children are i.i.d. given the
+    parent, and the decoder reads no other code), so it is sampled as their
+    two draws (`identity_first_draws`) and decoded from them
+    (`decode_identity_first`).  Tie words of level j use `subkey(key, j)` at
+    each node's index in its level.
+
+    Levels 0..d-2 are kept whole; the bottom level is drawn, decoded and
+    decoded again into its parents' estimates one block of parents at a time
+    (at most BLOCK_NODES bottom nodes, or one parent's k), from the words of
+    the block's own addresses, so the blocks change no draw.
     """
     trial_shape("class16", k, d)  # before any draw
-    levels = direct_levels(TreeShape(k, d - 1), quotient_channel(), key)
-    tallies = identity_first_tallies(levels[-1], k, key, d)
-    level, empty = reconstruct_level_class16_from_counts(tallies, subkey(key, 1))
-    root, flagged = _climb(level, k, "class16", key, 1, int(empty.sum()))
+    channel = quotient_channel()
+    levels = direct_levels(TreeShape(k, max(d - 2, 0)), channel, key)
+    bottom_ties, upper_ties = subkey(key, 1), subkey(key, 2)
+    if d == 1:  # the root is the one bottom node
+        labels, empty = decode_identity_first(
+            levels[0], *identity_first_draws(levels[0], k, key, 1), bottom_ties
+        )
+        return int(levels[0][0]), int(labels[0]), int(empty[0])
+    parents = levels[-1]
+    step = max(1, BLOCK_NODES // k)
+    decoded, flagged = np.empty(parents.size, dtype=np.uint8), 0
+    for s in range(0, parents.size, step):
+        block = parents[s : s + step]
+        bottom = direct_level(block, k, channel, key, d - 1, s * k)
+        labels, empty = decode_identity_first(
+            bottom, *identity_first_draws(bottom, k, key, d, s * k), bottom_ties, s * k
+        )
+        decoded[s : s + block.size], above = reconstruct_level_class16(labels, k, upper_ties, s)
+        flagged += int(empty.sum()) + int(above.sum())
+    root, flagged = _climb(decoded, k, "class16", key, 2, flagged)
     return int(levels[0][0]), root, flagged
 
 

@@ -82,6 +82,7 @@ class Channel:
     _ints: tuple[tuple, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _square: "Channel | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -167,12 +168,15 @@ class Channel:
         return self._ints
 
     def square(self) -> "Channel":
-        m = self.m
-        matrix = tuple(
-            tuple(sum(self.matrix[i][t] * self.matrix[t][j] for t in range(m)) for j in range(m))
-            for i in range(m)
-        )
-        return Channel(m=m, matrix=matrix)
+        """The exact two-step channel.  Built once per channel."""
+        if self._square is None:
+            m = self.m
+            matrix = tuple(
+                tuple(sum(self.matrix[i][t] * self.matrix[t][j] for t in range(m)) for j in range(m))
+                for i in range(m)
+            )
+            object.__setattr__(self, "_square", Channel(m=m, matrix=matrix))
+        return self._square
 
     def has_identical_columns(self) -> bool:
         return all(

@@ -121,18 +121,21 @@ def generate_direct(
 def direct_levels(
     shape: TreeShape, channel: Channel, key: int, root: int | None = None
 ) -> list[np.ndarray]:
-    """The levels `generate_direct` samples, drawn from the counter key `key`.
-
-    Node i of level l reads word `level_words(key, l, .)[i]` and inverts it
-    through its parent's row of `channel.sampling_tables()`, one draw per level.
-    """
-    dtype = code_dtype(channel.m)
-    tables = channel.sampling_tables()
-    levels = [np.array([_sample_root(key, channel.m, root)], dtype=dtype)]
+    """The levels `generate_direct` samples, drawn from the counter key `key`
+    (`direct_level` one level at a time)."""
+    levels = [np.array([_sample_root(key, channel.m, root)], dtype=code_dtype(channel.m))]
     for lvl in range(1, shape.d + 1):
-        words = level_words(key, lvl, shape.nodes_at(lvl))
-        levels.append(tables.draw(np.repeat(levels[-1], shape.k), words).astype(dtype))
+        levels.append(direct_level(levels[-1], shape.k, channel, key, lvl))
     return levels
+
+
+def direct_level(parents: np.ndarray, k: int, channel: Channel, key: int, level: int, start: int = 0) -> np.ndarray:
+    """The k children of each of `parents` at `level`, the first being node
+    `start` of the level: node start + i reads word i of `level_words(key,
+    level, ., start=start)` and inverts it through its parent's row of
+    `channel.sampling_tables()`, one draw for the block."""
+    words = level_words(key, level, len(parents) * k, start=start)
+    return channel.sampling_tables().draw(np.repeat(parents, k), words).astype(code_dtype(channel.m))
 
 
 def generate_path_product(

@@ -337,13 +337,16 @@ def _addr_parts(addr) -> tuple[int, int]:
     return int(level), int(index)
 
 
-def level_words(key: int, level: int, count: int, word_index: int = 0, rows: int = 1) -> np.ndarray:
-    """Uniform words for all `count` nodes of one level, in index order; past
-    rows = 1, word word_index + j in row j of a (rows, count) array, from one
-    keyed pass."""
+def level_words(
+    key: int, level: int, count: int, word_index: int = 0, rows: int = 1, start: int = 0
+) -> np.ndarray:
+    """Uniform words for nodes start..start+count-1 of one level, in index
+    order; past rows = 1, word word_index + j in row j of a (rows, count)
+    array, from one keyed pass."""
+    offset = 256 * start + 4 * level + word_index  # `node_counters(level, start, word_index)`
     if rows == 1:
-        return progression_words(key, 256, 4 * level + word_index, count)
-    return _keyed_pass(key, _progression_pass(256, 4 * level + word_index, count, rows))
+        return progression_words(key, 256, offset, count)
+    return _keyed_pass(key, _progression_pass(256, offset, count, rows))
 
 
 def bits_from_word(w: int, nbits: int) -> list[int]:

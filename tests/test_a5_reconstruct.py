@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from treecast.a5.pair_model import generate_pair_model, pair_code
 from treecast.a5.quotient import class_pair_code, generate_class16, quotient_channel
 from treecast.a5.reconstruct import (
     class16_reconstruction_trial,
+    decode_identity_first,
+    identity_first_draws,
     identity_first_tallies,
     pair_reconstruction_trial,
     reconstruct_level_class16_from_counts,
@@ -220,6 +223,122 @@ def test_pair_level_equals_the_division_tally(k, nodes, seed, from_tree, dtype):
     assert got.dtype == want.dtype == np.uint16 and got.tobytes() == want.tobytes()
 
 
+def _chosen_draws(parent: int, kind: str, n: int, a: int) -> tuple[int, int, int]:
+    """One node's (parent, N, A) of the kind named: any split, N = 0, a tie
+    A = N - A, a runner-up at exactly 1/5 of the top (either code on top),
+    or just below it.  A diagonal parent's A is N, as its draws always are."""
+    n, a = {
+        "any": (n, min(a, n)),
+        "empty": (0, 0),
+        "tie": (2 * n, n),
+        "fifth-heavy": (6 * n, 5 * n),
+        "fifth-light": (6 * n, n),
+        "below-fifth": (6 * n + 1, 5 * n + 1),
+    }[kind]
+    return parent, n, n if reconstruct._identity_first_laws()[4][parent] else a
+
+
+_NODE_DRAWS = st.builds(
+    _chosen_draws,
+    st.integers(0, 15),
+    st.sampled_from(["any", "empty", "tie", "fifth-heavy", "fifth-light", "below-fifth"]),
+    st.integers(0, 40),
+    st.integers(0, 40),
+)
+
+
+class TestDrawDecode:
+    """The class rule read off each node's draws (N, A), and the top two of
+    a one-node level, equal the tally path they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nodes=st.lists(_NODE_DRAWS, min_size=1, max_size=40), all_empty=st.booleans(), tie_key=st.integers(0, 2**64 - 1))
+    def test_decode_equals_the_tally_rule_on_chosen_draws(self, nodes, all_empty, tie_key):
+        parents, total, first = (np.array(col, dtype=np.int64) for col in zip(*nodes))
+        if all_empty:
+            total[:], first[:] = 0, 0
+        with mock.patch.object(reconstruct, "identity_first_draws", lambda *args: (total, first)):
+            tallies = identity_first_tallies(parents, 7, 0, 1)
+        assert np.array_equal(tallies.sum(axis=1), total)
+        want_labels, want_empty = reconstruct_level_class16_from_counts(tallies, tie_key)
+        labels, empty = decode_identity_first(parents, total, first, tie_key)
+        assert labels.dtype == want_labels.dtype == np.uint8
+        assert np.array_equal(labels, want_labels) and np.array_equal(empty, want_empty)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 6000), count=st.integers(1, 300), seed=st.integers(0, 2**64 - 1), level=st.integers(1, 5))
+    def test_decode_equals_the_tally_rule_on_sampled_draws(self, k, count, seed, level):
+        key = SeedSpec(seed, "decode").key()
+        parents = level_words(key, 0, count) % np.uint64(16)
+        want = reconstruct_level_class16_from_counts(identity_first_tallies(parents, k, key, level), subkey(key, 1))
+        got = decode_identity_first(parents, *identity_first_draws(parents, k, key, level), subkey(key, 1))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.sampled_from([2, 4, 16, 60]), high=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_one_node_top_two_equals_the_key_matrix(self, width, high, seed):
+        # Small count ranges make ties for the top and the runner-up common;
+        # high = 0 is the all-zero tally.
+        counts = np.random.default_rng(seed).integers(0, high + 1, size=width)
+        got = reconstruct._top_two(counts)
+        want = reconstruct._top_two(counts[:, None])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 400), seed=st.integers(0, 2**64 - 1), spread=st.sampled_from([2, 4, 16, 3600]))
+    def test_one_parent_level_equals_its_node_in_a_wider_level(self, k, seed, spread):
+        # A level of one parent takes the argmax path; the same children as
+        # node 0 of a two-node level take the key matrix.
+        key = SeedSpec(seed, "one-parent").key()
+        children = level_words(key, 0, 2 * k) % np.uint64(spread)
+        pair = reconstruct_level_pair(children[:k].astype(np.uint16), k)
+        assert pair.dtype == np.uint16 and pair.tolist() == reconstruct_level_pair(children.astype(np.uint16), k)[:1].tolist()
+        labels = (children % np.uint64(16)).astype(np.uint8)
+        one = reconstruct.reconstruct_level_class16(labels[:k], k, 9)
+        two = reconstruct.reconstruct_level_class16(labels, k, 9)
+        assert one[0].tolist() == two[0][:1].tolist() and one[1].tolist() == two[1][:1].tolist()
+
+
+def _unstreamed_class16_trial(k: int, d: int, key: int) -> tuple[int, int, int]:
+    """Frozen reference: the whole bottom level at once, through its
+    (nodes, 4) tallies, then one level at a time to the root."""
+    levels = reconstruct.direct_levels(TreeShape(k, d - 1), quotient_channel(), key)
+    tallies = identity_first_tallies(levels[-1], k, key, d)
+    level, empty = reconstruct_level_class16_from_counts(tallies, subkey(key, 1))
+    flagged, depth = int(empty.sum()), 1
+    while level.size > 1:
+        depth += 1
+        level, empty = reconstruct.reconstruct_level_class16(level, k, subkey(key, depth))
+        flagged += int(empty.sum())
+    return int(levels[0][0]), int(level[0]), flagged
+
+
+class TestStreamedTrial:
+    @pytest.mark.parametrize("k", [3, 5, 40, 500])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_trial_is_the_same_for_any_block(self, monkeypatch, k, d):
+        keys = [subkey(SeedSpec(k * 10 + d, "blocks").key(), t) for t in range(2 if k == 500 else 8)]
+        want = [_unstreamed_class16_trial(k, d, key) for key in keys]
+        for block in (1, 3 * k, reconstruct.BLOCK_NODES):  # 1 parent, 3 parents, the default
+            monkeypatch.setattr(reconstruct, "BLOCK_NODES", block)
+            assert [class16_reconstruction_trial(k, d, key) for key in keys] == want
+
+    def test_trial_memory_is_bounded_by_its_blocks(self):
+        # A (1000, 3) trial has 10^6 bottom nodes; the unstreamed trial held
+        # their tallies and top-two keys at once, a 123 MB peak.  Streamed,
+        # a block of 2^16 nodes peaks near 4 MiB, and the blocks' first
+        # passes may fill rng's pass memo (16 MiB).
+        key = SeedSpec(8, "memory").key()
+        class16_reconstruction_trial(1000, 1, key)  # builds the tally tables
+        tracemalloc.start()
+        try:
+            class16_reconstruction_trial(1000, 3, key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+
 class TestIdentityFirstSampler:
     @pytest.mark.parametrize("label", [class_pair_code(2, 2), class_pair_code(1, 3)])
     def test_tallies_follow_exact_multinomial(self, label):
@@ -342,19 +461,21 @@ class TestIdentityFirstSampler:
 
     @pytest.mark.parametrize("k, d", [(40, 2), (5, 3), (3, 1)])
     def test_trial_upper_levels_match_generate_direct(self, monkeypatch, k, d):
+        # The bottom labels reach the draws block by block, in level order.
         seen = []
 
         def spy(parents, *args):
             seen.append(np.array(parents))
-            return identity_first_tallies(parents, *args)
+            return identity_first_draws(parents, *args)
 
-        monkeypatch.setattr(reconstruct, "identity_first_tallies", spy)
+        monkeypatch.setattr(reconstruct, "identity_first_draws", spy)
         for s in range(6):
             seed = SeedSpec(300 + s, "upper")
             tree = generate_direct(TreeShape(k, d - 1), quotient_channel(), seed)
+            seen.clear()
             root, _, _ = class16_reconstruction_trial(k, d, seed.key())
             assert root == tree.root
-            assert np.array_equal(seen[-1], tree.levels[-1])
+            assert np.array_equal(np.concatenate(seen), tree.levels[-1])
 
     def test_trial_is_a_function_of_its_key(self):
         for k, d in [(500, 2), (6, 4)]:
@@ -458,7 +579,7 @@ class TestEndToEnd:
         def no_draw(*args):
             raise AssertionError("a trial drew")
 
-        for sampler in ("direct_levels", "identity_first_tallies", "pair_model_levels"):
+        for sampler in ("direct_levels", "direct_level", "identity_first_draws", "pair_model_levels"):
             monkeypatch.setattr(reconstruct, sampler, no_draw)
         with pytest.raises(ValueError, match=re.escape(words)):
             trial(k, d, SeedSpec(400, "pair-trial").key())

@@ -186,6 +186,23 @@ def test_fused_level_pass_equals_the_counter_pass(level, word_index, count):
     ).tobytes()
 
 
+@given(
+    level=st.integers(0, 63),
+    word_index=st.integers(0, 2),
+    start=st.integers(0, 2**40),
+    count=st.sampled_from([0, 1, 4, 5, 3600]),
+    rows=st.integers(1, 2),
+)
+def test_level_words_from_a_start_are_the_nodes_counter_words(level, word_index, start, count, rows):
+    # A block of a level's words, nodes start..start+count-1, as a streamed
+    # class16 trial draws them.
+    key = SeedSpec(level, "start").key()
+    nodes = start + np.arange(count, dtype=np.uint64)
+    want = np.stack([words_vec(key, node_counters(level, nodes, word_index + j)) for j in range(rows)])
+    got = level_words(key, level, count, word_index, rows=rows, start=start)
+    assert got.tobytes() == (want[0] if rows == 1 else want).tobytes()
+
+
 def test_memoized_level_pass_is_shared_and_read_only():
     first = rng._progression_pass(256, 21, 3600)
     assert rng._progression_pass(256, 21, 3600) is first
