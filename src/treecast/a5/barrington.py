@@ -115,11 +115,6 @@ def commutator_witness(target: int) -> tuple[int, int, int]:
     )
 
 
-def invert_program(program: Program) -> Program:
-    """Program whose product is the inverse of the input program's product."""
-    return Program(*_invert(np.stack(program._columns())))
-
-
 def program_length(formula: Formula) -> int:
     """Instruction count of the formula's compiled program, without compiling,
     from one visit per distinct node (`Formula.fold`)."""
@@ -244,17 +239,3 @@ def evaluate_program_batch(program: Program, assignments: np.ndarray) -> np.ndar
 
 def program_to_json(program: Program) -> list[list[int]]:
     return np.stack(program._columns(), axis=1).tolist()
-
-
-def program_from_json(doc) -> Program:
-    """A program from its JSON rows [var, g0, g1] of integers, with var >= 0
-    and g0, g1 in [0, 60); anything else raises ValueError."""
-    if not isinstance(doc, list) or not all(
-        isinstance(row, list) and len(row) == 3 and all(type(x) is int for x in row) for row in doc
-    ):
-        raise ValueError("a program is a list of [var, g0, g1] rows of integers")
-    try:
-        cols = np.array(doc, dtype=np.int64).reshape(-1, 3).T
-    except OverflowError:
-        raise ValueError("a program's entries must fit in 64-bit integers") from None
-    return Program(*cols)

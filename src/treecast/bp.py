@@ -110,11 +110,6 @@ class LeafLikelihood:
         index = tuple(rows.setdefault(tuple(map(as_fraction, row)), len(rows)) for row in weights)
         return cls(m, tuple(rows), index)
 
-    def to_float(self) -> np.ndarray:
-        """Weights as floats, shape (leaves, m): each distinct row converted once."""
-        return np.array(self.rows, dtype=np.float64).take(self.index, axis=0)
-
-
 _numerator = attrgetter("numerator")  # a weight's sign, without comparing Fractions
 
 

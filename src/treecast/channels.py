@@ -415,11 +415,9 @@ class CutTables:
         self.rounds = self._most.bit_length()
 
     def draw(self, rows: np.ndarray | int, words: np.ndarray) -> np.ndarray:
-        """Row rows[i]'s draw from raw word words[i], as an int32 array of the
-        two arrays' broadcast shape; an integer `rows` is one row for all."""
+        """Row rows[i]'s draw from raw word words[i], as an int32 array of
+        words' shape; an integer `rows` is one row for all."""
         rows = np.asarray(rows)
-        if rows.ndim and rows.shape != words.shape:
-            rows, words = np.broadcast_arrays(rows, words)
         shape, words = words.shape, words.reshape(-1)
         if rows.ndim:
             rows = rows.reshape(-1)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .bp import bp_posterior_batch_binary
 from .channels import FAIR, Channel, FractionLike, as_fraction, binary_theta, binomial_tables, integer_numerators
-from .generators import code_ones, generate_binary_batch
+from .generators import NoiseSpec, code_ones, generate_binary_batch
 from .oracle import DEFAULT_CONFIG_CAP, bayes_accuracy, config_count, likelihood_law
 from .rng import BLOCK_WORDS, SeedSpec, node_counters, trial_keys, words_vec
 from .trees import TreeShape
@@ -213,9 +213,17 @@ def bp_rounding_decisions(
     return _round_posterior(post1, seed.key(), start)
 
 
+def _one_row(leaves) -> np.ndarray:
+    """One tree's binary leaves as a (1, n) row; any other label raises."""
+    row = np.asarray(leaves).reshape(1, -1)
+    if (bad := np.flatnonzero((row != 0) & (row != 1))).size:
+        raise ValueError(f"leaf {bad[0]}: observed label {row[0, bad[0]]} outside [0, 2)")
+    return row
+
+
 def majority_estimate(leaves, seed: SeedSpec, trial: int = 0) -> int:
     """`majority_decisions` of one tree, as global trial `trial`."""
-    return int(majority_decisions(np.asarray(leaves).reshape(1, -1), trial, seed)[0])
+    return int(majority_decisions(_one_row(leaves), trial, seed)[0])
 
 
 CODE_LAW_FACTORS = 1 << 18  # most codes x numerator factors a sampled code law may have
@@ -287,8 +295,7 @@ def linearized_bp(
         s_hat = default_flip_rate(shape.k, t)
     if not 0 <= s_hat <= 0.5:
         raise ValueError(f"s_hat must lie in [0, 1/2], got {s_hat}")
-    row = np.asarray(leaves).reshape(1, -1)
-    return int(linearized_bp_decisions(shape, t, row, trial, seed, s_hat)[0])
+    return int(linearized_bp_decisions(shape, t, _one_row(leaves), trial, seed, s_hat)[0])
 
 
 # --- ones-count chain ------------------------------------------------------
@@ -426,7 +433,7 @@ def exact_majority_error(shape: TreeShape, theta: FractionLike) -> Fraction:
 def noisy_leaf_channel(theta: FractionLike, s: FractionLike) -> Channel:
     """Composition flip(s) after broadcast(theta): the last-level edge channel,
     the binary channel of bias theta * (1 - 2s)."""
-    return Channel.binary(as_fraction(theta) * (1 - 2 * as_fraction(s)))
+    return Channel.binary(as_fraction(theta) * (1 - 2 * NoiseSpec(s).s))
 
 
 def exact_P_sd(shape: TreeShape, theta: FractionLike, s: FractionLike) -> Fraction:
@@ -438,13 +445,13 @@ def exact_P_sd(shape: TreeShape, theta: FractionLike, s: FractionLike) -> Fracti
     oracle's configuration cap, `DEFAULT_CONFIG_CAP` (and its error), so
     the shapes it covers are those `enumerate_joint` covers.  At d = 0 the
     one leaf is the root seen through flip(s), with no edge to compose the
-    noise into, so the answer is max(s, 1 - s).
+    noise into, so the answer is 1 - s.
     """
+    sf = NoiseSpec(s).s
     if shape.d == 0:
-        sf = as_fraction(s)
-        return max(sf, 1 - sf)
+        return 1 - sf
     channel = Channel.binary(as_fraction(theta))
-    law = likelihood_law(shape, channel, leaf_channel=noisy_leaf_channel(theta, s))
+    law = likelihood_law(shape, channel, leaf_channel=noisy_leaf_channel(theta, sf))
     return bayes_accuracy(law)
 
 
@@ -476,9 +483,7 @@ def estimate_P_sd(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     t = as_fraction(theta)
-    sf = as_fraction(s)
-    if not 0 <= sf <= Fraction(1, 2):
-        raise ValueError(f"s must lie in [0, 1/2], got {sf}")
+    sf = NoiseSpec(s).s
     if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and config_count(shape.n, 2) <= DEFAULT_CONFIG_CAP:

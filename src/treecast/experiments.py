@@ -53,6 +53,7 @@ from .estimators import (
 )
 from .generators import (
     BATCH_METHODS,
+    NoiseSpec,
     biased_bit_approx_from_bits,
     biased_bit_exact_from_bits,
     generate_binary_batch,
@@ -95,8 +96,8 @@ def _parse_grid(name: str, values) -> tuple:
             raise ValueError(f"grid {name!r} repeats the value {value!r}")
         if name == "theta":
             binary_theta(number)
-        if name == "s" and not 0 <= number <= Fraction(1, 2):
-            raise ValueError(f"s must lie in [0, 1/2], got {number}")
+        if name == "s":
+            NoiseSpec(number)
         parsed[number] = item
     return tuple(parsed.values())
 

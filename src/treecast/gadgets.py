@@ -52,10 +52,6 @@ def var_entry(i: int) -> int:
     return 2 + 2 * i
 
 
-def negvar_entry(i: int) -> int:
-    return var_entry(i) + 1
-
-
 def entry_tag(code: int) -> str:
     if code == CONST0:
         return "0"
@@ -63,19 +59,6 @@ def entry_tag(code: int) -> str:
         return "1"
     i, neg = divmod(code - 2, 2)
     return f"!x{i + 1}" if neg else f"x{i + 1}"
-
-
-def entry_from_tag(tag: str) -> int:
-    if tag == "0":
-        return CONST0
-    if tag == "1":
-        return CONST1
-    neg = tag.startswith("!")
-    body = tag[1:] if neg else tag
-    if not body.startswith("x"):
-        raise ValueError(f"unknown entry tag {tag!r}")
-    i = int(body[1:]) - 1
-    return negvar_entry(i) if neg else var_entry(i)
 
 
 @dataclass(frozen=True)
@@ -117,10 +100,6 @@ class LeafTemplate:
 
     def to_tags(self) -> list[str]:
         return [entry_tag(int(c)) for c in self.entries]
-
-    @classmethod
-    def from_tags(cls, depth: int, tags) -> "LeafTemplate":
-        return cls(depth=depth, entries=np.array([entry_from_tag(t) for t in tags], dtype=np.int32))
 
 
 def _is_uniform_const(entries: np.ndarray) -> bool:
@@ -195,10 +174,6 @@ class GadgetVerdict:
     expected: int
     mode: str
     posterior_exact: Fraction | None = None
-
-
-def gadget_channel() -> Channel:
-    return _GADGET_CHANNEL
 
 
 def _tracks(expected, m1, total=None):

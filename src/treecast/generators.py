@@ -95,7 +95,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         s = as_fraction(self.s)
         if not 0 <= s <= Fraction(1, 2):
-            raise ValueError(f"flip probability must lie in [0, 1/2], got {s}")
+            raise ValueError(f"flip probability s must lie in [0, 1/2], got {s}")
         object.__setattr__(self, "s", s)
 
 
@@ -427,9 +427,12 @@ def generate_binary_batch(
     if roots is None:
         roots = FAIR.above(trial_level_words(tkeys, 0, 1)[:, 0]).astype(np.uint8)
     else:
-        roots = np.asarray(roots, dtype=np.uint8)
+        roots = np.asarray(roots)
         if roots.shape != (trials,):
             raise ValueError("roots must have one entry per trial")
+        if (bad := roots[(roots != 0) & (roots != 1)]).size:
+            raise ValueError(f"root label {bad[0]} outside [0, 2)")
+        roots = roots.astype(np.uint8)
     labels = roots.reshape(-1, 1)
     if shape.d == 0 and sf:
         # The one leaf is the root itself, seen through flip(s).

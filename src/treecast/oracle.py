@@ -308,15 +308,6 @@ def bayes_accuracy(law: LikelihoodLaw | JointDistribution) -> Fraction:
     return Fraction(total, law.denominator * law.m)
 
 
-def node_marginal(joint: JointDistribution, leaf_index: int) -> list[Fraction]:
-    """Marginal law of one leaf under the uniform-root mixture."""
-    out = [0] * joint.m
-    for num in joint.numerators:
-        for cfg, p in num.items():
-            out[cfg[leaf_index]] += p
-    return [Fraction(p, joint.denominator * joint.m) for p in out]
-
-
 def pair_equal_probability(joint: JointDistribution, i: int, j: int) -> Fraction:
     """P[leaf i == leaf j] under the uniform-root mixture."""
     total = sum(p for num in joint.numerators for cfg, p in num.items() if cfg[i] == cfg[j])

@@ -68,12 +68,3 @@ class NodeAddr:
             raise ValueError(f"level must be >= 0, got {self.level}")
         if self.index < 0:
             raise ValueError(f"index must be >= 0, got {self.index}")
-
-    def validate(self, shape: TreeShape) -> None:
-        if self.level > shape.d:
-            raise ValueError(f"level {self.level} exceeds tree depth {shape.d}")
-        if self.index >= shape.nodes_at(self.level):
-            raise ValueError(
-                f"index {self.index} out of range at level {self.level} "
-                f"(level has {shape.nodes_at(self.level)} nodes)"
-            )

@@ -388,24 +388,6 @@ def test_soft_evidence_stores_each_distinct_row_once():
     assert grid.rows == ((Fraction(4, 5), Fraction(1, 5)), (Fraction(1, 5), Fraction(4, 5))) and grid.index == (0, 1, 0)
 
 
-_S, _LABELS, _BITS = Fraction(1, 7), [2, 0, 1, 1, 2, 0], [1, 0, 1, 1]
-_SOFT = [(Fraction(1, 3), 1), (0, Fraction(2, 9)), (Fraction(1, 3), 1)]
-
-
-@pytest.mark.parametrize(
-    "evidence, per_leaf",
-    [
-        (LeafLikelihood.from_labels(_LABELS, 3), [[int(a == x) for a in range(3)] for x in _LABELS]),
-        (LeafLikelihood.from_noisy_bits(_BITS, _S), [[_S, 1 - _S] if x else [1 - _S, _S] for x in _BITS]),
-        (LeafLikelihood.from_weights(2, _SOFT), _SOFT),
-    ],
-    ids=["hard", "noisy", "soft"],
-)
-def test_to_float_equals_each_weight_converted(evidence, per_leaf):
-    got = evidence.to_float()
-    assert got.dtype == np.float64 and got.tolist() == [[float(w) for w in row] for row in per_leaf]
-
-
 def test_batch_matches_single():
     shape = TreeShape(k=2, d=4)
     theta = 0.6

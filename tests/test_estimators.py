@@ -98,6 +98,36 @@ def test_chain_and_wrapper_inputs_rejected():
         linearized_bp(shape, Fraction(1, 2), np.zeros(16, dtype=np.uint8), seed, s_hat=0.7)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: exact_P_sd(TreeShape(k=2, d=0), Fraction(4, 5), s),
+        lambda s: exact_P_sd(TreeShape(k=2, d=2), Fraction(1, 2), s),
+        lambda s: noisy_leaf_channel(Fraction(4, 5), s),
+        lambda s: estimate_P_sd(TreeShape(k=2, d=2), Fraction(4, 5), s, 10, SeedSpec(1, "s")),
+    ],
+    ids=["exact-d0", "exact-d2", "leaf-channel", "estimate"],
+)
+@pytest.mark.parametrize("s", [Fraction(-1, 2), Fraction(-1, 4), Fraction(3, 5), Fraction(3, 2)], ids=str)
+def test_flip_probability_outside_half_is_refused(call, s):
+    with pytest.raises(ValueError, match=rf"^flip probability s must lie in \[0, 1/2\], got {s}$"):
+        call(s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda leaves: majority_estimate(leaves, SeedSpec(1, "m")),
+        lambda leaves: linearized_bp(TreeShape(k=2, d=2), Fraction(4, 5), leaves, SeedSpec(1, "m")),
+    ],
+    ids=["majority", "linearized"],
+)
+def test_one_tree_wrappers_refuse_labels_outside_the_bits(call):
+    for leaves, bad in (([2, 2, 0, 0], "leaf 0: observed label 2"), ([0, 1, 1, -1], "leaf 3: observed label -1")):
+        with pytest.raises(ValueError, match=rf"^{bad} outside \[0, 2\)$"):
+            call(leaves)
+
+
 def test_flip_rate_theta_one_is_zero():
     est = estimate_flip_rate(TreeShape(k=3, d=4), 1, 1, trials=500, seed=SeedSpec(1, "f"))
     assert est.estimate == 0.0

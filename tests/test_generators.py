@@ -664,6 +664,13 @@ def test_batch_rejects_bad_height_method_and_noise():
         generate_binary_batch(shape, Fraction(1, 2), seed, 4, s=Fraction(3, 4))
 
 
+@pytest.mark.parametrize("roots, bad", [([2], "2"), ([0, 3, -1], "3"), ([0.5, 1.7], "0.5")])
+def test_batch_refuses_roots_outside_the_bits(roots, bad):
+    # Checked before the uint8 cast, which would read 3 and -1 as 3 and 255, and 0.5 as 0.
+    with pytest.raises(ValueError, match=rf"^root label {bad} outside \[0, 2\)$"):
+        generate_binary_batch(TreeShape(k=2, d=2), Fraction(4, 5), SeedSpec(1, "g"), len(roots), roots=roots)
+
+
 def _check_guided_draw(tables: CutTables, raw_words) -> None:
     """Probe every row with 100k random words and every in-range cut, cut - 1
     and cut + 1, each as a raw word: the guide answers most random words

@@ -15,7 +15,6 @@ from treecast.oracle import (
     enumerate_joint,
     expected_leaf_sum,
     likelihood_law,
-    node_marginal,
     pair_equal_probability,
 )
 from treecast.trees import TreeShape
@@ -64,7 +63,7 @@ def test_uniform_marginals():
     shape = TreeShape(k=2, d=3)
     joint = enumerate_joint(shape, Channel.binary(Fraction(3, 4)))
     for leaf in range(shape.n):
-        assert node_marginal(joint, leaf) == [Fraction(1, 2), Fraction(1, 2)]
+        assert sum(joint.mixture_prob(cfg) for cfg in joint.configurations() if cfg[leaf]) == Fraction(1, 2)
 
 
 def test_bayes_accuracy_pinned_value():

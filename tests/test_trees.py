@@ -13,7 +13,7 @@ from treecast.a5.reduction import detection_to_word
 from treecast.estimators import leaf_ones_counts
 from treecast.labels import LabelArray
 from treecast.rng import SeedSpec
-from treecast.trees import MAX_DEPTH, MAX_TREE_NODES, NodeAddr, TreeShape
+from treecast.trees import MAX_DEPTH, MAX_TREE_NODES, TreeShape
 
 
 def test_shape_counts_exact():
@@ -29,15 +29,6 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         TreeShape(k=2, d=-1)
     assert TreeShape(k=1, d=5).n == 1
-
-
-def test_addr_validation():
-    shape = TreeShape(k=2, d=2)
-    NodeAddr(2, 3).validate(shape)
-    with pytest.raises(ValueError):
-        NodeAddr(3, 0).validate(shape)
-    with pytest.raises(ValueError):
-        NodeAddr(1, 2).validate(shape)
 
 
 # --- the tree-size rule ----------------------------------------------------------
