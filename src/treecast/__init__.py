@@ -3,8 +3,8 @@ and group-word reductions, with every random decision reproducible from one
 64-bit seed."""
 
 from .channels import Channel, as_fraction, ks_parameter
-from .trees import NodeAddr, TreeShape
-from .rng import SeedSpec, node_randomness
+from .trees import TreeShape
+from .rng import SeedSpec
 from .labels import LabelArray
 from .oracle import JointDistribution, bayes_accuracy, enumerate_joint
 from .generators import (
@@ -44,10 +44,8 @@ __all__ = [
     "Channel",
     "as_fraction",
     "ks_parameter",
-    "NodeAddr",
     "TreeShape",
     "SeedSpec",
-    "node_randomness",
     "LabelArray",
     "JointDistribution",
     "bayes_accuracy",

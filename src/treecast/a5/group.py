@@ -101,10 +101,6 @@ class GroupTables:
             rows = paired
         return rows[..., 0].astype(np.uint8)
 
-    def conjugate(self, g: int, q: int) -> int:
-        """q g q^-1."""
-        return int(self.mul[self.mul[q, g], self.inv[q]])
-
     def elements_of_class(self, code: int) -> list[int]:
         return [g for g in range(self.order) if self.class_code[g] == code]
 

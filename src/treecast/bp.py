@@ -102,13 +102,6 @@ class LeafLikelihood:
             raise ValueError(f"flip rate must lie in [0, 1], got {sf}")
         return cls(2, ((1 - sf, sf), (sf, 1 - sf)), _ints(bits))
 
-    @classmethod
-    def from_weights(cls, m: int, weights) -> "LeafLikelihood":
-        """Soft evidence: one row of m weights per leaf, each weight made exact
-        by `as_fraction`; equal rows are stored once."""
-        rows: dict[tuple[Fraction, ...], int] = {}
-        index = tuple(rows.setdefault(tuple(map(as_fraction, row)), len(rows)) for row in weights)
-        return cls(m, tuple(rows), index)
 
 _numerator = attrgetter("numerator")  # a weight's sign, without comparing Fractions
 
@@ -262,8 +255,13 @@ def bp_posterior_batch_binary(
     tables hold such entries even when no row uses them, so the arithmetic
     runs with numpy's invalid-value warnings off.  At theta = +-1 the edge
     map is applied exactly, as lam -> theta lam, so with 0 < s < 1/2 every
-    log-odds stays finite and no row gives NaN.
+    log-odds stays finite and no row gives NaN.  A theta outside [-1, 1] or
+    an s outside [0, 1] (NaN included) raises ValueError.
     """
+    if not -1 <= theta_float <= 1:
+        raise ValueError(f"theta must lie in [-1, 1], got {theta_float}")
+    if not 0 <= s <= 1:
+        raise ValueError(f"flip rate s must lie in [0, 1], got {s}")
     n = leaves.shape[1]
     if not 0 <= height <= shape.d:
         raise ValueError(f"height must lie in [0, {shape.d}], got {height}")

@@ -447,11 +447,10 @@ def exact_P_sd(shape: TreeShape, theta: FractionLike, s: FractionLike) -> Fracti
     one leaf is the root seen through flip(s), with no edge to compose the
     noise into, so the answer is 1 - s.
     """
-    sf = NoiseSpec(s).s
+    sf, t = NoiseSpec(s).s, binary_theta(theta)
     if shape.d == 0:
         return 1 - sf
-    channel = Channel.binary(as_fraction(theta))
-    law = likelihood_law(shape, channel, leaf_channel=noisy_leaf_channel(theta, sf))
+    law = likelihood_law(shape, Channel.binary(t), leaf_channel=noisy_leaf_channel(t, sf))
     return bayes_accuracy(law)
 
 
@@ -482,7 +481,7 @@ def estimate_P_sd(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    t = as_fraction(theta)
+    t = binary_theta(theta)
     sf = NoiseSpec(s).s
     if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")

@@ -412,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     return sorted((row for batch in batches for row in batch), key=ResultRow.sort_key)
 
 
-run_ks_scan = run_a5_accuracy = run_experiment
+run_ks_scan = run_experiment
 
 
 @dataclass(frozen=True)

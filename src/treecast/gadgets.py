@@ -78,9 +78,6 @@ class LeafTemplate:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def complement(self) -> "LeafTemplate":
-        return LeafTemplate(depth=self.depth, entries=self.entries ^ 1)
-
     def instantiate(self, assignment) -> np.ndarray:
         """Leaf bits under an assignment (sequence of 0/1 per variable), or
         one row of leaf bits per row of a 2-D table of assignments."""

@@ -31,7 +31,6 @@ configuration cap, so both agree on which shapes are exact.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -112,9 +111,6 @@ class JointDistribution:
     def m(self) -> int:
         return self.channel.m
 
-    def prob(self, leaves: tuple[int, ...], root: int) -> Fraction:
-        return Fraction(self.numerators[root].get(tuple(leaves), 0), self.denominator)
-
     def configurations(self):
         return sorted(set().union(*self.numerators))
 
@@ -139,21 +135,6 @@ class JointDistribution:
             vec = tuple(num.get(x, 0) for num in self.numerators)
             counts[vec] = counts.get(vec, 0) + 1
         return LikelihoodLaw(self.m, counts, self.denominator)
-
-    def to_json(self) -> str:
-        doc = {
-            "k": self.shape.k,
-            "d": self.shape.d,
-            "m": self.m,
-            "cond": [
-                {
-                    "".join(map(str, cfg)) if self.m <= 10 else json.dumps(cfg): f"{p.numerator}/{p.denominator}"
-                    for cfg, p in sorted(law.items())
-                }
-                for law in self.cond
-            ],
-        }
-        return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
 @dataclass

@@ -56,8 +56,6 @@ _M64 = (1 << 64) - 1
 _C1 = 0x9E3779B97F4A7C15  # golden-ratio increment, odd
 _C2 = 0xD1B54A32D192ED03  # second stream constant, odd
 
-MAX_WIDTH = 256
-
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -307,34 +305,6 @@ def node_counter(level: int, index: int, word_index: int = 0) -> int:
     if level < 0 or level >= 64:
         raise ValueError(f"level must be in [0, 64), got {level}")
     return int(node_counters(level, index, word_index))
-
-
-def node_randomness(seed: SeedSpec, addr, width: int) -> int:
-    """`width` uniform bits for one node address, as a nonnegative int.
-
-    `addr` is anything with `level` and `index` attributes (a NodeAddr) or a
-    (level, index) pair.  Deterministic in (seed, address, width); the first
-    64 bits are `word(seed.key(), node_counter(level, index))`, so scalar
-    callers and the vectorized generators consume the same bit stream.
-    """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    if width > MAX_WIDTH:
-        raise ValueError(f"width {width} exceeds the {MAX_WIDTH}-bit limit")
-    level, index = _addr_parts(addr)
-    key = seed.key()
-    out = 0
-    nwords = (width + 63) // 64
-    for j in range(nwords):
-        out |= word(key, node_counter(level, index, j)) << (64 * j)
-    return out & ((1 << width) - 1)
-
-
-def _addr_parts(addr) -> tuple[int, int]:
-    if hasattr(addr, "level") and hasattr(addr, "index"):
-        return int(addr.level), int(addr.index)
-    level, index = addr
-    return int(level), int(index)
 
 
 def level_words(

@@ -56,15 +56,3 @@ class TreeShape:
         if self.k == 1:
             return self.d + 1
         return (self.k ** (self.d + 1) - 1) // (self.k - 1)
-
-
-@dataclass(frozen=True)
-class NodeAddr:
-    level: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if self.index < 0:
-            raise ValueError(f"index must be >= 0, got {self.index}")

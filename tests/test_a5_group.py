@@ -32,7 +32,7 @@ def test_classify_invariant_under_conjugation():
     for g in range(60):
         cg = classify(g)
         for q in range(60):
-            assert classify(A5.conjugate(g, q)) == cg
+            assert classify(int(A5.mul[A5.mul[q, g], A5.inv[q]])) == cg
 
 
 def test_product_folds_left():

@@ -60,9 +60,9 @@ def test_all_zero_likelihood_rejected():
     # A row shared by several leaves is reported at its first leaf.
     good, bad = (Fraction(1), Fraction(0)), (Fraction(-1), Fraction(2))
     with pytest.raises(ValueError, match="leaf 1 has a negative"):
-        LeafLikelihood.from_weights(2, (good, bad, good, bad))
+        LeafLikelihood(2, (good, bad), (0, 1, 0, 1))
     with pytest.raises(ValueError, match="leaf 2 has 3 weights, expected 2"):
-        LeafLikelihood.from_weights(2, (good, good, (1, 2, 3)))
+        LeafLikelihood(2, (good, (1, 2, 3)), (0, 0, 1))
     # A row no leaf reads is still checked; a leaf must read a row that exists.
     with pytest.raises(ValueError, match="row 1 has an all-zero"):
         LeafLikelihood(m=2, rows=(good, (Fraction(0), Fraction(0))), index=(0, 0))
@@ -79,7 +79,7 @@ def test_hard_evidence_rows_equal_fresh_unit_fractions(m):
     # Every hard evidence on m labels shares the m cached unit rows.
     assert ev.rows is _unit_rows(m) is LeafLikelihood.from_labels(labels[::-1], m).rows
     assert ev.index == tuple(labels) and all(type(x) is int for x in ev.index)
-    assert ev == LeafLikelihood.from_weights(m, fresh)
+    assert ev == LeafLikelihood(m, fresh[::3], tuple(labels))
     assert all(type(w) is Fraction for row in ev.rows for w in row)
     for bad in (m, -1):
         with pytest.raises(ValueError, match=rf"observed label {bad} outside \[0, {m}\)"):
@@ -143,6 +143,12 @@ def test_bp_three_labels_equals_oracle():
 
 
 # Soft likelihood rows with mixed denominators, zeros and a weight above 1.
+def _soft(rows) -> LeafLikelihood:
+    """Soft evidence of one weight row per leaf, each distinct row stored once."""
+    distinct = list(dict.fromkeys(rows))
+    return LeafLikelihood(2, tuple(distinct), tuple(map(distinct.index, rows)))
+
+
 SOFT_ROWS = [
     (Fraction(1, 2), Fraction(1, 3)),
     (Fraction(2), Fraction(5, 7)),
@@ -168,7 +174,7 @@ def test_bp_soft_evidence_with_mixed_denominators_equals_oracle_sum():
         rows = tuple(SOFT_ROWS[(3 * i + d) % len(SOFT_ROWS)] for i in range(shape.n))
         for theta in ORACLE_THETAS:
             channel = Channel.binary(theta)
-            evidence = LeafLikelihood.from_weights(2, rows)
+            evidence = _soft(rows)
             want = _soft_posterior(enumerate_joint(shape, channel), rows)
             if want is None:
                 for mode in ("rational", "float"):
@@ -207,7 +213,7 @@ def _memo_case(kind, k, d, theta):
     if kind == "soft":
         joint = enumerate_joint(shape, channel)
         return channel, [
-            (LeafLikelihood.from_weights(2, rows), _soft_posterior(joint, rows))
+            (_soft(rows), _soft_posterior(joint, rows))
             for rows in product(SOFT_ROWS, repeat=shape.n)
         ]
     s = Fraction(1, 10)
@@ -267,7 +273,7 @@ def test_parent_memo_work_count():
     assert info.misses <= 80 and info.hits + info.misses == 512 * 4
     deep = TreeShape(k=2, d=13)
     rows = [(Fraction(1, i + 2), Fraction(i + 1, i + 3)) for i in range(deep.n)]
-    soft = LeafLikelihood.from_weights(2, rows)
+    soft = LeafLikelihood(2, tuple(rows), tuple(range(deep.n)))
     assert len(soft.rows) == deep.n == 8192
     bp_posterior(deep, channel, soft, mode="rational")
     info = bp_module._parent_message.cache_info()
@@ -379,13 +385,15 @@ def test_noisy_evidence_channel():
 
 def test_soft_evidence_stores_each_distinct_row_once():
     a, b = (Fraction(1, 3), Fraction(1, 2)), (Fraction(2), Fraction(0))
-    ev = LeafLikelihood.from_weights(2, [a, b, a, a, (1, 0), b, ("1/3", 0.5)])
-    assert ev.rows == (a, b, (1, 0)) and ev.index == (0, 1, 0, 0, 2, 1, 0)
+    ev = LeafLikelihood(2, (a, b, (Fraction(1), Fraction(0))), (0, 1, 0, 0, 2, 1, 0))
     assert len(ev) == 7
-    assert all(type(w) is Fraction for row in ev.rows for w in row)
-    # Floats are read as typed, numpy's as well.
-    grid = LeafLikelihood.from_weights(2, np.array([[0.8, 0.2], [0.2, 0.8], [0.8, 0.2]]))
-    assert grid.rows == ((Fraction(4, 5), Fraction(1, 5)), (Fraction(1, 5), Fraction(4, 5))) and grid.index == (0, 1, 0)
+    # One row per leaf is another layout of the same weights: unequal, with
+    # the same posterior in both modes.
+    spread = LeafLikelihood(2, tuple(ev.rows[x] for x in ev.index), tuple(range(7)))
+    assert spread != ev
+    shape, channel = TreeShape(k=7, d=1), Channel.binary(Fraction(1, 2))
+    for mode in ("rational", "float"):
+        assert bp_posterior(shape, channel, spread, mode=mode) == bp_posterior(shape, channel, ev, mode=mode)
 
 
 def test_batch_matches_single():

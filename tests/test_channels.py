@@ -379,7 +379,7 @@ def test_only_channels_reads_a_counter_word_as_a_draw():
 # and the operators that keep a word a word.
 _WORD_FUNCTIONS = {
     "word", "words_vec", "progression_words", "trial_level_words", "level_words",
-    "level_blocks", "node_randomness", "subkey", "trial_keys",
+    "level_blocks", "subkey", "trial_keys",
 }
 _BIT_OPS = ast.RShift | ast.LShift | ast.BitAnd | ast.BitOr | ast.BitXor
 

@@ -27,8 +27,8 @@ from treecast.experiments import (
     emit,
     exact_joint_of_leaves,
     read_csv,
-    run_a5_accuracy,
     run_equivalence_suite,
+    run_experiment,
     run_ks_scan,
     run_check,
     run_noise_scan,
@@ -464,7 +464,7 @@ class TestA5Accuracy:
         cfg = ExperimentConfig(
             experiment="a5-accuracy", seed=5, trials=100, k=(3000,), d=(2,), jobs=1
         )
-        rows = run_a5_accuracy(cfg)
+        rows = run_experiment(cfg)
         assert len(rows) == 1
         assert rows[0].accuracy >= 0.9
 
@@ -481,7 +481,7 @@ class TestA5Accuracy:
         cfg = ExperimentConfig(
             experiment="a5-accuracy", model="pair3600", seed=5, trials=100, k=(3, 4), d=(2,), jobs=1
         )
-        rows = run_a5_accuracy(cfg)
+        rows = run_experiment(cfg)
         assert [(r.k, r.theta_or_channel, r.estimator, r.accuracy) for r in rows] == [
             (3, "pair3600", "pair3600-recursive", 0.75), (4, "pair3600", "pair3600-recursive", 0.75)
         ]

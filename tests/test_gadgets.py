@@ -98,7 +98,7 @@ class TestTracking:
     def test_complement_duality_exact(self):
         f = parse_formula("(or x1 (and x2 (not x1)))")
         template = compile_formula(f)
-        comp = template.complement()
+        comp = LeafTemplate(template.depth, template.entries ^ 1)
         from treecast.bp import LeafLikelihood, bp_posterior
         from treecast.trees import TreeShape
 
@@ -185,7 +185,7 @@ class TestCheckAllAssignments:
         for f in _random_formulas(13, 6, max_depth=3):
             template = compile_formula(f)
             assert check_all_assignments(f, template, mode)[1].all()
-            assert not check_all_assignments(f, template.complement(), mode)[1].any()
+            assert not check_all_assignments(f, LeafTemplate(template.depth, template.entries ^ 1), mode)[1].any()
 
     def test_auto_resolves_as_bp_posterior(self):
         f = parse_formula("(and (or x1 x2) (not x3))")

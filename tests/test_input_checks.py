@@ -10,10 +10,10 @@ from treecast.a5.barrington import Program
 from treecast.a5.pair_model import _product_tree_levels, pair_model_levels
 from treecast.bp import LeafLikelihood, bp_posterior, bp_posterior_batch_binary
 from treecast.channels import Channel
-from treecast.estimators import estimate_flip_rate, ones_count_law
+from treecast.estimators import estimate_flip_rate, estimate_P_sd, exact_P_sd, linearized_bp_decisions, ones_count_law
 from treecast.generators import Restriction, live_inputs_after
 from treecast.rng import SeedSpec
-from treecast.trees import NodeAddr, TreeShape
+from treecast.trees import TreeShape
 
 SEED = SeedSpec(1, "checks")
 SHAPE = TreeShape(k=2, d=2)
@@ -25,8 +25,6 @@ HALF = Fraction(1, 2)
     [
         pytest.param(lambda: Restriction(np.zeros((2, 2))), "symbols must be one-dimensional", id="restriction-2d"),
         pytest.param(lambda: Restriction([0, 3]), "symbols must lie in {0, 1, 2}", id="restriction-symbol"),
-        pytest.param(lambda: NodeAddr(-1, 0), "level must be >= 0", id="addr-level"),
-        pytest.param(lambda: NodeAddr(0, -1), "index must be >= 0", id="addr-index"),
         pytest.param(
             lambda: bp_posterior(SHAPE, Channel.binary(HALF), LeafLikelihood.from_labels([0, 1, 2, 0], 3)),
             "evidence and channel disagree on label count",
@@ -41,6 +39,34 @@ HALF = Fraction(1, 2)
             lambda: bp_posterior_batch_binary(SHAPE, 0.5, np.zeros((1, 3), np.uint8)),
             "leaves have 3 columns, tree has 4",
             id="batch-bp-columns",
+        ),
+        pytest.param(
+            lambda: bp_posterior_batch_binary(SHAPE, 5.0, np.zeros((1, 4), np.uint8)),
+            "theta must lie in [-1, 1], got 5.0",
+            id="batch-bp-theta",
+        ),
+        pytest.param(
+            lambda: bp_posterior_batch_binary(SHAPE, 0.5, np.zeros((1, 4), np.uint8), s=-0.2),
+            "flip rate s must lie in [0, 1], got -0.2",
+            id="batch-bp-s",
+        ),
+        pytest.param(
+            lambda: bp_posterior_batch_binary(SHAPE, 0.5, np.zeros((1, 4), np.uint8), s=float("nan")),
+            "flip rate s must lie in [0, 1], got nan",
+            id="batch-bp-s-nan",
+        ),
+        pytest.param(
+            lambda: linearized_bp_decisions(TreeShape(2, 4), 0.5, np.zeros((1, 16), np.uint8), 0, SEED, -0.3),
+            "flip rate s must lie in [0, 1], got -0.3",
+            id="linearized-s-hat",
+        ),
+        pytest.param(
+            lambda: exact_P_sd(TreeShape(2, 0), 5, Fraction(1, 10)), "theta must lie in [-1, 1], got 5", id="psd-theta-d0"
+        ),
+        pytest.param(
+            lambda: estimate_P_sd(TreeShape(2, 0), 5, Fraction(1, 10), 10, SEED),
+            "theta must lie in [-1, 1], got 5",
+            id="psd-estimate-theta-d0",
         ),
         pytest.param(lambda: estimate_flip_rate(SHAPE, HALF, 3, 10, SEED), "d' must lie in [0, 2]", id="d-prime-high"),
         pytest.param(lambda: estimate_flip_rate(SHAPE, HALF, -1, 10, SEED), "d' must lie in [0, 2]", id="d-prime-low"),

@@ -23,22 +23,22 @@ from treecast.trees import TreeShape
 def test_hand_bayes_example():
     # k=2, d=1, theta=1/2: per-edge copy probability 3/4, so P[(1,1)|1] = 9/16.
     joint = enumerate_joint(TreeShape(k=2, d=1), Channel.binary(Fraction(1, 2)))
-    assert joint.prob((1, 1), 1) == Fraction(9, 16)
-    assert joint.prob((1, 1), 0) == Fraction(1, 16)
-    assert joint.prob((1, 0), 1) == Fraction(3, 16)
+    assert joint.cond[1].get((1, 1), 0) == Fraction(9, 16)
+    assert joint.cond[0].get((1, 1), 0) == Fraction(1, 16)
+    assert joint.cond[1].get((1, 0), 0) == Fraction(3, 16)
 
 
 def test_theta_zero_uniform_leaves():
     joint = enumerate_joint(TreeShape(k=2, d=2), Channel.binary(0))
     for root in (0, 1):
         for cfg in joint.configurations():
-            assert joint.prob(cfg, root) == Fraction(1, 16)
+            assert joint.cond[root].get(cfg, 0) == Fraction(1, 16)
 
 
 def test_theta_one_deterministic():
     joint = enumerate_joint(TreeShape(k=3, d=2), Channel.binary(1))
-    assert joint.prob((1,) * 9, 1) == 1
-    assert joint.prob((0,) * 9, 0) == 1
+    assert joint.cond[1].get((1,) * 9, 0) == 1
+    assert joint.cond[0].get((0,) * 9, 0) == 1
     assert len(joint.cond[1]) == 1
 
 
@@ -56,7 +56,7 @@ def test_sibling_exchangeability():
         for perm in permutations(range(3)):
             permuted = tuple(cfg[i] for i in perm)
             for root in (0, 1):
-                assert joint.prob(permuted, root) == joint.prob(cfg, root)
+                assert joint.cond[root].get(permuted, 0) == joint.cond[root].get(cfg, 0)
 
 
 def test_uniform_marginals():
@@ -132,14 +132,8 @@ def test_correlation_and_mean_identities_exact():
     assert expected_leaf_sum(joint, 1) == Fraction(n, 2) + n * theta**3 / 2
 
 
-def test_json_rational_encoding():
-    joint = enumerate_joint(TreeShape(k=2, d=1), Channel.binary(Fraction(1, 2)))
-    doc = json.loads(joint.to_json())
-    assert doc["cond"][1]["11"] == "9/16"
-
-
-# JointDistribution.to_json() for (2,2) at theta=1/2, as written by the
-# Fraction-based enumeration before the oracle moved to integer numerators.
+# The (2,2) law at theta=1/2 as JSON, written by the Fraction-based
+# enumeration before the oracle moved to integer numerators.
 GOLDEN_JSON_2_2_HALF = (
     '{"cond":[{"0000":"49/256","0001":"21/256","0010":"21/256","0011":"21/256",'
     '"0100":"21/256","0101":"9/256","0110":"9/256","0111":"9/256","1000":"21/256",'
@@ -153,7 +147,10 @@ GOLDEN_JSON_2_2_HALF = (
 
 def test_json_golden_bytes():
     joint = enumerate_joint(TreeShape(k=2, d=2), Channel.binary(Fraction(1, 2)))
-    assert joint.to_json() == GOLDEN_JSON_2_2_HALF
+    golden = json.loads(GOLDEN_JSON_2_2_HALF)
+    assert (golden["k"], golden["d"], golden["m"]) == (2, 2, 2)
+    for law, want in zip(joint.cond, golden["cond"], strict=True):
+        assert dict(law) == {tuple(map(int, cfg)): Fraction(p) for cfg, p in want.items()}
 
 
 def test_cond_reads_fractions_from_integer_numerators():
@@ -164,7 +161,6 @@ def test_cond_reads_fractions_from_integer_numerators():
         assert all(type(p) is Fraction for p in law.values())
         for cfg, p in law.items():
             assert p == Fraction(joint.numerators[root][cfg], joint.denominator)
-            assert p == joint.prob(cfg, root)
 
 
 def test_cond_is_read_only():

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import treecast.rng as rng
-from treecast.trees import NodeAddr
 from treecast.rng import (
     BLOCK_WORDS,
     MEMO_BYTES,
@@ -14,7 +13,6 @@ from treecast.rng import (
     level_words,
     node_counter,
     node_counters,
-    node_randomness,
     subkey,
     trial_keys,
     trial_level_words,
@@ -24,32 +22,22 @@ from treecast.rng import (
 
 
 def test_same_inputs_same_block():
-    seed = SeedSpec(123456789, "gen")
-    addr = NodeAddr(3, 17)
-    a = node_randomness(seed, addr, 256)
-    b = node_randomness(seed, addr, 256)
-    assert a == b
-    assert 0 <= a < (1 << 256)
-    assert a == node_randomness(seed, (3, 17), 256)  # tuple form
+    key = SeedSpec(123456789, "gen").key()
+    a = level_words(key, 3, 1, rows=4, start=17)
+    assert np.array_equal(a, level_words(key, 3, 1, rows=4, start=17))
+    assert a[:, 0].tolist() == [word(key, node_counter(3, 17, j)) for j in range(4)]
 
 
 def test_stream_tag_changes_block():
-    a = node_randomness(SeedSpec(42, "gen"), NodeAddr(2, 5), 64)
-    b = node_randomness(SeedSpec(42, "tie"), NodeAddr(2, 5), 64)
+    a = level_words(SeedSpec(42, "gen").key(), 2, 1, start=5)
+    b = level_words(SeedSpec(42, "tie").key(), 2, 1, start=5)
     assert a != b
 
 
 def test_seed_changes_block():
-    a = node_randomness(SeedSpec(1, "gen"), NodeAddr(2, 5), 64)
-    b = node_randomness(SeedSpec(2, "gen"), NodeAddr(2, 5), 64)
+    a = level_words(SeedSpec(1, "gen").key(), 2, 1, start=5)
+    b = level_words(SeedSpec(2, "gen").key(), 2, 1, start=5)
     assert a != b
-
-
-def test_width_limit():
-    with pytest.raises(ValueError):
-        node_randomness(SeedSpec(1, "gen"), NodeAddr(0, 0), 257)
-    with pytest.raises(ValueError):
-        node_randomness(SeedSpec(1, "gen"), NodeAddr(0, 0), 0)
 
 
 def test_bit_frequency_across_addresses():
@@ -80,13 +68,6 @@ def test_words_vec_broadcasts_a_key_array():
     for t in range(4):
         for j, c in enumerate((0, 5, 9)):
             assert int(grid[t, j]) == word(subkey(3, t), c)
-
-
-def test_first_word_prefix_of_block():
-    seed = SeedSpec(7, "gen")
-    w = word(seed.key(), node_counter(4, 9))
-    block = node_randomness(seed, NodeAddr(4, 9), 256)
-    assert block & ((1 << 64) - 1) == w
 
 
 def test_node_counter_injective_sample():
