@@ -9,9 +9,7 @@ from .labels import LabelArray
 from .oracle import JointDistribution, bayes_accuracy, enumerate_joint
 from .generators import (
     NoiseSpec,
-    Restriction,
     add_leaf_noise,
-    apply_restriction,
     biased_bit_approx,
     biased_bit_exact,
     generate_direct,
@@ -51,9 +49,7 @@ __all__ = [
     "bayes_accuracy",
     "enumerate_joint",
     "NoiseSpec",
-    "Restriction",
     "add_leaf_noise",
-    "apply_restriction",
     "biased_bit_approx",
     "biased_bit_exact",
     "generate_direct",

@@ -10,7 +10,6 @@ from .pair_model import (
     pair_decode,
     pair_model_child_law,
     product_tree_child_law,
-    product_tree_generate,
 )
 from .quotient import class_pair_code, quotient_channel
 from .reconstruct import recursive_reconstruct
@@ -33,7 +32,6 @@ __all__ = [
     "pair_decode",
     "pair_model_child_law",
     "product_tree_child_law",
-    "product_tree_generate",
     "class_pair_code",
     "quotient_channel",
     "recursive_reconstruct",

@@ -5,7 +5,7 @@ first * 60 + second.  A child of a node labeled (s, s') picks a uniform b and
 becomes (b, b^-1 s) with probability 2/3 and (b, b^-1 s') with probability
 1/3 -- i.e. a uniformly random factorization of s or of s'.
 
-`product_tree_generate` realizes the same conditional law a second way: the
+`_product_tree_levels` realizes the same conditional law a second way: the
 root label is the pair (product of the first half of a supplied word,
 product of the second half), and each child halves its parent's segment
 with a fresh uniform boundary randomizer u, choosing the first-segment
@@ -125,28 +125,13 @@ def pair_model_child_law(root_code: int) -> LawView:
 # --- product-tree construction --------------------------------------------
 
 
-def product_tree_generate(
-    d: int,
-    sigma,
-    k: int,
-    seed: SeedSpec,
-) -> LabelArray:
-    """Sample the product-tree construction for a word of length 2^(d+1).
-
-    Node state is (segment start j, boundary randomizers x, u); the label at
-    tree level l is (x * seg(j, j+H) * u, u^-1 * seg(j+H, j+2H) * y) with
-    H = 2^(d-l) and y the parent's u or right randomizer.  The root's
-    randomizers are identities, so its label is the pair of half-word products.
-    """
-    levels = _product_tree_levels(d, sigma, k, seed, trees=1)
-    shape = TreeShape(k=k, d=d)
-    return LabelArray(shape=shape, m=3600, levels=[lvl[0] for lvl in levels])
-
-
 def _product_tree_levels(
     d: int, sigma, k: int, seed: SeedSpec, trees: int
 ) -> list[np.ndarray]:
-    """Batch sampler; returns per-level arrays of pair codes, shape (trees, k^l)."""
+    """Sample `trees` product trees for a word of length 2^(d+1); returns
+    per-level arrays of pair codes, shape (trees, k^l).  The root's
+    randomizers are identities, so its label is the pair of half-word
+    products."""
     TreeShape(k=k, d=d)  # the size rule, before the word check and any draw
     sigma = np.asarray(sigma, dtype=np.uint8)
     if len(sigma) != 2 ** (d + 1):

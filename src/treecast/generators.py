@@ -10,6 +10,10 @@ first-class citizens, not test scaffolding:
 * `generate_via_restrictions` composes per-level random restrictions with
   symbols in {0, 1, *}, where * copies the parent's value.
 
+The two binary ones and the batch sampler's three methods share one child
+step per method, `_binary_step`, which reads a level's raw counter words
+straight into its labels.
+
 Their exact leaf laws coincide, and are checked equal with zero tolerance.
 Each `*_leaf_law` sums its generator's own per-node symbol rules (flip bits,
 restriction symbols) into the 2x2 channel they put on every edge, and
@@ -64,27 +68,6 @@ from .rng import (
     words_vec,
 )
 from .trees import TreeShape
-
-STAR = 2  # restriction symbol codes: 0, 1, STAR
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """One level's restriction symbols; values in {0, 1, STAR}."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.symbols, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("symbols must be one-dimensional")
-        if len(arr) and int(arr.max()) > STAR:
-            raise ValueError("symbols must lie in {0, 1, 2}")
-        object.__setattr__(self, "symbols", arr)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -149,12 +132,30 @@ def generate_path_product(
     Each non-root node carries an independent Bernoulli((1-theta)/2) flip
     bit; a node's label is the root XOR the flip bits on its path.
     """
-    t = binary_theta(theta)
+    return _binary_tree(shape, "path", theta, seed, root)
+
+
+def generate_via_restrictions(
+    shape: TreeShape,
+    theta: FractionLike,
+    seed: SeedSpec,
+    root: int | None = None,
+) -> LabelArray:
+    """Sample the binary process as a composition of per-level restrictions."""
+    return _binary_tree(shape, "restrictions", theta, seed, root)
+
+
+def _binary_tree(shape: TreeShape, method: str, theta: FractionLike, seed: SeedSpec, root: int | None) -> LabelArray:
+    """One tree of the batch sampler's `method`: each level is its parents'
+    repeated labels, stepped by `_binary_step` with `level_words(seed.key(),
+    level, .)`."""
+    step = _binary_step(method, theta)
     key = seed.key()
-    flip = Threshold((1 - t) / 2)
     levels = [np.array([_sample_root(key, 2, root)], dtype=np.uint8)]
     for lvl in range(1, shape.d + 1):
-        levels.append(np.repeat(levels[-1], shape.k) ^ flip.below(level_words(key, lvl, shape.nodes_at(lvl))))
+        part = np.repeat(levels[-1], shape.k)
+        step(part, level_words(key, lvl, part.size))
+        levels.append(part)
     return LabelArray(shape=shape, m=2, levels=levels)
 
 
@@ -170,42 +171,34 @@ def restriction_rule(theta: FractionLike) -> tuple[Fraction, Threshold, Threshol
     return t, Threshold((1 - t) / 2), Threshold(1 - t)
 
 
-def sample_restriction(count: int, theta: FractionLike, seed: SeedSpec, level: int) -> Restriction:
-    """Draw `count` symbols: 0 and 1 with probability (1-theta)/2 each, * with theta."""
-    _, zero, one = restriction_rule(theta)
-    words = level_words(seed.key(), level, count)
-    sym = np.full(count, STAR, dtype=np.uint8)
-    sym[one.below(words)] = 1
-    sym[zero.below(words)] = 0
-    return Restriction(symbols=sym)
+BATCH_METHODS = ("direct", "path", "restrictions")
 
 
-def apply_restriction(x: np.ndarray, r: Restriction, k: int) -> np.ndarray:
-    """Fill one level: child v gets r_v when r_v is a constant, else its parent's label."""
-    x = np.asarray(x, dtype=np.uint8)
-    if len(r) != k * len(x):
-        raise ValueError(
-            f"restriction has {len(r)} symbols for {len(x)} parents of arity {k}"
-        )
-    out = np.repeat(x, k)
-    const = r.symbols != STAR
-    out[const] = r.symbols[const]
-    return out
+def _binary_step(method: str, theta: FractionLike):
+    """The child step step(part, w) of `method` at edge bias theta: it turns
+    `part`, the children's repeated parent labels, into their labels in
+    place, read from their raw counter words `w`.  Raises for a method or a
+    theta the method refuses, before any word is drawn."""
+    if method == "restrictions":
+        _, zero, one = restriction_rule(theta)
 
+        def step(part: np.ndarray, w: np.ndarray) -> None:
+            # Symbols 0 and 1 set the label, * keeps the parent's.
+            part |= one.below(w)
+            part &= zero.above(w)
 
-def generate_via_restrictions(
-    shape: TreeShape,
-    theta: FractionLike,
-    seed: SeedSpec,
-    root: int | None = None,
-) -> LabelArray:
-    """Sample the binary process as a composition of per-level restrictions."""
-    key = seed.key()
-    levels = [np.array([_sample_root(key, 2, root)], dtype=np.uint8)]
-    for lvl in range(1, shape.d + 1):
-        r = sample_restriction(shape.nodes_at(lvl), theta, seed, lvl)
-        levels.append(apply_restriction(levels[-1], r, shape.k))
-    return LabelArray(shape=shape, m=2, levels=levels)
+        return step
+    if method not in BATCH_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    t = binary_theta(theta)
+    # Direct is the column draw: the keep probability is (1+theta)/2 for
+    # both columns.  Path flips with probability (1-theta)/2.
+    flips = Threshold((1 + t) / 2).above if method == "direct" else Threshold((1 - t) / 2).below
+
+    def step(part: np.ndarray, w: np.ndarray) -> None:
+        part ^= flips(w)
+
+    return step
 
 
 def live_inputs_after(
@@ -321,8 +314,6 @@ def biased_bit_approx(theta: FractionLike, t_bits: int, seed: SeedSpec, draw: in
 
 # --- batched sampling for Monte Carlo ------------------------------------
 
-BATCH_METHODS = ("direct", "path", "restrictions")
-
 
 @lru_cache(maxsize=64)
 def code_law(
@@ -395,11 +386,11 @@ def generate_binary_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample trees start..start+trials-1 of the stream `seed`; returns (roots, leaves).
 
-    `leaves` has shape (trials, n).  Methods mirror the three single-tree
-    generators' randomness (column draw, path-product flip bits, restriction
-    symbols); each trial consumes the key derived from its global index, so
-    trees are independent streams and results do not depend on batch
-    boundaries or the trial count.  `s` composes a flip(s) channel into the
+    `leaves` has shape (trials, n).  Each method steps a level with its
+    `_binary_step` (column draw, path-product flip bits, restriction
+    symbols), as the one-tree generators do; each trial consumes the key
+    derived from its global index, so trees are independent streams and
+    results do not depend on batch boundaries or the trial count.  `s` composes a flip(s) channel into the
     last edge, as `estimators.noisy_leaf_channel` does; s = 0 leaves it as is.
     At d = 0 the root is flipped with the word at `word_index` 1 instead.
 
@@ -413,14 +404,11 @@ def generate_binary_batch(
 
     No level's word array is built: `rng.level_blocks` streams each level
     through one buffer pair, and each block of raw words goes through the
-    level's `channels.Threshold`s into its rows of the labels, or through
+    level's step into its rows of the labels, or through
     `CutTables.draw` into its rows of the codes.
     """
     t, sf = binary_theta(theta), NoiseSpec(s).s
-    if method not in BATCH_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "restrictions":
-        restriction_rule(t)  # raises outside [0, 1] before any word is drawn
+    step = _binary_step(method, t)  # refuses a method or theta before any word is drawn
     if not 0 <= height <= shape.d:
         raise ValueError(f"height must lie in [0, {shape.d}], got {height}")
     tkeys = trial_keys(seed.key(), trials, start)
@@ -444,23 +432,11 @@ def generate_binary_batch(
         code_type = np.min_scalar_type(len(code_ones(shape.k, height)) - 1)
         codes = np.empty((trials, shape.nodes_at(shape.d - height)), code_type)
     for lvl in range(1, shape.d - height + 1):
-        lt = t * (1 - 2 * sf) if lvl == shape.d else t
-        if method == "restrictions":
-            _, zero, one = restriction_rule(lt)
-        else:
-            flip, keep = Threshold((1 - lt) / 2), Threshold((1 + lt) / 2)
+        if lvl == shape.d:
+            step = _binary_step(method, t * (1 - 2 * sf))
         labels = np.repeat(labels, shape.k, axis=1)
         for first, w in level_blocks(tkeys, lvl, shape.nodes_at(lvl), 0, buffers):
-            part = labels.reshape(-1)[first : first + w.size]
-            if method == "direct":
-                # Column draw: the keep probability is (1+theta)/2 for both columns.
-                part ^= keep.above(w)
-            elif method == "path":
-                part ^= flip.below(w)
-            else:
-                # Symbols 0 and 1 set the label, * keeps the parent's.
-                part |= one.below(w)
-                part &= zero.above(w)
+            step(labels.reshape(-1)[first : first + w.size], w)
     if height == 0:
         return roots, labels
     tables = _code_tables(shape.k, height, t, sf)
@@ -508,7 +484,7 @@ def restriction_leaf_law(shape: TreeShape, theta: FractionLike, root: int) -> La
     channel that its symbols put on each edge."""
     t = restriction_rule(theta)[0]
     p_const = (1 - t) / 2
-    # Symbols 0 and 1 set the child; STAR copies the parent.
+    # Symbols 0 and 1 set the child; * copies the parent.
     return _symbol_leaf_law(shape, root, (((0, 0), p_const), ((1, 1), p_const), ((0, 1), t)))
 
 

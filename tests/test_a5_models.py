@@ -14,7 +14,6 @@ from treecast.a5.pair_model import (
     pair_code,
     pair_model_child_law,
     product_tree_child_law,
-    product_tree_generate,
 )
 import treecast.a5.quotient as quotient
 from treecast.a5.quotient import (
@@ -227,26 +226,26 @@ class TestProductTree:
         rng = np.random.default_rng(3)
         for d in (1, 2, 3):
             sigma = rng.integers(0, 60, size=2 ** (d + 1))
-            tree = product_tree_generate(d, sigma, 3, SeedSpec(int(d), "pt"))
+            levels = _product_tree_levels(d, sigma, 3, SeedSpec(int(d), "pt"), trees=1)
             half = len(sigma) // 2
             want = pair_code(A5.product(sigma[:half]), A5.product(sigma[half:]))
-            assert tree.root == want
+            assert levels[0][0, 0] == want
 
     def test_product_invariant_every_edge(self):
         rng = np.random.default_rng(4)
         sigma = rng.integers(0, 60, size=16)  # d = 3
         shape_k = 4
-        tree = product_tree_generate(3, sigma, shape_k, SeedSpec(8, "pt"))
+        levels = [lvl[0] for lvl in _product_tree_levels(3, sigma, shape_k, SeedSpec(8, "pt"), trees=1)]
         for lvl in range(1, 4):
-            parents = np.repeat(tree.levels[lvl - 1].astype(np.int64), shape_k)
+            parents = np.repeat(levels[lvl - 1].astype(np.int64), shape_k)
             pf, ps = _pair_parts(parents)
-            cf, cs = _pair_parts(tree.levels[lvl].astype(np.int64))
+            cf, cs = _pair_parts(levels[lvl].astype(np.int64))
             prod = A5.mul[cf, cs]
             assert bool(np.all((prod == pf) | (prod == ps)))
 
     def test_wrong_sigma_length(self):
         with pytest.raises(ValueError):
-            product_tree_generate(2, [1, 2, 3], 2, SeedSpec(1, "pt"))
+            _product_tree_levels(2, [1, 2, 3], 2, SeedSpec(1, "pt"), trees=1)
 
     def test_child_law_equals_pair_model_exactly(self):
         sigma = (12, 5, 33, 48)

@@ -421,6 +421,22 @@ def test_detect_negative_theta_outside_range_is_one_line_error(capsys):
     _one_line_usage_error(code, err, "theta must lie in [-1, 1]", "-3/2")
 
 
+@pytest.mark.parametrize(
+    "generator, theta, words",
+    [
+        ("direct", "2", ("theta must lie in [-1, 1]", "got 2")),
+        ("path-product", "2", ("theta must lie in [-1, 1]", "got 2")),
+        ("restrictions", "2", ("restriction distributions need theta in [0, 1]", "got 2")),
+        ("restrictions", "-1/2", ("restriction distributions need theta in [0, 1]", "got -1/2")),
+    ],
+    ids=["direct", "path-product", "restrictions", "restrictions-negative"],
+)
+def test_gen_depth_zero_theta_outside_the_generator_range_is_one_line_error(capsys, generator, theta, words):
+    code, out, err = run(capsys, "gen", "--k", "2", "--d", "0", "--generator", generator, "--theta", theta)
+    _one_line_usage_error(code, err, *words)
+    assert out == ""
+
+
 @pytest.mark.parametrize("generator", ["direct", "path-product", "restrictions", "pair3600", "class16"])
 def test_gen_over_node_budget_is_one_line_error(capsys, monkeypatch, generator):
     import treecast.trees

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -21,11 +22,8 @@ from treecast.experiments import (
 )
 from treecast.generators import (
     BATCH_METHODS,
-    STAR,
     NoiseSpec,
-    Restriction,
     add_leaf_noise,
-    apply_restriction,
     biased_bit_approx_from_bits,
     biased_bit_exact,
     biased_bit_exact_from_bits,
@@ -38,7 +36,6 @@ from treecast.generators import (
     live_inputs_after,
     path_product_leaf_law,
     restriction_leaf_law,
-    sample_restriction,
     total_variation,
 )
 from treecast.oracle import enumerate_joint
@@ -46,6 +43,7 @@ from treecast.rng import (
     BLOCK_WORDS,
     SeedSpec,
     bits_from_word,
+    level_words,
     node_counters,
     subkey,
     trial_keys,
@@ -133,28 +131,24 @@ class TestPathProduct:
 
 
 class TestRestrictions:
+    # Words that read as *, 0 and 1 at theta = 1/3: past the one cut, below
+    # the zero cut, and at the zero cut.
+    STAR, ZERO, ONE = 2**64 - 1, 0, 2 * cut63(Fraction(1, 3))
+
+    @staticmethod
+    def _level(parents, words):
+        part = np.repeat(np.array(parents, dtype=np.uint8), 2)
+        generators._binary_step("restrictions", Fraction(1, 3))(part, np.array(words, dtype=np.uint64))
+        return part.tolist()
+
     def test_apply_all_star_copies_parent(self):
-        x = np.array([1, 0], dtype=np.uint8)
-        r = Restriction(symbols=np.full(4, STAR, dtype=np.uint8))
-        assert apply_restriction(x, r, 2).tolist() == [1, 1, 0, 0]
+        assert self._level([1, 0], [self.STAR] * 4) == [1, 1, 0, 0]
 
     def test_apply_all_zero(self):
-        x = np.array([1, 1], dtype=np.uint8)
-        r = Restriction(symbols=np.zeros(4, dtype=np.uint8))
-        assert apply_restriction(x, r, 2).tolist() == [0, 0, 0, 0]
+        assert self._level([1, 1], [self.ZERO] * 4) == [0, 0, 0, 0]
 
     def test_apply_mixed_example(self):
-        x = np.array([1], dtype=np.uint8)
-        r = Restriction(symbols=np.array([STAR, 0], dtype=np.uint8))
-        assert apply_restriction(x, r, 2).tolist() == [1, 0]
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_restriction(
-                np.array([1], dtype=np.uint8),
-                Restriction(symbols=np.array([0], dtype=np.uint8)),
-                2,
-            )
+        assert self._level([1, 0], [self.STAR, self.ZERO, self.ONE, self.STAR]) == [1, 0, 1, 0]
 
     def test_exact_law_matches_oracle(self):
         shape = TreeShape(k=2, d=2)
@@ -165,14 +159,47 @@ class TestRestrictions:
             assert total_variation(law, joint.cond[root]) == 0
 
     def test_theta_zero_never_star(self):
-        r = sample_restriction(5000, Fraction(0), SeedSpec(4, "r"), level=1)
-        assert (r.symbols != STAR).all()
+        # No word reads as *, so the children never depend on the parent.
+        words = np.append(level_words(SeedSpec(4, "r").key(), 1, 5000), np.uint64(2**64 - 1))
+        step = generators._binary_step("restrictions", Fraction(0))
+        children = []
+        for parent in (0, 1):
+            part = np.full(words.size, parent, dtype=np.uint8)
+            step(part, words)
+            children.append(part)
+        assert np.array_equal(*children)
         arr = generate_via_restrictions(TreeShape(k=2, d=6), 0, SeedSpec(5, "gen"))
         assert abs(arr.leaves.mean() - 0.5) < 0.05
 
     def test_theta_one_always_star(self):
         arr = generate_via_restrictions(TreeShape(k=3, d=3), 1, SeedSpec(6, "gen"), root=1)
         assert all((lvl == 1).all() for lvl in arr.levels)
+
+
+_THIRD = Fraction(1, 3)
+
+
+@pytest.mark.parametrize("parent", [0, 1])
+@pytest.mark.parametrize(
+    "method, cuts",
+    [
+        # (cut probability p, child at word 2 cut63(p) - 1, child at word 2 cut63(p))
+        ("direct", [((1 + _THIRD) / 2, "parent", "flipped")]),
+        ("path", [((1 - _THIRD) / 2, "flipped", "parent")]),
+        ("restrictions", [((1 - _THIRD) / 2, 0, 1), (1 - _THIRD, 1, "parent")]),
+    ],
+    ids=["direct", "path", "restrictions"],
+)
+def test_child_step_reads_the_words_beside_each_cut_as_documented(method, cuts, parent):
+    # direct keeps the parent below its keep cut; path flips it below its
+    # flip cut; restrictions read symbol 0 below the zero cut, 1 below the
+    # one cut, else * (the parent).
+    child = {"parent": parent, "flipped": 1 - parent, 0: 0, 1: 1}
+    words = [w for p, _, _ in cuts for w in (2 * cut63(p) - 1, 2 * cut63(p))]
+    want = [child[c] for _, below, at in cuts for c in (below, at)]
+    part = np.full(len(words), parent, dtype=np.uint8)
+    generators._binary_step(method, _THIRD)(part, np.array(words, dtype=np.uint64))
+    assert part.tolist() == want
 
 
 class TestLiveInputs:
@@ -487,7 +514,7 @@ def test_leaf_laws_equal_brute_force_over_symbol_assignments(k, d, theta, root):
     p = (1 - theta) / 2  # the flip probability, and each constant's
     laws = [(path_product_leaf_law, {0: (lambda a: a, 1 - p), 1: (lambda a: 1 - a, p)})]
     if theta >= 0:
-        laws.append((restriction_leaf_law, {0: (lambda a: 0, p), 1: (lambda a: 1, p), STAR: (lambda a: a, theta)}))
+        laws.append((restriction_leaf_law, {0: (lambda a: 0, p), 1: (lambda a: 1, p), "*": (lambda a: a, theta)}))
     for law_fn, symbols in laws:
         law = law_fn(shape, theta, root)
         numerators, denominator = _brute_force_leaf_law(shape, root, symbols)
@@ -520,6 +547,32 @@ def test_exact_laws_refuse_a_root_label_outside_0_1(root):
     ):
         with pytest.raises(ValueError, match=message):
             law()
+
+
+@pytest.mark.parametrize(
+    "generate, theta, message",
+    [
+        pytest.param(
+            lambda shape, theta, seed: generate_direct(shape, Channel.binary(theta), seed),
+            2,
+            "theta must lie in [-1, 1], got 2",
+            id="direct",
+        ),
+        pytest.param(generate_path_product, 2, "theta must lie in [-1, 1], got 2", id="path"),
+        pytest.param(
+            generate_via_restrictions, 2, "restriction distributions need theta in [0, 1], got 2", id="restrictions"
+        ),
+        pytest.param(
+            generate_via_restrictions,
+            Fraction(-1, 2),
+            "restriction distributions need theta in [0, 1], got -1/2",
+            id="restrictions-negative",
+        ),
+    ],
+)
+def test_generators_refuse_theta_outside_their_range_at_depth_zero(generate, theta, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate(TreeShape(k=3, d=0), theta, SeedSpec(1, "gen"))
 
 
 def test_restriction_leaf_law_rejects_negative_theta():

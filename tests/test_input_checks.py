@@ -11,7 +11,7 @@ from treecast.a5.pair_model import _product_tree_levels, pair_model_levels
 from treecast.bp import LeafLikelihood, bp_posterior, bp_posterior_batch_binary
 from treecast.channels import Channel
 from treecast.estimators import estimate_flip_rate, estimate_P_sd, exact_P_sd, linearized_bp_decisions, ones_count_law
-from treecast.generators import Restriction, live_inputs_after
+from treecast.generators import live_inputs_after
 from treecast.rng import SeedSpec
 from treecast.trees import TreeShape
 
@@ -23,8 +23,6 @@ HALF = Fraction(1, 2)
 @pytest.mark.parametrize(
     "call, message",
     [
-        pytest.param(lambda: Restriction(np.zeros((2, 2))), "symbols must be one-dimensional", id="restriction-2d"),
-        pytest.param(lambda: Restriction([0, 3]), "symbols must lie in {0, 1, 2}", id="restriction-symbol"),
         pytest.param(
             lambda: bp_posterior(SHAPE, Channel.binary(HALF), LeafLikelihood.from_labels([0, 1, 2, 0], 3)),
             "evidence and channel disagree on label count",

@@ -8,10 +8,14 @@ methods of top-level classes, which count as used when `.name` appears
 anywhere (a `def` never writes it).  The package `__init__.py` files are not
 read: a re-export is not a use.
 
+Python sources are read as code: comments, docstrings and other bare
+string statements are stripped first, so a name written only in prose is
+not a use.  README is read as written.
+
 It matches names as text, so it has limits.  A method that shares its name
 with another class's used method passes: `JointDistribution.to_json` would
-pass because `LabelArray.to_json` is used.  A name written in a comment or
-docstring counts as used, and functions that only call each other pass."""
+pass because `LabelArray.to_json` is used.  Functions that only call each
+other pass."""
 
 import ast
 import re
@@ -29,7 +33,22 @@ ALLOWED = {
     "a5.barrington.evaluate_program": "the scalar reference evaluate_program_batch is checked against",
     "generators.add_leaf_noise": "README's leaf-noise channel on a generated tree",
     "generators.biased_bit_exact": "README's exact dyadic-bias coin",
+    "a5.reconstruct.reconstruct_level_class16_from_counts": (
+        "the class rule on tallies, which the class-rule tests and TestDrawDecode call"
+    ),
+    "estimators.exact_majority_error": "the exact majority reference that ROADMAP item 5 puts to work",
+    "rng.node_counter": "the scalar counter reference",
 }
+
+
+def _code(source: str) -> str:
+    """`source` without its comments, docstrings and other bare string
+    statements."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+            node.value = ast.Constant(None)
+    return ast.unparse(tree)
 
 
 def _unused_names(modules: dict[str, str], corpus: str) -> list[str]:
@@ -53,14 +72,16 @@ def _unused_names(modules: dict[str, str], corpus: str) -> list[str]:
 
 def _scan(src: Path, readers: list[Path]) -> list[str]:
     """`_unused_names` of the package at `src`, read with `readers` but
-    without the package's `__init__.py` files."""
+    without the package's `__init__.py` files; Python files are read as
+    `_code`."""
     modules = {
         ".".join(path.relative_to(src).with_suffix("").parts): path.read_text(encoding="utf-8")
         for path in sorted(src.rglob("*.py"))
         if path.name != "__init__.py"
     }
-    corpus = "\n".join([*modules.values(), *(path.read_text(encoding="utf-8") for path in readers)])
-    return _unused_names(modules, corpus)
+    texts = [path.read_text(encoding="utf-8") for path in readers]
+    codes = [_code(text) if path.suffix == ".py" else text for path, text in zip(readers, texts)]
+    return _unused_names(modules, "\n".join([*map(_code, modules.values()), *codes]))
 
 
 def test_every_public_function_is_named_outside_its_own_def():
@@ -79,6 +100,14 @@ def test_a_method_named_only_in_its_def_is_flagged():
         "    def _hidden(self):\n        return 2\n\n\nprint(Law().write())\n"
     )
     assert _unused_names({"m": source}, source) == ["m.Law.read"]
+
+
+def test_a_name_only_in_a_docstring_and_a_comment_is_flagged(tmp_path):
+    (tmp_path / "m.py").write_text(
+        'def helper():\n    return 1\n\n\ndef main():\n    """Unlike helper, returns 2."""\n'
+        "    return 2  # helper is not called\n\n\nmain()\n"
+    )
+    assert _scan(tmp_path, []) == ["m.helper"]
 
 
 def test_a_re_export_alone_is_not_a_use(tmp_path):

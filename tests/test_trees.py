@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from treecast.a5.pair_model import product_tree_generate
+from treecast.a5.pair_model import _product_tree_levels
 from treecast.a5.reconstruct import class16_reconstruction_trial
 from treecast.a5.reduction import detection_to_word
 from treecast.estimators import leaf_ones_counts
@@ -88,7 +88,7 @@ _WORD8 = [0] * 8  # a length-2^(d+1) word at d = 2
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: product_tree_generate(2, _WORD8, 10**5, SeedSpec(1, "big")),
+        lambda: _product_tree_levels(2, _WORD8, 10**5, SeedSpec(1, "big"), trees=1),
         lambda: detection_to_word(lambda leaves: 0, _WORD8, 10**5, 2, SeedSpec(1, "big")),
         lambda: class16_reconstruction_trial(10**5, 3, 7),
         lambda: leaf_ones_counts(2, 26, Fraction(1, 2), 1, 10, SeedSpec(1, "big")),
